@@ -8,7 +8,7 @@ idle past a grace period — and reports the GPU-seconds each pays.
 """
 
 from repro.bench.reporting import FigureTable
-from repro.cluster.elastic import ElasticClusterSimulator, ElasticConfig
+from repro.cluster.elastic import ElasticConfig, ElasticPool
 from repro.cluster.scheduler import SchedulerConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.models.config import LLAMA2_7B
@@ -38,7 +38,7 @@ def _ramp_trace(seed: int = 0):
     )
 
 
-def run_elastic_ablation(seed: int = 0) -> FigureTable:
+def run_ablation(seed: int = 0) -> FigureTable:
     trace = _ramp_trace(seed)
     sched_cfg = SchedulerConfig(migration_interval=10.0)
 
@@ -46,15 +46,16 @@ def run_elastic_ablation(seed: int = 0) -> FigureTable:
         [_engine_factory(f"s{i:02d}") for i in range(NUM_GPUS)], sched_cfg
     ).run(trace)
 
-    elastic_sim = ElasticClusterSimulator(
-        _engine_factory,
-        ElasticConfig(
-            min_gpus=1, max_gpus=NUM_GPUS, provision_delay=15.0,
-            release_idle_after=20.0, check_interval=5.0,
+    elastic = ClusterSimulator(
+        scheduler_config=sched_cfg,
+        pool=ElasticPool(
+            _engine_factory,
+            ElasticConfig(
+                min_gpus=1, max_gpus=NUM_GPUS, provision_delay=15.0,
+                release_idle_after=20.0, check_interval=5.0,
+            ),
         ),
-        sched_cfg,
-    )
-    elastic = elastic_sim.run_elastic(trace)
+    ).run(trace)
 
     table = FigureTable(
         figure_id="Ablation elastic",
@@ -67,8 +68,8 @@ def run_elastic_ablation(seed: int = 0) -> FigureTable:
         static.duration, static.mean_normalized_latency(),
     )
     table.add_row(
-        "elastic", elastic.gpu_seconds(), elastic.base.finished_requests,
-        elastic.base.duration, elastic.base.mean_normalized_latency(),
+        "elastic", elastic.gpu_seconds(), elastic.finished_requests,
+        elastic.duration, elastic.mean_normalized_latency(),
     )
     table.add_note(
         f"elastic: {elastic.scale_ups} scale-ups, {elastic.releases} releases, "
@@ -79,7 +80,7 @@ def run_elastic_ablation(seed: int = 0) -> FigureTable:
 
 def test_elastic_pool_saves_gpu_seconds(benchmark, emit):
     table = benchmark.pedantic(
-        run_elastic_ablation, rounds=1, iterations=1, warmup_rounds=0
+        run_ablation, rounds=1, iterations=1, warmup_rounds=0
     )
     emit(table)
     rows = {r[0]: r for r in table.rows}

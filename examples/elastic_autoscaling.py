@@ -10,7 +10,7 @@ Run: ``python examples/elastic_autoscaling.py``
 """
 
 from repro import LLAMA2_7B, EngineConfig, GpuEngine, SchedulerConfig, SimulatedBackend
-from repro.cluster.elastic import ElasticClusterSimulator, ElasticConfig
+from repro.cluster.elastic import ElasticConfig, ElasticPool
 from repro.cluster.simulator import ClusterSimulator
 from repro.utils.tables import format_table
 from repro.workloads.arrivals import PoissonArrivals, RampProfile
@@ -41,19 +41,20 @@ def main() -> None:
         [engine_factory(f"s{i:02d}") for i in range(NUM_GPUS)], sched
     ).run(trace)
 
-    elastic_sim = ElasticClusterSimulator(
-        engine_factory,
-        ElasticConfig(min_gpus=1, max_gpus=NUM_GPUS, provision_delay=15.0,
-                      release_idle_after=20.0, check_interval=5.0),
-        sched,
-    )
-    elastic = elastic_sim.run_elastic(trace)
+    elastic = ClusterSimulator(
+        scheduler_config=sched,
+        pool=ElasticPool(
+            engine_factory,
+            ElasticConfig(min_gpus=1, max_gpus=NUM_GPUS, provision_delay=15.0,
+                          release_idle_after=20.0, check_interval=5.0),
+        ),
+    ).run(trace)
 
     rows = [
         ["static", f"{NUM_GPUS * static.duration:.0f}", static.finished_requests,
          f"{static.mean_normalized_latency() * 1e3:.0f}", "-", "-"],
-        ["elastic", f"{elastic.gpu_seconds():.0f}", elastic.base.finished_requests,
-         f"{elastic.base.mean_normalized_latency() * 1e3:.0f}",
+        ["elastic", f"{elastic.gpu_seconds():.0f}", elastic.finished_requests,
+         f"{elastic.mean_normalized_latency() * 1e3:.0f}",
          elastic.scale_ups, elastic.releases],
     ]
     print(format_table(

@@ -27,8 +27,8 @@ from repro.baselines import (
 from repro.cluster import (
     ClusterMetrics,
     ClusterSimulator,
-    ElasticClusterSimulator,
     ElasticConfig,
+    ElasticPool,
     Frontend,
     PunicaScheduler,
     SchedulerConfig,
@@ -90,8 +90,8 @@ __all__ = [
     "ClusterMetrics",
     "ClusterSimulator",
     "DEEPSPEED",
-    "ElasticClusterSimulator",
     "ElasticConfig",
+    "ElasticPool",
     "EngineConfig",
     "EventKind",
     "FASTER_TRANSFORMER",

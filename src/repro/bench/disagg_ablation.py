@@ -20,7 +20,7 @@ disaggregation literature reports.
 from __future__ import annotations
 
 from repro.bench.reporting import FigureTable
-from repro.cluster.disagg import INTERCONNECTS, DisaggConfig, DisaggSimulator
+from repro.cluster.disagg import INTERCONNECTS, DisaggConfig
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.hw.interconnect import InterconnectSpec
 from repro.models.config import LLAMA2_7B
@@ -63,11 +63,14 @@ def _trace(seed: int) -> Trace:
     )
 
 
-def _engine(gpu_id: str, max_batch: int = MAX_BATCH) -> GpuEngine:
+def _engine(
+    gpu_id: str, max_batch: int = MAX_BATCH, role: str = "both"
+) -> GpuEngine:
     return GpuEngine(
         gpu_id,
         SimulatedBackend(LLAMA2_7B, step_overhead=0.0),
         EngineConfig(max_batch_size=max_batch),
+        role=role,
     )
 
 
@@ -81,12 +84,12 @@ def run_colocated(seed: int = 0) -> "tuple[SimulationResult, Tracer]":
 
 def run_disaggregated(
     seed: int = 0, interconnect: "InterconnectSpec | None" = None
-) -> "tuple[SimulationResult, Tracer, DisaggSimulator]":
+) -> "tuple[SimulationResult, Tracer, ClusterSimulator]":
     tracer = Tracer()
-    sim = DisaggSimulator(
-        [_engine(f"p{i}") for i in range(NUM_GPUS // 2)],
-        [_engine(f"d{i}", DECODE_BATCH) for i in range(NUM_GPUS // 2)],
-        config=DisaggConfig(
+    sim = ClusterSimulator(
+        [_engine(f"p{i}", role="prefill") for i in range(NUM_GPUS // 2)]
+        + [_engine(f"d{i}", DECODE_BATCH, "decode") for i in range(NUM_GPUS // 2)],
+        handoff=DisaggConfig(
             interconnect=interconnect or INTERCONNECTS["nvlink"],
             decode_queue_limit=4 * DECODE_BATCH,
         ),

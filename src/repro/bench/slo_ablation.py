@@ -10,7 +10,7 @@ prefill-heavy open-loop trace:
 
 Each fleet runs under two routers: the baseline FCFS pack rule
 (:class:`~repro.cluster.simulator.ClusterSimulator`) and the SLO-aware
-control plane (:class:`~repro.cluster.control.SloClusterSimulator`),
+control plane (``ClusterSimulator(engines, control=...)``),
 which places by modelled deadline headroom and sheds requests no engine
 can serve in time. All four cells are scored against the *same*
 :class:`~repro.cluster.control.ControlConfig` deadlines, so attainment
@@ -28,12 +28,7 @@ from __future__ import annotations
 
 from repro.bench.disagg_ablation import percentile
 from repro.bench.reporting import FigureTable
-from repro.cluster.control import (
-    ControlConfig,
-    SloClusterSimulator,
-    SloPolicy,
-    score_requests,
-)
+from repro.cluster.control import ControlConfig, SloPolicy, score_requests
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.hw.spec import HwSpec
 from repro.models.config import LLAMA2_7B
@@ -91,11 +86,9 @@ def fleet_cost(presets: "tuple[str, ...]") -> float:
 def run_cell(
     seed: int, presets: "tuple[str, ...]", router: str, control: ControlConfig
 ) -> SimulationResult:
-    engines = build_fleet(presets)
-    if router == "slo":
-        sim = SloClusterSimulator(engines, control=control)
-    else:
-        sim = ClusterSimulator(engines)
+    sim = ClusterSimulator(
+        build_fleet(presets), control=control if router == "slo" else None
+    )
     return sim.run(_trace(seed))
 
 

@@ -177,7 +177,7 @@ def _add_trace_parser(sub) -> None:
     trace.add_argument(
         "scenario", nargs="?", default="single_gpu",
         choices=["single_gpu", "cluster_migration", "faults", "disagg",
-                 "serve", "spec", "slo"],
+                 "serve", "spec", "slo", "composed"],
         help="which seeded scenario to run (default: single_gpu)",
     )
     trace.add_argument("--seed", type=int, default=0,

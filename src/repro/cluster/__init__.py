@@ -9,7 +9,7 @@ through a discrete-event loop and records the Fig 13 panels: request rate,
 aggregate token throughput, and each GPU's batch size over time.
 """
 
-from repro.cluster.elastic import ElasticClusterSimulator, ElasticConfig, ElasticResult
+from repro.cluster.elastic import ElasticConfig, ElasticPool
 from repro.cluster.events import EventLoop
 from repro.cluster.frontend import Frontend, RequestHandle
 from repro.cluster.metrics import ClusterMetrics, TimeSeries
@@ -33,9 +33,8 @@ __all__ = [
     "CancelRequest",
     "ClusterMetrics",
     "ClusterSimulator",
-    "ElasticClusterSimulator",
     "ElasticConfig",
-    "ElasticResult",
+    "ElasticPool",
     "EventLoop",
     "Frontend",
     "GpuRunner",

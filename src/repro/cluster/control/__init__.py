@@ -12,30 +12,23 @@ Three threads share one cost model (:mod:`repro.cluster.control.costmodel`):
    each candidate engine with its own spec, so prefill-heavy work lands
    on high-FLOPs parts and long-decode work on high-bandwidth parts
    without any per-device special cases in the router.
-3. **Predictive autoscaling** (:class:`PredictiveElasticSimulator`) —
-   EWMA arrival-rate forecasting drives warm-up-cost-aware grow/shrink
-   of the pool, extending :mod:`repro.cluster.elastic`; role rebalancing
-   flips idle engines across the prefill/decode split under drift.
+3. **Predictive autoscaling** (:class:`PredictiveConfig` on an
+   :class:`~repro.cluster.elastic.ElasticPool`) — EWMA arrival-rate
+   forecasting drives warm-up-cost-aware grow/shrink of the pool.
 
 See docs/slo.md for the cost model, deadline semantics and autoscaler
-policy. The control plane is strictly opt-in: no existing simulator
-constructs any of these classes, so every pre-existing golden trace is
+policy. The control plane is strictly opt-in — a
+:class:`~repro.cluster.simulator.ClusterSimulator` composes it only when
+given ``control=ControlConfig(...)`` — so every other golden trace is
 byte-identical with this package present.
 """
 
-from repro.cluster.control.autoscaler import (
-    EwmaForecast,
-    PredictiveConfig,
-    PredictiveElasticSimulator,
-    rebalance_roles,
-)
+from repro.cluster.control.autoscaler import EwmaForecast, PredictiveConfig
 from repro.cluster.control.config import ControlConfig, SloPolicy
 from repro.cluster.control.costmodel import FleetCostModel, LatencyEstimate
 from repro.cluster.control.router import SloRouter
 from repro.cluster.control.simulator import (
     SloClusterSimulator,
-    SloDisaggSimulator,
-    install_slo_router,
     score_requests,
     slo_attainment,
 )
@@ -46,13 +39,9 @@ __all__ = [
     "FleetCostModel",
     "LatencyEstimate",
     "PredictiveConfig",
-    "PredictiveElasticSimulator",
     "SloClusterSimulator",
-    "SloDisaggSimulator",
     "SloPolicy",
     "SloRouter",
-    "install_slo_router",
-    "rebalance_roles",
     "score_requests",
     "slo_attainment",
 ]

@@ -55,7 +55,7 @@ class SloRouter(PunicaScheduler):
         self.cost = cost or FleetCostModel(self.control)
         self.metrics = metrics
         """Optional :class:`~repro.cluster.metrics.ClusterMetrics` fed the
-        SLO admit/shed series (the simulator install wires this)."""
+        SLO admit/shed series (the owning simulator passes its own)."""
         self.on_shed = None
         """``(request, now) -> None`` terminal-shed callback; the owning
         simulator points this at its ``_shed`` path so refused requests
@@ -130,18 +130,7 @@ class SloRouter(PunicaScheduler):
         if self.control.shed_infeasible and self._hopeless(request, now):
             self._shed_slo(request, now)
             return None
-        heapq.heappush(
-            self._queue, (self._deadline(request), self._queue_seq, request)
-        )
-        self._queue_seq += 1
-        self.num_queued_total += 1
-        if self.prefetcher is not None:
-            self.prefetcher.hint_queued(request.lora_id, now)
-        if self.tracer is not None:
-            self.tracer.emit(
-                now, EventKind.QUEUE, request.request_id,
-                reason="slo_wait", depth=len(self._queue),
-            )
+        self._enqueue(request, now, self._deadline(request), "slo_wait")
         return None
 
     def drain_queue(self, now: float) -> "list[str]":
@@ -194,3 +183,25 @@ class SloRouter(PunicaScheduler):
             if best is None or key > best[0]:
                 best = (key, gid)
         return best[1] if best is not None else None
+
+    # Decode-queue discipline (see PunicaScheduler): earliest deadline
+    # first, no head blocking, and a waiter whose TTFT deadline has
+    # passed is shed instead of occupying decode capacity it can no
+    # longer use.
+    decode_head_blocks = False
+
+    def decode_queue_key(self, request: Request, ready: float, seq: int) -> tuple:
+        return (self._deadline(request), ready, seq)
+
+    def shed_if_expired(self, request: Request, now: float) -> bool:
+        # Only waiters still owed their first token: a request whose TTFT
+        # already landed (handoff after a mid-decode migration) keeps its
+        # place however late the clock runs.
+        if (
+            self.control.shed_infeasible
+            and request.first_token_time is None
+            and now > self._deadline(request)
+        ):
+            self._shed_slo(request, now)
+            return True
+        return False

@@ -7,16 +7,23 @@ that actually grows and shrinks: scale-up requests take a provisioning
 delay to land; GPUs idle beyond a grace period are released. The headline
 metric is **GPU-seconds provisioned** — what a cloud tenant pays —
 compared against a statically sized pool.
+
+:class:`ElasticPool` is what a
+:class:`~repro.cluster.simulator.ClusterSimulator` composes when built
+with ``pool=ElasticPool(factory, ElasticConfig(...))``. One controller
+serves both sizing rules: the instantaneous §5.1 scaling hint, or — with
+``predictive=PredictiveConfig(...)`` — the EWMA arrival forecast of
+docs/slo.md, which can grow several GPUs in one tick and shrinks only
+engines that have amortized their warm-up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
 
-from repro.cluster.simulator import ClusterSimulator, SimulationResult
-from repro.runtime.serve import requests_from_trace
-from repro.workloads.trace import Trace
+from repro.cluster.control.autoscaler import ForecastSizer, PredictiveConfig
+from repro.obs.tracer import EventKind
 
 
 @dataclass(frozen=True)
@@ -52,152 +59,119 @@ class GpuLease:
         return (self.end if self.end is not None else horizon) - self.start
 
 
-@dataclass
-class ElasticResult:
-    """SimulationResult plus the elasticity accounting."""
-
-    base: SimulationResult
-    leases: list[GpuLease] = field(default_factory=list)
-    scale_ups: int = 0
-    releases: int = 0
-
-    def gpu_seconds(self) -> float:
-        return sum(lease.seconds(self.base.duration) for lease in self.leases)
-
-    def peak_pool_size(self) -> int:
-        events = []
-        for lease in self.leases:
-            events.append((lease.start, 1))
-            events.append((lease.end if lease.end is not None else float("inf"), -1))
-        events.sort()
-        cur = peak = 0
-        for _, delta in events:
-            cur += delta
-            peak = max(peak, cur)
-        return peak
-
-
-class ElasticClusterSimulator(ClusterSimulator):
-    """Cluster simulator whose GPU pool follows the §5.1 scaling hints."""
+class ElasticPool:
+    """Leases, provisioning and the autoscale tick of one simulator."""
 
     def __init__(
         self,
         engine_factory: Callable[[str], object],
-        elastic_config: ElasticConfig | None = None,
-        scheduler_config=None,
-        registry=None,
-        prefetcher=None,
-        fault_injector=None,
-        tracer=None,
-        fast_path: bool | None = None,
+        config: "ElasticConfig | None" = None,
+        predictive: "PredictiveConfig | None" = None,
     ):
-        self.elastic = elastic_config or ElasticConfig()
         self.engine_factory = engine_factory
-        self._next_gpu_index = self.elastic.min_gpus
-        initial = [engine_factory(f"gpu{i:02d}") for i in range(self.elastic.min_gpus)]
-        super().__init__(
-            initial,
-            scheduler_config,
-            registry=registry,
-            prefetcher=prefetcher,
-            fault_injector=fault_injector,
-            tracer=tracer,
-            fast_path=fast_path,
-        )
-        self._leases: dict[str, GpuLease] = {
-            e.gpu_id: GpuLease(gpu_id=e.gpu_id, start=0.0) for e in initial
-        }
-        self._lease_log: list[GpuLease] = list(self._leases.values())
-        self._idle_since: dict[str, float] = {e.gpu_id: 0.0 for e in initial}
-        self._provisioning = 0
-        self._scale_ups = 0
-        self._releases = 0
+        self.config = config or ElasticConfig()
+        self._sizer = ForecastSizer(predictive) if predictive is not None else None
+        """Forecast sizing; None sizes by the scheduler's reactive hint."""
+        self.sim = None
+        """The owning simulator (set when it is constructed)."""
+        self.leases: dict[str, GpuLease] = {}
+        self.lease_log: list[GpuLease] = []
+        self.idle_since: dict[str, float] = {}
+        self.provisioning = 0
+        self.scale_ups = 0
+        self.releases = 0
+        self._next_gpu_index = 0
 
-    # ------------------------------------------------------------------
-    def run_elastic(self, trace: Trace, until: float | None = None) -> ElasticResult:
-        requests = requests_from_trace(trace)
-        for req in requests:
-            self._requests[req.request_id] = req
-            self.schedule_arrival(req)
-        cfg = self.scheduler.config
-        if cfg.consolidation:
-            self.loop.schedule(cfg.migration_interval, self._migration_tick)
-        self.loop.schedule(self.elastic.check_interval, self._autoscale_tick)
-        end = self.loop.run(until=until)
-        base = SimulationResult(
-            duration=end,
-            metrics=self.metrics,
-            requests=requests,
-            num_migrations=self.scheduler.num_migrations,
-            events_processed=self.loop.processed,
-        )
-        return ElasticResult(
-            base=base,
-            leases=self._lease_log,
-            scale_ups=self._scale_ups,
-            releases=self._releases,
-        )
-
-    # ------------------------------------------------------------------
-    def _pool_size(self) -> int:
-        return len(self.scheduler.engines) + self._provisioning
-
-    def _autoscale_tick(self, now: float) -> None:
-        hint = self.scheduler.scaling_hint()
-        if hint == "scale-up" and self._pool_size() < self.elastic.max_gpus:
-            self._provisioning += 1
-            self._scale_ups += 1
-            self.loop.schedule(now + self.elastic.provision_delay, self._activate_gpu)
-        elif hint == "scale-down":
-            self._release_idle(now)
-        self._update_idle_marks(now)
-        if self.work_remaining() or self._provisioning > 0:
-            self.loop.schedule(now + self.elastic.check_interval, self._autoscale_tick)
-
-    def _update_idle_marks(self, now: float) -> None:
-        for gid, engine in self.scheduler.engines.items():
-            if engine.is_idle:
-                self._idle_since.setdefault(gid, now)
-            else:
-                self._idle_since.pop(gid, None)
-
-    def _activate_gpu(self, now: float) -> None:
-        self._provisioning -= 1
+    def new_engine(self):
+        """Provision the next engine; GPU ids are never recycled."""
         gpu_id = f"gpu{self._next_gpu_index:02d}"
         self._next_gpu_index += 1
-        engine = self.engine_factory(gpu_id)
-        if self.tracer is not None:
-            # Engines provisioned mid-run need the same tracer threading
-            # the initial pool got in ClusterSimulator.__init__.
-            if hasattr(engine, "tracer"):
-                engine.tracer = self.tracer
-            store = getattr(getattr(engine, "loader", None), "store", None)
-            if store is not None:
-                store.tracer = self.tracer
-        self.scheduler.add_engine(engine)
-        self._gpu_busy[gpu_id] = False
-        lease = GpuLease(gpu_id=gpu_id, start=now)
-        self._leases[gpu_id] = lease
-        self._lease_log.append(lease)
-        self._idle_since[gpu_id] = now
-        placed = self.scheduler.drain_queue(now)
-        for gid in set(placed):
-            self._kick(gid, now)
+        return self.engine_factory(gpu_id)
 
-    def _release_idle(self, now: float) -> None:
-        for gid in list(self.scheduler.engines):
-            if len(self.scheduler.engines) <= self.elastic.min_gpus:
+    def open_lease(self, gpu_id: str, now: float) -> None:
+        lease = self.leases[gpu_id] = GpuLease(gpu_id=gpu_id, start=now)
+        self.lease_log.append(lease)
+        self.idle_since[gpu_id] = now
+
+    def close_lease(self, gpu_id: str, now: float) -> None:
+        self.leases.pop(gpu_id).end = now
+        self.idle_since.pop(gpu_id, None)
+
+    # ------------------------------------------------------------------
+    def tick(self, now: float) -> None:
+        """One autoscale decision: size the pool, grow or shrink toward
+        it, refresh the idle marks, re-arm."""
+        sim, cfg = self.sim, self.config
+        engines = sim.scheduler.engines
+        pool = len(engines) + self.provisioning
+        forecast = None
+        if self._sizer is not None:
+            desired, forecast = self._sizer.desired(
+                len(sim.metrics.arrivals), cfg, pool, sim.scheduler.queue_depth
+            )
+        else:
+            hint = sim.scheduler.scaling_hint()
+            if hint == "scale-up":
+                desired = min(pool + 1, cfg.max_gpus)
+            elif hint == "scale-down":
+                desired = cfg.min_gpus
+            else:
+                desired = pool
+        if desired > pool:
+            add = desired - pool
+            if sim.tracer is not None and forecast is not None:
+                sim.tracer.emit(
+                    now, EventKind.SCALE_UP,
+                    forecast=round(forecast, 9), pool=pool, add=add,
+                )
+            self.provisioning += add
+            self.scale_ups += add
+            for _ in range(add):
+                sim.loop.schedule(now + cfg.provision_delay, self._activate)
+        elif desired < len(engines):
+            self._release(now, desired, forecast)
+        for gid, engine in engines.items():
+            if engine.is_idle:
+                self.idle_since.setdefault(gid, now)
+            else:
+                self.idle_since.pop(gid, None)
+        # A forecast-sized pool keeps ticking until it has drained back to
+        # its floor — the shrink tail would otherwise freeze at whatever
+        # size the last in-flight request left it.
+        if (
+            sim.work_remaining()
+            or self.provisioning > 0
+            or (self._sizer is not None and len(engines) > cfg.min_gpus)
+        ):
+            sim.loop.schedule(now + cfg.check_interval, self.tick)
+
+    def _activate(self, now: float) -> None:
+        self.provisioning -= 1
+        self.sim.add_engine(self.new_engine(), now)
+
+    def _release(self, now: float, floor: int, forecast: "float | None" = None) -> None:
+        """Shrink toward ``floor``, releasing only engines idle past the
+        grace period — and, under forecast sizing, leased for at least one
+        provisioning delay (a GPU released sooner paid its warm-up for
+        nothing)."""
+        sim, cfg = self.sim, self.config
+        engines = sim.scheduler.engines
+        warm_up = cfg.provision_delay if self._sizer is not None else 0.0
+        for gid in list(engines):
+            if len(engines) <= max(cfg.min_gpus, floor):
                 break
-            engine = self.scheduler.engines[gid]
-            idle_since = self._idle_since.get(gid)
+            idle_since = self.idle_since.get(gid)
             if (
-                engine.is_idle
+                engines[gid].is_idle
                 and idle_since is not None
-                and now - idle_since >= self.elastic.release_idle_after
+                and now - idle_since >= cfg.release_idle_after
+                and now - self.leases[gid].start >= warm_up
             ):
-                self.scheduler.remove_engine(gid)
-                self._gpu_busy.pop(gid, None)
-                self._idle_since.pop(gid, None)
-                self._leases[gid].end = now
-                del self._leases[gid]
-                self._releases += 1
+                pool = len(engines)
+                sim.drop_engine(sim.scheduler.remove_engine(gid), now)
+                self.releases += 1
+                if sim.tracer is not None and forecast is not None:
+                    sim.tracer.emit(
+                        now, EventKind.SCALE_DOWN, gpu_id=gid,
+                        forecast=round(forecast, 9), pool=pool,
+                    )

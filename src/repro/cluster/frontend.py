@@ -143,7 +143,6 @@ class Frontend:
         )
         self._handles[rid] = handle
         self._active[rid] = handle
-        self.simulator._requests[rid] = request
         self.simulator.schedule_arrival(request)
         if deadline is not None:
             self._arm_deadline(handle, at_time)

@@ -80,9 +80,9 @@ class PunicaScheduler:
         self.num_queued_total = 0
         self.migration_hook = None
         """Optional ``(request, source_id, target_id) -> None`` called
-        after each consolidation move — the disaggregated simulator uses
-        it to keep its colocation bookkeeping consistent under
-        role-aware consolidation."""
+        after each consolidation move — the KV handoff uses it to keep
+        its colocation bookkeeping consistent under role-aware
+        consolidation."""
 
     # ------------------------------------------------------------------
     # Elastic pool membership (§5.1: allocate/deallocate GPU servers)
@@ -129,9 +129,6 @@ class PunicaScheduler:
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    def total_working_set(self) -> int:
-        return sum(e.working_set_size for e in self.engines.values())
-
     def idle_gpus(self) -> list[str]:
         return [gid for gid, e in self.engines.items() if e.is_idle]
 
@@ -147,21 +144,23 @@ class PunicaScheduler:
             return None
         gpu = self._route(request)
         if gpu is None:
-            heapq.heappush(
-                self._queue, (request.spec.arrival_time, self._queue_seq, request)
-            )
-            self._queue_seq += 1
-            self.num_queued_total += 1
-            if self.prefetcher is not None:
-                self.prefetcher.hint_queued(request.lora_id, now)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    now, EventKind.QUEUE, request.request_id,
-                    reason="no_capacity", depth=len(self._queue),
-                )
+            self._enqueue(request, now, request.spec.arrival_time, "no_capacity")
             return None
         self.engines[gpu].add_request(request, now)
         return gpu
+
+    def _enqueue(self, request: Request, now: float, key: float, reason: str) -> None:
+        """Park a request in the wait queue under ``key`` (ties -> FIFO)."""
+        heapq.heappush(self._queue, (key, self._queue_seq, request))
+        self._queue_seq += 1
+        self.num_queued_total += 1
+        if self.prefetcher is not None:
+            self.prefetcher.hint_queued(request.lora_id, now)
+        if self.tracer is not None:
+            self.tracer.emit(
+                now, EventKind.QUEUE, request.request_id,
+                reason=reason, depth=len(self._queue),
+            )
 
     def _adapter_locality(self, engine, request: Request) -> int:
         """Residency tier of the request's adapter on ``engine`` (2 GPU /
@@ -232,6 +231,19 @@ class PunicaScheduler:
         _, _, gpu = max(candidates)
         return gpu
 
+    # The handoff's decode queue (docs/disagg.md) asks the scheduler for
+    # its discipline: FCFS by handoff completion, the head blocks, and a
+    # waiter never expires.
+    decode_head_blocks = True
+
+    def decode_queue_key(self, request: Request, ready: float, seq: int) -> tuple:
+        return (ready, seq)
+
+    def shed_if_expired(self, request: Request, now: float) -> bool:
+        """Shed a decode-queue waiter that can no longer use the capacity
+        it is waiting for; returns whether it was shed."""
+        return False
+
     def drain_queue(self, now: float) -> list[str]:
         """Place queued requests FCFS as capacity frees up; head blocks."""
         placed = []
@@ -249,15 +261,6 @@ class PunicaScheduler:
         return placed
 
     # ------------------------------------------------------------------
-    def handle_evictions(self, request_ids: "list[str]", requests, now: float) -> None:
-        """Re-place requests the engine evicted under memory pressure.
-
-        "The scheduling for the evicted request is the same as adding a new
-        request" (§5.3).
-        """
-        for rid in request_ids:
-            self.submit(requests[rid], now)
-
     def cancel(self, request: Request) -> "str | None":
         """User cancellation: drop from whichever GPU or queue holds it.
 

@@ -12,12 +12,25 @@ faults are applied at their scheduled times: a crashed GPU leaves the pool
 and its in-flight requests are re-placed through the same evict +
 re-prefill path migration uses (§5.3); requests are shed with a FAILED
 terminal state only when no surviving capacity remains (docs/faults.md).
+
+:class:`ClusterSimulator` is the only simulator class. Three optional
+collaborators compose onto the one event loop, in any combination:
+``control=ControlConfig`` (SLO routing and run-end attainment scoring,
+docs/slo.md), ``handoff=DisaggConfig`` (role-split prefill/decode with
+paged KV handoff, docs/disagg.md) and ``pool=ElasticPool`` (§5.1 elastic
+allocation, reactive or forecast-sized).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.cluster.control.config import ControlConfig
+from repro.cluster.control.router import SloRouter
+from repro.cluster.control.simulator import score_requests
+from repro.cluster.disagg.config import DisaggConfig
+from repro.cluster.disagg.handoff import KvHandoff
+from repro.cluster.elastic import ElasticPool, GpuLease
 from repro.cluster.events import EventHandle, EventLoop
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.metrics import ClusterMetrics
@@ -39,6 +52,27 @@ class SimulationResult:
     requests: list[Request]
     num_migrations: int
     events_processed: int
+    leases: "list[GpuLease]" = field(default_factory=list)
+    """One billing window per GPU an elastic pool provisioned (empty for
+    a static pool)."""
+    scale_ups: int = 0
+    releases: int = 0
+
+    def gpu_seconds(self) -> float:
+        """GPU-seconds the elastic pool paid for."""
+        return sum(lease.seconds(self.duration) for lease in self.leases)
+
+    def peak_pool_size(self) -> int:
+        events = []
+        for lease in self.leases:
+            events.append((lease.start, 1))
+            events.append((lease.end if lease.end is not None else float("inf"), -1))
+        events.sort()
+        cur = peak = 0
+        for _, delta in events:
+            cur += delta
+            peak = max(peak, cur)
+        return peak
 
     @property
     def tokens_generated(self) -> int:
@@ -79,13 +113,17 @@ class ClusterSimulator:
 
     def __init__(
         self,
-        engines: "list",
+        engines: "list | None" = None,
         scheduler_config: SchedulerConfig | None = None,
         registry=None,
         prefetcher=None,
         fault_injector: "FaultInjector | None" = None,
         tracer: "Tracer | None" = None,
         fast_path: bool | None = None,
+        *,
+        control: "ControlConfig | None" = None,
+        handoff: "DisaggConfig | None" = None,
+        pool: "ElasticPool | None" = None,
     ):
         """``registry`` (an :class:`~repro.adapters.registry.AdapterRegistry`)
         receives per-adapter arrival feeds for popularity EWMAs;
@@ -95,35 +133,54 @@ class ClusterSimulator:
         schedules deterministic faults the simulator applies and recovers
         from; ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) is threaded
         through the scheduler, engines, adapter stores and injector so the
-        whole run emits one request-level event stream."""
-        self.scheduler = PunicaScheduler(engines, scheduler_config, prefetcher,
-                                         tracer=tracer)
+        whole run emits one request-level event stream.
+
+        ``control`` routes through an SLO router and scores attainment at
+        run end; ``handoff`` splits role-typed engines into prefill and
+        decode pools joined by paged KV transfers (consolidation then
+        defaults off: migration inside the prefill pool re-prefills work
+        that was about to be handed off anyway); ``pool`` provisions the
+        engines itself — ``engines`` must then be omitted — and grows and
+        shrinks the pool while the run lasts."""
+        if pool is not None:
+            if engines:
+                raise ValueError("an elastic pool provisions its own engines")
+            pool.sim = self
+            engines = [pool.new_engine() for _ in range(pool.config.min_gpus)]
+        if handoff is not None and scheduler_config is None:
+            scheduler_config = SchedulerConfig(consolidation=False)
         self.fast_path = fastpath_enabled(fast_path)
         self.loop = EventLoop(fast_path=self.fast_path)
         self.metrics = ClusterMetrics()
+        self.control = control
+        if control is None:
+            self.scheduler = PunicaScheduler(
+                engines, scheduler_config, prefetcher, tracer=tracer
+            )
+        else:
+            self.scheduler = SloRouter(
+                engines, scheduler_config, prefetcher, tracer=tracer,
+                control=control, metrics=self.metrics,
+            )
+            self.scheduler.on_shed = lambda req, now: self._shed(
+                req, now, "shed: deadline infeasible"
+            )
         self.registry = registry
         self.prefetcher = prefetcher
         self.fault_injector = fault_injector
         self.tracer = tracer
-        if tracer is not None:
-            for engine in self.scheduler.engines.values():
-                if hasattr(engine, "tracer"):
-                    engine.tracer = tracer
-                store = getattr(getattr(engine, "loader", None), "store", None)
-                if store is not None:
-                    store.tracer = tracer
-            if fault_injector is not None:
-                fault_injector.tracer = tracer
-        if prefetcher is not None:
-            prefetcher.attach(
-                {
-                    gid: e.loader
-                    for gid, e in self.scheduler.engines.items()
-                    if hasattr(e, "loader")
-                }
-            )
+        if tracer is not None and fault_injector is not None:
+            fault_injector.tracer = tracer
+        self.pool = pool
+        self._gpu_busy: dict[str, bool] = {}
+        self._departed: list = []
+        """Engines that left mid-run (released or crashed); their adapter
+        event logs still fold into the metrics at run end."""
+        for engine in engines:
+            self._adopt_engine(engine, 0.0)
+        self._sync_prefetcher()
+        self.handoff = KvHandoff(self, handoff) if handoff is not None else None
         self._requests: dict[str, Request] = {}
-        self._gpu_busy: dict[str, bool] = {gid: False for gid in self.scheduler.engines}
         self._step_actions: dict[str, "object"] = {}
         """One reusable step closure per GPU — scheduling thousands of
         decode continuations must not allocate a fresh closure each."""
@@ -131,7 +188,7 @@ class ClusterSimulator:
         """Gen-2 lane: commit whole steady decode runs through one set of
         vectorized array ops. Requires an untraced run (the per-step lane
         pins traced event streams byte-for-byte) and is further gated per
-        attempt on hooks and in-flight fault recoveries."""
+        attempt on the KV handoff and in-flight fault recoveries."""
         self._step_handles: dict[str, EventHandle] = {}
         """The pending step event per busy GPU. The cross-engine merge
         lane consumes these to replay interleaved decode ticks inline;
@@ -144,11 +201,6 @@ class ClusterSimulator:
         self._pending_arrivals = 0
         self._recovering: list[tuple[float, list[Request]]] = []
         """(fault time, displaced requests) sets not yet fully re-admitted."""
-        self._step_hook = None
-        """Optional ``(gpu_id, engine, report) -> None`` called after each
-        step's finish/evict handling — the disaggregated subsystem's
-        export/drain hook. ``None`` keeps the colocated hot loop at one
-        falsy attribute test per step."""
 
     @property
     def now(self) -> float:
@@ -159,7 +211,6 @@ class ClusterSimulator:
     def run(self, trace: Trace, until: float | None = None) -> SimulationResult:
         requests = requests_from_trace(trace)
         for req in requests:
-            self._requests[req.request_id] = req
             self.schedule_arrival(req)
         cfg = self.scheduler.config
         if cfg.consolidation:
@@ -168,15 +219,28 @@ class ClusterSimulator:
             self.loop.schedule(0.0, self._prefetch_tick)
         if self.fault_injector is not None:
             self.fault_injector.arm(self.loop, self._apply_fault)
+        pool = self.pool
+        if pool is not None:
+            self.loop.schedule(pool.config.check_interval, pool.tick)
         end = self.loop.run(until=until)
         self._drain_adapter_events()
-        return SimulationResult(
+        if self.control is not None:
+            # Run-end scoring keeps the vector lane armed (docs/slo.md);
+            # sheds and still-live requests count as misses.
+            for t, attained in score_requests(requests, self.control, end):
+                self.metrics.record_slo_outcome(t, attained)
+        result = SimulationResult(
             duration=end,
             metrics=self.metrics,
             requests=requests,
             num_migrations=self.scheduler.num_migrations,
             events_processed=self.loop.processed,
         )
+        if pool is not None:
+            result.leases = pool.lease_log
+            result.scale_ups = pool.scale_ups
+            result.releases = pool.releases
+        return result
 
     # ------------------------------------------------------------------
     def schedule_arrival(self, req: Request, at: "float | None" = None) -> None:
@@ -186,6 +250,7 @@ class ClusterSimulator:
         path resubmits a request at failure time + backoff, not at its
         original arrival.
         """
+        self._requests[req.request_id] = req
         self._pending_arrivals += 1
         time = req.spec.arrival_time if at is None else at
         self.loop.schedule(time, self._make_arrival(req))
@@ -198,6 +263,8 @@ class ClusterSimulator:
         themselves and livelock the loop.
         """
         if self._pending_arrivals > 0 or self.scheduler.queue_depth > 0:
+            return True
+        if self.handoff is not None and self.handoff.work_remaining():
             return True
         return any(not e.is_idle for e in self.scheduler.engines.values())
 
@@ -242,14 +309,69 @@ class ClusterSimulator:
         some other request finished — forever, if none was running.
         """
         now = self.loop.now if now is None else now
-        gpu = self.scheduler.cancel(request)
+        handoff = self.handoff
+        in_flight = handoff is not None and handoff.abort_transfer(request)
+        gpu = None if in_flight else self.scheduler.cancel(request)
         if self.tracer is not None:
             self.tracer.emit(
                 now, EventKind.CANCEL, request.request_id, gpu, reason=reason
             )
-        placed = self.scheduler.drain_queue(now)
-        for gid in set(placed):
+        if in_flight:
+            return  # a handoff on the wire held no batch slot or pages
+        self._drain_queue(now)
+        if handoff is not None:
+            # Cancelling a decode-pool request frees import capacity the
+            # scheduler's main-queue drain knows nothing about.
+            handoff.drain(now)
+
+    def _drain_queue(self, now: float) -> None:
+        """Place whatever queued work now fits and start its GPUs."""
+        for gid in set(self.scheduler.drain_queue(now)):
             self._kick(gid, now)
+
+    # ------------------------------------------------------------------
+    # Pool membership: the one place an engine joins or leaves a run
+    # ------------------------------------------------------------------
+    def _adopt_engine(self, engine, now: float) -> None:
+        if self.tracer is not None:
+            if hasattr(engine, "tracer"):
+                engine.tracer = self.tracer
+            store = getattr(getattr(engine, "loader", None), "store", None)
+            if store is not None:
+                store.tracer = self.tracer
+        self._gpu_busy[engine.gpu_id] = False
+        if self.pool is not None:
+            self.pool.open_lease(engine.gpu_id, now)
+
+    def add_engine(self, engine, now: float) -> None:
+        """Bring a newly provisioned GPU into the running pool."""
+        self.scheduler.add_engine(engine)
+        self._adopt_engine(engine, now)
+        self._sync_prefetcher()
+        self._drain_queue(now)
+
+    def drop_engine(self, engine, now: float) -> None:
+        """Forget an engine the scheduler already let go (idle release or
+        crash): its busy flag, step closure and pending-step handle, its
+        prefetch target and its lease."""
+        gpu_id = engine.gpu_id
+        self._gpu_busy.pop(gpu_id, None)
+        self._step_actions.pop(gpu_id, None)
+        self._step_handles.pop(gpu_id, None)
+        self._departed.append(engine)
+        if self.pool is not None:
+            self.pool.close_lease(gpu_id, now)
+        self._sync_prefetcher()
+
+    def _sync_prefetcher(self) -> None:
+        if self.prefetcher is not None:
+            self.prefetcher.attach(
+                {
+                    gid: e.loader
+                    for gid, e in self.scheduler.engines.items()
+                    if hasattr(e, "loader")
+                }
+            )
 
     def _prefetch_tick(self, now: float) -> None:
         self.prefetcher.tick(now)
@@ -261,7 +383,7 @@ class ClusterSimulator:
     def _drain_adapter_events(self) -> None:
         """Fold every engine loader's adapter event log into the metrics."""
         events = []
-        for engine in self.scheduler.engines.values():
+        for engine in [*self.scheduler.engines.values(), *self._departed]:
             drain = getattr(getattr(engine, "loader", None), "drain_events", None)
             if drain is not None:
                 events.extend(drain())
@@ -307,19 +429,22 @@ class ClusterSimulator:
                     # was armed; its requests were already re-placed.
                     self._gpu_busy.pop(gpu_id, None)
                     return
+                # The gen-2 vectorized lanes need an untraced fast-path
+                # run. Disaggregated and mid-recovery simulations keep the
+                # per-step lane: their bookkeeping observes individual
+                # steps (nothing below changes either before the tail).
+                vector_ok = (
+                    self._vector_lane
+                    and self.handoff is None
+                    and not self._recovering
+                    and engine.fast_path
+                )
                 # Window-start merge: this tick is already paid for (its
                 # event just fired, or the gen-1 continuation advanced to
                 # it), and when other engines' decode ticks interleave
                 # with ours the merge lane replays the whole window in
                 # pop order instead of stepping scalar, one event each.
-                if (
-                    self._vector_lane
-                    and self._step_handles
-                    and self._step_hook is None
-                    and not self._recovering
-                    and engine.fast_path
-                    and engine.steady_ready()
-                ):
+                if vector_ok and self._step_handles and engine.steady_ready():
                     merged = self._vector.try_merge(gpu_id, engine, now, entry=True)
                     if merged:
                         self.inline_steps += merged
@@ -345,12 +470,10 @@ class ClusterSimulator:
                         target = self.scheduler.submit(self._requests[rid], end)
                         if target is not None:
                             self._kick(target, end)
-                    placed = self.scheduler.drain_queue(end)
-                    for gid in set(placed):
-                        self._kick(gid, end)
+                    self._drain_queue(end)
 
-                if self._step_hook is not None:
-                    self._step_hook(gpu_id, engine, report)
+                if self.handoff is not None:
+                    self.handoff.on_step(engine, report)
 
                 if engine.is_idle:
                     self._gpu_busy[gpu_id] = False
@@ -376,15 +499,7 @@ class ClusterSimulator:
                     # the run is capped so no finish, eviction or
                     # headroom fallback can occur inside it — so this
                     # only changes how many Python iterations the same
-                    # simulation takes. Hooked (disaggregated) and
-                    # mid-recovery simulations keep the per-step lane:
-                    # their bookkeeping observes individual steps.
-                    vector_ok = (
-                        self._vector_lane
-                        and self._step_hook is None
-                        and not self._recovering
-                        and engine.fast_path
-                    )
+                    # simulation takes.
                     if peek is None or end < peek:
                         if vector_ok:
                             starts = engine.steady_run_candidate(end, peek)
@@ -432,46 +547,11 @@ class ClusterSimulator:
         """Apply one injected fault; returns (target gpu, applied?)."""
         inj = self.fault_injector
         engines = self.scheduler.engines
-        if spec.kind is FaultKind.GPU_CRASH:
-            gpu_id = spec.gpu_id or inj.pick_gpu(engines)
-            engine = engines.get(gpu_id) if gpu_id is not None else None
-            if engine is None or not getattr(engine, "alive", True):
-                return gpu_id, False
-            if len(engines) == 1 and not inj.allow_last_gpu_crash:
-                return gpu_id, False
-            self.metrics.record_fault(now)
-            displaced = self.scheduler.fail_engine(gpu_id, now)
-            self._gpu_busy.pop(gpu_id, None)
-            self._replace_requests(displaced, now)
-            return gpu_id, True
-
-        if spec.kind is FaultKind.GPU_SLOWDOWN:
-            gpu_id = spec.gpu_id or inj.pick_gpu(engines)
-            engine = engines.get(gpu_id) if gpu_id is not None else None
-            if engine is None or not getattr(engine, "alive", True):
-                return gpu_id, False
-            self.metrics.record_fault(now)
-            engine.slowdown_factor = max(engine.slowdown_factor, spec.factor)
-
-            def restore(_t: float, engine=engine) -> None:
-                engine.slowdown_factor = 1.0
-
-            self.loop.schedule(now + spec.duration, restore)
-            return gpu_id, True
-
-        if spec.kind is FaultKind.PCIE_STALL:
-            gpu_id = spec.gpu_id or inj.pick_gpu(engines)
-            engine = engines.get(gpu_id) if gpu_id is not None else None
-            stall = getattr(getattr(engine, "loader", None), "stall_pcie", None)
-            if engine is None or not getattr(engine, "alive", True) or stall is None:
-                return gpu_id, False
-            self.metrics.record_fault(now)
-            stall(now, spec.duration)
-            # Step events armed on the pre-stall ready time fire early,
-            # see the load still in flight, and re-arm on the new time —
-            # but only if one was armed at all; kick to be safe.
-            self._kick(gpu_id, now)
-            return gpu_id, True
+        if spec.kind is FaultKind.KV_TRANSFER_FAIL:
+            # A colocated simulator has no transfers: the fault is dropped.
+            if self.handoff is None:
+                return spec.gpu_id, False
+            return self.handoff.fail_transfer(spec, now)
 
         if spec.kind is FaultKind.ADAPTER_LOAD_FAIL:
             gpu_id, lora_id = self._pick_load_failure(spec, now)
@@ -493,16 +573,48 @@ class ClusterSimulator:
             self._replace_requests(victims, now)
             return gpu_id, True
 
-        if spec.kind is FaultKind.KV_TRANSFER_FAIL:
-            return self._fail_transfer(spec, now)
+        # The remaining kinds hit one live GPU, named or drawn.
+        gpu_id = spec.gpu_id or inj.pick_gpu(engines)
+        engine = engines.get(gpu_id) if gpu_id is not None else None
+        if engine is None or not getattr(engine, "alive", True):
+            return gpu_id, False
+
+        if spec.kind is FaultKind.GPU_CRASH:
+            if len(engines) == 1 and not inj.allow_last_gpu_crash:
+                return gpu_id, False
+            self.metrics.record_fault(now)
+            displaced = self.scheduler.fail_engine(gpu_id, now)
+            self.drop_engine(engine, now)
+            self._replace_requests(displaced, now)
+            if self.handoff is not None:
+                # A decode-pool crash shrank import capacity — or killed
+                # the pool entirely; reroute (or re-prefill) the waiters.
+                self.handoff.drain(now)
+            return gpu_id, True
+
+        if spec.kind is FaultKind.GPU_SLOWDOWN:
+            self.metrics.record_fault(now)
+            engine.slowdown_factor = max(engine.slowdown_factor, spec.factor)
+
+            def restore(_t: float, engine=engine) -> None:
+                engine.slowdown_factor = 1.0
+
+            self.loop.schedule(now + spec.duration, restore)
+            return gpu_id, True
+
+        if spec.kind is FaultKind.PCIE_STALL:
+            stall = getattr(getattr(engine, "loader", None), "stall_pcie", None)
+            if stall is None:
+                return gpu_id, False
+            self.metrics.record_fault(now)
+            stall(now, spec.duration)
+            # Step events armed on the pre-stall ready time fire early,
+            # see the load still in flight, and re-arm on the new time —
+            # but only if one was armed at all; kick to be safe.
+            self._kick(gpu_id, now)
+            return gpu_id, True
 
         raise ValueError(f"unknown fault kind {spec.kind!r}")
-
-    def _fail_transfer(self, spec: FaultSpec, now: float) -> "tuple[str | None, bool]":
-        """Lose one in-flight KV handoff. The colocated simulator has no
-        transfers, so the fault is dropped (``applied=False``); the
-        disaggregated simulator overrides this."""
-        return spec.gpu_id, False
 
     def _pick_load_failure(
         self, spec: FaultSpec, now: float
@@ -541,9 +653,7 @@ class ClusterSimulator:
             gpu = self.scheduler.submit(req, now)
             if gpu is not None:
                 self._kick(gpu, now)
-        placed = self.scheduler.drain_queue(now)
-        for gid in set(placed):
-            self._kick(gid, now)
+        self._drain_queue(now)
         self._recovering.append((now, list(displaced)))
         self._check_recoveries(now)
 

@@ -27,7 +27,11 @@ regimes:
   the SLO router admits by deadline headroom (SLO_ADMIT / SLO_SHED) and
   the predictive autoscaler grows and drains the pool (SCALE_UP /
   SCALE_DOWN) under a burst that outruns the initial capacity
-  (docs/slo.md).
+  (docs/slo.md);
+* ``composed`` — every collaborator of the one ``ClusterSimulator`` on
+  one event loop: SLO control over a role-split pool with KV handoffs,
+  grown by the predictive autoscaler (the factory assigns roles), with a
+  scripted decode-GPU crash mid-burst.
 
 ``tests/test_trace_golden.py`` replays these against checked-in JSONL
 fixtures; ``repro trace`` runs them from the shell. Keep them small —
@@ -40,11 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable
 
-from repro.cluster.disagg import DisaggConfig, DisaggSimulator
+from repro.cluster.control import ControlConfig, PredictiveConfig, SloPolicy
+from repro.cluster.disagg import DisaggConfig
+from repro.cluster.elastic import ElasticConfig, ElasticPool
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.scheduler import SchedulerConfig
 from repro.cluster.simulator import ClusterSimulator
+from repro.hw.spec import A100_80G, GpuSpec, HwSpec
 from repro.models.config import LLAMA2_7B
 from repro.obs.tracer import Tracer
 from repro.runtime.backend import SimulatedBackend
@@ -85,16 +92,19 @@ def _engine(
     max_batch_size: int,
     step_overhead: float = 0.0,
     fast_path: "bool | None" = None,
+    role: str = "both",
+    gpu: GpuSpec = A100_80G,
 ) -> GpuEngine:
     # The inflated step overhead slows "GPUs" down so a few-second trace
     # saturates the pool — queueing and consolidation migration fire
     # without thousands of decode events bloating the golden fixtures.
     return GpuEngine(
         gpu_id,
-        SimulatedBackend(LLAMA2_7B, step_overhead=step_overhead,
+        SimulatedBackend(LLAMA2_7B, gpu=gpu, step_overhead=step_overhead,
                          fast_path=fast_path),
         EngineConfig(max_batch_size=max_batch_size),
         fast_path=fast_path,
+        role=role,
     )
 
 
@@ -167,12 +177,11 @@ def run_disagg(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult
     bound forces some colocated fallbacks under the load spike."""
     trace = _open_loop(seed, rate=12.0, duration=4.0)
     tracer = Tracer()
-    sim = DisaggSimulator(
+    sim = ClusterSimulator(
         [_engine(f"gpu{i:02d}", max_batch_size=4, step_overhead=0.1,
-                 fast_path=fast_path) for i in range(2)],
-        [_engine(f"gpu{i:02d}", max_batch_size=4, step_overhead=0.1,
-                 fast_path=fast_path) for i in range(2, 4)],
-        config=DisaggConfig(decode_queue_limit=2),
+                 fast_path=fast_path, role="prefill" if i < 2 else "decode")
+         for i in range(4)],
+        handoff=DisaggConfig(decode_queue_limit=2),
         tracer=tracer,
         fast_path=fast_path,
     )
@@ -269,42 +278,73 @@ def run_slo(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
     budget drops below the optimistic floor are refused (SLO_SHED +
     SHED), and the drain tail releases the pool back to its floor
     (SCALE_DOWN)."""
-    from repro.cluster.control import (
-        ControlConfig, PredictiveConfig, PredictiveElasticSimulator, SloPolicy,
-    )
-    from repro.cluster.elastic import ElasticConfig
-    from repro.hw.spec import HwSpec
-
     presets = ("a100-80g", "l4", "a100-80g")
 
     def factory(gpu_id: str) -> GpuEngine:
         spec = HwSpec.preset(presets[int(gpu_id[3:]) % len(presets)])
-        return GpuEngine(
-            gpu_id,
-            SimulatedBackend(LLAMA2_7B, gpu=spec, step_overhead=0.1,
-                             fast_path=fast_path),
-            EngineConfig(max_batch_size=4),
-            fast_path=fast_path,
-        )
+        return _engine(gpu_id, max_batch_size=4, step_overhead=0.1,
+                       fast_path=fast_path, gpu=spec)
 
     trace = _open_loop(seed, rate=10.0, duration=3.0)
     tracer = Tracer()
-    sim = PredictiveElasticSimulator(
-        factory,
-        elastic_config=ElasticConfig(
-            min_gpus=1, max_gpus=3, provision_delay=0.8,
-            release_idle_after=0.5, check_interval=0.25,
+    sim = ClusterSimulator(
+        pool=ElasticPool(
+            factory,
+            ElasticConfig(
+                min_gpus=1, max_gpus=3, provision_delay=0.8,
+                release_idle_after=0.5, check_interval=0.25,
+            ),
+            predictive=PredictiveConfig(service_rate_per_gpu=4.0),
         ),
-        predictive=PredictiveConfig(service_rate_per_gpu=4.0),
         control=ControlConfig(
             default_policy=SloPolicy(ttft_deadline=0.6, itl_deadline=0.25),
         ),
         tracer=tracer,
         fast_path=fast_path,
     )
-    result = sim.run_elastic(trace)
+    result = sim.run(trace)
+    return ScenarioResult("slo", tracer, result.requests, metrics=result.metrics)
+
+
+def run_composed(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
+    """SLO control + KV handoff + predictive pool + a fault, composed: the
+    pool starts at one prefill and one decode GPU (the factory alternates
+    roles by GPU index), the burst grows it (SCALE_UP), prefills hand off
+    to the decode side (KV_TRANSFER_*) and admit by ITL headroom, the
+    first decode GPU crashes mid-burst (FAULT; its lease closes, its
+    requests re-prefill), and the drain tail shrinks the pool
+    (SCALE_DOWN)."""
+
+    def factory(gpu_id: str) -> GpuEngine:
+        role = "prefill" if int(gpu_id[3:]) % 2 == 0 else "decode"
+        return _engine(gpu_id, max_batch_size=4, step_overhead=0.1,
+                       fast_path=fast_path, role=role)
+
+    trace = _open_loop(seed, rate=10.0, duration=3.0)
+    tracer = Tracer()
+    sim = ClusterSimulator(
+        pool=ElasticPool(
+            factory,
+            ElasticConfig(
+                min_gpus=2, max_gpus=6, provision_delay=0.8,
+                release_idle_after=0.5, check_interval=0.25,
+            ),
+            predictive=PredictiveConfig(service_rate_per_gpu=3.0),
+        ),
+        handoff=DisaggConfig(decode_queue_limit=2),
+        control=ControlConfig(
+            default_policy=SloPolicy(ttft_deadline=1.2, itl_deadline=0.3),
+        ),
+        fault_injector=FaultInjector(
+            [FaultSpec(kind=FaultKind.GPU_CRASH, time=2.0, gpu_id="gpu01")],
+            seed=seed,
+        ),
+        tracer=tracer,
+        fast_path=fast_path,
+    )
+    result = sim.run(trace)
     return ScenarioResult(
-        "slo", tracer, result.base.requests, metrics=result.base.metrics
+        "composed", tracer, result.requests, metrics=result.metrics
     )
 
 
@@ -316,6 +356,7 @@ SCENARIOS: "dict[str, Callable[..., ScenarioResult]]" = {
     "serve": run_serve,
     "spec": run_spec,
     "slo": run_slo,
+    "composed": run_composed,
 }
 
 

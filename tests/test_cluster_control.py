@@ -16,17 +16,14 @@ from repro.cluster.control import (
     EwmaForecast,
     FleetCostModel,
     PredictiveConfig,
-    PredictiveElasticSimulator,
     SloClusterSimulator,
-    SloDisaggSimulator,
     SloPolicy,
     SloRouter,
-    install_slo_router,
-    rebalance_roles,
     score_requests,
     slo_attainment,
 )
-from repro.cluster.elastic import ElasticConfig
+from repro.cluster.disagg import DisaggConfig
+from repro.cluster.elastic import ElasticConfig, ElasticPool
 from repro.cluster.simulator import ClusterSimulator
 from repro.hw.spec import HwSpec
 from repro.models.config import LLAMA2_7B
@@ -39,13 +36,15 @@ from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import RequestSpec, generate_trace
 
 
-def make_engine(gpu_id, preset="a100-80g", max_batch=4, step_overhead=0.0):
+def make_engine(gpu_id, preset="a100-80g", max_batch=4, step_overhead=0.0,
+                role="both"):
     return GpuEngine(
         gpu_id,
         SimulatedBackend(
             LLAMA2_7B, gpu=HwSpec.preset(preset), step_overhead=step_overhead
         ),
         EngineConfig(max_batch_size=max_batch),
+        role=role,
     )
 
 
@@ -247,13 +246,25 @@ class TestSloRouter:
         assert req.state is not RequestState.FAILED
         assert router.queue_depth == 1
 
-    def test_install_guard_rejects_live_queues(self):
-        sim = ClusterSimulator([make_engine("g", max_batch=1)])
+    def test_router_is_built_at_construction_and_sheds_through_the_simulator(self):
+        # No scheduler swap after construction: the simulator owns an SLO
+        # router from the start, wired to its metrics and its shed path.
+        tracer = Tracer()
+        sim = ClusterSimulator(
+            [make_engine("g", max_batch=1)], tracer=tracer,
+            control=ControlConfig(
+                default_policy=SloPolicy(ttft_deadline=0.5, itl_deadline=1.0)
+            ),
+        )
+        assert isinstance(sim.scheduler, SloRouter)
+        assert sim.scheduler.metrics is sim.metrics
+        assert sim.scheduler.queue_depth == 0
         sim.scheduler.engines["g"].add_request(make_request("hog"), 0.0)
-        sim.scheduler.submit(make_request("r"), 0.0)
-        assert sim.scheduler.queue_depth == 1
-        with pytest.raises(RuntimeError, match="before submitting"):
-            install_slo_router(sim)
+        late = make_request("late", arrival=0.0)
+        assert sim.scheduler.submit(late, 10.0) is None
+        assert late.state is RequestState.FAILED
+        assert sim.metrics.slo_shed_count() == 1
+        assert [e.request_id for e in tracer.by_kind(EventKind.SHED)] == ["late"]
 
 
 class TestSloClusterSimulator:
@@ -296,23 +307,25 @@ class TestSloClusterSimulator:
 
 
 class TestPredictiveAutoscaler:
-    def _sim(self, tracer=None, **cfg):
+    def _sim(self, tracer=None, control=None, **cfg):
         defaults = dict(
             min_gpus=1, max_gpus=4, provision_delay=1.0,
             release_idle_after=0.5, check_interval=0.5,
         )
         defaults.update(cfg)
-        return PredictiveElasticSimulator(
-            lambda gid: make_engine(gid, max_batch=4),
-            elastic_config=ElasticConfig(**defaults),
-            predictive=PredictiveConfig(service_rate_per_gpu=2.0),
-            tracer=tracer,
+        return ClusterSimulator(
+            pool=ElasticPool(
+                lambda gid: make_engine(gid, max_batch=4),
+                ElasticConfig(**defaults),
+                predictive=PredictiveConfig(service_rate_per_gpu=2.0),
+            ),
+            tracer=tracer, control=control,
         )
 
     def test_burst_grows_the_pool_ahead_of_the_queue(self):
         tracer = Tracer()
         sim = self._sim(tracer=tracer)
-        result = sim.run_elastic(make_trace(rate=12.0, duration=3.0))
+        result = sim.run(make_trace(rate=12.0, duration=3.0))
         assert result.scale_ups > 0
         ups = tracer.by_kind(EventKind.SCALE_UP)
         assert ups and all(e.attrs["forecast"] > 0 for e in ups)
@@ -322,7 +335,7 @@ class TestPredictiveAutoscaler:
     def test_drain_tail_releases_back_to_the_floor(self):
         tracer = Tracer()
         sim = self._sim(tracer=tracer)
-        result = sim.run_elastic(make_trace(rate=12.0, duration=2.0))
+        result = sim.run(make_trace(rate=12.0, duration=2.0))
         assert result.releases > 0
         assert len(sim.scheduler.engines) == 1
         downs = tracer.by_kind(EventKind.SCALE_DOWN)
@@ -334,47 +347,34 @@ class TestPredictiveAutoscaler:
         # warm-up veto every landed GPU would be released the tick after
         # its burst passed, before amortizing its provisioning cost.
         sim = self._sim(provision_delay=2.0, release_idle_after=0.1)
-        result = sim.run_elastic(make_trace(rate=12.0, duration=2.0))
+        result = sim.run(make_trace(rate=12.0, duration=2.0))
         closed = [l for l in result.leases if l.end is not None]
         assert closed, "expected the drain tail to release grown GPUs"
         for lease in closed:
             assert lease.end - lease.start >= 2.0
 
     def test_deterministic(self):
-        r1 = self._sim().run_elastic(make_trace(seed=3, rate=12.0))
-        r2 = self._sim().run_elastic(make_trace(seed=3, rate=12.0))
+        r1 = self._sim().run(make_trace(seed=3, rate=12.0))
+        r2 = self._sim().run(make_trace(seed=3, rate=12.0))
         assert r1.gpu_seconds() == r2.gpu_seconds()
         assert r1.scale_ups == r2.scale_ups
 
-
-class TestRebalanceRoles:
-    def _scheduler(self, roles, idle=True, queue_depth=0):
-        engines = {
-            gid: types.SimpleNamespace(role=role, is_idle=idle)
-            for gid, role in roles.items()
-        }
-        return types.SimpleNamespace(engines=engines, queue_depth=queue_depth)
-
-    def test_flips_idle_prefill_toward_decode_backlog(self):
-        sched = self._scheduler({"p0": "prefill", "d0": "decode"})
-        assert rebalance_roles(sched, decode_backlog=3) == "p0"
-        assert sched.engines["p0"].role == "decode"
-
-    def test_flips_idle_decode_toward_prefill_backlog(self):
-        sched = self._scheduler(
-            {"p0": "prefill", "d0": "decode"}, queue_depth=2
+    def test_pool_with_control_scores_attainment(self):
+        # The same run() serves every composition, so a pool-attached
+        # simulator under SLO control populates the attainment counters.
+        control = ControlConfig(
+            default_policy=SloPolicy(ttft_deadline=1.0, itl_deadline=0.25)
         )
-        assert rebalance_roles(sched, decode_backlog=0) == "d0"
-        assert sched.engines["d0"].role == "prefill"
-
-    def test_no_flip_when_both_sides_backlogged_or_busy(self):
-        both = self._scheduler(
-            {"p0": "prefill", "d0": "decode"}, queue_depth=2
+        sim = self._sim(control=control)
+        result = sim.run(make_trace(rate=12.0, duration=2.0))
+        assert result.scale_ups > 0
+        assert (
+            sim.metrics.slo_attained_count() + sim.metrics.slo_missed_count()
+            == len(result.requests)
         )
-        assert rebalance_roles(both, decode_backlog=2) is None
-        busy = self._scheduler({"p0": "prefill"}, idle=False)
-        assert rebalance_roles(busy, decode_backlog=3) is None
-        assert busy.engines["p0"].role == "prefill"
+        assert sim.metrics.slo_attainment() == pytest.approx(
+            slo_attainment(result.requests, control, result.duration)
+        )
 
 
 class TestSloDisagg:
@@ -384,16 +384,14 @@ class TestSloDisagg:
         slow_wire = InterconnectSpec(
             name="slow", bus_bandwidth=1e9, latency=0.6
         )
-        from repro.cluster.disagg import DisaggConfig
-
         tracer = Tracer()
         control = ControlConfig(
             default_policy=SloPolicy(ttft_deadline=0.5, itl_deadline=1.0)
         )
-        sim = SloDisaggSimulator(
-            [make_engine("p0")], [make_engine("d0")],
+        sim = ClusterSimulator(
+            [make_engine("p0", role="prefill"), make_engine("d0", role="decode")],
             control=control,
-            config=DisaggConfig(interconnect=slow_wire),
+            handoff=DisaggConfig(interconnect=slow_wire),
             tracer=tracer,
         )
         result = sim.run(make_trace(n=6, rate=4.0, duration=1.0))
@@ -408,13 +406,12 @@ class TestSloDisagg:
         assert sim.metrics.slo_shed_count() == len(sheds)
 
     def test_drain_guard_never_sheds_a_delivered_request(self):
-        import heapq
-
         control = ControlConfig(
             default_policy=SloPolicy(ttft_deadline=0.5, itl_deadline=1.0)
         )
-        sim = SloDisaggSimulator(
-            [make_engine("p0")], [make_engine("d0")], control=control
+        sim = ClusterSimulator(
+            [make_engine("p0", role="prefill"), make_engine("d0", role="decode")],
+            control=control, handoff=DisaggConfig(),
         )
         # Simulate a re-transfer after a mid-decode migration: the waiter
         # already has its first token, so however late the clock runs the
@@ -423,8 +420,8 @@ class TestSloDisagg:
         req.needs_prefill = False
         req.mark_running("p0", 0.0)
         req.first_token_time = 0.2
-        heapq.heappush(sim._decode_queue, (10.0, 0, req, 16))
-        handled = sim._drain_decode_queue(10.0)
+        sim.handoff.decode_queue.append((10.0, 0, req, 16))
+        handled = sim.handoff.drain(10.0)
         assert handled == ["r"]
         assert req.state is not RequestState.FAILED
         assert sim.scheduler.engines["d0"].has_request("r")
@@ -432,9 +429,10 @@ class TestSloDisagg:
     def test_deterministic(self):
         def run():
             tracer = Tracer()
-            sim = SloDisaggSimulator(
-                [make_engine("p0"), make_engine("p1")],
-                [make_engine("d0"), make_engine("d1")],
+            sim = ClusterSimulator(
+                [make_engine(f"p{i}", role="prefill") for i in range(2)]
+                + [make_engine(f"d{i}", role="decode") for i in range(2)],
+                handoff=DisaggConfig(),
                 control=ControlConfig(
                     default_policy=SloPolicy(
                         ttft_deadline=0.8, itl_deadline=0.25

@@ -10,10 +10,11 @@ event lands inside it deterministically.
 
 import pytest
 
-from repro.cluster.disagg import INTERCONNECTS, DisaggConfig, DisaggSimulator
+from repro.cluster.disagg import INTERCONNECTS, DisaggConfig
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.frontend import Frontend
 from repro.cluster.scheduler import SchedulerConfig
+from repro.cluster.simulator import ClusterSimulator
 from repro.hw.interconnect import NVLINK_A100, InterconnectSpec
 from repro.models.config import LLAMA2_7B
 from repro.obs.tracer import EventKind, Tracer
@@ -32,10 +33,12 @@ for a scheduled cancel/fault to hit it."""
 
 
 def make_engine(gpu_id, max_batch=8, step_overhead=0.0):
+    """Role by naming convention: ``p*`` prefill, ``d*`` decode."""
     return GpuEngine(
         gpu_id,
         SimulatedBackend(LLAMA2_7B, step_overhead=step_overhead),
         EngineConfig(max_batch_size=max_batch),
+        role={"p": "prefill", "d": "decode"}[gpu_id[0]],
     )
 
 
@@ -47,10 +50,10 @@ def make_sim(
     tracer=None,
     **engine_kwargs,
 ):
-    return DisaggSimulator(
-        [make_engine(f"p{i}", **engine_kwargs) for i in range(num_prefill)],
-        [make_engine(f"d{i}", **engine_kwargs) for i in range(num_decode)],
-        config=config,
+    return ClusterSimulator(
+        [make_engine(f"p{i}", **engine_kwargs) for i in range(num_prefill)]
+        + [make_engine(f"d{i}", **engine_kwargs) for i in range(num_decode)],
+        handoff=config or DisaggConfig(),
         fault_injector=fault_injector,
         tracer=tracer,
     )
@@ -74,25 +77,30 @@ def make_trace(seed=0, n=40, rate=8.0, duration=4.0):
 class TestConstruction:
     def test_pools_must_be_nonempty(self):
         with pytest.raises(ValueError, match="prefill"):
-            DisaggSimulator([], [make_engine("d0")])
+            ClusterSimulator([make_engine("d0")], handoff=DisaggConfig())
         with pytest.raises(ValueError, match="decode"):
-            DisaggSimulator([make_engine("p0")], [])
+            ClusterSimulator([make_engine("p0")], handoff=DisaggConfig())
 
-    def test_roles_assigned(self):
+    def test_roles_come_from_the_engines(self):
         sim = make_sim(num_prefill=1, num_decode=1)
         assert sim.scheduler.engines["p0"].role == "prefill"
         assert sim.scheduler.engines["d0"].role == "decode"
+        # Colocated engines alone are not a role split.
+        both = GpuEngine("g0", SimulatedBackend(LLAMA2_7B))
+        with pytest.raises(ValueError, match="prefill"):
+            ClusterSimulator([both], handoff=DisaggConfig())
 
     def test_consolidation_off_by_default_but_honored_when_requested(self):
         # Role-aware consolidation (the scheduler's role-equality rule)
         # made opting in safe; the default stays off.
-        sim = DisaggSimulator(
-            [make_engine("p0")], [make_engine("d0")],
+        sim = ClusterSimulator(
+            [make_engine("p0"), make_engine("d0")],
             scheduler_config=SchedulerConfig(consolidation=True),
+            handoff=DisaggConfig(),
         )
         assert sim.scheduler.config.consolidation is True
-        assert DisaggSimulator(
-            [make_engine("p1")], [make_engine("d1")]
+        assert ClusterSimulator(
+            [make_engine("p1"), make_engine("d1")], handoff=DisaggConfig()
         ).scheduler.config.consolidation is False
 
     def test_decode_queue_limit_validated(self):
@@ -151,10 +159,10 @@ class TestRoleAwareConsolidation:
 
     def test_migration_hook_clears_colocation(self):
         sim = make_sim(num_prefill=1, num_decode=1)
-        assert sim.scheduler.migration_hook == sim._on_migrate
-        sim._colocated.add("req-x")
-        sim._on_migrate(self._request("req-x"), "p0", "p1")
-        assert "req-x" not in sim._colocated
+        assert sim.scheduler.migration_hook == sim.handoff.on_migrate
+        sim.handoff.colocated.add("req-x")
+        sim.handoff.on_migrate(self._request("req-x"), "p0", "p1")
+        assert "req-x" not in sim.handoff.colocated
 
 
 class TestTwoStageLifecycle:
@@ -199,8 +207,8 @@ class TestTwoStageLifecycle:
         assert sim.metrics.kv_transfer_count() > 0
         assert sim.metrics.kv_transfer_seconds() > 0.0
         assert sim.metrics.kv_transfer_failure_count() == 0
-        assert sim.transfers_in_flight == 0
-        assert sim.decode_queue_depth == 0
+        assert sim.handoff.transfers_in_flight == 0
+        assert sim.handoff.decode_queue_depth == 0
 
 
 class TestColocatedFallback:
@@ -232,9 +240,9 @@ class TestCancelMidTransfer:
                            at_time=0.0)
         # Prefill finishes well before t=2; the 5 s handoff is in flight.
         def cancel(now):
-            assert sim.transfers_in_flight == 1
+            assert sim.handoff.transfers_in_flight == 1
             fe.cancel(handle.request_id)
-            assert sim.transfers_in_flight == 0
+            assert sim.handoff.transfers_in_flight == 0
 
         sim.loop.schedule(2.0, cancel)
         end = fe.run()

@@ -310,7 +310,7 @@ def _build_composed(
     fast_path,
     spec=None,
 ):
-    from repro.cluster.disagg import DisaggConfig, DisaggSimulator
+    from repro.cluster.disagg import DisaggConfig
 
     trace = generate_trace(
         int(rate * duration) + 8,
@@ -321,7 +321,7 @@ def _build_composed(
     )
     injector = FaultInjector(fault_plan, seed=seed) if fault_plan else None
 
-    def engines(ids):
+    def engines(ids, role="both"):
         return [
             GpuEngine(
                 f"gpu{i:02d}",
@@ -331,16 +331,17 @@ def _build_composed(
                 ),
                 EngineConfig(max_batch_size=max_batch, spec=spec),
                 fast_path=fast_path,
+                role=role,
             )
             for i in ids
         ]
 
     if topology == "disagg":
         n_prefill = max(1, num_gpus // 2)
-        sim = DisaggSimulator(
-            engines(range(n_prefill)),
-            engines(range(n_prefill, num_gpus)),
-            config=DisaggConfig(decode_queue_limit=2),
+        sim = ClusterSimulator(
+            engines(range(n_prefill), "prefill")
+            + engines(range(n_prefill, num_gpus), "decode"),
+            handoff=DisaggConfig(decode_queue_limit=2),
             fault_injector=injector,
             tracer=None,
             fast_path=fast_path,

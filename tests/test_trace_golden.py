@@ -27,7 +27,7 @@ from repro.obs.tracer import EventKind, TERMINAL_KINDS
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SCENARIO_NAMES = (
     "single_gpu", "cluster_migration", "faults", "disagg", "serve", "spec",
-    "slo",
+    "slo", "composed",
 )
 REGOLD = os.environ.get("REPRO_REGOLD", "") not in ("", "0")
 
@@ -68,6 +68,13 @@ REQUIRED_KINDS = {
         EventKind.SLO_ADMIT, EventKind.SLO_SHED, EventKind.SHED,
         EventKind.SCALE_UP, EventKind.SCALE_DOWN,
         EventKind.PREFILL, EventKind.DECODE_STEP, EventKind.FINISH,
+    },
+    "composed": {
+        EventKind.SUBMIT, EventKind.QUEUE, EventKind.PLACE,
+        EventKind.SLO_ADMIT, EventKind.SCALE_UP, EventKind.SCALE_DOWN,
+        EventKind.KV_TRANSFER_START, EventKind.KV_TRANSFER_DONE,
+        EventKind.FAULT, EventKind.PREFILL, EventKind.DECODE_STEP,
+        EventKind.FINISH,
     },
 }
 

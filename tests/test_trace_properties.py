@@ -18,7 +18,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.disagg import DisaggConfig, DisaggSimulator
+from repro.cluster.disagg import DisaggConfig
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.scheduler import SchedulerConfig
 from repro.cluster.simulator import ClusterSimulator
@@ -38,11 +38,12 @@ SETTINGS = settings(
 )
 
 
-def _engine(i: int, max_batch_size: int) -> GpuEngine:
+def _engine(i: int, max_batch_size: int, role: str = "both") -> GpuEngine:
     return GpuEngine(
         f"gpu{i:02d}",
         SimulatedBackend(LLAMA2_7B, step_overhead=0.05),
         EngineConfig(max_batch_size=max_batch_size),
+        role=role,
     )
 
 
@@ -68,10 +69,10 @@ def _run(
         # 2 prefill + 2 decode: a crash can kill either role's GPU
         # without emptying its pool, so the handoff machinery keeps
         # running (and re-routing) after the fault.
-        sim = DisaggSimulator(
-            [_engine(i, max_batch_size) for i in range(2)],
-            [_engine(i, max_batch_size) for i in range(2, 4)],
-            config=DisaggConfig(decode_queue_limit=2),
+        sim = ClusterSimulator(
+            [_engine(i, max_batch_size, role="prefill") for i in range(2)]
+            + [_engine(i, max_batch_size, role="decode") for i in range(2, 4)],
+            handoff=DisaggConfig(decode_queue_limit=2),
             fault_injector=injector,
             tracer=tracer,
         )
