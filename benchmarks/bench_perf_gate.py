@@ -1,8 +1,11 @@
 """Fast-path perf-regression gate (CI entry point).
 
-Times the Figure-13 cluster scenario through the fast-path engine and the
-reference engine, verifies both produced the same simulation, and checks
-the numbers against the thresholds in ``benchmarks/BENCH_perf.json``.
+Times the Figure-13 cluster scenario through the fast-path engine, the
+fast-path engine with a Tracer attached and the reference engine, verifies
+all three produced the same simulation, and checks the numbers — speedup,
+absolute throughput, and ``traced_ratio`` (traced over untraced fast
+wall-clock, the observer effect) — against the thresholds in
+``benchmarks/BENCH_perf.json``.
 
 Usage::
 

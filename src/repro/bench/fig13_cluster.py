@@ -20,6 +20,7 @@ from repro.cluster.scheduler import SchedulerConfig
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.hw.spec import A100_40G, GpuSpec
 from repro.models.config import LLAMA2_7B, LlamaConfig
+from repro.obs.tracer import Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.workloads.arrivals import PoissonArrivals, RampProfile
@@ -45,6 +46,7 @@ def build_cluster(
     max_batch_size: int = 32,
     scheduler_config: SchedulerConfig | None = None,
     fast_path: bool | None = None,
+    tracer: "Tracer | None" = None,
 ) -> ClusterSimulator:
     engines = [
         GpuEngine(
@@ -55,7 +57,9 @@ def build_cluster(
         )
         for i in range(num_gpus)
     ]
-    return ClusterSimulator(engines, scheduler_config, fast_path=fast_path)
+    return ClusterSimulator(
+        engines, scheduler_config, tracer=tracer, fast_path=fast_path
+    )
 
 
 def run_fig13_simulation(
@@ -65,6 +69,7 @@ def run_fig13_simulation(
     seed: int = 0,
     scheduler_config: SchedulerConfig | None = None,
     fast_path: bool | None = None,
+    tracer: "Tracer | None" = None,
 ) -> "tuple[SimulationResult, Fig13Scale]":
     scale = scale or (PAPER if paper_scale() else QUICK)
     arrivals = PoissonArrivals(
@@ -77,7 +82,7 @@ def run_fig13_simulation(
     trace = generate_trace(n_specs, "skewed", seed=seed, arrivals=arrivals)
     sim = build_cluster(
         scale.num_gpus, config=config, gpu=gpu, scheduler_config=scheduler_config,
-        fast_path=fast_path,
+        fast_path=fast_path, tracer=tracer,
     )
     result = sim.run(trace)
     return result, scale

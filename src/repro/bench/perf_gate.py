@@ -3,10 +3,12 @@
 The fast path (``REPRO_FASTPATH``) exists to make the cluster simulator
 cheap enough to iterate on, and its whole value evaporates if a refactor
 quietly slows it back down. This module measures the Figure-13 cluster
-scenario through both engine paths, cross-checks that they produced the
-same simulation (the differential suite's bit-identity contract, asserted
-again here on the summary), and compares the measurements against
-thresholds checked into ``benchmarks/BENCH_perf.json``.
+scenario through both engine paths and once more through the fast path
+with a :class:`~repro.obs.tracer.Tracer` attached, cross-checks that all
+three produced the same simulation (the differential suite's bit-identity
+contract, asserted again here on the summary), and compares the
+measurements against thresholds checked into
+``benchmarks/BENCH_perf.json``.
 
 Three layers, so CI and humans share one code path:
 
@@ -28,6 +30,7 @@ from time import perf_counter
 
 from repro.bench.fig13_cluster import QUICK, Fig13Scale, build_cluster, run_fig13_simulation
 from repro.bench.reporting import FigureTable
+from repro.obs.tracer import Tracer
 
 #: Default location of the checked-in thresholds + last recorded numbers.
 BENCH_JSON = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_perf.json"
@@ -40,6 +43,10 @@ DEFAULT_THRESHOLDS = {
     "min_speedup": 3.0,
     "min_requests_per_s": 150.0,
     "max_variance": 0.20,
+    # The observer effect: a traced fast run over an untraced one. Tracing
+    # rides the same bulk-commit lanes (run blocks), so the ratio sits near
+    # 1.1; it was ~2.0 while a tracer disarmed them.
+    "max_traced_ratio": 1.5,
     "budgets": {
         # The million-request scale-out smoke: a self-similar 2% slice of
         # ``fig13_1m`` (20k requests) through the fast path only, gated on
@@ -62,6 +69,8 @@ class PerfMeasurement:
     seed: int
     fast_wall_s: float
     ref_wall_s: float
+    traced_wall_s: float
+    """Fast path again, with a Tracer attached."""
     finished_requests: int
     tokens_generated: int
     events_processed: int
@@ -70,6 +79,11 @@ class PerfMeasurement:
     @property
     def speedup(self) -> float:
         return self.ref_wall_s / self.fast_wall_s
+
+    @property
+    def traced_ratio(self) -> float:
+        """Traced over untraced fast wall-clock — the observer effect."""
+        return self.traced_wall_s / self.fast_wall_s
 
     @property
     def fast_requests_per_s(self) -> float:
@@ -87,6 +101,8 @@ class PerfMeasurement:
             "fast_wall_s": round(self.fast_wall_s, 4),
             "ref_wall_s": round(self.ref_wall_s, 4),
             "speedup": round(self.speedup, 3),
+            "traced_wall_s": round(self.traced_wall_s, 4),
+            "traced_ratio": round(self.traced_ratio, 3),
             "fast_requests_per_s": round(self.fast_requests_per_s, 1),
             "fast_tokens_per_s": round(self.fast_tokens_per_s, 1),
             "finished_requests": self.finished_requests,
@@ -110,29 +126,38 @@ def _summary(result) -> tuple:
 def measure(
     seed: int = 0, scale: "Fig13Scale | None" = None, scenario: str = "fig13_quick"
 ) -> PerfMeasurement:
-    """Time the Figure-13 cluster scenario through both engine paths.
+    """Time the Figure-13 cluster scenario through both engine paths,
+    and through the fast path once more with a tracer attached.
 
-    The reference run doubles as an equivalence check: if the two paths
-    disagree on the simulation summary, the timing numbers are meaningless
-    and we raise instead of reporting them.
+    The extra runs double as equivalence checks: if the paths disagree on
+    the simulation summary — or observing the run changed it — the timing
+    numbers are meaningless and we raise instead of reporting them.
     """
     scale = scale or QUICK
     t0 = perf_counter()
     fast, _ = run_fig13_simulation(scale=scale, seed=seed, fast_path=True)
     fast_wall = perf_counter() - t0
     t0 = perf_counter()
+    traced, _ = run_fig13_simulation(
+        scale=scale, seed=seed, fast_path=True, tracer=Tracer()
+    )
+    traced_wall = perf_counter() - t0
+    t0 = perf_counter()
     ref, _ = run_fig13_simulation(scale=scale, seed=seed, fast_path=False)
     ref_wall = perf_counter() - t0
-    if _summary(fast) != _summary(ref):
-        raise AssertionError(
-            "fast and reference paths diverged on the benchmark scenario: "
-            f"{_summary(fast)} != {_summary(ref)} — timing numbers discarded"
-        )
+    for name, other in (("reference", ref), ("traced fast", traced)):
+        if _summary(fast) != _summary(other):
+            raise AssertionError(
+                f"fast and {name} runs diverged on the benchmark scenario: "
+                f"{_summary(fast)} != {_summary(other)} — timing numbers "
+                "discarded"
+            )
     return PerfMeasurement(
         scenario=scenario,
         seed=seed,
         fast_wall_s=fast_wall,
         ref_wall_s=ref_wall,
+        traced_wall_s=traced_wall,
         finished_requests=fast.finished_requests,
         tokens_generated=fast.tokens_generated,
         events_processed=fast.events_processed,
@@ -284,6 +309,12 @@ def evaluate_gate(
             f"fast-path throughput {worst_rps:.0f} req/s below floor "
             f"{th['min_requests_per_s']:.0f} req/s"
         )
+    worst_traced = max(m.traced_ratio for m in measurements)
+    if worst_traced > th["max_traced_ratio"]:
+        failures.append(
+            f"traced run {worst_traced:.2f}x the untraced wall-clock, above "
+            f"{th['max_traced_ratio']:.2f}x — tracing disarmed a fast lane?"
+        )
     if len(measurements) >= 2:
         walls = [m.fast_wall_s for m in measurements]
         variance = (max(walls) - min(walls)) / min(walls)
@@ -355,7 +386,7 @@ def run_perf_gate(
         ),
         headers=[
             "scenario", "round", "fast_wall_s", "ref_wall_s", "speedup",
-            "fast_req_per_s", "events_per_s",
+            "traced_ratio", "fast_req_per_s", "events_per_s",
         ],
     )
     failures: "list[str]" = []
@@ -365,20 +396,22 @@ def run_perf_gate(
         for i, m in enumerate(measurements):
             table.add_row(
                 m.scenario, i, m.fast_wall_s, m.ref_wall_s, m.speedup,
-                m.fast_requests_per_s, m.events_processed / m.fast_wall_s,
+                m.traced_ratio, m.fast_requests_per_s,
+                m.events_processed / m.fast_wall_s,
             )
         failures += evaluate_gate(measurements, thresholds)
         recorded += measurements
         table.add_note(
             f"speedup thresholds: >= {thresholds['min_speedup']}x, "
             f"throughput >= {thresholds['min_requests_per_s']} req/s, "
-            f"variance <= {thresholds['max_variance']:.0%}"
+            f"variance <= {thresholds['max_variance']:.0%}, "
+            f"traced/untraced <= {thresholds['max_traced_ratio']}x"
         )
     if scenario in ("fig13_1m", "all"):
         budget_runs = [measure_scale(seed=seed)]
         for m in budget_runs:
             table.add_row(
-                m.scenario, 0, m.fast_wall_s, "-", "-",
+                m.scenario, 0, m.fast_wall_s, "-", "-", "-",
                 m.fast_requests_per_s, m.events_per_s,
             )
         failures += evaluate_budget(budget_runs, thresholds["budgets"])

@@ -177,7 +177,7 @@ def _add_trace_parser(sub) -> None:
     trace.add_argument(
         "scenario", nargs="?", default="single_gpu",
         choices=["single_gpu", "cluster_migration", "faults", "disagg",
-                 "serve", "spec", "slo", "composed"],
+                 "serve", "spec", "slo", "composed", "steady_dense"],
         help="which seeded scenario to run (default: single_gpu)",
     )
     trace.add_argument("--seed", type=int, default=0,
@@ -338,7 +338,7 @@ def _run_trace(args) -> int:
     result = run_scenario(args.scenario, seed=args.seed)
     breakdowns = compute_breakdowns(result.tracer)
     print(f"# scenario={args.scenario} seed={args.seed} "
-          f"requests={len(result.requests)} events={len(result.tracer.events)}")
+          f"requests={len(result.requests)} events={len(result.tracer)}")
     print(breakdown_table(breakdowns, limit=args.limit))
     totals = breakdown_totals(breakdowns)
     parts = "  ".join(f"{k}={v:.4f}s" for k, v in totals.items())

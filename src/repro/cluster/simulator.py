@@ -184,11 +184,6 @@ class ClusterSimulator:
         self._step_actions: dict[str, "object"] = {}
         """One reusable step closure per GPU — scheduling thousands of
         decode continuations must not allocate a fresh closure each."""
-        self._vector_lane = self.fast_path and tracer is None
-        """Gen-2 lane: commit whole steady decode runs through one set of
-        vectorized array ops. Requires an untraced run (the per-step lane
-        pins traced event streams byte-for-byte) and is further gated per
-        attempt on the KV handoff and in-flight fault recoveries."""
         self._step_handles: dict[str, EventHandle] = {}
         """The pending step event per busy GPU. The cross-engine merge
         lane consumes these to replay interleaved decode ticks inline;
@@ -429,12 +424,14 @@ class ClusterSimulator:
                     # was armed; its requests were already re-placed.
                     self._gpu_busy.pop(gpu_id, None)
                     return
-                # The gen-2 vectorized lanes need an untraced fast-path
-                # run. Disaggregated and mid-recovery simulations keep the
+                # The gen-2 vectorized lanes commit whole steady decode
+                # runs in bulk — trace records included, as run blocks in
+                # pop order, so a tracer does not disarm them.
+                # Disaggregated and mid-recovery simulations keep the
                 # per-step lane: their bookkeeping observes individual
                 # steps (nothing below changes either before the tail).
                 vector_ok = (
-                    self._vector_lane
+                    self.fast_path
                     and self.handoff is None
                     and not self._recovering
                     and engine.fast_path

@@ -19,8 +19,10 @@ order* over every steady engine's priced decode run:
    ``seq``; successor ticks created mid-merge get virtual keys above
    every pending ``seq``, assigned in creation order — exactly the order
    the reference loop would have assigned them.
-4. Committed runs are applied per engine in bulk, metrics are recorded
-   in pop order, the loop's clock/processed count advance by the replay,
+4. Committed runs are applied per engine in bulk, metrics and — when a
+   tracer is attached — one trace run block covering every engine's
+   ``DECODE_STEP`` events are recorded in pop order, the loop's
+   clock/processed count advance by the replay,
    and each engine's one outstanding successor event is materialized as
    a real scheduled event *in creation order*, so every relative
    ``(time, seq)`` comparison any future event can make is unchanged.
@@ -166,6 +168,7 @@ class VectorDecodeLane:
         pops = 0
         merged_t: "list[float]" = []
         merged_b: "list[float]" = []
+        merged_i: "list[int]" = []
         while heap:
             t, _key, i = heap[0]
             if h_dyn is not None and t >= h_dyn:
@@ -181,6 +184,7 @@ class VectorDecodeLane:
                 handles[i] = None
             merged_t.append(t)
             merged_b.append(fbatch[i])
+            merged_i.append(i)
             ki = committed[i] + 1
             committed[i] = ki
             pops += 1
@@ -203,12 +207,20 @@ class VectorDecodeLane:
         # replay and materialize successors in creation order so their
         # relative seqs match what the reference loop assigned.
         per_gpu = []
+        # Under the simulator's tracer every engine hands its trace lane
+        # back, for one block in pop order.
+        tracer = sim.tracer
+        trace_lanes: "list | None" = [] if tracer is not None else None
+        lane_of = [0] * n_eng
         for i in range(n_eng):
             n = committed[i]
             if n == 0:
                 continue
-            lane[i].commit_steady_run(n)
+            lane_of[i] = len(per_gpu)
+            lane[i].commit_steady_run(n, trace_lanes)
             per_gpu.append((gids[i], ends_np[i][:n], batches[i]))
+        if trace_lanes:
+            tracer.decode_run(trace_lanes, [lane_of[i] for i in merged_i])
         sim.metrics.record_step_merge(
             np.array(merged_t), np.array(merged_b), per_gpu
         )

@@ -2,8 +2,7 @@
 
 Each scenario builds a workload + serving stack from nothing but a seed,
 runs it with a fresh :class:`~repro.obs.tracer.Tracer`, and returns the
-trace plus the run's metrics. The three scenarios cover the stack's three
-regimes:
+trace plus the run's metrics. The scenarios cover the stack's regimes:
 
 * ``single_gpu`` — mixed prefill/decode continuous batching on one engine
   (the Fig 11 path, via :func:`~repro.runtime.serve.serve_requests`);
@@ -31,7 +30,11 @@ regimes:
 * ``composed`` — every collaborator of the one ``ClusterSimulator`` on
   one event loop: SLO control over a role-split pool with KV handoffs,
   grown by the predictive autoscaler (the factory assigns roles), with a
-  scripted decode-GPU crash mid-burst.
+  scripted decode-GPU crash mid-burst;
+* ``steady_dense`` — four full-speed engines in long, interleaving
+  pure-decode runs: the bulk-commit lanes of the fast path (and the
+  tracer's run blocks) against a fixture emitted event by event on the
+  reference path (docs/performance.md).
 
 ``tests/test_trace_golden.py`` replays these against checked-in JSONL
 fixtures; ``repro trace`` runs them from the shell. Keep them small —
@@ -348,6 +351,37 @@ def run_composed(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResu
     )
 
 
+def run_steady_dense(
+    seed: int = 0, fast_path: "bool | None" = None
+) -> ScenarioResult:
+    """Dense steady decode: two dozen requests with 48-96-token responses
+    land within a fifth of a second on four full-speed A100s, so every
+    engine sits in a long pure-decode run and their step ticks interleave
+    — the regime where the fast path commits multi-step windows in bulk
+    (single-engine runs and cross-engine merges) and the trace records
+    them as run blocks. The fixture is generated on the reference path,
+    one emitted event per token."""
+    lengths = ShareGptLengths(
+        min_len=48, max_prompt_len=64,
+        response_mu=4.25, response_sigma=0.3, max_response_len=96,
+    )
+    trace = generate_trace(
+        48, "skewed", seed=seed, lengths=lengths,
+        arrivals=PoissonArrivals(rate=constant_rate(150.0), duration=0.2),
+    )
+    tracer = Tracer()
+    sim = ClusterSimulator(
+        [_engine(f"gpu{i:02d}", max_batch_size=6, fast_path=fast_path)
+         for i in range(4)],
+        tracer=tracer,
+        fast_path=fast_path,
+    )
+    result = sim.run(trace)
+    return ScenarioResult(
+        "steady_dense", tracer, result.requests, metrics=result.metrics
+    )
+
+
 SCENARIOS: "dict[str, Callable[..., ScenarioResult]]" = {
     "single_gpu": run_single_gpu,
     "cluster_migration": run_cluster_migration,
@@ -357,6 +391,7 @@ SCENARIOS: "dict[str, Callable[..., ScenarioResult]]" = {
     "spec": run_spec,
     "slo": run_slo,
     "composed": run_composed,
+    "steady_dense": run_steady_dense,
 }
 
 

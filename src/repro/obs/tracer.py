@@ -12,6 +12,12 @@ simulated clock, so under a fixed seed a trace is *byte-identical* across
 runs — the property the golden-trace harness (tests/test_trace_golden.py)
 turns into a whole-stack regression fixture.
 
+The fast path commits runs of pure decode steps in bulk; it records each
+as one compact *run block* (:meth:`Tracer.decode_run`) in the same ordered
+log, and the block expands to the exact per-token ``DECODE_STEP`` events
+only when the trace is read — so attaching a tracer does not change which
+lanes a run takes.
+
 Serialization is canonical JSONL: one event per line, keys sorted,
 minimal separators, floats via ``repr`` round-tripping (see
 docs/observability.md for the schema).
@@ -21,8 +27,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
-from typing import Any
+from collections.abc import Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, NamedTuple
 
 
 class EventKind(enum.Enum):
@@ -94,9 +101,8 @@ TERMINAL_KINDS = (EventKind.FINISH, EventKind.SHED, EventKind.CANCEL)
 re-SUBMIT, in which case the timeline continues)."""
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One timestamped, typed record in a request trace."""
+class TraceEvent(NamedTuple):
+    """One timestamped, typed record in a request trace (immutable)."""
 
     seq: int
     """Global emission order — ties on ``time`` replay deterministically."""
@@ -104,7 +110,7 @@ class TraceEvent:
     kind: EventKind
     request_id: "str | None" = None
     gpu_id: "str | None" = None
-    attrs: "dict[str, Any]" = field(default_factory=dict)
+    attrs: "Mapping[str, Any]" = MappingProxyType({})
 
     def to_json_obj(self) -> "dict[str, Any]":
         obj: "dict[str, Any]" = {
@@ -130,20 +136,113 @@ class TraceEvent:
         )
 
 
+def decode_step_attrs(start: float, token_index: int) -> "dict[str, Any]":
+    """The ``DECODE_STEP`` attribute schema: the step's start time (the
+    event's own ``time`` is the step end) and the landed token's index in
+    the response. Scalar emitters and run-block expansion both build their
+    attrs here, so the two cannot drift apart."""
+    return {"start": start, "token_index": token_index}
+
+
+class _DecodeRun:
+    """A run of pure decode steps, recorded as one log entry.
+
+    ``lanes`` holds, per engine, ``(gpu_id, request_ids, first_token_index,
+    ends)``: the batch in slot order, each request's token index at the
+    run's first step, and the step boundary times (``ends[k]`` starts step
+    ``k``, ``ends[k + 1]`` ends it). ``order`` names the lane of every step
+    in the order the event loop popped them. The run owns one ``seq`` per
+    (step, request), consecutive from ``seq0``; :meth:`expand` turns it
+    into exactly the events per-step emission produces — step by step,
+    slot by slot.
+    """
+
+    __slots__ = ("seq0", "lanes", "order")
+
+    def __init__(self, seq0: int, lanes, order) -> None:
+        self.seq0 = seq0
+        self.lanes = lanes
+        self.order = order
+
+    def expand(self) -> "list[TraceEvent]":
+        lanes = self.lanes
+        seq = self.seq0
+        taken = [0] * len(lanes)
+        out: "list[TraceEvent]" = []
+        for lane in self.order:
+            gpu_id, request_ids, first, ends = lanes[lane]
+            k = taken[lane]
+            taken[lane] = k + 1
+            start = ends[k]
+            end = ends[k + 1]
+            for rid, index in zip(request_ids, first):
+                out.append(TraceEvent(
+                    seq, end, EventKind.DECODE_STEP, rid, gpu_id,
+                    decode_step_attrs(start, index + k),
+                ))
+                seq += 1
+        return out
+
+
+class _EventsView(Sequence):
+    """Read-only sequence over a tracer's events, in emission order.
+
+    ``len()`` is O(1) and leaves run blocks compact; indexing, iteration
+    and comparison expand them (once — see :meth:`Tracer._expanded`).
+    """
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: "Tracer") -> None:
+        self._tracer = tracer
+
+    def __len__(self) -> int:
+        return len(self._tracer)
+
+    def __getitem__(self, index):
+        return self._tracer._expanded()[index]
+
+    def __iter__(self):
+        return iter(self._tracer._expanded())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _EventsView):
+            other = other._tracer._expanded()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self._tracer._expanded() == other
+
+
 class Tracer:
     """Collects :class:`TraceEvent` records from instrumentation hooks.
 
     A tracer is per-run state, like :class:`~repro.cluster.metrics.ClusterMetrics`:
     construct a fresh one per simulation and thread it through the
     components (``ClusterSimulator(..., tracer=...)`` does the threading).
+
+    Everything recorded lands in one ordered log. :meth:`emit` appends a
+    single event; :meth:`decode_run` appends one compact run block for a
+    whole bulk-committed decode run. Blocks expand into their events the
+    first time the trace is read, in place, so a run that is only ever
+    counted (``len``) never pays for them.
     """
 
     def __init__(self) -> None:
-        self.events: list[TraceEvent] = []
+        self._log: list = []
         self._seq = 0
+        self._first_block: "int | None" = None
+        """Log position of the earliest run block not yet expanded."""
+        self._absent = 0
+        """Seq numbers below ``_seq`` that a loaded (filtered or truncated)
+        trace does not contain; 0 for every tracer filled by emission."""
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self._seq - self._absent
+
+    @property
+    def events(self) -> _EventsView:
+        """Every event in emission (``seq``) order, as a read-only view."""
+        return _EventsView(self)
 
     def emit(
         self,
@@ -154,31 +253,83 @@ class Tracer:
         **attrs: Any,
     ) -> TraceEvent:
         """Record one event; attrs must be JSON-serializable."""
-        event = TraceEvent(
-            seq=self._seq,
-            time=float(time),
-            kind=kind,
-            request_id=request_id,
-            gpu_id=gpu_id,
-            attrs=attrs,
-        )
-        self.events.append(event)
-        self._seq += 1
+        if time.__class__ is not float:
+            time = float(time)
+        seq = self._seq
+        event = TraceEvent(seq, time, kind, request_id, gpu_id, attrs)
+        self._log.append(event)
+        self._seq = seq + 1
         return event
+
+    def decode_run(self, lanes, order: "Sequence[int] | None" = None) -> None:
+        """Record a bulk-committed run of pure decode steps as one block.
+
+        ``lanes`` is a sequence of ``(gpu_id, request_ids,
+        first_token_index, ends)`` per engine — see :class:`_DecodeRun`;
+        ``ends`` must be Python floats. ``order`` gives the lane index of
+        each step in event-loop pop order and may be omitted for a single
+        lane. The block reserves one ``seq`` per (step, request), exactly
+        as if every ``DECODE_STEP`` had been emitted on its own. Empty
+        runs and empty batches are rejected: a block always stands for at
+        least one event.
+        """
+        if order is None:
+            if len(lanes) != 1:
+                raise ValueError("a multi-lane decode run needs its pop order")
+            order = (0,) * (len(lanes[0][3]) - 1)
+        steps = [0] * len(lanes)
+        for lane in order:
+            steps[lane] += 1
+        count = 0
+        for (gpu_id, request_ids, first, ends), n in zip(lanes, steps):
+            if n < 1 or not request_ids:
+                raise ValueError(
+                    f"decode run lane {gpu_id!r} has {n} steps over "
+                    f"{len(request_ids)} requests; both must be >= 1"
+                )
+            if len(first) != len(request_ids) or len(ends) != n + 1:
+                raise ValueError(
+                    f"decode run lane {gpu_id!r} is inconsistent: "
+                    f"{len(request_ids)} requests, {len(first)} token "
+                    f"indices, {n} steps, {len(ends)} step boundaries"
+                )
+            count += n * len(request_ids)
+        if count == 0:
+            raise ValueError("a decode run needs at least one lane")
+        if self._first_block is None:
+            self._first_block = len(self._log)
+        self._log.append(_DecodeRun(self._seq, lanes, order))
+        self._seq += count
+
+    def _expanded(self) -> "list[TraceEvent]":
+        """The log with every run block expanded in place (paid once per
+        block; later emits and blocks extend the same list)."""
+        first = self._first_block
+        log = self._log
+        if first is not None:
+            tail = log[first:]
+            del log[first:]
+            for item in tail:
+                if item.__class__ is _DecodeRun:
+                    log.extend(item.expand())
+                else:
+                    log.append(item)
+            self._first_block = None
+        return log
 
     # -- queries ---------------------------------------------------------
     def for_request(self, request_id: str) -> list[TraceEvent]:
         """One request's timeline, in causal (time, seq) order."""
         return sorted(
-            (e for e in self.events if e.request_id == request_id),
+            (e for e in self._expanded() if e.request_id == request_id),
             key=lambda e: (e.time, e.seq),
         )
 
     def request_ids(self) -> list[str]:
-        return sorted({e.request_id for e in self.events if e.request_id})
+        return sorted({e.request_id for e in self._expanded() if e.request_id})
 
     def by_kind(self, kind: EventKind) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind is kind]
+        return [e for e in self._expanded() if e.kind is kind]
 
     def sorted_events(self) -> list[TraceEvent]:
         """Every event in causal order (time, then emission order).
@@ -186,7 +337,7 @@ class Tracer:
         Events appended late (e.g. adapter logs drained at run end) sort
         into their true timeline position; ``seq`` keeps ties stable.
         """
-        return sorted(self.events, key=lambda e: (e.time, e.seq))
+        return sorted(self._expanded(), key=lambda e: (e.time, e.seq))
 
     # -- serialization ---------------------------------------------------
     def dumps_jsonl(self) -> str:
@@ -209,12 +360,14 @@ class Tracer:
     @classmethod
     def loads_jsonl(cls, text: str) -> "Tracer":
         tracer = cls()
+        log = tracer._log
         for line in text.splitlines():
             if not line.strip():
                 continue
             event = TraceEvent.from_json_obj(json.loads(line))
-            tracer.events.append(event)
+            log.append(event)
             tracer._seq = max(tracer._seq, event.seq + 1)
+        tracer._absent = tracer._seq - len(log)
         return tracer
 
     @classmethod

@@ -31,7 +31,7 @@ from repro.core.batch import (
     plan_batch,
     plan_decode_batch,
 )
-from repro.obs.tracer import EventKind, Tracer
+from repro.obs.tracer import EventKind, Tracer, decode_step_attrs
 from repro.runtime.loader import LoraLoader
 from repro.runtime.request import Request, RequestState
 from repro.runtime.spec import SpecConfig
@@ -579,15 +579,17 @@ class GpuEngine:
             if self._is_finished(req, token):
                 finished.append(req.request_id)
 
+        finished_slots: "list[_Slot]" = []
         for rid in finished:
             slot = self._working.pop(rid)
+            finished_slots.append(slot)
             self._working_order.remove(slot)
             self.backend.kv_release(rid)
             self.loader.release(slot.request.lora_id)
             slot.request.mark_finished(end)
 
         if self.tracer is not None:
-            self._trace_step(now, end, prefill_slots, decode_slots, finished)
+            self._trace_step(now, end, prefill_slots, decode_slots, finished_slots)
 
         self._refresh_steady()
         return StepReport(
@@ -770,7 +772,7 @@ class GpuEngine:
             for i in range(len(kept)):
                 self.tracer.emit(
                     end, EventKind.DECODE_STEP, rid, self.gpu_id,
-                    start=now, token_index=base + i,
+                    **decode_step_attrs(now, base + i),
                 )
             rollback = rollback_of.get(rid)
             if rollback is not None:
@@ -829,10 +831,12 @@ class GpuEngine:
                 if self._is_finished(req, token):
                     finished.append(rid)
 
+        finished_slots: "list[_Slot]" = []
         if finished:
             self._steady_plan = None
             for rid in finished:
                 slot = self._working.pop(rid)
+                finished_slots.append(slot)
                 self._working_order.remove(slot)
                 self.backend.kv_release(rid)
                 self.loader.release(slot.request.lora_id)
@@ -841,7 +845,7 @@ class GpuEngine:
             self._steady_total += len(pairs)
 
         if self.tracer is not None:
-            self._trace_step(now, end, [], self._steady_slots, finished)
+            self._trace_step(now, end, [], self._steady_slots, finished_slots)
 
         if finished:
             self._refresh_steady()
@@ -882,8 +886,8 @@ class GpuEngine:
         at one page per request before every step (the general-path
         fallback can never trigger). Call :meth:`commit_steady_run` to
         apply a prefix. Requires the length-limit countdown
-        (``_steady_rem``) and no tracer — traced runs take the per-step
-        lane, whose event stream is pinned byte-for-byte.
+        (``_steady_rem``). A tracer does not disarm the lane: the commit
+        records the run's ``DECODE_STEP`` events as one run block.
         """
         rem = self._steady_rem
         backend = self.backend
@@ -891,7 +895,6 @@ class GpuEngine:
             rem is None
             or self._steady_plan is None
             or self._pending
-            or self.tracer is not None
             or getattr(backend, "pool", True) is not None
         ):
             return None
@@ -977,7 +980,6 @@ class GpuEngine:
             self._steady_rem is not None
             and self._steady_plan is not None
             and not self._pending
-            and self.tracer is None
         )
 
     def steady_run_candidate(self, now: float, peek: "float | None"):
@@ -1001,19 +1003,39 @@ class GpuEngine:
             return None
         return starts
 
-    def commit_steady_run(self, n: int) -> "tuple[float, int]":
+    def commit_steady_run(
+        self, n: int, merge_lanes: "list | None" = None
+    ) -> "tuple[float, int]":
         """Apply the first ``n`` steps of the staged run in bulk.
 
         Replays exactly what ``n`` :meth:`_step_steady` calls would do —
         KvCache appends (page ids included), token values, per-request
-        countdowns, loader clock, total-KV counter — without the
-        per-step Python work. Returns ``(end_of_last_step, batch_size)``:
-        the next step of this engine is due at that end time.
+        countdowns, loader clock, total-KV counter, trace events — without
+        the per-step Python work. Returns ``(end_of_last_step,
+        batch_size)``: the next step of this engine is due at that end
+        time.
+
+        With a tracer attached the run's ``DECODE_STEP`` events are
+        recorded as one run block (:meth:`Tracer.decode_run`). The
+        cross-engine merge lane passes ``merge_lanes``: this engine's lane
+        is appended to it instead, and the caller records a single block
+        for the whole merge, in pop order.
         """
         ends, batch = self._staged_run
         self._staged_run = None
         plan = self._steady_plan
         pairs = self._steady_pairs
+        if self.tracer is not None:
+            lane = (
+                self.gpu_id,
+                tuple(self._steady_past),  # request ids, in slot order
+                [len(req.generated_tokens) for req, _ in pairs],
+                ends[:n + 1].tolist(),
+            )
+            if merge_lanes is None:
+                self.tracer.decode_run((lane,))
+            else:
+                merge_lanes.append(lane)
         # Reference steps call loader.advance(step start) each step;
         # advance is a monotone clock max, so the last start subsumes
         # the sequence.
@@ -1109,32 +1131,44 @@ class GpuEngine:
         end: float,
         prefill_slots: "list[_Slot]",
         decode_slots: "list[_Slot]",
-        finished: "list[str]",
+        finished_slots: "list[_Slot]",
     ) -> None:
         """Emit the invocation's per-request PREFILL / DECODE_STEP / FINISH
         events (time = step end; the ``start`` attr carries the step start,
         which the latency breakdown closes segments at)."""
+        emit = self.tracer.emit
+        gpu_id = self.gpu_id
         for slot in prefill_slots:
             req = slot.request
-            self.tracer.emit(
-                end, EventKind.PREFILL, req.request_id, self.gpu_id,
+            emit(
+                end, EventKind.PREFILL, req.request_id, gpu_id,
                 start=now,
                 tokens=req.spec.prompt_len + max(0, req.num_generated - 1),
             )
-        for slot in decode_slots:
+        if self.fast_path:
+            if decode_slots:
+                # The step's decode batch as a one-step run block: the same
+                # events, expanded when the trace is read.
+                self.tracer.decode_run(((
+                    gpu_id,
+                    [s.request.spec.request_id for s in decode_slots],
+                    [len(s.request.generated_tokens) - 1 for s in decode_slots],
+                    [now, end],
+                ),))
+        else:
+            # The reference path emits every event itself — the oracle the
+            # run blocks are compared against, byte for byte.
+            for slot in decode_slots:
+                req = slot.request
+                emit(
+                    end, EventKind.DECODE_STEP, req.request_id, gpu_id,
+                    **decode_step_attrs(now, len(req.generated_tokens) - 1),
+                )
+        for slot in finished_slots:
             req = slot.request
-            self.tracer.emit(
-                end, EventKind.DECODE_STEP, req.request_id, self.gpu_id,
-                start=now, token_index=req.num_generated - 1,
-            )
-        for rid in finished:
-            req = next(
-                s.request
-                for s in prefill_slots + decode_slots
-                if s.request.request_id == rid
-            )
-            self.tracer.emit(
-                end, EventKind.FINISH, rid, self.gpu_id, tokens=req.num_generated
+            emit(
+                end, EventKind.FINISH, req.request_id, gpu_id,
+                tokens=req.num_generated,
             )
 
     def _is_finished(self, req: Request, token: int) -> bool:

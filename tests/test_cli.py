@@ -200,7 +200,7 @@ class TestTraceScenarioChoices:
     def test_every_registered_scenario_is_a_choice(self):
         parser = build_parser()
         for name in ("single_gpu", "cluster_migration", "faults", "disagg",
-                     "serve", "spec", "slo", "composed"):
+                     "serve", "spec", "slo", "composed", "steady_dense"):
             assert parser.parse_args(["trace", name]).scenario == name
 
     def test_unknown_scenario_rejected(self):

@@ -16,8 +16,14 @@ This suite enforces the contract two ways:
   popularity, staggered arrivals, mid-run cancellations, scripted faults,
   1–3 GPUs, small batch limits — and replays each through both paths.
 
-A final canary asserts the fast lanes actually engage, so a silent guard
-regression cannot reduce this suite to comparing the slow path to itself.
+Tracing is part of the contract, not an exemption from it: a traced fast
+run commits the same bulk windows as an untraced one (the trace records
+ride the commit as run blocks), and its JSONL must still match the
+reference path, which emits one event per token.
+
+Final canaries assert the fast lanes actually engage — traced and
+untraced — so a silent guard regression cannot reduce this suite to
+comparing the slow path to itself.
 """
 
 from __future__ import annotations
@@ -29,15 +35,16 @@ from hypothesis import strategies as st
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.scheduler import SchedulerConfig
 from repro.cluster.simulator import ClusterSimulator
+from repro.hw.spec import A100_40G
 from repro.models.config import LLAMA2_7B
 from repro.obs.analysis import compute_breakdowns
 from repro.obs.scenarios import SCENARIOS, run_scenario
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import TERMINAL_KINDS, EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import RequestState
 from repro.runtime.spec import SpecConfig
-from repro.workloads.arrivals import PoissonArrivals, constant_rate
+from repro.workloads.arrivals import PoissonArrivals, RampProfile, constant_rate
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import generate_trace
 
@@ -230,19 +237,19 @@ def test_random_workload_differential(
 
 
 # ---------------------------------------------------------------------------
-# Composed untraced workloads: the cross-engine vector lane under load
+# Composed workloads: the cross-engine vector lane under load
 # ---------------------------------------------------------------------------
-# A Tracer pins per-step event streams, which (by design) disarms the
-# gen-2 cross-engine merge lane — so the traced suite above never covers
-# it. These runs go untraced and compare everything that remains
-# observable: terminal request state, the unified metrics registry, the
-# metrics time-series, and the summary tuple. Workloads *compose* the
-# features the per-feature suites cover in isolation: disagg pools,
-# scripted faults, cancellation storms, and the serve gateway's
-# admission + disconnect path.
+# Workloads *compose* the features the per-feature suites cover in
+# isolation: disagg pools, scripted faults, cancellation storms, and the
+# serve gateway's admission + disconnect path. Hypothesis also draws
+# whether a Tracer is attached: the merge lane takes the same windows
+# either way (trace records ride the bulk commit as run blocks), so a
+# traced example additionally compares the JSONL bytes, an untraced one
+# everything else that remains observable — terminal request state, the
+# unified metrics registry, the metrics time-series, the summary tuple.
 
 
-def _serve_drive(sim, trace, storm_picks):
+def _serve_drive(sim, trace, storm_picks, tracer=None):
     """Drive ``trace`` through the ServeGateway on the sim's event loop.
 
     ``storm_picks`` schedules mid-stream client disconnects (the
@@ -261,7 +268,7 @@ def _serve_drive(sim, trace, storm_picks):
             max_total_inflight=24,
         ),
         metrics=ServeMetrics(),
-        tracer=None,
+        tracer=tracer,
     )
     storm = {idx % len(trace.requests): delay for idx, delay in storm_picks}
 
@@ -309,6 +316,7 @@ def _build_composed(
     serve_frontend,
     fast_path,
     spec=None,
+    traced=False,
 ):
     from repro.cluster.disagg import DisaggConfig
 
@@ -320,6 +328,7 @@ def _build_composed(
         arrivals=PoissonArrivals(rate=constant_rate(rate), duration=duration),
     )
     injector = FaultInjector(fault_plan, seed=seed) if fault_plan else None
+    tracer = Tracer() if traced else None
 
     def engines(ids, role="both"):
         return [
@@ -343,7 +352,7 @@ def _build_composed(
             + engines(range(n_prefill, num_gpus), "decode"),
             handoff=DisaggConfig(decode_queue_limit=2),
             fault_injector=injector,
-            tracer=None,
+            tracer=tracer,
             fast_path=fast_path,
         )
     else:
@@ -351,12 +360,12 @@ def _build_composed(
             engines(range(num_gpus)),
             SchedulerConfig(migration_interval=1.0, light_load_fraction=0.5),
             fault_injector=injector,
-            tracer=None,
+            tracer=tracer,
             fast_path=fast_path,
         )
 
     if serve_frontend:
-        requests = _serve_drive(sim, trace, storm_picks)
+        requests = _serve_drive(sim, trace, storm_picks, tracer)
         by_state = {}
         for r in requests:
             by_state[r.state.name] = by_state.get(r.state.name, 0) + 1
@@ -368,9 +377,8 @@ def _build_composed(
         )
         return requests, sim.metrics, summary, sim
 
-    # Direct cancellation storm: same mechanism as the traced suite, but
-    # storm-sized, and racing the vector merge lane instead of the
-    # per-step one.
+    # Direct cancellation storm: same mechanism as the suite above, but
+    # storm-sized.
     for idx, delay in storm_picks:
         spec = trace.requests[idx % len(trace.requests)]
 
@@ -395,9 +403,11 @@ def _build_composed(
 
 
 def _assert_composed_equivalent(fast, ref):
-    frequests, fmetrics, fsummary, _ = fast
-    rrequests, rmetrics, rsummary, _ = ref
+    frequests, fmetrics, fsummary, fsim = fast
+    rrequests, rmetrics, rsummary, rsim = ref
     assert fsummary == rsummary
+    if fsim.tracer is not None:
+        assert fsim.tracer.dumps_jsonl() == rsim.tracer.dumps_jsonl()
     assert _request_states(frequests) == _request_states(rrequests)
     assert fmetrics.registry.to_json() == rmetrics.registry.to_json()
     assert fmetrics.tokens == rmetrics.tokens
@@ -427,14 +437,15 @@ def _assert_composed_equivalent(fast, ref):
     ),
     fault_subset=st.sets(st.integers(min_value=0, max_value=2), max_size=3),
     spec=st.sampled_from(_SPEC_MENU),
+    traced=st.booleans(),
 )
-def test_composed_untraced_differential(
+def test_composed_differential(
     seed, topology, serve_frontend, num_gpus, max_batch, rate, duration,
-    lora_rank, storm_picks, fault_subset, spec,
+    lora_rank, storm_picks, fault_subset, spec, traced,
 ):
     """Disagg pools x faults x cancellation storms x serve admission,
-    untraced so the cross-engine vector merge lane is armed: both paths
-    must agree on every observable the run leaves behind."""
+    traced or not, with the cross-engine vector merge lane armed: both
+    paths must agree on every observable the run leaves behind."""
     fault_plan = [_FAULT_MENU[i] for i in sorted(fault_subset)]
     if num_gpus <= 2:
         # Disagg's decode pool (or a 2-GPU cluster) may not survive a
@@ -448,7 +459,7 @@ def test_composed_untraced_differential(
         seed=seed, topology=topology, num_gpus=num_gpus, max_batch=max_batch,
         rate=rate, duration=duration, lora_rank=lora_rank,
         storm_picks=storm_picks, fault_plan=fault_plan,
-        serve_frontend=serve_frontend, spec=spec,
+        serve_frontend=serve_frontend, spec=spec, traced=traced,
     )
     fast = _build_composed(fast_path=True, **kwargs)
     ref = _build_composed(fast_path=False, **kwargs)
@@ -477,6 +488,172 @@ def test_vector_merge_lane_engages_untraced():
     sim.run(trace)
     assert sim._vector.merges > 0
     assert sim._vector.merged_steps > sim._vector.merges
+
+
+# ---------------------------------------------------------------------------
+# Tracing at untraced speed: a Tracer must not disarm a lane
+# ---------------------------------------------------------------------------
+def _dense_run(trace, *, traced, fast_path):
+    sim = ClusterSimulator(
+        [
+            GpuEngine(
+                f"gpu{i:02d}",
+                SimulatedBackend(LLAMA2_7B, gpu=A100_40G, fast_path=fast_path),
+                EngineConfig(max_batch_size=32),
+                fast_path=fast_path,
+            )
+            for i in range(8)
+        ],
+        tracer=Tracer() if traced else None,
+        fast_path=fast_path,
+    )
+    return sim, sim.run(trace)
+
+
+def _assert_breakdowns_tile(tracer):
+    breakdowns = compute_breakdowns(tracer)
+    assert breakdowns
+    for rid, bd in breakdowns.items():
+        assert bd.components_sum() == pytest.approx(bd.total, abs=1e-9), rid
+        assert bd.terminal in ("FINISH", "SHED", "CANCEL"), rid
+
+
+def test_dense_traced_run_keeps_every_lane_armed():
+    """The ledger's ``sim_steady`` shape (8 engines, batch 32, ShareGPT
+    decodes on a ramp): the traced fast run commits exactly the windows
+    the untraced one does — the engagement canary that fails if tracing
+    ever disarms a lane again — and its JSONL is byte-identical to the
+    reference path's one-emit-per-token stream."""
+    duration = 30.0
+    trace = generate_trace(
+        int(duration * 12.0) + 64, "skewed", seed=0,
+        arrivals=PoissonArrivals(
+            rate=RampProfile(duration=duration, peak_rate=12.0,
+                             hold_fraction=0.2),
+            duration=duration,
+        ),
+    )
+    assert len(trace) >= 200
+    traced_sim, traced = _dense_run(trace, traced=True, fast_path=True)
+    plain_sim, plain = _dense_run(trace, traced=False, fast_path=True)
+    ref_sim, ref = _dense_run(trace, traced=True, fast_path=False)
+
+    assert traced_sim._vector.merges > 0
+    assert traced_sim._vector.merges == plain_sim._vector.merges
+    assert traced_sim._vector.merged_steps == plain_sim._vector.merged_steps
+    assert traced_sim.inline_steps == plain_sim.inline_steps > 0
+    for a, b in zip(traced_sim.scheduler.engines.values(),
+                    plain_sim.scheduler.engines.values()):
+        assert (a.fast_steps, a.slow_steps) == (b.fast_steps, b.slow_steps)
+    assert ref_sim.inline_steps == 0 and ref_sim._vector.merges == 0
+
+    # Most of the trace was never materialised as events while running.
+    assert len(traced_sim.tracer) == len(ref_sim.tracer)
+    assert len(traced_sim.tracer._log) < len(traced_sim.tracer) // 3
+    assert traced_sim.tracer.dumps_jsonl() == ref_sim.tracer.dumps_jsonl()
+    assert _request_states(traced.requests) == _request_states(ref.requests)
+    assert _request_states(traced.requests) == _request_states(plain.requests)
+    assert (
+        traced.metrics.registry.to_json() == plain.metrics.registry.to_json()
+    )
+    _assert_breakdowns_tile(traced_sim.tracer)
+
+
+def _interrupted_dense_run(fast_path):
+    """Long interleaving decode runs cut short every way a run can be:
+    user cancels mid-decode, a GPU crash, and consolidation migration as
+    the tail drains."""
+    trace = generate_trace(
+        48, "skewed", seed=11,
+        lengths=ShareGptLengths(
+            min_len=48, max_prompt_len=64, response_mu=4.25,
+            response_sigma=0.3, max_response_len=96,
+        ),
+        arrivals=PoissonArrivals(rate=constant_rate(150.0), duration=0.2),
+    )
+    tracer = Tracer()
+    sim = ClusterSimulator(
+        [
+            GpuEngine(
+                f"gpu{i:02d}",
+                SimulatedBackend(LLAMA2_7B, fast_path=fast_path),
+                EngineConfig(max_batch_size=6),
+                fast_path=fast_path,
+            )
+            for i in range(4)
+        ],
+        SchedulerConfig(migration_interval=0.25, light_load_fraction=0.5),
+        fault_injector=FaultInjector(
+            [FaultSpec(kind=FaultKind.GPU_CRASH, time=0.9, gpu_id="gpu02")],
+            seed=11,
+        ),
+        tracer=tracer,
+        fast_path=fast_path,
+    )
+    for idx, when in ((1, 0.6), (8, 0.75), (15, 1.1), (20, 1.3)):
+        rid = trace.requests[idx].request_id
+
+        def _cancel(now, rid=rid):
+            req = sim._requests.get(rid)
+            if req is not None and req.state is RequestState.RUNNING:
+                sim.cancel(req, now)
+
+        sim.loop.schedule(when, _cancel)
+    return sim, sim.run(trace)
+
+
+def test_interrupted_merge_windows_leave_no_stray_decode_steps():
+    """A request cancelled, migrated or crashed right after a bulk-commit
+    window: the window stopped short of the interruption, so the trace
+    holds no DECODE_STEP emitted (or started) past the request's terminal
+    event, none from a GPU the request had already left, and the latency
+    tiling still closes exactly."""
+    fsim, fast = _interrupted_dense_run(True)
+    rsim, ref = _interrupted_dense_run(False)
+    assert fsim._vector.merges > 0 and fsim.inline_steps > 0
+    tracer = fsim.tracer
+    assert tracer.dumps_jsonl() == rsim.tracer.dumps_jsonl()
+    assert _request_states(fast.requests) == _request_states(ref.requests)
+    for kind in (EventKind.CANCEL, EventKind.FAULT, EventKind.MIGRATE):
+        assert tracer.by_kind(kind), f"scenario no longer exercises {kind}"
+    _assert_breakdowns_tile(tracer)
+
+    # Walk each timeline in emission order: a step is recorded when it is
+    # issued, stamped with its end time, so a token in flight at a cancel
+    # sorts after the CANCEL by time but was emitted (and started) before.
+    per_request: dict = {}
+    for event in tracer.events:
+        if event.request_id is not None:
+            per_request.setdefault(event.request_id, []).append(event)
+    interrupted = 0
+    for rid, timeline in per_request.items():
+        gpu = None
+        last_index = -1
+        last_start = 0.0
+        done = None
+        for event in timeline:
+            kind = event.kind
+            if kind is EventKind.PLACE:
+                gpu = event.gpu_id
+            elif kind in (EventKind.QUEUE, EventKind.MIGRATE):
+                gpu = None  # displaced: no decode until the next PLACE
+                interrupted += 1
+            elif kind is EventKind.DECODE_STEP:
+                assert done is None, f"{rid}: DECODE_STEP after {done.kind}"
+                assert event.gpu_id == gpu, (
+                    f"{rid}: decode on {event.gpu_id} while placed on {gpu}"
+                )
+                assert event.attrs["token_index"] > last_index
+                last_index = event.attrs["token_index"]
+                last_start = event.attrs["start"]
+            elif kind in TERMINAL_KINDS:
+                assert last_start <= event.time, (
+                    f"{rid}: a step started after its {kind.value}"
+                )
+                done = event
+                interrupted += kind is not EventKind.FINISH
+        assert done is not None, f"{rid} never terminated"
+    assert interrupted >= 4
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def _assert_parity(metrics: ClusterMetrics) -> None:
     reg.assert_finite()
 
 
-@pytest.mark.parametrize("scenario", ["cluster_migration", "faults", "slo", "composed"])
+@pytest.mark.parametrize("scenario", ["cluster_migration", "faults", "slo", "composed", "steady_dense"])
 def test_registry_matches_legacy_series(scenario):
     result = run_scenario(scenario, seed=0)
     assert result.metrics is not None

@@ -31,9 +31,10 @@ from repro.bench.perf_gate import (
 TINY = Fig13Scale(num_gpus=2, duration=12.0, peak_rate=4.0, bucket=4.0)
 
 
-def fake(fast=1.0, ref=4.0, finished=500, tokens=10_000):
+def fake(fast=1.0, ref=4.0, finished=500, tokens=10_000, traced=None):
     return PerfMeasurement(
         scenario="fake", seed=0, fast_wall_s=fast, ref_wall_s=ref,
+        traced_wall_s=1.1 * fast if traced is None else traced,
         finished_requests=finished, tokens_generated=tokens,
         events_processed=1234, sim_duration_s=60.0,
     )
@@ -63,6 +64,16 @@ class TestEvaluateGate:
     def test_variance_bound(self):
         failures = evaluate_gate([fake(fast=1.0, ref=40.0), fake(fast=1.5, ref=40.0)])
         assert len(failures) == 1 and "variance" in failures[0]
+
+    def test_traced_ratio_ceiling(self):
+        """The observer-effect gate: tracing that halves the speed (a
+        disarmed lane) fails; the worst round gates; the ceiling is a
+        threshold like the others."""
+        assert evaluate_gate([fake(traced=1.4)]) == []
+        failures = evaluate_gate([fake(), fake(traced=2.0)])
+        assert len(failures) == 1 and "traced" in failures[0]
+        assert evaluate_gate([fake(traced=2.0)], {"max_traced_ratio": 2.5}) == []
+        assert fake(fast=2.0, traced=3.0).to_json()["traced_ratio"] == 1.5
 
     def test_worst_round_gates(self):
         # One good round must not mask a bad one.
@@ -133,6 +144,7 @@ class TestJsonRoundTrip:
         assert speedup_rows and budget_rows
         for result in speedup_rows:
             assert result["speedup"] >= data["thresholds"]["min_speedup"]
+            assert result["traced_ratio"] <= data["thresholds"]["max_traced_ratio"]
         for result in budget_rows:
             budget = budgets[result["scenario"]]
             assert result["fast_wall_s"] <= budget["max_wall_s"]
@@ -163,6 +175,7 @@ class TestMeasurePlumbing:
         assert m.finished_requests > 0
         assert m.tokens_generated > 0
         assert m.fast_wall_s > 0 and m.ref_wall_s > 0
+        assert m.traced_wall_s > 0 and m.traced_ratio > 0
         data = m.to_json()
         assert data["scenario"] == "tiny"
         assert data["finished_requests"] == m.finished_requests

@@ -27,7 +27,7 @@ from repro.obs.tracer import EventKind, TERMINAL_KINDS
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SCENARIO_NAMES = (
     "single_gpu", "cluster_migration", "faults", "disagg", "serve", "spec",
-    "slo", "composed",
+    "slo", "composed", "steady_dense",
 )
 REGOLD = os.environ.get("REPRO_REGOLD", "") not in ("", "0")
 
@@ -75,6 +75,10 @@ REQUIRED_KINDS = {
         EventKind.KV_TRANSFER_START, EventKind.KV_TRANSFER_DONE,
         EventKind.FAULT, EventKind.PREFILL, EventKind.DECODE_STEP,
         EventKind.FINISH,
+    },
+    "steady_dense": {
+        EventKind.SUBMIT, EventKind.PLACE, EventKind.ADAPTER_LOAD,
+        EventKind.PREFILL, EventKind.DECODE_STEP, EventKind.FINISH,
     },
 }
 
