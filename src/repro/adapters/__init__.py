@@ -4,8 +4,8 @@ The pieces (S-LoRA / CaraServe lineage — see ``docs/adapters.md``):
 
 * :mod:`repro.adapters.registry` — cluster-wide adapter metadata,
   popularity EWMAs, and the DISK -> HOST -> GPU tier state machine;
-* :mod:`repro.adapters.store` — the per-GPU adapter cache
-  (:class:`~repro.runtime.loader.LoraLoader` is now a thin shim over it);
+* :mod:`repro.adapters.store` — the per-GPU adapter cache, which *is* an
+  engine's ``loader`` (§5.2 on-demand loading);
 * :mod:`repro.adapters.pool` — one per-GPU byte budget shared between the
   paged KvCache and adapter weights, with adapters evictable under
   KvCache pressure;

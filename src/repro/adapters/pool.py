@@ -23,19 +23,18 @@ property tests exercise.
 
 from __future__ import annotations
 
-from repro.adapters.registry import AdapterRegistry, Tier
-from repro.adapters.store import AdapterEvent, GpuAdapterStore
-from repro.hw.pcie import PCIE_GEN4_X16, PcieSpec, TransferPlan
+from repro.adapters.registry import AdapterRegistry
+from repro.adapters.store import GpuAdapterStore
+from repro.hw.pcie import PCIE_GEN4_X16, PcieSpec
 from repro.kvcache.pool import KvPool
 
 
 class UnifiedMemoryPool:
     """Shared KvCache + adapter byte budget for one GPU.
 
-    Exposes both halves of the engine's memory interface: the ``kv_*``
-    methods a backend delegates to, and the loader interface
-    (:meth:`request_load` / :meth:`acquire` / :meth:`release` / ...) the
-    engine's ``loader`` slot expects — pass the pool as both.
+    The backend delegates its ``kv_*`` calls here (``unified_pool=``);
+    adapter residency is :attr:`adapters`, the store an engine built on
+    that backend takes as its ``loader``.
     """
 
     def __init__(
@@ -157,51 +156,3 @@ class UnifiedMemoryPool:
         )
         by_bytes = max(0, int(budget_free // self.bytes_per_token))
         return min(self.kv.free_tokens, by_bytes)
-
-    # -- loader interface (what the engine's ``loader`` slot expects) -----
-    def advance(self, now: float) -> None:
-        self.adapters.advance(now)
-
-    def request_load(self, lora_id: str, nbytes: float, now: float) -> TransferPlan:
-        return self.adapters.request_load(lora_id, nbytes, now)
-
-    def prefetch(self, lora_id: str, now: float, nbytes: "float | None" = None) -> bool:
-        return self.adapters.prefetch(lora_id, now, nbytes)
-
-    def acquire(self, lora_id: str, now: float) -> None:
-        self.adapters.acquire(lora_id, now)
-
-    def release(self, lora_id: str) -> None:
-        self.adapters.release(lora_id)
-
-    def is_resident(self, lora_id: str) -> bool:
-        return self.adapters.is_resident(lora_id)
-
-    def is_ready(self, lora_id: str, now: float) -> bool:
-        return self.adapters.is_ready(lora_id, now)
-
-    def ready_time(self, lora_id: str) -> float:
-        return self.adapters.ready_time(lora_id)
-
-    def resident_models(self) -> list[str]:
-        return self.adapters.resident_models()
-
-    def used_bytes(self) -> float:
-        """Adapter bytes (loader-API semantics; see :meth:`total_used_bytes`)."""
-        return self.adapters.used_bytes()
-
-    def tier(self, lora_id: str) -> Tier:
-        return self.adapters.tier(lora_id)
-
-    def can_admit_adapter(self, lora_id: str, nbytes: float) -> bool:
-        return self.adapters.can_admit_adapter(lora_id, nbytes)
-
-    def pcie_idle(self, now: float) -> bool:
-        return self.adapters.pcie_idle(now)
-
-    @property
-    def num_evictions(self) -> int:
-        return self.adapters.num_evictions
-
-    def drain_events(self) -> list[AdapterEvent]:
-        return self.adapters.drain_events()

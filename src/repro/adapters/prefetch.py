@@ -26,6 +26,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.adapters.registry import AdapterRegistry
+from repro.adapters.store import GpuAdapterStore
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,13 @@ class Prefetcher:
     ):
         self.registry = registry
         self.config = config or PrefetchConfig()
-        self._pools: dict[str, object] = {}
+        self._pools: dict[str, GpuAdapterStore] = {}
         self.num_staged = 0
         self.num_promoted = 0
         self.num_hints = 0
 
-    def attach(self, pools: "Mapping[str, object]") -> None:
-        """Register the per-GPU pools (or loaders) promotions go to."""
+    def attach(self, pools: "Mapping[str, GpuAdapterStore]") -> None:
+        """Register the per-GPU adapter stores promotions go to."""
         self._pools = dict(pools)
 
     # -- scheduler hints --------------------------------------------------

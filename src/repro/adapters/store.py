@@ -1,12 +1,14 @@
 """Per-GPU adapter cache: the GPU tier of the residency state machine.
 
-:class:`GpuAdapterStore` is what :class:`~repro.runtime.loader.LoraLoader`
-(the engine-facing shim) delegates to. It tracks which adapters are
-resident on one GPU, their in-flight host -> GPU transfer plans, per-adapter
-reference counts (an adapter is pinned while any request references it),
-and LRU eviction under a byte budget.
-
-Two things distinguish it from the old standalone loader:
+:class:`GpuAdapterStore` is the engine's ``loader`` (paper §5.2, on-demand
+loading): when a request whose adapter is not yet on the GPU arrives, the
+engine issues an asynchronous host -> GPU copy here and keeps running the
+current batch; the request joins once the copy completes. The store
+tracks which adapters are resident on one GPU, their in-flight transfer
+plans, per-adapter reference counts (an adapter is pinned while any
+request references it), and LRU eviction under a byte budget. Constructed
+bare it assumes every adapter is host-resident and has no budget; two
+optional attachments extend that:
 
 * **Registry awareness** — with an :class:`~repro.adapters.registry.AdapterRegistry`
   attached, a load consults the adapter's tier: a HOST-staged adapter pays
@@ -114,11 +116,15 @@ class GpuAdapterStore:
     def resident_models(self) -> list[str]:
         return list(self._entries)
 
+    def inflight_models(self, now: float) -> list[str]:
+        """Adapters whose host -> GPU copy has not completed by ``now``."""
+        return [lid for lid, e in self._entries.items() if not e.plan.done_by(now)]
+
     def tier(self, lora_id: str) -> Tier:
         """This GPU's view of the adapter's residency tier.
 
-        Without a registry the legacy assumption holds: every adapter's
-        weights live in host RAM, so a non-resident adapter is HOST.
+        Without a registry every adapter's weights are assumed to live in
+        host RAM, so a non-resident adapter is HOST.
         """
         if lora_id in self._entries:
             return Tier.GPU

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.adapters.store import GpuAdapterStore
 from repro.hw.pcie import PcieSpec
 from repro.hw.spec import A100_80G, GpuSpec
 from repro.models.config import LlamaConfig
@@ -26,7 +27,6 @@ from repro.models.perf import PerfFlags
 from repro.models.tp import SINGLE_GPU, TensorParallelConfig
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
-from repro.runtime.loader import LoraLoader
 from repro.utils.units import US
 
 
@@ -153,7 +153,7 @@ def build_engine(
         serve_lora=profile.serves_lora,
         step_overhead=profile.step_overhead,
     )
-    loader = LoraLoader() if profile.name == "punica" else LoraLoader(pcie=_INSTANT_PCIE)
+    loader = None if profile.name == "punica" else GpuAdapterStore(pcie=_INSTANT_PCIE)
     engine_cfg = EngineConfig(
         max_batch_size=max_batch_size,
         same_lora_only=not profile.multi_lora_batching,

@@ -108,7 +108,6 @@ def build_adapter_cluster(
                 gpu_id,
                 backend,
                 EngineConfig(max_batch_size=scale.max_batch_size),
-                loader=pool,
             )
         )
     prefetcher = (

@@ -1,6 +1,6 @@
 """Performance-regression gate for the fast-path simulation engine.
 
-The fast path (``REPRO_FASTPATH``) exists to make the cluster simulator
+The fast path (``fast_path=``) exists to make the cluster simulator
 cheap enough to iterate on, and its whole value evaporates if a refactor
 quietly slows it back down. This module measures the Figure-13 cluster
 scenario through both engine paths and once more through the fast path

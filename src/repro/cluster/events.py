@@ -193,7 +193,7 @@ class EventLoop:
     """Deterministic discrete-event executor.
 
     ``fast_path`` picks the queue discipline: the calendar queue when
-    enabled (the default, via ``REPRO_FASTPATH``), the reference binary
+    enabled (the default; ``None`` means on), the reference binary
     heap otherwise. Pop order is identical either way.
     """
 

@@ -188,11 +188,7 @@ class FaultInjector:
 
     def pick_inflight_lora(self, engine, now: float) -> "str | None":
         """Pick one adapter whose copy is still in flight on ``engine``."""
-        loader = getattr(engine, "loader", None)
-        inflight = getattr(loader, "inflight_models", None)
-        if inflight is None:
-            return None
-        candidates = sorted(inflight(now))
+        candidates = sorted(engine.loader.inflight_models(now))
         return self._rng.choice(candidates) if candidates else None
 
     def pick_transfer(self, request_ids) -> "str | None":

@@ -1,14 +1,20 @@
-"""Time-series metrics for cluster experiments (the three panels of Fig 13,
-plus the adapter-lifecycle panels the tiered cache ablation plots).
+"""Metrics for cluster experiments: one store per fact.
 
-Every counter here also feeds a per-run
-:class:`~repro.obs.metrics.MetricsRegistry` under the unified ``repro_``
-namespace, so one registry snapshot (JSON or Prometheus text) covers the
-cluster, adapter and fault counters that used to live in three places.
-Both the time series and the registry are *instance* state created in
-``__init__`` — nothing module-level survives a run, so two back-to-back
-simulations report identical numbers (tests/test_metrics_parity.py's
-reset-isolation test pins this)."""
+A run's counts and latency distributions live in one per-run
+:class:`~repro.obs.metrics.MetricsRegistry` under the ``repro_`` namespace
+(JSON or Prometheus text, docs/observability.md). :class:`ClusterMetrics`
+binds its instruments once, feeds them from the ``record_*`` calls the
+simulator makes, and answers every summary (``fault_count``,
+``adapter_gpu_hit_rate``, ``slo_attainment`` ...) from them.
+
+A :class:`TimeSeries` is kept only where something reads a *series*: the
+three panels of Fig 13 (``arrivals``, ``tokens``, ``gpu_batch_size``), the
+host->GPU link utilisation plot (``pcie_busy``) and the SLO router's
+per-placement headroom samples (``slo_admits``).
+
+Series and registry are *instance* state — nothing module-level survives
+a run, so two back-to-back simulations report identical numbers
+(tests/test_metrics_parity.py's reset-isolation test pins this)."""
 
 from __future__ import annotations
 
@@ -18,7 +24,6 @@ import numpy as np
 
 from repro.adapters.registry import Tier
 from repro.obs.metrics import MetricsRegistry
-from repro.utils.fastpath import coarse_dt as _coarse_dt_env
 
 
 class TimeSeries:
@@ -68,13 +73,10 @@ class TimeSeries:
         self._n = n + 1
 
     def record_unordered(self, t: float, v: float) -> None:
-        """Insert a sample keeping time order.
-
-        The SLO router records at two interleaved clocks: loop events,
-        and step-completion times the fast path's inline coalescing runs
-        ahead of the loop. The occasional out-of-order sample pays an
-        O(n) shift; ties keep insertion order so replays stay stable.
-        """
+        """Insert a sample keeping time order (see
+        :meth:`ClusterMetrics.record_slo_admit`, the one caller). An
+        out-of-order sample pays an O(n) shift; ties keep insertion order
+        so replays stay stable."""
         n = self._n
         if not n or t >= self._times[n - 1]:
             self.record(t, v)
@@ -143,11 +145,6 @@ class TimeSeries:
             )
         return out
 
-    def value_at(self, t: float) -> float:
-        """Step-function lookup: the last recorded value at or before ``t``."""
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        return float(self._values[i]) if i >= 0 else 0.0
-
 
 #: Deadline-headroom buckets (seconds). Deadlines are sub-second, so the
 #: interesting resolution is around zero; negative buckets keep the
@@ -159,7 +156,12 @@ SLO_HEADROOM_BUCKETS = (
 
 @dataclass
 class ClusterMetrics:
-    """Everything Fig 13 plots, collected during one simulation run."""
+    """Everything one simulation run measures.
+
+    Every ``record_*`` takes the event time first; only the five series
+    store it, the registry instruments count. What each instrument counts
+    is its help string in ``__post_init__``.
+    """
 
     arrivals: TimeSeries = field(default_factory=TimeSeries)
     """(time, 1) per request arrival — bucket_sum/bucket = request rate."""
@@ -167,120 +169,97 @@ class ClusterMetrics:
     """(step end, tokens generated that step) — bucket_sum/bucket = tok/s."""
     gpu_batch_size: dict[str, TimeSeries] = field(default_factory=dict)
     """Per-GPU (step start, invocation batch size) — Fig 13 lower panel."""
-    adapter_loads: TimeSeries = field(default_factory=TimeSeries)
-    """(time, hit tier) per demand adapter load: 2 GPU, 1 HOST, 0 DISK."""
-    adapter_evictions: TimeSeries = field(default_factory=TimeSeries)
-    """(time, 1) per adapter demoted out of a GPU pool."""
-    prefetch_issues: TimeSeries = field(default_factory=TimeSeries)
-    """(time, 1) per speculative GPU promotion issued."""
-    prefetch_hits: TimeSeries = field(default_factory=TimeSeries)
-    """(time, 1) per prefetched adapter a later demand load actually used."""
     pcie_busy: TimeSeries = field(default_factory=TimeSeries)
     """(copy start, copy seconds) per host->GPU transfer — busy time."""
-    faults_injected: TimeSeries = field(default_factory=TimeSeries)
-    """(time, 1) per fault the injector actually applied."""
-    replacements: TimeSeries = field(default_factory=TimeSeries)
-    """(time, 1) per in-flight request re-placed after a fault (§5.3
-    evict + re-prefill used as the recovery mechanism)."""
-    sheds: TimeSeries = field(default_factory=TimeSeries)
-    """(time, 1) per request shed with a FAILED terminal state because no
-    surviving capacity could ever absorb it."""
-    recoveries: TimeSeries = field(default_factory=TimeSeries)
-    """(recovery time, seconds since the fault) — one sample per fault
-    whose displaced requests all reached a GPU (or terminal state) again."""
-    kv_transfers: TimeSeries = field(default_factory=TimeSeries)
-    """(transfer completion time, transfer seconds) per paged KV handoff
-    between the prefill and decode pools (disaggregated mode)."""
-    kv_transfer_failures: TimeSeries = field(default_factory=TimeSeries)
-    """(time, 1) per KV handoff lost to an injected transfer fault; the
-    request falls back to the §5.3 re-prefill path."""
-    colocated_fallbacks: TimeSeries = field(default_factory=TimeSeries)
-    """(time, 1) per prefilled request kept on its prefill GPU because the
-    decode pool was saturated (disaggregated mode's escape hatch)."""
     slo_admits: TimeSeries = field(default_factory=TimeSeries)
     """(placement time, modelled deadline headroom in seconds) per request
     the SLO router placed — negative headroom means a best-effort
     placement the model expected to miss."""
-    slo_sheds: TimeSeries = field(default_factory=TimeSeries)
-    """(time, 1) per request the SLO router refused because no engine
-    could meet its deadline even under the optimistic floor."""
-    slo_outcomes: TimeSeries = field(default_factory=TimeSeries)
-    """(terminal time, 1 attained / 0 missed) per request scored against
-    its TTFT/ITL deadlines at run end."""
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    """The unified per-run registry every record_* call also feeds (the
-    tests/test_metrics_parity.py contract keeps both views exactly equal)."""
-    coarse_dt: float | None = None
-    """Coarse time-step for statistics-only runs: when > 0, bulk step
-    recordings collapse per-step series samples into ``coarse_dt``-wide
-    buckets (sums for tokens, last-value for batch size). Registry totals
-    stay exact; only series *density* changes. ``None`` reads the
-    ``REPRO_COARSE_DT`` environment switch; ``0`` forces exact sampling."""
+    """The per-run registry: every count and histogram of the run."""
 
     def __post_init__(self) -> None:
-        if self.coarse_dt is None:
-            self.coarse_dt = _coarse_dt_env()
-        if not self.coarse_dt or self.coarse_dt <= 0:
-            self.coarse_dt = None
-        # Declare the full instrument schema up front so a snapshot of an
-        # idle run still exposes every metric (at zero) rather than a
-        # namespace that grows as events happen to occur.
-        r = self.registry
-        r.counter("requests_arrived_total", "request arrivals at the cluster")
-        # Bound handles for record_step, the per-invocation hot path: the
-        # registry lookup + label validation per call would otherwise cost
-        # more than the recording itself.
-        self._tokens_counter = r.counter(
+        # The full instrument schema is declared (and bound) up front so a
+        # snapshot of an idle run still exposes every metric at zero, and
+        # no record_* pays a registry lookup + label validation per call.
+        counter, histogram = self.registry.counter, self.registry.histogram
+        self._arrivals = counter(
+            "requests_arrived_total", "request arrivals at the cluster"
+        )
+        self._tokens_counter = counter(
             "tokens_generated_total", "tokens generated by engine steps"
         )
-        self._steps_counter = r.counter(
+        self._steps_counter = counter(
             "engine_steps_total", "batched invocations per GPU", labels=("gpu",)
         )
-        self._batch_gauge = r.gauge(
+        self._batch_gauge = self.registry.gauge(
             "gpu_batch_size", "latest invocation batch size", labels=("gpu",)
         )
-        r.counter("adapter_loads_total", "demand adapter loads by hit tier",
-                  labels=("tier",))
-        r.counter("adapter_evictions_total",
-                  "adapters demoted out of a GPU pool")
-        r.counter("adapter_prefetch_issues_total",
-                  "speculative GPU promotions")
-        r.counter("adapter_prefetch_hits_total",
-                  "prefetched adapters a demand load used")
-        r.counter("pcie_busy_seconds_total", "host->GPU link busy time")
-        r.histogram("pcie_transfer_seconds",
-                    "per-transfer host->GPU copy time")
-        r.counter("faults_injected_total", "faults the injector applied")
-        r.counter("replacements_total",
-                  "in-flight requests re-placed after a fault")
-        r.counter("sheds_total", "requests shed with a FAILED terminal state")
-        r.histogram("recovery_latency_seconds",
-                    "seconds from fault injection to full re-admission")
-        r.counter("kv_transfers_total",
-                  "paged KV handoffs between prefill and decode pools")
-        r.counter("kv_transfer_bytes_total",
-                  "bytes of KV history moved over the interconnect")
-        r.histogram("kv_transfer_seconds", "per-handoff interconnect time")
-        r.counter("kv_transfer_failures_total",
-                  "KV handoffs lost to transfer faults (re-prefill)")
-        r.counter("disagg_colocated_fallbacks_total",
-                  "prefilled requests decoded in place: decode pool full")
-        r.counter("slo_attained_total",
-                  "requests that met their TTFT and ITL deadlines")
-        r.counter("slo_missed_total",
-                  "requests that blew a deadline or never finished")
-        r.counter("slo_sheds_total",
-                  "requests the SLO router refused: no feasible placement")
-        r.histogram("slo_deadline_headroom_seconds",
-                    "modelled TTFT headroom at placement (negative = the "
-                    "cost model already expected a miss)",
-                    buckets=SLO_HEADROOM_BUCKETS)
+        self._adapter_loads = counter(
+            "adapter_loads_total", "demand adapter loads by hit tier", labels=("tier",)
+        )
+        self._adapter_evictions = counter(
+            "adapter_evictions_total", "adapters demoted out of a GPU pool"
+        )
+        self._prefetch_issues = counter(
+            "adapter_prefetch_issues_total", "speculative GPU promotions"
+        )
+        self._prefetch_hits = counter(
+            "adapter_prefetch_hits_total", "prefetched adapters a demand load used"
+        )
+        self._pcie_busy_total = counter(
+            "pcie_busy_seconds_total", "host->GPU link busy time"
+        )
+        self._pcie_transfer = histogram(
+            "pcie_transfer_seconds", "per-transfer host->GPU copy time"
+        )
+        self._faults = counter("faults_injected_total", "faults the injector applied")
+        self._replacements = counter(
+            "replacements_total", "in-flight requests re-placed after a fault"
+        )
+        self._sheds = counter(
+            "sheds_total", "requests shed with a FAILED terminal state"
+        )
+        self._recovery = histogram(
+            "recovery_latency_seconds",
+            "seconds from fault injection to full re-admission",
+        )
+        self._kv_transfers = counter(
+            "kv_transfers_total", "paged KV handoffs between prefill and decode pools"
+        )
+        self._kv_transfer_bytes = counter(
+            "kv_transfer_bytes_total", "bytes of KV history moved over the interconnect"
+        )
+        self._kv_transfer_time = histogram(
+            "kv_transfer_seconds", "per-handoff interconnect time"
+        )
+        self._kv_transfer_failures = counter(
+            "kv_transfer_failures_total",
+            "KV handoffs lost to transfer faults (re-prefill)",
+        )
+        self._colocated_fallbacks = counter(
+            "disagg_colocated_fallbacks_total",
+            "prefilled requests decoded in place: decode pool full",
+        )
+        self._slo_attained = counter(
+            "slo_attained_total", "requests that met their TTFT and ITL deadlines"
+        )
+        self._slo_missed = counter(
+            "slo_missed_total", "requests that blew a deadline or never finished"
+        )
+        self._slo_sheds = counter(
+            "slo_sheds_total", "requests the SLO router refused: no feasible placement"
+        )
+        self._slo_headroom = histogram(
+            "slo_deadline_headroom_seconds",
+            "modelled TTFT headroom at placement (negative = the "
+            "cost model already expected a miss)",
+            buckets=SLO_HEADROOM_BUCKETS,
+        )
 
     def record_arrival(self, t: float) -> None:
         self.arrivals.record(t, 1.0)
-        self.registry.counter(
-            "requests_arrived_total", "request arrivals at the cluster"
-        ).inc()
+        self._arrivals.inc()
 
     def record_step(self, gpu_id: str, start: float, tokens: int, batch_size: int) -> None:
         ftokens = float(tokens)
@@ -307,42 +286,13 @@ class ClusterMetrics:
         get the same K samples (token counts and step counts are small
         integers, so K unit/``tokens_per_step`` float adds equal one add
         of the product exactly), and the gauge keeps the last value.
-
-        Under :attr:`coarse_dt` the two series are downsampled: one
-        sample per dt-bucket carrying the bucket's token *sum* (so any
-        ``bucket_sum`` at resolution >= dt is unchanged) and the bucket's
-        last batch size. Registry totals are never coarsened.
         """
         k = len(starts)
         if k == 0:
             return
         ftokens = float(tokens_per_step)
-        fbatch = float(batch_size)
-        dt = self.coarse_dt
-        if dt is None:
-            self.tokens.extend(starts, np.full(k, ftokens))
-            series = self.gpu_batch_size.get(gpu_id)
-            if series is None:
-                series = self.gpu_batch_size.setdefault(gpu_id, TimeSeries())
-            series.extend(starts, np.full(k, fbatch))
-        else:
-            bucket_ids = np.floor_divide(starts, dt)
-            _, first = np.unique(bucket_ids, return_index=True)
-            # Stamp each bucket's sample at the bucket's *first* step time
-            # (not the bucket start): monotone past any exact scalar
-            # sample recorded earlier in the same bucket, and still inside
-            # the bucket, so bucket_sum at resolution >= dt is unchanged.
-            bucket_times = starts[first]
-            counts = np.diff(np.append(first, k))
-            self.tokens.extend(bucket_times, counts * ftokens)
-            series = self.gpu_batch_size.get(gpu_id)
-            if series is None:
-                series = self.gpu_batch_size.setdefault(gpu_id, TimeSeries())
-            series.extend(bucket_times, np.full(len(first), fbatch))
-        key = (gpu_id,)
-        self._tokens_counter.inc_key((), ftokens * k)
-        self._steps_counter.inc_key(key, float(k))
-        self._batch_gauge.set_key(key, fbatch)
+        self.tokens.extend(starts, np.full(k, ftokens))
+        self._record_gpu_run(gpu_id, starts, batch_size, ftokens * k)
 
     def record_step_merge(
         self,
@@ -358,176 +308,104 @@ class ClusterMetrics:
         the global token series. ``per_gpu`` is an iterable of
         ``(gpu_id, starts, batch_size)`` triples carrying each engine's
         own (already ascending) step starts for its per-GPU series and
-        registry counters.
-
-        Under :attr:`coarse_dt` both series families are downsampled to
-        one sample per dt-bucket (token sums, last batch size); registry
-        totals are never coarsened.
+        registry counters; every step of a decode run generates one token
+        per batch row.
         """
-        k = len(times)
-        if k == 0:
+        if len(times) == 0:
             return
-        dt = self.coarse_dt
-        if dt is None:
-            self.tokens.extend(times, tokens_per_step)
-        else:
-            bucket_ids = np.floor_divide(times, dt)
-            _, first = np.unique(bucket_ids, return_index=True)
-            self.tokens.extend(
-                times[first],
-                np.add.reduceat(tokens_per_step, first),
-            )
+        self.tokens.extend(times, tokens_per_step)
         for gpu_id, starts, batch_size in per_gpu:
-            n = len(starts)
-            if n == 0:
-                continue
-            fbatch = float(batch_size)
-            series = self.gpu_batch_size.get(gpu_id)
-            if series is None:
-                series = self.gpu_batch_size.setdefault(gpu_id, TimeSeries())
-            if dt is None:
-                series.extend(starts, np.full(n, fbatch))
-            else:
-                bucket_ids = np.floor_divide(starts, dt)
-                _, first = np.unique(bucket_ids, return_index=True)
-                series.extend(starts[first], np.full(len(first), fbatch))
-            key = (gpu_id,)
-            self._tokens_counter.inc_key((), fbatch * n)
-            self._steps_counter.inc_key(key, float(n))
-            self._batch_gauge.set_key(key, fbatch)
+            if len(starts):
+                self._record_gpu_run(
+                    gpu_id, starts, batch_size, float(batch_size) * len(starts)
+                )
+
+    def _record_gpu_run(
+        self, gpu_id: str, starts: np.ndarray, batch_size: int, tokens: float
+    ) -> None:
+        """One engine's share of a bulk run: its batch-size series and its
+        registry counters (``tokens`` generated over ``len(starts)`` steps)."""
+        n = len(starts)
+        fbatch = float(batch_size)
+        series = self.gpu_batch_size.get(gpu_id)
+        if series is None:
+            series = self.gpu_batch_size.setdefault(gpu_id, TimeSeries())
+        series.extend(starts, np.full(n, fbatch))
+        key = (gpu_id,)
+        self._tokens_counter.inc_key((), tokens)
+        self._steps_counter.inc_key(key, float(n))
+        self._batch_gauge.set_key(key, fbatch)
 
     # -- adapter lifecycle ------------------------------------------------
     def record_adapter_load(self, t: float, tier: "Tier | int") -> None:
-        self.adapter_loads.record(t, float(int(tier)))
-        self.registry.counter(
-            "adapter_loads_total", "demand adapter loads by hit tier",
-            labels=("tier",),
-        ).inc(tier=Tier(int(tier)).name.lower())
+        self._adapter_loads.inc(tier=Tier(int(tier)).name.lower())
 
     def record_adapter_eviction(self, t: float) -> None:
-        self.adapter_evictions.record(t, 1.0)
-        self.registry.counter(
-            "adapter_evictions_total", "adapters demoted out of a GPU pool"
-        ).inc()
+        self._adapter_evictions.inc()
 
     def record_prefetch_issue(self, t: float) -> None:
-        self.prefetch_issues.record(t, 1.0)
-        self.registry.counter(
-            "adapter_prefetch_issues_total", "speculative GPU promotions"
-        ).inc()
+        self._prefetch_issues.inc()
 
     def record_prefetch_hit(self, t: float) -> None:
-        self.prefetch_hits.record(t, 1.0)
-        self.registry.counter(
-            "adapter_prefetch_hits_total",
-            "prefetched adapters a demand load used",
-        ).inc()
+        self._prefetch_hits.inc()
 
     def record_pcie_transfer(self, t: float, duration: float) -> None:
-        self.pcie_busy.record(t, float(duration))
-        self.registry.counter(
-            "pcie_busy_seconds_total", "host->GPU link busy time"
-        ).inc(float(duration))
-        self.registry.histogram(
-            "pcie_transfer_seconds", "per-transfer host->GPU copy time"
-        ).observe(float(duration))
+        duration = float(duration)
+        self.pcie_busy.record(t, duration)
+        self._pcie_busy_total.inc(duration)
+        self._pcie_transfer.observe(duration)
 
     # -- fault tolerance --------------------------------------------------
     def record_fault(self, t: float) -> None:
-        self.faults_injected.record(t, 1.0)
-        self.registry.counter(
-            "faults_injected_total", "faults the injector applied"
-        ).inc()
+        self._faults.inc()
 
     def record_replacement(self, t: float) -> None:
-        self.replacements.record(t, 1.0)
-        self.registry.counter(
-            "replacements_total",
-            "in-flight requests re-placed after a fault",
-        ).inc()
+        self._replacements.inc()
 
     def record_shed(self, t: float) -> None:
-        self.sheds.record(t, 1.0)
-        self.registry.counter(
-            "sheds_total", "requests shed with a FAILED terminal state"
-        ).inc()
+        self._sheds.inc()
 
     def record_recovery(self, t: float, latency: float) -> None:
-        self.recoveries.record(t, float(latency))
-        self.registry.histogram(
-            "recovery_latency_seconds",
-            "seconds from fault injection to full re-admission",
-        ).observe(float(latency))
+        self._recovery.observe(latency)
 
     # -- disaggregated prefill/decode ------------------------------------
     def record_kv_transfer(self, t: float, duration: float, nbytes: float) -> None:
         """One paged KV handoff completed at ``t`` after ``duration`` on
-        the wire (recorded at completion so the series stays monotone)."""
-        self.kv_transfers.record(t, float(duration))
-        self.registry.counter(
-            "kv_transfers_total",
-            "paged KV handoffs between prefill and decode pools",
-        ).inc()
-        self.registry.counter(
-            "kv_transfer_bytes_total",
-            "bytes of KV history moved over the interconnect",
-        ).inc(float(nbytes))
-        self.registry.histogram(
-            "kv_transfer_seconds", "per-handoff interconnect time"
-        ).observe(float(duration))
+        the wire."""
+        self._kv_transfers.inc()
+        self._kv_transfer_bytes.inc(float(nbytes))
+        self._kv_transfer_time.observe(duration)
 
     def record_kv_transfer_failure(self, t: float) -> None:
-        self.kv_transfer_failures.record(t, 1.0)
-        self.registry.counter(
-            "kv_transfer_failures_total",
-            "KV handoffs lost to transfer faults (re-prefill)",
-        ).inc()
+        self._kv_transfer_failures.inc()
 
     def record_colocated_fallback(self, t: float) -> None:
-        self.colocated_fallbacks.record(t, 1.0)
-        self.registry.counter(
-            "disagg_colocated_fallbacks_total",
-            "prefilled requests decoded in place: decode pool full",
-        ).inc()
+        self._colocated_fallbacks.inc()
 
     # -- SLO control plane -------------------------------------------------
     def record_slo_admit(self, t: float, headroom: float) -> None:
         """SLO router placed a request with ``headroom`` seconds of
-        modelled TTFT slack (may be negative for best-effort placements)."""
-        self.slo_admits.record_unordered(t, float(headroom))
-        self.registry.histogram(
-            "slo_deadline_headroom_seconds",
-            "modelled TTFT headroom at placement (negative = the "
-            "cost model already expected a miss)",
-            buckets=SLO_HEADROOM_BUCKETS,
-        ).observe(float(headroom))
+        modelled TTFT slack (may be negative for best-effort placements).
+
+        The router records at two interleaved clocks — loop events, and
+        step-completion times the fast path's inline coalescing runs
+        ahead of the loop — hence the order-tolerant insert."""
+        headroom = float(headroom)
+        self.slo_admits.record_unordered(t, headroom)
+        self._slo_headroom.observe(headroom)
 
     def record_slo_shed(self, t: float) -> None:
-        self.slo_sheds.record_unordered(t, 1.0)
-        self.registry.counter(
-            "slo_sheds_total",
-            "requests the SLO router refused: no feasible placement",
-        ).inc()
+        self._slo_sheds.inc()
 
     def record_slo_outcome(self, t: float, attained: bool) -> None:
-        self.slo_outcomes.record(t, 1.0 if attained else 0.0)
-        if attained:
-            self.registry.counter(
-                "slo_attained_total",
-                "requests that met their TTFT and ITL deadlines",
-            ).inc()
-        else:
-            self.registry.counter(
-                "slo_missed_total",
-                "requests that blew a deadline or never finished",
-            ).inc()
+        (self._slo_attained if attained else self._slo_missed).inc()
 
     def ingest_adapter_events(self, events) -> None:
         """Fold store event logs (see
-        :class:`~repro.adapters.store.AdapterEvent`) into the time series.
+        :class:`~repro.adapters.store.AdapterEvent`) into the metrics.
 
         Events from several GPU stores interleave arbitrarily; they are
-        sorted here so the monotone-time invariant of each series holds.
+        sorted here so ``pcie_busy`` stays time-ordered.
         """
         for ev in sorted(events):
             if ev.kind == "load":
@@ -562,80 +440,72 @@ class ClusterMetrics:
 
     # -- summaries ---------------------------------------------------------
     def total_tokens(self) -> float:
-        return float(np.sum(self.tokens.values)) if len(self.tokens) else 0.0
+        return self._tokens_counter.value()
 
     def adapter_hit_counts(self) -> dict[str, int]:
         """Demand loads by the tier that satisfied them."""
-        counts = {"gpu": 0, "host": 0, "disk": 0}
-        names = {Tier.GPU: "gpu", Tier.HOST: "host", Tier.DISK: "disk"}
-        for v in self.adapter_loads.values:
-            counts[names[Tier(int(v))]] += 1
-        return counts
+        return {
+            name: int(self._adapter_loads.value(tier=name))
+            for name in ("gpu", "host", "disk")
+        }
 
     def adapter_gpu_hit_rate(self) -> float:
         """Fraction of demand loads that found the adapter GPU-resident."""
-        if not len(self.adapter_loads):
-            return 0.0
-        counts = self.adapter_hit_counts()
-        return counts["gpu"] / len(self.adapter_loads.values)
+        loads = self._adapter_loads.total()
+        return self._adapter_loads.value(tier="gpu") / loads if loads else 0.0
 
     def eviction_count(self) -> int:
-        return len(self.adapter_evictions)
+        return int(self._adapter_evictions.value())
 
     def prefetch_accuracy(self) -> float:
         """Fraction of speculative promotions a demand load later used."""
-        if not len(self.prefetch_issues):
-            return 0.0
-        return len(self.prefetch_hits) / len(self.prefetch_issues)
+        issues = self._prefetch_issues.value()
+        return self._prefetch_hits.value() / issues if issues else 0.0
 
     def pcie_busy_seconds(self) -> float:
         return float(np.sum(self.pcie_busy.values)) if len(self.pcie_busy) else 0.0
 
     def fault_count(self) -> int:
-        return len(self.faults_injected)
+        return int(self._faults.value())
 
     def replacement_count(self) -> int:
-        return len(self.replacements)
+        return int(self._replacements.value())
 
     def shed_count(self) -> int:
-        return len(self.sheds)
+        return int(self._sheds.value())
 
     def mean_recovery_latency(self) -> float:
         """Mean seconds from fault injection until every displaced request
         was running again (or reached a terminal state)."""
-        if not len(self.recoveries):
-            return 0.0
-        return float(np.mean(self.recoveries.values))
+        return self._recovery.mean()
 
     def kv_transfer_count(self) -> int:
-        return len(self.kv_transfers)
+        return int(self._kv_transfers.value())
 
     def kv_transfer_seconds(self) -> float:
         """Total interconnect time spent on KV handoffs."""
-        if not len(self.kv_transfers):
-            return 0.0
-        return float(np.sum(self.kv_transfers.values))
+        return self._kv_transfer_time.sum
 
     def kv_transfer_failure_count(self) -> int:
-        return len(self.kv_transfer_failures)
+        return int(self._kv_transfer_failures.value())
 
     def colocated_fallback_count(self) -> int:
-        return len(self.colocated_fallbacks)
+        return int(self._colocated_fallbacks.value())
 
     def slo_shed_count(self) -> int:
-        return len(self.slo_sheds)
+        return int(self._slo_sheds.value())
 
     def slo_attained_count(self) -> int:
-        return int(np.sum(self.slo_outcomes.values)) if len(self.slo_outcomes) else 0
+        return int(self._slo_attained.value())
 
     def slo_missed_count(self) -> int:
-        return len(self.slo_outcomes) - self.slo_attained_count()
+        return int(self._slo_missed.value())
 
     def slo_attainment(self) -> float:
         """Fraction of scored requests that met both deadlines."""
-        if not len(self.slo_outcomes):
-            return 0.0
-        return self.slo_attained_count() / len(self.slo_outcomes)
+        attained = self.slo_attained_count()
+        scored = attained + self.slo_missed_count()
+        return attained / scored if scored else 0.0
 
     def mean_admit_headroom(self) -> float:
         if not len(self.slo_admits):

@@ -128,7 +128,7 @@ class ClusterSimulator:
         """``registry`` (an :class:`~repro.adapters.registry.AdapterRegistry`)
         receives per-adapter arrival feeds for popularity EWMAs;
         ``prefetcher`` (a :class:`~repro.adapters.prefetch.Prefetcher`) is
-        attached to every engine's loader and ticked periodically;
+        attached to every engine's adapter store and ticked periodically;
         ``fault_injector`` (a :class:`~repro.cluster.faults.FaultInjector`)
         schedules deterministic faults the simulator applies and recovers
         from; ``tracer`` (a :class:`~repro.obs.tracer.Tracer`) is threaded
@@ -329,11 +329,8 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     def _adopt_engine(self, engine, now: float) -> None:
         if self.tracer is not None:
-            if hasattr(engine, "tracer"):
-                engine.tracer = self.tracer
-            store = getattr(getattr(engine, "loader", None), "store", None)
-            if store is not None:
-                store.tracer = self.tracer
+            engine.tracer = self.tracer
+            engine.loader.tracer = self.tracer
         self._gpu_busy[engine.gpu_id] = False
         if self.pool is not None:
             self.pool.open_lease(engine.gpu_id, now)
@@ -361,11 +358,7 @@ class ClusterSimulator:
     def _sync_prefetcher(self) -> None:
         if self.prefetcher is not None:
             self.prefetcher.attach(
-                {
-                    gid: e.loader
-                    for gid, e in self.scheduler.engines.items()
-                    if hasattr(e, "loader")
-                }
+                {gid: e.loader for gid, e in self.scheduler.engines.items()}
             )
 
     def _prefetch_tick(self, now: float) -> None:
@@ -376,12 +369,10 @@ class ClusterSimulator:
             )
 
     def _drain_adapter_events(self) -> None:
-        """Fold every engine loader's adapter event log into the metrics."""
+        """Fold every engine's adapter-store event log into the metrics."""
         events = []
         for engine in [*self.scheduler.engines.values(), *self._departed]:
-            drain = getattr(getattr(engine, "loader", None), "drain_events", None)
-            if drain is not None:
-                events.extend(drain())
+            events.extend(engine.loader.drain_events())
         if events:
             self.metrics.ingest_adapter_events(events)
 
@@ -600,11 +591,8 @@ class ClusterSimulator:
             return gpu_id, True
 
         if spec.kind is FaultKind.PCIE_STALL:
-            stall = getattr(getattr(engine, "loader", None), "stall_pcie", None)
-            if stall is None:
-                return gpu_id, False
             self.metrics.record_fault(now)
-            stall(now, spec.duration)
+            engine.loader.stall(now, spec.duration)
             # Step events armed on the pre-stall ready time fire early,
             # see the load still in flight, and re-arm on the new time —
             # but only if one was armed at all; kick to be safe.
@@ -625,9 +613,7 @@ class ClusterSimulator:
             candidates = {
                 gid: e
                 for gid, e in engines.items()
-                if getattr(e, "alive", True)
-                and getattr(getattr(e, "loader", None), "inflight_models", None)
-                and e.loader.inflight_models(now)
+                if getattr(e, "alive", True) and e.loader.inflight_models(now)
             }
         if not candidates or any(e is None for e in candidates.values()):
             return spec.gpu_id, None

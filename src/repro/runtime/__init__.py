@@ -30,7 +30,6 @@ from repro.runtime.latency import (
     breakdown_of,
     slo_attainment,
 )
-from repro.runtime.loader import LoraLoader
 from repro.runtime.request import Request, RequestState
 from repro.runtime.sampler import GreedySampler, TemperatureSampler
 from repro.runtime.serve import ServeResult, requests_from_trace, serve_requests
@@ -42,7 +41,6 @@ __all__ = [
     "LatencyBreakdown",
     "LatencyStats",
     "LayeredTransferPlan",
-    "LoraLoader",
     "NumpyBackend",
     "Request",
     "RequestState",

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.adapters.store import GpuAdapterStore
 from repro.core.batch import (
     BatchEntry,
     BatchPlan,
@@ -32,7 +33,6 @@ from repro.core.batch import (
     plan_decode_batch,
 )
 from repro.obs.tracer import EventKind, Tracer, decode_step_attrs
-from repro.runtime.loader import LoraLoader
 from repro.runtime.request import Request, RequestState
 from repro.runtime.spec import SpecConfig
 from repro.utils.fastpath import fastpath_enabled
@@ -120,7 +120,7 @@ class GpuEngine:
         gpu_id: str,
         backend,
         config: EngineConfig | None = None,
-        loader: LoraLoader | None = None,
+        loader: GpuAdapterStore | None = None,
         tracer: "Tracer | None" = None,
         fast_path: bool | None = None,
         role: str = "both",
@@ -128,7 +128,12 @@ class GpuEngine:
         self.gpu_id = gpu_id
         self.backend = backend
         self.config = config or EngineConfig()
-        self.loader = loader or LoraLoader()
+        if loader is None:
+            pool = getattr(backend, "pool", None)
+            loader = pool.adapters if pool is not None else GpuAdapterStore()
+        self.loader = loader
+        """Who owns adapter residency on this GPU: the backend's unified
+        pool's store when it has one, else a private unbudgeted store."""
         if role not in ("both", "prefill", "decode"):
             raise ValueError(f"role must be 'both', 'prefill' or 'decode', got {role!r}")
         self.role = role

@@ -122,6 +122,7 @@ def serve_requests(
                 lora=req.lora_id, prompt=req.spec.prompt_len,
                 response=req.spec.response_len, retries=req.num_retries,
             )
+    by_id = {req.request_id: req for req in requests}
     heap: list[tuple[float, int, Request]] = []
     seq = 0
     for req in requests:
@@ -176,7 +177,7 @@ def serve_requests(
         if keep_steps:
             steps.append(report)
         for rid in report.evicted:
-            req = next(r for r in requests if r.request_id == rid)
+            req = by_id[rid]
             heapq.heappush(heap, (req.spec.arrival_time, seq, req))
             seq += 1
         n_steps += 1

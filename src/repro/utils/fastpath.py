@@ -1,60 +1,16 @@
-"""The fast-path switch shared by every optimised hot loop.
+"""The fast-path default shared by every optimised hot loop.
 
 The fast-path simulation engine (docs/performance.md) is a set of
-independently guarded optimisations — kernel-cost memoisation, batch-plan
-reuse, steady-state decode stepping, event-loop decode coalescing — that
-are all *behaviour-preserving*: under a fixed seed the fast and reference
-paths produce byte-identical traces (tests/test_fastpath_differential.py
-is the proof obligation).
-
-Every optimised component takes an explicit ``fast_path`` argument whose
-``None`` default resolves here: the ``REPRO_FASTPATH`` environment
-variable (``0``/empty disables) wins, otherwise the fast path is ON.
-Passing an explicit ``True``/``False`` always overrides the environment —
-that is how the differential tests and the perf gate pin each lane.
+independently guarded, *behaviour-preserving* optimisations: under a fixed
+seed the fast and reference paths produce byte-identical traces
+(tests/test_fastpath_differential.py is the proof obligation). Every
+optimised component takes an explicit ``fast_path`` argument; tests, the
+perf gate and the ledger pin each lane by passing ``True``/``False``.
 """
 
 from __future__ import annotations
 
-import os
 
-ENV_VAR = "REPRO_FASTPATH"
-COARSE_DT_ENV = "REPRO_COARSE_DT"
-
-
-def fastpath_enabled(override: "bool | None" = None) -> bool:
-    """Resolve a component's ``fast_path`` setting.
-
-    ``override`` is the component's explicit argument: non-``None`` wins.
-    Otherwise ``REPRO_FASTPATH`` decides (unset, ``1`` -> on; ``0`` or
-    empty -> off).
-    """
-    if override is not None:
-        return bool(override)
-    env = os.environ.get(ENV_VAR)
-    if env is not None:
-        return env not in ("", "0")
-    return True
-
-
-def coarse_dt(override: "float | None" = None) -> "float | None":
-    """Resolve the opt-in coarse time-step (``REPRO_COARSE_DT``).
-
-    Returns the coarse metrics-sampling interval in simulated seconds,
-    or ``None`` for exact per-step sampling (the default). Coarse mode
-    is statistics-only: request evolution and registry totals stay
-    exact; only metric *series* density changes (docs/performance.md).
-    A non-positive value — explicit or from the environment — means off.
-    """
-    dt = override
-    if dt is None:
-        raw = os.environ.get(COARSE_DT_ENV, "").strip()
-        if not raw:
-            return None
-        try:
-            dt = float(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"{COARSE_DT_ENV} must be a number of seconds, got {raw!r}"
-            ) from exc
-    return dt if dt > 0 else None
+def fastpath_enabled(fast_path: "bool | None") -> bool:
+    """A component's ``fast_path`` argument resolved: ``None`` means on."""
+    return fast_path is None or bool(fast_path)

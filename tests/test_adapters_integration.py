@@ -82,7 +82,8 @@ class TestClusterEndToEnd:
     def test_adapter_metrics_populated(self, run):
         _, _, _, result = run
         hits = result.metrics.adapter_hit_counts()
-        assert sum(hits.values()) == len(result.metrics.adapter_loads)
+        loads = result.metrics.registry.get("adapter_loads_total")
+        assert sum(hits.values()) == loads.total()
         assert sum(hits.values()) > 0
         assert 0.0 <= result.metrics.adapter_gpu_hit_rate() <= 1.0
         assert 0.0 <= result.metrics.prefetch_accuracy() <= 1.0
@@ -107,7 +108,7 @@ class TestClusterEndToEnd:
     def test_unified_budget_never_exceeded(self, run):
         sim, _, _, _ = run
         for engine in sim.scheduler.engines.values():
-            engine.loader.check_invariant()
+            engine.backend.pool.check_invariant()
             assert engine.adapter_tier("lora-0") in (
                 Tier.DISK, Tier.HOST, Tier.GPU
             )

@@ -32,7 +32,7 @@ class TestSharedAccounting:
     def test_totals_split(self):
         pool = make_pool()
         pool.kv_admit("s0", 8)  # 2 pages = 8 bytes
-        pool.request_load("r16", 16.0, now=0.0)
+        pool.adapters.request_load("r16", 16.0, now=0.0)
         assert pool.kv_used_bytes() == 8.0
         assert pool.adapter_used_bytes() == 16.0
         assert pool.total_used_bytes() == 24.0
@@ -41,47 +41,47 @@ class TestSharedAccounting:
 
     def test_kv_admission_respects_pinned_adapters(self):
         pool = make_pool(capacity=32.0)
-        pool.request_load("r32", 24.0, now=0.0)
-        pool.acquire("r32", now=0.0)
+        pool.adapters.request_load("r32", 24.0, now=0.0)
+        pool.adapters.acquire("r32", now=0.0)
         assert not pool.kv_can_admit(12)  # 3 pages won't fit next to 24 pinned
         with pytest.raises(MemoryError):
             pool.kv_admit("s0", 12)
 
     def test_kv_admission_reclaims_unpinned_adapters(self):
         pool = make_pool(capacity=32.0)
-        pool.request_load("r32", 24.0, now=0.0)
-        pool.advance(100.0)  # transfer settled; adapter unpinned
+        pool.adapters.request_load("r32", 24.0, now=0.0)
+        pool.adapters.advance(100.0)  # transfer settled; adapter unpinned
         assert pool.kv_can_admit(12)
         pool.kv_admit("s0", 12)  # demotes the adapter to HOST
-        assert not pool.is_resident("r32")
+        assert not pool.adapters.is_resident("r32")
         assert pool.adapters.registry.tier("r32") is Tier.HOST
         pool.check_invariant()
 
     def test_kv_append_page_boundary_reclaims(self):
         pool = make_pool(capacity=32.0)
         pool.kv_admit("s0", 4)  # exactly one full page
-        pool.request_load("r16", 16.0, now=0.0)
-        pool.advance(100.0)
+        pool.adapters.request_load("r16", 16.0, now=0.0)
+        pool.adapters.advance(100.0)
         assert pool.kv_can_append("s0")  # next token needs a page: reclaimable
         pool.kv_append("s0")
         pool.check_invariant()
 
     def test_kv_free_tokens_counts_evictable_adapters(self):
         pool = make_pool(capacity=32.0)
-        pool.request_load("r16", 16.0, now=0.0)
-        pool.advance(100.0)
+        pool.adapters.request_load("r16", 16.0, now=0.0)
+        pool.adapters.advance(100.0)
         assert pool.kv_free_tokens() == 32  # unpinned adapter counts as free
-        pool.acquire("r16", now=100.0)
+        pool.adapters.acquire("r16", now=100.0)
         assert pool.kv_free_tokens() == 16  # pinned bytes are off-limits
 
     def test_adapter_load_respects_kv_usage(self):
         pool = make_pool(capacity=32.0)
         pool.kv_admit("s0", 20)  # 5 pages = 20 bytes
-        assert not pool.can_admit_adapter("r32", 24.0)
+        assert not pool.adapters.can_admit_adapter("r32", 24.0)
         with pytest.raises(MemoryError):
-            pool.request_load("r32", 24.0, now=0.0)
+            pool.adapters.request_load("r32", 24.0, now=0.0)
         pool.kv_release("s0")
-        pool.request_load("r32", 24.0, now=1.0)
+        pool.adapters.request_load("r32", 24.0, now=1.0)
         pool.check_invariant()
 
 
@@ -111,26 +111,26 @@ def test_gpu_bytes_never_exceed_unified_budget(ops):
     now = 0.0
     for op in ops:
         now += 0.5
-        pool.advance(now)
+        pool.adapters.advance(now)
         kind = op[0]
         if kind == "load":
             lid = op[1]
             try:
-                pool.request_load(lid, ADAPTERS[lid][1], now)
+                pool.adapters.request_load(lid, ADAPTERS[lid][1], now)
             except MemoryError:
                 pass  # budget full of pinned state: correct refusal
         elif kind == "acquire":
             lid = op[1]
-            if pool.is_resident(lid):
-                pool.acquire(lid, now)
+            if pool.adapters.is_resident(lid):
+                pool.adapters.acquire(lid, now)
                 held[lid] += 1
         elif kind == "release":
             lid = op[1]
             if held[lid] > 0:
-                pool.release(lid)
+                pool.adapters.release(lid)
                 held[lid] -= 1
         elif kind == "prefetch":
-            pool.prefetch(op[1], now)
+            pool.adapters.prefetch(op[1], now)
         elif kind == "kv_admit":
             seq, tokens = f"s{op[1]}", op[2]
             if seq not in pool.kv and pool.kv_can_admit(tokens):

@@ -183,14 +183,14 @@ class TestCancellationMatrix:
         # time: the request sits in the engine's pending list, never
         # prefilled.
         from repro.hw.pcie import PcieSpec
-        from repro.runtime.loader import LoraLoader
+        from repro.adapters import GpuAdapterStore
 
         slow_pcie = PcieSpec(name="slow", effective_bandwidth=1e6)  # ~1 MB/s
         engine = GpuEngine(
             "gpu00",
             SimulatedBackend(LLAMA2_7B, step_overhead=0.0),
             EngineConfig(max_batch_size=8),
-            loader=LoraLoader(pcie=slow_pcie),
+            loader=GpuAdapterStore(pcie=slow_pcie),
         )
         sim = ClusterSimulator([engine])
         fe = Frontend(sim)

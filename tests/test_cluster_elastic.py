@@ -222,7 +222,7 @@ class TestPoolSharesTheOneRun:
         result = sim.run(ramp_trace(duration=20.0, peak=4.0))
         faults = tracer.by_kind(EventKind.FAULT)
         assert len(faults) == 1 and faults[0].attrs["applied"]
-        assert len(result.metrics.faults_injected) == 1
+        assert result.metrics.fault_count() == 1
 
     def test_crash_closes_the_lease(self):
         injector = FaultInjector(

@@ -11,14 +11,15 @@ import os
 
 import pytest
 
+from repro.adapters import GpuAdapterStore, UnifiedMemoryPool
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.frontend import Frontend
 from repro.cluster.simulator import ClusterSimulator
-from repro.hw.pcie import PcieSpec
+from repro.hw.pcie import PCIE_GEN4_X16, PcieSpec
 from repro.models.config import LLAMA2_7B
+from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
-from repro.runtime.loader import LoraLoader
 from repro.runtime.request import RequestState
 from repro.workloads.arrivals import PoissonArrivals, constant_rate
 from repro.workloads.lengths import ShareGptLengths
@@ -28,16 +29,30 @@ BASE_SEED = int(os.environ.get("REPRO_FAULTS_SEED", "0"))
 SEEDS = [BASE_SEED, BASE_SEED + 1, BASE_SEED + 2]
 
 
-def make_engines(n, max_batch=8, pcie=None):
-    return [
-        GpuEngine(
-            f"gpu{i:02d}",
-            SimulatedBackend(LLAMA2_7B, step_overhead=0.0),
-            EngineConfig(max_batch_size=max_batch),
-            loader=LoraLoader(pcie=pcie) if pcie is not None else None,
+def make_engines(n, max_batch=8, pcie=None, pooled=False):
+    """``pooled`` backs each engine with a UnifiedMemoryPool, whose adapter
+    store the engine then takes as its loader."""
+    engines = []
+    for i in range(n):
+        gpu_id = f"gpu{i:02d}"
+        pool = loader = None
+        if pooled:
+            pool = UnifiedMemoryPool(
+                capacity_bytes=8e9, page_size=16,
+                bytes_per_token=LLAMA2_7B.kv_bytes_per_token(),
+                pcie=pcie or PCIE_GEN4_X16, gpu_id=gpu_id,
+            )
+        elif pcie is not None:
+            loader = GpuAdapterStore(pcie=pcie)
+        engines.append(
+            GpuEngine(
+                gpu_id,
+                SimulatedBackend(LLAMA2_7B, step_overhead=0.0, unified_pool=pool),
+                EngineConfig(max_batch_size=max_batch),
+                loader=loader,
+            )
         )
-        for i in range(n)
-    ]
+    return engines
 
 
 def chaos_trace(seed, n=150, rate=6.0, duration=30.0):
@@ -85,7 +100,7 @@ class TestCrashRecovery:
     def test_recovery_latency_recorded(self, seed):
         injector = FaultInjector.crash_at(10.0, seed=seed)
         result = run_with_injector(injector, seed)
-        assert len(result.metrics.recoveries) == 1
+        assert result.metrics.registry.get("recovery_latency_seconds").count == 1
         assert result.metrics.mean_recovery_latency() >= 0.0
 
     def test_deterministic_under_fixed_seed(self, seed):
@@ -160,13 +175,16 @@ def test_slowdown_hurts_latency():
 # ---------------------------------------------------------------------------
 # Adapter load failure
 # ---------------------------------------------------------------------------
-def test_adapter_load_failure_recovers():
+@pytest.mark.parametrize("pooled", [False, True])
+def test_adapter_load_failure_recovers(pooled):
     # ~1 MB/s PCIe: every adapter copy takes many simulated seconds, so a
     # fault at t=1.0 reliably finds copies in flight.
     slow = PcieSpec(name="slow", effective_bandwidth=4e7)
     spec = FaultSpec(kind=FaultKind.ADAPTER_LOAD_FAIL, time=1.0)
     injector = FaultInjector([spec], seed=0)
-    sim = ClusterSimulator(make_engines(2, pcie=slow), fault_injector=injector)
+    sim = ClusterSimulator(
+        make_engines(2, pcie=slow, pooled=pooled), fault_injector=injector
+    )
     result = sim.run(chaos_trace(0, n=30, rate=2.0, duration=10.0))
     assert injector.injected[0].applied, "no in-flight copy found to fail"
     assert result.metrics.fault_count() == 1
@@ -181,24 +199,73 @@ def test_adapter_load_failure_recovers():
 # ---------------------------------------------------------------------------
 def test_pcie_stall_delays_inflight_copy():
     slow = PcieSpec(name="slow", effective_bandwidth=4e7)
-    loader = LoraLoader(pcie=slow)
-    plan = loader.request_load("lora-a", 4e7, now=0.0)  # ~1 s copy
-    before = loader.ready_time("lora-a")
-    moved = loader.stall_pcie(0.5, extra=2.0)
+    store = GpuAdapterStore(pcie=slow)
+    plan = store.request_load("lora-a", 4e7, now=0.0)  # ~1 s copy
+    before = store.ready_time("lora-a")
+    moved = store.stall(0.5, extra=2.0)
     assert moved == ["lora-a"]
-    assert loader.ready_time("lora-a") == pytest.approx(before + 2.0)
-    assert plan.finish <= loader.ready_time("lora-a")
+    assert store.ready_time("lora-a") == pytest.approx(before + 2.0)
+    assert plan.finish <= store.ready_time("lora-a")
 
 
-def test_pcie_stall_cluster_still_finishes():
+@pytest.mark.parametrize("pooled", [False, True])
+def test_pcie_stall_cluster_still_finishes(pooled):
     slow = PcieSpec(name="slow", effective_bandwidth=4e7)
     spec = FaultSpec(kind=FaultKind.PCIE_STALL, time=1.0, duration=3.0)
     injector = FaultInjector([spec], seed=0)
-    sim = ClusterSimulator(make_engines(2, pcie=slow), fault_injector=injector)
+    sim = ClusterSimulator(
+        make_engines(2, pcie=slow, pooled=pooled), fault_injector=injector
+    )
     result = sim.run(chaos_trace(0, n=30, rate=2.0, duration=10.0))
+    assert injector.injected[0].applied
     assert result.metrics.fault_count() == 1
     for req in result.requests:
         assert req.state is RequestState.FINISHED
+
+
+def test_pool_backed_fleet_is_traced_and_faultable():
+    """A unified-pool engine's loader is the pool's adapter store, so the
+    simulator threads its tracer into it and faults reach it (the pool
+    object used to sit in the loader slot and hide both)."""
+    slow = PcieSpec(name="slow", effective_bandwidth=4e7)  # ~2 s per copy
+    specs = [
+        FaultSpec(kind=FaultKind.PCIE_STALL, time=1.0, duration=3.0),
+        FaultSpec(kind=FaultKind.ADAPTER_LOAD_FAIL, time=1.5),
+    ]
+    injector = FaultInjector(specs, seed=0)
+    tracer = Tracer()
+    engines = make_engines(2, pcie=slow, pooled=True)
+    sim = ClusterSimulator(engines, fault_injector=injector, tracer=tracer)
+    assert all(e.loader is e.backend.pool.adapters for e in engines)
+    ready = []
+
+    def probe(now):
+        ready.append({
+            (e.gpu_id, lid): e.loader.ready_time(lid)
+            for e in engines for lid in e.loader.inflight_models(now)
+        })
+
+    sim.loop.schedule(1.0 - 1e-9, probe)
+    sim.loop.schedule(1.0 + 1e-9, probe)
+    arrivals = PoissonArrivals(rate=constant_rate(4.0), duration=3.0)
+    result = sim.run(generate_trace(12, "distinct", seed=0, arrivals=arrivals))
+
+    before, after = ready
+    stalled = injector.injected[0].gpu_id
+    assert any(gpu == stalled for gpu, _ in before), "no copy in flight to stall"
+    assert after == {
+        (gpu, lid): t + (3.0 if gpu == stalled else 0.0)
+        for (gpu, lid), t in before.items()
+    }
+    assert [f.applied for f in injector.injected] == [True, True]
+    assert result.metrics.fault_count() == 2
+    loads = tracer.by_kind(EventKind.ADAPTER_LOAD)
+    assert len(loads) == sum(result.metrics.adapter_hit_counts().values())
+    assert len(loads) >= len(result.requests)  # + re-placed after the failed copy
+    assert {ev.gpu_id for ev in loads} == {"gpu00", "gpu01"}
+    assert all(r.state is RequestState.FINISHED for r in result.requests)
+    for engine in engines:
+        engine.backend.pool.check_invariant()
 
 
 # ---------------------------------------------------------------------------

@@ -45,14 +45,6 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             ts.record(1.0, 1.0)
 
-    def test_value_at(self):
-        ts = TimeSeries()
-        ts.record(1.0, 10.0)
-        ts.record(5.0, 20.0)
-        assert ts.value_at(0.5) == 0.0
-        assert ts.value_at(3.0) == 10.0
-        assert ts.value_at(5.0) == 20.0
-
     def test_bucket_validation(self):
         with pytest.raises(ValueError):
             TimeSeries().bucket_sum(0.0, 1.0)

@@ -1,6 +1,6 @@
 """Differential equivalence: the fast-path engine vs the reference path.
 
-The fast path (``REPRO_FASTPATH``, default on) layers four optimisations
+The fast path (``fast_path=``, default on) layers four optimisations
 over the simulation engine — kernel-cost memoisation, per-plan latency-term
 caching, the engine's steady-state decode lane, and the simulator's inline
 same-engine decode coalescing. The contract for every one of them is *bit
