@@ -167,7 +167,7 @@ class SloRouter(PunicaScheduler):
         policy = self.control.policy_for(request.lora_id)
         best = None
         for gid, engine in self.engines.items():
-            if not self._decode_capable(engine) or not engine.can_accept_import(
+            if not self._decode_capable(engine) or not engine.can_accept(
                 request, kv_tokens
             ):
                 continue

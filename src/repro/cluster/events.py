@@ -328,41 +328,6 @@ class EventLoop:
         self._processed += 1
         return True
 
-    def try_advance_run(self, times) -> int:
-        """Bulk :meth:`try_advance`: accept a sorted run of inline ticks.
-
-        ``times`` is an ascending sequence of step-end times, all already
-        verified by the caller to precede the next queued event. Returns
-        how many lead entries fit inside the active ``until`` horizon and
-        ``max_events`` budget — the clock and processed count advance by
-        exactly that prefix, as if each tick had gone through
-        :meth:`try_advance` one by one. Returns 0 outside :meth:`run`.
-        """
-        if not self._running:
-            return 0
-        n = len(times)
-        if n and times[0] < self._now - 1e-12:
-            raise ValueError(
-                f"cannot advance to {times[0]} before now={self._now}"
-            )
-        if self._until is not None:
-            # try_advance accepts time <= until; count the prefix that does.
-            lo, hi = 0, n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if times[mid] <= self._until:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            n = lo
-        if self._max_events is not None:
-            n = min(n, self._max_events - self._processed)
-        if n <= 0:
-            return 0
-        self._now = max(self._now, float(times[n - 1]))
-        self._processed += n
-        return n
-
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Process events in time order; returns the final clock.
 

@@ -274,33 +274,14 @@ class ClusterMetrics:
         self._steps_counter.inc_key(key)
         self._batch_gauge.set_key(key, fbatch)
 
-    def record_step_run(
-        self, gpu_id: str, starts: np.ndarray, tokens_per_step: int,
-        batch_size: int,
-    ) -> None:
-        """Bulk :meth:`record_step` for a steady decode run.
-
-        ``starts`` holds the K step-start times of a run in which every
-        step generated ``tokens_per_step`` tokens on a constant batch of
-        ``batch_size``. Equivalent to K ``record_step`` calls: the series
-        get the same K samples (token counts and step counts are small
-        integers, so K unit/``tokens_per_step`` float adds equal one add
-        of the product exactly), and the gauge keeps the last value.
-        """
-        k = len(starts)
-        if k == 0:
-            return
-        ftokens = float(tokens_per_step)
-        self.tokens.extend(starts, np.full(k, ftokens))
-        self._record_gpu_run(gpu_id, starts, batch_size, ftokens * k)
-
     def record_step_merge(
         self,
         times: np.ndarray,
         tokens_per_step: np.ndarray,
         per_gpu,
     ) -> None:
-        """Bulk :meth:`record_step` for a cross-engine merged decode run.
+        """Bulk :meth:`record_step` for a merged decode run (one engine's
+        or several engines' interleaved).
 
         ``times``/``tokens_per_step`` are the pop-ordered (non-decreasing)
         step samples across *all* merged engines — exactly the sequence of
@@ -309,32 +290,26 @@ class ClusterMetrics:
         ``(gpu_id, starts, batch_size)`` triples carrying each engine's
         own (already ascending) step starts for its per-GPU series and
         registry counters; every step of a decode run generates one token
-        per batch row.
+        per batch row. Token and step counts are small integers, so one
+        float add of the product equals the per-step adds exactly, and
+        the gauge keeps the last value.
         """
         if len(times) == 0:
             return
         self.tokens.extend(times, tokens_per_step)
         for gpu_id, starts, batch_size in per_gpu:
-            if len(starts):
-                self._record_gpu_run(
-                    gpu_id, starts, batch_size, float(batch_size) * len(starts)
-                )
-
-    def _record_gpu_run(
-        self, gpu_id: str, starts: np.ndarray, batch_size: int, tokens: float
-    ) -> None:
-        """One engine's share of a bulk run: its batch-size series and its
-        registry counters (``tokens`` generated over ``len(starts)`` steps)."""
-        n = len(starts)
-        fbatch = float(batch_size)
-        series = self.gpu_batch_size.get(gpu_id)
-        if series is None:
-            series = self.gpu_batch_size.setdefault(gpu_id, TimeSeries())
-        series.extend(starts, np.full(n, fbatch))
-        key = (gpu_id,)
-        self._tokens_counter.inc_key((), tokens)
-        self._steps_counter.inc_key(key, float(n))
-        self._batch_gauge.set_key(key, fbatch)
+            n = len(starts)
+            if not n:
+                continue
+            fbatch = float(batch_size)
+            series = self.gpu_batch_size.get(gpu_id)
+            if series is None:
+                series = self.gpu_batch_size.setdefault(gpu_id, TimeSeries())
+            series.extend(starts, np.full(n, fbatch))
+            key = (gpu_id,)
+            self._tokens_counter.inc_key((), fbatch * n)
+            self._steps_counter.inc_key(key, float(n))
+            self._batch_gauge.set_key(key, fbatch)
 
     # -- adapter lifecycle ------------------------------------------------
     def record_adapter_load(self, t: float, tier: "Tier | int") -> None:

@@ -224,7 +224,7 @@ class PunicaScheduler:
         candidates = [
             (self._adapter_locality(e, request), e.working_set_size, gid)
             for gid, e in self.engines.items()
-            if self._decode_capable(e) and e.can_accept_import(request, kv_tokens)
+            if self._decode_capable(e) and e.can_accept(request, kv_tokens)
         ]
         if not candidates:
             return None

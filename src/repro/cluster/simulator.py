@@ -415,12 +415,11 @@ class ClusterSimulator:
                     # was armed; its requests were already re-placed.
                     self._gpu_busy.pop(gpu_id, None)
                     return
-                # The gen-2 vectorized lanes commit whole steady decode
-                # runs in bulk — trace records included, as run blocks in
-                # pop order, so a tracer does not disarm them.
-                # Disaggregated and mid-recovery simulations keep the
-                # per-step lane: their bookkeeping observes individual
-                # steps (nothing below changes either before the tail).
+                # The merge lane commits whole steady decode runs in bulk —
+                # trace records included, as run blocks in pop order, so a
+                # tracer does not disarm it. Disaggregated and mid-recovery
+                # simulations keep the per-step lane: their bookkeeping
+                # observes individual steps.
                 vector_ok = (
                     self.fast_path
                     and self.handoff is None
@@ -469,56 +468,37 @@ class ClusterSimulator:
                         self._check_recoveries(end)
                     return
 
-                # This GPU's next step is due at `end`. The fast lane runs
-                # it inline when it would be the very next event anyway:
-                # strictly earlier than every pending event (a tie loses to
-                # the already-enqueued event by seq order) and inside the
-                # loop's until/max_events budget. Any interleaved arrival,
-                # fault, kick or migration tick lands in the queue first and
-                # forces the general path, so coalescing cannot reorder
-                # cross-cutting events.
-                peek = self.loop.peek_time()
                 if self.fast_path:
-                    # Gen-2 vectorized lanes: when the engine is armed for
-                    # steady decode, price a whole run of future steps in
-                    # one set of array ops and commit however many the
-                    # event window and loop budget admit. Each committed
-                    # step is identical to a single inline steady step —
-                    # the run is capped so no finish, eviction or
-                    # headroom fallback can occur inside it — so this
-                    # only changes how many Python iterations the same
-                    # simulation takes.
-                    if peek is None or end < peek:
-                        if vector_ok:
-                            starts = engine.steady_run_candidate(end, peek)
-                            if starts is not None:
-                                n = self.loop.try_advance_run(starts)
-                                if n:
-                                    end, batch = engine.commit_steady_run(n)
-                                    self.metrics.record_step_run(
-                                        gpu_id, starts[:n], batch, batch
-                                    )
-                                    self.inline_steps += n
-                                    peek = self.loop.peek_time()
-                        if (
-                            peek is None or end < peek
-                        ) and self.loop.try_advance(end):
-                            self.inline_steps += 1
-                            if self._recovering:
-                                self._check_recoveries(end)
-                            now = end
-                            continue
-                    elif vector_ok:
-                        # Dense regime: another engine's decode tick is
-                        # due before this one's, so the single-engine
-                        # window is empty. Replay the interleaved ticks
-                        # of every steady engine through the merge lane;
-                        # on success all successor events (this engine's
-                        # included) are scheduled and this action is done.
+                    # This GPU's next step is due at `end`. Window-tail
+                    # merge: when the engine is armed for steady decode,
+                    # the merge lane prices a whole run of its future
+                    # steps in one set of array ops and replays it —
+                    # interleaved with every other steady engine's ticks,
+                    # or alone as a one-engine merge — up to the first
+                    # foreign event. On success all successor events (this
+                    # engine's included) are scheduled and this action is
+                    # done.
+                    if vector_ok and engine.steady_ready():
                         merged = self._vector.try_merge(gpu_id, engine, end)
                         if merged:
                             self.inline_steps += merged
                             return
+                    # Gen-1 inline continuation: run the next step inline
+                    # when it would be the very next event anyway —
+                    # strictly earlier than every pending event (a tie
+                    # loses to the already-enqueued event by seq order)
+                    # and inside the loop's until/max_events budget. Any
+                    # interleaved arrival, fault, kick or migration tick
+                    # lands in the queue first and forces the general
+                    # path, so coalescing cannot reorder cross-cutting
+                    # events.
+                    peek = self.loop.peek_time()
+                    if (peek is None or end < peek) and self.loop.try_advance(end):
+                        self.inline_steps += 1
+                        if self._recovering:
+                            self._check_recoveries(end)
+                        now = end
+                        continue
                 self._step_handles[gpu_id] = self.loop.schedule(
                     end, self._step_action(gpu_id)
                 )

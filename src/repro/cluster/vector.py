@@ -1,14 +1,16 @@
-"""Cross-engine vectorized steady-decode merge (gen-2 fast path).
+"""The bulk decode-run lane: vectorized steady-decode merge (gen-2 fast path).
 
-When several GPUs are mid-decode their step events interleave densely:
-each engine's next tick lands before any other engine finishes one, so
-the single-engine inline lane (strictly-before-``peek`` coalescing)
-never gets a window wider than one step. This module recovers the
-vectorized win in that regime by *replaying the event queue's own pop
-order* over every steady engine's priced decode run:
+The one client of the engine's bulk API (``steady_ready`` /
+``steady_run_stage`` / ``commit_steady_run``). When several GPUs are
+mid-decode their step events interleave densely: each engine's next tick
+lands before any other engine finishes one, so the gen-1 inline
+continuation (strictly-before-``peek`` coalescing) never gets a window
+wider than one step. This module commits whole runs anyway by *replaying
+the event queue's own pop order* over every steady engine's priced
+decode run — a lone engine's run is simply a merge with one lane:
 
 1. Each steady-armed engine prices its future step latencies in one set
-   of array ops (:meth:`~repro.runtime.engine.Engine.steady_run_stage`),
+   of array ops (:meth:`~repro.runtime.engine.GpuEngine.steady_run_stage`),
    capped so no step inside the run could finish a request, evict, or
    exhaust KvCache headroom — i.e. every step is provably a pure tick.
 2. The lane computes the merge *horizon*: the first pending event that
@@ -51,7 +53,8 @@ class VectorDecodeLane:
         self.merged_steps = 0
 
     def try_merge(self, e0_gpu: str, e0_engine, end: float, entry: bool = False) -> int:
-        """Attempt a cross-engine merge; returns steps committed (0 = no-op).
+        """Attempt a merge of one or more engines' decode runs; returns
+        steps committed (0 = no-op).
 
         Two call modes share the replay machinery:
 
@@ -84,12 +87,11 @@ class VectorDecodeLane:
             return 0
 
         # Stage E0 first: it is the cheapest disqualifier (a request
-        # finishing next tick, cold terms, no headroom) and staging has
-        # no observable side effects, so bailing here costs nothing.
-        # Staging is unclamped (no horizon): the priced length is the
-        # finish/headroom cap, which the per-arm cache serves sliced, and
-        # the replay below never walks past its horizon anyway.
-        staged0 = e0_engine.steady_run_stage(end, None, min_steps=1)
+        # finishing next tick, no headroom) and staging has no observable
+        # side effects, so bailing here costs nothing. The priced length
+        # is the finish/headroom cap, which the per-arm cache serves
+        # sliced; the replay below never walks past its horizon anyway.
+        staged0 = e0_engine.steady_run_stage(end)
         if staged0 is None:
             return 0
 
@@ -119,9 +121,9 @@ class VectorDecodeLane:
         if horizon is not None and horizon <= end:
             return 0
 
-        # Stage the rest. A candidate that fails staging (cold latency
-        # terms, a finish within two ticks, no headroom) keeps its real
-        # event, which clamps the replay horizon below it.
+        # Stage the rest. A candidate that fails staging (a finish next
+        # tick, no headroom) keeps its real event, which clamps the
+        # replay horizon below it.
         gids = [e0_gpu]
         lane = [e0_engine]
         handles: "list[object | None]" = [None]
@@ -129,7 +131,7 @@ class VectorDecodeLane:
         batches = [staged0[1]]
         h_dyn = horizon
         for gid, handle, eng in others:
-            staged = eng.steady_run_stage(handle.time, None, min_steps=1)
+            staged = eng.steady_run_stage(handle.time)
             if staged is None:
                 if h_dyn is None or handle.time < h_dyn:
                     h_dyn = handle.time

@@ -178,8 +178,8 @@ class PlanCache:
         """Probe with a caller-built :func:`plan_signature` key.
 
         Lets hot paths that can assemble the signature without
-        constructing :class:`BatchEntry` objects (the steady decode lane)
-        skip entry construction entirely on a hit. Pair with :meth:`put`.
+        constructing :class:`BatchEntry` objects (the engine arming its
+        next decode batch) skip entry construction entirely on a hit. Pair with :meth:`put`.
         """
         cached = self._plans.get(key)
         if cached is not None:
@@ -203,7 +203,7 @@ def plan_decode_batch(entries: Sequence[BatchEntry]) -> BatchPlan:
     each group is one token-level segment (adjacent groups have distinct
     LoRA ids and decodes contribute one token each), so the per-token
     segment scan collapses to a cumulative sum of group sizes. The
-    steady decode lane re-plans on every batch-membership change, where
+    engine re-arms its decode batch on every membership change, where
     this is the dominant cost.
     """
     if not entries:

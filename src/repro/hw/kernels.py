@@ -430,9 +430,9 @@ class KernelCostModel:
         """:meth:`attention_decode` evaluated from the aggregate alone.
 
         The decode-attention cost depends on the per-request lengths only
-        through their sum and count, so the engine's steady decode lane
-        maintains the sum incrementally instead of rebuilding the length
-        list every step. The arithmetic mirrors :meth:`attention_decode`
+        through their sum and count, so the engine's bulk decode lane
+        maintains the sum incrementally and prices a whole run of steps
+        from it (``total_kv`` may be an array). The arithmetic mirrors :meth:`attention_decode`
         op for op, so the result is bit-identical.
         """
         spec = self.spec

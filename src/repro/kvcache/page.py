@@ -143,7 +143,7 @@ class PageAllocator:
         return [page]
 
     def append_tokens(self, seq_ids) -> None:
-        """Batched :meth:`append_token` for the steady decode lane.
+        """Batched :meth:`append_token` for the engine's decode fast lane.
 
         One token per sequence, no new-page lists returned. The caller
         guarantees every sequence exists and a free page per sequence is

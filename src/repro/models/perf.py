@@ -310,38 +310,6 @@ def step_latency_from_terms(
     return total
 
 
-def step_latency_steady(
-    config: LlamaConfig,
-    kcm: KernelCostModel,
-    terms: StepLatencyTerms,
-    total_kv: int,
-) -> float:
-    """:func:`step_latency_from_terms` with the decode KvCache lengths
-    summarized by their total.
-
-    ``total_kv`` must equal ``sum(past + 1 for past in decode_past_lens)``
-    as an exact integer; decode attention depends on the lengths only
-    through that sum and the batch size
-    (:meth:`~repro.hw.kernels.KernelCostModel.attention_decode_total`), so
-    the result is bit-identical to the per-length evaluation.
-    """
-    t = terms.layer_prefix
-    if terms.num_decode:
-        t += kcm.attention_decode_total(
-            float(total_kv),
-            terms.num_decode,
-            terms.heads_shard,
-            config.head_dim,
-            terms.kv_heads_shard,
-        )
-    for term in terms.layer_tails:
-        t += term
-    total = config.num_layers * t
-    for term in terms.model_tails:
-        total += term
-    return total
-
-
 def step_latency_steady_run(
     config: LlamaConfig,
     kcm: KernelCostModel,
@@ -350,18 +318,21 @@ def step_latency_steady_run(
     increment: int,
     count: int,
 ) -> np.ndarray:
-    """Vectorized :func:`step_latency_steady` over a run of steady steps.
+    """Vectorized :func:`step_latency_from_terms` over a run of decode
+    steps of one unchanged batch.
 
-    Step ``k`` of a steady decode run prices with
-    ``total_kv + k * increment`` past-plus-current tokens (``increment``
-    is the batch size: every request's KvCache grows by one per step).
-    The arithmetic mirrors the scalar function op for op — elementwise
-    float64 array operations round identically to their scalar
-    counterparts, and the KV totals are exact integers — so
-    ``step_latency_steady_run(...)[k] == step_latency_steady(...,
-    total_kv + k * increment)`` bit for bit. One array expression per
-    run replaces ``count`` Python-level evaluations; the engine's
-    vectorized decode lane is the only caller.
+    ``total_kv`` must equal ``sum(past + 1 for past in decode_past_lens)``
+    at the first step, as an exact integer; step ``k`` then attends over
+    ``total_kv + k * increment`` tokens (``increment`` is the batch size:
+    every request's KvCache grows by one per step). Decode attention
+    depends on the lengths only through that sum and the batch size
+    (:meth:`~repro.hw.kernels.KernelCostModel.attention_decode_total`),
+    and the arithmetic mirrors the scalar function op for op —
+    elementwise float64 array operations round identically to their
+    scalar counterparts, and the KV totals are exact integers — so
+    element ``k`` equals the scalar evaluation of step ``k`` bit for bit.
+    One array expression per run replaces ``count`` Python-level
+    evaluations; the engine's bulk decode lane is the only caller.
     """
     totals = (
         np.arange(count, dtype=np.int64) * increment + total_kv

@@ -358,8 +358,8 @@ def run_steady_dense(
     land within a fifth of a second on four full-speed A100s, so every
     engine sits in a long pure-decode run and their step ticks interleave
     — the regime where the fast path commits multi-step windows in bulk
-    (single-engine runs and cross-engine merges) and the trace records
-    them as run blocks. The fixture is generated on the reference path,
+    (merges of one or several engines' runs) and the trace records them
+    as run blocks. The fixture is generated on the reference path,
     one emitted event per token."""
     lengths = ShareGptLengths(
         min_len=48, max_prompt_len=64,

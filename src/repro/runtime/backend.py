@@ -34,7 +34,6 @@ from repro.models.perf import (
     model_step_latency,
     spec_round_latency,
     step_latency_from_terms,
-    step_latency_steady,
     step_latency_steady_run,
     step_latency_terms,
 )
@@ -84,9 +83,9 @@ def workload_from_plan(
 
     The plan-shaped parts (prefill lengths, decode request order, segment
     sizes) are stashed in ``plan.derived``, so when the engine reuses one
-    plan across steady-state decode steps only the per-step ``decode_kv``
-    lookup is recomputed. Freshly built plans (the reference path builds
-    one per step) simply miss and compute everything as before.
+    plan across decode steps of an unchanged batch only the per-step
+    ``decode_kv`` lookup is recomputed. Freshly built plans (the reference
+    path builds one per step) simply miss and compute everything as before.
     """
     cached = plan.derived.get("workload")
     if cached is None:
@@ -106,9 +105,6 @@ def workload_from_plan(
 
 class SimulatedBackend:
     """Analytical-latency backend for full-scale (7B/13B/70B) experiments."""
-
-    supports_steady = True
-    """The engine's steady decode lane may call :meth:`execute_steady`."""
 
     def __init__(
         self,
@@ -143,6 +139,12 @@ class SimulatedBackend:
         self.serve_lora = serve_lora
         self.step_overhead = step_overhead
         self.fast_path = fastpath_enabled(fast_path)
+        self.supports_steady = not flags.cache_concat
+        """Whether a plan has latency terms that hold across its steps —
+        what the per-plan term cache and the engine's armed batch and
+        bulk decode lane rest on. Under ``cache_concat`` one layer term
+        reads the KV lengths, so nothing is plan-invariant: every step is
+        priced with ``model_step_latency`` and the engine never arms."""
         self.cost_model = KernelCostModel(gpu, memoize=self.fast_path)
         self._terms_key = ("latency_terms", self)
         """Key for this backend's latency-term cache in ``plan.derived`` —
@@ -153,8 +155,9 @@ class SimulatedBackend:
         """Cross-plan :class:`StepLatencyTerms` memo. Rotating batch
         membership yields thousands of distinct plans whose *shapes*
         (token counts, LoRA segment sizes) repeat heavily; the terms are
-        a pure function of shape — decode KV lengths enter only under
-        ``cache_concat``, where the full workload keys the memo instead."""
+        a pure function of shape (``supports_steady`` rules out
+        ``cache_concat``, the one flag that would make them read the
+        decode KV lengths)."""
         self.pool = unified_pool
         if unified_pool is not None:
             self.kv = unified_pool.kv
@@ -190,19 +193,26 @@ class SimulatedBackend:
             return
         self.kv.allocate(request_id, prompt_len)
 
-    def kv_can_append(self, request_id: str) -> bool:
+    def kv_can_append(self, request_id: str, n: int = 1) -> bool:
+        """Whether ``n`` more KV slots fit this sequence (1 per decode
+        step; a speculative round reserves ``draft_len + 1``)."""
         if self.pool is not None:
-            return self.pool.kv_can_append(request_id)
-        return self.kv.can_append_token(request_id)
+            if n == 1:
+                return self.pool.kv_can_append(request_id)
+            # Conservative under the shared byte budget: each appended
+            # token consumes at most one fresh page.
+            return self.pool.kv_free_tokens() >= n * self.kv.page_size
+        return self.kv.allocator.can_append(request_id, n)
 
-    def kv_append(self, request_id: str) -> None:
+    def kv_append(self, request_id: str, n: int = 1) -> None:
         if self.pool is not None:
-            self.pool.kv_append(request_id)
+            for _ in range(n):
+                self.pool.kv_append(request_id)
             return
-        self.kv.append_token(request_id)
+        self.kv.allocator.append(request_id, n)
 
     def kv_append_many(self, request_ids) -> None:
-        """Batched decode append for the engine's steady-state fast lane.
+        """Batched one-slot decode append for the engine's fast lane.
 
         Semantically ``for rid in request_ids: kv_append(rid)``; without a
         unified pool it goes straight to the allocator's single-token fast
@@ -214,21 +224,6 @@ class SimulatedBackend:
                 self.pool.kv_append(rid)
             return
         self.kv.allocator.append_tokens(request_ids)
-
-    def kv_can_append_n(self, request_id: str, n: int) -> bool:
-        """Whether ``n`` more KV slots fit this sequence (spec reservation)."""
-        if self.pool is not None:
-            # Conservative under the shared byte budget: each appended
-            # token consumes at most one fresh page.
-            return self.pool.kv_free_tokens() >= n * self.kv.page_size
-        return self.kv.allocator.can_append(request_id, n)
-
-    def kv_append_n(self, request_id: str, n: int) -> None:
-        if self.pool is not None:
-            for _ in range(n):
-                self.pool.kv_append(request_id)
-            return
-        self.kv.allocator.append(request_id, n)
 
     def kv_truncate(self, request_id: str, new_len: int) -> int:
         """Roll a sequence back to ``new_len`` KV slots; returns pages freed.
@@ -273,10 +268,6 @@ class SimulatedBackend:
             self.kv.export_sequence(request_id)
         return tokens
 
-    def kv_can_import(self, num_tokens: int, headroom_tokens: int = 0) -> bool:
-        """Whether an exported sequence of ``num_tokens`` fits here now."""
-        return self.kv_can_admit(num_tokens, headroom_tokens)
-
     def kv_import(self, request_id: str, num_tokens: int) -> None:
         """Admit a sequence whose KV history arrived over the interconnect."""
         if self.pool is not None:
@@ -295,7 +286,7 @@ class SimulatedBackend:
         past_lens: Mapping[str, int],
         requests: Mapping[str, Request] | None = None,
     ) -> StepExecution:
-        if self.fast_path:
+        if self.fast_path and self.supports_steady:
             latency = self._fast_latency(plan, past_lens)
         else:
             work = workload_from_plan(plan, past_lens, self.serve_lora, self.lora_rank)
@@ -358,83 +349,59 @@ class SimulatedBackend:
             proposed=spec.draft_len,
         )
 
-    def execute_steady(
+    def steady_run_latencies(
         self,
         plan: BatchPlan,
         past_lens: Mapping[str, int],
         total_kv: int,
-    ) -> StepExecution:
-        """Steady-lane :meth:`execute`: the all-decode plan is last step's.
+        count: int,
+    ):
+        """Per-step latencies for a ``count``-step decode run of one batch.
 
-        ``total_kv`` is ``sum(past + 1 for past in past_lens.values())``,
-        maintained incrementally by the engine so neither the length list
-        nor the dict values need rebuilding per step (``past_lens`` is
-        consulted only on the first call for a plan, to build its term
-        cache). Bit-identical to :meth:`execute` — see
-        :func:`~repro.models.perf.step_latency_steady`.
-        """
-        cached = plan.derived.get(self._terms_key)
-        if cached is None:
-            latency = self._fast_latency(plan, past_lens)
-        else:
-            latency = step_latency_steady(
-                self.config, self.cost_model, cached[0], total_kv
-            )
-        counter = self._token_counter
-        tokens = {}
-        for rid in plan.derived["workload"][1]:
-            counter += 1
-            tokens[rid] = counter
-        self._token_counter = counter
-        return StepExecution(latency=latency + self.step_overhead, tokens=tokens)
-
-    def steady_run_latencies(self, plan: BatchPlan, total_kv: int, count: int):
-        """Per-step latencies for a ``count``-step steady decode run.
-
-        Step ``k`` prices exactly like :meth:`execute_steady` with
-        ``total_kv + k * batch`` (every decode request adds one KV token
-        per step), overhead included — see
+        ``total_kv`` is ``sum(past + 1)`` over the all-decode ``plan``'s
+        requests at the run's first step. Step ``k`` prices exactly like
+        :meth:`execute` with every past length ``k`` tokens on — decode
+        attention reads the lengths only through their total,
+        ``total_kv + k * batch`` — overhead included; see
         :func:`~repro.models.perf.step_latency_steady_run` for the
-        bit-identity argument. Returns ``None`` until the plan's latency
-        terms exist (the first steady step builds them); the vectorized
-        lane then retries on the next step.
+        bit-identity argument. ``past_lens`` is consulted only when no
+        :meth:`execute` priced the plan yet, to build the very terms the
+        first one would (they are shape-only), so building them early is
+        unobservable.
         """
-        cached = plan.derived.get(self._terms_key)
-        if cached is None:
-            return None
-        batch = len(plan.derived["workload"][1])
+        terms, decode_ids = self._plan_terms(plan, past_lens)
         return (
             step_latency_steady_run(
-                self.config, self.cost_model, cached[0], total_kv, batch, count
+                self.config, self.cost_model, terms, total_kv,
+                len(decode_ids), count,
             )
             + self.step_overhead
         )
 
     def commit_steady_run(self, request_ids, count: int) -> int:
-        """Apply ``count`` steady steps' KvCache and token effects in bulk.
+        """Apply ``count`` decode steps' KvCache and token effects in bulk.
 
         ``request_ids`` iterates in the same order the per-step
-        :meth:`kv_append_many` call would (the steady lane's past-length
-        dict), so page assignment replays exactly. Returns the token
-        counter value *before* the run: step ``k``'s token for the
-        request at workload position ``p`` is ``base + k * batch + p + 1``,
-        matching ``count`` :meth:`execute_steady` calls. Only valid
-        without a unified pool (the lane gates on ``backend.pool is
-        None``).
+        :meth:`kv_append_many` call would (the engine's slot order), so
+        page assignment replays exactly. Returns the token counter value
+        *before* the run: step ``k``'s token for the request at workload
+        position ``p`` is ``base + k * batch + p + 1``, matching ``count``
+        :meth:`execute` calls. Only valid without a unified pool (the
+        lane gates on ``backend.pool is None``).
         """
         self.kv.allocator.append_tokens_run(request_ids, count)
         base = self._token_counter
         self._token_counter = base + count * len(request_ids)
         return base
 
-    def _terms_for(self, work: StepWorkload):
+    def _terms_for_plan(self, plan: BatchPlan, past_lens: Mapping[str, int]):
         """Memoized :func:`step_latency_terms` for one invocation shape.
 
-        Without ``cache_concat`` every term is shape-invariant in the
-        decode KV lengths, so the memo keys on shape alone and plans that
-        re-batch the same composition share one build. With
-        ``cache_concat`` the full workload (lengths included) is the key,
-        which degrades to at-most-one hit — identical values either way.
+        Every term is shape-invariant in the decode KV lengths, so the
+        cross-plan memo keys on shape alone and plans that re-batch the
+        same composition share one build; on a hit with the plan's shape
+        already cached the :class:`StepWorkload` (O(batch) dict lookups
+        plus validation) is never built.
 
         Under the SGMV and Gather-BMM operators the LoRA terms depend on
         the segment vector only through its sum and count (see
@@ -443,44 +410,12 @@ class SimulatedBackend:
         membership stops defeating the memo. The Loop operator prices
         each segment individually, so it keeps the full tuple.
         """
-        if self.flags.cache_concat:
-            key = work
-        else:
-            segs = work.lora_segments
-            if segs is not None and self.flags.lora_impl != "loop":
-                segs = (sum(segs), len(segs))
-            key = (
-                work.prefill_lens,
-                len(work.decode_kv_lens),
-                segs,
-                work.lora_rank,
-            )
-        terms = self._terms_memo.get(key)
-        if terms is None:
-            terms = step_latency_terms(
-                self.config, self.cost_model, work, tp=self.tp, flags=self.flags
-            )
-            self._terms_memo[key] = terms
-        return terms
-
-    def _terms_for_plan(self, plan: BatchPlan, past_lens: Mapping[str, int]):
-        """:meth:`_terms_for` keyed straight off the plan's cached shape.
-
-        On a memo hit this skips building the :class:`StepWorkload`
-        entirely (the decode-KV tuple is O(batch) dict lookups plus
-        validation, paid only to *compute a key* otherwise); the key is
-        constructed to match :meth:`_terms_for`'s exactly, so both paths
-        share one memo. Falls back to the workload path when the plan
-        shape is not cached yet or under ``cache_concat`` (where the KV
-        lengths are part of the key).
-        """
-        shape = plan.derived.get("workload")
-        if shape is None or self.flags.cache_concat:
+        work = None
+        if "workload" not in plan.derived:
             work = workload_from_plan(
                 plan, past_lens, self.serve_lora, self.lora_rank
             )
-            return self._terms_for(work)
-        prefill_lens, decode_ids, segments = shape
+        prefill_lens, decode_ids, segments = plan.derived["workload"]
         if not self.serve_lora:
             seg_key = None
         elif self.flags.lora_impl != "loop":
@@ -490,30 +425,26 @@ class SimulatedBackend:
         key = (prefill_lens, len(decode_ids), seg_key, self.lora_rank)
         terms = self._terms_memo.get(key)
         if terms is None:
-            work = workload_from_plan(
-                plan, past_lens, self.serve_lora, self.lora_rank
-            )
+            if work is None:
+                work = workload_from_plan(
+                    plan, past_lens, self.serve_lora, self.lora_rank
+                )
             terms = step_latency_terms(
                 self.config, self.cost_model, work, tp=self.tp, flags=self.flags
             )
             self._terms_memo[key] = terms
         return terms
 
-    def build_steady_terms(
-        self, plan: BatchPlan, past_lens: Mapping[str, int]
-    ) -> None:
-        """Build the latency-term cache ahead of the first steady step.
-
-        The vectorized lane calls this when :meth:`steady_run_latencies`
-        would miss; the terms are exactly what the first
-        :meth:`execute_steady` for this plan would build (``past_lens``
-        is the engine's arm-time snapshot in both cases), so building
-        them early is unobservable.
-        """
-        if plan.derived.get(self._terms_key) is None:
+    def _plan_terms(self, plan: BatchPlan, past_lens: Mapping[str, int]):
+        """``(terms, decode request ids)`` of a plan, cached on the plan —
+        keyed by this backend (``_terms_key``) since the terms depend on
+        its config, TP, flags and rank, all fixed for its lifetime."""
+        cached = plan.derived.get(self._terms_key)
+        if cached is None:
             terms = self._terms_for_plan(plan, past_lens)
-            decode_ids = plan.derived["workload"][1]
-            plan.derived[self._terms_key] = (terms, decode_ids)
+            cached = (terms, plan.derived["workload"][1])
+            plan.derived[self._terms_key] = cached
+        return cached
 
     def _fast_latency(self, plan: BatchPlan, past_lens: Mapping[str, int]) -> float:
         """Step latency via the per-plan invariant-term cache.
@@ -521,18 +452,9 @@ class SimulatedBackend:
         Bit-identical to the ``model_step_latency`` call the reference
         path makes (see :class:`~repro.models.perf.StepLatencyTerms` for
         the summation-order argument); only the batched-decode-attention
-        term is recomputed as KvCache lengths advance. The cache lives on
-        the plan, keyed by this backend (``_terms_key``) since the terms
-        depend on its config, TP, flags and rank — all fixed for its
-        lifetime.
+        term is recomputed as KvCache lengths advance.
         """
-        cached = plan.derived.get(self._terms_key)
-        if cached is None:
-            terms = self._terms_for_plan(plan, past_lens)
-            decode_ids = plan.derived["workload"][1]
-            cached = (terms, decode_ids)
-            plan.derived[self._terms_key] = cached
-        terms, decode_ids = cached
+        terms, decode_ids = self._plan_terms(plan, past_lens)
         return step_latency_from_terms(
             self.config,
             self.cost_model,
@@ -584,21 +506,15 @@ class NumpyBackend:
     def kv_admit(self, request_id: str, prompt_len: int) -> None:
         self.kv_data.allocate(request_id, prompt_len)
 
-    def kv_can_append(self, request_id: str) -> bool:
-        return self.kv_data.allocator.can_append(request_id, 1)
+    def kv_can_append(self, request_id: str, n: int = 1) -> bool:
+        return self.kv_data.allocator.can_append(request_id, n)
 
-    def kv_append(self, request_id: str) -> None:
-        self.kv_data.append_slot(request_id)
+    def kv_append(self, request_id: str, n: int = 1) -> None:
+        self.kv_data.allocator.append(request_id, n)
 
     def kv_append_many(self, request_ids) -> None:
         for rid in request_ids:
             self.kv_data.append_slot(rid)
-
-    def kv_can_append_n(self, request_id: str, n: int) -> bool:
-        return self.kv_data.allocator.can_append(request_id, n)
-
-    def kv_append_n(self, request_id: str, n: int) -> None:
-        self.kv_data.allocator.append(request_id, n)
 
     def kv_truncate(self, request_id: str, new_len: int) -> int:
         released = self.kv_data.truncate(request_id, new_len)
@@ -639,9 +555,6 @@ class NumpyBackend:
         self.kv_data.free(request_id)
         self._drop_draft(request_id)
         return tokens
-
-    def kv_can_import(self, num_tokens: int, headroom_tokens: int = 0) -> bool:
-        return self.kv_data.allocator.can_allocate(num_tokens + headroom_tokens)
 
     def kv_import(self, request_id: str, num_tokens: int) -> None:
         self.kv_data.allocate(request_id, num_tokens)

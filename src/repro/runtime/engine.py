@@ -53,9 +53,9 @@ class EngineConfig:
     admission_headroom_tokens: int = 0
     """Extra free KvCache tokens required before admitting a new request."""
     spec: "SpecConfig | None" = None
-    """Arm the speculative decoding lane (docs/speculative.md): pure-decode
+    """Arm speculative decoding (docs/speculative.md): pure-decode
     invocations become draft/verify rounds committing 1..draft_len+1
-    tokens per request; steps with pending work take the classic path."""
+    tokens per request; steps with pending work commit one token each."""
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -173,29 +173,28 @@ class GpuEngine:
         draws (the backend has no per-path state of its own)."""
         self.spec_rounds = 0
         """Speculative rounds run (diagnostic, like ``fast_steps``)."""
-        # The steady lane assumes one token per request per step; armed
-        # engines always take the spec round instead.
+        # The armed-batch memo and the bulk lane assume one token per
+        # request per step and per-plan latency terms; speculative engines
+        # and backends without such terms (``supports_steady``) never arm.
         self._steady_ok = (
             self.fast_path
             and getattr(backend, "supports_steady", False)
             and self._spec is None
         )
-        # Steady-state decode cache: valid while the batch membership is
-        # unchanged and nothing is pending. ``_steady_plan is None`` means
-        # the next step must take the general path and rebuild it.
+        # The armed batch: valid while the batch membership is unchanged
+        # and nothing is pending. ``_steady_plan is None`` means the next
+        # step must plan its batch from scratch and re-arm.
         self._steady_plan: "BatchPlan | None" = None
-        self._steady_slots: list[_Slot] = []
         self._steady_pairs: "list[tuple[Request, str]]" = []
         self._steady_past: dict[str, int] = {}
+        """Arm-time ``request id -> kv_len`` snapshot, in slot order. Only
+        its keys stay current (the lengths feed the shape-only latency
+        terms, which never read them)."""
         self._steady_total = 0
         self._steady_rem: "list[int] | None" = None
         self._staged_run: "tuple[np.ndarray, int] | None" = None
-        """(step-end times, batch size) priced by :meth:`steady_run_candidate`
+        """(step-end times, batch size) priced by :meth:`steady_run_stage`
         and awaiting :meth:`commit_steady_run` within the same event."""
-        self._steady_first: "tuple[object, float] | None" = None
-        """(plan, first-step latency) probe cache — the run-length
-        *estimate* in :meth:`steady_run_stage` tolerates the slow
-        within-plan latency drift, so one probe per plan suffices."""
         self._steady_lats: "tuple[object, int, float, np.ndarray] | None" = None
         """(plan, base KV total, slowdown, step-end array) staging cache. Step
         ``k`` of a run from total ``T`` prices with ``T + k * batch`` and
@@ -205,14 +204,15 @@ class GpuEngine:
         Keyed by plan identity; a membership change produces a different
         plan object and misses naturally."""
         self._entry_cache: dict[str, BatchEntry] = {}
-        """Decode :class:`BatchEntry` per request id — entries are
-        immutable, so each request's is built once and reused across
-        steady-plan rebuilds."""
+        """Decode :class:`BatchEntry` per request id on this GPU — entries
+        are immutable, so each request's is built once and reused across
+        re-arms; dropped when the request leaves (:meth:`_remove`)."""
         self.fast_steps = 0
-        """Steps served by the steady-state decode lane (diagnostic only —
-        deliberately not a registry metric so differential runs compare
-        equal)."""
+        """Decode steps committed in bulk by :meth:`commit_steady_run`
+        (diagnostic only — deliberately not a registry metric so
+        differential runs compare equal)."""
         self.slow_steps = 0
+        """:meth:`step` invocations on a live engine."""
         self.alive = True
         """False once the GPU crashed; a dead engine accepts and runs nothing."""
         self.slowdown_factor = 1.0
@@ -238,13 +238,16 @@ class GpuEngine:
         slots = list(self._working.values()) + self._pending
         return {s.request.lora_id for s in slots}
 
-    def can_accept(self, request: Request) -> bool:
+    def can_accept(self, request: Request, kv_tokens: "int | None" = None) -> bool:
         """Admission test the cluster scheduler runs (§5.1 constraints).
 
         Besides batch-size and KvCache headroom, the request's adapter must
         fit: a non-resident adapter's bytes count against the (possibly
         KvCache-shared) memory budget, so a GPU whose pinned adapters leave
-        no room declines rather than failing the load later.
+        no room declines rather than failing the load later. The KvCache
+        check is sized by a prefill over the prompt, or — for a request
+        arriving with its KV history (disagg decode routing) — by the
+        ``kv_tokens`` it imports.
         """
         if not self.alive:
             return False
@@ -259,7 +262,8 @@ class GpuEngine:
         ):
             return False
         return self.backend.kv_can_admit(
-            request.effective_prompt_len, self.config.admission_headroom_tokens
+            request.effective_prompt_len if kv_tokens is None else kv_tokens,
+            self.config.admission_headroom_tokens,
         )
 
     def adapter_tier(self, lora_id: str) -> int:
@@ -331,26 +335,34 @@ class GpuEngine:
         With ``requeue=True`` the request keeps its generated prefix and
         returns to QUEUED (the migration path); otherwise it is CANCELLED.
         """
-        self._steady_plan = None
-        slot = self._working.pop(request_id, None)
-        if slot is not None:
-            self._working_order.remove(slot)
-        if slot is None:
-            for i, s in enumerate(self._pending):
-                if s.request.request_id == request_id:
-                    slot = self._pending.pop(i)
-                    if not slot.request.needs_prefill:
-                        self._num_importing -= 1
-                    break
+        slot = self._working.get(request_id) or next(
+            (s for s in self._pending if s.request.request_id == request_id),
+            None,
+        )
         if slot is None:
             raise KeyError(f"request {request_id} not on {self.gpu_id}")
-        self.backend.kv_release(request_id)
-        self.loader.release(slot.request.lora_id)
+        self._remove(slot)
         if requeue:
             slot.request.evict()
         else:
             slot.request.mark_cancelled()
         return slot.request
+
+    def _remove(self, slot: _Slot) -> None:
+        """Detach a slot from this GPU — the one place a request leaves:
+        batch membership, the armed batch, its KvCache pages, its adapter
+        pin and its cached plan entry. Callers set the request's state."""
+        rid = slot.request.request_id
+        self._steady_plan = None
+        if self._working.pop(rid, None) is not None:
+            self._working_order.remove(slot)
+        else:
+            self._pending.remove(slot)
+            if not slot.request.needs_prefill:
+                self._num_importing -= 1
+        self._entry_cache.pop(rid, None)
+        self.backend.kv_release(rid)
+        self.loader.release(slot.request.lora_id)
 
     def fail(self, now: float) -> list[Request]:
         """GPU crash: mark the engine dead and displace every request.
@@ -366,6 +378,7 @@ class GpuEngine:
         self._working.clear()
         self._working_order.clear()
         self._pending.clear()
+        self._entry_cache.clear()
         self._num_importing = 0
         displaced = []
         for slot in slots:
@@ -385,38 +398,15 @@ class GpuEngine:
         cost) and the adapter pin is dropped. Returns the request plus the
         token count of the exported KV history.
         """
-        slot = self._working.pop(request_id, None)
+        slot = self._working.get(request_id)
         if slot is None:
             raise KeyError(f"request {request_id} not working on {self.gpu_id}")
-        self._working_order.remove(slot)
-        self._steady_plan = None
         kv_tokens = self.backend.kv_export(request_id)
-        self.loader.release(slot.request.lora_id)
+        self._remove(slot)
         request = slot.request
         request.suspend_for_transfer()
         request.kv_len = kv_tokens
         return request, kv_tokens
-
-    def can_accept_import(self, request: Request, kv_tokens: int) -> bool:
-        """Admission test for a request arriving with its KV history.
-
-        Mirrors :meth:`can_accept` but sizes the KvCache check by the
-        imported history instead of a prefill over the prompt."""
-        if not self.alive:
-            return False
-        if self.working_set_size >= self.config.max_batch_size:
-            return False
-        if self.config.same_lora_only:
-            active = self.active_lora_ids()
-            if active and request.lora_id not in active:
-                return False
-        if not self.loader.can_admit_adapter(
-            request.lora_id, self._default_lora_bytes()
-        ):
-            return False
-        return self.backend.kv_can_import(
-            kv_tokens, self.config.admission_headroom_tokens
-        )
 
     def import_request(self, request: Request, kv_tokens: int, now: float) -> None:
         """Admit a request whose KV pages just arrived over the interconnect.
@@ -427,7 +417,7 @@ class GpuEngine:
         """
         if self.has_request(request.request_id):
             raise ValueError(f"request {request.request_id} already on {self.gpu_id}")
-        if not self.can_accept_import(request, kv_tokens):
+        if not self.can_accept(request, kv_tokens):
             raise RuntimeError(
                 f"{self.gpu_id} cannot import {request.request_id} "
                 f"(working set {self.working_set_size}, "
@@ -467,65 +457,38 @@ class GpuEngine:
     # Execution
     # ------------------------------------------------------------------
     def step(self, now: float) -> StepReport | None:
-        """Run one batched invocation; ``None`` when nothing can run."""
+        """Run one batched invocation; ``None`` when nothing can run.
+
+        The only way a request's token is computed (the bulk lane below
+        replays this function's pure-decode case). Each working request
+        reserves ``n`` KvCache slots and commits ``1..n`` tokens: ``n`` is
+        1, or ``draft_len + 1`` on a speculative draft/verify round (the
+        engine is armed and the batch is pure decode) — so a round that
+        accepts no draft *is* a decode step.
+        """
         if not self.alive:
             return None
-        if (
-            self._steady_plan is not None
-            and not self._pending
-            and self.backend.kv_headroom_pages() >= len(self._steady_slots)
-        ):
-            return self._step_steady(now)
         self.loader.advance(now)
         if self._num_importing:
             self._promote_imports(now)
-        if self._spec is not None and not self._pending and self._working_order:
-            return self._step_spec(now)
         self.slow_steps += 1
-        # Reserve one new KvCache slot per decode request FIRST (evicting
-        # newest requests on pressure), so prefill admission below can only
-        # use pages genuinely left over.
+        spec = self._spec
+        spec_round = (
+            spec is not None and not self._pending and bool(self._working_order)
+        )
+        n = spec.max_tokens_per_round if spec_round else 1
+        # Reserve the decode requests' KvCache slots FIRST (evicting newest
+        # requests on pressure), so prefill admission below can only use
+        # pages genuinely left over.
         evicted: list[str] = []
-        decode_slots: list[_Slot] = []
-        past_lens: dict[str, int] = {}
-        work_slots = list(self._working_order)
-        if (
-            self.fast_path
-            and work_slots
-            and self.backend.kv_headroom_pages() >= len(work_slots)
-        ):
-            # A free page per working request: no append can fail, so no
-            # eviction can trigger — skip the per-slot checks and append
-            # in one allocator pass (same request order, same pages).
-            rids: list[str] = []
-            for slot in work_slots:
-                req = slot.request
-                rids.append(req.request_id)
-                past_lens[req.request_id] = req.kv_len
-                req.kv_len += 1
-                decode_slots.append(slot)
-            self.backend.kv_append_many(rids)
-        else:
-            appended: set[str] = set()
-            for slot in work_slots:
-                req = slot.request
-                rid = req.request_id
-                if rid not in self._working:  # evicted as a victim earlier
-                    continue
-                past = req.kv_len
-                if not self._append_with_eviction(rid, appended, evicted):
-                    continue  # this request itself was evicted
-                appended.add(rid)
-                req.kv_len += 1
-                past_lens[rid] = past
-                decode_slots.append(slot)
-
+        decode_slots, past_lens = self._reserve(n, evicted)
         if self.tracer is not None:
             for rid in evicted:
                 self.tracer.emit(
                     now, EventKind.QUEUE, rid, self.gpu_id, reason="evicted"
                 )
 
+        # Nothing is pending on a speculative round, so none is selected.
         prefill_slots = self._select_prefills(now)
         if not decode_slots and not prefill_slots:
             if evicted:
@@ -537,416 +500,211 @@ class GpuEngine:
                 )
             return None
 
-        entries: list[BatchEntry] = []
-        for slot in prefill_slots:
-            req = slot.request
-            entries.append(
-                BatchEntry(
-                    request_id=req.request_id,
-                    lora_id=req.lora_id,
-                    num_tokens=req.effective_prompt_len,
-                    is_prefill=True,
-                )
-            )
-            past_lens[req.request_id] = 0
-        for slot in decode_slots:
-            req = slot.request
-            entries.append(
-                BatchEntry(
-                    request_id=req.request_id,
-                    lora_id=req.lora_id,
-                    num_tokens=1,
-                    is_prefill=False,
-                )
-            )
-
-        if self._plan_cache is not None:
-            plan = self._plan_cache.plan(entries)
+        # Steady decode is the degenerate case: the batch is exactly the
+        # one the last step armed (any eviction above disarmed it), so its
+        # plan is reused instead of rebuilding entries and signature.
+        armed = (
+            self._steady_plan is not None
+            and not self._pending
+            and not prefill_slots
+        )
+        if armed:
+            plan = self._steady_plan
         else:
-            plan = plan_batch(entries)
-        requests = {
-            s.request.request_id: s.request for s in prefill_slots + decode_slots
-        }
-        execution = self.backend.execute(plan, past_lens, requests=requests)
+            entries: list[BatchEntry] = []
+            for slot in prefill_slots:
+                req = slot.request
+                entries.append(
+                    BatchEntry(
+                        request_id=req.request_id,
+                        lora_id=req.lora_id,
+                        num_tokens=req.effective_prompt_len,
+                        is_prefill=True,
+                    )
+                )
+                past_lens[req.request_id] = 0
+            for slot in decode_slots:
+                req = slot.request
+                entries.append(
+                    BatchEntry(
+                        request_id=req.request_id,
+                        lora_id=req.lora_id,
+                        num_tokens=1,
+                        is_prefill=False,
+                    )
+                )
+            if self._plan_cache is not None:
+                plan = self._plan_cache.plan(entries)
+            else:
+                plan = plan_batch(entries)
+
+        batch = prefill_slots + decode_slots
+        requests = {s.request.request_id: s.request for s in batch}
+        if spec_round:
+            execution = self.backend.execute_spec(
+                plan, past_lens, spec, self._spec_rng, requests=requests
+            )
+            self.spec_rounds += 1
+        else:
+            execution = self.backend.execute(plan, past_lens, requests=requests)
         latency = execution.latency * self.slowdown_factor
         end = now + latency
 
-        finished: list[str] = []
-        for slot in prefill_slots + decode_slots:
+        # Commit 1..n tokens per request, stopping at its finish condition.
+        finished_slots: "list[_Slot]" = []
+        committed: "dict[str, tuple[int, ...]] | None" = {} if spec_round else None
+        rollbacks: "dict[str, tuple[int, int]]" = {}
+        for slot in batch:
             req = slot.request
+            rid = req.request_id
             if req.needs_prefill:
                 req.kv_len = req.effective_prompt_len
                 req.needs_prefill = False
-                self._working[req.request_id] = slot
+                self._working[rid] = slot
                 self._order_insert(slot)
-            token = execution.tokens[req.request_id]
-            req.record_token(token, end)
-            if self._is_finished(req, token):
-                finished.append(req.request_id)
-
-        finished_slots: "list[_Slot]" = []
-        for rid in finished:
-            slot = self._working.pop(rid)
-            finished_slots.append(slot)
-            self._working_order.remove(slot)
-            self.backend.kv_release(rid)
-            self.loader.release(slot.request.lora_id)
-            slot.request.mark_finished(end)
-
-        if self.tracer is not None:
-            self._trace_step(now, end, prefill_slots, decode_slots, finished_slots)
-
-        self._refresh_steady()
-        return StepReport(
-            gpu_id=self.gpu_id,
-            start=now,
-            latency=latency,
-            batch_size=len(entries),
-            num_prefill=len(prefill_slots),
-            num_decode=len(decode_slots),
-            num_lora_segments=plan.num_lora_segments,
-            new_tokens=dict(execution.tokens),
-            finished=tuple(finished),
-            evicted=tuple(evicted),
-        )
-
-    def _step_spec(self, now: float) -> "StepReport | None":
-        """One speculative draft/verify round over the pure-decode batch.
-
-        Reserves ``draft_len + 1`` KvCache slots per request up front
-        (evicting newest requests under pressure, exactly like the classic
-        path's single-slot reservation), runs the backend round, commits
-        each request's accepted tokens, then rolls the rejected slots back
-        via ``kv_truncate`` — the allocator's LIFO free list means the
-        next round's reservation reacquires the same pages, so a rejected
-        draft leaves no footprint in page assignment.
-        """
-        spec = self._spec
-        reserve = spec.max_tokens_per_round
-        self.slow_steps += 1
-        evicted: list[str] = []
-        decode_slots: list[_Slot] = []
-        past_lens: dict[str, int] = {}
-        appended: set[str] = set()
-        for slot in list(self._working_order):
-            req = slot.request
-            rid = req.request_id
-            if rid not in self._working:  # evicted as a victim earlier
-                continue
-            if not self._append_n_with_eviction(rid, reserve, appended, evicted):
-                continue  # this request itself was evicted
-            appended.add(rid)
-            past_lens[rid] = req.kv_len
-            decode_slots.append(slot)
-
-        if self.tracer is not None:
-            for rid in evicted:
-                self.tracer.emit(
-                    now, EventKind.QUEUE, rid, self.gpu_id, reason="evicted"
-                )
-
-        if not decode_slots:
-            if evicted:
-                return StepReport(
-                    gpu_id=self.gpu_id, start=now, latency=0.0, batch_size=0,
-                    num_prefill=0, num_decode=0, num_lora_segments=0,
-                    new_tokens={}, finished=(), evicted=tuple(evicted),
-                )
-            return None
-
-        entries = [
-            BatchEntry(
-                request_id=slot.request.request_id,
-                lora_id=slot.request.lora_id,
-                num_tokens=1,
-                is_prefill=False,
+            offered = (
+                execution.committed[rid] if spec_round else (execution.tokens[rid],)
             )
-            for slot in decode_slots
-        ]
-        if self._plan_cache is not None:
-            plan = self._plan_cache.plan(entries)
-        else:
-            plan = plan_batch(entries)
-        requests = {s.request.request_id: s.request for s in decode_slots}
-        execution = self.backend.execute_spec(
-            plan, past_lens, spec, self._spec_rng, requests=requests
-        )
-        latency = execution.latency * self.slowdown_factor
-        end = now + latency
-        self.spec_rounds += 1
-
-        finished: list[str] = []
-        committed: dict[str, tuple[int, ...]] = {}
-        rollbacks: "list[tuple[str, int, int]]" = []
-        for slot in decode_slots:
-            req = slot.request
-            rid = req.request_id
-            kept: list[int] = []
-            for tok in execution.committed[rid]:
-                kept.append(tok)
-                req.record_token(tok, end)
-                if self._is_finished(req, tok):
-                    finished.append(rid)
-                    break
-            committed[rid] = tuple(kept)
-            # kv_len stays tokens - 1 during decode: the round's inputs
-            # occupied slots [past, past + len(kept)), the last committed
-            # token's KV lands next round.
-            new_kv = past_lens[rid] + len(kept)
-            released_pages = self.backend.kv_truncate(rid, new_kv)
-            released_tokens = past_lens[rid] + reserve - new_kv
-            req.kv_len = new_kv
-            if released_tokens:
-                rollbacks.append((rid, released_tokens, released_pages))
-
-        for rid in finished:
-            slot = self._working.pop(rid)
-            self._working_order.remove(slot)
-            self.backend.kv_release(rid)
-            self.loader.release(slot.request.lora_id)
-            slot.request.mark_finished(end)
-
-        if self.tracer is not None:
-            self._trace_spec(
-                now, end, decode_slots, committed, execution, rollbacks, finished
-            )
-
-        return StepReport(
-            gpu_id=self.gpu_id,
-            start=now,
-            latency=latency,
-            batch_size=len(decode_slots),
-            num_prefill=0,
-            num_decode=len(decode_slots),
-            num_lora_segments=plan.num_lora_segments,
-            new_tokens={rid: toks[-1] for rid, toks in committed.items()},
-            finished=tuple(finished),
-            evicted=tuple(evicted),
-            committed=committed,
-        )
-
-    def _append_n_with_eviction(
-        self, rid: str, n: int, appended: set[str], evicted: list[str]
-    ) -> bool:
-        """:meth:`_append_with_eviction` generalized to ``n`` slots — the
-        speculative round's up-front reservation. Returns False when
-        ``rid`` itself had to be evicted."""
-        while not self.backend.kv_can_append_n(rid, n):
-            victim = self._newest_evictable(exclude=appended)
-            if victim is None:
-                raise MemoryError(
-                    f"{self.gpu_id}: no evictable request can free "
-                    f"{n} KvCache slots for {rid}"
-                )
-            victim_id = victim.request.request_id
-            evicted.append(self._evict(victim))
-            if victim_id == rid:
-                return False
-        self.backend.kv_append_n(rid, n)
-        return True
-
-    def _trace_spec(
-        self,
-        now: float,
-        end: float,
-        decode_slots: "list[_Slot]",
-        committed: "dict[str, tuple[int, ...]]",
-        execution,
-        rollbacks: "list[tuple[str, int, int]]",
-        finished: "list[str]",
-    ) -> None:
-        """Emit one round's SPEC_DRAFT, then per request SPEC_VERIFY, one
-        DECODE_STEP per committed token, SPEC_ROLLBACK when slots were
-        released, and finally the FINISH events — all stamped at the round
-        end, like the classic path's step events."""
-        self.tracer.emit(
-            end, EventKind.SPEC_DRAFT, None, self.gpu_id,
-            start=now, batch=len(decode_slots), draft_len=execution.proposed,
-        )
-        rollback_of = {rid: (toks, pages) for rid, toks, pages in rollbacks}
-        for slot in decode_slots:
-            req = slot.request
-            rid = req.request_id
-            kept = committed[rid]
-            self.tracer.emit(
-                end, EventKind.SPEC_VERIFY, rid, self.gpu_id,
-                start=now, proposed=execution.proposed,
-                accepted=execution.accepted[rid], committed=len(kept),
-            )
-            base = req.num_generated - len(kept)
-            for i in range(len(kept)):
-                self.tracer.emit(
-                    end, EventKind.DECODE_STEP, rid, self.gpu_id,
-                    **decode_step_attrs(now, base + i),
-                )
-            rollback = rollback_of.get(rid)
-            if rollback is not None:
-                self.tracer.emit(
-                    end, EventKind.SPEC_ROLLBACK, rid, self.gpu_id,
-                    tokens=rollback[0], pages=rollback[1],
-                )
-        for rid in finished:
-            req = next(
-                s.request for s in decode_slots if s.request.request_id == rid
-            )
-            self.tracer.emit(
-                end, EventKind.FINISH, rid, self.gpu_id, tokens=req.num_generated
-            )
-
-    def _step_steady(self, now: float) -> StepReport:
-        """Steady-state decode lane: the batch is exactly last step's batch
-        (no pending work, no membership change since) and a free page per
-        request is guaranteed, so per-slot can-append/evict checks, prefill
-        selection, and re-planning are all skipped. Every observable
-        effect — trace events, token values, request state, KvCache
-        contents — is identical to the general path by construction.
-        """
-        self.loader.advance(now)
-        self.fast_steps += 1
-        plan = self._steady_plan
-        pairs = self._steady_pairs
-        self.backend.kv_append_many(self._steady_past)
-        execution = self.backend.execute_steady(
-            plan, self._steady_past, self._steady_total
-        )
-        latency = execution.latency * self.slowdown_factor
-        end = now + latency
-        tokens = execution.tokens
-
-        finished: list[str] = []
-        rem = self._steady_rem
-        if rem is not None:
-            # Length-limit-only stopping (no EOS token): a per-slot
-            # countdown replaces the reached_limit()/record_token calls.
-            # first_token_time is already stamped (every working request
-            # has generated at least one token) so the append is all that
-            # record_token would do.
-            for i, (req, rid) in enumerate(pairs):
-                req.kv_len += 1
-                req.generated_tokens.append(tokens[rid])
-                left = rem[i] - 1
-                rem[i] = left
-                if left == 0:
-                    finished.append(rid)
-        else:
-            for req, rid in pairs:
-                req.kv_len += 1
-                token = tokens[rid]
+            kept = 0
+            for token in offered:
+                kept += 1
                 req.record_token(token, end)
                 if self._is_finished(req, token):
-                    finished.append(rid)
+                    finished_slots.append(slot)
+                    break
+            if spec_round:
+                committed[rid] = offered[:kept]
+            if kept < n:
+                # The request's inputs filled slots [past, past + kept) —
+                # its last committed token's KV lands next step — so the
+                # rest of the reservation rolls back. The allocator's free
+                # list is LIFO: the next reservation reacquires the same
+                # pages, a rejected draft leaves no footprint in page
+                # assignment.
+                req.kv_len = past_lens[rid] + kept
+                pages = self.backend.kv_truncate(rid, req.kv_len)
+                rollbacks[rid] = (n - kept, pages)
 
-        finished_slots: "list[_Slot]" = []
-        if finished:
-            self._steady_plan = None
-            for rid in finished:
-                slot = self._working.pop(rid)
-                finished_slots.append(slot)
-                self._working_order.remove(slot)
-                self.backend.kv_release(rid)
-                self.loader.release(slot.request.lora_id)
-                slot.request.mark_finished(end)
-        else:
-            self._steady_total += len(pairs)
+        for slot in finished_slots:
+            self._remove(slot)
+            slot.request.mark_finished(end)
 
         if self.tracer is not None:
-            self._trace_step(now, end, [], self._steady_slots, finished_slots)
+            self._trace_step(
+                now, end, prefill_slots, decode_slots, finished_slots,
+                (execution, committed, rollbacks) if spec_round else None,
+            )
 
-        if finished:
+        if armed and not finished_slots:
+            # Same batch again next step: advance the armed state in place
+            # (what a full re-arm would recompute) — the bulk lane reads
+            # the exact KV total and per-request countdowns.
+            self._steady_total += len(decode_slots)
+            rem = self._steady_rem
+            if rem is not None:
+                for i in range(len(rem)):
+                    rem[i] -= 1
+        else:
             self._refresh_steady()
         return StepReport(
             gpu_id=self.gpu_id,
             start=now,
             latency=latency,
-            batch_size=len(pairs),
-            num_prefill=0,
-            num_decode=len(pairs),
+            batch_size=len(batch),
+            num_prefill=len(prefill_slots),
+            num_decode=len(decode_slots),
             num_lora_segments=plan.num_lora_segments,
-            new_tokens=tokens,
-            finished=tuple(finished),
-            evicted=(),
+            new_tokens=(
+                dict(execution.tokens)
+                if committed is None
+                else {rid: toks[-1] for rid, toks in committed.items()}
+            ),
+            finished=tuple(s.request.request_id for s in finished_slots),
+            evicted=tuple(evicted),
+            committed=committed,
         )
 
-    # -- vectorized steady runs (gen-2 fast path) ----------------------
-    _MAX_RUN = 8192
-    """Upper bound on one vectorized run; bounds the priced-but-unused
-    tail when the estimate overshoots the event window."""
+    def _reserve(
+        self, n: int, evicted: list[str]
+    ) -> "tuple[list[_Slot], dict[str, int]]":
+        """Reserve ``n`` new KvCache slots for every working request, in
+        admission order, evicting the newest requests on pressure (ids
+        appended to ``evicted``). Returns the slots that got theirs and
+        their pre-reservation (*past*) KV lengths."""
+        work_slots = list(self._working_order)
+        past_lens: dict[str, int] = {}
+        if (
+            n == 1
+            and self.fast_path
+            and work_slots
+            and self.backend.kv_headroom_pages() >= len(work_slots)
+        ):
+            # A free page per working request: no append can fail, so no
+            # eviction can trigger — skip the per-slot checks and append
+            # in one allocator pass (same request order, same pages).
+            for slot in work_slots:
+                req = slot.request
+                past_lens[req.request_id] = req.kv_len
+                req.kv_len += 1
+            self.backend.kv_append_many(past_lens)
+            return work_slots, past_lens
+        decode_slots: list[_Slot] = []
+        appended: set[str] = set()
+        for slot in work_slots:
+            req = slot.request
+            rid = req.request_id
+            if rid not in self._working:  # evicted as a victim earlier
+                continue
+            if not self._append_with_eviction(rid, n, appended, evicted):
+                continue  # this request itself was evicted
+            appended.add(rid)
+            past_lens[rid] = req.kv_len
+            req.kv_len += n
+            decode_slots.append(slot)
+        return decode_slots, past_lens
 
-    def steady_run_stage(
-        self,
-        start: float,
-        horizon: "float | None",
-        min_steps: int = 2,
-    ) -> "tuple[np.ndarray, int] | None":
+    # -- the bulk decode-run lane (gen-2 fast path) ---------------------
+    _MAX_RUN = 8192
+    """Upper bound on one vectorized run; bounds the array one staging
+    prices."""
+
+    def steady_run_stage(self, start: float) -> "tuple[np.ndarray, int] | None":
         """Price a vectorized run of steady decode steps starting at ``start``.
 
         Stages and returns ``(ends, batch)`` where ``ends[0] == start``
         and ``ends[k]`` is the end of step ``k`` — so ``ends[:-1]`` are
         the step start times and ``len(ends) - 1`` steps are available.
-        Returns ``None`` when fewer than ``min_steps`` steps are
-        possible. The run is capped so that, by construction, no step
-        inside it could deviate from the single-step steady lane: every
-        request has at least one countdown tick left *after* the run (no
-        finishes), and worst-case page consumption keeps KvCache headroom
-        at one page per request before every step (the general-path
-        fallback can never trigger). Call :meth:`commit_steady_run` to
-        apply a prefix. Requires the length-limit countdown
-        (``_steady_rem``). A tracer does not disarm the lane: the commit
-        records the run's ``DECODE_STEP`` events as one run block.
+        Returns ``None`` when not even one step is possible. The run is
+        capped so that, by construction, no step inside it could deviate
+        from :meth:`step` on the armed batch: every request has at least
+        one countdown tick left *after* the run (no finishes), and
+        worst-case page consumption keeps KvCache headroom at one page
+        per request before every step (no eviction can trigger). Call
+        :meth:`commit_steady_run` to apply a prefix. Requires the
+        length-limit countdown (``_steady_rem``). A tracer does not disarm
+        the lane: the commit records the run's ``DECODE_STEP`` events as
+        one run block.
         """
-        rem = self._steady_rem
         backend = self.backend
-        if (
-            rem is None
-            or self._steady_plan is None
-            or self._pending
-            or getattr(backend, "pool", True) is not None
-        ):
+        if not self.steady_ready() or getattr(backend, "pool", True) is not None:
             return None
+        rem = self._steady_rem
         batch = len(self._steady_pairs)
         rem_cap = min(rem) - 1
-        cap = rem_cap
-        if cap >= min_steps:
-            cap = min(cap, backend.kv_headroom_pages() // batch)
-        if cap < min_steps:
+        if rem_cap < 1:
+            return None
+        count = min(rem_cap, backend.kv_headroom_pages() // batch, self._MAX_RUN)
+        if count < 1:
             return None
         plan = self._steady_plan
         total = self._steady_total
-        cached_first = self._steady_first
-        if cached_first is not None and cached_first[0] is plan:
-            first_raw = cached_first[1]
-        else:
-            probe = backend.steady_run_latencies(plan, total, 1)
-            if probe is None:
-                build = getattr(backend, "build_steady_terms", None)
-                if build is None:
-                    return None
-                build(plan, self._steady_past)
-                probe = backend.steady_run_latencies(plan, total, 1)
-                if probe is None:
-                    return None
-            first_raw = float(probe[0])
-            self._steady_first = (plan, first_raw)
         slowdown = self.slowdown_factor
-        first = first_raw * slowdown
-        if horizon is not None:
-            window = horizon - start
-            if window <= 0:
-                return None
-            # Latencies grow with KV, so first-step latency bounds the
-            # step count from above; +2 absorbs float slack.
-            cap = min(cap, int(window / first) + 2)
-            if cap < min_steps:
-                return None
-        count = min(cap, self._MAX_RUN)
         # The run from (T + n*batch, start') is an offset slice of the
         # run staged earlier from (T, start): pricing is elementwise in
         # the exact integer KV totals, and cumsum chains ends
         # sequentially, so when start' == ends[n] (which it is — commits
         # walk the staged chain) the later ends ARE ends[n:], bit for
-        # bit. Only a cache miss pays the array build, sized to the
-        # finish/headroom cap so window growth cannot force a rebuild
-        # (overshoot is pure pricing, commits stay capped separately).
+        # bit. Only a cache miss pays the array build.
         cached = self._steady_lats
         if cached is not None and cached[0] is plan and cached[2] == slowdown:
             off = total - cached[1]
@@ -961,9 +719,9 @@ class GpuEngine:
         # (a decode append only consumes a page at page boundaries), so a
         # headroom-sized array would fall short of later slices and force
         # a rebuild per merge. Pricing past headroom is harmless — the
-        # *returned* slice below stays capped at ``cap``.
+        # *returned* slice below stays capped at ``count``.
         lats = backend.steady_run_latencies(
-            plan, total, min(rem_cap, self._MAX_RUN)
+            plan, self._steady_past, total, min(rem_cap, self._MAX_RUN)
         )
         if slowdown != 1.0:
             lats = lats * slowdown
@@ -977,7 +735,7 @@ class GpuEngine:
     def steady_ready(self) -> bool:
         """Cheap pre-gate: is the next step a pure steady decode tick?
 
-        The cross-engine merge lane calls this before paying for
+        The merge lane calls this before paying for
         :meth:`steady_run_stage`'s array pricing; engines that fail it
         keep their queued step event, which then bounds the merge horizon.
         """
@@ -987,44 +745,23 @@ class GpuEngine:
             and not self._pending
         )
 
-    def steady_run_candidate(self, now: float, peek: "float | None"):
-        """Single-engine wrapper over :meth:`steady_run_stage`.
-
-        Returns the ascending array of step *start* times strictly before
-        ``peek`` (the clock advances the simulator must pay for), or
-        ``None`` when no multi-step run fits the window.
-        """
-        staged = self.steady_run_stage(now, peek)
-        if staged is None:
-            return None
-        ends, _batch = staged
-        starts = ends[:-1]
-        if peek is not None:
-            n = int(np.searchsorted(starts, peek, side="left"))
-            if n < len(starts):
-                starts = starts[:n]
-        if len(starts) == 0:
-            self._staged_run = None
-            return None
-        return starts
-
     def commit_steady_run(
         self, n: int, merge_lanes: "list | None" = None
     ) -> "tuple[float, int]":
         """Apply the first ``n`` steps of the staged run in bulk.
 
-        Replays exactly what ``n`` :meth:`_step_steady` calls would do —
-        KvCache appends (page ids included), token values, per-request
-        countdowns, loader clock, total-KV counter, trace events — without
-        the per-step Python work. Returns ``(end_of_last_step,
-        batch_size)``: the next step of this engine is due at that end
-        time.
+        Replays exactly what ``n`` :meth:`step` calls on the armed batch
+        would do — KvCache appends (page ids included), token values,
+        per-request countdowns, loader clock, total-KV counter, trace
+        events — without the per-step Python work. Returns
+        ``(end_of_last_step, batch_size)``: the next step of this engine
+        is due at that end time.
 
         With a tracer attached the run's ``DECODE_STEP`` events are
-        recorded as one run block (:meth:`Tracer.decode_run`). The
-        cross-engine merge lane passes ``merge_lanes``: this engine's lane
-        is appended to it instead, and the caller records a single block
-        for the whole merge, in pop order.
+        recorded as one run block (:meth:`Tracer.decode_run`). The merge
+        lane passes ``merge_lanes``: this engine's lane is appended to it
+        instead, and the caller records a single block for the whole
+        merge, in pop order.
         """
         ends, batch = self._staged_run
         self._staged_run = None
@@ -1066,12 +803,12 @@ class GpuEngine:
         return float(ends[n]), batch
 
     def _refresh_steady(self) -> None:
-        """(Re)arm the steady-state cache after a step, when the *next*
-        step is known to be a pure decode of the current working set."""
-        if not self._steady_ok or self._pending or not self._working_order:
+        """(Re)arm the steady batch after a step, when the *next* step is
+        known to be a pure decode of the current working set."""
+        slots = self._working_order
+        if not self._steady_ok or self._pending or not slots:
             self._steady_plan = None
             return
-        slots = list(self._working_order)
         sig_parts = []
         pairs = []
         past: dict[str, int] = {}
@@ -1113,7 +850,6 @@ class GpuEngine:
             plan = plan_decode_batch(entries)
             self._plan_cache.put(sig, plan)
         self._steady_plan = plan
-        self._steady_slots = slots
         self._steady_pairs = pairs
         self._steady_past = past
         self._steady_total = total + len(slots)
@@ -1137,10 +873,15 @@ class GpuEngine:
         prefill_slots: "list[_Slot]",
         decode_slots: "list[_Slot]",
         finished_slots: "list[_Slot]",
+        spec_round: "tuple | None" = None,
     ) -> None:
         """Emit the invocation's per-request PREFILL / DECODE_STEP / FINISH
         events (time = step end; the ``start`` attr carries the step start,
-        which the latency breakdown closes segments at)."""
+        which the latency breakdown closes segments at). A speculative
+        round (``spec_round`` = its execution, committed tokens and
+        rollbacks) brackets them: one SPEC_DRAFT, then per request
+        SPEC_VERIFY, a DECODE_STEP per committed token, and SPEC_ROLLBACK
+        when reserved slots were released."""
         emit = self.tracer.emit
         gpu_id = self.gpu_id
         for slot in prefill_slots:
@@ -1150,7 +891,34 @@ class GpuEngine:
                 start=now,
                 tokens=req.spec.prompt_len + max(0, req.num_generated - 1),
             )
-        if self.fast_path:
+        if spec_round is not None:
+            execution, committed, rollbacks = spec_round
+            emit(
+                end, EventKind.SPEC_DRAFT, None, gpu_id,
+                start=now, batch=len(decode_slots), draft_len=execution.proposed,
+            )
+            for slot in decode_slots:
+                req = slot.request
+                rid = req.request_id
+                kept = len(committed[rid])
+                emit(
+                    end, EventKind.SPEC_VERIFY, rid, gpu_id,
+                    start=now, proposed=execution.proposed,
+                    accepted=execution.accepted[rid], committed=kept,
+                )
+                base = req.num_generated - kept
+                for i in range(kept):
+                    emit(
+                        end, EventKind.DECODE_STEP, rid, gpu_id,
+                        **decode_step_attrs(now, base + i),
+                    )
+                rollback = rollbacks.get(rid)
+                if rollback is not None:
+                    emit(
+                        end, EventKind.SPEC_ROLLBACK, rid, gpu_id,
+                        tokens=rollback[0], pages=rollback[1],
+                    )
+        elif self.fast_path:
             if decode_slots:
                 # The step's decode batch as a one-step run block: the same
                 # events, expanded when the trace is read.
@@ -1183,25 +951,28 @@ class GpuEngine:
         return eos is not None and token == eos
 
     def _append_with_eviction(
-        self, rid: str, appended: set[str], evicted: list[str]
+        self, rid: str, n: int, appended: set[str], evicted: list[str]
     ) -> bool:
-        """Append one KvCache slot for ``rid``, evicting newest requests on
-        pressure (§5.3: "evicts the newest request ... preserves FCFS").
+        """Append ``n`` KvCache slots for ``rid``, evicting newest requests
+        on pressure (§5.3: "evicts the newest request ... preserves FCFS").
 
-        Requests that already got their slot this step are never victims.
+        Requests that already got their slots this step are never victims.
         Returns False when ``rid`` itself had to be evicted.
         """
-        while not self.backend.kv_can_append(rid):
+        while not self.backend.kv_can_append(rid, n):
             victim = self._newest_evictable(exclude=appended)
             if victim is None:
                 raise MemoryError(
-                    f"{self.gpu_id}: no evictable request can free a page for {rid}"
+                    f"{self.gpu_id}: no evictable request can free "
+                    f"{n} KvCache slots for {rid}"
                 )
             victim_id = victim.request.request_id
-            evicted.append(self._evict(victim))
+            self._remove(victim)
+            victim.request.evict()
+            evicted.append(victim_id)
             if victim_id == rid:
                 return False
-        self.backend.kv_append(rid)
+        self.backend.kv_append(rid, n)
         return True
 
     def _newest_evictable(self, exclude: set[str]) -> "_Slot | None":
@@ -1211,16 +982,6 @@ class GpuEngine:
             if slot.request.request_id not in exclude:
                 return slot
         return None
-
-    def _evict(self, slot: _Slot) -> str:
-        rid = slot.request.request_id
-        self._steady_plan = None
-        del self._working[rid]
-        self._working_order.remove(slot)
-        self.backend.kv_release(rid)
-        self.loader.release(slot.request.lora_id)
-        slot.request.evict()
-        return rid
 
     def _select_prefills(self, now: float) -> list[_Slot]:
         """Pick pending requests ready to prefill, FIFO, up to the limit."""

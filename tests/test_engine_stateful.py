@@ -9,6 +9,11 @@ Invariants checked after every action:
 * FINISHED/CANCELLED requests hold no KvCache pages;
 * page accounting balances exactly across admissions, evictions,
   cancellations and completions.
+
+The machine runs twice: plain, and with the engine armed for speculative
+decoding, where every pure-decode step reserves ``draft_len + 1`` slots
+per request and rolls the rejected ones back — the same invariants then
+pin spec x eviction x requeue under the deliberately tight pool.
 """
 
 import pytest
@@ -21,6 +26,7 @@ from repro.models.config import LLAMA2_7B
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import Request, RequestState
+from repro.runtime.spec import SpecConfig
 from repro.workloads.trace import RequestSpec
 
 MAX_BATCH = 4
@@ -29,6 +35,8 @@ POOL_TOKENS = 40 * PAGE_SIZE  # deliberately tight: exercises eviction
 
 
 class EngineMachine(RuleBasedStateMachine):
+    CONFIG = EngineConfig(max_batch_size=MAX_BATCH)
+
     def __init__(self):
         super().__init__()
         self.backend = SimulatedBackend(
@@ -37,9 +45,7 @@ class EngineMachine(RuleBasedStateMachine):
             page_size=PAGE_SIZE,
             step_overhead=0.0,
         )
-        self.engine = GpuEngine(
-            "gpu0", self.backend, EngineConfig(max_batch_size=MAX_BATCH)
-        )
+        self.engine = GpuEngine("gpu0", self.backend, self.CONFIG)
         self.now = 0.0
         self.requests: dict[str, Request] = {}
         self.counter = 0
@@ -133,7 +139,15 @@ class EngineMachine(RuleBasedStateMachine):
                 assert not self.engine.has_request(rid)
 
 
+class SpecEngineMachine(EngineMachine):
+    CONFIG = EngineConfig(
+        max_batch_size=MAX_BATCH,
+        spec=SpecConfig(draft_len=3, acceptance_rate=0.5),
+    )
+
+
 TestEngineStateful = EngineMachine.TestCase
-TestEngineStateful.settings = settings(
+TestSpecEngineStateful = SpecEngineMachine.TestCase
+TestEngineStateful.settings = TestSpecEngineStateful.settings = settings(
     max_examples=30, stateful_step_count=40, deadline=None
 )

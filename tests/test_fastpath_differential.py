@@ -1,9 +1,10 @@
 """Differential equivalence: the fast-path engine vs the reference path.
 
-The fast path (``fast_path=``, default on) layers four optimisations
-over the simulation engine — kernel-cost memoisation, per-plan latency-term
-caching, the engine's steady-state decode lane, and the simulator's inline
-same-engine decode coalescing. The contract for every one of them is *bit
+The fast path (``fast_path=``, default on) layers optimisations over the
+simulation engine — kernel-cost memoisation, per-plan latency-term
+caching, the armed-batch shortcut inside ``GpuEngine.step``, the
+simulator's inline same-engine decode continuation, and the bulk
+decode-run merge lane. The contract for every one of them is *bit
 identity*: the optimised run must produce byte-identical traces and equal
 results, not merely statistically similar ones.
 
@@ -230,10 +231,13 @@ def test_random_workload_differential(
         _Run(ftracer, fresult, fsummary), _Run(rtracer, rresult, rsummary)
     )
     # Page accounting returns to baseline on both paths: rejected drafts,
-    # cancels and crashes may not leak a single KvCache page.
+    # cancels and crashes may not leak a single KvCache page — and no
+    # engine still holds per-request state once every request is done.
     for sim in (fsim, rsim):
         for engine in sim.scheduler.engines.values():
             assert engine.backend.kv.allocator.used_pages == 0
+            assert not engine._entry_cache
+            assert not engine._working and not engine._pending
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +497,7 @@ def test_vector_merge_lane_engages_untraced():
 # ---------------------------------------------------------------------------
 # Tracing at untraced speed: a Tracer must not disarm a lane
 # ---------------------------------------------------------------------------
-def _dense_run(trace, *, traced, fast_path):
+def _dense_run(trace, *, traced, fast_path, num_gpus=8):
     sim = ClusterSimulator(
         [
             GpuEngine(
@@ -502,7 +506,7 @@ def _dense_run(trace, *, traced, fast_path):
                 EngineConfig(max_batch_size=32),
                 fast_path=fast_path,
             )
-            for i in range(8)
+            for i in range(num_gpus)
         ],
         tracer=Tracer() if traced else None,
         fast_path=fast_path,
@@ -521,9 +525,12 @@ def _assert_breakdowns_tile(tracer):
 def test_dense_traced_run_keeps_every_lane_armed():
     """The ledger's ``sim_steady`` shape (8 engines, batch 32, ShareGPT
     decodes on a ramp): the traced fast run commits exactly the windows
-    the untraced one does — the engagement canary that fails if tracing
-    ever disarms a lane again — and its JSONL is byte-identical to the
-    reference path's one-emit-per-token stream."""
+    the untraced one does — the same merges, the same inline steps, and
+    per engine the same split between bulk-committed decode steps
+    (``fast_steps``) and ``step()`` invocations (``slow_steps``) — the
+    engagement canary that fails if tracing ever disarms a lane again —
+    and its JSONL is byte-identical to the reference path's
+    one-emit-per-token stream."""
     duration = 30.0
     trace = generate_trace(
         int(duration * 12.0) + 64, "skewed", seed=0,
@@ -557,6 +564,26 @@ def test_dense_traced_run_keeps_every_lane_armed():
         traced.metrics.registry.to_json() == plain.metrics.registry.to_json()
     )
     _assert_breakdowns_tile(traced_sim.tracer)
+
+
+def test_one_engine_run_is_a_one_lane_merge():
+    """A lone engine's bulk decode run goes through the same merge lane,
+    as a merge with one lane: a traced 1-GPU run must commit merges and
+    still match the reference path's bytes, request state and event
+    count."""
+    trace = generate_trace(
+        12, "skewed", seed=4,
+        lengths=ShareGptLengths(max_prompt_len=64, max_response_len=200),
+        arrivals=PoissonArrivals(rate=constant_rate(2.0), duration=6.0),
+    )
+    fsim, fast = _dense_run(trace, traced=True, fast_path=True, num_gpus=1)
+    rsim, ref = _dense_run(trace, traced=True, fast_path=False, num_gpus=1)
+    assert fsim._vector.merges > 0
+    assert fsim._vector.merged_steps > fsim._vector.merges
+    assert rsim._vector.merges == 0
+    assert fsim.tracer.dumps_jsonl() == rsim.tracer.dumps_jsonl()
+    assert _request_states(fast.requests) == _request_states(ref.requests)
+    assert fast.events_processed == ref.events_processed
 
 
 def _interrupted_dense_run(fast_path):
@@ -660,9 +687,11 @@ def test_interrupted_merge_windows_leave_no_stray_decode_steps():
 # Canary: the fast lanes must actually engage
 # ---------------------------------------------------------------------------
 def test_fast_lanes_engage():
-    """A decode-heavy run must hit the steady lane, the inline coalescer
-    and the plan cache — otherwise the differential suite would be
-    comparing the reference path to itself."""
+    """A decode-heavy run must commit decode steps in bulk through the
+    merge lane (``fast_steps``), still run boundary steps through
+    ``step()`` (``slow_steps``), and hit the inline continuation and the
+    plan cache — otherwise the differential suite would be comparing the
+    reference path to itself."""
     trace = generate_trace(
         40, "skewed", seed=3,
         lengths=ShareGptLengths(max_prompt_len=32, max_response_len=24),
@@ -698,8 +727,11 @@ def test_spec_lane_engages_in_differential_workloads():
         _, _, _, sim = _build_and_run(fast_path=fast_path, **kwargs)
         engines = list(sim.scheduler.engines.values())
         assert sum(e.spec_rounds for e in engines) > 0
-        # Armed engines never take the one-token steady lane.
+        # Armed engines never arm the bulk lane: every round is a step().
         assert all(e.fast_steps == 0 for e in engines)
+        assert sum(e.slow_steps for e in engines) >= sum(
+            e.spec_rounds for e in engines
+        )
 
 
 def test_reference_path_never_engages_fast_lanes():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.models.config import LLAMA2_7B, tiny_config
+from repro.models.perf import PUNICA_FLAGS, PerfFlags
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import Request, RequestState
@@ -219,7 +220,7 @@ class TestKvHandoff:
         assert src.is_idle
         assert not req.needs_prefill
 
-        assert dst.can_accept_import(req, kv_tokens)
+        assert dst.can_accept(req, kv_tokens)
         dst.import_request(req, kv_tokens, report.end)
         assert req.state is RequestState.RUNNING
         reports, _ = run_until_idle(dst, now=report.end)
@@ -246,7 +247,7 @@ class TestKvHandoff:
         src.add_request(req, 0.0)
         report = src.step(src.loader.ready_time("m0"))
         _, kv_tokens = src.export_request("r0", report.end)
-        assert not dst.can_accept_import(req, kv_tokens)
+        assert not dst.can_accept(req, kv_tokens)
         with pytest.raises(RuntimeError):
             dst.import_request(req, kv_tokens, report.end)
 
@@ -328,11 +329,15 @@ class TestEvictionOrderingRegression:
         assert reqs["d"].num_generated > 0
 
     def test_fast_and_reference_evictions_agree(self):
-        def run(fast_path):
+        """Step for step: starts, exact latencies, batches, finishes and
+        evictions. Under ``cache_concat`` a layer term reads the KV
+        lengths, so no per-plan latency cache may serve the fast path."""
+
+        def run(fast_path, flags):
             bpt = LLAMA2_7B.kv_bytes_per_token()
             backend = SimulatedBackend(
                 LLAMA2_7B, kv_capacity_bytes=6 * 16 * bpt, step_overhead=0.0,
-                fast_path=fast_path,
+                flags=flags, fast_path=fast_path,
             )
             engine = GpuEngine(
                 "gpu0", backend, EngineConfig(max_batch_size=8),
@@ -358,9 +363,11 @@ class TestEvictionOrderingRegression:
                     now += 1e-3
                     continue
                 log.append(
-                    (round(r.start, 9), r.batch_size, r.finished, r.evicted)
+                    (round(r.start, 9), r.latency, r.batch_size, r.finished,
+                     r.evicted)
                 )
                 now = r.end
             return log, [(q.request_id, q.state) for q in reqs]
 
-        assert run(True) == run(False)
+        for flags in (PUNICA_FLAGS, PerfFlags(cache_concat=True)):
+            assert run(True, flags) == run(False, flags), flags

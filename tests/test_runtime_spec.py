@@ -82,14 +82,20 @@ class TestEngineArming:
         assert a._spec_rng.random() != b._spec_rng.random()
 
 
-def run_simulated(spec, n_requests=6, seed=0, tracer=None, **backend_kwargs):
+def make_simulated(spec, n_requests=6, seed=0, **backend_kwargs):
     lengths = ShareGptLengths(max_prompt_len=32, max_response_len=16)
     trace = generate_trace(n_requests, "distinct", seed=seed, lengths=lengths)
     backend = SimulatedBackend(LLAMA2_7B, **backend_kwargs)
     engine = GpuEngine(
         "gpu0", backend, EngineConfig(max_batch_size=8, spec=spec)
     )
-    reqs = requests_from_trace(trace)
+    return backend, engine, requests_from_trace(trace)
+
+
+def run_simulated(spec, n_requests=6, seed=0, tracer=None, **backend_kwargs):
+    backend, engine, reqs = make_simulated(
+        spec, n_requests, seed, **backend_kwargs
+    )
     result = serve_requests(engine, reqs, tracer=tracer)
     return backend, engine, reqs, result
 
@@ -120,10 +126,37 @@ class TestSimulatedSpecRounds:
         assert engine.spec_rounds <= total / 2
 
     def test_acceptance_zero_commits_one_per_round(self):
+        """A round that accepts nothing *is* a decode step: in lockstep
+        with an unarmed engine on the same requests, every step leaves the
+        same request states, token counts, ``kv_len`` and page count (page
+        *identity* may differ — rollbacks reorder the free list)."""
         tracer = Tracer()
-        _, engine, _, _ = run_simulated(
-            SpecConfig(draft_len=4, acceptance_rate=0.0), tracer=tracer
-        )
+        sides = [
+            make_simulated(SpecConfig(draft_len=4, acceptance_rate=0.0)),
+            make_simulated(None),
+        ]
+        engine = sides[0][1]
+        engine.tracer = tracer
+        for _, eng, reqs in sides:
+            for req in reqs:
+                eng.add_request(req, 0.0)
+        # Every adapter resident before the first step, so both engines
+        # admit the same prefill each step whatever their clocks say.
+        start = max(engine.loader.ready_time(r.lora_id) for r in sides[0][2])
+        clocks = [start, start]
+        while not engine.is_idle:
+            snapshots = []
+            for i, (backend, eng, reqs) in enumerate(sides):
+                report = eng.step(clocks[i])
+                clocks[i] = report.end
+                snapshots.append((
+                    [(r.request_id, r.state, r.num_generated, r.kv_len)
+                     for r in reqs],
+                    backend.kv.allocator.used_pages,
+                ))
+            assert snapshots[0] == snapshots[1]
+        assert sides[1][1].is_idle
+        assert engine.spec_rounds > 0 and sides[1][1].spec_rounds == 0
         for event in tracer.by_kind(EventKind.SPEC_VERIFY):
             assert event.attrs["accepted"] == 0
             assert event.attrs["committed"] == 1
