@@ -6,9 +6,9 @@ adapter diversity the adapter area idles while KvCache is starved, and vice
 versa. :class:`UnifiedMemoryPool` carves **one** per-GPU byte budget that
 both consumers draw from:
 
-* KvCache pages go through the existing
-  :class:`~repro.kvcache.pool.KvPool` (paged accounting is unchanged), but
-  admission and append are additionally gated on the shared budget;
+* the pool *is* a :class:`~repro.kvcache.pool.KvPool` (paged accounting
+  is unchanged), whose admission and append are additionally gated on
+  the shared budget;
 * adapter weights live in a :class:`~repro.adapters.store.GpuAdapterStore`
   whose budget is the same number, with KvCache usage counted as external;
 * under KvCache pressure, unpinned adapters are evicted (demoted to the
@@ -29,12 +29,13 @@ from repro.hw.pcie import PCIE_GEN4_X16, PcieSpec
 from repro.kvcache.pool import KvPool
 
 
-class UnifiedMemoryPool:
+class UnifiedMemoryPool(KvPool):
     """Shared KvCache + adapter byte budget for one GPU.
 
-    The backend delegates its ``kv_*`` calls here (``unified_pool=``);
-    adapter residency is :attr:`adapters`, the store an engine built on
-    that backend takes as its ``loader``.
+    A backend built with ``unified_pool=`` uses it as its ``kv``, through
+    the :class:`KvPool` method names; adapter residency is
+    :attr:`adapters`, the store an engine built on that backend takes as
+    its ``loader``.
     """
 
     def __init__(
@@ -47,14 +48,8 @@ class UnifiedMemoryPool:
         gpu_id: str = "gpu0",
         serialize_pcie: bool = True,
     ):
-        self.kv = KvPool(
-            capacity_bytes=capacity_bytes,
-            page_size=page_size,
-            bytes_per_token=bytes_per_token,
-        )
+        super().__init__(capacity_bytes, page_size, bytes_per_token)
         self.capacity_bytes = float(capacity_bytes)
-        self.page_size = page_size
-        self.bytes_per_token = bytes_per_token
         self.page_bytes = page_size * bytes_per_token
         self.gpu_id = gpu_id
         self.adapters = GpuAdapterStore(
@@ -63,21 +58,18 @@ class UnifiedMemoryPool:
             registry=registry,
             gpu_id=gpu_id,
             serialize_pcie=serialize_pcie,
-            external_used=self._kv_used,
+            external_used=self.kv_used_bytes,
         )
-
-    def _kv_used(self) -> float:
-        return float(self.kv.used_bytes())
 
     # -- shared accounting ----------------------------------------------
     def kv_used_bytes(self) -> float:
-        return self._kv_used()
+        return float(self.used_bytes())
 
     def adapter_used_bytes(self) -> float:
         return self.adapters.used_bytes()
 
     def total_used_bytes(self) -> float:
-        return self._kv_used() + self.adapters.used_bytes()
+        return self.kv_used_bytes() + self.adapters.used_bytes()
 
     def free_bytes(self) -> float:
         return self.capacity_bytes - self.total_used_bytes()
@@ -88,71 +80,85 @@ class UnifiedMemoryPool:
         if total > self.capacity_bytes + 1e-6:
             raise RuntimeError(
                 f"{self.gpu_id}: unified pool overcommitted — "
-                f"{self._kv_used():.0f} KvCache + "
+                f"{self.kv_used_bytes():.0f} KvCache + "
                 f"{self.adapters.used_bytes():.0f} adapter bytes exceed "
                 f"the {self.capacity_bytes:.0f}-byte budget"
             )
 
-    # -- KvCache interface (what a backend delegates to) ------------------
+    # -- the KvPool surface, gated on the shared budget -------------------
+    def _fits(self, needed: float) -> bool:
+        """Whether ``needed`` more KvCache bytes fit beside the pinned
+        adapters (unpinned ones are demoted on demand)."""
+        return (
+            self.kv_used_bytes() + needed + self.adapters.pinned_bytes()
+            <= self.capacity_bytes
+        )
+
     def _pages_bytes(self, tokens: int) -> float:
         return float(-(-tokens // self.page_size) * self.page_bytes)
 
     def _append_bytes(self, seq_id: str) -> float:
         """Bytes one more token needs: a page's worth when the tail is full."""
-        if self.kv.seq_len(seq_id) % self.page_size == 0:
+        if self.seq_len(seq_id) % self.page_size == 0:
             return float(self.page_bytes)
         return 0.0
 
-    def kv_can_admit(self, prompt_len: int, headroom_tokens: int = 0) -> bool:
-        if not self.kv.can_admit(prompt_len, headroom_tokens):
-            return False
-        needed = self._pages_bytes(prompt_len + headroom_tokens)
-        return (
-            self._kv_used() + needed + self.adapters.pinned_bytes()
-            <= self.capacity_bytes
+    def can_admit(self, prompt_len: int, headroom_tokens: int = 0) -> bool:
+        return super().can_admit(prompt_len, headroom_tokens) and self._fits(
+            self._pages_bytes(prompt_len + headroom_tokens)
         )
 
-    def kv_admit(self, seq_id: str, prompt_len: int) -> None:
-        needed = self._pages_bytes(prompt_len)
+    def allocate(self, seq_id: str, seq_len: int) -> list[int]:
+        needed = self._pages_bytes(seq_len)
         if not self.adapters.reclaim(needed):
             raise MemoryError(
                 f"{self.gpu_id}: cannot free {needed:.0f} bytes for KvCache "
                 f"admission of {seq_id!r}; every adapter is pinned"
             )
-        self.kv.allocate(seq_id, prompt_len)
+        return super().allocate(seq_id, seq_len)
 
-    def kv_can_append(self, seq_id: str) -> bool:
-        if not self.kv.can_append_token(seq_id):
+    def import_sequence(self, seq_id: str, seq_len: int) -> list[int]:
+        return self.allocate(seq_id, seq_len)
+
+    def can_append(self, seq_id: str, n: int = 1) -> bool:
+        if n > 1:
+            # Conservative under the shared byte budget: each appended
+            # token consumes at most one fresh page.
+            return self.free_tokens >= n * self.page_size
+        if not super().can_append(seq_id):
             return False
         needed = self._append_bytes(seq_id)
-        if needed == 0.0:
-            return True
-        return (
-            self._kv_used() + needed + self.adapters.pinned_bytes()
-            <= self.capacity_bytes
-        )
+        return not needed or self._fits(needed)
 
-    def kv_append(self, seq_id: str) -> None:
-        needed = self._append_bytes(seq_id)
-        if needed and not self.adapters.reclaim(needed):
-            raise MemoryError(
-                f"{self.gpu_id}: cannot free a KvCache page for {seq_id!r}; "
-                f"every adapter is pinned"
-            )
-        self.kv.append_token(seq_id)
+    def append(self, seq_id: str, n: int = 1) -> list[int]:
+        pages: list[int] = []
+        for _ in range(n):
+            needed = self._append_bytes(seq_id)
+            if needed and not self.adapters.reclaim(needed):
+                raise MemoryError(
+                    f"{self.gpu_id}: cannot free a KvCache page for "
+                    f"{seq_id!r}; every adapter is pinned"
+                )
+            pages += super().append(seq_id)
+        return pages
 
-    def kv_release(self, seq_id: str) -> None:
-        if seq_id in self.kv:
-            self.kv.free(seq_id)
+    def append_many(self, seq_ids) -> None:
+        for seq_id in seq_ids:
+            self.append(seq_id)
 
-    def kv_free_tokens(self) -> int:
+    @property
+    def free_tokens(self) -> int:
         """Guaranteed-admittable tokens under both page and byte limits.
 
         Evictable (unpinned) adapter bytes count as free — the pool will
         demote them on demand.
         """
-        budget_free = (
-            self.capacity_bytes - self._kv_used() - self.adapters.pinned_bytes()
-        )
+        pinned = self.adapters.pinned_bytes()
+        budget_free = self.capacity_bytes - self.kv_used_bytes() - pinned
         by_bytes = max(0, int(budget_free // self.bytes_per_token))
-        return min(self.kv.free_tokens, by_bytes)
+        return min(super().free_tokens, by_bytes)
+
+    @property
+    def free_pages(self) -> int:
+        """Pages guaranteed allocatable under both page and byte limits."""
+        return self.free_tokens // self.page_size

@@ -234,10 +234,6 @@ class AdapterRegistry:
             return Tier.HOST
         return Tier.DISK
 
-    def gpu_homes(self, lora_id: str) -> frozenset:
-        """GPUs currently holding (or fetching) this adapter."""
-        return frozenset(self._gpu.get(lora_id, ()))
-
     def host_resident(self, lora_id: str) -> bool:
         return lora_id in self._host
 

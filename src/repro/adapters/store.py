@@ -110,9 +110,6 @@ class GpuAdapterStore:
             if e.refcount > 0 or not e.plan.done_by(t)
         )
 
-    def evictable_bytes(self, now: "float | None" = None) -> float:
-        return self.used_bytes() - self.pinned_bytes(now)
-
     def resident_models(self) -> list[str]:
         return list(self._entries)
 

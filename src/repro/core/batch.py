@@ -14,7 +14,7 @@ invocation (the paper notes this avoids recomputing them ``7L`` times).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
@@ -80,25 +80,29 @@ class BatchLen:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """A fully planned model invocation.
+    """A fully planned model invocation — plain, immutable data.
 
     ``entries`` is the execution order (prefills then decodes, same-LoRA
     consecutive); ``seg``/``segment_lora_ids`` are the token-level SGMV
-    segment indices shared by all layers of the invocation.
-
-    Plans are immutable once built, so the fast path reuses one plan
-    across every steady-state decode step of an unchanged batch;
-    ``derived`` is scratch space where consumers (the backends) stash
-    per-plan precomputations (paper §6: segment indices are computed once
-    per invocation, not ``7L`` times — here they also survive across
-    invocations that share the plan).
+    segment indices shared by all layers of the invocation (paper §6:
+    computed once per invocation, not ``7L`` times). The last three
+    fields restate the plan in the shape its consumers read — the cost
+    model's workload and the backends' per-request loops — filled by the
+    planner so nothing is written to a plan after it is returned. The
+    fast path holds one plan across every steady decode step of an
+    unchanged batch (the engine's armed batch).
     """
 
     entries: tuple[BatchEntry, ...]
     batchlen: BatchLen
     seg: np.ndarray
     segment_lora_ids: tuple[str, ...]
-    derived: dict = field(default_factory=dict, compare=False)
+    prefill_lens: tuple[int, ...]
+    """Token count of each prefill entry, in plan order."""
+    decode_ids: tuple[str, ...]
+    """Request id of each decode entry, in plan order."""
+    segment_sizes: tuple[int, ...]
+    """Tokens per SGMV segment (``np.diff(seg)``)."""
 
     @property
     def batch_size(self) -> int:
@@ -110,88 +114,11 @@ class BatchPlan:
         return self.batchlen.total_tokens
 
     @property
-    def segment_sizes(self) -> np.ndarray:
-        sizes = self.derived.get("segment_sizes")
-        if sizes is None:
-            sizes = self.derived["segment_sizes"] = np.diff(self.seg)
-        return sizes
-
-    @property
     def num_lora_segments(self) -> int:
         return len(self.segment_lora_ids)
 
-    def decode_entries(self) -> list[BatchEntry]:
-        return [e for e in self.entries if not e.is_prefill]
-
-    def prefill_entries(self) -> list[BatchEntry]:
-        return [e for e in self.entries if e.is_prefill]
-
-
-def plan_signature(entries: Sequence[BatchEntry]) -> tuple:
-    """Hashable identity of a batch: ``(request, lora, tokens, prefill?)``
-    per entry, in submission order.
-
-    Two batches with equal signatures produce equal plans (``plan_batch``
-    is deterministic), so the signature is the cache key the fast path
-    uses to skip re-planning steady-state decode invocations.
-    """
-    return tuple(
-        (e.request_id, e.lora_id, e.num_tokens, e.is_prefill) for e in entries
-    )
-
-
-class PlanCache:
-    """Bounded memo of :func:`plan_batch` keyed by :func:`plan_signature`.
-
-    One instance per engine: steady-state decode re-submits the same
-    signature every step, and alternating compositions (e.g. a batch
-    oscillating as prefills join and leave) still hit. The cache is
-    cleared wholesale when full — plans are cheap to rebuild and the
-    limit exists only to bound memory on adversarial workloads.
-    """
-
-    def __init__(self, max_entries: int = 512):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._plans: "dict[tuple, BatchPlan]" = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._plans)
-
-    def plan(self, entries: Sequence[BatchEntry]) -> BatchPlan:
-        key = plan_signature(entries)
-        cached = self._plans.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        plan = plan_batch(entries)
-        if len(self._plans) >= self.max_entries:
-            self._plans.clear()
-        self._plans[key] = plan
-        return plan
-
-    def get(self, key: tuple) -> "BatchPlan | None":
-        """Probe with a caller-built :func:`plan_signature` key.
-
-        Lets hot paths that can assemble the signature without
-        constructing :class:`BatchEntry` objects (the engine arming its
-        next decode batch) skip entry construction entirely on a hit. Pair with :meth:`put`.
-        """
-        cached = self._plans.get(key)
-        if cached is not None:
-            self.hits += 1
-        return cached
-
-    def put(self, key: tuple, plan: BatchPlan) -> None:
-        """Record a miss computed by the caller (see :meth:`get`)."""
-        self.misses += 1
-        if len(self._plans) >= self.max_entries:
-            self._plans.clear()
-        self._plans[key] = plan
+    def decode_entries(self) -> tuple[BatchEntry, ...]:
+        return self.entries[len(self.prefill_lens):]
 
 
 def plan_decode_batch(entries: Sequence[BatchEntry]) -> BatchPlan:
@@ -231,6 +158,9 @@ def plan_decode_batch(entries: Sequence[BatchEntry]) -> BatchPlan:
         ),
         seg=seg,
         segment_lora_ids=tuple(order),
+        prefill_lens=(),
+        decode_ids=tuple(e.request_id for e in ordered),
+        segment_sizes=tuple(sizes),
     )
 
 
@@ -287,4 +217,7 @@ def plan_batch(entries: Sequence[BatchEntry]) -> BatchPlan:
         batchlen=batchlen,
         seg=seg,
         segment_lora_ids=tuple(str(r) for r in run_ids),
+        prefill_lens=tuple(e.num_tokens for e in prefills),
+        decode_ids=tuple(e.request_id for e in ordered_decodes),
+        segment_sizes=tuple(np.diff(seg).tolist()),
     )

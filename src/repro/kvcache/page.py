@@ -119,36 +119,14 @@ class PageAllocator:
         self._seq_len[seq_id] = new_len
         return new_pages
 
-    def append_token(self, seq_id: str) -> "list[int]":
-        """Single-token :meth:`append` specialization for the decode hot loop.
-
-        Equivalent to ``append(seq_id, 1)`` but replaces the two
-        ``pages_needed`` ceil-divisions with one modulo: a token needs a
-        new page iff the current length fills its last page exactly.
-        """
-        pages = self._pages.get(seq_id)
-        if pages is None:
-            raise KeyError(f"unknown sequence {seq_id!r}")
-        cur = self._seq_len[seq_id]
-        self._seq_len[seq_id] = cur + 1
-        if cur % self.page_size:
-            return []
-        if not self._free:
-            self._seq_len[seq_id] = cur
-            raise MemoryError(
-                f"append to {seq_id!r} needs 1 pages but only 0 free"
-            )
-        page = self._free.pop()
-        pages.append(page)
-        return [page]
-
     def append_tokens(self, seq_ids) -> None:
-        """Batched :meth:`append_token` for the engine's decode fast lane.
+        """Batched ``append(seq_id, 1)`` for the engine's decode fast lane.
 
-        One token per sequence, no new-page lists returned. The caller
-        guarantees every sequence exists and a free page per sequence is
-        available (``free_pages >= len(seq_ids)``), so the per-call
-        validation of :meth:`append_token` is hoisted out of the loop.
+        One token per sequence, no new-page lists returned; a token needs
+        a new page iff the current length fills its last page exactly. The
+        caller guarantees every sequence exists and a free page per
+        sequence (``free_pages >= len(seq_ids)``), so the per-call
+        validation of :meth:`append` is hoisted out of the loop.
         """
         seq_len = self._seq_len
         pages = self._pages
@@ -254,7 +232,7 @@ class PageAllocator:
 
         Allocates ``ceil(seq_len / P)`` local pages to receive the copied
         KV history; the partially-filled last page keeps growing through
-        the normal :meth:`append_token` path afterwards.
+        the normal :meth:`append` path afterwards.
         """
         return self.allocate(seq_id, seq_len)
 

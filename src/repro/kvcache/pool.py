@@ -61,6 +61,7 @@ class KvPool:
 
     @property
     def free_pages(self) -> int:
+        """Pages guaranteed allocatable right now."""
         return self.allocator.free_pages
 
     @property
@@ -75,11 +76,15 @@ class KvPool:
     def allocate(self, seq_id: str, seq_len: int) -> list[int]:
         return self.allocator.allocate(seq_id, seq_len)
 
-    def append_token(self, seq_id: str) -> list[int]:
-        return self.allocator.append(seq_id, 1)
+    def can_append(self, seq_id: str, n: int = 1) -> bool:
+        return self.allocator.can_append(seq_id, n)
 
-    def can_append_token(self, seq_id: str) -> bool:
-        return self.allocator.can_append(seq_id, 1)
+    def append(self, seq_id: str, n: int = 1) -> list[int]:
+        return self.allocator.append(seq_id, n)
+
+    def append_many(self, seq_ids) -> None:
+        """One token per sequence; the caller guarantees a free page each."""
+        self.allocator.append_tokens(seq_ids)
 
     def truncate(self, seq_id: str, new_len: int) -> int:
         """Roll a sequence back to ``new_len`` tokens; returns pages released."""

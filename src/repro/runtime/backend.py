@@ -79,28 +79,20 @@ def workload_from_plan(
     serve_lora: bool,
     lora_rank: int,
 ) -> StepWorkload:
-    """Translate a planned batch into the analytical workload description.
-
-    The plan-shaped parts (prefill lengths, decode request order, segment
-    sizes) are stashed in ``plan.derived``, so when the engine reuses one
-    plan across decode steps of an unchanged batch only the per-step
-    ``decode_kv`` lookup is recomputed. Freshly built plans (the reference
-    path builds one per step) simply miss and compute everything as before.
-    """
-    cached = plan.derived.get("workload")
-    if cached is None:
-        prefill_lens = tuple(e.num_tokens for e in plan.prefill_entries())
-        decode_ids = tuple(e.request_id for e in plan.decode_entries())
-        segments = tuple(int(s) for s in plan.segment_sizes)
-        cached = (prefill_lens, decode_ids, segments)
-        plan.derived["workload"] = cached
-    prefill_lens, decode_ids, segments = cached
+    """Translate a planned batch into the analytical workload description:
+    the plan's shape fields plus the per-step ``decode_kv`` lookup."""
     return StepWorkload(
-        prefill_lens=prefill_lens,
-        decode_kv_lens=tuple(past_lens[rid] for rid in decode_ids),
-        lora_segments=segments if serve_lora else None,
+        prefill_lens=plan.prefill_lens,
+        decode_kv_lens=tuple(past_lens[rid] for rid in plan.decode_ids),
+        lora_segments=plan.segment_sizes if serve_lora else None,
         lora_rank=lora_rank,
     )
+
+
+_TERMS_MEMO_LIMIT = 4096
+"""Shapes ``SimulatedBackend._terms_memo`` holds before it is cleared
+wholesale (as ``hw.kernels._MEMO_LIMIT``): terms are cheap to rebuild,
+the limit only bounds memory on a run of unboundedly many batch shapes."""
 
 
 class SimulatedBackend:
@@ -141,27 +133,22 @@ class SimulatedBackend:
         self.fast_path = fastpath_enabled(fast_path)
         self.supports_steady = not flags.cache_concat
         """Whether a plan has latency terms that hold across its steps —
-        what the per-plan term cache and the engine's armed batch and
-        bulk decode lane rest on. Under ``cache_concat`` one layer term
+        what the shape memo and the engine's armed batch and bulk decode
+        lane rest on. Under ``cache_concat`` one layer term
         reads the KV lengths, so nothing is plan-invariant: every step is
         priced with ``model_step_latency`` and the engine never arms."""
         self.cost_model = KernelCostModel(gpu, memoize=self.fast_path)
-        self._terms_key = ("latency_terms", self)
-        """Key for this backend's latency-term cache in ``plan.derived`` —
-        scoped by backend identity because the terms depend on config, TP,
-        flags and rank, and one plan may be executed by several backends
-        (the shape-only ``"workload"`` entry, by contrast, is shared)."""
         self._terms_memo: dict = {}
-        """Cross-plan :class:`StepLatencyTerms` memo. Rotating batch
-        membership yields thousands of distinct plans whose *shapes*
-        (token counts, LoRA segment sizes) repeat heavily; the terms are
-        a pure function of shape (``supports_steady`` rules out
-        ``cache_concat``, the one flag that would make them read the
-        decode KV lengths)."""
+        """:class:`StepLatencyTerms` by batch *shape*, at most
+        ``_TERMS_MEMO_LIMIT`` of them. Rotating batch membership yields
+        thousands of distinct plans whose shapes (token counts, LoRA
+        segment sizes) repeat heavily; the terms are a pure function of
+        shape (``supports_steady`` rules out ``cache_concat``, the one
+        flag that would make them read the decode KV lengths)."""
         self.pool = unified_pool
+        self._token_counter = 0
         if unified_pool is not None:
-            self.kv = unified_pool.kv
-            self._token_counter = 0
+            self.kv = unified_pool
             return
         if kv_capacity_bytes is None:
             weights = config.weight_bytes() // tp.world_size
@@ -179,72 +166,43 @@ class SimulatedBackend:
             page_size=page_size,
             bytes_per_token=bytes_per_token,
         )
-        self._token_counter = 0
 
     # -- KvCache interface ------------------------------------------------
+    # Unconditional forwards to ``self.kv``: a :class:`KvPool`, or the
+    # unified pool (a ``KvPool`` that also gates on the shared byte budget).
     def kv_can_admit(self, prompt_len: int, headroom_tokens: int = 0) -> bool:
-        if self.pool is not None:
-            return self.pool.kv_can_admit(prompt_len, headroom_tokens)
         return self.kv.can_admit(prompt_len, headroom_tokens)
 
     def kv_admit(self, request_id: str, prompt_len: int) -> None:
-        if self.pool is not None:
-            self.pool.kv_admit(request_id, prompt_len)
-            return
         self.kv.allocate(request_id, prompt_len)
 
     def kv_can_append(self, request_id: str, n: int = 1) -> bool:
         """Whether ``n`` more KV slots fit this sequence (1 per decode
         step; a speculative round reserves ``draft_len + 1``)."""
-        if self.pool is not None:
-            if n == 1:
-                return self.pool.kv_can_append(request_id)
-            # Conservative under the shared byte budget: each appended
-            # token consumes at most one fresh page.
-            return self.pool.kv_free_tokens() >= n * self.kv.page_size
-        return self.kv.allocator.can_append(request_id, n)
+        return self.kv.can_append(request_id, n)
 
     def kv_append(self, request_id: str, n: int = 1) -> None:
-        if self.pool is not None:
-            for _ in range(n):
-                self.pool.kv_append(request_id)
-            return
-        self.kv.allocator.append(request_id, n)
+        self.kv.append(request_id, n)
 
     def kv_append_many(self, request_ids) -> None:
         """Batched one-slot decode append for the engine's fast lane.
 
-        Semantically ``for rid in request_ids: kv_append(rid)``; without a
-        unified pool it goes straight to the allocator's single-token fast
-        path. The fast lane only runs when a free page per request is
-        guaranteed, so no append here can fail mid-batch.
+        Semantically ``for rid in request_ids: kv_append(rid)``. The fast
+        lane only runs when a free page per request is guaranteed, so no
+        append here can fail mid-batch.
         """
-        if self.pool is not None:
-            for rid in request_ids:
-                self.pool.kv_append(rid)
-            return
-        self.kv.allocator.append_tokens(request_ids)
+        self.kv.append_many(request_ids)
 
     def kv_truncate(self, request_id: str, new_len: int) -> int:
-        """Roll a sequence back to ``new_len`` KV slots; returns pages freed.
-
-        With a unified pool the truncate still lands on the shared
-        allocator (``self.kv`` *is* ``pool.kv``) and the pool's byte
-        accounting reads allocator state live, so freed pages return to
-        the shared budget immediately.
-        """
+        """Roll a sequence back to ``new_len`` KV slots; returns pages freed
+        (under a unified pool, straight back to the shared budget)."""
         return self.kv.truncate(request_id, new_len)
 
     def kv_release(self, request_id: str) -> None:
-        if self.pool is not None:
-            self.pool.kv_release(request_id)
-            return
         if request_id in self.kv:
             self.kv.free(request_id)
 
     def kv_free_tokens(self) -> int:
-        if self.pool is not None:
-            return self.pool.kv_free_tokens()
         return self.kv.free_tokens
 
     def kv_headroom_pages(self) -> int:
@@ -254,25 +212,15 @@ class SimulatedBackend:
         cannot fail (each consumes at most one page), so the fast lane can
         skip the per-slot can-append/evict checks entirely.
         """
-        if self.pool is not None:
-            return self.pool.kv_free_tokens() // self.pool.kv.page_size
         return self.kv.free_pages
 
     # -- KV handoff (disaggregated prefill/decode) ------------------------
     def kv_export(self, request_id: str) -> int:
         """Release a sequence for transfer; returns its token count."""
-        tokens = self.kv.seq_len(request_id)
-        if self.pool is not None:
-            self.pool.kv_release(request_id)
-        else:
-            self.kv.export_sequence(request_id)
-        return tokens
+        return self.kv.export_sequence(request_id)
 
     def kv_import(self, request_id: str, num_tokens: int) -> None:
         """Admit a sequence whose KV history arrived over the interconnect."""
-        if self.pool is not None:
-            self.pool.kv_admit(request_id, num_tokens)
-            return
         self.kv.import_sequence(request_id, num_tokens)
 
     def kv_bytes_of(self, num_tokens: int) -> float:
@@ -287,7 +235,16 @@ class SimulatedBackend:
         requests: Mapping[str, Request] | None = None,
     ) -> StepExecution:
         if self.fast_path and self.supports_steady:
-            latency = self._fast_latency(plan, past_lens)
+            # Bit-identical to the reference branch below (see
+            # :class:`~repro.models.perf.StepLatencyTerms` for the
+            # summation-order argument); only the batched-decode-attention
+            # term is recomputed as KvCache lengths advance.
+            latency = step_latency_from_terms(
+                self.config,
+                self.cost_model,
+                self._terms_for_plan(plan, past_lens),
+                [past_lens[rid] for rid in plan.decode_ids],
+            )
         else:
             work = workload_from_plan(plan, past_lens, self.serve_lora, self.lora_rank)
             latency = model_step_latency(
@@ -310,9 +267,9 @@ class SimulatedBackend:
         """One speculative draft/verify round over an all-decode plan.
 
         Pricing goes through :func:`~repro.models.perf.spec_round_latency`
-        on both the fast and reference paths — the round has no per-plan
-        term cache, so armed runs are trivially float-identical across
-        paths. Acceptance counts come from a geometric model at
+        on both the fast and reference paths — the round has no term
+        memo, so armed runs are trivially float-identical across paths.
+        Acceptance counts come from a geometric model at
         ``spec.acceptance_rate`` using the engine-owned ``rng`` (seeded
         per GPU), drawn in plan decode order so replays are deterministic.
         ``past_lens`` holds the pre-reservation KV lengths (``T - 1``),
@@ -331,7 +288,7 @@ class SimulatedBackend:
         committed: dict[str, tuple[int, ...]] = {}
         accepted: dict[str, int] = {}
         counter = self._token_counter
-        for rid in plan.derived["workload"][1]:
+        for rid in plan.decode_ids:
             m = 0
             while m < spec.draft_len and rng.random() < spec.acceptance_rate:
                 m += 1
@@ -364,16 +321,16 @@ class SimulatedBackend:
         attention reads the lengths only through their total,
         ``total_kv + k * batch`` — overhead included; see
         :func:`~repro.models.perf.step_latency_steady_run` for the
-        bit-identity argument. ``past_lens`` is consulted only when no
-        :meth:`execute` priced the plan yet, to build the very terms the
-        first one would (they are shape-only), so building them early is
-        unobservable.
+        bit-identity argument. ``past_lens`` is consulted only when the
+        plan's shape is not in the memo yet, to build the very terms an
+        :meth:`execute` would (they are shape-only), so building them
+        early is unobservable.
         """
-        terms, decode_ids = self._plan_terms(plan, past_lens)
         return (
             step_latency_steady_run(
-                self.config, self.cost_model, terms, total_kv,
-                len(decode_ids), count,
+                self.config, self.cost_model,
+                self._terms_for_plan(plan, past_lens), total_kv,
+                len(plan.decode_ids), count,
             )
             + self.step_overhead
         )
@@ -387,7 +344,8 @@ class SimulatedBackend:
         *before* the run: step ``k``'s token for the request at workload
         position ``p`` is ``base + k * batch + p + 1``, matching ``count``
         :meth:`execute` calls. Only valid without a unified pool (the
-        lane gates on ``backend.pool is None``).
+        lane gates on ``backend.pool is None``): a bulk append bypasses
+        the shared byte budget.
         """
         self.kv.allocator.append_tokens_run(request_ids, count)
         base = self._token_counter
@@ -398,69 +356,40 @@ class SimulatedBackend:
         """Memoized :func:`step_latency_terms` for one invocation shape.
 
         Every term is shape-invariant in the decode KV lengths, so the
-        cross-plan memo keys on shape alone and plans that re-batch the
-        same composition share one build; on a hit with the plan's shape
-        already cached the :class:`StepWorkload` (O(batch) dict lookups
-        plus validation) is never built.
+        memo keys on the plan's shape fields alone and plans that re-batch
+        the same composition share one build; on a hit the
+        :class:`StepWorkload` (O(batch) dict lookups plus validation) is
+        never built.
 
         Under the SGMV and Gather-BMM operators the LoRA terms depend on
         the segment vector only through its sum and count (see
-        :meth:`~repro.hw.kernels.KernelCostModel.lora_addon`), so the key
-        collapses the segments to those aggregates and rotating LoRA
+        :meth:`~repro.hw.kernels.KernelCostModel.lora_addon`) — and the
+        sum is the token total the other key parts already fix — so the
+        key collapses the segments to their count and rotating LoRA
         membership stops defeating the memo. The Loop operator prices
         each segment individually, so it keeps the full tuple.
         """
-        work = None
-        if "workload" not in plan.derived:
-            work = workload_from_plan(
-                plan, past_lens, self.serve_lora, self.lora_rank
-            )
-        prefill_lens, decode_ids, segments = plan.derived["workload"]
+        segments = plan.segment_sizes
         if not self.serve_lora:
             seg_key = None
         elif self.flags.lora_impl != "loop":
-            seg_key = (sum(segments), len(segments))
+            seg_key = len(segments)
         else:
             seg_key = segments
-        key = (prefill_lens, len(decode_ids), seg_key, self.lora_rank)
-        terms = self._terms_memo.get(key)
+        key = (plan.prefill_lens, len(plan.decode_ids), seg_key, self.lora_rank)
+        memo = self._terms_memo
+        terms = memo.get(key)
         if terms is None:
-            if work is None:
-                work = workload_from_plan(
-                    plan, past_lens, self.serve_lora, self.lora_rank
-                )
+            work = workload_from_plan(
+                plan, past_lens, self.serve_lora, self.lora_rank
+            )
             terms = step_latency_terms(
                 self.config, self.cost_model, work, tp=self.tp, flags=self.flags
             )
-            self._terms_memo[key] = terms
+            if len(memo) >= _TERMS_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = terms
         return terms
-
-    def _plan_terms(self, plan: BatchPlan, past_lens: Mapping[str, int]):
-        """``(terms, decode request ids)`` of a plan, cached on the plan —
-        keyed by this backend (``_terms_key``) since the terms depend on
-        its config, TP, flags and rank, all fixed for its lifetime."""
-        cached = plan.derived.get(self._terms_key)
-        if cached is None:
-            terms = self._terms_for_plan(plan, past_lens)
-            cached = (terms, plan.derived["workload"][1])
-            plan.derived[self._terms_key] = cached
-        return cached
-
-    def _fast_latency(self, plan: BatchPlan, past_lens: Mapping[str, int]) -> float:
-        """Step latency via the per-plan invariant-term cache.
-
-        Bit-identical to the ``model_step_latency`` call the reference
-        path makes (see :class:`~repro.models.perf.StepLatencyTerms` for
-        the summation-order argument); only the batched-decode-attention
-        term is recomputed as KvCache lengths advance.
-        """
-        terms, decode_ids = self._plan_terms(plan, past_lens)
-        return step_latency_from_terms(
-            self.config,
-            self.cost_model,
-            terms,
-            [past_lens[rid] for rid in decode_ids],
-        )
 
 
 class NumpyBackend:

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.adapters.store import GpuAdapterStore
-from repro.core.batch import (
-    BatchEntry,
-    BatchPlan,
-    PlanCache,
-    plan_batch,
-    plan_decode_batch,
-)
+from repro.core.batch import BatchEntry, BatchPlan, plan_batch, plan_decode_batch
 from repro.obs.tracer import EventKind, Tracer, decode_step_attrs
 from repro.runtime.request import Request, RequestState
 from repro.runtime.spec import SpecConfig
@@ -112,6 +106,33 @@ class _Slot:
     admit_seq: int
 
 
+class ArmedBatch:
+    """The engine's one plan memo: the pure-decode batch its last step armed.
+
+    Valid while the batch membership is unchanged and nothing is pending;
+    ``plan is None`` means the next step must plan its batch from scratch
+    and re-arm. The bulk lane reads the exact KV total and per-request
+    countdowns, so they advance with every step taken on the armed plan.
+    """
+
+    def __init__(self) -> None:
+        self.plan: "BatchPlan | None" = None
+        self.past: dict[str, int] = {}
+        """Arm-time ``request id -> kv_len`` snapshot, in slot order. Only
+        its keys — the batch — stay current (the lengths feed the
+        shape-only latency terms, which never read them)."""
+        self.total = 0
+        """``sum(kv_len + 1)`` over the batch at its next step."""
+        self.rem: "list[int] | None" = None
+        """Tokens left per request (slot order); ``None`` when a finish
+        needs the per-token check (EOS armed, or a request at its limit)."""
+        self.hits = 0
+        """Steps that ran on the already-armed plan: armed ``step`` calls
+        plus bulk-committed steps (diagnostic, like ``fast_steps``)."""
+        self.misses = 0
+        """Plans built."""
+
+
 class GpuEngine:
     """Continuous-batching engine for one GPU (or one TP group)."""
 
@@ -156,7 +177,6 @@ class GpuEngine:
         is one falsy integer test."""
         self._admit_seq = 0
         self.fast_path = fastpath_enabled(fast_path)
-        self._plan_cache = PlanCache() if self.fast_path else None
         self._spec = self.config.spec
         if self._spec is not None and not hasattr(backend, "execute_spec"):
             raise ValueError(
@@ -173,25 +193,18 @@ class GpuEngine:
         draws (the backend has no per-path state of its own)."""
         self.spec_rounds = 0
         """Speculative rounds run (diagnostic, like ``fast_steps``)."""
-        # The armed-batch memo and the bulk lane assume one token per
-        # request per step and per-plan latency terms; speculative engines
-        # and backends without such terms (``supports_steady``) never arm.
+        # The armed batch and the bulk lane assume one token per request
+        # per step and shape-only latency terms; speculative engines and
+        # backends without such terms (``supports_steady``) never arm.
         self._steady_ok = (
             self.fast_path
             and getattr(backend, "supports_steady", False)
             and self._spec is None
         )
-        # The armed batch: valid while the batch membership is unchanged
-        # and nothing is pending. ``_steady_plan is None`` means the next
-        # step must plan its batch from scratch and re-arm.
-        self._steady_plan: "BatchPlan | None" = None
-        self._steady_pairs: "list[tuple[Request, str]]" = []
-        self._steady_past: dict[str, int] = {}
-        """Arm-time ``request id -> kv_len`` snapshot, in slot order. Only
-        its keys stay current (the lengths feed the shape-only latency
-        terms, which never read them)."""
-        self._steady_total = 0
-        self._steady_rem: "list[int] | None" = None
+        self._steady = ArmedBatch()
+        self._plan_cache = self._steady if self.fast_path else None
+        """The armed batch under the name its ``hits`` / ``misses`` are
+        read by; ``None`` on the reference path, which plans every step."""
         self._staged_run: "tuple[np.ndarray, int] | None" = None
         """(step-end times, batch size) priced by :meth:`steady_run_stage`
         and awaiting :meth:`commit_steady_run` within the same event."""
@@ -201,8 +214,8 @@ class GpuEngine:
         the ends chain sequentially, so the array built from ``T``
         *contains* — bit for bit — every run from ``T + n * batch``:
         later stagings slice at offset ``n`` instead of re-pricing.
-        Keyed by plan identity; a membership change produces a different
-        plan object and misses naturally."""
+        Keyed by plan identity; every re-arm builds a new plan object and
+        misses naturally."""
         self._entry_cache: dict[str, BatchEntry] = {}
         """Decode :class:`BatchEntry` per request id on this GPU — entries
         are immutable, so each request's is built once and reused across
@@ -353,7 +366,7 @@ class GpuEngine:
         batch membership, the armed batch, its KvCache pages, its adapter
         pin and its cached plan entry. Callers set the request's state."""
         rid = slot.request.request_id
-        self._steady_plan = None
+        self._steady.plan = None
         if self._working.pop(rid, None) is not None:
             self._working_order.remove(slot)
         else:
@@ -373,7 +386,7 @@ class GpuEngine:
         die with the GPU, so no release bookkeeping survives the crash.
         """
         self.alive = False
-        self._steady_plan = None
+        self._steady.plan = None
         slots = self._all_slots()
         self._working.clear()
         self._working_order.clear()
@@ -432,7 +445,7 @@ class GpuEngine:
         self._pending.append(_Slot(request=request, admit_seq=self._admit_seq))
         self._admit_seq += 1
         self._num_importing += 1
-        self._steady_plan = None
+        self._steady.plan = None
         if self.tracer is not None:
             self.tracer.emit(
                 now, EventKind.PLACE, request.request_id, self.gpu_id,
@@ -502,14 +515,16 @@ class GpuEngine:
 
         # Steady decode is the degenerate case: the batch is exactly the
         # one the last step armed (any eviction above disarmed it), so its
-        # plan is reused instead of rebuilding entries and signature.
+        # plan is reused instead of rebuilding entries and plan.
+        steady = self._steady
         armed = (
-            self._steady_plan is not None
+            steady.plan is not None
             and not self._pending
             and not prefill_slots
         )
         if armed:
-            plan = self._steady_plan
+            plan = steady.plan
+            steady.hits += 1
         else:
             entries: list[BatchEntry] = []
             for slot in prefill_slots:
@@ -533,10 +548,8 @@ class GpuEngine:
                         is_prefill=False,
                     )
                 )
-            if self._plan_cache is not None:
-                plan = self._plan_cache.plan(entries)
-            else:
-                plan = plan_batch(entries)
+            plan = plan_batch(entries)
+            steady.misses += 1
 
         batch = prefill_slots + decode_slots
         requests = {s.request.request_id: s.request for s in batch}
@@ -599,8 +612,8 @@ class GpuEngine:
             # Same batch again next step: advance the armed state in place
             # (what a full re-arm would recompute) — the bulk lane reads
             # the exact KV total and per-request countdowns.
-            self._steady_total += len(decode_slots)
-            rem = self._steady_rem
+            steady.total += len(decode_slots)
+            rem = steady.rem
             if rem is not None:
                 for i in range(len(rem)):
                     rem[i] -= 1
@@ -681,23 +694,23 @@ class GpuEngine:
         worst-case page consumption keeps KvCache headroom at one page
         per request before every step (no eviction can trigger). Call
         :meth:`commit_steady_run` to apply a prefix. Requires the
-        length-limit countdown (``_steady_rem``). A tracer does not disarm
+        length-limit countdown (``ArmedBatch.rem``). A tracer does not disarm
         the lane: the commit records the run's ``DECODE_STEP`` events as
         one run block.
         """
         backend = self.backend
         if not self.steady_ready() or getattr(backend, "pool", True) is not None:
             return None
-        rem = self._steady_rem
-        batch = len(self._steady_pairs)
-        rem_cap = min(rem) - 1
+        steady = self._steady
+        batch = len(steady.past)
+        rem_cap = min(steady.rem) - 1
         if rem_cap < 1:
             return None
         count = min(rem_cap, backend.kv_headroom_pages() // batch, self._MAX_RUN)
         if count < 1:
             return None
-        plan = self._steady_plan
-        total = self._steady_total
+        plan = steady.plan
+        total = steady.total
         slowdown = self.slowdown_factor
         # The run from (T + n*batch, start') is an offset slice of the
         # run staged earlier from (T, start): pricing is elementwise in
@@ -721,7 +734,7 @@ class GpuEngine:
         # a rebuild per merge. Pricing past headroom is harmless — the
         # *returned* slice below stays capped at ``count``.
         lats = backend.steady_run_latencies(
-            plan, self._steady_past, total, min(rem_cap, self._MAX_RUN)
+            plan, steady.past, total, min(rem_cap, self._MAX_RUN)
         )
         if slowdown != 1.0:
             lats = lats * slowdown
@@ -740,8 +753,8 @@ class GpuEngine:
         keep their queued step event, which then bounds the merge horizon.
         """
         return (
-            self._steady_rem is not None
-            and self._steady_plan is not None
+            self._steady.rem is not None
+            and self._steady.plan is not None
             and not self._pending
         )
 
@@ -765,13 +778,13 @@ class GpuEngine:
         """
         ends, batch = self._staged_run
         self._staged_run = None
-        plan = self._steady_plan
-        pairs = self._steady_pairs
+        steady = self._steady
+        working = self._working
         if self.tracer is not None:
             lane = (
                 self.gpu_id,
-                tuple(self._steady_past),  # request ids, in slot order
-                [len(req.generated_tokens) for req, _ in pairs],
+                tuple(steady.past),  # request ids, in slot order
+                [len(working[rid].request.generated_tokens) for rid in steady.past],
                 ends[:n + 1].tolist(),
             )
             if merge_lanes is None:
@@ -782,35 +795,31 @@ class GpuEngine:
         # advance is a monotone clock max, so the last start subsumes
         # the sequence.
         self.loader.advance(float(ends[n - 1]))
-        base = self.backend.commit_steady_run(self._steady_past, n)
-        derived = plan.derived
-        pos = derived.get("steady_pos")
-        if pos is None:
-            pos = derived["steady_pos"] = {
-                rid: p for p, rid in enumerate(derived["workload"][1])
-            }
-        rem = self._steady_rem
+        base = self.backend.commit_steady_run(steady.past, n)
         span = n * batch
-        for i, (req, rid) in enumerate(pairs):
-            first_token = base + pos[rid] + 1
+        for pos, rid in enumerate(steady.plan.decode_ids):
+            req = working[rid].request
+            first_token = base + pos + 1
             req.kv_len += n
             req.generated_tokens.extend(
                 range(first_token, first_token + span, batch)
             )
-            rem[i] -= n
-        self._steady_total += span
+        steady.rem = [left - n for left in steady.rem]
+        steady.total += span
+        steady.hits += n
         self.fast_steps += n
         return float(ends[n]), batch
 
     def _refresh_steady(self) -> None:
         """(Re)arm the steady batch after a step, when the *next* step is
         known to be a pure decode of the current working set."""
+        steady = self._steady
         slots = self._working_order
         if not self._steady_ok or self._pending or not slots:
-            self._steady_plan = None
+            steady.plan = None
             return
-        sig_parts = []
-        pairs = []
+        cache = self._entry_cache
+        entries = []
         past: dict[str, int] = {}
         total = 0
         rem: "list[int] | None" = (
@@ -820,8 +829,13 @@ class GpuEngine:
             req = s.request
             spec = req.spec
             rid = spec.request_id
-            sig_parts.append((rid, spec.lora_id, 1, False))
-            pairs.append((req, rid))
+            entry = cache.get(rid)
+            if entry is None:
+                entry = cache[rid] = BatchEntry(
+                    request_id=rid, lora_id=spec.lora_id,
+                    num_tokens=1, is_prefill=False,
+                )
+            entries.append(entry)
             past[rid] = req.kv_len
             total += req.kv_len
             if rem is not None:
@@ -834,26 +848,11 @@ class GpuEngine:
                     rem = None  # fall back to the per-token finish check
                 else:
                     rem.append(left)
-        sig = tuple(sig_parts)
-        plan = self._plan_cache.get(sig)
-        if plan is None:
-            cache = self._entry_cache
-            entries = []
-            for rid, lora_id, _, _ in sig_parts:
-                entry = cache.get(rid)
-                if entry is None:
-                    entry = cache[rid] = BatchEntry(
-                        request_id=rid, lora_id=lora_id,
-                        num_tokens=1, is_prefill=False,
-                    )
-                entries.append(entry)
-            plan = plan_decode_batch(entries)
-            self._plan_cache.put(sig, plan)
-        self._steady_plan = plan
-        self._steady_pairs = pairs
-        self._steady_past = past
-        self._steady_total = total + len(slots)
-        self._steady_rem = rem
+        steady.plan = plan_decode_batch(entries)
+        steady.misses += 1
+        steady.past = past
+        steady.total = total + len(slots)
+        steady.rem = rem
 
     def _order_insert(self, slot: _Slot) -> None:
         """Insert into ``_working_order`` keeping ascending ``admit_seq``.

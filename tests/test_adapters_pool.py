@@ -31,7 +31,7 @@ def make_pool(capacity=CAPACITY) -> UnifiedMemoryPool:
 class TestSharedAccounting:
     def test_totals_split(self):
         pool = make_pool()
-        pool.kv_admit("s0", 8)  # 2 pages = 8 bytes
+        pool.allocate("s0", 8)  # 2 pages = 8 bytes
         pool.adapters.request_load("r16", 16.0, now=0.0)
         assert pool.kv_used_bytes() == 8.0
         assert pool.adapter_used_bytes() == 16.0
@@ -43,44 +43,44 @@ class TestSharedAccounting:
         pool = make_pool(capacity=32.0)
         pool.adapters.request_load("r32", 24.0, now=0.0)
         pool.adapters.acquire("r32", now=0.0)
-        assert not pool.kv_can_admit(12)  # 3 pages won't fit next to 24 pinned
+        assert not pool.can_admit(12)  # 3 pages won't fit next to 24 pinned
         with pytest.raises(MemoryError):
-            pool.kv_admit("s0", 12)
+            pool.allocate("s0", 12)
 
     def test_kv_admission_reclaims_unpinned_adapters(self):
         pool = make_pool(capacity=32.0)
         pool.adapters.request_load("r32", 24.0, now=0.0)
         pool.adapters.advance(100.0)  # transfer settled; adapter unpinned
-        assert pool.kv_can_admit(12)
-        pool.kv_admit("s0", 12)  # demotes the adapter to HOST
+        assert pool.can_admit(12)
+        pool.allocate("s0", 12)  # demotes the adapter to HOST
         assert not pool.adapters.is_resident("r32")
         assert pool.adapters.registry.tier("r32") is Tier.HOST
         pool.check_invariant()
 
     def test_kv_append_page_boundary_reclaims(self):
         pool = make_pool(capacity=32.0)
-        pool.kv_admit("s0", 4)  # exactly one full page
+        pool.allocate("s0", 4)  # exactly one full page
         pool.adapters.request_load("r16", 16.0, now=0.0)
         pool.adapters.advance(100.0)
-        assert pool.kv_can_append("s0")  # next token needs a page: reclaimable
-        pool.kv_append("s0")
+        assert pool.can_append("s0")  # next token needs a page: reclaimable
+        pool.append("s0")
         pool.check_invariant()
 
     def test_kv_free_tokens_counts_evictable_adapters(self):
         pool = make_pool(capacity=32.0)
         pool.adapters.request_load("r16", 16.0, now=0.0)
         pool.adapters.advance(100.0)
-        assert pool.kv_free_tokens() == 32  # unpinned adapter counts as free
+        assert pool.free_tokens == 32  # unpinned adapter counts as free
         pool.adapters.acquire("r16", now=100.0)
-        assert pool.kv_free_tokens() == 16  # pinned bytes are off-limits
+        assert pool.free_tokens == 16  # pinned bytes are off-limits
 
     def test_adapter_load_respects_kv_usage(self):
         pool = make_pool(capacity=32.0)
-        pool.kv_admit("s0", 20)  # 5 pages = 20 bytes
+        pool.allocate("s0", 20)  # 5 pages = 20 bytes
         assert not pool.adapters.can_admit_adapter("r32", 24.0)
         with pytest.raises(MemoryError):
             pool.adapters.request_load("r32", 24.0, now=0.0)
-        pool.kv_release("s0")
+        pool.free("s0")
         pool.adapters.request_load("r32", 24.0, now=1.0)
         pool.check_invariant()
 
@@ -133,13 +133,15 @@ def test_gpu_bytes_never_exceed_unified_budget(ops):
             pool.adapters.prefetch(op[1], now)
         elif kind == "kv_admit":
             seq, tokens = f"s{op[1]}", op[2]
-            if seq not in pool.kv and pool.kv_can_admit(tokens):
-                pool.kv_admit(seq, tokens)
+            if seq not in pool and pool.can_admit(tokens):
+                pool.allocate(seq, tokens)
         elif kind == "kv_append":
             seq = f"s{op[1]}"
-            if seq in pool.kv and pool.kv_can_append(seq):
-                pool.kv_append(seq)
+            if seq in pool and pool.can_append(seq):
+                pool.append(seq)
         elif kind == "kv_release":
-            pool.kv_release(f"s{op[1]}")
+            seq = f"s{op[1]}"
+            if seq in pool:
+                pool.free(seq)
         pool.check_invariant()
         assert pool.adapter_used_bytes() + pool.kv_used_bytes() <= CAPACITY

@@ -1,10 +1,19 @@
 """Tests for BatchLen and batch planning (paper §5/§6 rules)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.batch import BatchEntry, BatchLen, plan_batch
+from repro.core.batch import (
+    BatchEntry,
+    BatchLen,
+    BatchPlan,
+    plan_batch,
+    plan_decode_batch,
+)
 
 
 def prefill(rid, lora, tokens):
@@ -122,3 +131,39 @@ class TestPlanBatch:
         # Adjacent segments always have different LoRA ids.
         for a, b in zip(plan.segment_lora_ids, plan.segment_lora_ids[1:]):
             assert a != b
+        # The consumer-shaped fields restate entries and seg, as plain ints.
+        prefills = [e for e in plan.entries if e.is_prefill]
+        assert plan.prefill_lens == tuple(e.num_tokens for e in prefills)
+        assert plan.decode_entries() == tuple(
+            e for e in plan.entries if not e.is_prefill
+        )
+        assert plan.decode_ids == tuple(e.request_id for e in plan.decode_entries())
+        assert plan.segment_sizes == tuple(np.diff(plan.seg).tolist())
+        assert all(type(n) is int for n in plan.segment_sizes + plan.prefill_lens)
+
+    def test_plan_is_immutable_plain_data(self):
+        plan = plan_batch([prefill("p", "a", 3), decode("1", "b")])
+        for f in dataclasses.fields(plan):
+            assert isinstance(getattr(plan, f.name), (tuple, BatchLen, np.ndarray))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(plan, f.name, None)
+
+
+class TestPlanDecodeBatch:
+    @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=24))
+    def test_equals_plan_batch_field_for_field(self, loras):
+        entries = [decode(str(i), lora) for i, lora in enumerate(loras)]
+        fast, ref = plan_decode_batch(entries), plan_batch(entries)
+        for f in dataclasses.fields(BatchPlan):
+            a, b = getattr(fast, f.name), getattr(ref, f.name)
+            if f.name == "seg":
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
+            else:
+                assert a == b
+        assert all(type(n) is int for n in fast.segment_sizes)
+
+    def test_rejects_prefill_and_empty(self):
+        with pytest.raises(ValueError):
+            plan_decode_batch([decode("1", "a"), prefill("p", "a", 2)])
+        with pytest.raises(ValueError):
+            plan_decode_batch([])

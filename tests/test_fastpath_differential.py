@@ -1,8 +1,8 @@
 """Differential equivalence: the fast-path engine vs the reference path.
 
 The fast path (``fast_path=``, default on) layers optimisations over the
-simulation engine — kernel-cost memoisation, per-plan latency-term
-caching, the armed-batch shortcut inside ``GpuEngine.step``, the
+simulation engine — kernel-cost memoisation, the shape-keyed latency-term
+memo, the armed-batch shortcut inside ``GpuEngine.step``, the
 simulator's inline same-engine decode continuation, and the bulk
 decode-run merge lane. The contract for every one of them is *bit
 identity*: the optimised run must produce byte-identical traces and equal
@@ -238,6 +238,38 @@ def test_random_workload_differential(
             assert engine.backend.kv.allocator.used_pages == 0
             assert not engine._entry_cache
             assert not engine._working and not engine._pending
+
+
+def test_bounded_shape_memo_differential(monkeypatch):
+    """With the latency-term memo's bound down to a handful of shapes the
+    fast path clears and refills it all run long: still byte-identical to
+    the reference, and never past the bound."""
+    limit = 3
+    monkeypatch.setattr("repro.runtime.backend._TERMS_MEMO_LIMIT", limit)
+    sizes: dict[int, list[int]] = {}
+    lookup = SimulatedBackend._terms_for_plan
+
+    def watched(self, plan, past_lens):
+        terms = lookup(self, plan, past_lens)
+        sizes.setdefault(id(self), []).append(len(self._terms_memo))
+        return terms
+
+    monkeypatch.setattr(SimulatedBackend, "_terms_for_plan", watched)
+    kwargs = dict(
+        seed=5, num_gpus=2, max_batch=6, rate=14.0, duration=3.5,
+        lora_rank=16, cancel_picks=[], fault_plan=[], spec=None,
+    )
+    ftracer, fresult, fsummary, _ = _build_and_run(fast_path=True, **kwargs)
+    rtracer, rresult, rsummary, _ = _build_and_run(fast_path=False, **kwargs)
+    assert fsummary == rsummary
+    _assert_equivalent(
+        _Run(ftracer, fresult, fsummary), _Run(rtracer, rresult, rsummary)
+    )
+    assert sizes and all(max(seen) == limit for seen in sizes.values())
+    # A shrinking memo is a clear: the bound was hit, not merely unreached.
+    assert all(
+        any(b < a for a, b in zip(seen, seen[1:])) for seen in sizes.values()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +721,10 @@ def test_interrupted_merge_windows_leave_no_stray_decode_steps():
 def test_fast_lanes_engage():
     """A decode-heavy run must commit decode steps in bulk through the
     merge lane (``fast_steps``), still run boundary steps through
-    ``step()`` (``slow_steps``), and hit the inline continuation and the
-    plan cache — otherwise the differential suite would be comparing the
-    reference path to itself."""
+    ``step()`` (``slow_steps``), hit the inline continuation, and both
+    reuse the armed plan and re-plan on membership changes — otherwise
+    the differential suite would be comparing the reference path to
+    itself."""
     trace = generate_trace(
         40, "skewed", seed=3,
         lengths=ShareGptLengths(max_prompt_len=32, max_response_len=24),
@@ -711,7 +744,8 @@ def test_fast_lanes_engage():
     assert sum(e.fast_steps for e in engines) > 0
     assert sum(e.slow_steps for e in engines) > 0
     assert sim.inline_steps > 0
-    assert any(e._plan_cache.hits + e._plan_cache.misses > 0 for e in engines)
+    assert sum(e._plan_cache.hits for e in engines) > 0
+    assert sum(e._plan_cache.misses for e in engines) > 0
 
 
 def test_spec_lane_engages_in_differential_workloads():

@@ -37,8 +37,8 @@ class TestKvPool:
     def test_append_token(self):
         pool = self.make()
         pool.allocate("r", 4)
-        assert pool.can_append_token("r")
-        pool.append_token("r")
+        assert pool.can_append("r")
+        pool.append("r")
         assert pool.seq_len("r") == 5
 
     def test_free(self):

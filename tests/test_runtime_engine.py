@@ -126,6 +126,20 @@ class TestContinuousBatching:
         sizes = [r.num_decode for r in reports]
         assert 1 in sizes and 2 in sizes  # batch shrank mid-flight
 
+    def test_armed_batch_counts_reuse_against_plans_built(self):
+        # ``_plan_cache`` is the armed batch: a hit is a step on the plan
+        # the previous step armed, a miss is a plan built.
+        engine = make_engine()
+        engine.add_request(make_request("short", response=4), 0.0)
+        engine.add_request(make_request("long", response=10), 0.0)
+        reports, _ = run_until_idle(engine)
+        # Two steps carry a prefill and plan from scratch; the second arms
+        # {short, long} (2 armed steps until short finishes), the re-arm on
+        # {long} carries the remaining 7.
+        assert len(reports) == 11
+        assert engine._plan_cache.hits == 9
+        assert engine._plan_cache.misses == 2 + 2
+
     def test_same_lora_only_mode_blocks_other_models(self):
         engine = make_engine(same_lora_only=True)
         engine.add_request(make_request("r0", lora="a", response=6), 0.0)
@@ -331,7 +345,7 @@ class TestEvictionOrderingRegression:
     def test_fast_and_reference_evictions_agree(self):
         """Step for step: starts, exact latencies, batches, finishes and
         evictions. Under ``cache_concat`` a layer term reads the KV
-        lengths, so no per-plan latency cache may serve the fast path."""
+        lengths, so no shape-keyed latency memo may serve the fast path."""
 
         def run(fast_path, flags):
             bpt = LLAMA2_7B.kv_bytes_per_token()
