@@ -19,9 +19,9 @@ to evaluate per (request, engine) pair at submit time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.cluster.control.config import ControlConfig
-from repro.models.perf import StepWorkload, model_step_latency
 from repro.runtime.request import Request
 
 #: Residency-tier load-stall priors (seconds): the paper's §5.2 ~2 ms
@@ -49,8 +49,33 @@ class LatencyEstimate:
     one score ranks a fast-prefill part against a fast-decode part."""
 
 
+class EngineState(NamedTuple):
+    """Everything a quote reads from an engine, read once.
+
+    Immutable and unversioned: it describes the engine at the moment
+    :meth:`FleetCostModel.snapshot` ran, and whoever keeps one across an
+    engine mutation (an admit, a step) prices the stale batch. The router
+    holds them for one ``submit`` / ``drain_queue`` call and drops the
+    admitted engine's."""
+
+    running: int
+    """Requests already decoding (or holding imported KV) on the engine."""
+    kv_total: int
+    """``sum(kv_len + 1)`` over them: all the analytical model reads of
+    their KvCache lengths."""
+    pending: "tuple[tuple[str, float], ...]"
+    """``(request id, solo prefill seconds)`` of every request waiting to
+    prefill, in admission order (the order ``predict_ttft`` adds them)."""
+
+
 class FleetCostModel:
-    """Prices candidate placements across a (possibly mixed) engine pool."""
+    """Prices candidate placements across a (possibly mixed) engine pool.
+
+    Every quote is the engine's own backend pricing a batch *shape* plus a
+    decode KV total (:meth:`SimulatedBackend.step_seconds
+    <repro.runtime.backend.SimulatedBackend.step_seconds>`), so it shares
+    the backend's shape-keyed latency terms with the engine's steps and is
+    bit-identical to pricing the per-request workload from scratch."""
 
     def __init__(
         self,
@@ -61,7 +86,6 @@ class FleetCostModel:
         self.control = control or ControlConfig()
         self.host_load_seconds = host_load_seconds
         self.disk_load_seconds = disk_load_seconds
-        self._floor_cache: "dict[tuple[str, int, int], float]" = {}
 
     # -- pieces ----------------------------------------------------------
     def load_stall(self, engine, request: Request) -> float:
@@ -73,35 +97,38 @@ class FleetCostModel:
             return 0.0
         return self.host_load_seconds if tier == 1 else self.disk_load_seconds
 
-    def _running_kv_lens(self, engine) -> "list[int]":
-        return [
-            r.kv_len for r in engine.all_requests() if not r.needs_prefill
-        ]
+    def snapshot(self, engine) -> EngineState:
+        """Read ``engine``'s batch once, pricing each pending prefill's
+        solo step on the way."""
+        step_seconds = engine.backend.step_seconds
+        running = kv_total = 0
+        pending = []
+        for r in engine.all_requests():
+            if r.needs_prefill:
+                solo = step_seconds((max(1, r.effective_prompt_len),), 0, 0)
+                pending.append((r.request_id, solo))
+            else:
+                running += 1
+                kv_total += r.kv_len + 1
+        return EngineState(running, kv_total, tuple(pending))
 
-    def _pending_prefill_lens(self, engine, request: Request) -> "list[int]":
-        return [
-            r.effective_prompt_len
-            for r in engine.all_requests()
-            if r.needs_prefill and r.request_id != request.request_id
-        ]
-
-    def _price(self, backend, work: StepWorkload) -> float:
-        return (
-            model_step_latency(
-                backend.config, backend.cost_model, work,
-                tp=backend.tp, flags=backend.flags,
-            )
-            + backend.step_overhead
+    def _ttft(self, engine, request: Request, state: EngineState) -> float:
+        prompt = max(1, request.effective_prompt_len)
+        t = self.load_stall(engine, request) + engine.backend.step_seconds(
+            (prompt,), state.running, state.kv_total
         )
+        rid = request.request_id
+        for other, solo in state.pending:
+            if other != rid:
+                t += solo
+        return t
 
-    def _segments(self, backend, prefill_tokens: int, decodes: int):
-        if not getattr(backend, "serve_lora", False):
-            return None
-        segs: "list[int]" = []
-        if prefill_tokens:
-            segs.append(prefill_tokens)
-        segs.extend([1] * decodes)
-        return tuple(segs)
+    @staticmethod
+    def _itl(engine, request: Request, state: EngineState) -> float:
+        prompt = max(1, request.effective_prompt_len)
+        return engine.backend.step_seconds(
+            (), state.running + 1, state.kv_total + prompt + 1
+        )
 
     # -- predictions -----------------------------------------------------
     def predict_ttft(self, engine, request: Request) -> float:
@@ -115,47 +142,31 @@ class FleetCostModel:
         most one per invocation, so pending prefills serialize ahead of
         ours — a coarse upper-ish prior, documented in docs/slo.md).
         """
-        backend = engine.backend
-        prompt = max(1, request.effective_prompt_len)
-        running = self._running_kv_lens(engine)
-        work = StepWorkload(
-            prefill_lens=(prompt,),
-            decode_kv_lens=tuple(running),
-            lora_segments=self._segments(backend, prompt, len(running)),
-            lora_rank=backend.lora_rank,
-        )
-        t = self.load_stall(engine, request) + self._price(backend, work)
-        for other in self._pending_prefill_lens(engine, request):
-            t += self._price(
-                backend,
-                StepWorkload(
-                    prefill_lens=(max(1, other),),
-                    lora_segments=self._segments(backend, max(1, other), 0),
-                    lora_rank=backend.lora_rank,
-                ),
-            )
-        return t
+        return self._ttft(engine, request, self.snapshot(engine))
 
     def predict_itl(self, engine, request: Request) -> float:
         """Steady per-token seconds once the request decodes here: one
         all-decode invocation over the engine's running batch plus this
         request attending over its own prompt-length history."""
-        backend = engine.backend
-        kv_lens = self._running_kv_lens(engine)
-        kv_lens.append(max(1, request.effective_prompt_len))
-        work = StepWorkload(
-            decode_kv_lens=tuple(kv_lens),
-            lora_segments=self._segments(backend, 0, len(kv_lens)),
-            lora_rank=backend.lora_rank,
-        )
-        return self._price(backend, work)
+        return self._itl(engine, request, self.snapshot(engine))
 
-    def estimate(self, engine, request: Request, now: float) -> LatencyEstimate:
-        """Full candidate scoring against the request's tenant policy."""
+    def estimate(
+        self,
+        engine,
+        request: Request,
+        now: float,
+        state: "EngineState | None" = None,
+    ) -> LatencyEstimate:
+        """Full candidate scoring against the request's tenant policy.
+
+        ``state`` is a :meth:`snapshot` of ``engine`` the caller vouches
+        is current; without one the engine is read afresh."""
+        if state is None:
+            state = self.snapshot(engine)
         policy = self.control.policy_for(request.lora_id)
         elapsed = max(0.0, now - request.spec.arrival_time)
-        ttft = self.predict_ttft(engine, request)
-        itl = self.predict_itl(engine, request)
+        ttft = self._ttft(engine, request, state)
+        itl = self._itl(engine, request, state)
         ttft_headroom = policy.ttft_deadline - elapsed - ttft
         itl_headroom = policy.itl_deadline - itl
         fitness = min(
@@ -172,25 +183,27 @@ class FleetCostModel:
     def optimistic_floor(self, engine, request: Request) -> float:
         """The best TTFT this engine could ever offer the request: a solo
         prefill on an empty batch with the adapter already GPU-resident.
-        Cached per (device, prompt, rank) — it is placement-state-free."""
-        backend = engine.backend
-        prompt = max(1, request.effective_prompt_len)
-        key = (backend.gpu.name, prompt, backend.lora_rank)
-        cached = self._floor_cache.get(key)
-        if cached is None:
-            cached = self._price(
-                backend,
-                StepWorkload(
-                    prefill_lens=(prompt,),
-                    lora_segments=self._segments(backend, prompt, 0),
-                    lora_rank=backend.lora_rank,
-                ),
-            )
-            self._floor_cache[key] = cached
-        return cached
+        Placement-state-free, and remembered where every other quote is —
+        in the engine's own backend, so two engines share a floor only
+        when they share a backend's whole pricing identity."""
+        return engine.backend.step_seconds(
+            (max(1, request.effective_prompt_len),), 0, 0
+        )
+
+    @staticmethod
+    def device_classes(engines) -> list:
+        """One live engine per distinct backend pricing identity: engines
+        of one class quote the same floor for every request."""
+        classes: dict = {}
+        for e in engines:
+            if getattr(e, "alive", True):
+                classes.setdefault(e.backend.pricing_identity, e)
+        return list(classes.values())
 
     def best_floor(self, engines, request: Request) -> "float | None":
-        """Minimum optimistic floor over a candidate pool (None if empty)."""
+        """Minimum optimistic floor over a candidate pool (None if empty).
+        A caller that asks for many requests passes
+        :meth:`device_classes` of its pool, so each class is asked once."""
         floors = [
             self.optimistic_floor(e, request)
             for e in engines

@@ -70,21 +70,44 @@ class SloRouter(PunicaScheduler):
     def _remaining_budget(self, request: Request, now: float) -> float:
         return self._deadline(request) - now
 
-    def _place_best(self, request: Request, now: float) -> "str | None":
+    def _open_engines(self) -> dict:
+        """Prefill-capable engines with a free batch slot — the part of
+        placement feasibility that does not depend on the request."""
+        return {
+            gid: e for gid, e in self.engines.items()
+            if self._prefill_capable(e) and e.has_free_slot
+        }
+
+    def _place_best(
+        self, request: Request, now: float, open_engines: dict, states: dict
+    ) -> "str | None":
         """Admit onto the highest-fitness feasible engine (ties break to
-        adapter locality, then max UUID, like the base rule)."""
+        adapter locality, then max UUID, like the base rule).
+
+        ``open_engines`` (:meth:`_open_engines`) and ``states`` (cost-model
+        snapshots by GPU id, filled lazily) belong to the caller's one
+        ``submit`` / ``drain_queue`` pass; an admit drops the engine's
+        snapshot — its batch just changed — and the engine too once it is
+        full."""
         best = None
-        for gid, engine in self.engines.items():
-            if not self._prefill_capable(engine) or not engine.can_accept(request):
+        for gid, engine in open_engines.items():
+            if not engine.can_accept(request):
                 continue
-            est = self.cost.estimate(engine, request, now)
+            state = states.get(gid)
+            if state is None:
+                state = states[gid] = self.cost.snapshot(engine)
+            est = self.cost.estimate(engine, request, now, state)
             key = (est.fitness, self._adapter_locality(engine, request), gid)
             if best is None or key > best[0]:
                 best = (key, gid, est)
         if best is None:
             return None
         _, gpu, est = best
-        self.engines[gpu].add_request(request, now)
+        engine = open_engines[gpu]
+        engine.add_request(request, now)
+        del states[gpu]
+        if not engine.has_free_slot:
+            del open_engines[gpu]
         if self.tracer is not None:
             self.tracer.emit(
                 now, EventKind.SLO_ADMIT, request.request_id, gpu,
@@ -95,12 +118,16 @@ class SloRouter(PunicaScheduler):
             self.metrics.record_slo_admit(now, est.ttft_headroom)
         return gpu
 
-    def _hopeless(self, request: Request, now: float) -> bool:
-        """No engine could meet the TTFT deadline even solo and empty."""
-        floor = self.cost.best_floor(
-            [e for e in self.engines.values() if self._prefill_capable(e)],
-            request,
+    def _floor_engines(self) -> list:
+        """One prefill-capable engine per device class (a floor is the
+        same on every engine of a class)."""
+        return self.cost.device_classes(
+            e for e in self.engines.values() if self._prefill_capable(e)
         )
+
+    def _hopeless(self, request: Request, now: float, floor_engines: list) -> bool:
+        """No engine could meet the TTFT deadline even solo and empty."""
+        floor = self.cost.best_floor(floor_engines, request)
         if floor is None:
             return True
         return self._remaining_budget(request, now) < floor
@@ -124,10 +151,12 @@ class SloRouter(PunicaScheduler):
     def submit(self, request: Request, now: float) -> "str | None":
         if request.state.is_terminal:
             return None
-        gpu = self._place_best(request, now)
+        gpu = self._place_best(request, now, self._open_engines(), {})
         if gpu is not None:
             return gpu
-        if self.control.shed_infeasible and self._hopeless(request, now):
+        if self.control.shed_infeasible and self._hopeless(
+            request, now, self._floor_engines()
+        ):
             self._shed_slo(request, now)
             return None
         self._enqueue(request, now, self._deadline(request), "slo_wait")
@@ -135,9 +164,17 @@ class SloRouter(PunicaScheduler):
 
     def drain_queue(self, now: float) -> "list[str]":
         """EDF drain with no head blocking: place whatever fits, shed
-        whatever has become hopeless, keep the rest in deadline order."""
+        whatever has become hopeless, keep the rest in deadline order.
+
+        What a pass knows regardless of the waiter — which engines have a
+        free slot, which device classes exist, each engine's batch — is
+        worked out once, so a pass over a saturated fleet costs one
+        emptiness test per waiter plus its hopelessness check."""
         if not self._queue:
             return []
+        open_engines = self._open_engines()
+        states: dict = {}
+        floor_engines = None
         placed: "list[str]" = []
         keep: "list[tuple[float, int, Request]]" = []
         while self._queue:
@@ -145,13 +182,17 @@ class SloRouter(PunicaScheduler):
             request = entry[2]
             if request.state.is_terminal:
                 continue
-            gpu = self._place_best(request, now)
-            if gpu is not None:
-                placed.append(gpu)
-                continue
-            if self.control.shed_infeasible and self._hopeless(request, now):
-                self._shed_slo(request, now)
-                continue
+            if open_engines:
+                gpu = self._place_best(request, now, open_engines, states)
+                if gpu is not None:
+                    placed.append(gpu)
+                    continue
+            if self.control.shed_infeasible:
+                if floor_engines is None:
+                    floor_engines = self._floor_engines()
+                if self._hopeless(request, now, floor_engines):
+                    self._shed_slo(request, now)
+                    continue
             keep.append(entry)
         self._queue = keep
         heapq.heapify(self._queue)

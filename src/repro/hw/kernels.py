@@ -35,8 +35,7 @@ from repro.utils.validation import check_positive
 
 def sgmv_flop(segments: Sequence[int], h_in: int, h_out: int) -> float:
     """FLOP count of one SGMV launch (paper §7.1): ``s_n * h_in * h_out * 2``."""
-    s_n = int(sum(segments))
-    return float(s_n) * h_in * h_out * 2.0
+    return _sgmv_flop(int(sum(segments)), h_in, h_out)
 
 
 def sgmv_io_bytes(segments: Sequence[int], h_in: int, h_out: int) -> float:
@@ -45,8 +44,14 @@ def sgmv_io_bytes(segments: Sequence[int], h_in: int, h_out: int) -> float:
     ``[s_n * (h_in + h_out) + n * h_in * h_out] * 2`` — every token's input
     and output vector once, plus each distinct LoRA weight tile once.
     """
-    s_n = int(sum(segments))
-    n = len(segments)
+    return _sgmv_io_bytes(int(sum(segments)), len(segments), h_in, h_out)
+
+
+def _sgmv_flop(s_n: int, h_in: int, h_out: int) -> float:
+    return float(s_n) * h_in * h_out * 2.0
+
+
+def _sgmv_io_bytes(s_n: int, n: int, h_in: int, h_out: int) -> float:
     return (float(s_n) * (h_in + h_out) + float(n) * h_in * h_out) * FP16_BYTES
 
 
@@ -166,18 +171,28 @@ class KernelCostModel:
         each launch pays host dispatch on top of the kernel. In-engine
         (default) launches are back-to-back and pay only the kernel cost.
         """
+        return self._sgmv_launch(
+            work.batch_size, work.num_models, work.h_in, work.h_out, standalone
+        )
+
+    def _sgmv_launch(
+        self, s_n: int, n: int, h_in: int, h_out: int, standalone: bool
+    ) -> float:
+        """:meth:`sgmv` from the segment aggregates: ``s_n`` tokens over
+        ``n`` (positive) segments. A launch costs only through the two
+        (§7.1), and every segment holds one token iff ``s_n == n``."""
         spec = self.spec
         overhead = spec.sgmv_kernel_overhead
         if standalone:
             # Host dispatch plus per-call segment-index construction; the
             # engine amortizes both (segment indices reused 7L times, §6).
             overhead += spec.op_dispatch_overhead
-            overhead += spec.segment_host_cost * work.num_models
-        if work.all_distinct:
-            return overhead + self._sgmv_gemv_time(work)
-        return overhead + self._sgmv_tc_time(work)
+            overhead += spec.segment_host_cost * n
+        if s_n == n:
+            return overhead + self._sgmv_gemv_time(s_n, n, h_in, h_out)
+        return overhead + self._sgmv_tc_time(s_n, n, h_in, h_out)
 
-    def _sgmv_gemv_time(self, work: SgmvWorkload) -> float:
+    def _sgmv_gemv_time(self, s_n: int, n: int, h_in: int, h_out: int) -> float:
         """GEMV schedule: each segment is one matrix-vector product.
 
         IO-bound with *coalescing-limited* achieved bandwidth: the thin
@@ -186,13 +201,13 @@ class KernelCostModel:
         :class:`~repro.hw.spec.GemvBandwidthModel`.
         """
         spec = self.spec
-        rank = min(work.h_in, work.h_out)
-        weight_io = float(work.num_models) * work.h_in * work.h_out * FP16_BYTES
-        token_io = float(work.batch_size) * (work.h_in + work.h_out) * FP16_BYTES
+        rank = min(h_in, h_out)
+        weight_io = float(n) * h_in * h_out * FP16_BYTES
+        token_io = float(s_n) * (h_in + h_out) * FP16_BYTES
         bw = min(spec.gemv_bw.achieved(rank), spec.hbm_bandwidth)
         return (weight_io + token_io) / bw
 
-    def _sgmv_tc_time(self, work: SgmvWorkload) -> float:
+    def _sgmv_tc_time(self, s_n: int, n: int, h_in: int, h_out: int) -> float:
         """Tensor-core schedule: each LoRA weight tile streamed once.
 
         The expand kernel splits the output dimension across thread blocks;
@@ -202,8 +217,12 @@ class KernelCostModel:
         roofline.
         """
         spec = self.spec
-        t_memory = work.io_bytes / (spec.hbm_bandwidth * spec.tc_bandwidth_efficiency)
-        t_compute = work.flop / (spec.peak_fp16_flops * spec.gemm_efficiency)
+        t_memory = _sgmv_io_bytes(s_n, n, h_in, h_out) / (
+            spec.hbm_bandwidth * spec.tc_bandwidth_efficiency
+        )
+        t_compute = _sgmv_flop(s_n, h_in, h_out) / (
+            spec.peak_fp16_flops * spec.gemm_efficiency
+        )
         return max(t_memory, t_compute)
 
     def lora_addon(
@@ -216,28 +235,51 @@ class KernelCostModel:
     ) -> float:
         """Full batched LoRA addon ``y += x A B`` = shrink launch + expand launch.
 
-        Memoized on the segment *aggregates* ``(sum, count)`` rather than
-        the full tuple: both SGMV schedules depend on the segment vector
-        only through ``s_n`` and ``n`` (see :func:`sgmv_flop` /
-        :func:`sgmv_io_bytes`; the GEMV schedule applies iff ``s_n == n``),
-        and the standalone dispatch surcharge scales with ``n``. Two
-        different segmentations with equal aggregates therefore price
-        through the identical float operations, so the coarser key is
-        bit-identical and hits across batches whose LoRA membership
-        shuffles without changing size or distinct-model count.
+        Validates the segment vector, then prices it through
+        :meth:`lora_addon_total`: both SGMV schedules depend on it only
+        through ``s_n`` and ``n``, so two segmentations with equal
+        aggregates price through the identical float operations.
         """
         segs = tuple(int(s) for s in segments)
-        s_n = sum(segs)
-        key = ("lora_addon", s_n, len(segs), h_in, h_out, rank, standalone)
+        if not segs:
+            raise ValueError("SGMV workload needs at least one segment")
+        if min(segs) <= 0:
+            raise ValueError(f"segment sizes must be positive, got {segs}")
+        return self.lora_addon_total(sum(segs), len(segs), h_in, h_out, rank, standalone)
+
+    def lora_addon_total(
+        self,
+        s_n: int,
+        n: int,
+        h_in: int,
+        h_out: int,
+        rank: int,
+        standalone: bool = False,
+    ) -> float:
+        """:meth:`lora_addon` from the segment aggregates alone: ``s_n``
+        tokens over ``n`` segments (see :func:`sgmv_flop` /
+        :func:`sgmv_io_bytes`; the GEMV schedule applies iff ``s_n == n``,
+        and the standalone dispatch surcharge scales with ``n``). The
+        aggregates are also the memo key, so batches whose LoRA membership
+        shuffles without changing size or distinct-model count share one
+        entry, and a caller that already holds a validated batch's token
+        total (:mod:`repro.models.perf`) passes it straight in.
+        """
+        key = ("lora_addon", s_n, n, h_in, h_out, rank, standalone)
         hit = self._memo_get(key)
         if hit is not None:
             return hit
-        shrink = SgmvWorkload(segments=segs, h_in=h_in, h_out=rank)
-        expand = SgmvWorkload(segments=segs, h_in=rank, h_out=h_out)
+        if not 1 <= n <= s_n:
+            raise ValueError(
+                f"need 1 <= segments <= tokens, got {n} segments over {s_n} tokens"
+            )
+        check_positive("h_in", h_in)
+        check_positive("h_out", h_out)
+        check_positive("rank", rank)
         return self._memo_put(
             key,
-            self.sgmv(shrink, standalone=standalone)
-            + self.sgmv(expand, standalone=standalone),
+            self._sgmv_launch(s_n, n, h_in, rank, standalone)
+            + self._sgmv_launch(s_n, n, rank, h_out, standalone),
         )
 
     # ------------------------------------------------------------------

@@ -100,21 +100,28 @@ PUNICA_FLAGS = PerfFlags()
 def _lora_latency(
     kcm: KernelCostModel,
     work: StepWorkload,
+    tokens: int,
     h_in: int,
     h_out: int,
     impl: str = "sgmv",
 ) -> float:
-    """Batched LoRA addon for one projection under the chosen operator."""
+    """Batched LoRA addon for one projection under the chosen operator.
+
+    ``tokens`` is ``work.num_tokens``, which :class:`StepWorkload` has
+    checked the segments sum to — SGMV prices from that total and the
+    segment count alone."""
     if work.lora_segments is None:
         return 0.0
     if impl == "sgmv":
-        return kcm.lora_addon(work.lora_segments, h_in, h_out, work.lora_rank)
+        return kcm.lora_addon_total(
+            tokens, len(work.lora_segments), h_in, h_out, work.lora_rank
+        )
     if impl == "gather_bmm":
         return kcm.gather_bmm_lora(work.lora_segments, h_in, h_out, work.lora_rank)
     return kcm.loop_lora(work.lora_segments, h_in, h_out, work.lora_rank)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepLatencyTerms:
     """The kv-invariant pieces of :func:`model_step_latency`, pre-summed.
 
@@ -173,11 +180,11 @@ def _layer_terms(
     prefix.append(kcm.gemm(tokens, kv_dim_shard, h))  # k
     prefix.append(kcm.gemm(tokens, kv_dim_shard, h))  # v
     prefix.append(kcm.gemm(tokens, h, h // w))  # o
-    prefix.append(_lora_latency(kcm, work, h, h // w, flags.lora_impl))  # q lora
+    prefix.append(_lora_latency(kcm, work, tokens, h, h // w, flags.lora_impl))  # q lora
     prefix.append(
-        2.0 * _lora_latency(kcm, work, h, kv_dim_shard, flags.lora_impl)
+        2.0 * _lora_latency(kcm, work, tokens, h, kv_dim_shard, flags.lora_impl)
     )  # k, v lora
-    prefix.append(_lora_latency(kcm, work, h // w, h, flags.lora_impl))  # o lora
+    prefix.append(_lora_latency(kcm, work, tokens, h // w, h, flags.lora_impl))  # o lora
 
     # Self-attention kernels: one BatchPrefill per prefill request; the
     # BatchDecode over all decode requests goes *between* prefix and tail.
@@ -194,9 +201,9 @@ def _layer_terms(
     tail.append(2.0 * kcm.gemm(tokens, inter_shard, h))  # gate, up
     tail.append(kcm.gemm(tokens, h, inter_shard))  # down
     tail.append(
-        2.0 * _lora_latency(kcm, work, h, inter_shard, flags.lora_impl)
+        2.0 * _lora_latency(kcm, work, tokens, h, inter_shard, flags.lora_impl)
     )  # gate, up lora
-    tail.append(_lora_latency(kcm, work, inter_shard, h, flags.lora_impl))  # down lora
+    tail.append(_lora_latency(kcm, work, tokens, inter_shard, h, flags.lora_impl))  # down lora
 
     # RoPE + SiLU + two residual adds, all bandwidth-bound elementwise.
     tail.append(4.0 * kcm.elementwise(tokens * h * FP16_BYTES / w))
@@ -280,24 +287,24 @@ def step_latency_from_terms(
     config: LlamaConfig,
     kcm: KernelCostModel,
     terms: StepLatencyTerms,
-    decode_past_lens: "list[int]",
-) -> float:
+    total_kv,
+):
     """Re-evaluate :func:`model_step_latency` from cached invariant terms.
 
-    ``decode_past_lens`` must list the decode requests' *past* KvCache
-    lengths in the same (plan) order the terms were built from. Bit
-    equality with the direct computation is guaranteed by the summation
-    contract documented on :class:`StepLatencyTerms`.
+    ``total_kv`` is ``sum(past + 1)`` over the decode requests the terms
+    were built for, as an exact integer: decode attention reads their
+    KvCache lengths only through that sum and their count
+    (:meth:`~repro.hw.kernels.KernelCostModel.attention_decode_total`).
+    Bit equality with the direct computation is guaranteed by the
+    summation contract documented on :class:`StepLatencyTerms`. A float64
+    array of totals prices one step per element — elementwise array
+    operations round identically to their scalar counterparts.
     """
-    if len(decode_past_lens) != terms.num_decode:
-        raise ValueError(
-            f"terms were built for {terms.num_decode} decode requests, "
-            f"got {len(decode_past_lens)}"
-        )
     t = terms.layer_prefix
-    if decode_past_lens:
-        t += kcm.attention_decode(
-            [l + 1 for l in decode_past_lens],
+    if terms.num_decode:
+        t = t + kcm.attention_decode_total(
+            total_kv,
+            terms.num_decode,
             terms.heads_shard,
             config.head_dim,
             terms.kv_heads_shard,
@@ -318,41 +325,22 @@ def step_latency_steady_run(
     increment: int,
     count: int,
 ) -> np.ndarray:
-    """Vectorized :func:`step_latency_from_terms` over a run of decode
-    steps of one unchanged batch.
+    """:func:`step_latency_from_terms` over a run of decode steps of one
+    unchanged all-decode batch, as one array expression.
 
     ``total_kv`` must equal ``sum(past + 1 for past in decode_past_lens)``
     at the first step, as an exact integer; step ``k`` then attends over
     ``total_kv + k * increment`` tokens (``increment`` is the batch size:
-    every request's KvCache grows by one per step). Decode attention
-    depends on the lengths only through that sum and the batch size
-    (:meth:`~repro.hw.kernels.KernelCostModel.attention_decode_total`),
-    and the arithmetic mirrors the scalar function op for op —
-    elementwise float64 array operations round identically to their
-    scalar counterparts, and the KV totals are exact integers — so
-    element ``k`` equals the scalar evaluation of step ``k`` bit for bit.
-    One array expression per run replaces ``count`` Python-level
-    evaluations; the engine's bulk decode lane is the only caller.
+    every request's KvCache grows by one per step). The KV totals are
+    exact integers, so element ``k`` equals the scalar evaluation of step
+    ``k`` bit for bit. One array expression per run replaces ``count``
+    Python-level evaluations; the engine's bulk decode lane is the only
+    caller.
     """
     totals = (
         np.arange(count, dtype=np.int64) * increment + total_kv
     ).astype(np.float64)
-    if terms.num_decode:
-        t = terms.layer_prefix + kcm.attention_decode_total(
-            totals,
-            terms.num_decode,
-            terms.heads_shard,
-            config.head_dim,
-            terms.kv_heads_shard,
-        )
-    else:
-        t = np.full(count, terms.layer_prefix)
-    for term in terms.layer_tails:
-        t += term
-    total = config.num_layers * t
-    for term in terms.model_tails:
-        total += term
-    return total
+    return step_latency_from_terms(config, kcm, terms, totals)
 
 
 def model_step_latency(

@@ -167,6 +167,15 @@ class SimulatedBackend:
             bytes_per_token=bytes_per_token,
         )
 
+    @property
+    def pricing_identity(self) -> tuple:
+        """Everything :meth:`step_seconds` reads besides its arguments:
+        backends with equal identities price every shape alike."""
+        return (
+            self.gpu, self.config, self.tp, self.flags,
+            self.lora_rank, self.serve_lora, self.step_overhead,
+        )
+
     # -- KvCache interface ------------------------------------------------
     # Unconditional forwards to ``self.kv``: a :class:`KvPool`, or the
     # unified pool (a ``KvPool`` that also gates on the shared byte budget).
@@ -239,22 +248,26 @@ class SimulatedBackend:
             # :class:`~repro.models.perf.StepLatencyTerms` for the
             # summation-order argument); only the batched-decode-attention
             # term is recomputed as KvCache lengths advance.
-            latency = step_latency_from_terms(
-                self.config,
-                self.cost_model,
-                self._terms_for_plan(plan, past_lens),
-                [past_lens[rid] for rid in plan.decode_ids],
+            decode_ids = plan.decode_ids
+            total_kv = len(decode_ids)
+            for rid in decode_ids:
+                total_kv += past_lens[rid]
+            seconds = self.step_seconds(
+                plan.prefill_lens, len(decode_ids), total_kv, plan.segment_sizes
             )
         else:
             work = workload_from_plan(plan, past_lens, self.serve_lora, self.lora_rank)
-            latency = model_step_latency(
-                self.config, self.cost_model, work, tp=self.tp, flags=self.flags
+            seconds = (
+                model_step_latency(
+                    self.config, self.cost_model, work, tp=self.tp, flags=self.flags
+                )
+                + self.step_overhead
             )
         tokens = {}
         for entry in plan.entries:
             self._token_counter += 1
             tokens[entry.request_id] = self._token_counter
-        return StepExecution(latency=latency + self.step_overhead, tokens=tokens)
+        return StepExecution(latency=seconds, tokens=tokens)
 
     def execute_spec(
         self,
@@ -306,13 +319,7 @@ class SimulatedBackend:
             proposed=spec.draft_len,
         )
 
-    def steady_run_latencies(
-        self,
-        plan: BatchPlan,
-        past_lens: Mapping[str, int],
-        total_kv: int,
-        count: int,
-    ):
+    def steady_run_latencies(self, plan: BatchPlan, total_kv: int, count: int):
         """Per-step latencies for a ``count``-step decode run of one batch.
 
         ``total_kv`` is ``sum(past + 1)`` over the all-decode ``plan``'s
@@ -321,16 +328,14 @@ class SimulatedBackend:
         attention reads the lengths only through their total,
         ``total_kv + k * batch`` — overhead included; see
         :func:`~repro.models.perf.step_latency_steady_run` for the
-        bit-identity argument. ``past_lens`` is consulted only when the
-        plan's shape is not in the memo yet, to build the very terms an
-        :meth:`execute` would (they are shape-only), so building them
-        early is unobservable.
+        bit-identity argument.
         """
+        batch = len(plan.decode_ids)
         return (
             step_latency_steady_run(
                 self.config, self.cost_model,
-                self._terms_for_plan(plan, past_lens), total_kv,
-                len(plan.decode_ids), count,
+                self._terms(plan.prefill_lens, batch, total_kv, plan.segment_sizes),
+                total_kv, batch, count,
             )
             + self.step_overhead
         )
@@ -352,43 +357,109 @@ class SimulatedBackend:
         self._token_counter = base + count * len(request_ids)
         return base
 
-    def _terms_for_plan(self, plan: BatchPlan, past_lens: Mapping[str, int]):
+    def step_seconds(
+        self,
+        prefill_lens: "tuple[int, ...]",
+        n_decode: int,
+        total_kv: int,
+        segments: "tuple[int, ...] | None" = None,
+    ) -> float:
+        """Seconds of one invocation, host overhead included, from its
+        *shape* and the decode requests' KV total — the one way this
+        backend prices a step, for the engine (:meth:`execute`) and for
+        the control plane's placement quotes alike.
+
+        ``total_kv`` is ``sum(past + 1)`` over the ``n_decode`` decode
+        requests: the analytical model reads their KvCache lengths through
+        that sum alone. ``segments`` are the LoRA segment sizes in batch
+        order; ``None`` puts every request on its own adapter (a quote's
+        assumption about a batch that does not exist yet). Equal, bit for
+        bit, to ``model_step_latency`` over the per-request workload plus
+        ``step_overhead`` (``tests/test_cluster_control.py``, the quote
+        oracle).
+        """
+        if self.supports_steady:
+            latency = step_latency_from_terms(
+                self.config,
+                self.cost_model,
+                self._terms(prefill_lens, n_decode, total_kv, segments),
+                total_kv,
+            )
+        else:
+            latency = model_step_latency(
+                self.config,
+                self.cost_model,
+                self._shape_workload(prefill_lens, n_decode, total_kv, segments),
+                tp=self.tp,
+                flags=self.flags,
+            )
+        return latency + self.step_overhead
+
+    def _shape_workload(
+        self, prefill_lens, n_decode: int, total_kv: int, segments
+    ) -> StepWorkload:
+        """A validated workload of the given shape and decode KV total.
+        Nothing downstream reads the individual decode lengths — decode
+        attention and the ``cache_concat`` copy sum them — so the first
+        decode request carries the whole past."""
+        if not self.serve_lora:
+            segments = None
+        elif segments is None:
+            segments = prefill_lens + (1,) * n_decode
+        past = (total_kv - n_decode,) + (0,) * (n_decode - 1) if n_decode else ()
+        return StepWorkload(prefill_lens, past, segments, self.lora_rank)
+
+    def _terms(self, prefill_lens, n_decode: int, total_kv: int, segments):
         """Memoized :func:`step_latency_terms` for one invocation shape.
 
         Every term is shape-invariant in the decode KV lengths, so the
-        memo keys on the plan's shape fields alone and plans that re-batch
-        the same composition share one build; on a hit the
-        :class:`StepWorkload` (O(batch) dict lookups plus validation) is
-        never built.
+        memo keys on the shape alone and batches that recompose the same
+        shape — an engine's plans and the router's quotes against that
+        engine — share one build; on a hit the :class:`StepWorkload`
+        (validation plus one tuple per batch) is never built, and
+        ``total_kv`` is only what a miss builds it from.
 
         Under the SGMV and Gather-BMM operators the LoRA terms depend on
         the segment vector only through its sum and count (see
-        :meth:`~repro.hw.kernels.KernelCostModel.lora_addon`) — and the
-        sum is the token total the other key parts already fix — so the
-        key collapses the segments to their count and rotating LoRA
+        :meth:`~repro.hw.kernels.KernelCostModel.lora_addon_total`) — and
+        the sum is the token total the other key parts already fix — so
+        the key collapses the segments to their count and rotating LoRA
         membership stops defeating the memo. The Loop operator prices
         each segment individually, so it keeps the full tuple.
         """
-        segments = plan.segment_sizes
         if not self.serve_lora:
             seg_key = None
         elif self.flags.lora_impl != "loop":
-            seg_key = len(segments)
+            seg_key = (
+                len(segments) if segments is not None
+                else len(prefill_lens) + n_decode
+            )
         else:
-            seg_key = segments
-        key = (plan.prefill_lens, len(plan.decode_ids), seg_key, self.lora_rank)
+            seg_key = (
+                segments if segments is not None
+                else prefill_lens + (1,) * n_decode
+            )
+        key = (prefill_lens, n_decode, seg_key, self.lora_rank)
         memo = self._terms_memo
         terms = memo.get(key)
         if terms is None:
-            work = workload_from_plan(
-                plan, past_lens, self.serve_lora, self.lora_rank
-            )
+            # A mixed prefill nobody has run (``segments is None``: a
+            # quote) is looked up but not remembered, here or in the
+            # kernel memo — a throwaway cost model prices it: its prompt
+            # length is new on nearly every arrival (docs/performance.md).
+            keep = segments is not None or not prefill_lens or not n_decode
             terms = step_latency_terms(
-                self.config, self.cost_model, work, tp=self.tp, flags=self.flags
+                self.config,
+                self.cost_model if keep
+                else KernelCostModel(self.gpu, memoize=self.fast_path),
+                self._shape_workload(prefill_lens, n_decode, total_kv, segments),
+                tp=self.tp,
+                flags=self.flags,
             )
-            if len(memo) >= _TERMS_MEMO_LIMIT:
-                memo.clear()
-            memo[key] = terms
+            if keep:
+                if len(memo) >= _TERMS_MEMO_LIMIT:
+                    memo.clear()
+                memo[key] = terms
         return terms
 
 

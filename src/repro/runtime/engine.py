@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -119,8 +120,7 @@ class ArmedBatch:
         self.plan: "BatchPlan | None" = None
         self.past: dict[str, int] = {}
         """Arm-time ``request id -> kv_len`` snapshot, in slot order. Only
-        its keys — the batch — stay current (the lengths feed the
-        shape-only latency terms, which never read them)."""
+        its keys — the batch — stay current."""
         self.total = 0
         """``sum(kv_len + 1)`` over the batch at its next step."""
         self.rem: "list[int] | None" = None
@@ -244,6 +244,13 @@ class GpuEngine:
     def is_idle(self) -> bool:
         return self.working_set_size == 0
 
+    @property
+    def has_free_slot(self) -> bool:
+        """Alive and below ``max_batch_size``: the part of
+        :meth:`can_accept` that does not depend on the request, so a
+        router can test it once for a whole pass over its queue."""
+        return self.alive and self.working_set_size < self.config.max_batch_size
+
     def kv_free_tokens(self) -> int:
         return self.backend.kv_free_tokens()
 
@@ -262,16 +269,14 @@ class GpuEngine:
         arriving with its KV history (disagg decode routing) — by the
         ``kv_tokens`` it imports.
         """
-        if not self.alive:
-            return False
-        if self.working_set_size >= self.config.max_batch_size:
+        if not self.has_free_slot:
             return False
         if self.config.same_lora_only:
             active = self.active_lora_ids()
             if active and request.lora_id not in active:
                 return False
         if not self.loader.can_admit_adapter(
-            request.lora_id, self._default_lora_bytes()
+            request.lora_id, self._default_lora_bytes
         ):
             return False
         return self.backend.kv_can_admit(
@@ -284,8 +289,10 @@ class GpuEngine:
         — the locality signal the cluster scheduler's routing consults."""
         return int(self.loader.tier(lora_id))
 
+    @cached_property
     def _default_lora_bytes(self) -> float:
-        """Fallback adapter size when the registry has no metadata."""
+        """Fallback adapter size when the registry has no metadata — worked
+        out once: the backend's model config and rank never change."""
         return float(self.backend.config.lora_bytes(self.backend.lora_rank))
 
     def all_requests(self) -> list[Request]:
@@ -297,7 +304,11 @@ class GpuEngine:
         """Working + pending slots in admission order. Both source lists are
         already ascending in ``admit_seq`` (working is maintained so;
         pending is append-ordered), so a linear merge replaces the old
-        full sort."""
+        full sort — and is itself skipped when one side is empty."""
+        if not self._pending:
+            return list(self._working_order)
+        if not self._working_order:
+            return list(self._pending)
         return list(
             heapq.merge(self._working_order, self._pending, key=lambda s: s.admit_seq)
         )
@@ -330,7 +341,7 @@ class GpuEngine:
                 f"(working set {self.working_set_size}, "
                 f"free kv tokens {self.kv_free_tokens()})"
             )
-        self.loader.request_load(request.lora_id, self._default_lora_bytes(), now)
+        self.loader.request_load(request.lora_id, self._default_lora_bytes, now)
         self.loader.acquire(request.lora_id, now)
         request.needs_prefill = True
         request.mark_running(self.gpu_id, now)
@@ -436,7 +447,7 @@ class GpuEngine:
                 f"(working set {self.working_set_size}, "
                 f"free kv tokens {self.kv_free_tokens()})"
             )
-        self.loader.request_load(request.lora_id, self._default_lora_bytes(), now)
+        self.loader.request_load(request.lora_id, self._default_lora_bytes, now)
         self.loader.acquire(request.lora_id, now)
         self.backend.kv_import(request.request_id, kv_tokens)
         request.kv_len = kv_tokens
@@ -734,7 +745,7 @@ class GpuEngine:
         # a rebuild per merge. Pricing past headroom is harmless — the
         # *returned* slice below stays capped at ``count``.
         lats = backend.steady_run_latencies(
-            plan, steady.past, total, min(rem_cap, self._MAX_RUN)
+            plan, total, min(rem_cap, self._MAX_RUN)
         )
         if slowdown != 1.0:
             lats = lats * slowdown

@@ -10,6 +10,8 @@ EDF decode queue and its shed guard round out the matrix.
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.control import (
     ControlConfig,
@@ -26,7 +28,8 @@ from repro.cluster.disagg import DisaggConfig
 from repro.cluster.elastic import ElasticConfig, ElasticPool
 from repro.cluster.simulator import ClusterSimulator
 from repro.hw.spec import HwSpec
-from repro.models.config import LLAMA2_7B
+from repro.models.config import LLAMA2_7B, LLAMA2_13B
+from repro.models.perf import PUNICA_FLAGS, PerfFlags, StepWorkload, model_step_latency
 from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
@@ -37,11 +40,11 @@ from repro.workloads.trace import RequestSpec, generate_trace
 
 
 def make_engine(gpu_id, preset="a100-80g", max_batch=4, step_overhead=0.0,
-                role="both"):
+                role="both", config=LLAMA2_7B):
     return GpuEngine(
         gpu_id,
         SimulatedBackend(
-            LLAMA2_7B, gpu=HwSpec.preset(preset), step_overhead=step_overhead
+            config, gpu=HwSpec.preset(preset), step_overhead=step_overhead
         ),
         EngineConfig(max_batch_size=max_batch),
         role=role,
@@ -137,6 +140,24 @@ class TestFleetCostModel:
         engine.add_request(make_request("other", prompt=256), 0.0)
         assert cost.optimistic_floor(engine, req) == floor
         assert cost.predict_ttft(engine, req) > floor
+        # Two engines on one GPU preset that price differently (model,
+        # host overhead) keep their own floors, whichever is asked first.
+        for fleet in (
+            [make_engine("7b"), make_engine("13b", config=LLAMA2_13B)],
+            [make_engine("sim", step_overhead=0.0005),
+             make_engine("serve", step_overhead=0.0)],
+        ):
+            alone = {
+                e.gpu_id: FleetCostModel().optimistic_floor(e, req) for e in fleet
+            }
+            assert len(set(alone.values())) == 2
+            for order in (fleet, fleet[::-1]):
+                cost = FleetCostModel()
+                asked = {e.gpu_id: cost.optimistic_floor(e, req) for e in order}
+                assert asked == alone
+                for e in fleet:
+                    assert asked[e.gpu_id] <= cost.predict_ttft(e, req)
+                assert cost.best_floor(fleet, req) == min(alone.values())
 
     def test_estimate_headroom_goes_negative_past_deadline(self):
         control = ControlConfig(
@@ -158,6 +179,221 @@ class TestFleetCostModel:
             "p", SimulatedBackend(LLAMA2_7B), EngineConfig(max_batch_size=2)
         )
         assert FleetCostModel.engine_cost_per_hour(plain) == 1.0
+
+
+class DirectQuotes:
+    """The quote oracle: every prediction priced from scratch, one
+    validated per-request ``StepWorkload`` through ``model_step_latency``
+    per step — the pricing ``FleetCostModel`` itself ran (as ``_price``,
+    ``_segments``, ``_running_kv_lens``, ``_pending_prefill_lens``) before
+    it quoted from batch shape and KV total, moved here from ``src/``."""
+
+    def __init__(self, cost):
+        self.cost = cost
+
+    @staticmethod
+    def _running_kv_lens(engine):
+        return [r.kv_len for r in engine.all_requests() if not r.needs_prefill]
+
+    @staticmethod
+    def _pending_prefill_lens(engine, request):
+        return [
+            r.effective_prompt_len
+            for r in engine.all_requests()
+            if r.needs_prefill and r.request_id != request.request_id
+        ]
+
+    @staticmethod
+    def _price(backend, work):
+        return (
+            model_step_latency(
+                backend.config, backend.cost_model, work,
+                tp=backend.tp, flags=backend.flags,
+            )
+            + backend.step_overhead
+        )
+
+    @staticmethod
+    def _segments(backend, prefill_tokens, decodes):
+        if not backend.serve_lora:
+            return None
+        segs = [prefill_tokens] if prefill_tokens else []
+        segs.extend([1] * decodes)
+        return tuple(segs)
+
+    def _solo(self, backend, prompt):
+        return self._price(
+            backend,
+            StepWorkload(
+                prefill_lens=(prompt,),
+                lora_segments=self._segments(backend, prompt, 0),
+                lora_rank=backend.lora_rank,
+            ),
+        )
+
+    def predict_ttft(self, engine, request):
+        backend = engine.backend
+        prompt = max(1, request.effective_prompt_len)
+        running = self._running_kv_lens(engine)
+        work = StepWorkload(
+            prefill_lens=(prompt,),
+            decode_kv_lens=tuple(running),
+            lora_segments=self._segments(backend, prompt, len(running)),
+            lora_rank=backend.lora_rank,
+        )
+        t = self.cost.load_stall(engine, request) + self._price(backend, work)
+        for other in self._pending_prefill_lens(engine, request):
+            t += self._solo(backend, max(1, other))
+        return t
+
+    def predict_itl(self, engine, request):
+        backend = engine.backend
+        kv_lens = self._running_kv_lens(engine)
+        kv_lens.append(max(1, request.effective_prompt_len))
+        work = StepWorkload(
+            decode_kv_lens=tuple(kv_lens),
+            lora_segments=self._segments(backend, 0, len(kv_lens)),
+            lora_rank=backend.lora_rank,
+        )
+        return self._price(backend, work)
+
+    def estimate(self, engine, request, now):
+        policy = self.cost.control.policy_for(request.lora_id)
+        elapsed = max(0.0, now - request.spec.arrival_time)
+        ttft = self.predict_ttft(engine, request)
+        itl = self.predict_itl(engine, request)
+        ttft_headroom = policy.ttft_deadline - elapsed - ttft
+        itl_headroom = policy.itl_deadline - itl
+        return (
+            ttft, itl, ttft_headroom, itl_headroom,
+            min(ttft_headroom / policy.ttft_deadline,
+                itl_headroom / policy.itl_deadline),
+        )
+
+    def optimistic_floor(self, engine, request):
+        return self._solo(engine.backend, max(1, request.effective_prompt_len))
+
+    def best_floor(self, engines, request):
+        return min(self.optimistic_floor(e, request) for e in engines)
+
+
+_ORACLE_FLAGS = (
+    PUNICA_FLAGS,
+    PerfFlags(lora_impl="loop"),
+    PerfFlags(lora_impl="gather_bmm"),
+    PerfFlags(cache_concat=True),
+)
+
+
+@st.composite
+def busy_engines(draw, gpu_id="g"):
+    """A real engine driven into a drawn state: 0-8 requests decoding over
+    drawn KV lengths, 0-3 more waiting to prefill."""
+    fast_path = draw(st.sampled_from([None, False]))
+    backend = SimulatedBackend(
+        draw(st.sampled_from([LLAMA2_7B, LLAMA2_13B])),
+        gpu=HwSpec.preset(draw(st.sampled_from(["h100", "a100-80g", "l4"]))),
+        flags=draw(st.sampled_from(_ORACLE_FLAGS)),
+        serve_lora=draw(st.booleans()),
+        step_overhead=draw(st.sampled_from([0.0, 0.0005])),
+        # Sized by hand: a 13B backbone does not fit an L4, and the quote
+        # does not depend on how much KvCache is left.
+        kv_capacity_bytes=8 * 2**30,
+        fast_path=fast_path,
+    )
+    engine = GpuEngine(
+        gpu_id, backend, EngineConfig(max_batch_size=16), fast_path=fast_path
+    )
+    now = 0.0
+    for i in range(draw(st.integers(0, 8))):
+        engine.add_request(
+            make_request(f"{gpu_id}-run{i}", prompt=draw(st.integers(1, 700)),
+                         response=64, lora=f"lora-{draw(st.integers(0, 3))}"),
+            now,
+        )
+    while any(r.needs_prefill for r in engine.all_requests()):
+        now += 1.0  # past every adapter load; one prompt prefills per step
+        engine.step(now)
+    for i in range(draw(st.integers(0, 3))):
+        engine.add_request(
+            make_request(f"{gpu_id}-wait{i}", prompt=draw(st.integers(1, 700)),
+                         lora=f"lora-{draw(st.integers(0, 3))}"),
+            now,
+        )
+    return engine, now
+
+
+class TestQuoteOracle:
+    @given(
+        drawn=busy_engines(),
+        others=st.lists(
+            st.tuples(
+                st.sampled_from(["h100", "a100-80g", "l4"]),
+                st.sampled_from([LLAMA2_7B, LLAMA2_13B]),
+            ),
+            max_size=3,
+        ),
+        prompt=st.integers(1, 768),
+        already_pending=st.booleans(),
+        waited=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_quotes_equal_the_direct_formula(
+        self, drawn, others, prompt, already_pending, waited
+    ):
+        """Every number the cost model hands out is ``==`` — not approx —
+        the per-request ``StepWorkload`` -> ``model_step_latency`` price."""
+        engine, now = drawn
+        request = make_request("r", arrival=now, prompt=prompt, lora="lora-1")
+        if already_pending:
+            # Re-quoting a request that already waits on this engine must
+            # not charge it its own prefill (the ``request_id !=`` rule).
+            engine.add_request(request, now)
+        now += waited
+        cost = FleetCostModel(
+            ControlConfig(default_policy=SloPolicy(ttft_deadline=0.3,
+                                                   itl_deadline=0.12))
+        )
+        direct = DirectQuotes(cost)
+        assert cost.predict_ttft(engine, request) == direct.predict_ttft(engine, request)
+        assert cost.predict_itl(engine, request) == direct.predict_itl(engine, request)
+        expected = direct.estimate(engine, request, now)
+        for est in (
+            cost.estimate(engine, request, now),
+            cost.estimate(engine, request, now, cost.snapshot(engine)),
+        ):
+            assert (
+                est.ttft, est.itl, est.ttft_headroom, est.itl_headroom,
+                est.fitness,
+            ) == expected
+        fleet = [engine] + [
+            make_engine(f"o{i}", preset=preset, config=config)
+            for i, (preset, config) in enumerate(others)
+            if (preset, config) != ("l4", LLAMA2_13B)  # does not fit
+        ]
+        for e in fleet:
+            assert cost.optimistic_floor(e, request) == direct.optimistic_floor(e, request)
+        best = direct.best_floor(fleet, request)
+        assert cost.best_floor(fleet, request) == best
+        assert cost.best_floor(cost.device_classes(fleet), request) == best
+
+    def test_device_classes_split_on_every_pricing_input(self):
+        base = dict(gpu=HwSpec.preset("a100-80g"))
+        variants = [
+            SimulatedBackend(LLAMA2_7B, **base),
+            SimulatedBackend(LLAMA2_7B, **base),  # same class as the first
+            SimulatedBackend(LLAMA2_13B, **base),
+            SimulatedBackend(LLAMA2_7B, gpu=HwSpec.preset("l4")),
+            SimulatedBackend(LLAMA2_7B, step_overhead=0.0, **base),
+            SimulatedBackend(LLAMA2_7B, lora_rank=8, **base),
+            SimulatedBackend(LLAMA2_7B, serve_lora=False, **base),
+            SimulatedBackend(LLAMA2_7B, flags=PerfFlags(lora_impl="loop"), **base),
+        ]
+        engines = [GpuEngine(f"g{i}", b) for i, b in enumerate(variants)]
+        classes = FleetCostModel.device_classes(engines)
+        assert [e.gpu_id for e in classes] == ["g0", "g2", "g3", "g4", "g5", "g6", "g7"]
+        engines[0].alive = False  # a dead engine cannot stand for its class
+        assert FleetCostModel.device_classes(engines)[0].gpu_id == "g1"
 
 
 class TestSloRouter:
@@ -199,6 +435,50 @@ class TestSloRouter:
             e.request_id for e in tracer.by_kind(EventKind.SLO_ADMIT)
         ]
         assert admits == ["early", "late"]
+
+    def test_drain_pass_requotes_an_engine_it_just_admitted_onto(self):
+        # One engine, two waiters that both fit: the pass must quote the
+        # second against the engine *after* the first admit — a snapshot
+        # kept across the admit would miss the first one's queued prefill.
+        tracer = Tracer()
+        blocker = make_engine("g0", max_batch=1)
+        blocker.add_request(make_request("hog"), 0.0)
+        router = self._router([blocker], tracer=tracer)
+        first = make_request("first", arrival=1.0, prompt=300)
+        second = make_request("second", arrival=2.0, prompt=200)
+        assert router.submit(first, 3.0) is None
+        assert router.submit(second, 3.0) is None
+        engine = make_engine("g1", max_batch=4)
+        router.add_engine(engine)
+        probe = make_request("second", arrival=2.0, prompt=200)
+        empty_ttft = router.cost.predict_ttft(engine, probe)
+        assert router.drain_queue(4.0) == ["g1", "g1"]
+        admits = {e.request_id: e for e in tracer.by_kind(EventKind.SLO_ADMIT)}
+        # ``second`` itself now waits on g1; the probe has its id, so the
+        # cost model leaves its own prefill out, as it did during the pass.
+        after_first = router.cost.predict_ttft(engine, probe)
+        assert after_first > empty_ttft
+        assert admits["second"].attrs["ttft"] == round(after_first, 9)
+        policy = router.control.default_policy
+        assert admits["second"].attrs["headroom"] == round(
+            policy.ttft_deadline - (4.0 - 2.0) - after_first, 9
+        )
+
+    def test_estimate_without_a_snapshot_reads_the_engine_afresh(self):
+        cost = FleetCostModel()
+        engine = make_engine("g", max_batch=8)
+        req = make_request("r", prompt=128)
+        stale = cost.snapshot(engine)
+        before = cost.estimate(engine, req, 0.0)
+        assert before == cost.estimate(engine, req, 0.0, stale)
+        engine.add_request(make_request("a", prompt=256, lora="lora-a"), 0.0)
+        queued = cost.estimate(engine, req, 0.0)
+        assert queued.ttft > before.ttft and queued.itl == before.itl
+        assert cost.estimate(engine, req, 0.0, stale) == before  # caller's risk
+        engine.step(1.0)  # "a" prefills and joins the decode batch
+        running = cost.estimate(engine, req, 1.0)
+        assert running.itl > before.itl
+        assert running == cost.estimate(engine, req, 1.0, cost.snapshot(engine))
 
     def test_negative_headroom_still_places_best_effort(self):
         router = self._router([make_engine("g")], ttft=0.001)

@@ -29,6 +29,8 @@ comparing the slow path to itself.
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -240,21 +242,28 @@ def test_random_workload_differential(
             assert not engine._working and not engine._pending
 
 
+def _watch_terms_memo(monkeypatch, limit):
+    """Bound the latency-term memo at ``limit`` shapes and record its size
+    after every lookup, per backend."""
+    monkeypatch.setattr("repro.runtime.backend._TERMS_MEMO_LIMIT", limit)
+    sizes: dict[int, list[int]] = {}
+    lookup = SimulatedBackend._terms
+
+    def watched(self, *shape):
+        terms = lookup(self, *shape)
+        sizes.setdefault(id(self), []).append(len(self._terms_memo))
+        return terms
+
+    monkeypatch.setattr(SimulatedBackend, "_terms", watched)
+    return sizes
+
+
 def test_bounded_shape_memo_differential(monkeypatch):
     """With the latency-term memo's bound down to a handful of shapes the
     fast path clears and refills it all run long: still byte-identical to
     the reference, and never past the bound."""
     limit = 3
-    monkeypatch.setattr("repro.runtime.backend._TERMS_MEMO_LIMIT", limit)
-    sizes: dict[int, list[int]] = {}
-    lookup = SimulatedBackend._terms_for_plan
-
-    def watched(self, plan, past_lens):
-        terms = lookup(self, plan, past_lens)
-        sizes.setdefault(id(self), []).append(len(self._terms_memo))
-        return terms
-
-    monkeypatch.setattr(SimulatedBackend, "_terms_for_plan", watched)
+    sizes = _watch_terms_memo(monkeypatch, limit)
     kwargs = dict(
         seed=5, num_gpus=2, max_batch=6, rate=14.0, duration=3.5,
         lora_rank=16, cancel_picks=[], fault_plan=[], spec=None,
@@ -267,6 +276,23 @@ def test_bounded_shape_memo_differential(monkeypatch):
     )
     assert sizes and all(max(seen) == limit for seen in sizes.values())
     # A shrinking memo is a clear: the bound was hit, not merely unreached.
+    assert all(
+        any(b < a for a, b in zip(seen, seen[1:])) for seen in sizes.values()
+    )
+
+
+def test_bounded_shape_memo_under_slo_quotes(monkeypatch):
+    """The router's placement quotes live in the same bounded memo as the
+    engine's steps: with the bound at 3 the ``slo`` scenario still writes
+    its golden trace byte for byte (``ttft`` / ``headroom`` to nine
+    decimals), never holds more than 3 shapes, and clears."""
+    limit = 3
+    sizes = _watch_terms_memo(monkeypatch, limit)
+    golden = (
+        pathlib.Path(__file__).parent / "golden" / "slo.jsonl"
+    ).read_text()
+    assert run_scenario("slo", seed=0).tracer.dumps_jsonl() == golden
+    assert sizes and all(max(seen) == limit for seen in sizes.values())
     assert all(
         any(b < a for a, b in zip(seen, seen[1:])) for seen in sizes.values()
     )

@@ -1,9 +1,11 @@
 """Tests for the kernel latency model — shapes must match the paper's §7.1."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw.kernels import KernelCostModel, SgmvWorkload, sgmv_flop, sgmv_io_bytes
-from repro.hw.spec import A100_80G
+from repro.hw.spec import A100_80G, HwSpec
 from repro.utils.units import US
 
 
@@ -98,6 +100,74 @@ class TestSgmvLatencyShape:
         # Consistent with the paper's "+2ms per token" total LoRA overhead:
         # 7 projections x 32 layers x this must stay ~2ms.
         assert lora_latency(model, (1,), standalone=False) < 12 * US
+
+
+def sgmv_from_workload(spec, work, standalone):
+    """One SGMV launch priced from the validated segment vector, through
+    ``SgmvWorkload.flop`` / ``io_bytes`` / ``all_distinct`` — the direct
+    form ``KernelCostModel.sgmv`` had before it priced from ``(s_n, n)``;
+    kept here as the oracle for the aggregate form."""
+    overhead = spec.sgmv_kernel_overhead
+    if standalone:
+        overhead += spec.op_dispatch_overhead
+        overhead += spec.segment_host_cost * work.num_models
+    if work.all_distinct:
+        rank = min(work.h_in, work.h_out)
+        weight_io = float(work.num_models) * work.h_in * work.h_out * 2
+        token_io = float(work.batch_size) * (work.h_in + work.h_out) * 2
+        bw = min(spec.gemv_bw.achieved(rank), spec.hbm_bandwidth)
+        return overhead + (weight_io + token_io) / bw
+    t_memory = work.io_bytes / (spec.hbm_bandwidth * spec.tc_bandwidth_efficiency)
+    t_compute = work.flop / (spec.peak_fp16_flops * spec.gemm_efficiency)
+    return overhead + max(t_memory, t_compute)
+
+
+class TestLoraAddonAggregates:
+    """A launch costs only through ``(s_n, n)`` (§7.1): the segment-vector
+    signature and the aggregate form are one implementation."""
+
+    @given(
+        segments=st.lists(st.integers(1, 900), min_size=1, max_size=12),
+        h_in=st.sampled_from([4096, 5120, 11008]),
+        h_out=st.sampled_from([1024, 4096, 13824]),
+        rank=st.sampled_from([8, 16, 64]),
+        standalone=st.booleans(),
+        preset=st.sampled_from(["a100-80g", "h100", "l4"]),
+        memoize=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_segments_equal_aggregates_equal_the_direct_form(
+        self, segments, h_in, h_out, rank, standalone, preset, memoize
+    ):
+        spec = HwSpec.preset(preset)
+        kcm = KernelCostModel(spec, memoize=memoize)
+        direct = sgmv_from_workload(
+            spec, SgmvWorkload(tuple(segments), h_in, rank), standalone
+        ) + sgmv_from_workload(
+            spec, SgmvWorkload(tuple(segments), rank, h_out), standalone
+        )
+        by_segments = kcm.lora_addon(segments, h_in, h_out, rank, standalone)
+        by_totals = kcm.lora_addon_total(
+            sum(segments), len(segments), h_in, h_out, rank, standalone
+        )
+        assert by_segments == by_totals == direct
+        work = SgmvWorkload(tuple(segments), h_in, rank)
+        assert kcm.sgmv(work, standalone) == sgmv_from_workload(spec, work, standalone)
+
+    @pytest.mark.parametrize("memoize", [True, False])
+    def test_bad_segments_still_raise(self, memoize):
+        kcm = KernelCostModel(A100_80G, memoize=memoize)
+        # Warm the (s_n=4, n=3) entry a bad vector below aggregates to.
+        kcm.lora_addon((1, 1, 2), 4096, 4096, 16)
+        for bad in ((), (0, 1), (3, -1, 2)):
+            with pytest.raises(ValueError):
+                kcm.lora_addon(bad, 4096, 4096, 16)
+        for s_n, n in ((0, 0), (2, 3), (4, 0)):
+            with pytest.raises(ValueError):
+                kcm.lora_addon_total(s_n, n, 4096, 4096, 16)
+        for h_in, h_out, rank in ((0, 4096, 16), (4096, -1, 16), (4096, 4096, 0)):
+            with pytest.raises(ValueError):
+                kcm.lora_addon_total(8, 2, h_in, h_out, rank)
 
 
 class TestLoraOperatorComparison:
