@@ -15,10 +15,14 @@ on-demand loader copies over PCIe), and stacks per-model weights into the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.utils.rng import new_rng
+
+if TYPE_CHECKING:
+    from repro.core.batch import BatchPlan
 
 #: Projection names LoRA attaches to, in layer order.
 TARGET_PROJECTIONS = ("q", "k", "v", "o", "gate", "up", "down")
@@ -210,9 +214,144 @@ class LoraRegistry:
         for p in pairs:
             if p.h_in != h_in or p.h_out != h_out:
                 raise ValueError("all models in one stack must share projection dims")
-        wa = np.zeros((len(pairs), h_in, max_rank), dtype=pairs[0].wa.dtype)
-        wb = np.zeros((len(pairs), max_rank, h_out), dtype=pairs[0].wb.dtype)
+        # The widest dtype in the stack, so no adapter is rounded to the
+        # precision of whichever happened to be listed first.
+        wa = np.zeros(
+            (len(pairs), h_in, max_rank), dtype=np.result_type(*(p.wa for p in pairs))
+        )
+        wb = np.zeros(
+            (len(pairs), max_rank, h_out), dtype=np.result_type(*(p.wb for p in pairs))
+        )
         for i, p in enumerate(pairs):
             wa[i, :, : p.rank] = p.wa
             wb[i, : p.rank, :] = p.wb
         return wa, wb
+
+
+def _fit(old: "np.ndarray | None", shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``old`` if it already covers ``shape`` and holds ``dtype`` exactly;
+    otherwise a zeroed array that does, with ``old`` copied in."""
+    if old is None:
+        return np.zeros(shape, dtype=dtype)
+    shape = tuple(map(max, shape, old.shape))
+    dtype = np.result_type(old.dtype, dtype)
+    if old.shape == shape and old.dtype == dtype:
+        return old
+    new = np.zeros(shape, dtype=dtype)
+    new[tuple(slice(0, n) for n in old.shape)] = old
+    return new
+
+
+class LoraSlab:
+    """Adapter weights resident kernel-side, gathered by slot (paper §4).
+
+    The "G" of SGMV: the kernel reads each segment's ``A``/``B`` through a
+    per-batch index into weights that already sit in GPU memory; a step
+    never copies an adapter. Per ``(layer, projection)`` the slab holds
+    one ``(slots, h_in, r)`` / ``(slots, r, h_out)`` pair in the adapters'
+    own dtype (widened, exactly, if a later adapter needs it). An adapter
+    is copied in once, through :meth:`LoraRegistry.stack_padded`, when a
+    plan first names it; :meth:`gather` is then one fancy index per
+    weight array.
+
+    The slab is a copy for the kernels, not a residency store: it holds
+    the batch working set, never the registry, and is not consulted for
+    admission or byte accounting (that is ``GpuAdapterStore``). Capacity
+    is the largest number of distinct adapters one plan has needed; the
+    adapters of the plan being placed are never replaced, anything else
+    is, least recently used first.
+    """
+
+    def __init__(self, registry: LoraRegistry):
+        self.registry = registry
+        self._slot_of: dict[str, int] = {}
+        """adapter id -> slot, least recently used first."""
+        self._free: list[int] = []
+        self._num_layers: int | None = None
+        self._tables: dict[tuple[int, str], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        """``(layer, proj) -> (wa, wb, rank of each slot)``."""
+        self._placed: "tuple[BatchPlan, np.ndarray, dict] | None" = None
+        """The last plan placed, its slot vector and its padded rank per
+        ``(layer, proj)``: the ``7L`` addons of an invocation, and every
+        step of an unchanged batch, share them."""
+
+    @property
+    def num_slots(self) -> int:
+        return len(self._slot_of) + len(self._free)
+
+    @property
+    def resident_ids(self) -> list[str]:
+        """Adapters held, least recently used first."""
+        return list(self._slot_of)
+
+    def _place(self, plan: "BatchPlan") -> "tuple[BatchPlan, np.ndarray, dict]":
+        placed = self._placed
+        if placed is not None and placed[0] is plan:
+            return placed
+        self._placed = None  # replacements below invalidate its slots
+        ids = plan.segment_lora_ids
+        slot_of = self._slot_of
+        wanted = dict.fromkeys(ids)
+        for lora_id in wanted:
+            self.registry.get(lora_id)  # an unknown adapter fails before any eviction
+            if lora_id in slot_of:
+                slot_of[lora_id] = slot_of.pop(lora_id)  # most recently used last
+        self._free.extend(range(self.num_slots, len(wanted)))
+        for lora_id in wanted:
+            if lora_id in slot_of:
+                continue
+            # Every resident adapter of this plan was just moved to the
+            # back, and capacity covers the plan, so with no free slot the
+            # front of the LRU order is an adapter this plan does not use.
+            if not self._free:
+                self._free.append(slot_of.pop(next(iter(slot_of))))
+            self._load(lora_id, self._free[-1])
+            slot_of[lora_id] = self._free.pop()
+        slots = np.fromiter((slot_of[i] for i in ids), dtype=np.int64, count=len(ids))
+        self._placed = placed = (plan, slots, {})
+        return placed
+
+    def _load(self, lora_id: str, slot: int) -> None:
+        """Copy one adapter into ``slot``, every layer and projection."""
+        model = self.registry.get(lora_id)
+        if self._num_layers is None:
+            self._num_layers = model.num_layers
+        if model.num_layers != self._num_layers:
+            raise ValueError(
+                f"{lora_id!r} covers {model.num_layers} layers, the slab's "
+                f"adapters cover {self._num_layers}"
+            )
+        n = self.num_slots
+        for layer in range(model.num_layers):
+            for proj in TARGET_PROJECTIONS:
+                wa, wb = self.registry.stack_padded([lora_id], layer, proj)
+                _, h_in, rank = wa.shape
+                h_out = wb.shape[2]
+                old = self._tables.get((layer, proj), (None, None, None))
+                if old[0] is not None and (
+                    old[0].shape[1] != h_in or old[1].shape[2] != h_out
+                ):
+                    raise ValueError("all models in one stack must share projection dims")
+                table_a = _fit(old[0], (n, h_in, rank), wa.dtype)
+                table_b = _fit(old[1], (n, rank, h_out), wb.dtype)
+                ranks = _fit(old[2], (n,), np.int64)
+                # Zero first: the last tenant may have had a higher rank.
+                table_a[slot] = 0
+                table_b[slot] = 0
+                table_a[slot, :, :rank] = wa[0]
+                table_b[slot, :rank] = wb[0]
+                ranks[slot] = rank
+                self._tables[layer, proj] = (table_a, table_b, ranks)
+
+    def gather(
+        self, plan: "BatchPlan", layer: int, proj: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``registry.stack_padded(plan.segment_lora_ids, layer, proj)`` read
+        from the slab: one row per SGMV segment, zero-padded to the
+        largest rank in the batch."""
+        _, slots, ranks = self._place(plan)
+        table_a, table_b, slot_ranks = self._tables[layer, proj]
+        rank = ranks.get((layer, proj))
+        if rank is None:
+            rank = ranks[layer, proj] = int(slot_ranks[slots].max())
+        return table_a[slots][:, :, :rank], table_b[slots][:, :rank]

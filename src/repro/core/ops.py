@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.segments import validate_segments
 from repro.core.sgmv import _segment_plan, sgmv_expand, sgmv_shrink
 
 
 def _check(y: np.ndarray, x: np.ndarray, wa: np.ndarray, wb: np.ndarray, seg: np.ndarray):
-    seg = validate_segments(seg, batch_size=x.shape[0], allow_empty=True)
+    seg = _segment_plan(seg, batch_size=x.shape[0]).seg
     n = seg.size - 1
     if wa.shape[0] != n or wb.shape[0] != n:
         raise ValueError(
@@ -60,9 +59,7 @@ def gather_weights(weights: np.ndarray, seg: np.ndarray) -> np.ndarray:
     Returns shape ``(s_n, h_in, h_out)`` — the stacked copy ``torch.bmm``
     consumes, and the source of the baseline's extra memory traffic.
     """
-    seg = validate_segments(seg, allow_empty=True)
-    _, sizes, _ = _segment_plan(seg)
-    return np.repeat(weights, sizes, axis=0)
+    return np.repeat(weights, _segment_plan(seg).sizes, axis=0)
 
 
 def add_lora_gather_bmm(

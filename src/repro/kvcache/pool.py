@@ -11,6 +11,8 @@ of how pages were recycled in between.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.kvcache.page import PageAllocator
@@ -116,12 +118,36 @@ class KvPool:
         return self.allocator.used_pages * self.page_size * self.bytes_per_token
 
 
+class DecodeRows(NamedTuple):
+    """Where one decode step reads and writes: one row per sequence.
+
+    The paper's BatchDecode launch (§5.4/§6) takes every decode request's
+    page list at once; this is that argument, built once per invocation
+    by :meth:`PagedKvData.decode_rows` and shared by all layers.
+    """
+
+    seq_ids: tuple[str, ...]
+    positions: np.ndarray
+    """``(n,)`` position the step's token is written at; the token attends
+    to history positions ``<= positions[i]``."""
+    table: np.ndarray
+    """``(n, max_pages)`` page ids, rows of shorter sequences padded with
+    page 0 (whatever it holds is masked out)."""
+    write_page: np.ndarray
+    write_slot: np.ndarray
+    masked: np.ndarray
+    """``(n, max_pages * page_size)`` — True where a gathered slot lies
+    past the row's position: padding, or stale K/V in a recycled page."""
+
+
 class PagedKvData:
     """Paged KvCache with real storage: ``data[page, layer, kv, head, slot, dim]``.
 
     Writes go through ``(seq page list, in-page slot)`` indirection just
     like the CUDA kernels do; :meth:`gather` linearizes one sequence's
-    history for the attention computation.
+    history for the attention computation, and :meth:`decode_rows` /
+    :meth:`write_decode` / :meth:`gather_decode` serve a whole decode
+    batch with one indexed operation per tensor.
     """
 
     def __init__(
@@ -165,27 +191,82 @@ class PagedKvData:
         self.allocator.free(seq_id)
         del self._lengths[seq_id]
 
-    def _locate(self, seq_id: str, position: int) -> tuple[int, int]:
-        pages = self.allocator.pages_of(seq_id)
-        page_idx, slot = divmod(position, self.page_size)
-        if page_idx >= len(pages):
-            raise IndexError(
-                f"position {position} beyond allocated pages of {seq_id!r}"
-            )
-        return pages[page_idx], slot
-
     def write_token(
         self, seq_id: str, layer: int, position: int, k: np.ndarray, v: np.ndarray
     ) -> None:
         """Store one token's K and V for one layer. Shapes ``(N_kv, D)``."""
-        page, slot = self._locate(seq_id, position)
+        self.write_tokens(seq_id, layer, position, k[None], v[None])
+
+    def write_tokens(
+        self, seq_id: str, layer: int, start: int, k: np.ndarray, v: np.ndarray
+    ) -> None:
+        """Store K and V of the consecutive tokens ``start, start + 1, ...``
+        of one sequence for one layer. Shapes ``(tokens, N_kv, D)``."""
         expected = (self.num_kv_heads, self.head_dim)
-        if k.shape != expected or v.shape != expected:
-            raise ValueError(f"k/v must have shape {expected}, got {k.shape}/{v.shape}")
+        if k.shape != v.shape or k.ndim != 3 or k.shape[1:] != expected:
+            raise ValueError(
+                f"k/v must have shape (tokens, {expected[0]}, {expected[1]}), "
+                f"got {k.shape}/{v.shape}"
+            )
+        stop = start + k.shape[0]
+        pages = self.allocator.pages_of(seq_id)
+        if stop > len(pages) * self.page_size:
+            raise IndexError(
+                f"position {stop - 1} beyond allocated pages of {seq_id!r}"
+            )
+        page_idx, slot = np.divmod(np.arange(start, stop), self.page_size)
+        page = np.asarray(pages, dtype=np.int64)[page_idx]
         self.data[page, layer, 0, :, slot, :] = k
         self.data[page, layer, 1, :, slot, :] = v
         if layer == self.num_layers - 1:
-            self._lengths[seq_id] = max(self._lengths[seq_id], position + 1)
+            self._lengths[seq_id] = max(self._lengths[seq_id], stop)
+
+    def decode_rows(self, seq_ids, positions) -> DecodeRows:
+        """Page table, write slots and length mask of one decode step:
+        sequence ``seq_ids[i]`` writes its token at ``positions[i]``."""
+        seq_ids = tuple(seq_ids)
+        positions = np.asarray(positions, dtype=np.int64)
+        if not seq_ids or positions.shape != (len(seq_ids),):
+            raise ValueError("decode_rows needs sequences and one position for each")
+        page_size = self.page_size
+        page_idx, write_slot = np.divmod(positions, page_size)
+        table = np.zeros((len(seq_ids), int(page_idx.max()) + 1), dtype=np.int64)
+        for i, (seq_id, last) in enumerate(zip(seq_ids, page_idx.tolist())):
+            pages = self.allocator.pages_of(seq_id)
+            if last >= len(pages):
+                raise IndexError(
+                    f"position {positions[i]} beyond allocated pages of {seq_id!r}"
+                )
+            table[i, : last + 1] = pages[: last + 1]
+        return DecodeRows(
+            seq_ids=seq_ids,
+            positions=positions,
+            table=table,
+            write_page=table[np.arange(len(seq_ids)), page_idx],
+            write_slot=write_slot,
+            masked=np.arange(table.shape[1] * page_size) > positions[:, None],
+        )
+
+    def write_decode(self, rows: DecodeRows, layer: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Store every row's token for one layer. Shapes ``(n, N_kv, D)``."""
+        expected = (len(rows.seq_ids), self.num_kv_heads, self.head_dim)
+        if k.shape != expected or v.shape != expected:
+            raise ValueError(f"k/v must have shape {expected}, got {k.shape}/{v.shape}")
+        self.data[rows.write_page, layer, 0, :, rows.write_slot, :] = k
+        self.data[rows.write_page, layer, 1, :, rows.write_slot, :] = v
+        if layer == self.num_layers - 1:
+            lengths = self._lengths
+            for seq_id, position in zip(rows.seq_ids, rows.positions.tolist()):
+                lengths[seq_id] = max(lengths[seq_id], position + 1)
+
+    def gather_decode(self, rows: DecodeRows, layer: int, kv: int) -> np.ndarray:
+        """K (``kv=0``) or V (``kv=1``) pages of every row:
+        ``(n, N_kv, max_pages * page_size, D)``, to be read under
+        ``rows.masked``."""
+        n, max_pages = rows.table.shape
+        heads = np.arange(self.num_kv_heads)
+        pages = self.data[rows.table[:, None, :], layer, kv, heads[None, :, None]]
+        return pages.reshape(n, self.num_kv_heads, max_pages * self.page_size, self.head_dim)
 
     def written_len(self, seq_id: str) -> int:
         """Tokens fully written (all layers) for ``seq_id``."""

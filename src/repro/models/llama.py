@@ -9,9 +9,11 @@ runtime executes it (§5/§6):
 * dense projections and the LoRA addon run *batched over all tokens*,
   with the LoRA addon computed by two SGMV launches over the plan's
   token-level segments;
-* attention runs per request against the paged KvCache
+* attention runs against the paged KvCache
   (:class:`~repro.kvcache.pool.PagedKvData`), prefill and decode through
-  the same storage.
+  the same storage: each prefill on its own (the BatchPrefill side), all
+  decode rows of the invocation in one batched pass per layer (the
+  BatchDecode side, :func:`paged_decode_attention`).
 
 At toy scale this proves the serving semantics numerically;
 :func:`reference_forward_full` is the no-cache, single-request gold
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.batch import BatchPlan
-from repro.core.lora import LoraRegistry
+from repro.core.lora import LoraRegistry, LoraSlab
 from repro.core.ops import add_lora_sgmv
-from repro.kvcache.pool import PagedKvData
+from repro.kvcache.pool import DecodeRows, PagedKvData
 from repro.models.weights import LlamaLayerWeights, LlamaWeights
 
 
@@ -41,25 +43,38 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
+def rope_tables(
+    positions: np.ndarray, head_dim: int, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(cos, sin)`` rotation tables of ``positions``, each
+    ``(tokens, 1, head_dim / 2)``: pair ``i`` turns by ``pos * theta^(-2i/d)``.
+    They depend on the positions alone, so one invocation computes them
+    once for ``q`` and ``k`` of every layer."""
+    if head_dim % 2 != 0:
+        raise ValueError(f"head_dim must be even for RoPE, got {head_dim}")
+    half = head_dim // 2
+    freq = theta ** (-np.arange(half, dtype=np.float64) / half)
+    angles = positions[:, None].astype(np.float64) * freq[None, :]  # (tokens, half)
+    return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+
+
+def rope_apply(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate the pairs ``(x[2i], x[2i+1])`` of ``x`` ``(tokens, heads,
+    head_dim)`` by the tables of :func:`rope_tables`."""
+    x_even, x_odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = x_even * cos - x_odd * sin
+    out[..., 1::2] = x_even * sin + x_odd * cos
+    return out
+
+
 def rope_rotate(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
     """Apply rotary position embeddings.
 
     ``x`` is ``(tokens, heads, head_dim)``; ``positions`` is ``(tokens,)``.
     Pairs ``(x[2i], x[2i+1])`` are rotated by ``pos * theta^(-2i/d)``.
     """
-    tokens, _, head_dim = x.shape
-    if head_dim % 2 != 0:
-        raise ValueError(f"head_dim must be even for RoPE, got {head_dim}")
-    half = head_dim // 2
-    freq = theta ** (-np.arange(half, dtype=np.float64) / half)
-    angles = positions[:, None].astype(np.float64) * freq[None, :]  # (tokens, half)
-    cos = np.cos(angles)[:, None, :]
-    sin = np.sin(angles)[:, None, :]
-    x_even, x_odd = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = x_even * cos - x_odd * sin
-    out[..., 1::2] = x_even * sin + x_odd * cos
-    return out
+    return rope_apply(x, *rope_tables(positions, x.shape[-1], theta))
 
 
 def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_positions: np.ndarray) -> np.ndarray:
@@ -78,6 +93,31 @@ def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_positions: n
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
     return np.einsum("hqs,hsd->qhd", weights, v)
+
+
+def paged_decode_attention(
+    q: np.ndarray, kv: PagedKvData, layer: int, rows: DecodeRows
+) -> np.ndarray:
+    """Attention of every decode row over its paged history, batched.
+
+    ``q`` is ``(n, H, D)``, one query per row of ``rows``; the result
+    equals :func:`causal_attention` of each row over its own
+    :meth:`PagedKvData.gather`. Rows are padded to the longest history;
+    a padded or stale slot gets score ``-inf``, hence weight exactly
+    ``0.0``, so a row's output does not depend on its neighbours. Query
+    heads are grouped onto their K/V head (GQA) rather than repeating K/V.
+    """
+    n, num_heads, head_dim = q.shape
+    q = q.reshape(n, kv.num_kv_heads, num_heads // kv.num_kv_heads, head_dim)
+    k_hist = kv.gather_decode(rows, layer, 0)  # (n, N_kv, S, D)
+    scores = np.matmul(q, k_hist.transpose(0, 1, 3, 2)) / np.sqrt(head_dim)
+    scores = np.where(rows.masked[:, None, None, :], -np.inf, scores)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    del k_hist  # before V is gathered: one page set live at a time
+    v_hist = kv.gather_decode(rows, layer, 1)
+    return np.matmul(weights, v_hist).reshape(n, num_heads, head_dim)
 
 
 @dataclass(frozen=True)
@@ -143,6 +183,8 @@ class LlamaModel:
         self.config = cfg
         self.kv = kv
         self.registry = registry
+        self.slab = LoraSlab(registry) if registry is not None else None
+        """Kernel-side copy of the adapters in flight; filled at first use."""
 
     # ------------------------------------------------------------------
     def _lora_addon(
@@ -155,13 +197,14 @@ class LlamaModel:
     ) -> None:
         """Add the batched LoRA delta for one projection via SGMV in place.
 
-        Uses the zero-padded stack so tenants of *different* ranks batch
-        into one launch (exact; identical to the strict stack when ranks
-        are uniform).
+        The weights are gathered by slot from the resident slab,
+        zero-padded to the batch's largest rank so tenants of *different*
+        ranks batch into one launch (exact; identical to the strict stack
+        when ranks are uniform).
         """
-        if self.registry is None:
+        if self.slab is None:
             return
-        wa, wb = self.registry.stack_padded(list(plan.segment_lora_ids), layer, proj)
+        wa, wb = self.slab.gather(plan, layer, proj)
         add_lora_sgmv(y, h, wa, wb, plan.seg)
 
     def _project(
@@ -185,6 +228,17 @@ class LlamaModel:
         positions = batch.positions()
         slices = batch.entry_token_slices()
         group = cfg.num_heads // cfg.num_kv_heads
+        cos, sin = rope_tables(positions, cfg.head_dim, cfg.rope_theta)
+        # Prefills come first in plan order, then one row per decode.
+        prefills = list(
+            zip(plan.entries[: len(plan.prefill_lens)], slices, batch.past_lens)
+        )
+        first_decode = plan.batchlen.num_prefill_tokens
+        decode_rows = (
+            self.kv.decode_rows(plan.decode_ids, positions[first_decode:])
+            if plan.decode_ids
+            else None
+        )
 
         x = w.embedding[batch.token_ids]
         for layer_idx, lw in enumerate(w.layers):
@@ -197,25 +251,29 @@ class LlamaModel:
             q = q.reshape(-1, cfg.num_heads, cfg.head_dim)
             k = k.reshape(-1, cfg.num_kv_heads, cfg.head_dim)
             v = v.reshape(-1, cfg.num_kv_heads, cfg.head_dim)
-            q = rope_rotate(q, positions, cfg.rope_theta)
-            k = rope_rotate(k, positions, cfg.rope_theta)
+            q = rope_apply(q, cos, sin)
+            k = rope_apply(k, cos, sin)
 
-            # Write this invocation's K/V into the paged cache.
-            for entry, sl, past in zip(plan.entries, slices, batch.past_lens):
-                for j, tok in enumerate(range(sl.start, sl.stop)):
-                    self.kv.write_token(
-                        entry.request_id, layer_idx, past + j, k[tok], v[tok]
-                    )
-
-            # Attention per request over its full (paged) history.
+            # Write this invocation's K/V into the paged cache and attend:
+            # each prefill over its own (paged) history, the decode rows
+            # together.
             attn = np.empty_like(q)
-            for entry, sl, past in zip(plan.entries, slices, batch.past_lens):
-                hist_len = past + entry.num_tokens
-                k_hist, v_hist = self.kv.gather(entry.request_id, layer_idx, hist_len)
+            for entry, sl, past in prefills:
+                self.kv.write_tokens(entry.request_id, layer_idx, past, k[sl], v[sl])
+                k_hist, v_hist = self.kv.gather(
+                    entry.request_id, layer_idx, past + entry.num_tokens
+                )
                 if group > 1:
                     k_hist = np.repeat(k_hist, group, axis=0)
                     v_hist = np.repeat(v_hist, group, axis=0)
                 attn[sl] = causal_attention(q[sl], k_hist, v_hist, positions[sl])
+            if decode_rows is not None:
+                self.kv.write_decode(
+                    decode_rows, layer_idx, k[first_decode:], v[first_decode:]
+                )
+                attn[first_decode:] = paged_decode_attention(
+                    q[first_decode:], self.kv, layer_idx, decode_rows
+                )
 
             attn_flat = attn.reshape(-1, cfg.num_heads * cfg.head_dim)
             o = self._project(attn_flat, lw, plan, layer_idx, "o")

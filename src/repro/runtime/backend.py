@@ -513,8 +513,7 @@ class NumpyBackend:
         self.kv_data.allocator.append(request_id, n)
 
     def kv_append_many(self, request_ids) -> None:
-        for rid in request_ids:
-            self.kv_data.append_slot(rid)
+        self.kv_data.allocator.append_tokens(request_ids)
 
     def kv_truncate(self, request_id: str, new_len: int) -> int:
         released = self.kv_data.truncate(request_id, new_len)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.ops import add_lora_sgmv
 from repro.core.segments import segments_from_sizes
 from repro.core.sgmv import (
+    _segment_plan,
     sgmv_expand,
     sgmv_expand_reference,
     sgmv_shrink,
@@ -305,3 +307,142 @@ class TestSgmvProperties:
             [x[int(seg[i]) : int(seg[i + 1])] @ wa[i] for i in range(len(sizes))]
         )
         np.testing.assert_allclose(v, expected, rtol=1e-10, atol=1e-12)
+
+
+# Vectors that mix the two launch schedules: a multi-row segment (a
+# prefill) next to a run of one-row segments (the decode tail), a lone
+# singleton between two multi-row segments, empty segments breaking a run.
+MIXED_LAYOUTS = (
+    [5, 1, 1, 1],
+    [3, 1, 2],
+    [1, 4, 1, 1],
+    [2, 1, 1, 0, 1, 3, 3, 1],
+    [0, 1, 1, 0],
+    [1, 1, 1, 1],
+    [4, 0, 0, 1],
+    [1, 0, 1],
+    [2, 2, 1, 2, 2, 2],
+)
+
+
+def check_against_scalar_oracle(sizes, h_in, rank, seed):
+    rng = new_rng(seed)
+    seg = seg_with_empties(sizes)
+    batch, n = int(seg[-1]), len(sizes)
+    x = rng.standard_normal((batch, h_in))
+    wa = rng.standard_normal((n, h_in, rank))
+    got = sgmv_shrink(np.zeros((batch, rank)), x, wa, seg)
+    np.testing.assert_allclose(
+        got, pure_python_sgmv(x, wa, seg), rtol=1e-9, atol=1e-11,
+        err_msg=f"shrink sizes={sizes}",
+    )
+    v = rng.standard_normal((batch, rank))
+    wb = rng.standard_normal((n, rank, h_in))
+    backbone = rng.standard_normal((batch, h_in))
+    got_y = sgmv_expand(backbone.copy(), v, wb, seg)
+    np.testing.assert_allclose(
+        got_y, backbone + pure_python_sgmv(v, wb, seg), rtol=1e-9, atol=1e-11,
+        err_msg=f"expand sizes={sizes}",
+    )
+
+
+class TestSgmvLanes:
+    """The launch schedule: runs of equal-size segments batch (one-row
+    runs are the Distinct GEMV lane), everything else is its own GEMM."""
+
+    @pytest.mark.parametrize("sizes", MIXED_LAYOUTS, ids=str)
+    def test_mixed_layouts_match_scalar_oracle(self, sizes):
+        check_against_scalar_oracle(sizes, h_in=5, rank=3, seed=sum(sizes))
+
+    @given(
+        st.lists(st.sampled_from([0, 1, 1, 1, 2, 3, 5]), min_size=1, max_size=10),
+        st.integers(1, 12),
+        st.integers(0, 5),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_singleton_heavy_layouts_match_scalar_oracle(self, sizes, h_in, rank, seed):
+        check_against_scalar_oracle(sizes, h_in, rank, seed)
+
+    def test_decode_tail_is_one_launch(self):
+        # A 5-row prefill, then three tenants decoding: one GEMM, one GEMV run.
+        lanes = _segment_plan(seg_with_empties([5, 1, 1, 1])).lanes
+        assert lanes == ((0, 5, 0, 1, 5), (5, 8, 1, 4, 1))
+
+    def test_lone_singleton_between_gemms_is_its_own_launch(self):
+        lanes = _segment_plan(seg_with_empties([3, 1, 2])).lanes
+        assert lanes == ((0, 3, 0, 1, 3), (3, 4, 1, 2, 1), (4, 6, 2, 3, 2))
+
+    def test_empty_segment_breaks_a_run_and_launches_nothing(self):
+        lanes = _segment_plan(seg_with_empties([1, 1, 0, 1, 0])).lanes
+        assert lanes == ((0, 2, 0, 2, 1), (2, 3, 3, 4, 1))
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_lanes_cover_every_nonempty_segment_once(self, sizes):
+        seg = seg_with_empties(sizes)
+        covered = []
+        for lo, hi, s0, s1, rows in _segment_plan(seg).lanes:
+            assert s1 > s0 and rows > 0
+            assert (lo, hi) == (int(seg[s0]), int(seg[s1]))
+            assert all(sizes[i] == rows for i in range(s0, s1))
+            # Maximal: the run cannot be extended on either side.
+            assert s0 == 0 or sizes[s0 - 1] != rows
+            assert s1 == len(sizes) or sizes[s1] != rows
+            covered.extend(range(s0, s1))
+        assert covered == [i for i, size in enumerate(sizes) if size]
+
+
+class TestValidationMemo:
+    """A vector is validated once per distinct value — and a bad one is
+    never remembered as good."""
+
+    ENTRY_POINTS = (
+        lambda seg, rows: sgmv_shrink(
+            np.zeros((rows, 2)), np.ones((rows, 3)), np.ones((2, 3, 2)), seg
+        ),
+        lambda seg, rows: sgmv_expand(
+            np.zeros((rows, 3)), np.ones((rows, 2)), np.ones((2, 2, 3)), seg
+        ),
+        lambda seg, rows: add_lora_sgmv(
+            np.zeros((rows, 3)), np.ones((rows, 3)), np.ones((2, 3, 2)),
+            np.ones((2, 2, 3)), seg,
+        ),
+    )
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ([0, 3, 2], "nondecreasing"),
+            ([1, 2, 3], "start at 0"),
+            ([[0, 2, 3]], "1-D"),
+        ],
+    )
+    def test_bad_vector_rejected_on_every_presentation(self, call, bad, match):
+        call(np.asarray([0, 2, 3]), 3)  # a good vector is in the memo
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                call(np.asarray(bad), 3)
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS)
+    def test_same_bytes_different_batch_size(self, call):
+        seg = np.asarray([0, 2, 3])
+        call(seg, 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="segments cover 3 rows but batch has 4"):
+                call(seg, 4)
+            call(seg, 3)  # still accepted for the batch it does cover
+
+    def test_other_dtypes_share_the_int64_entry(self):
+        # int32 [0, 2, 3] and int64 [0, 2, 3] are one value; the int32
+        # buffer whose *bytes* spell int64 [0, 3] is another.
+        x, wa = np.ones((3, 3)), np.ones((2, 3, 2))
+        expected = sgmv_shrink(np.zeros((3, 2)), x, wa, np.asarray([0, 2, 3]))
+        got = sgmv_shrink(np.zeros((3, 2)), x, wa, np.asarray([0, 2, 3], dtype=np.int32))
+        np.testing.assert_array_equal(got, expected)
+        sgmv_shrink(np.zeros((3, 2)), x, wa[:1], np.asarray([0, 3]))
+        alias = np.asarray([0, 0, 3, 0], dtype=np.int32)
+        assert alias.tobytes() == np.asarray([0, 3], dtype=np.int64).tobytes()
+        with pytest.raises(ValueError, match="nondecreasing"):
+            sgmv_shrink(np.zeros((3, 2)), x, wa[:1], alias)

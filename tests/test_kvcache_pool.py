@@ -140,3 +140,29 @@ class TestPagedKvData:
         kv.allocate("r", 4)
         with pytest.raises(IndexError):
             kv.gather("r", 0, 5)
+
+    def test_write_tokens_equals_one_write_token_per_position(self):
+        # A run that starts mid-page and crosses two page boundaries.
+        rng = np.random.default_rng(1)
+        k = rng.standard_normal((7, 3, 5))
+        v = rng.standard_normal((7, 3, 5))
+        bulk, single = self.make(), self.make()
+        for kv in (bulk, single):
+            kv.allocate("r", 10)
+        for layer in range(2):
+            bulk.write_tokens("r", layer, 3, k, v)
+            for j in range(7):
+                single.write_token("r", layer, 3 + j, k[j], v[j])
+        np.testing.assert_array_equal(bulk.data, single.data)
+        assert bulk.written_len("r") == single.written_len("r") == 10
+
+    def test_write_tokens_rejects_overrun_and_bad_shapes(self):
+        kv = self.make()
+        kv.allocate("r", 4)
+        with pytest.raises(IndexError, match="position 4 beyond"):
+            kv.write_tokens("r", 0, 2, np.zeros((3, 3, 5)), np.zeros((3, 3, 5)))
+        with pytest.raises(ValueError):
+            kv.write_tokens("r", 0, 0, np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            kv.write_tokens("r", 0, 0, np.zeros((2, 3, 5)), np.zeros((1, 3, 5)))
+        assert not kv.data.any()
