@@ -1,8 +1,9 @@
 """Backend bridges: one asyncio-facing interface over either engine.
 
 The serving frontend runs against two very different backends through one
-small surface (``start`` / ``stop`` / ``open`` / ``cancel`` + a per-stream
-:class:`asyncio.Queue` of :class:`StreamUpdate`):
+small surface (``start`` / ``stop`` / ``open`` / ``cancel``; ``open`` takes
+the :class:`asyncio.Queue` that stream's :class:`StreamUpdate` items go on —
+the server's one outbox per connection, streams told apart by ``request_id``):
 
 * :class:`SimulatorBridge` — **time-warped cluster simulation**. The
   discrete-event loop advances in fixed virtual quanta from a pump
@@ -20,7 +21,7 @@ small surface (``start`` / ``stop`` / ``open`` / ``cancel`` + a per-stream
 Both bridges are single-threaded asyncio: token callbacks fire inside the
 pump coroutine, so ``Queue.put_nowait`` needs no locking, and a slow
 reader only ever blocks its own connection's writer task — the engine
-never waits on a client socket (updates buffer in the per-stream queue).
+never waits on a client socket (updates buffer in the sink, unbounded).
 """
 
 from __future__ import annotations
@@ -41,12 +42,14 @@ from repro.workloads.trace import RequestSpec
 
 @dataclass(frozen=True)
 class StreamUpdate:
-    """One item on a stream's queue: a token, or the end of the stream."""
+    """One item on a stream's sink: a token, or the end of the stream."""
 
     kind: str
     """``"token"`` or ``"end"``."""
     time: float
     """Backend clock (virtual seconds under the simulator)."""
+    request_id: str = ""
+    """The stream it belongs to; a sink may carry many streams."""
     token: "int | None" = None
     index: "int | None" = None
     status: "str | None" = None
@@ -54,12 +57,11 @@ class StreamUpdate:
     num_tokens: int = 0
 
 
-def _terminal_status(state: RequestState) -> str:
-    if state is RequestState.FINISHED:
-        return "finished"
-    if state is RequestState.CANCELLED:
+def _terminal_status(state: RequestState, cancelled: bool) -> str:
+    """The end frame's status; a client-side cancel wins over the state."""
+    if cancelled or state is RequestState.CANCELLED:
         return "cancelled"
-    return "failed"
+    return "finished" if state is RequestState.FINISHED else "failed"
 
 
 class SimulatorBridge:
@@ -85,7 +87,7 @@ class SimulatorBridge:
         self.gateway = gateway
         self.warp = warp
         self.quantum = float(quantum)
-        self._queues: "dict[str, asyncio.Queue]" = {}
+        self._sinks: "dict[str, asyncio.Queue]" = {}
         self._wake: "asyncio.Event | None" = None
         self._task: "asyncio.Task | None" = None
         self._ids = itertools.count()
@@ -121,23 +123,27 @@ class SimulatorBridge:
             self._push_end(stream, now)
 
     # ------------------------------------------------------------------
-    def open(self, op: GenerateOp) -> "tuple[str, asyncio.Queue | None, Decision]":
+    def open(
+        self, op: GenerateOp, sink: "asyncio.Queue | None" = None
+    ) -> "tuple[str, asyncio.Queue | None, Decision]":
         """Admit one :class:`GenerateOp` at the current virtual time.
 
-        Returns ``(request_id, queue, decision)``; ``queue`` is ``None``
-        when the request was shed (the decision says why).
+        Returns ``(request_id, sink, decision)``: the queue the stream's
+        updates go on (its own when none is given), or ``None`` when shed.
         """
         rid = op.request_id or f"sv-{next(self._ids):05d}"
         now = self.now
-        queue: asyncio.Queue = asyncio.Queue()
+        if sink is None:
+            sink = asyncio.Queue()
         count = itertools.count()
 
         def on_token(_rid: str, tok: int, t: float) -> None:
             # Metrics accounting already happened inside the gateway's own
-            # wrapped callback; this layer only feeds the stream queue.
-            queue.put_nowait(
-                StreamUpdate(kind="token", time=t, token=tok, index=next(count))
-            )
+            # wrapped callback; this layer only feeds the stream's sink.
+            sink.put_nowait(StreamUpdate(
+                kind="token", time=t, request_id=rid, token=tok,
+                index=next(count),
+            ))
 
         stream, decision = self.gateway.open(
             tenant=op.effective_tenant,
@@ -153,16 +159,16 @@ class SimulatorBridge:
         )
         if stream is None:
             return rid, None, decision
-        self._queues[rid] = queue
+        self._sinks[rid] = sink
         if self._wake is not None:
             self._wake.set()
-        return rid, queue, decision
+        return rid, sink, decision
 
     def cancel(self, request_id: str) -> bool:
         """Client cancel/disconnect; False when the id is unknown."""
         stream = self.gateway._streams.get(request_id)
         if stream is None:
-            self._queues.pop(request_id, None)
+            self._sinks.pop(request_id, None)
             return False
         now = self.now
         self.gateway.client_close(request_id, now)
@@ -173,18 +179,14 @@ class SimulatorBridge:
 
     # ------------------------------------------------------------------
     def _push_end(self, stream, now: float) -> None:
-        queue = self._queues.pop(stream.request_id, None)
-        if queue is None:
+        sink = self._sinks.pop(stream.request_id, None)
+        if sink is None:
             return
-        status = _terminal_status(stream.handle.state)
-        if stream.cancelled:
-            status = "cancelled"
-        queue.put_nowait(
-            StreamUpdate(
-                kind="end", time=now, status=status,
-                num_tokens=stream.tokens_streamed,
-            )
-        )
+        sink.put_nowait(StreamUpdate(
+            kind="end", time=now, request_id=stream.request_id,
+            status=_terminal_status(stream.handle.state, stream.cancelled),
+            num_tokens=stream.tokens_streamed,
+        ))
 
     async def _pump(self) -> None:
         sim = self.simulator
@@ -213,14 +215,14 @@ class _FuncStream:
     """FunctionalBridge-side state of one admitted stream."""
 
     __slots__ = (
-        "request", "tenant", "queue", "opened_at",
+        "request", "tenant", "sink", "opened_at",
         "streamed", "cancelled", "ttfb_observed",
     )
 
-    def __init__(self, request: Request, tenant: str, queue, opened_at: float):
+    def __init__(self, request: Request, tenant: str, sink, opened_at: float):
         self.request = request
         self.tenant = tenant
-        self.queue = queue
+        self.sink = sink
         self.opened_at = opened_at
         self.streamed = 0
         self.cancelled = False
@@ -286,7 +288,9 @@ class FunctionalBridge:
             self._end_stream(stream)
 
     # ------------------------------------------------------------------
-    def open(self, op: GenerateOp) -> "tuple[str, asyncio.Queue | None, Decision]":
+    def open(
+        self, op: GenerateOp, sink: "asyncio.Queue | None" = None
+    ) -> "tuple[str, asyncio.Queue | None, Decision]":
         rid = op.request_id or f"fn-{next(self._ids):05d}"
         now = self._clock
         if self.metrics is not None:
@@ -316,7 +320,7 @@ class FunctionalBridge:
         stream = _FuncStream(
             request=Request(spec=spec, prompt_tokens=prompt),
             tenant=op.effective_tenant,
-            queue=asyncio.Queue(),
+            sink=sink if sink is not None else asyncio.Queue(),
             opened_at=now,
         )
         self._streams[rid] = stream
@@ -325,7 +329,7 @@ class FunctionalBridge:
             self.metrics.record_admitted(op.effective_tenant)
         if self._wake is not None:
             self._wake.set()
-        return rid, stream.queue, decision
+        return rid, stream.sink, decision
 
     def cancel(self, request_id: str) -> bool:
         stream = self._streams.get(request_id)
@@ -346,15 +350,11 @@ class FunctionalBridge:
     def _end_stream(self, stream: _FuncStream) -> None:
         self._streams.pop(stream.request_id, None)
         self.controller.release(stream.tenant)
-        status = _terminal_status(stream.request.state)
-        if stream.cancelled:
-            status = "cancelled"
-        stream.queue.put_nowait(
-            StreamUpdate(
-                kind="end", time=self._clock, status=status,
-                num_tokens=stream.streamed,
-            )
-        )
+        stream.sink.put_nowait(StreamUpdate(
+            kind="end", time=self._clock, request_id=stream.request_id,
+            status=_terminal_status(stream.request.state, stream.cancelled),
+            num_tokens=stream.streamed,
+        ))
         if self.metrics is not None:
             self.metrics.record_end(stream.tenant, cancelled=stream.cancelled)
             self.metrics.record_disconnect()
@@ -386,11 +386,10 @@ class FunctionalBridge:
                     self.metrics.record_tokens(1)
                 stream.ttfb_observed = True
                 stream.streamed += 1
-                stream.queue.put_nowait(
-                    StreamUpdate(
-                        kind="token", time=self._clock, token=tok, index=index
-                    )
-                )
+                stream.sink.put_nowait(StreamUpdate(
+                    kind="token", time=self._clock,
+                    request_id=stream.request_id, token=tok, index=index,
+                ))
             if req.state.is_terminal:
                 ended.append(stream)
         for stream in ended:

@@ -33,6 +33,7 @@ import asyncio
 from dataclasses import dataclass, field
 
 from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
     AcceptedFrame,
     CancelOp,
     EndFrame,
@@ -68,7 +69,7 @@ class ServeClient:
 
     async def connect(self) -> None:
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+            self.host, self.port, limit=MAX_FRAME_BYTES
         )
 
     async def close(self) -> None:

@@ -94,7 +94,7 @@ class ServeMetrics:
 
     def record_tokens(self, n: int) -> None:
         if n:
-            self.tokens_streamed.inc(float(n))
+            self.tokens_streamed.inc_key((), n)
 
     def record_end(self, tenant: str, cancelled: bool) -> None:
         """One admitted stream reached its terminal state."""

@@ -28,10 +28,11 @@ disconnect-to-eviction path the acceptance smoke asserts).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
-_MAX_FRAME_BYTES = 1 << 20
-"""Upper bound on one encoded frame; a longer line is a protocol error."""
+MAX_FRAME_BYTES = 1 << 20
+"""Upper bound on one encoded frame; a longer line is a protocol error.
+Both ends pass it as their stream reader's ``limit``."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +132,23 @@ Frame = (
 )
 
 
+# Field names in sorted order: a dict filled in it needs no key sort.
+_SORTED_FIELDS = {
+    cls: tuple(sorted(f.name for f in fields(cls))) for cls in _FRAME_TYPES.values()
+}
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(frame) -> bytes:
     """One frame -> one canonical JSON line (newline-terminated bytes)."""
-    obj = {k: v for k, v in asdict(frame).items() if v is not None}
+    obj = {
+        name: value
+        for name in _SORTED_FIELDS[type(frame)]
+        if (value := getattr(frame, name)) is not None
+    }
     if "prompt_tokens" in obj:
         obj["prompt_tokens"] = list(obj["prompt_tokens"])
-    return (
-        json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-    ).encode()
+    return (_encode_json(obj) + "\n").encode()
 
 
 def decode_frame(line: "bytes | str"):
@@ -149,8 +159,8 @@ def decode_frame(line: "bytes | str"):
     an :class:`ErrorFrame` instead of dying.
     """
     if isinstance(line, bytes):
-        if len(line) > _MAX_FRAME_BYTES:
-            raise ValueError(f"frame exceeds {_MAX_FRAME_BYTES} bytes")
+        if len(line) > MAX_FRAME_BYTES:
+            raise ValueError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
         line = line.decode("utf-8", errors="strict")
     try:
         obj = json.loads(line)

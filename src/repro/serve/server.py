@@ -15,17 +15,21 @@
   open stream of that connection is cancelled, which propagates down to
   engine eviction (the trace shows CANCEL ``reason="disconnect"``).
 
-One writer task per open stream pumps its update queue to the socket, so
-a slow reader backpressures only its own connection (its queue buffers;
-``drain()`` blocks only that task) and the backend clock never waits on a
-client.
+One reader loop and one writer task per connection, joined by one outbox
+queue: the reader's answers and every stream's updates go on it in order,
+and the writer sends all that is queued when it wakes as one buffer — what
+became ready in one event-loop turn is one ``send``. A slow reader
+backpressures only its own connection (its outbox buffers; ``drain()``
+blocks only its writer) and the backend clock never waits on a client.
 """
 
 from __future__ import annotations
 
 import asyncio
 
+from repro.serve.bridge import StreamUpdate
 from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
     AcceptedFrame,
     CancelOp,
     EndFrame,
@@ -53,7 +57,8 @@ class ServeServer:
         """Start the bridge pump and bind the listening socket."""
         await self.bridge.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=MAX_FRAME_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -85,11 +90,20 @@ class ServeServer:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
         self._conn_writers.add(writer)
-        streams: "dict[str, asyncio.Task]" = {}
-        lock = asyncio.Lock()
+        outbox: asyncio.Queue = asyncio.Queue()
+        open_ids: "set[str]" = set()
+        pump = asyncio.create_task(self._pump_outbox(outbox, writer, open_ids))
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # A line beyond ``limit``, part of it already dropped:
+                    # say why and hang up (``close`` flushes the frame).
+                    writer.write(encode_frame(ErrorFrame(
+                        code=400, reason=f"frame exceeds {MAX_FRAME_BYTES} bytes",
+                    )))
+                    break
                 if not line:
                     break
                 if not line.strip():
@@ -97,36 +111,38 @@ class ServeServer:
                 try:
                     frame = decode_frame(line)
                 except ValueError as exc:
-                    await self._send(writer, lock, ErrorFrame(
-                        code=400, reason=str(exc),
-                    ))
+                    outbox.put_nowait(ErrorFrame(code=400, reason=str(exc)))
                     continue
                 if isinstance(frame, GenerateOp):
-                    await self._handle_generate(frame, writer, lock, streams)
+                    # ``accepted`` precedes the first token: nothing yields
+                    # here, and tokens come only from the bridge's own pump.
+                    rid, sink, decision = self.bridge.open(frame, outbox)
+                    if sink is None:
+                        outbox.put_nowait(ErrorFrame(
+                            request_id=rid, code=429, reason=decision.value,
+                        ))
+                    else:
+                        open_ids.add(rid)
+                        outbox.put_nowait(AcceptedFrame(request_id=rid))
                 elif isinstance(frame, CancelOp):
                     if not self.bridge.cancel(frame.request_id):
-                        await self._send(writer, lock, ErrorFrame(
+                        outbox.put_nowait(ErrorFrame(
                             request_id=frame.request_id, code=404,
                             reason="unknown request",
                         ))
                 else:
-                    await self._send(writer, lock, ErrorFrame(
+                    outbox.put_nowait(ErrorFrame(
                         code=400, reason="clients may only send operations",
                     ))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            # Disconnect: cancel every stream the client left open. The
-            # writer tasks each receive their "end" update; they are then
-            # cancelled since there is no one left to write to.
-            for rid in list(streams):
+            # Disconnect: cancel every stream the client left open, then
+            # the writer — there is no one left to write their ends to.
+            for rid in list(open_ids):
                 self.bridge.cancel(rid)
-            for stream_task in streams.values():
-                stream_task.cancel()
-            if streams:
-                await asyncio.gather(
-                    *streams.values(), return_exceptions=True
-                )
+            pump.cancel()
+            await asyncio.gather(pump, return_exceptions=True)
             self._conn_writers.discard(writer)
             writer.close()
             try:
@@ -135,58 +151,32 @@ class ServeServer:
                 pass
             self._conn_tasks.discard(task)
 
-    async def _handle_generate(
-        self,
-        op: GenerateOp,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        streams: "dict[str, asyncio.Task]",
+    @staticmethod
+    async def _pump_outbox(
+        outbox: asyncio.Queue, writer: asyncio.StreamWriter, open_ids: "set[str]"
     ) -> None:
-        rid, queue, decision = self.bridge.open(op)
-        if queue is None:
-            await self._send(writer, lock, ErrorFrame(
-                request_id=rid, code=429, reason=decision.value,
-            ))
-            return
-        await self._send(writer, lock, AcceptedFrame(request_id=rid))
-        stream_task = asyncio.create_task(
-            self._pump_stream(rid, queue, writer, lock, streams)
-        )
-        streams[rid] = stream_task
-
-    async def _pump_stream(
-        self,
-        rid: str,
-        queue: asyncio.Queue,
-        writer: asyncio.StreamWriter,
-        lock: asyncio.Lock,
-        streams: "dict[str, asyncio.Task]",
-    ) -> None:
-        """Forward one stream's updates until its end frame."""
+        """The connection's writer: all that is queued when it wakes is one write."""
         try:
             while True:
-                update = await queue.get()
-                if update.kind == "token":
-                    await self._send(writer, lock, TokenFrame(
-                        request_id=rid, token=update.token,
-                        index=update.index, time=update.time,
-                    ))
-                else:
-                    await self._send(writer, lock, EndFrame(
-                        request_id=rid, status=update.status,
-                        num_tokens=update.num_tokens,
-                    ))
-                    return
+                batch = [await outbox.get()]
+                while not outbox.empty():
+                    batch.append(outbox.get_nowait())
+                chunks = []
+                for item in batch:
+                    if type(item) is StreamUpdate:
+                        if item.kind == "token":
+                            item = TokenFrame(
+                                request_id=item.request_id, token=item.token,
+                                index=item.index, time=item.time,
+                            )
+                        else:
+                            open_ids.discard(item.request_id)
+                            item = EndFrame(
+                                request_id=item.request_id, status=item.status,
+                                num_tokens=item.num_tokens,
+                            )
+                    chunks.append(encode_frame(item))
+                writer.write(b"".join(chunks))
+                await writer.drain()
         except (ConnectionError, OSError):
             pass
-        finally:
-            streams.pop(rid, None)
-
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, lock: asyncio.Lock, frame) -> None:
-        """One frame, atomically: drain under the connection's lock so a
-        slow socket cannot interleave half-written frames from concurrent
-        stream tasks."""
-        async with lock:
-            writer.write(encode_frame(frame))
-            await writer.drain()

@@ -25,6 +25,7 @@ coroutine through ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import gc
 import os
 
 import pytest
@@ -37,7 +38,18 @@ from repro.serve.harness import (
     run_load,
 )
 from repro.serve.limits import TenantPolicy
-from repro.serve.protocol import CancelOp, ErrorFrame, GenerateOp
+from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
+    AcceptedFrame,
+    CancelOp,
+    EndFrame,
+    ErrorFrame,
+    GenerateOp,
+    TokenFrame,
+    decode_frame,
+    encode_frame,
+)
+from tests.test_serve_protocol import reference_encode
 
 SEED = int(os.environ.get("REPRO_SERVE_SEED", "0"))
 
@@ -269,7 +281,6 @@ class TestServerProtocolErrors:
                 )
                 writer.write(b"this is not json\n")
                 await writer.drain()
-                from repro.serve.protocol import decode_frame, encode_frame
                 bad = decode_frame(await reader.readline())
                 writer.write(encode_frame(CancelOp(request_id="ghost")))
                 await writer.drain()
@@ -283,3 +294,367 @@ class TestServerProtocolErrors:
         bad, missing = run(scenario())
         assert isinstance(bad, ErrorFrame) and bad.code == 400
         assert isinstance(missing, ErrorFrame) and missing.code == 404
+
+
+# ---------------------------------------------------------------------------
+# One writer per connection: what the bytes on the wire must look like
+# ---------------------------------------------------------------------------
+def build_stack(backend: str):
+    if backend == "sim":
+        return build_sim_stack(warp=None)
+    return build_functional_stack(seed=SEED)
+
+
+def count_server_writes(stack) -> "list[int]":
+    """Wrap every connection's ``writer.write`` (call before ``start``);
+    the returned list grows by one byte count per server-side write."""
+    sizes: "list[int]" = []
+    handle = stack.server._handle_connection
+
+    async def counted(reader, writer):
+        write = writer.write
+
+        def counting_write(data):
+            sizes.append(len(data))
+            write(data)
+
+        writer.write = counting_write
+        await handle(reader, writer)
+
+    stack.server._handle_connection = counted
+    return sizes
+
+
+def collect_task_errors() -> "list[dict]":
+    """Everything the loop would log ("Task exception was never
+    retrieved", unhandled callback errors) lands in the returned list."""
+    errors: "list[dict]" = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda _loop, context: errors.append(context)
+    )
+    return errors
+
+
+async def settle(done, turns: int = 2000) -> bool:
+    """Cede the loop until ``done()`` holds; False if it never did."""
+    for _ in range(turns):
+        if done():
+            return True
+        await asyncio.sleep(0)
+    return done()
+
+
+class RawConnection:
+    """One socket to the server: operations out, undecoded lines in."""
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+        self.lines: "list[bytes]" = []
+
+    @classmethod
+    async def open(cls, port: int) -> "RawConnection":
+        return cls(*await asyncio.open_connection(
+            "127.0.0.1", port, limit=MAX_FRAME_BYTES
+        ))
+
+    def send(self, frame) -> None:
+        self.writer.write(encode_frame(frame))
+
+    async def read_until(self, done) -> None:
+        """Append lines until ``done(self.lines)`` holds (or EOF)."""
+        while not done(self.lines):
+            line = await self.reader.readline()
+            if not line:
+                return
+            self.lines.append(line)
+
+    def by_stream(self) -> "dict[str, list[bytes]]":
+        out: "dict[str, list[bytes]]" = {}
+        for line in self.lines:
+            out.setdefault(decode_frame(line).request_id, []).append(line)
+        return out
+
+    async def close(self) -> None:
+        self.writer.close()
+        try:
+            await self.writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
+
+
+def ended(rids):
+    """``read_until`` predicate: every stream in ``rids`` saw its end."""
+    want = len(rids)
+    prefix = b'{"event":"end"'
+    return lambda lines: sum(l.startswith(prefix) for l in lines) >= want
+
+
+def streaming(rids):
+    """``read_until`` predicate: every stream in ``rids`` has a token."""
+    def done(lines) -> bool:
+        seen = [decode_frame(line).request_id for line in lines]
+        return all(seen.count(rid) >= 2 for rid in rids)
+    return done
+
+
+def disconnect_cancels(stack) -> "list[str]":
+    """Request ids of the CANCEL(reason="disconnect") trace events."""
+    return [
+        e.request_id for e in stack.tracer.by_kind(EventKind.CANCEL)
+        if e.attrs.get("reason") == "disconnect"
+    ]
+
+
+def assert_stream_lines(rid: str, lines: "list[bytes]", num_tokens: int) -> None:
+    """One finished stream, byte for byte: accepted, tokens 0..n-1 in
+    index order, end(num_tokens=n) — each line the canonical encoding."""
+    frames = [decode_frame(line) for line in lines]
+    assert [reference_encode(f) for f in frames] == lines
+    assert frames[0] == AcceptedFrame(request_id=rid)
+    tokens = frames[1:-1]
+    assert all(isinstance(f, TokenFrame) for f in tokens)
+    assert [f.index for f in tokens] == list(range(num_tokens))
+    assert frames[-1] == EndFrame(
+        request_id=rid, status="finished", num_tokens=num_tokens
+    )
+
+
+@pytest.mark.parametrize("backend", ["sim", "functional"])
+class TestWireOrder:
+    CONNECTIONS, STREAMS, TOKENS = 2, 8, 32
+
+    def test_concurrent_streams_are_whole_ordered_and_coalesced(self, backend):
+        async def scenario():
+            stack = build_stack(backend)
+            writes = count_server_writes(stack)
+            await stack.server.start()
+            try:
+                conns = [
+                    await RawConnection.open(stack.server.port)
+                    for _ in range(self.CONNECTIONS)
+                ]
+                rids = [
+                    [f"c{c}-s{k}" for k in range(self.STREAMS)]
+                    for c in range(self.CONNECTIONS)
+                ]
+                for conn, mine in zip(conns, rids):
+                    for k, rid in enumerate(mine):
+                        conn.send(GenerateOp(
+                            request_id=rid, tenant="t", lora_id=f"lora-{k % 4}",
+                            prompt_len=4, response_len=self.TOKENS,
+                        ))
+                await asyncio.gather(*(
+                    conn.read_until(ended(mine))
+                    for conn, mine in zip(conns, rids)
+                ))
+                for conn in conns:
+                    await conn.close()
+                return conns, rids, writes
+            finally:
+                await stack.server.stop()
+
+        conns, rids, writes = run(scenario())
+        frames = 0
+        for conn, mine in zip(conns, rids):
+            streams = conn.by_stream()
+            # No line of the other connection's streams, none unaddressed.
+            assert set(streams) == set(mine)
+            for rid in mine:
+                assert_stream_lines(rid, streams[rid], self.TOKENS)
+            frames += len(conn.lines)
+        assert frames == self.CONNECTIONS * self.STREAMS * (self.TOKENS + 2)
+        assert sum(writes) == sum(len(l) for c in conns for l in c.lines)
+        if backend == "sim":
+            # Everything ready in one loop turn is one write: a write per
+            # frame (the per-stream writer this replaced) fails here.
+            assert len(writes) <= frames // 2
+
+    def test_polite_cancel_ends_the_stream_exactly_once(self, backend):
+        async def scenario():
+            stack = build_stack(backend)
+            await stack.server.start()
+            try:
+                conn = await RawConnection.open(stack.server.port)
+                conn.send(GenerateOp(
+                    request_id="victim", tenant="t", lora_id="lora-0",
+                    prompt_len=4, response_len=200,
+                ))
+                await conn.read_until(lambda lines: len(lines) >= 4)
+                conn.send(CancelOp(request_id="victim"))
+                # A second stream on the same socket, run to completion
+                # after the cancel: anything the server still wrote for
+                # the victim would arrive before this stream's end.
+                conn.send(GenerateOp(
+                    request_id="after", tenant="t", lora_id="lora-1",
+                    prompt_len=4, response_len=8,
+                ))
+                await conn.read_until(ended(["victim", "after"]))
+                await conn.close()
+                return conn.by_stream()
+            finally:
+                await stack.server.stop()
+
+        streams = run(scenario())
+        victim = [decode_frame(line) for line in streams["victim"]]
+        ends = [f for f in victim if isinstance(f, EndFrame)]
+        assert len(ends) == 1 and ends[0].status == "cancelled"
+        assert victim[-1] is ends[0], "a frame followed the end of the stream"
+        tokens = [f for f in victim if isinstance(f, TokenFrame)]
+        assert ends[0].num_tokens == len(tokens) < 200
+        assert [f.index for f in tokens] == list(range(len(tokens)))
+        assert_stream_lines("after", streams["after"], 8)
+
+
+class TestDisconnectTopology:
+    def test_aborted_connection_leaks_nothing_and_spares_the_survivor(self):
+        """Abort a socket with 8 streams mid-burst while a second keeps
+        streaming: the dead connection's streams are cancelled at the
+        engine, its reader and writer tasks go away, the other connection
+        never notices."""
+        doomed_ids = [f"doomed-{k}" for k in range(8)]
+        survivor_ids = [f"alive-{k}" for k in range(8)]
+
+        async def scenario():
+            errors = collect_task_errors()
+            before_start = len(asyncio.all_tasks())
+            stack = build_sim_stack(warp=None)
+            await stack.server.start()
+            before_connect = len(asyncio.all_tasks())
+            reg = stack.metrics.registry
+            try:
+                doomed = await RawConnection.open(stack.server.port)
+                survivor = await RawConnection.open(stack.server.port)
+                for k in range(8):
+                    doomed.send(GenerateOp(
+                        request_id=doomed_ids[k], tenant="t", lora_id="lora-0",
+                        prompt_len=4, response_len=400,
+                    ))
+                    survivor.send(GenerateOp(
+                        request_id=survivor_ids[k], tenant="t", lora_id="lora-1",
+                        prompt_len=4, response_len=64,
+                    ))
+                # Mid-burst: every doomed stream has tokens on the wire.
+                await doomed.read_until(streaming(doomed_ids))
+                doomed.writer.transport.abort()
+                await survivor.read_until(ended(survivor_ids))
+                await survivor.close()
+                assert await settle(
+                    lambda: len(asyncio.all_tasks()) == before_connect
+                ), "connection tasks outlived their sockets"
+                assert reg.get("serve_active_streams").total() == 0
+                assert reg.get("serve_active_connections").total() == 0
+            finally:
+                await stack.server.stop()
+            gc.collect()  # an unretrieved task exception is logged on collection
+            await asyncio.sleep(0)
+            assert len(asyncio.all_tasks()) == before_start
+            assert errors == []
+            return stack, survivor
+
+        stack, survivor = run(scenario())
+        streams = survivor.by_stream()
+        assert set(streams) == set(survivor_ids)
+        for rid in survivor_ids:
+            assert_stream_lines(rid, streams[rid], 64)
+        assert sorted(disconnect_cancels(stack)) == sorted(doomed_ids)
+
+
+class TestFrameSizeBound:
+    def test_frame_past_the_stream_reader_default_is_served(self):
+        """A valid 118 KB GenerateOp (20 000 prompt ids) is well inside
+        MAX_FRAME_BYTES; asyncio's 64 KiB default reader limit must not
+        be what decides."""
+        async def scenario():
+            errors = collect_task_errors()
+            stack = build_sim_stack(warp=None)
+            await stack.server.start()
+            try:
+                op = GenerateOp(
+                    request_id="big", tenant="t", lora_id="lora-0",
+                    prompt_len=20_000, response_len=3,
+                    prompt_tokens=tuple(range(20_000)),
+                )
+                assert 65_536 < len(encode_frame(op)) < MAX_FRAME_BYTES
+                client = ServeClient("127.0.0.1", stack.server.port)
+                await client.connect()
+                try:
+                    return await client.generate(op), errors
+                finally:
+                    await client.close()
+            finally:
+                await stack.server.stop()
+
+        result, errors = run(scenario())
+        assert errors == []
+        assert result.status == "finished" and result.num_tokens == 3
+
+    def test_line_past_the_bound_is_answered_and_the_connection_closed(self):
+        async def scenario():
+            errors = collect_task_errors()
+            stack = build_sim_stack(warp=None)
+            await stack.server.start()
+            reg = stack.metrics.registry
+            try:
+                conn = await RawConnection.open(stack.server.port)
+                conn.send(GenerateOp(
+                    request_id="open", tenant="t", lora_id="lora-0",
+                    prompt_len=4, response_len=100_000,
+                ))
+                await conn.read_until(lambda lines: len(lines) >= 3)
+                conn.writer.write(b"x" * (MAX_FRAME_BYTES + 16) + b"\n")
+                await conn.read_until(lambda lines: False)  # to EOF
+                await conn.close()
+                await settle(
+                    lambda: reg.get("serve_active_connections").total() == 0
+                )
+                return stack, conn.lines, errors
+            finally:
+                await stack.server.stop()
+
+        stack, lines, errors = run(scenario())
+        assert errors == []
+        last = decode_frame(lines[-1])
+        assert last == ErrorFrame(
+            code=400, reason=f"frame exceeds {MAX_FRAME_BYTES} bytes"
+        )
+        assert not any(isinstance(decode_frame(l), EndFrame) for l in lines)
+        reg = stack.metrics.registry
+        assert reg.get("serve_active_streams").total() == 0
+        assert reg.get("serve_active_connections").total() == 0
+        assert disconnect_cancels(stack) == ["open"]
+
+
+class TestBridgeSink:
+    def test_streams_sharing_a_sink_are_told_apart_by_request_id(self):
+        """``open`` feeds the queue it is given; with none given, a queue
+        of the stream's own (the bridge driven without a server)."""
+        async def scenario():
+            stack = build_sim_stack(warp=None)
+            bridge = stack.bridge
+            await bridge.start()
+            try:
+                shared: asyncio.Queue = asyncio.Queue()
+                ops = [
+                    GenerateOp(request_id=rid, tenant="t", lora_id="lora-0",
+                               prompt_len=4, response_len=n)
+                    for rid, n in (("a", 3), ("b", 5), ("solo", 2))
+                ]
+                for op in ops[:2]:
+                    assert bridge.open(op, shared)[1] is shared
+                _, own, decision = bridge.open(ops[2])
+                assert decision.admitted and own is not shared
+                updates = []
+                while sum(u.kind == "end" for u in updates) < 2:
+                    updates.append(await shared.get())
+                solo = [await own.get() for _ in range(3)]
+                return updates, solo
+            finally:
+                await bridge.stop()
+
+        updates, solo = run(scenario())
+        for rid, n in (("a", 3), ("b", 5)):
+            mine = [u for u in updates if u.request_id == rid]
+            assert [u.index for u in mine[:-1]] == list(range(n))
+            assert mine[-1].kind == "end" and mine[-1].num_tokens == n
+        assert {u.request_id for u in solo} == {"solo"}
+        assert [u.kind for u in solo] == ["token", "token", "end"]

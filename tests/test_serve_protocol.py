@@ -1,8 +1,11 @@
 """Wire-format tests for the client<->server protocol (repro.serve.protocol)."""
 
 import json
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.protocol import (
     AcceptedFrame,
@@ -27,6 +30,18 @@ FRAMES = [
     EndFrame(request_id="r1", status="cancelled", num_tokens=3),
     ErrorFrame(request_id="r1", code=429, reason="rate_limited"),
 ]
+
+
+def reference_encode(frame) -> bytes:
+    """The encoder oracle: ``asdict`` + ``json.dumps(sort_keys=True)``, the
+    body ``encode_frame`` had before it stopped copying every field. The
+    wire bytes are whatever this says they are."""
+    obj = {k: v for k, v in asdict(frame).items() if v is not None}
+    if "prompt_tokens" in obj:
+        obj["prompt_tokens"] = list(obj["prompt_tokens"])
+    return (
+        json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    ).encode()
 
 
 @pytest.mark.parametrize("frame", FRAMES, ids=lambda f: type(f).__name__)
@@ -95,3 +110,62 @@ def test_validation():
         GenerateOp(request_id="r", lora_id="", prompt_len=1, response_len=1)
     with pytest.raises(ValueError):
         CancelOp(request_id="")
+
+
+# ---------------------------------------------------------------------------
+# encode_frame against the asdict oracle, over everything a frame can hold
+# ---------------------------------------------------------------------------
+_texts = st.one_of(
+    st.text(max_size=24),
+    st.text(
+        alphabet='"\\/\n\r\t\x00\x7f\u2028\u00e9\u6f22\U0001f600 {}:,',
+        max_size=24,
+    ),
+)
+_names = _texts.filter(bool)
+_ints = st.one_of(st.integers(-(2 ** 70), 2 ** 70), st.integers(0, 50_000))
+_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e-07, 1.5, 1e300, float("inf"),
+                     float("-inf"), float("nan")]),
+)
+_prompt_tokens = st.one_of(
+    st.none(),
+    st.just(()),
+    st.lists(_ints, max_size=8).map(tuple),
+    st.integers(500, 3000).map(lambda n: tuple(range(n))),
+)
+_any_frame = st.one_of(
+    st.builds(
+        GenerateOp, request_id=_texts, tenant=_texts, lora_id=_names,
+        prompt_len=st.integers(1, 2 ** 70), response_len=st.integers(1, 2 ** 70),
+        prompt_tokens=_prompt_tokens,
+    ),
+    st.builds(CancelOp, request_id=_names),
+    st.builds(AcceptedFrame, request_id=_texts),
+    st.builds(TokenFrame, request_id=_texts, token=_ints, index=_ints,
+              time=_floats),
+    st.builds(EndFrame, request_id=_texts, status=_texts, num_tokens=_ints),
+    st.builds(ErrorFrame, request_id=_texts, code=_ints, reason=_texts),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=_any_frame)
+def test_encode_frame_matches_the_asdict_oracle(frame):
+    line = encode_frame(frame)
+    assert line == reference_encode(frame)
+    # repr, not ==: NaN is not equal to itself and -0.0 == 0.0.
+    assert repr(decode_frame(line)) == repr(frame)
+
+
+def test_token_frame_prefix_is_what_the_ledger_client_slices():
+    """benchmarks/ledger/loadgen.py recognises a token frame by this
+    literal prefix and slices index and request id out without JSON."""
+    line = encode_frame(TokenFrame(request_id="q000007", token=5, index=31,
+                                   time=1e-07))
+    assert line == (
+        b'{"event":"token","index":31,"request_id":"q000007",'
+        b'"time":1e-07,"token":5}\n'
+    )
+    assert line.startswith(b'{"event":"token","index":')
