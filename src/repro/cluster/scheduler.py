@@ -180,36 +180,42 @@ class PunicaScheduler:
     def _decode_capable(engine) -> bool:
         return getattr(engine, "role", "both") != "prefill"
 
-    def _route(self, request: Request) -> "str | None":
-        """§5.1: largest working set among feasible GPUs; ties -> adapter
-        locality (GPU-resident beats HOST-staged beats DISK-only), then
-        max UUID.
+    def _first_fit(self, ranked: "list[tuple]", *admission) -> "str | None":
+        """The one placement rule: every placement is "max key among the
+        engines that can admit". ``ranked`` holds a ``(..., gid)`` key per
+        role-eligible engine; walk the keys in descending order and return
+        the first GPU that admits ``admission`` — the request, plus its
+        imported KV tokens on the decode route — or None. The admission
+        test is a pure predicate, so only the winner and whatever ranks
+        above it are asked."""
+        ranked.sort(reverse=True)
+        for *_, gid in ranked:
+            if self.engines[gid].can_accept(*admission):
+                return gid
+        return None
 
-        Under the "spread" ablation the sign of the load term flips to
-        least-loaded-first (ties still -> locality, then max UUID), the
-        conventional balancing rule the paper argues against for
-        consolidation.
+    def _route(self, request: Request) -> "str | None":
+        """§5.1, both routing modes under one ordering rule: first fit in
+        descending ``(load, adapter locality, GPU UUID)``, where ``load``
+        is the working-set size under "pack" (largest working set wins;
+        ties -> GPU-resident beats HOST-staged beats DISK-only, then max
+        UUID) and its negation under the "spread" ablation (least loaded
+        wins, same tie-breaks) — the conventional balancing rule the paper
+        argues against for consolidation.
 
         New and re-queued requests need a prefill, so pure decode-pool
         engines are never candidates here; they admit work only through
         :meth:`route_decode`.
         """
-        candidates = [
-            (e.working_set_size, self._adapter_locality(e, request), gid)
-            for gid, e in self.engines.items()
-            if self._prefill_capable(e) and e.can_accept(request)
-        ]
-        if not candidates:
-            return None
-        if self.config.routing == "pack":
-            # lexicographic: working set, then locality, then UUID
-            _, _, gpu = max(candidates)
-        else:
-            load = min(ws for ws, _, _ in candidates)
-            _, gpu = max(
-                (loc, gid) for ws, loc, gid in candidates if ws == load
-            )
-        return gpu
+        sign = 1 if self.config.routing == "pack" else -1
+        return self._first_fit(
+            [
+                (sign * e.working_set_size, self._adapter_locality(e, request), gid)
+                for gid, e in self.engines.items()
+                if self._prefill_capable(e)
+            ],
+            request,
+        )
 
     def route_decode(self, request: Request, kv_tokens: int) -> "str | None":
         """Pick the decode GPU for a request whose KV handoff completed.
@@ -221,15 +227,14 @@ class PunicaScheduler:
         UUID. Returns None when no decode-capable engine can admit the
         imported history right now.
         """
-        candidates = [
-            (self._adapter_locality(e, request), e.working_set_size, gid)
-            for gid, e in self.engines.items()
-            if self._decode_capable(e) and e.can_accept(request, kv_tokens)
-        ]
-        if not candidates:
-            return None
-        _, _, gpu = max(candidates)
-        return gpu
+        return self._first_fit(
+            [
+                (self._adapter_locality(e, request), e.working_set_size, gid)
+                for gid, e in self.engines.items()
+                if self._decode_capable(e)
+            ],
+            request, kv_tokens,
+        )
 
     # The handoff's decode queue (docs/disagg.md) asks the scheduler for
     # its discipline: FCFS by handoff completion, the head blocks, and a
@@ -343,18 +348,16 @@ class PunicaScheduler:
         an identity there)."""
         source = self.engines[source_id]
         source_role = getattr(source, "role", "both")
-        candidates = [
-            (e.working_set_size, self._adapter_locality(e, request), gid)
-            for gid, e in self.engines.items()
-            if gid != source_id
-            and getattr(e, "role", "both") == source_role
-            and e.working_set_size > source.working_set_size
-            and e.can_accept(request)
-        ]
-        if not candidates:
-            return None
-        _, _, gpu = max(candidates)
-        return gpu
+        return self._first_fit(
+            [
+                (e.working_set_size, self._adapter_locality(e, request), gid)
+                for gid, e in self.engines.items()
+                if gid != source_id
+                and getattr(e, "role", "both") == source_role
+                and e.working_set_size > source.working_set_size
+            ],
+            request,
+        )
 
     # ------------------------------------------------------------------
     def _max_batch_size(self) -> int:

@@ -10,6 +10,13 @@ ordered so that requests sharing a LoRA model are consecutive — including
 letting the *tail* prefill and the *head* decode group share a model — and
 the resulting token-level SGMV segment indices are computed once per
 invocation (the paper notes this avoids recomputing them ``7L`` times).
+
+Both planners work at *entry* granularity: a segment's size is the sum of
+its entries' ``num_tokens``, so planning costs the same whether a prefill
+carries 8 tokens or 2 048 (the token-level form — expand to one LoRA id
+per token, run-length scan it back — is kept in ``tests/test_core_batch.py``
+as the oracle). ``segment_lora_ids`` are the entries' ``lora_id`` objects
+as given, never coerced.
 """
 
 from __future__ import annotations
@@ -18,8 +25,6 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
-
-from repro.core.segments import segments_from_lora_ids
 
 
 @dataclass(frozen=True)
@@ -58,9 +63,11 @@ class BatchLen:
         if self.prefill_starts:
             if self.prefill_starts[0] != 0:
                 raise ValueError("first prefill must start at token 0")
-            diffs = np.diff(np.asarray(self.prefill_starts + (self.num_prefill_tokens,)))
-            if (diffs <= 0).any():
-                raise ValueError("prefill starts must be strictly increasing")
+            prev = 0
+            for bound in self.prefill_starts[1:] + (self.num_prefill_tokens,):
+                if bound <= prev:
+                    raise ValueError("prefill starts must be strictly increasing")
+                prev = bound
         elif self.num_prefill_tokens != 0:
             raise ValueError("no prefill requests but num_prefill_tokens != 0")
 
@@ -102,7 +109,7 @@ class BatchPlan:
     decode_ids: tuple[str, ...]
     """Request id of each decode entry, in plan order."""
     segment_sizes: tuple[int, ...]
-    """Tokens per SGMV segment (``np.diff(seg)``)."""
+    """Tokens per SGMV segment (the differences of ``seg``)."""
 
     @property
     def batch_size(self) -> int:
@@ -121,47 +128,66 @@ class BatchPlan:
         return self.entries[len(self.prefill_lens):]
 
 
-def plan_decode_batch(entries: Sequence[BatchEntry]) -> BatchPlan:
-    """:func:`plan_batch` specialized to an all-decode batch.
-
-    Field-for-field equal to ``plan_batch(entries)`` when every entry is
-    a decode (same stable LoRA grouping, same segment boundaries): with
-    no prefills the group order is simply first-seen submission order,
-    each group is one token-level segment (adjacent groups have distinct
-    LoRA ids and decodes contribute one token each), so the per-token
-    segment scan collapses to a cumulative sum of group sizes. The
-    engine re-arms its decode batch on every membership change, where
-    this is the dominant cost.
+def _assemble(
+    prefills: "list[BatchEntry]", groups: "list[list[BatchEntry]]"
+) -> BatchPlan:
+    """Lay out prefills then decode groups and derive ``BatchLen`` and the
+    SGMV segments in one walk over the *entries*: an entry (or a decode
+    group — its members share a LoRA id and add one token each) either
+    extends the open run or starts the next one. Nothing here is per token.
     """
-    if not entries:
-        raise ValueError("cannot plan an empty batch")
-    order: dict[str, list[BatchEntry]] = {}
-    for e in entries:
-        if e.is_prefill:
-            raise ValueError("plan_decode_batch requires all-decode entries")
-        group = order.get(e.lora_id)
-        if group is None:
-            order[e.lora_id] = [e]
-        else:
-            group.append(e)
-    ordered: list[BatchEntry] = []
+    ordered = list(prefills)
+    starts: list[int] = []
+    run_ids: list[object] = []
     sizes: list[int] = []
-    for group in order.values():
+    cursor = 0
+    for e in prefills:
+        starts.append(cursor)
+        cursor += e.num_tokens
+        if run_ids and run_ids[-1] == e.lora_id:
+            sizes[-1] += e.num_tokens
+        else:
+            run_ids.append(e.lora_id)
+            sizes.append(e.num_tokens)
+    for group in groups:
         ordered.extend(group)
-        sizes.append(len(group))
+        if run_ids and run_ids[-1] == group[0].lora_id:
+            sizes[-1] += len(group)  # the prefill tail / decode head merge
+        else:
+            run_ids.append(group[0].lora_id)
+            sizes.append(len(group))
     seg = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(np.asarray(sizes, dtype=np.int64), out=seg[1:])
+    num_prefill = len(prefills)
     return BatchPlan(
         entries=tuple(ordered),
         batchlen=BatchLen(
-            prefill_starts=(), num_prefill_tokens=0, num_decode=len(ordered)
+            prefill_starts=tuple(starts),
+            num_prefill_tokens=cursor,
+            num_decode=len(ordered) - num_prefill,
         ),
         seg=seg,
-        segment_lora_ids=tuple(order),
-        prefill_lens=(),
-        decode_ids=tuple(e.request_id for e in ordered),
+        segment_lora_ids=tuple(run_ids),
+        prefill_lens=tuple([e.num_tokens for e in prefills]),
+        decode_ids=tuple([e.request_id for e in ordered[num_prefill:]]),
         segment_sizes=tuple(sizes),
     )
+
+
+def plan_decode_batch(entries: Sequence[BatchEntry]) -> BatchPlan:
+    """:func:`plan_batch` for an all-decode batch — the same grouping and
+    the same assembly, so the two agree field for field; it only refuses
+    prefills. The engine re-arms its decode batch with it on every
+    membership change.
+    """
+    if not entries:
+        raise ValueError("cannot plan an empty batch")
+    order: dict[object, list[BatchEntry]] = {}
+    for e in entries:
+        if e.is_prefill:
+            raise ValueError("plan_decode_batch requires all-decode entries")
+        order.setdefault(e.lora_id, []).append(e)
+    return _assemble([], list(order.values()))
 
 
 def plan_batch(entries: Sequence[BatchEntry]) -> BatchPlan:
@@ -178,46 +204,15 @@ def plan_batch(entries: Sequence[BatchEntry]) -> BatchPlan:
     """
     if not entries:
         raise ValueError("cannot plan an empty batch")
-    prefills = [e for e in entries if e.is_prefill]
-    decodes = [e for e in entries if not e.is_prefill]
-
-    # Stable grouping of decodes by first-seen LoRA id.
-    order: dict[str, list[BatchEntry]] = {}
-    for e in decodes:
-        order.setdefault(e.lora_id, []).append(e)
-    group_ids = list(order)
-    if prefills:
-        tail_lora = prefills[-1].lora_id
-        if tail_lora in order:
-            group_ids.remove(tail_lora)
-            group_ids.insert(0, tail_lora)
-    ordered_decodes = [e for gid in group_ids for e in order[gid]]
-    ordered = list(prefills) + ordered_decodes
-
-    # BatchLen over the token-level layout.
-    starts: list[int] = []
-    cursor = 0
-    for e in prefills:
-        starts.append(cursor)
-        cursor += e.num_tokens
-    batchlen = BatchLen(
-        prefill_starts=tuple(starts),
-        num_prefill_tokens=cursor,
-        num_decode=len(ordered_decodes),
-    )
-
-    # Token-level LoRA ids -> SGMV segments (adjacent equal ids merge).
-    token_lora_ids: list[str] = []
-    for e in ordered:
-        token_lora_ids.extend([e.lora_id] * e.num_tokens)
-    seg, run_ids = segments_from_lora_ids(token_lora_ids)
-
-    return BatchPlan(
-        entries=tuple(ordered),
-        batchlen=batchlen,
-        seg=seg,
-        segment_lora_ids=tuple(str(r) for r in run_ids),
-        prefill_lens=tuple(e.num_tokens for e in prefills),
-        decode_ids=tuple(e.request_id for e in ordered_decodes),
-        segment_sizes=tuple(np.diff(seg).tolist()),
-    )
+    prefills: list[BatchEntry] = []
+    order: dict[object, list[BatchEntry]] = {}
+    for e in entries:
+        if e.is_prefill:
+            prefills.append(e)
+        else:
+            order.setdefault(e.lora_id, []).append(e)
+    head = order.pop(prefills[-1].lora_id, None) if prefills else None
+    groups = list(order.values())
+    if head is not None:
+        groups.insert(0, head)
+    return _assemble(prefills, groups)

@@ -218,8 +218,9 @@ class GpuEngine:
         misses naturally."""
         self._entry_cache: dict[str, BatchEntry] = {}
         """Decode :class:`BatchEntry` per request id on this GPU — entries
-        are immutable, so each request's is built once and reused across
-        re-arms; dropped when the request leaves (:meth:`_remove`)."""
+        are immutable, so each request's is built once and reused by every
+        plan it joins, armed or not; dropped when the request leaves
+        (:meth:`_remove`)."""
         self.fast_steps = 0
         """Decode steps committed in bulk by :meth:`commit_steady_run`
         (diagnostic only — deliberately not a registry metric so
@@ -549,15 +550,11 @@ class GpuEngine:
                     )
                 )
                 past_lens[req.request_id] = 0
+            cache = self._entry_cache
             for slot in decode_slots:
-                req = slot.request
+                rspec = slot.request.spec
                 entries.append(
-                    BatchEntry(
-                        request_id=req.request_id,
-                        lora_id=req.lora_id,
-                        num_tokens=1,
-                        is_prefill=False,
-                    )
+                    cache.get(rspec.request_id) or self._decode_entry(rspec)
                 )
             plan = plan_batch(entries)
             steady.misses += 1
@@ -840,13 +837,7 @@ class GpuEngine:
             req = s.request
             spec = req.spec
             rid = spec.request_id
-            entry = cache.get(rid)
-            if entry is None:
-                entry = cache[rid] = BatchEntry(
-                    request_id=rid, lora_id=spec.lora_id,
-                    num_tokens=1, is_prefill=False,
-                )
-            entries.append(entry)
+            entries.append(cache.get(rid) or self._decode_entry(spec))
             past[rid] = req.kv_len
             total += req.kv_len
             if rem is not None:
@@ -864,6 +855,15 @@ class GpuEngine:
         steady.past = past
         steady.total = total + len(slots)
         steady.rem = rem
+
+    def _decode_entry(self, spec) -> BatchEntry:
+        """Build and cache a request's decode entry (an ``_entry_cache``
+        miss: its first decode step on this GPU)."""
+        entry = self._entry_cache[spec.request_id] = BatchEntry(
+            request_id=spec.request_id, lora_id=spec.lora_id,
+            num_tokens=1, is_prefill=False,
+        )
+        return entry
 
     def _order_insert(self, slot: _Slot) -> None:
         """Insert into ``_working_order`` keeping ascending ``admit_seq``.

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core.batch import (
@@ -14,6 +14,7 @@ from repro.core.batch import (
     plan_batch,
     plan_decode_batch,
 )
+from repro.core.segments import segments_from_lora_ids
 
 
 def prefill(rid, lora, tokens):
@@ -22,6 +23,115 @@ def prefill(rid, lora, tokens):
 
 def decode(rid, lora):
     return BatchEntry(request_id=rid, lora_id=lora, num_tokens=1, is_prefill=False)
+
+
+def reference_plan_batch(entries):
+    """The token-level planner ``plan_batch`` was until PR 24, kept as the
+    oracle: expand the ordered batch to one LoRA id per *token*, run-length
+    scan that back into segments, ``np.diff`` the result. (Its one edit:
+    the run ids are no longer ``str()``-coerced — that was the bug.)"""
+    if not entries:
+        raise ValueError("cannot plan an empty batch")
+    prefills = [e for e in entries if e.is_prefill]
+    decodes = [e for e in entries if not e.is_prefill]
+    order = {}
+    for e in decodes:
+        order.setdefault(e.lora_id, []).append(e)
+    group_ids = list(order)
+    if prefills:
+        tail_lora = prefills[-1].lora_id
+        if tail_lora in order:
+            group_ids.remove(tail_lora)
+            group_ids.insert(0, tail_lora)
+    ordered_decodes = [e for gid in group_ids for e in order[gid]]
+    ordered = list(prefills) + ordered_decodes
+    starts = []
+    cursor = 0
+    for e in prefills:
+        starts.append(cursor)
+        cursor += e.num_tokens
+    token_lora_ids = []
+    for e in ordered:
+        token_lora_ids.extend([e.lora_id] * e.num_tokens)
+    seg, run_ids = segments_from_lora_ids(token_lora_ids)
+    return BatchPlan(
+        entries=tuple(ordered),
+        batchlen=BatchLen(
+            prefill_starts=tuple(starts),
+            num_prefill_tokens=cursor,
+            num_decode=len(ordered_decodes),
+        ),
+        seg=seg,
+        segment_lora_ids=tuple(run_ids),
+        prefill_lens=tuple(e.num_tokens for e in prefills),
+        decode_ids=tuple(e.request_id for e in ordered_decodes),
+        segment_sizes=tuple(np.diff(seg).tolist()),
+    )
+
+
+def reference_batchlen_check(prefill_starts, num_prefill_tokens, num_decode):
+    """``BatchLen.__post_init__`` as it was with NumPy — the oracle for the
+    plain-loop validation."""
+    if num_prefill_tokens < 0 or num_decode < 0:
+        raise ValueError("token counts must be nonnegative")
+    if prefill_starts:
+        if prefill_starts[0] != 0:
+            raise ValueError("first prefill must start at token 0")
+        diffs = np.diff(np.asarray(prefill_starts + (num_prefill_tokens,)))
+        if (diffs <= 0).any():
+            raise ValueError("prefill starts must be strictly increasing")
+    elif num_prefill_tokens != 0:
+        raise ValueError("no prefill requests but num_prefill_tokens != 0")
+
+
+def assert_plans_equal(got: BatchPlan, want: BatchPlan):
+    """Every ``BatchPlan`` field equal — ``seg`` by dtype, shape and values,
+    ids by type as well as value."""
+    for f in dataclasses.fields(BatchPlan):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "seg":
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tolist() == b.tolist()
+        else:
+            assert a == b, f.name
+    assert [type(i) for i in got.segment_lora_ids] == [
+        type(i) for i in want.segment_lora_ids
+    ]
+    assert all(type(n) is int for n in got.segment_sizes + got.prefill_lens)
+
+
+@st.composite
+def mixed_batches(draw):
+    """0-4 prefills of 1-2 048 tokens and 0-32 decodes over a 1-6 adapter
+    alphabet, in arbitrary submission order; three shapes are forced on
+    purpose: the tail prefill sharing the head decode group, every entry
+    on one adapter, every entry on its own."""
+    shape = draw(st.sampled_from(["free", "tail_shares_head", "one_adapter", "distinct"]))
+    n_prefill = draw(st.integers(1 if shape == "tail_shares_head" else 0, 4))
+    n_decode = draw(st.integers(1 if shape == "tail_shares_head" else 0, 32))
+    assume(n_prefill + n_decode > 0)
+    n = n_prefill + n_decode
+    alphabet = [f"lora-{i}" for i in range(draw(st.integers(1, 6)))]
+    if shape == "one_adapter":
+        loras = [alphabet[0]] * n
+    elif shape == "distinct":
+        loras = [f"own-{i}" for i in range(n)]
+    else:
+        loras = [draw(st.sampled_from(alphabet)) for _ in range(n)]
+        if shape == "tail_shares_head":
+            loras[n_prefill + draw(st.integers(0, n_decode - 1))] = loras[n_prefill - 1]
+    entries = [
+        prefill(f"p{i}", loras[i], draw(st.integers(1, 2048)))
+        for i in range(n_prefill)
+    ] + [decode(f"d{i}", loras[n_prefill + i]) for i in range(n_decode)]
+    # Interleave arbitrarily, keeping the prefills' relative order (it is
+    # which prefill is *last* that decides the head group).
+    slots = draw(st.permutations(range(n)))
+    prefill_slots = set(slots[:n_prefill])
+    out, p, d = [], iter(entries[:n_prefill]), iter(entries[n_prefill:])
+    for i in range(n):
+        out.append(next(p) if i in prefill_slots else next(d))
+    return out
 
 
 class TestBatchEntry:
@@ -52,6 +162,28 @@ class TestBatchLen:
     def test_inconsistent_tokens(self):
         with pytest.raises(ValueError):
             BatchLen(prefill_starts=(), num_prefill_tokens=3, num_decode=0)
+
+    @given(
+        st.lists(st.integers(-3, 40), max_size=5).map(tuple),
+        st.integers(-3, 40),
+        st.integers(-2, 8),
+    )
+    def test_validation_equals_numpy_oracle(self, starts, n_prefill_tokens, n_decode):
+        try:
+            reference_batchlen_check(starts, n_prefill_tokens, n_decode)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                BatchLen(starts, n_prefill_tokens, n_decode)
+            assert str(got.value) == str(exc)
+        else:
+            BatchLen(starts, n_prefill_tokens, n_decode)
+
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=5))
+    def test_valid_layouts_construct_under_both(self, lens):
+        # The arbitrary triples above are mostly invalid; these never are.
+        starts = tuple(sum(lens[:i]) for i in range(len(lens)))
+        reference_batchlen_check(starts, sum(lens), 3)
+        assert BatchLen(starts, sum(lens), 3).prefill_lengths() == lens
 
 
 class TestPlanBatch:
@@ -141,6 +273,21 @@ class TestPlanBatch:
         assert plan.segment_sizes == tuple(np.diff(plan.seg).tolist())
         assert all(type(n) is int for n in plan.segment_sizes + plan.prefill_lens)
 
+    @given(mixed_batches())
+    def test_equals_token_level_oracle(self, entries):
+        assert_plans_equal(plan_batch(entries), reference_plan_batch(entries))
+
+    def test_forced_shapes_against_oracle(self):
+        # The three shapes the strategy forces, once each by hand.
+        for entries in (
+            [decode("1", "m1"), prefill("p", "m2", 2048), decode("2", "m2")],
+            [prefill("p", "m", 7), prefill("q", "m", 3), decode("1", "m")],
+            [prefill("p", "a", 5), decode("1", "b"), decode("2", "c")],
+        ):
+            assert_plans_equal(plan_batch(entries), reference_plan_batch(entries))
+        shared = plan_batch([decode("1", "m1"), prefill("p", "m2", 2048), decode("2", "m2")])
+        assert shared.segment_sizes == (2049, 1)
+
     def test_plan_is_immutable_plain_data(self):
         plan = plan_batch([prefill("p", "a", 3), decode("1", "b")])
         for f in dataclasses.fields(plan):
@@ -150,17 +297,24 @@ class TestPlanBatch:
 
 
 class TestPlanDecodeBatch:
-    @given(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=24))
+    @given(
+        st.lists(
+            st.sampled_from(["a", "b", "c", "d", 0, 1, 3, "3"]),
+            min_size=1, max_size=24,
+        )
+    )
     def test_equals_plan_batch_field_for_field(self, loras):
+        # ``int`` and ``str`` ids: both planners hand back the entries'
+        # ``lora_id`` objects as given (``3`` and ``"3"`` are two adapters).
         entries = [decode(str(i), lora) for i, lora in enumerate(loras)]
-        fast, ref = plan_decode_batch(entries), plan_batch(entries)
-        for f in dataclasses.fields(BatchPlan):
-            a, b = getattr(fast, f.name), getattr(ref, f.name)
-            if f.name == "seg":
-                assert a.dtype == b.dtype and a.tolist() == b.tolist()
-            else:
-                assert a == b
-        assert all(type(n) is int for n in fast.segment_sizes)
+        fast = plan_decode_batch(entries)
+        assert_plans_equal(fast, plan_batch(entries))
+        assert_plans_equal(fast, reference_plan_batch(entries))
+
+    def test_non_str_ids_are_not_coerced(self):
+        entries = [decode("r1", 3), decode("r2", 3)]
+        assert plan_batch(entries).segment_lora_ids == (3,)
+        assert plan_decode_batch(entries).segment_lora_ids == (3,)
 
     def test_rejects_prefill_and_empty(self):
         with pytest.raises(ValueError):

@@ -49,6 +49,7 @@ from repro.runtime.request import RequestState
 from repro.runtime.spec import SpecConfig
 from repro.workloads.arrivals import PoissonArrivals, RampProfile, constant_rate
 from repro.workloads.lengths import ShareGptLengths
+from repro.workloads.scale import FIG13_1M, scale_trace
 from repro.workloads.trace import generate_trace
 
 
@@ -622,6 +623,40 @@ def test_dense_traced_run_keeps_every_lane_armed():
         traced.metrics.registry.to_json() == plain.metrics.registry.to_json()
     )
     _assert_breakdowns_tile(traced_sim.tracer)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_churn_slice_differential(seed):
+    """The ledger's whole ``sim_churn`` rep (0.4 % of ``fig13_1m``: 4 000
+    short requests over 256 Zipf adapters on the 8-engine fleet), not just
+    its first 200 requests: batch membership changes on almost every step,
+    so nearly every step plans a mixed batch from ``_entry_cache`` entries
+    and every arrival is a first-fit placement. Fast == fast-traced ==
+    reference on every request's stamps and tokens, and the two traces
+    agree byte for byte (every PLACE names the same GPU); the reference
+    run is what checks the un-armed ``step`` reading the entry cache on
+    the path that plans every step."""
+    trace = scale_trace(FIG13_1M, fraction=0.004, seed=seed)
+    fast_sim, fast = _dense_run(trace, traced=False, fast_path=True)
+    traced_sim, traced = _dense_run(trace, traced=True, fast_path=True)
+    ref_sim, ref = _dense_run(trace, traced=True, fast_path=False)
+    assert fast.finished_requests == len(trace)
+    for other in (traced, ref):
+        assert (fast.duration, fast.finished_requests, fast.tokens_generated) == (
+            other.duration, other.finished_requests, other.tokens_generated
+        )
+        assert _request_states(fast.requests) == _request_states(other.requests)
+    assert traced_sim.tracer.dumps_jsonl() == ref_sim.tracer.dumps_jsonl()
+
+    # Canaries that this run is churn: most steps go through ``step`` (not
+    # the bulk lane) and build a plan.
+    engines = list(fast_sim.scheduler.engines.values())
+    assert sum(e.slow_steps for e in engines) > sum(e.fast_steps for e in engines)
+    assert sum(e._steady.misses for e in engines) >= 3500
+    ref_engines = list(ref_sim.scheduler.engines.values())
+    assert all(e._steady.hits == 0 for e in ref_engines)  # plans every step
+    assert sum(e._steady.misses for e in ref_engines) >= 3500
+    assert all(not e._entry_cache for e in engines + ref_engines)
 
 
 def test_one_engine_run_is_a_one_lane_merge():
