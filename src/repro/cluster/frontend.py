@@ -197,6 +197,10 @@ class Frontend:
     def handle(self, request_id: str) -> RequestHandle:
         return self._handles[request_id]
 
+    def has_request(self, request_id: str) -> bool:
+        """Whether ``request_id`` was ever submitted (``submit`` refuses it)."""
+        return request_id in self._handles
+
     # ------------------------------------------------------------------
     def _install_streaming_hook(self) -> None:
         """Wrap the simulator's step factory to observe every report."""

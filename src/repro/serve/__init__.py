@@ -22,7 +22,7 @@ streaming connections, cancellation storms and slow readers against it.
 See docs/serving.md.
 """
 
-from repro.serve.bridge import FunctionalBridge, SimulatorBridge, StreamUpdate
+from repro.serve.bridge import FunctionalBridge, SimulatorBridge
 from repro.serve.client import ClientResult, LoadGenerator, LoadSpec, ServeClient
 from repro.serve.gateway import ServeGateway
 from repro.serve.limits import (
@@ -59,7 +59,6 @@ __all__ = [
     "ServeMetrics",
     "ServeServer",
     "SimulatorBridge",
-    "StreamUpdate",
     "TenantPolicy",
     "TokenBucket",
     "TokenFrame",

@@ -2,8 +2,10 @@
 
 The serving frontend runs against two very different backends through one
 small surface (``start`` / ``stop`` / ``open`` / ``cancel``; ``open`` takes
-the :class:`asyncio.Queue` that stream's :class:`StreamUpdate` items go on —
-the server's one outbox per connection, streams told apart by ``request_id``):
+the :class:`asyncio.Queue` that stream's wire frames go on — a
+:class:`~repro.serve.protocol.TokenFrame` per token, one
+:class:`~repro.serve.protocol.EndFrame` last — the server's one outbox per
+connection, streams told apart by ``request_id``):
 
 * :class:`SimulatorBridge` — **time-warped cluster simulation**. The
   discrete-event loop advances in fixed virtual quanta from a pump
@@ -21,7 +23,7 @@ the server's one outbox per connection, streams told apart by ``request_id``):
 Both bridges are single-threaded asyncio: token callbacks fire inside the
 pump coroutine, so ``Queue.put_nowait`` needs no locking, and a slow
 reader only ever blocks its own connection's writer task — the engine
-never waits on a client socket (updates buffer in the sink, unbounded).
+never waits on a client socket (frames buffer in the sink, unbounded).
 """
 
 from __future__ import annotations
@@ -29,32 +31,31 @@ from __future__ import annotations
 import asyncio
 import itertools
 from collections import deque
-from dataclasses import dataclass
 
 from repro.runtime.request import Request, RequestState
 from repro.serve.gateway import ServeGateway
 from repro.serve.limits import AdmissionController, Decision
 from repro.serve.metrics import ServeMetrics
-from repro.serve.protocol import GenerateOp
+from repro.serve.protocol import EndFrame, GenerateOp, TokenFrame
 from repro.utils.rng import new_rng
 from repro.workloads.trace import RequestSpec
 
 
-@dataclass(frozen=True)
-class StreamUpdate:
-    """One item on a stream's sink: a token, or the end of the stream."""
+class DuplicateRequestId(ValueError):
+    """``open`` was given a ``request_id`` the bridge already knows; raised
+    before admission, so no slot is taken and nothing is traced."""
 
-    kind: str
-    """``"token"`` or ``"end"``."""
-    time: float
-    """Backend clock (virtual seconds under the simulator)."""
-    request_id: str = ""
-    """The stream it belongs to; a sink may carry many streams."""
-    token: "int | None" = None
-    index: "int | None" = None
-    status: "str | None" = None
-    """Terminal state for ``kind="end"``: finished | cancelled | failed."""
-    num_tokens: int = 0
+
+def _claim_id(requested: str, taken, ids, prefix: str) -> str:
+    """``requested`` when it is free; with none requested, the next
+    auto-assigned ``prefix-NNNNN`` id nobody has taken."""
+    if requested:
+        if taken(requested):
+            raise DuplicateRequestId(requested)
+        return requested
+    while taken(rid := f"{prefix}-{next(ids):05d}"):
+        pass
+    return rid
 
 
 def _terminal_status(state: RequestState, cancelled: bool) -> str:
@@ -118,9 +119,8 @@ class SimulatorBridge:
             await task
         except asyncio.CancelledError:
             pass
-        now = self.now
-        for stream in self.gateway.drain(now):
-            self._push_end(stream, now)
+        for stream in self.gateway.drain(self.now):
+            self._push_end(stream)
 
     # ------------------------------------------------------------------
     def open(
@@ -129,9 +129,13 @@ class SimulatorBridge:
         """Admit one :class:`GenerateOp` at the current virtual time.
 
         Returns ``(request_id, sink, decision)``: the queue the stream's
-        updates go on (its own when none is given), or ``None`` when shed.
+        frames go on (its own when none is given), or ``None`` when shed.
+        Raises :class:`DuplicateRequestId` for an id the frontend has
+        already seen (it keeps every handle, finished ones included).
         """
-        rid = op.request_id or f"sv-{next(self._ids):05d}"
+        rid = _claim_id(
+            op.request_id, self.gateway.frontend.has_request, self._ids, "sv"
+        )
         now = self.now
         if sink is None:
             sink = asyncio.Queue()
@@ -140,10 +144,7 @@ class SimulatorBridge:
         def on_token(_rid: str, tok: int, t: float) -> None:
             # Metrics accounting already happened inside the gateway's own
             # wrapped callback; this layer only feeds the stream's sink.
-            sink.put_nowait(StreamUpdate(
-                kind="token", time=t, request_id=rid, token=tok,
-                index=next(count),
-            ))
+            sink.put_nowait(TokenFrame("token", rid, tok, next(count), t))
 
         stream, decision = self.gateway.open(
             tenant=op.effective_tenant,
@@ -170,20 +171,19 @@ class SimulatorBridge:
         if stream is None:
             self._sinks.pop(request_id, None)
             return False
-        now = self.now
-        self.gateway.client_close(request_id, now)
-        self._push_end(stream, now)
+        self.gateway.client_close(request_id, self.now)
+        self._push_end(stream)
         if self._wake is not None:
             self._wake.set()
         return True
 
     # ------------------------------------------------------------------
-    def _push_end(self, stream, now: float) -> None:
+    def _push_end(self, stream) -> None:
         sink = self._sinks.pop(stream.request_id, None)
         if sink is None:
             return
-        sink.put_nowait(StreamUpdate(
-            kind="end", time=now, request_id=stream.request_id,
+        sink.put_nowait(EndFrame(
+            request_id=stream.request_id,
             status=_terminal_status(stream.handle.state, stream.cancelled),
             num_tokens=stream.tokens_streamed,
         ))
@@ -193,18 +193,16 @@ class SimulatorBridge:
         gateway = self.gateway
         while True:
             if self.warp is None and not sim.work_remaining():
-                done = gateway.poll(sim.now)
-                for stream in done:
-                    self._push_end(stream, sim.now)
+                for stream in gateway.poll(sim.now):
+                    self._push_end(stream)
                 if not gateway.open_streams():
                     self._wake.clear()
                     if not sim.work_remaining() and not gateway.open_streams():
                         await self._wake.wait()
                     continue
             sim.loop.run(until=sim.now + self.quantum)
-            now = sim.now
-            for stream in gateway.poll(now):
-                self._push_end(stream, now)
+            for stream in gateway.poll(sim.now):
+                self._push_end(stream)
             if self.warp is None:
                 await asyncio.sleep(0)
             else:
@@ -291,7 +289,9 @@ class FunctionalBridge:
     def open(
         self, op: GenerateOp, sink: "asyncio.Queue | None" = None
     ) -> "tuple[str, asyncio.Queue | None, Decision]":
-        rid = op.request_id or f"fn-{next(self._ids):05d}"
+        """Raises :class:`DuplicateRequestId` for the id of a stream that
+        is still open."""
+        rid = _claim_id(op.request_id, self._streams.__contains__, self._ids, "fn")
         now = self._clock
         if self.metrics is not None:
             self.metrics.record_connect(op.effective_tenant)
@@ -350,8 +350,8 @@ class FunctionalBridge:
     def _end_stream(self, stream: _FuncStream) -> None:
         self._streams.pop(stream.request_id, None)
         self.controller.release(stream.tenant)
-        stream.sink.put_nowait(StreamUpdate(
-            kind="end", time=self._clock, request_id=stream.request_id,
+        stream.sink.put_nowait(EndFrame(
+            request_id=stream.request_id,
             status=_terminal_status(stream.request.state, stream.cancelled),
             num_tokens=stream.streamed,
         ))
@@ -386,9 +386,8 @@ class FunctionalBridge:
                     self.metrics.record_tokens(1)
                 stream.ttfb_observed = True
                 stream.streamed += 1
-                stream.sink.put_nowait(StreamUpdate(
-                    kind="token", time=self._clock,
-                    request_id=stream.request_id, token=tok, index=index,
+                stream.sink.put_nowait(TokenFrame(
+                    "token", stream.request_id, tok, index, self._clock
                 ))
             if req.state.is_terminal:
                 ended.append(stream)

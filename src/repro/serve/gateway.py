@@ -21,8 +21,7 @@ serving metrics (:mod:`repro.serve.metrics`), and exactly-one
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.frontend import Frontend, RequestHandle, TokenCallback
 from repro.obs.tracer import EventKind, Tracer
@@ -41,8 +40,6 @@ class OpenStream:
     tokens_streamed: int = 0
     cancelled: bool = False
     finalized: bool = False
-    extra: dict = field(default_factory=dict)
-    """Owner scratch space (the bridge parks its asyncio queue here)."""
 
     @property
     def request_id(self) -> str:
@@ -64,15 +61,11 @@ class ServeGateway:
         self.metrics = metrics
         self.tracer = tracer
         self._streams: "dict[str, OpenStream]" = {}
-        self._conn_ids = itertools.count()
 
     # ------------------------------------------------------------------
     @property
     def simulator(self):
         return self.frontend.simulator
-
-    def stream(self, request_id: str) -> OpenStream:
-        return self._streams[request_id]
 
     def open_streams(self) -> "list[OpenStream]":
         return list(self._streams.values())
@@ -85,7 +78,7 @@ class ServeGateway:
         prompt_len: int,
         response_len: int,
         now: float,
-        request_id: "str | None" = None,
+        request_id: str,
         prompt_tokens: "list[int] | None" = None,
         on_token: "TokenCallback | None" = None,
     ) -> "tuple[OpenStream | None, Decision]":
@@ -96,10 +89,9 @@ class ServeGateway:
         :meth:`finalize`. On any other decision the connection is traced
         CONNECT -> SHED -> DISCONNECT and nothing reaches the scheduler.
         """
-        rid = request_id or f"sv-{next(self._conn_ids):05d}"
         user_on_token = on_token
         if self.tracer is not None:
-            self.tracer.emit(now, EventKind.CONNECT, conn=rid, tenant=tenant)
+            self.tracer.emit(now, EventKind.CONNECT, conn=request_id, tenant=tenant)
         if self.metrics is not None:
             self.metrics.record_connect(tenant)
         decision = self.controller.admit(tenant, now)
@@ -107,11 +99,11 @@ class ServeGateway:
             if self.tracer is not None:
                 self.tracer.emit(
                     now, EventKind.SHED,
-                    conn=rid, tenant=tenant, reason=decision.value,
+                    conn=request_id, tenant=tenant, reason=decision.value,
                 )
                 self.tracer.emit(
                     now, EventKind.DISCONNECT,
-                    conn=rid, tenant=tenant, cause="shed",
+                    conn=request_id, tenant=tenant, cause="shed",
                 )
             if self.metrics is not None:
                 self.metrics.record_shed(tenant, decision.value)
@@ -134,12 +126,12 @@ class ServeGateway:
             response_len=response_len,
             at_time=now,
             prompt_tokens=prompt_tokens,
-            request_id=rid,
+            request_id=request_id,
             on_token=hooked,
         )
         stream = OpenStream(handle=handle, tenant=tenant, opened_at=now)
         box.append(stream)
-        self._streams[rid] = stream
+        self._streams[request_id] = stream
         if self.metrics is not None:
             self.metrics.record_admitted(tenant)
         return stream, decision

@@ -137,10 +137,28 @@ _SORTED_FIELDS = {
     cls: tuple(sorted(f.name for f in fields(cls))) for cls in _FRAME_TYPES.values()
 }
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
+_encode_str = json.encoder.encode_basestring_ascii
 
 
 def encode_frame(frame) -> bytes:
-    """One frame -> one canonical JSON line (newline-terminated bytes)."""
+    """One frame -> one canonical JSON line (newline-terminated bytes).
+
+    A token frame of exact ints and a float (every one the bridges build)
+    is one f-string, byte for byte what the general path writes for it.
+    """
+    if type(frame) is TokenFrame:
+        rid, token, index, t = frame.request_id, frame.token, frame.index, frame.time
+        if (
+            type(token) is int and type(index) is int and type(t) is float
+            and type(rid) is str and frame.event == "token"
+        ):
+            t = repr(t) if t - t == 0.0 else (
+                "NaN" if t != t else "Infinity" if t > 0 else "-Infinity"
+            )
+            return (
+                f'{{"event":"token","index":{index},"request_id":'
+                f'{_encode_str(rid)},"time":{t},"token":{token}}}\n'
+            ).encode()
     obj = {
         name: value
         for name in _SORTED_FIELDS[type(frame)]

@@ -9,14 +9,15 @@
   429 :class:`~repro.serve.protocol.ErrorFrame`); admitted streams get an
   :class:`~repro.serve.protocol.AcceptedFrame` and then token frames as
   the backend produces them, each connection multiplexing any number of
-  concurrent streams by request id;
+  concurrent streams by request id; a ``request_id`` the bridge already
+  knows is refused with a 409 before admission;
 * a :class:`~repro.serve.protocol.CancelOp` cancels one stream;
 * EOF on the socket with streams still open is a client disconnect: every
   open stream of that connection is cancelled, which propagates down to
   engine eviction (the trace shows CANCEL ``reason="disconnect"``).
 
 One reader loop and one writer task per connection, joined by one outbox
-queue: the reader's answers and every stream's updates go on it in order,
+queue: the reader's answers and every stream's frames go on it in order,
 and the writer sends all that is queued when it wakes as one buffer — what
 became ready in one event-loop turn is one ``send``. A slow reader
 backpressures only its own connection (its outbox buffers; ``drain()``
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.serve.bridge import StreamUpdate
+from repro.serve.bridge import DuplicateRequestId
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     AcceptedFrame,
@@ -35,7 +36,6 @@ from repro.serve.protocol import (
     EndFrame,
     ErrorFrame,
     GenerateOp,
-    TokenFrame,
     decode_frame,
     encode_frame,
 )
@@ -116,7 +116,14 @@ class ServeServer:
                 if isinstance(frame, GenerateOp):
                     # ``accepted`` precedes the first token: nothing yields
                     # here, and tokens come only from the bridge's own pump.
-                    rid, sink, decision = self.bridge.open(frame, outbox)
+                    try:
+                        rid, sink, decision = self.bridge.open(frame, outbox)
+                    except DuplicateRequestId:
+                        outbox.put_nowait(ErrorFrame(
+                            request_id=frame.request_id, code=409,
+                            reason="duplicate request id",
+                        ))
+                        continue
                     if sink is None:
                         outbox.put_nowait(ErrorFrame(
                             request_id=rid, code=429, reason=decision.value,
@@ -162,20 +169,10 @@ class ServeServer:
                 while not outbox.empty():
                     batch.append(outbox.get_nowait())
                 chunks = []
-                for item in batch:
-                    if type(item) is StreamUpdate:
-                        if item.kind == "token":
-                            item = TokenFrame(
-                                request_id=item.request_id, token=item.token,
-                                index=item.index, time=item.time,
-                            )
-                        else:
-                            open_ids.discard(item.request_id)
-                            item = EndFrame(
-                                request_id=item.request_id, status=item.status,
-                                num_tokens=item.num_tokens,
-                            )
-                    chunks.append(encode_frame(item))
+                for frame in batch:
+                    if type(frame) is EndFrame:
+                        open_ids.discard(frame.request_id)
+                    chunks.append(encode_frame(frame))
                 writer.write(b"".join(chunks))
                 await writer.drain()
         except (ConnectionError, OSError):

@@ -19,7 +19,9 @@ The headline guarantees exercised:
 * the functional backend streams real, deterministic token ids.
 
 No pytest-asyncio in the image: each test is a sync function running its
-coroutine through ``asyncio.run``.
+coroutine through :func:`run`, which also fails the test on anything the
+event loop would have logged (a dead connection handler, a dead bridge
+pump, "Task exception was never retrieved").
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 import pytest
 
 from repro.obs.tracer import EventKind
+from repro.serve.bridge import DuplicateRequestId, SimulatorBridge
 from repro.serve.client import LoadSpec, ServeClient, expand_plans
 from repro.serve.harness import (
     build_functional_stack,
@@ -54,8 +57,51 @@ from tests.test_serve_protocol import reference_encode
 SEED = int(os.environ.get("REPRO_SERVE_SEED", "0"))
 
 
-def run(coro):
-    return asyncio.run(coro)
+def collect_task_errors() -> "list[dict]":
+    """Everything the loop would log ("Task exception was never
+    retrieved", unhandled callback errors) lands in the returned list."""
+    errors: "list[dict]" = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda _loop, context: errors.append(context)
+    )
+    return errors
+
+
+def run(coro, loop_errors: "list[dict] | None" = None):
+    """``asyncio.run(coro)``, failing on any context the loop would have
+    logged. A test that expects some passes ``loop_errors`` and gets them
+    appended there instead."""
+    errors: "list[dict]" = []
+
+    async def main():
+        nonlocal errors
+        errors = collect_task_errors()
+        return await coro
+
+    result = asyncio.run(main())
+    gc.collect()  # an unretrieved task exception is logged on collection
+    if loop_errors is None:
+        assert errors == [], f"the event loop logged: {errors}"
+    else:
+        loop_errors.extend(errors)
+    return result
+
+
+def test_run_fails_on_what_the_loop_would_log():
+    async def boom():
+        raise RuntimeError("dead pump")
+
+    async def orphan():
+        asyncio.get_running_loop().create_task(boom())  # never awaited
+        await asyncio.sleep(0)
+
+    with pytest.raises(AssertionError, match="dead pump"):
+        run(orphan())
+    expected: "list[dict]" = []
+    run(orphan(), loop_errors=expected)
+    assert [repr(c["exception"]) for c in expected] == [
+        "RuntimeError('dead pump')"
+    ]
 
 
 class TestConcurrentLoad:
@@ -305,34 +351,24 @@ def build_stack(backend: str):
     return build_functional_stack(seed=SEED)
 
 
-def count_server_writes(stack) -> "list[int]":
+def capture_server_writes(stack) -> "list[bytes]":
     """Wrap every connection's ``writer.write`` (call before ``start``);
-    the returned list grows by one byte count per server-side write."""
-    sizes: "list[int]" = []
+    the returned list grows by one buffer per server-side write."""
+    writes: "list[bytes]" = []
     handle = stack.server._handle_connection
 
-    async def counted(reader, writer):
+    async def captured(reader, writer):
         write = writer.write
 
-        def counting_write(data):
-            sizes.append(len(data))
+        def capturing_write(data):
+            writes.append(bytes(data))
             write(data)
 
-        writer.write = counting_write
+        writer.write = capturing_write
         await handle(reader, writer)
 
-    stack.server._handle_connection = counted
-    return sizes
-
-
-def collect_task_errors() -> "list[dict]":
-    """Everything the loop would log ("Task exception was never
-    retrieved", unhandled callback errors) lands in the returned list."""
-    errors: "list[dict]" = []
-    asyncio.get_running_loop().set_exception_handler(
-        lambda _loop, context: errors.append(context)
-    )
-    return errors
+    stack.server._handle_connection = captured
+    return writes
 
 
 async def settle(done, turns: int = 2000) -> bool:
@@ -360,10 +396,12 @@ class RawConnection:
     def send(self, frame) -> None:
         self.writer.write(encode_frame(frame))
 
-    async def read_until(self, done) -> None:
-        """Append lines until ``done(self.lines)`` holds (or EOF)."""
+    async def read_until(self, done, timeout: float = 20.0) -> None:
+        """Append lines until ``done(self.lines)`` holds (or EOF); a server
+        silent for ``timeout`` seconds (a dead bridge pump) fails the test
+        instead of hanging it."""
         while not done(self.lines):
-            line = await self.reader.readline()
+            line = await asyncio.wait_for(self.reader.readline(), timeout)
             if not line:
                 return
             self.lines.append(line)
@@ -426,7 +464,7 @@ class TestWireOrder:
     def test_concurrent_streams_are_whole_ordered_and_coalesced(self, backend):
         async def scenario():
             stack = build_stack(backend)
-            writes = count_server_writes(stack)
+            writes = capture_server_writes(stack)
             await stack.server.start()
             try:
                 conns = [
@@ -463,7 +501,7 @@ class TestWireOrder:
                 assert_stream_lines(rid, streams[rid], self.TOKENS)
             frames += len(conn.lines)
         assert frames == self.CONNECTIONS * self.STREAMS * (self.TOKENS + 2)
-        assert sum(writes) == sum(len(l) for c in conns for l in c.lines)
+        assert sum(map(len, writes)) == sum(len(l) for c in conns for l in c.lines)
         if backend == "sim":
             # Everything ready in one loop turn is one write: a write per
             # frame (the per-stream writer this replaced) fails here.
@@ -515,7 +553,6 @@ class TestDisconnectTopology:
         survivor_ids = [f"alive-{k}" for k in range(8)]
 
         async def scenario():
-            errors = collect_task_errors()
             before_start = len(asyncio.all_tasks())
             stack = build_sim_stack(warp=None)
             await stack.server.start()
@@ -545,10 +582,8 @@ class TestDisconnectTopology:
                 assert reg.get("serve_active_connections").total() == 0
             finally:
                 await stack.server.stop()
-            gc.collect()  # an unretrieved task exception is logged on collection
             await asyncio.sleep(0)
             assert len(asyncio.all_tasks()) == before_start
-            assert errors == []
             return stack, survivor
 
         stack, survivor = run(scenario())
@@ -565,7 +600,6 @@ class TestFrameSizeBound:
         MAX_FRAME_BYTES; asyncio's 64 KiB default reader limit must not
         be what decides."""
         async def scenario():
-            errors = collect_task_errors()
             stack = build_sim_stack(warp=None)
             await stack.server.start()
             try:
@@ -578,19 +612,17 @@ class TestFrameSizeBound:
                 client = ServeClient("127.0.0.1", stack.server.port)
                 await client.connect()
                 try:
-                    return await client.generate(op), errors
+                    return await client.generate(op)
                 finally:
                     await client.close()
             finally:
                 await stack.server.stop()
 
-        result, errors = run(scenario())
-        assert errors == []
+        result = run(scenario())
         assert result.status == "finished" and result.num_tokens == 3
 
     def test_line_past_the_bound_is_answered_and_the_connection_closed(self):
         async def scenario():
-            errors = collect_task_errors()
             stack = build_sim_stack(warp=None)
             await stack.server.start()
             reg = stack.metrics.registry
@@ -607,12 +639,11 @@ class TestFrameSizeBound:
                 await settle(
                     lambda: reg.get("serve_active_connections").total() == 0
                 )
-                return stack, conn.lines, errors
+                return stack, conn.lines
             finally:
                 await stack.server.stop()
 
-        stack, lines, errors = run(scenario())
-        assert errors == []
+        stack, lines = run(scenario())
         last = decode_frame(lines[-1])
         assert last == ErrorFrame(
             code=400, reason=f"frame exceeds {MAX_FRAME_BYTES} bytes"
@@ -644,7 +675,7 @@ class TestBridgeSink:
                 _, own, decision = bridge.open(ops[2])
                 assert decision.admitted and own is not shared
                 updates = []
-                while sum(u.kind == "end" for u in updates) < 2:
+                while sum(u.event == "end" for u in updates) < 2:
                     updates.append(await shared.get())
                 solo = [await own.get() for _ in range(3)]
                 return updates, solo
@@ -655,6 +686,148 @@ class TestBridgeSink:
         for rid, n in (("a", 3), ("b", 5)):
             mine = [u for u in updates if u.request_id == rid]
             assert [u.index for u in mine[:-1]] == list(range(n))
-            assert mine[-1].kind == "end" and mine[-1].num_tokens == n
+            assert mine[-1].event == "end" and mine[-1].num_tokens == n
         assert {u.request_id for u in solo} == {"solo"}
-        assert [u.kind for u in solo] == ["token", "token", "end"]
+        assert [u.event for u in solo] == ["token", "token", "end"]
+
+
+# ---------------------------------------------------------------------------
+# A reused request id: refused before admission, everything else carries on
+# ---------------------------------------------------------------------------
+def controller(stack):
+    bridge = stack.bridge
+    if isinstance(bridge, SimulatorBridge):
+        return bridge.gateway.controller
+    return bridge.controller
+
+
+@pytest.mark.parametrize("backend", ["sim", "functional"])
+class TestDuplicateRequestId:
+    def test_reused_id_is_refused_and_the_connection_carries_on(self, backend):
+        """A GenerateOp reusing a live stream's id is answered with a 409
+        before admission: no slot is taken, nothing is traced, and the
+        connection, its other streams and the bridge pump carry on."""
+        async def scenario():
+            stack = build_stack(backend)
+            await stack.server.start()
+            try:
+                conn = await RawConnection.open(stack.server.port)
+                conn.send(GenerateOp(
+                    request_id="dup", tenant="t", lora_id="lora-0",
+                    prompt_len=4, response_len=32,
+                ))
+                await conn.read_until(lambda lines: len(lines) >= 2)
+                for rid, n in (("dup", 4), ("next", 8)):
+                    conn.send(GenerateOp(
+                        request_id=rid, tenant="t", lora_id="lora-1",
+                        prompt_len=4, response_len=n,
+                    ))
+                await conn.read_until(ended(["dup", "next"]))
+                inflight = controller(stack).total_inflight
+                await conn.close()
+                return stack, conn.by_stream(), inflight
+            finally:
+                await stack.server.stop()
+
+        stack, streams, inflight = run(scenario())
+        refusal = encode_frame(
+            ErrorFrame(request_id="dup", code=409, reason="duplicate request id")
+        )
+        assert streams["dup"].count(refusal) == 1
+        assert_stream_lines(
+            "dup", [l for l in streams["dup"] if l != refusal], 32
+        )
+        assert_stream_lines("next", streams["next"], 8)
+        assert inflight == 0
+        assert stack.metrics.registry.get("serve_connections_total").total() == 2
+        if stack.tracer is not None:
+            assert len(stack.tracer.by_kind(EventKind.CONNECT)) == 2
+
+    def test_auto_assigned_ids_skip_taken_ones(self, backend):
+        """``sv-…`` / ``fn-…`` ids skip one a client already chose; a
+        finished id stays taken on the simulator (its frontend keeps every
+        handle) and is free again on the functional stack."""
+        prefix = "sv" if backend == "sim" else "fn"
+
+        def op(rid: str, n: int = 64) -> GenerateOp:
+            return GenerateOp(request_id=rid, tenant="t", lora_id="lora-0",
+                              prompt_len=4, response_len=n)
+
+        async def scenario():
+            stack = build_stack(backend)
+            bridge = stack.bridge
+            await bridge.start()
+            try:
+                taken = f"{prefix}-00000"
+                assert bridge.open(op(taken))[0] == taken
+                auto = bridge.open(op(""))[0]
+                with pytest.raises(DuplicateRequestId):
+                    bridge.open(op(taken))
+                inflight = controller(stack).total_inflight
+                _, sink, _ = bridge.open(op("short", 1))
+                while not isinstance(await sink.get(), EndFrame):
+                    pass
+                try:
+                    bridge.open(op("short"))
+                    reused = True
+                except DuplicateRequestId:
+                    reused = False
+                return auto, inflight, reused
+            finally:
+                await bridge.stop()
+
+        auto, inflight, reused = run(scenario())
+        assert auto == f"{prefix}-00001"
+        assert inflight == 2
+        assert reused is (backend == "functional")
+
+
+class TestFunctionalWireBytes:
+    def test_every_line_the_server_wrote_re_encodes_through_the_oracle(self):
+        """Every byte the functional stack's server wrote — accepted,
+        tokens, finished and cancelled ends, 400 / 404 / 409 errors —
+        decodes and re-encodes through the ``asdict`` oracle to the
+        identical line."""
+        ids = [f"s{k}" for k in range(4)]
+
+        async def scenario():
+            stack = build_functional_stack(seed=SEED)
+            writes = capture_server_writes(stack)
+            await stack.server.start()
+            try:
+                conn = await RawConnection.open(stack.server.port)
+                for k, rid in enumerate(ids + ["s0"]):
+                    conn.send(GenerateOp(
+                        request_id=rid, tenant="t", lora_id=f"lora-{k % 4}",
+                        prompt_len=4 + k, response_len=12,
+                    ))
+                conn.send(CancelOp(request_id="ghost"))
+                conn.writer.write(b"not json\n")
+                conn.send(GenerateOp(
+                    request_id="victim", tenant="t", lora_id="lora-2",
+                    prompt_len=4, response_len=500,
+                ))
+                victim_token = b'{"event":"token","index":2,"request_id":"victim"'
+                await conn.read_until(
+                    lambda lines: any(l.startswith(victim_token) for l in lines)
+                )
+                conn.send(CancelOp(request_id="victim"))
+                await conn.read_until(ended(ids + ["victim"]))
+                await conn.close()
+                return conn.lines, writes
+            finally:
+                await stack.server.stop()
+
+        lines, writes = run(scenario())
+        wrote = b"".join(writes).splitlines(keepends=True)
+        assert wrote == lines
+        frames = [decode_frame(line) for line in wrote]
+        assert [reference_encode(f) for f in frames] == wrote
+        assert {type(f) for f in frames} == {
+            AcceptedFrame, TokenFrame, EndFrame, ErrorFrame
+        }
+        assert sorted(f.code for f in frames if isinstance(f, ErrorFrame)) == [
+            400, 404, 409
+        ]
+        assert sorted(f.status for f in frames if isinstance(f, EndFrame)) == [
+            "cancelled"] + ["finished"] * 4

@@ -2,11 +2,13 @@
 
 import json
 from dataclasses import asdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve import protocol
 from repro.serve.protocol import (
     AcceptedFrame,
     CancelOp,
@@ -126,8 +128,8 @@ _names = _texts.filter(bool)
 _ints = st.one_of(st.integers(-(2 ** 70), 2 ** 70), st.integers(0, 50_000))
 _floats = st.one_of(
     st.floats(),
-    st.sampled_from([0.0, -0.0, 1e-07, 1.5, 1e300, float("inf"),
-                     float("-inf"), float("nan")]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-07, 1.5, 1e300,
+                     float("inf"), float("-inf"), float("nan")]),
 )
 _prompt_tokens = st.one_of(
     st.none(),
@@ -157,6 +159,69 @@ def test_encode_frame_matches_the_asdict_oracle(frame):
     assert line == reference_encode(frame)
     # repr, not ==: NaN is not equal to itself and -0.0 == 0.0.
     assert repr(decode_frame(line)) == repr(frame)
+
+
+# A token frame is spelled by an f-string only when its token and index are
+# exactly ``int``, its time exactly ``float``, its id exactly ``str`` and its
+# event "token"; anything else goes through the general encoder and must
+# still say the same bytes the oracle says.
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_not_int = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4), _floats, _ints.map(_Int),
+)
+_not_float = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4), _ints, _floats.map(_Float),
+)
+_token_frames = st.builds(
+    TokenFrame, request_id=st.one_of(st.text(), _texts), token=_ints,
+    index=_ints, time=_floats,
+)
+_odd_token_frames = st.one_of(
+    st.builds(TokenFrame, request_id=_texts, token=_not_int, index=_ints,
+              time=_floats),
+    st.builds(TokenFrame, request_id=_texts, token=_ints, index=_not_int,
+              time=_floats),
+    st.builds(TokenFrame, request_id=_texts, token=_ints, index=_ints,
+              time=_not_float),
+    st.builds(TokenFrame, request_id=_texts.map(_Str), token=_ints,
+              index=_ints, time=_floats),
+    st.builds(TokenFrame, event=_texts.filter(lambda e: e != "token"),
+              request_id=_texts, token=_ints, index=_ints, time=_floats),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=_token_frames)
+def test_token_frame_f_string_matches_the_oracle(frame):
+    with mock.patch.object(
+        protocol, "_encode_json", wraps=protocol._encode_json
+    ) as general:
+        line = encode_frame(frame)
+    assert not general.called, "an exactly typed token frame left the f-string"
+    assert line == reference_encode(frame)
+    assert repr(decode_frame(line)) == repr(frame)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=_odd_token_frames)
+def test_token_frame_of_other_types_takes_the_general_path(frame):
+    with mock.patch.object(
+        protocol, "_encode_json", wraps=protocol._encode_json
+    ) as general:
+        line = encode_frame(frame)
+    assert general.called
+    assert line == reference_encode(frame)
 
 
 def test_token_frame_prefix_is_what_the_ledger_client_slices():
