@@ -5,7 +5,12 @@ scheduler, and stream generated tokens back (runner -> scheduler ->
 frontend -> user). In this reproduction the frontend is an in-process
 facade over the cluster simulator: clients submit prompts (optionally at a
 future simulated time), register per-request token callbacks, and may
-cancel in flight. Token streaming rides the engine step reports.
+cancel in flight. The frontend subscribes to the simulator's token sink,
+so every step (or bulk-committed decode run) hands it one
+``(request_id, tokens, times)`` chunk per request, each token stamped
+with the end of the step that committed it; it records the chunk on the
+request's :class:`RequestHandle` and forwards it to that handle's
+``on_tokens`` callback.
 
 Fault tolerance (docs/faults.md): a submission may carry a per-request
 ``deadline``; if the request has not finished by then, the frontend
@@ -18,15 +23,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from collections.abc import Callable
 
 from repro.cluster.events import EventHandle
-from repro.cluster.simulator import ClusterSimulator
+from repro.cluster.simulator import ClusterSimulator, TokenSink
 from repro.runtime.request import Request, RequestState
 from repro.workloads.trace import RequestSpec
-
-TokenCallback = Callable[[str, int, float], None]
-"""(request_id, token, time) — invoked for every streamed token."""
 
 
 @dataclass
@@ -41,10 +42,9 @@ class RequestHandle:
     max_retries: int = 0
     retry_backoff: float = 1.0
     """Base backoff: the k-th retry waits retry_backoff * 2**k seconds."""
-    on_token: "TokenCallback | None" = None
-    """Per-request streaming callback — the serving frontend's token fan-out
-    (one asyncio queue per open stream) without paying a global-callback
-    dispatch per token per connection."""
+    on_tokens: "TokenSink | None" = None
+    """Per-request streaming callback, called with each chunk — the
+    serving frontend's fan-out to the stream's connection."""
     _deadline_event: "EventHandle | None" = field(default=None, repr=False)
 
     @property
@@ -79,23 +79,14 @@ class Frontend:
     """Client API over a :class:`ClusterSimulator`."""
 
     def __init__(self, simulator: ClusterSimulator):
+        if simulator.token_sink is not None:
+            raise ValueError("the simulator already streams to a frontend")
         self.simulator = simulator
         self._handles: dict[str, RequestHandle] = {}
-        self._active: dict[str, RequestHandle] = {}
-        """Handles that may still stream tokens. Terminal handles are
-        pruned from here (never from ``_handles``) so the per-step
-        streaming sweep scales with open streams, not with every request
-        ever submitted — the serving frontend holds hundreds of
-        connections over long runs."""
-        self._callbacks: list[TokenCallback] = []
         self._ids = itertools.count()
-        self._install_streaming_hook()
+        simulator.token_sink = self._on_tokens
 
     # ------------------------------------------------------------------
-    def on_token(self, callback: TokenCallback) -> None:
-        """Register a streaming callback (fired once per generated token)."""
-        self._callbacks.append(callback)
-
     def submit(
         self,
         lora_id: str,
@@ -107,7 +98,7 @@ class Frontend:
         deadline: "float | None" = None,
         max_retries: int = 0,
         retry_backoff: float = 1.0,
-        on_token: "TokenCallback | None" = None,
+        on_tokens: "TokenSink | None" = None,
     ) -> RequestHandle:
         """Submit a request arriving at ``at_time`` (simulated clock).
 
@@ -139,10 +130,9 @@ class Frontend:
             deadline=deadline,
             max_retries=max_retries,
             retry_backoff=retry_backoff,
-            on_token=on_token,
+            on_tokens=on_tokens,
         )
         self._handles[rid] = handle
-        self._active[rid] = handle
         self.simulator.schedule_arrival(request)
         if deadline is not None:
             self._arm_deadline(handle, at_time)
@@ -202,43 +192,13 @@ class Frontend:
         return request_id in self._handles
 
     # ------------------------------------------------------------------
-    def _install_streaming_hook(self) -> None:
-        """Wrap the simulator's step factory to observe every report."""
-        original = self.simulator._make_step
-
-        def make_step_with_streaming(gpu_id: str):
-            inner = original(gpu_id)
-
-            def step(now: float) -> None:
-                # Snapshot per-request token counts to detect new tokens.
-                inner(now)
-                # The report isn't returned; read streamed tokens off the
-                # request objects instead (cheap and exact).
-                done: "list[str] | None" = None
-                for handle in self._active.values():
-                    req = handle.request
-                    already = len(handle.streamed)
-                    new = req.generated_tokens[already:]
-                    for tok in new:
-                        stamp = req.first_token_time if already == 0 else now
-                        handle.streamed.append((tok, stamp if stamp is not None else now))
-                        for cb in self._callbacks:
-                            cb(req.request_id, tok, now)
-                        if handle.on_token is not None:
-                            handle.on_token(req.request_id, tok, now)
-                        already += 1
-                    # Prune only after streaming: a request's last token
-                    # lands in the same step that finishes it. Retrying
-                    # requests return to QUEUED, not a terminal state, so
-                    # they stay active through their whole retry budget.
-                    if handle.is_done():
-                        if done is None:
-                            done = []
-                        done.append(req.request_id)
-                if done:
-                    for rid in done:
-                        del self._active[rid]
-
-            return step
-
-        self.simulator._make_step = make_step_with_streaming  # type: ignore[assignment]
+    def _on_tokens(
+        self, request_id: str, tokens: "tuple[int, ...]", times: "tuple[float, ...]"
+    ) -> None:
+        """The simulator's token sink: record a chunk, forward it."""
+        handle = self._handles.get(request_id)
+        if handle is None:
+            return  # arrived through ``simulator.run``, not ``submit``
+        handle.streamed.extend(zip(tokens, times))
+        if handle.on_tokens is not None:
+            handle.on_tokens(request_id, tokens, times)

@@ -23,6 +23,7 @@ allocation, reactive or forecast-sized).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.cluster.control.config import ControlConfig
@@ -41,6 +42,10 @@ from repro.runtime.request import Request, RequestState
 from repro.runtime.serve import requests_from_trace
 from repro.utils.fastpath import fastpath_enabled
 from repro.workloads.trace import Trace
+
+TokenSink = Callable[[str, tuple[int, ...], tuple[float, ...]], None]
+"""``(request_id, tokens, times)``: one chunk of a request's committed
+tokens, each stamped with the end of the step that committed it."""
 
 
 @dataclass
@@ -196,6 +201,11 @@ class ClusterSimulator:
         self._pending_arrivals = 0
         self._recovering: list[tuple[float, list[Request]]] = []
         """(fault time, displaced requests) sets not yet fully re-admitted."""
+        self.token_sink: "TokenSink | None" = None
+        """Where committed tokens go: one chunk per request per step or
+        bulk-committed run (the §5 runner -> scheduler -> frontend
+        stream). A :class:`~repro.cluster.frontend.Frontend` subscribes;
+        ``None`` streams nothing."""
 
     @property
     def now(self) -> float:
@@ -461,6 +471,8 @@ class ClusterSimulator:
 
                 if self.handoff is not None:
                     self.handoff.on_step(engine, report)
+                if self.token_sink is not None:
+                    self._stream_step(report)
 
                 if engine.is_idle:
                     self._gpu_busy[gpu_id] = False
@@ -507,6 +519,25 @@ class ClusterSimulator:
                 return
 
         return step
+
+    def _stream_step(self, report) -> None:
+        """One chunk per request the step committed tokens for, stamped
+        with the step's end. A token committed while its request has no
+        ``first_token_time`` is held — a handed-off prefill token, which
+        the decode GPU delivers — and rides the chunk of the step that
+        sets it."""
+        end = report.end
+        stamp = (end,)
+        requests = self._requests
+        sink = self.token_sink
+        for rid, tokens in report.committed_tokens().items():
+            req = requests[rid]
+            first = req.first_token_time
+            if first is None:
+                continue
+            if first == end:
+                tokens = tuple(req.generated_tokens)
+            sink(rid, tokens, stamp * len(tokens))
 
     # ------------------------------------------------------------------
     # Fault application and recovery (docs/faults.md)

@@ -23,7 +23,8 @@ decode run — a lone engine's run is simply a merge with one lane:
    the reference loop would have assigned them.
 4. Committed runs are applied per engine in bulk, metrics and — when a
    tracer is attached — one trace run block covering every engine's
-   ``DECODE_STEP`` events are recorded in pop order, the loop's
+   ``DECODE_STEP`` events are recorded in pop order, each request's run
+   goes to the simulator's token sink as one chunk, the loop's
    clock/processed count advance by the replay,
    and each engine's one outstanding successor event is materialized as
    a real scheduled event *in creation order*, so every relative
@@ -213,6 +214,7 @@ class VectorDecodeLane:
         # back, for one block in pop order.
         tracer = sim.tracer
         trace_lanes: "list | None" = [] if tracer is not None else None
+        sink = sim.token_sink
         lane_of = [0] * n_eng
         for i in range(n_eng):
             n = committed[i]
@@ -221,6 +223,14 @@ class VectorDecodeLane:
             lane_of[i] = len(per_gpu)
             lane[i].commit_steady_run(n, trace_lanes)
             per_gpu.append((gids[i], ends_np[i][:n], batches[i]))
+            if sink is not None:
+                # One chunk per request of the run, each token stamped
+                # with the end of its step. The armed batch is the whole
+                # working set, and none of it holds a token: only a
+                # handoff holds one, and handoff simulations never merge.
+                times = tuple(ends[i][1:n + 1])
+                for req in lane[i].all_requests():
+                    sink(req.request_id, tuple(req.generated_tokens[-n:]), times)
         if trace_lanes:
             tracer.decode_run(trace_lanes, [lane_of[i] for i in merged_i])
         sim.metrics.record_step_merge(

@@ -151,7 +151,9 @@ class GpuEngine:
         self.config = config or EngineConfig()
         if loader is None:
             pool = getattr(backend, "pool", None)
-            loader = pool.adapters if pool is not None else GpuAdapterStore()
+            loader = (
+                pool.adapters if pool is not None else GpuAdapterStore(gpu_id=gpu_id)
+            )
         self.loader = loader
         """Who owns adapter residency on this GPU: the backend's unified
         pool's store when it has one, else a private unbudgeted store."""

@@ -4,10 +4,10 @@ The paper's deployment (§6, Figure 2) runs frontends as separate processes
 that accept client requests, forward them to the scheduler, and stream
 generated tokens back over websockets. This package is that layer for the
 reproduction: a real :mod:`asyncio` server speaking a newline-delimited
-JSON request/stream/cancel protocol (:mod:`repro.serve.protocol`, a wire
-mirror of :mod:`repro.cluster.protocol`), with per-tenant token-bucket
-rate limits and bounded admission before anything reaches the scheduler
-(:mod:`repro.serve.limits`), serving either backend:
+JSON request/stream/cancel protocol (:mod:`repro.serve.protocol`, whose
+token frames carry the engine steps' token chunks), with per-tenant
+token-bucket rate limits and bounded admission before anything reaches the
+scheduler (:mod:`repro.serve.limits`), serving either backend:
 
 * the **time-warped cluster simulator** — the discrete-event clock is
   bridged to asyncio so large traces replay at a configurable multiple of

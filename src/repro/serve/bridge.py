@@ -141,10 +141,11 @@ class SimulatorBridge:
             sink = asyncio.Queue()
         count = itertools.count()
 
-        def on_token(_rid: str, tok: int, t: float) -> None:
+        def on_tokens(_rid: str, tokens, times) -> None:
             # Metrics accounting already happened inside the gateway's own
             # wrapped callback; this layer only feeds the stream's sink.
-            sink.put_nowait(TokenFrame("token", rid, tok, next(count), t))
+            for tok, t in zip(tokens, times):
+                sink.put_nowait(TokenFrame("token", rid, tok, next(count), t))
 
         stream, decision = self.gateway.open(
             tenant=op.effective_tenant,
@@ -156,7 +157,7 @@ class SimulatorBridge:
             prompt_tokens=(
                 list(op.prompt_tokens) if op.prompt_tokens is not None else None
             ),
-            on_token=on_token,
+            on_tokens=on_tokens,
         )
         if stream is None:
             return rid, None, decision
@@ -371,28 +372,27 @@ class FunctionalBridge:
             self._waiting.popleft()
             self.engine.add_request(head.request, self._clock)
 
-    def _stream_new_tokens(self) -> None:
-        ended = []
-        for stream in self._streams.values():
-            req = stream.request
-            new = req.generated_tokens[stream.streamed:]
-            for tok in new:
-                index = stream.streamed
-                if self.metrics is not None:
-                    if not stream.ttfb_observed:
-                        self.metrics.record_first_token(
-                            max(0.0, self._clock - stream.opened_at)
-                        )
-                    self.metrics.record_tokens(1)
-                stream.ttfb_observed = True
-                stream.streamed += 1
+    def _stream_step(self, report) -> None:
+        """Frames for the tokens ``report``'s step committed, stamped with
+        its end, then an end frame for each stream it finished. (Cancels
+        and failures end their own streams.)"""
+        end = report.end
+        for rid, tokens in report.committed_tokens().items():
+            stream = self._streams[rid]
+            if self.metrics is not None:
+                if not stream.ttfb_observed:
+                    self.metrics.record_first_token(
+                        max(0.0, end - stream.opened_at)
+                    )
+                self.metrics.record_tokens(len(tokens))
+            stream.ttfb_observed = True
+            for tok in tokens:
                 stream.sink.put_nowait(TokenFrame(
-                    "token", stream.request_id, tok, index, self._clock
+                    "token", rid, tok, stream.streamed, end
                 ))
-            if req.state.is_terminal:
-                ended.append(stream)
-        for stream in ended:
-            self._end_stream(stream)
+                stream.streamed += 1
+        for rid in report.finished:
+            self._end_stream(self._streams[rid])
 
     async def _pump(self) -> None:
         engine = self.engine
@@ -425,5 +425,5 @@ class FunctionalBridge:
                 stream = self._streams.get(rid)
                 if stream is not None:
                     self._waiting.appendleft(stream)
-            self._stream_new_tokens()
+            self._stream_step(report)
             await asyncio.sleep(0)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cluster.frontend import Frontend, RequestHandle, TokenCallback
+from repro.cluster.frontend import Frontend, RequestHandle
+from repro.cluster.simulator import TokenSink
 from repro.obs.tracer import EventKind, Tracer
 from repro.serve.limits import AdmissionController, Decision
 from repro.serve.metrics import ServeMetrics
@@ -80,7 +81,7 @@ class ServeGateway:
         now: float,
         request_id: str,
         prompt_tokens: "list[int] | None" = None,
-        on_token: "TokenCallback | None" = None,
+        on_tokens: "TokenSink | None" = None,
     ) -> "tuple[OpenStream | None, Decision]":
         """One client stream request: admit into the cluster, or shed.
 
@@ -89,7 +90,6 @@ class ServeGateway:
         :meth:`finalize`. On any other decision the connection is traced
         CONNECT -> SHED -> DISCONNECT and nothing reaches the scheduler.
         """
-        user_on_token = on_token
         if self.tracer is not None:
             self.tracer.emit(now, EventKind.CONNECT, conn=request_id, tenant=tenant)
         if self.metrics is not None:
@@ -111,14 +111,14 @@ class ServeGateway:
             return None, decision
         box: "list[OpenStream]" = []
 
-        def hooked(req_id: str, token: int, t: float) -> None:
+        def hooked(req_id: str, tokens, times) -> None:
             # Tokens fire only inside the simulator's step events — after
             # this method has returned and filled the box. Accounting here
             # (not in the bridge) keeps the token/TTFB metrics identical
             # whichever transport drives the gateway.
-            self.account_tokens(box[0], t)
-            if user_on_token is not None:
-                user_on_token(req_id, token, t)
+            self.account_tokens(box[0], times[0], len(tokens))
+            if on_tokens is not None:
+                on_tokens(req_id, tokens, times)
 
         handle = self.frontend.submit(
             lora_id=lora_id,
@@ -127,7 +127,7 @@ class ServeGateway:
             at_time=now,
             prompt_tokens=prompt_tokens,
             request_id=request_id,
-            on_token=hooked,
+            on_tokens=hooked,
         )
         stream = OpenStream(handle=handle, tenant=tenant, opened_at=now)
         box.append(stream)

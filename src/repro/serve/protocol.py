@@ -1,19 +1,21 @@
-"""Client <-> server wire protocol: the outer mirror of the inner protocol.
+"""Client <-> server wire protocol: the outer face of the engine's steps.
 
 The serving frontend speaks newline-delimited JSON frames over a byte
 stream (TCP here; the paper's deployment used websockets, which are the
-same shape: ordered framed messages both ways). Each frame type mirrors
-one leg of the scheduler<->runner protocol in
-:mod:`repro.cluster.protocol`:
+same shape: ordered framed messages both ways). Each frame type maps to
+one thing the cluster does with a request:
 
 ========================  =================================================
-wire frame                inner protocol message
+wire frame                inside the cluster
 ========================  =================================================
-:class:`GenerateOp`       :class:`~repro.cluster.protocol.AddRequest`
-:class:`CancelOp`         :class:`~repro.cluster.protocol.CancelRequest`
-:class:`TokenFrame`       :class:`~repro.cluster.protocol.TokenChunk`
-:class:`EndFrame`         :class:`~repro.cluster.protocol.RequestFinished`
-                          (or the cancel/shed terminal states)
+:class:`GenerateOp`       :meth:`~repro.cluster.frontend.Frontend.submit`
+:class:`CancelOp`         :meth:`~repro.cluster.frontend.Frontend.cancel`
+:class:`TokenFrame`       one token of a step's ``(request_id, tokens,
+                          times)`` chunk (the simulator's token sink), its
+                          ``time`` the end of the step that committed it
+:class:`EndFrame`         the request's terminal state: ``finished`` (in
+                          its last step report's ``finished``),
+                          ``cancelled`` or ``failed``
 :class:`ErrorFrame`       admission rejection — no inner counterpart: a
                           shed request never reaches the scheduler
 ========================  =================================================

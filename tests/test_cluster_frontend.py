@@ -33,14 +33,27 @@ class TestSubmit:
     def test_streaming_callback_per_token(self):
         fe = make_frontend()
         streamed = []
-        fe.on_token(lambda rid, tok, t: streamed.append((rid, tok, t)))
-        h1 = fe.submit("a", prompt_len=8, response_len=3)
-        h2 = fe.submit("b", prompt_len=8, response_len=4)
+
+        def on_tokens(rid, tokens, times):
+            assert tokens and len(tokens) == len(times)
+            streamed.extend((rid, tok, t) for tok, t in zip(tokens, times))
+
+        h1 = fe.submit("a", prompt_len=8, response_len=3, on_tokens=on_tokens)
+        h2 = fe.submit("b", prompt_len=8, response_len=4, on_tokens=on_tokens)
         fe.run()
         assert len(streamed) == 7
         assert {rid for rid, _, _ in streamed} == {h1.request_id, h2.request_id}
-        times = [t for _, _, t in streamed]
-        assert times == sorted(times)
+        for h in (h1, h2):
+            mine = [(tok, t) for rid, tok, t in streamed if rid == h.request_id]
+            assert mine == h.streamed
+            times = [t for _, t in mine]
+            assert times == sorted(times)
+            assert times[-1] == h.request.finish_time
+
+    def test_one_frontend_per_simulator(self):
+        fe = make_frontend()
+        with pytest.raises(ValueError):
+            Frontend(fe.simulator)
 
     def test_streamed_tokens_match_request(self):
         fe = make_frontend()

@@ -6,6 +6,7 @@ from repro.cluster.metrics import ClusterMetrics, TimeSeries
 from repro.cluster.scheduler import SchedulerConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.models.config import LLAMA2_7B
+from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import RequestState
@@ -119,3 +120,26 @@ class TestClusterSimulation:
         result = sim.run(trace)
         assert result.finished_requests == len(trace)
         assert sim.scheduler.num_queued_total > 0
+
+    def test_adapter_loads_are_traced_on_the_loading_engine(self):
+        """An engine without a unified pool owns a private adapter store;
+        its ADAPTER_LOAD events name that engine, not the store's
+        default id."""
+        tracer = Tracer()
+        sim = ClusterSimulator(make_engines(2, max_batch=2), tracer=tracer)
+        sim.run(small_trace(n=6, rate=20.0, duration=1.0, dist="distinct"))
+        events = tracer.events
+        loads = 0
+        for k, event in enumerate(events):
+            if event.kind is not EventKind.ADAPTER_LOAD:
+                continue
+            loads += 1
+            # The load is issued by the PLACE that follows it.
+            place = next(e for e in events[k:] if e.kind is EventKind.PLACE)
+            assert (event.gpu_id, event.attrs["lora"]) == (
+                place.gpu_id, place.attrs["lora"]
+            )
+        assert loads
+        assert {e.gpu_id for e in tracer.by_kind(EventKind.ADAPTER_LOAD)} == {
+            "gpu00", "gpu01"
+        }

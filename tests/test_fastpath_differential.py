@@ -10,9 +10,10 @@ results, not merely statistically similar ones.
 
 This suite enforces the contract two ways:
 
-* the three golden scenarios are run through both paths and compared on
+* the golden scenarios are run through both paths and compared on
   canonical JSONL bytes, per-request latency breakdowns, terminal request
-  state and the unified metrics registry;
+  state, the unified metrics registry and — where a frontend streams —
+  each request's ``(token, time)`` stream;
 * Hypothesis generates randomized cluster workloads — mixed LoRA ranks and
   popularity, staggered arrivals, mid-run cancellations, scripted faults,
   1–3 GPUs, small batch limits — and replays each through both paths.
@@ -36,6 +37,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
+from repro.cluster.frontend import Frontend
 from repro.cluster.scheduler import SchedulerConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.hw.spec import A100_40G
@@ -82,13 +84,45 @@ def _assert_equivalent(fast, ref):
         assert fast.metrics.gpu_batch_size == ref.metrics.gpu_batch_size
 
 
+def _streams(frontend):
+    """Each request's streamed ``(token, time)`` pairs. Only per-request
+    order is part of the contract, not the interleaving across requests
+    within one ``loop.run``."""
+    return {rid: list(h.streamed) for rid, h in frontend._handles.items()}
+
+
+@pytest.fixture
+def frontends(monkeypatch):
+    """Every :class:`Frontend` built during the test, in build order."""
+    built = []
+    init = Frontend.__init__
+
+    def record(self, simulator):
+        init(self, simulator)
+        built.append(self)
+
+    monkeypatch.setattr(Frontend, "__init__", record)
+    return built
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 @pytest.mark.parametrize("seed", [0, 7])
-def test_scenario_differential(name, seed):
-    """Golden scenarios produce byte-identical traces through both paths."""
+def test_scenario_differential(name, seed, frontends):
+    """Golden scenarios produce byte-identical traces through both paths,
+    and the ``serve`` scenario's frontend streams every request the same
+    ``(token, time)`` pairs — through the merge lane's bulk-committed
+    chunks on the fast path, one step at a time on the reference."""
     fast = run_scenario(name, seed=seed, fast_path=True)
     ref = run_scenario(name, seed=seed, fast_path=False)
     _assert_equivalent(fast, ref)
+    if name == "serve":
+        fast_fe, ref_fe = frontends
+        assert fast_fe.simulator._vector.merges > 0
+        streams = _streams(fast_fe)
+        assert any(streams.values())
+        assert streams == _streams(ref_fe)
+    else:
+        assert frontends == []
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +347,20 @@ def test_bounded_shape_memo_under_slo_quotes(monkeypatch):
 
 
 def _serve_drive(sim, trace, storm_picks, tracer=None):
-    """Drive ``trace`` through the ServeGateway on the sim's event loop.
+    """Drive ``trace`` through the ServeGateway on the sim's event loop;
+    returns the requests and their streams (:func:`_streams`).
 
     ``storm_picks`` schedules mid-stream client disconnects (the
     cancellation storm, expressed the way the serving frontend causes
     it: ``client_close`` -> CANCEL ``reason="disconnect"``).
     """
-    from repro.cluster.frontend import Frontend
     from repro.serve.gateway import ServeGateway
     from repro.serve.limits import AdmissionController, TenantPolicy
     from repro.serve.metrics import ServeMetrics
 
+    frontend = Frontend(sim)
     gateway = ServeGateway(
-        Frontend(sim),
+        frontend,
         AdmissionController(
             default_policy=TenantPolicy(rate=3.0, burst=2.0, max_inflight=5),
             max_total_inflight=24,
@@ -362,7 +397,7 @@ def _serve_drive(sim, trace, storm_picks, tracer=None):
     sim.loop.schedule(0.25, poll_tick)
     sim.loop.run()
     gateway.poll(sim.now)
-    return list(sim._requests.values())
+    return list(sim._requests.values()), _streams(frontend)
 
 
 def _build_composed(
@@ -428,7 +463,7 @@ def _build_composed(
         )
 
     if serve_frontend:
-        requests = _serve_drive(sim, trace, storm_picks, tracer)
+        requests, streams = _serve_drive(sim, trace, storm_picks, tracer)
         by_state = {}
         for r in requests:
             by_state[r.state.name] = by_state.get(r.state.name, 0) + 1
@@ -437,6 +472,7 @@ def _build_composed(
             tuple(sorted(by_state.items())),
             sum(r.num_generated for r in requests),
             sim.now,
+            streams,
         )
         return requests, sim.metrics, summary, sim
 
@@ -508,7 +544,9 @@ def test_composed_differential(
 ):
     """Disagg pools x faults x cancellation storms x serve admission,
     traced or not, with the cross-engine vector merge lane armed: both
-    paths must agree on every observable the run leaves behind."""
+    paths must agree on every observable the run leaves behind — under
+    the serve gateway, every request's streamed ``(token, time)`` pairs
+    included."""
     fault_plan = [_FAULT_MENU[i] for i in sorted(fault_subset)]
     if num_gpus <= 2:
         # Disagg's decode pool (or a 2-GPU cluster) may not survive a
@@ -548,9 +586,14 @@ def test_vector_merge_lane_engages_untraced():
         for i in range(2)
     ]
     sim = ClusterSimulator(engines, fast_path=True)
+    chunk_times = []
+    sim.token_sink = lambda rid, tokens, times: chunk_times.append(times)
     sim.run(trace)
     assert sim._vector.merges > 0
     assert sim._vector.merged_steps > sim._vector.merges
+    # A merged run reaches the token sink as one chunk per request that
+    # spans several steps' ends.
+    assert any(len(set(times)) > 1 for times in chunk_times)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,12 @@ from __future__ import annotations
 import asyncio
 import gc
 import os
+import random
 
 import pytest
 
 from repro.obs.tracer import EventKind
-from repro.serve.bridge import DuplicateRequestId, SimulatorBridge
+from repro.serve.bridge import DuplicateRequestId, FunctionalBridge, SimulatorBridge
 from repro.serve.client import LoadSpec, ServeClient, expand_plans
 from repro.serve.harness import (
     build_functional_stack,
@@ -314,6 +315,92 @@ class TestFunctionalBackend:
         assert summary["by_status"].get("finished", 0) > 0
         reg = stack.metrics.registry
         assert reg.get("serve_active_streams").total() == 0
+
+    def test_step_stream_matches_the_sweep_oracle(self, monkeypatch):
+        """Streaming from each step's report writes every stream the
+        frames (token, index, time) and end frame that sweeping every
+        open stream after each step wrote, byte for byte, with the same
+        token and TTFB metrics — over FCFS waiting, KvCache evictions, a
+        cancel while waiting and one mid-stream."""
+        frames, metrics, evictions = run(drive_functional_bridge(SEED))
+        assert evictions > 0
+        with monkeypatch.context() as patch:
+            patch.setattr(FunctionalBridge, "_stream_step", sweep_open_streams)
+            oracle_frames, oracle_metrics, _ = run(drive_functional_bridge(SEED))
+        assert frames == oracle_frames
+        assert metrics == oracle_metrics
+        ends = [decode_frame(f[-1]) for f in frames.values()]
+        assert sorted({e.status for e in ends}) == ["cancelled", "finished"]
+
+
+def sweep_open_streams(bridge, report) -> None:
+    """The oracle for ``FunctionalBridge._stream_step``: after a step,
+    stream every open stream's not-yet-sent tokens at the bridge clock
+    and end each stream whose request is terminal."""
+    ended = []
+    for stream in bridge._streams.values():
+        req = stream.request
+        for tok in req.generated_tokens[stream.streamed:]:
+            if bridge.metrics is not None:
+                if not stream.ttfb_observed:
+                    bridge.metrics.record_first_token(
+                        max(0.0, bridge._clock - stream.opened_at)
+                    )
+                bridge.metrics.record_tokens(1)
+            stream.ttfb_observed = True
+            stream.sink.put_nowait(TokenFrame(
+                "token", stream.request_id, tok, stream.streamed, bridge._clock
+            ))
+            stream.streamed += 1
+        if req.state.is_terminal:
+            ended.append(stream)
+    for stream in ended:
+        bridge._end_stream(stream)
+
+
+async def drive_functional_bridge(seed: int):
+    """A seeded load on one ``build_functional_stack`` bridge, no server:
+    more streams than batch slots, long enough to overrun the KvCache,
+    all on one sink. Returns each stream's encoded frames, the metrics
+    registry as JSON, and the number of evictions."""
+    stack = build_functional_stack(seed=seed)
+    bridge = stack.bridge
+    rng = random.Random(seed)
+    ops = [
+        GenerateOp(
+            request_id=f"f{k:02d}", tenant="t", lora_id=f"lora-{k % 4}",
+            prompt_len=rng.randint(2, 24), response_len=rng.randint(60, 240),
+        )
+        for k in range(20)
+    ]
+    sink: asyncio.Queue = asyncio.Queue()
+    frames = {op.request_id: [] for op in ops}
+    for op in ops:
+        bridge.open(op, sink)
+    bridge.cancel("f19")  # still waiting
+    evictions = 0
+    step = bridge.engine.step
+
+    def counting_step(now):
+        nonlocal evictions
+        report = step(now)
+        evictions += len(report.evicted) if report is not None else 0
+        return report
+
+    bridge.engine.step = counting_step
+    await bridge.start()
+    try:
+        ended = 0
+        while ended < len(ops):
+            frame = await sink.get()
+            frames[frame.request_id].append(encode_frame(frame))
+            if isinstance(frame, EndFrame):
+                ended += 1
+            elif frame.request_id == "f03" and frame.index == 2:
+                bridge.cancel("f03")
+    finally:
+        await bridge.stop()
+    return frames, stack.metrics.registry.to_json(), evictions
 
 
 class TestServerProtocolErrors:

@@ -76,7 +76,9 @@ class TestLifecycle:
         seen = []
         stream, _ = open_one(
             gateway, response_len=5,
-            on_token=lambda rid, tok, t: seen.append((rid, tok, t)),
+            on_tokens=lambda rid, toks, ts: seen.extend(
+                (rid, tok, t) for tok, t in zip(toks, ts)
+            ),
         )
         gateway.frontend.run()
         gateway.poll(gateway.simulator.now)
@@ -84,6 +86,9 @@ class TestLifecycle:
         assert all(rid == "r0" for rid, _, _ in seen)
         times = [t for _, _, t in seen]
         assert times == sorted(times)
+        assert times[0] == stream.handle.request.first_token_time
+        assert times[-1] == stream.handle.request.finish_time
+        assert stream.tokens_streamed == 5
 
     def test_client_disconnect_reaches_engine_as_cancel(self):
         gateway = make_gateway()
