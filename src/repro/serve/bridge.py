@@ -2,8 +2,8 @@
 
 The serving frontend runs against two very different backends through one
 small surface (``start`` / ``stop`` / ``open`` / ``cancel``; ``open`` takes
-the :class:`asyncio.Queue` that stream's wire frames go on — a
-:class:`~repro.serve.protocol.TokenFrame` per token, one
+the :class:`Outbox` that stream's wire bytes go on — one
+:func:`~repro.serve.protocol.encode_tokens` per token chunk, one encoded
 :class:`~repro.serve.protocol.EndFrame` last — the server's one outbox per
 connection, streams told apart by ``request_id``):
 
@@ -21,9 +21,9 @@ connection, streams told apart by ``request_id``):
   token id the step it appears.
 
 Both bridges are single-threaded asyncio: token callbacks fire inside the
-pump coroutine, so ``Queue.put_nowait`` needs no locking, and a slow
-reader only ever blocks its own connection's writer task — the engine
-never waits on a client socket (frames buffer in the sink, unbounded).
+pump coroutine, so ``Outbox.put`` needs no locking, and a slow reader only
+ever blocks its own connection's writer task — the engine never waits on
+a client socket (bytes buffer in the outbox, unbounded).
 """
 
 from __future__ import annotations
@@ -36,14 +36,53 @@ from repro.runtime.request import Request, RequestState
 from repro.serve.gateway import ServeGateway
 from repro.serve.limits import AdmissionController, Decision
 from repro.serve.metrics import ServeMetrics
-from repro.serve.protocol import EndFrame, GenerateOp, TokenFrame
+from repro.serve.protocol import EndFrame, GenerateOp, encode_frame, encode_tokens
 from repro.utils.rng import new_rng
 from repro.workloads.trace import RequestSpec
 
 
-class DuplicateRequestId(ValueError):
-    """``open`` was given a ``request_id`` the bridge already knows; raised
-    before admission, so no slot is taken and nothing is traced."""
+class Outbox:
+    """One connection's encoded frames, in order, until its writer takes
+    them; ``open_ids`` are the streams admitted onto it whose end frame is
+    not on it yet, which a disconnect cancels."""
+
+    def __init__(self) -> None:
+        self.chunks: "list[bytes]" = []
+        self.open_ids: "set[str]" = set()
+        self._ready = asyncio.Event()
+
+    def put(self, data: bytes) -> None:
+        self.chunks.append(data)
+        self._ready.set()
+
+    def end(self, request_id: str, data: bytes) -> None:
+        self.open_ids.discard(request_id)
+        self.put(data)
+
+    async def take(self) -> bytes:
+        """Wait until something is put, then take all of it as one buffer."""
+        await self._ready.wait()
+        self._ready.clear()
+        chunks, self.chunks = self.chunks, []
+        return b"".join(chunks)
+
+
+class RefusedOp(ValueError):
+    """``open`` refused a :class:`GenerateOp` before admission: no slot is
+    taken and nothing is counted or traced. The server answers
+    ``ErrorFrame(request_id, code, reason)``."""
+
+    def __init__(self, code: int, reason: str):
+        super().__init__(reason)
+        self.code = code
+        self.reason = reason
+
+
+class DuplicateRequestId(RefusedOp):
+    """``open`` was given a ``request_id`` the bridge already knows."""
+
+    def __init__(self) -> None:
+        super().__init__(409, "duplicate request id")
 
 
 def _claim_id(requested: str, taken, ids, prefix: str) -> str:
@@ -51,7 +90,7 @@ def _claim_id(requested: str, taken, ids, prefix: str) -> str:
     auto-assigned ``prefix-NNNNN`` id nobody has taken."""
     if requested:
         if taken(requested):
-            raise DuplicateRequestId(requested)
+            raise DuplicateRequestId()
         return requested
     while taken(rid := f"{prefix}-{next(ids):05d}"):
         pass
@@ -88,7 +127,7 @@ class SimulatorBridge:
         self.gateway = gateway
         self.warp = warp
         self.quantum = float(quantum)
-        self._sinks: "dict[str, asyncio.Queue]" = {}
+        self._outboxes: "dict[str, Outbox]" = {}
         self._wake: "asyncio.Event | None" = None
         self._task: "asyncio.Task | None" = None
         self._ids = itertools.count()
@@ -124,12 +163,12 @@ class SimulatorBridge:
 
     # ------------------------------------------------------------------
     def open(
-        self, op: GenerateOp, sink: "asyncio.Queue | None" = None
-    ) -> "tuple[str, asyncio.Queue | None, Decision]":
+        self, op: GenerateOp, outbox: "Outbox | None" = None
+    ) -> "tuple[str, Outbox | None, Decision]":
         """Admit one :class:`GenerateOp` at the current virtual time.
 
-        Returns ``(request_id, sink, decision)``: the queue the stream's
-        frames go on (its own when none is given), or ``None`` when shed.
+        Returns ``(request_id, outbox, decision)``: the outbox the stream's
+        bytes go on (its own when none is given), or ``None`` when shed.
         Raises :class:`DuplicateRequestId` for an id the frontend has
         already seen (it keeps every handle, finished ones included).
         """
@@ -137,15 +176,16 @@ class SimulatorBridge:
             op.request_id, self.gateway.frontend.has_request, self._ids, "sv"
         )
         now = self.now
-        if sink is None:
-            sink = asyncio.Queue()
-        count = itertools.count()
+        if outbox is None:
+            outbox = Outbox()
+        index = 0
 
         def on_tokens(_rid: str, tokens, times) -> None:
             # Metrics accounting already happened inside the gateway's own
-            # wrapped callback; this layer only feeds the stream's sink.
-            for tok, t in zip(tokens, times):
-                sink.put_nowait(TokenFrame("token", rid, tok, next(count), t))
+            # wrapped callback; this layer only feeds the stream's outbox.
+            nonlocal index
+            outbox.put(encode_tokens(rid, index, tokens, times))
+            index += len(tokens)
 
         stream, decision = self.gateway.open(
             tenant=op.effective_tenant,
@@ -161,16 +201,16 @@ class SimulatorBridge:
         )
         if stream is None:
             return rid, None, decision
-        self._sinks[rid] = sink
+        outbox.open_ids.add(rid)
+        self._outboxes[rid] = outbox
         if self._wake is not None:
             self._wake.set()
-        return rid, sink, decision
+        return rid, outbox, decision
 
     def cancel(self, request_id: str) -> bool:
         """Client cancel/disconnect; False when the id is unknown."""
         stream = self.gateway._streams.get(request_id)
         if stream is None:
-            self._sinks.pop(request_id, None)
             return False
         self.gateway.client_close(request_id, self.now)
         self._push_end(stream)
@@ -180,14 +220,14 @@ class SimulatorBridge:
 
     # ------------------------------------------------------------------
     def _push_end(self, stream) -> None:
-        sink = self._sinks.pop(stream.request_id, None)
-        if sink is None:
+        outbox = self._outboxes.pop(stream.request_id, None)
+        if outbox is None:
             return
-        sink.put_nowait(EndFrame(
+        outbox.end(stream.request_id, encode_frame(EndFrame(
             request_id=stream.request_id,
             status=_terminal_status(stream.handle.state, stream.cancelled),
             num_tokens=stream.tokens_streamed,
-        ))
+        )))
 
     async def _pump(self) -> None:
         sim = self.simulator
@@ -214,14 +254,14 @@ class _FuncStream:
     """FunctionalBridge-side state of one admitted stream."""
 
     __slots__ = (
-        "request", "tenant", "sink", "opened_at",
+        "request", "tenant", "outbox", "opened_at",
         "streamed", "cancelled", "ttfb_observed",
     )
 
-    def __init__(self, request: Request, tenant: str, sink, opened_at: float):
+    def __init__(self, request: Request, tenant: str, outbox, opened_at: float):
         self.request = request
         self.tenant = tenant
-        self.sink = sink
+        self.outbox = outbox
         self.opened_at = opened_at
         self.streamed = 0
         self.cancelled = False
@@ -288,10 +328,17 @@ class FunctionalBridge:
 
     # ------------------------------------------------------------------
     def open(
-        self, op: GenerateOp, sink: "asyncio.Queue | None" = None
-    ) -> "tuple[str, asyncio.Queue | None, Decision]":
+        self, op: GenerateOp, outbox: "Outbox | None" = None
+    ) -> "tuple[str, Outbox | None, Decision]":
         """Raises :class:`DuplicateRequestId` for the id of a stream that
-        is still open."""
+        is still open, and :class:`RefusedOp` for an adapter the engine
+        does not have (404) or a prompt id outside the vocabulary (400):
+        either would fail only inside the pump, every stream with it."""
+        registry = self.engine.backend.registry
+        if registry is not None and op.lora_id not in registry:
+            raise RefusedOp(404, "unknown adapter")
+        if op.prompt_tokens is not None and max(op.prompt_tokens) >= self.vocab_size:
+            raise RefusedOp(400, f"prompt token ids must be < {self.vocab_size}")
         rid = _claim_id(op.request_id, self._streams.__contains__, self._ids, "fn")
         now = self._clock
         if self.metrics is not None:
@@ -321,16 +368,17 @@ class FunctionalBridge:
         stream = _FuncStream(
             request=Request(spec=spec, prompt_tokens=prompt),
             tenant=op.effective_tenant,
-            sink=sink if sink is not None else asyncio.Queue(),
+            outbox=outbox if outbox is not None else Outbox(),
             opened_at=now,
         )
+        stream.outbox.open_ids.add(rid)
         self._streams[rid] = stream
         self._waiting.append(stream)
         if self.metrics is not None:
             self.metrics.record_admitted(op.effective_tenant)
         if self._wake is not None:
             self._wake.set()
-        return rid, stream.sink, decision
+        return rid, stream.outbox, decision
 
     def cancel(self, request_id: str) -> bool:
         stream = self._streams.get(request_id)
@@ -351,11 +399,11 @@ class FunctionalBridge:
     def _end_stream(self, stream: _FuncStream) -> None:
         self._streams.pop(stream.request_id, None)
         self.controller.release(stream.tenant)
-        stream.sink.put_nowait(EndFrame(
+        stream.outbox.end(stream.request_id, encode_frame(EndFrame(
             request_id=stream.request_id,
             status=_terminal_status(stream.request.state, stream.cancelled),
             num_tokens=stream.streamed,
-        ))
+        )))
         if self.metrics is not None:
             self.metrics.record_end(stream.tenant, cancelled=stream.cancelled)
             self.metrics.record_disconnect()
@@ -386,11 +434,10 @@ class FunctionalBridge:
                     )
                 self.metrics.record_tokens(len(tokens))
             stream.ttfb_observed = True
-            for tok in tokens:
-                stream.sink.put_nowait(TokenFrame(
-                    "token", rid, tok, stream.streamed, end
-                ))
-                stream.streamed += 1
+            stream.outbox.put(
+                encode_tokens(rid, stream.streamed, tokens, (end,) * len(tokens))
+            )
+            stream.streamed += len(tokens)
         for rid in report.finished:
             self._end_stream(self._streams[rid])
 

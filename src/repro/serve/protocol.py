@@ -12,7 +12,8 @@ wire frame                inside the cluster
 :class:`CancelOp`         :meth:`~repro.cluster.frontend.Frontend.cancel`
 :class:`TokenFrame`       one token of a step's ``(request_id, tokens,
                           times)`` chunk (the simulator's token sink), its
-                          ``time`` the end of the step that committed it
+                          ``time`` the end of the step that committed it;
+                          a chunk is encoded whole by :func:`encode_tokens`
 :class:`EndFrame`         the request's terminal state: ``finished`` (in
                           its last step report's ``finished``),
                           ``cancelled`` or ``failed``
@@ -59,6 +60,14 @@ class GenerateOp:
             raise ValueError("prompt_len and response_len must be >= 1")
         if not self.lora_id:
             raise ValueError("lora_id must be set")
+        if self.prompt_tokens is not None:
+            if len(self.prompt_tokens) != self.prompt_len:
+                raise ValueError(
+                    f"prompt_tokens holds {len(self.prompt_tokens)} ids but "
+                    f"prompt_len is {self.prompt_len}"
+                )
+            if min(self.prompt_tokens) < 0:
+                raise ValueError("prompt token ids must be >= 0")
 
     @property
     def effective_tenant(self) -> str:
@@ -143,24 +152,7 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def encode_frame(frame) -> bytes:
-    """One frame -> one canonical JSON line (newline-terminated bytes).
-
-    A token frame of exact ints and a float (every one the bridges build)
-    is one f-string, byte for byte what the general path writes for it.
-    """
-    if type(frame) is TokenFrame:
-        rid, token, index, t = frame.request_id, frame.token, frame.index, frame.time
-        if (
-            type(token) is int and type(index) is int and type(t) is float
-            and type(rid) is str and frame.event == "token"
-        ):
-            t = repr(t) if t - t == 0.0 else (
-                "NaN" if t != t else "Infinity" if t > 0 else "-Infinity"
-            )
-            return (
-                f'{{"event":"token","index":{index},"request_id":'
-                f'{_encode_str(rid)},"time":{t},"token":{token}}}\n'
-            ).encode()
+    """One frame -> one canonical JSON line (newline-terminated bytes)."""
     obj = {
         name: value
         for name in _SORTED_FIELDS[type(frame)]
@@ -169,6 +161,37 @@ def encode_frame(frame) -> bytes:
     if "prompt_tokens" in obj:
         obj["prompt_tokens"] = list(obj["prompt_tokens"])
     return (_encode_json(obj) + "\n").encode()
+
+
+def encode_tokens(request_id, first_index, tokens, times) -> bytes:
+    """One stream's token chunk -> the lines :func:`encode_frame` writes for
+    ``TokenFrame("token", request_id, tokens[k], first_index + k,
+    times[k])``, byte for byte. With an exact ``str`` id, ``int`` index and
+    tokens and ``float`` times (every chunk the bridges stream) each line
+    is one f-string: the id through the JSON encoder's own escaper, the
+    time through ``float.__repr__`` or ``NaN`` / ``Infinity`` /
+    ``-Infinity``. Any other chunk takes ``encode_frame`` per token."""
+    if type(request_id) is str and type(first_index) is int:
+        rid = _encode_str(request_id)
+        lines = []
+        index = first_index
+        for token, t in zip(tokens, times):
+            if type(token) is not int or type(t) is not float:
+                break
+            t = repr(t) if t - t == 0.0 else (
+                "NaN" if t != t else "Infinity" if t > 0 else "-Infinity"
+            )
+            lines.append(
+                f'{{"event":"token","index":{index},"request_id":{rid},'
+                f'"time":{t},"token":{token}}}\n'
+            )
+            index += 1
+        else:
+            return "".join(lines).encode()
+    return b"".join([
+        encode_frame(TokenFrame("token", request_id, token, first_index + k, t))
+        for k, (token, t) in enumerate(zip(tokens, times))
+    ])
 
 
 def decode_frame(line: "bytes | str"):
@@ -192,9 +215,9 @@ def decode_frame(line: "bytes | str"):
     cls = _FRAME_TYPES.get(key)
     if cls is None:
         raise ValueError(f"unknown frame discriminator {key!r}")
-    if "prompt_tokens" in obj and obj["prompt_tokens"] is not None:
-        obj["prompt_tokens"] = tuple(int(t) for t in obj["prompt_tokens"])
     try:
+        if "prompt_tokens" in obj and obj["prompt_tokens"] is not None:
+            obj["prompt_tokens"] = tuple(int(t) for t in obj["prompt_tokens"])
         return cls(**obj)
     except TypeError as exc:
         raise ValueError(f"bad {key!r} frame: {exc}") from None

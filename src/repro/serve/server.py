@@ -9,31 +9,32 @@
   429 :class:`~repro.serve.protocol.ErrorFrame`); admitted streams get an
   :class:`~repro.serve.protocol.AcceptedFrame` and then token frames as
   the backend produces them, each connection multiplexing any number of
-  concurrent streams by request id; a ``request_id`` the bridge already
-  knows is refused with a 409 before admission;
+  concurrent streams by request id; an op the bridge refuses before
+  admission (a reused ``request_id``, an unknown adapter) is answered
+  with the :class:`~repro.serve.bridge.RefusedOp`'s code;
 * a :class:`~repro.serve.protocol.CancelOp` cancels one stream;
 * EOF on the socket with streams still open is a client disconnect: every
   open stream of that connection is cancelled, which propagates down to
   engine eviction (the trace shows CANCEL ``reason="disconnect"``).
 
-One reader loop and one writer task per connection, joined by one outbox
-queue: the reader's answers and every stream's frames go on it in order,
-and the writer sends all that is queued when it wakes as one buffer — what
-became ready in one event-loop turn is one ``send``. A slow reader
-backpressures only its own connection (its outbox buffers; ``drain()``
-blocks only its writer) and the backend clock never waits on a client.
+One reader loop and one writer task per connection, joined by one
+:class:`~repro.serve.bridge.Outbox` of encoded bytes: the reader's answers
+and every stream's frames go on it in order, and the writer sends all
+that is on it when it wakes as one buffer — what became ready in one
+event-loop turn is one ``send``. A slow reader backpressures only its own
+connection (its outbox buffers; ``drain()`` blocks only its writer) and
+the backend clock never waits on a client.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-from repro.serve.bridge import DuplicateRequestId
+from repro.serve.bridge import Outbox, RefusedOp
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     AcceptedFrame,
     CancelOp,
-    EndFrame,
     ErrorFrame,
     GenerateOp,
     decode_frame,
@@ -90,9 +91,8 @@ class ServeServer:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
         self._conn_writers.add(writer)
-        outbox: asyncio.Queue = asyncio.Queue()
-        open_ids: "set[str]" = set()
-        pump = asyncio.create_task(self._pump_outbox(outbox, writer, open_ids))
+        outbox = Outbox()
+        pump = asyncio.create_task(self._pump_outbox(outbox, writer))
         try:
             while True:
                 try:
@@ -111,42 +111,43 @@ class ServeServer:
                 try:
                     frame = decode_frame(line)
                 except ValueError as exc:
-                    outbox.put_nowait(ErrorFrame(code=400, reason=str(exc)))
+                    outbox.put(encode_frame(ErrorFrame(code=400, reason=str(exc))))
                     continue
                 if isinstance(frame, GenerateOp):
                     # ``accepted`` precedes the first token: nothing yields
                     # here, and tokens come only from the bridge's own pump.
                     try:
-                        rid, sink, decision = self.bridge.open(frame, outbox)
-                    except DuplicateRequestId:
-                        outbox.put_nowait(ErrorFrame(
-                            request_id=frame.request_id, code=409,
-                            reason="duplicate request id",
-                        ))
-                        continue
-                    if sink is None:
-                        outbox.put_nowait(ErrorFrame(
-                            request_id=rid, code=429, reason=decision.value,
-                        ))
+                        rid, admitted, decision = self.bridge.open(frame, outbox)
+                    except RefusedOp as exc:
+                        answer = ErrorFrame(
+                            request_id=frame.request_id, code=exc.code,
+                            reason=exc.reason,
+                        )
                     else:
-                        open_ids.add(rid)
-                        outbox.put_nowait(AcceptedFrame(request_id=rid))
+                        answer = (
+                            AcceptedFrame(request_id=rid) if admitted is not None
+                            else ErrorFrame(
+                                request_id=rid, code=429, reason=decision.value
+                            )
+                        )
                 elif isinstance(frame, CancelOp):
-                    if not self.bridge.cancel(frame.request_id):
-                        outbox.put_nowait(ErrorFrame(
-                            request_id=frame.request_id, code=404,
-                            reason="unknown request",
-                        ))
+                    if self.bridge.cancel(frame.request_id):
+                        continue
+                    answer = ErrorFrame(
+                        request_id=frame.request_id, code=404,
+                        reason="unknown request",
+                    )
                 else:
-                    outbox.put_nowait(ErrorFrame(
+                    answer = ErrorFrame(
                         code=400, reason="clients may only send operations",
-                    ))
+                    )
+                outbox.put(encode_frame(answer))
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             # Disconnect: cancel every stream the client left open, then
             # the writer — there is no one left to write their ends to.
-            for rid in list(open_ids):
+            for rid in list(outbox.open_ids):
                 self.bridge.cancel(rid)
             pump.cancel()
             await asyncio.gather(pump, return_exceptions=True)
@@ -159,21 +160,11 @@ class ServeServer:
             self._conn_tasks.discard(task)
 
     @staticmethod
-    async def _pump_outbox(
-        outbox: asyncio.Queue, writer: asyncio.StreamWriter, open_ids: "set[str]"
-    ) -> None:
-        """The connection's writer: all that is queued when it wakes is one write."""
+    async def _pump_outbox(outbox: Outbox, writer: asyncio.StreamWriter) -> None:
+        """The connection's writer: all that is put when it wakes is one write."""
         try:
             while True:
-                batch = [await outbox.get()]
-                while not outbox.empty():
-                    batch.append(outbox.get_nowait())
-                chunks = []
-                for frame in batch:
-                    if type(frame) is EndFrame:
-                        open_ids.discard(frame.request_id)
-                    chunks.append(encode_frame(frame))
-                writer.write(b"".join(chunks))
+                writer.write(await outbox.take())
                 await writer.drain()
         except (ConnectionError, OSError):
             pass

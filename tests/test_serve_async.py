@@ -28,13 +28,19 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import json
 import os
 import random
 
 import pytest
 
 from repro.obs.tracer import EventKind
-from repro.serve.bridge import DuplicateRequestId, FunctionalBridge, SimulatorBridge
+from repro.serve.bridge import (
+    DuplicateRequestId,
+    FunctionalBridge,
+    Outbox,
+    SimulatorBridge,
+)
 from repro.serve.client import LoadSpec, ServeClient, expand_plans
 from repro.serve.harness import (
     build_functional_stack,
@@ -348,9 +354,9 @@ def sweep_open_streams(bridge, report) -> None:
                     )
                 bridge.metrics.record_tokens(1)
             stream.ttfb_observed = True
-            stream.sink.put_nowait(TokenFrame(
+            stream.outbox.put(encode_frame(TokenFrame(
                 "token", stream.request_id, tok, stream.streamed, bridge._clock
-            ))
+            )))
             stream.streamed += 1
         if req.state.is_terminal:
             ended.append(stream)
@@ -361,7 +367,7 @@ def sweep_open_streams(bridge, report) -> None:
 async def drive_functional_bridge(seed: int):
     """A seeded load on one ``build_functional_stack`` bridge, no server:
     more streams than batch slots, long enough to overrun the KvCache,
-    all on one sink. Returns each stream's encoded frames, the metrics
+    all on one outbox. Returns each stream's encoded frames, the metrics
     registry as JSON, and the number of evictions."""
     stack = build_functional_stack(seed=seed)
     bridge = stack.bridge
@@ -373,10 +379,10 @@ async def drive_functional_bridge(seed: int):
         )
         for k in range(20)
     ]
-    sink: asyncio.Queue = asyncio.Queue()
+    outbox = Outbox()
     frames = {op.request_id: [] for op in ops}
     for op in ops:
-        bridge.open(op, sink)
+        bridge.open(op, outbox)
     bridge.cancel("f19")  # still waiting
     evictions = 0
     step = bridge.engine.step
@@ -392,12 +398,13 @@ async def drive_functional_bridge(seed: int):
     try:
         ended = 0
         while ended < len(ops):
-            frame = await sink.get()
-            frames[frame.request_id].append(encode_frame(frame))
-            if isinstance(frame, EndFrame):
-                ended += 1
-            elif frame.request_id == "f03" and frame.index == 2:
-                bridge.cancel("f03")
+            for line in (await outbox.take()).splitlines(keepends=True):
+                frame = decode_frame(line)
+                frames[frame.request_id].append(line)
+                if isinstance(frame, EndFrame):
+                    ended += 1
+                elif frame.request_id == "f03" and frame.index == 2:
+                    bridge.cancel("f03")
     finally:
         await bridge.stop()
     return frames, stack.metrics.registry.to_json(), evictions
@@ -742,16 +749,26 @@ class TestFrameSizeBound:
         assert disconnect_cancels(stack) == ["open"]
 
 
+async def take_frames(outbox: Outbox, done) -> list:
+    """Decode the bytes a bridge put on ``outbox`` until ``done(frames)``;
+    an outbox silent for 20 s (a dead bridge pump) fails the test."""
+    frames: list = []
+    while not done(frames):
+        data = await asyncio.wait_for(outbox.take(), 20.0)
+        frames += [decode_frame(line) for line in data.splitlines(keepends=True)]
+    return frames
+
+
 class TestBridgeSink:
     def test_streams_sharing_a_sink_are_told_apart_by_request_id(self):
-        """``open`` feeds the queue it is given; with none given, a queue
-        of the stream's own (the bridge driven without a server)."""
+        """``open`` feeds the outbox it is given; with none given, an
+        outbox of the stream's own (the bridge driven without a server)."""
         async def scenario():
             stack = build_sim_stack(warp=None)
             bridge = stack.bridge
             await bridge.start()
             try:
-                shared: asyncio.Queue = asyncio.Queue()
+                shared = Outbox()
                 ops = [
                     GenerateOp(request_id=rid, tenant="t", lora_id="lora-0",
                                prompt_len=4, response_len=n)
@@ -761,10 +778,10 @@ class TestBridgeSink:
                     assert bridge.open(op, shared)[1] is shared
                 _, own, decision = bridge.open(ops[2])
                 assert decision.admitted and own is not shared
-                updates = []
-                while sum(u.event == "end" for u in updates) < 2:
-                    updates.append(await shared.get())
-                solo = [await own.get() for _ in range(3)]
+                updates = await take_frames(
+                    shared, lambda fs: sum(f.event == "end" for f in fs) >= 2
+                )
+                solo = await take_frames(own, lambda fs: len(fs) >= 3)
                 return updates, solo
             finally:
                 await bridge.stop()
@@ -776,6 +793,51 @@ class TestBridgeSink:
             assert mine[-1].event == "end" and mine[-1].num_tokens == n
         assert {u.request_id for u in solo} == {"solo"}
         assert [u.event for u in solo] == ["token", "token", "end"]
+
+
+class TestOutbox:
+    def test_an_end_closes_its_id_and_a_disconnect_cancels_the_open_ones(self):
+        """A stream's end frame takes its id out of the connection's
+        ``open_ids``; dropping the socket cancels exactly the ids still
+        there."""
+        async def scenario():
+            stack = build_sim_stack(warp=None)
+            bridge = stack.bridge
+            outboxes, cancelled = [], []
+            open_, cancel = bridge.open, bridge.cancel
+
+            def recording_open(op, outbox=None):
+                outboxes.append(outbox)
+                return open_(op, outbox)
+
+            def recording_cancel(rid):
+                cancelled.append(rid)
+                return cancel(rid)
+
+            bridge.open, bridge.cancel = recording_open, recording_cancel
+            await stack.server.start()
+            reg = stack.metrics.registry
+            try:
+                conn = await RawConnection.open(stack.server.port)
+                for rid, n in (("short", 2), ("long", 100_000)):
+                    conn.send(GenerateOp(request_id=rid, tenant="t",
+                                         lora_id="lora-0", prompt_len=4,
+                                         response_len=n))
+                await conn.read_until(ended(["short"]))
+                outbox, again = outboxes
+                assert outbox is again
+                still_open = set(outbox.open_ids)
+                conn.writer.transport.abort()
+                assert await settle(
+                    lambda: reg.get("serve_active_connections").total() == 0
+                )
+            finally:
+                await stack.server.stop()
+            return still_open, cancelled, disconnect_cancels(stack)
+
+        still_open, cancelled, traced = run(scenario())
+        assert still_open == {"long"}
+        assert cancelled == traced == ["long"]
 
 
 # ---------------------------------------------------------------------------
@@ -851,9 +913,10 @@ class TestDuplicateRequestId:
                 with pytest.raises(DuplicateRequestId):
                     bridge.open(op(taken))
                 inflight = controller(stack).total_inflight
-                _, sink, _ = bridge.open(op("short", 1))
-                while not isinstance(await sink.get(), EndFrame):
-                    pass
+                _, outbox, _ = bridge.open(op("short", 1))
+                await take_frames(
+                    outbox, lambda fs: any(isinstance(f, EndFrame) for f in fs)
+                )
                 try:
                     bridge.open(op("short"))
                     reused = True
@@ -867,6 +930,64 @@ class TestDuplicateRequestId:
         assert auto == f"{prefix}-00001"
         assert inflight == 2
         assert reused is (backend == "functional")
+
+
+# ---------------------------------------------------------------------------
+# A GenerateOp the functional engine cannot serve: refused, never admitted
+# ---------------------------------------------------------------------------
+BAD_OPS = {
+    "unknown-adapter": ({"lora_id": "nope"}, 404),
+    "id-past-the-vocabulary": ({"prompt_tokens": [1, 10 ** 6]}, 400),
+    "prompt-len-mismatch": ({"prompt_tokens": [1, 2], "prompt_len": 39}, 400),
+    "negative-id": ({"prompt_tokens": [1, -2]}, 400),
+}
+
+
+class TestBadGenerateOp:
+    @pytest.mark.parametrize("fields, code", BAD_OPS.values(), ids=BAD_OPS)
+    def test_refused_and_the_streams_around_it_complete(self, fields, code):
+        """Each op used to be admitted and then raise inside the functional
+        pump (or, for a negative id, be served off a wrapped index): the
+        pump died and every stream hung. It is answered with an error
+        before admission, and streams opened before and after it finish."""
+        async def scenario():
+            stack = build_functional_stack(seed=SEED)
+            await stack.server.start()
+            try:
+                conn = await RawConnection.open(stack.server.port)
+                good = {"tenant": "t", "lora_id": "lora-1", "prompt_len": 4,
+                        "response_len": 8}
+                bad = {"op": "generate", "request_id": "bad", "tenant": "t",
+                       "lora_id": "lora-0", "prompt_len": 2, "response_len": 8,
+                       **fields}
+                conn.send(GenerateOp(request_id="before", **good))
+                conn.writer.write(json.dumps(bad).encode() + b"\n")
+                conn.send(GenerateOp(request_id="after", **good))
+                both_ended = ended(["before", "after"])
+
+                def done(lines) -> bool:
+                    refused = any(l.startswith(b'{"code":') for l in lines)
+                    return refused and both_ended(lines)
+
+                await conn.read_until(done)
+                inflight = controller(stack).total_inflight
+                await conn.close()
+                return stack, conn, inflight
+            finally:
+                await stack.server.stop()
+
+        stack, conn, inflight = run(scenario())
+        frames = [decode_frame(line) for line in conn.lines]
+        errors = [f for f in frames if isinstance(f, ErrorFrame)]
+        assert [e.code for e in errors] == [code]
+        assert all(isinstance(f, ErrorFrame) for f in frames if f.request_id == "bad")
+        streams = conn.by_stream()
+        for rid in ("before", "after"):
+            assert_stream_lines(rid, streams[rid], 8)
+        assert inflight == 0
+        reg = stack.metrics.registry
+        assert reg.get("serve_connections_total").total() == 2
+        assert reg.get("serve_requests_admitted_total").total() == 2
 
 
 class TestFunctionalWireBytes:

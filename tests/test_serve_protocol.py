@@ -18,6 +18,7 @@ from repro.serve.protocol import (
     TokenFrame,
     decode_frame,
     encode_frame,
+    encode_tokens,
 )
 
 
@@ -93,6 +94,12 @@ def test_effective_tenant_defaults_to_lora():
     b'{"op":"cancel"}\n',  # missing request_id
     b'{"op":"generate","lora_id":"m","prompt_len":1,"response_len":1,'
     b'"surprise":true}\n',  # unknown field
+    b'{"op":"generate","lora_id":"m","prompt_len":39,"response_len":1,'
+    b'"prompt_tokens":[1,2]}\n',  # prompt_len disagrees with the ids
+    b'{"op":"generate","lora_id":"m","prompt_len":2,"response_len":1,'
+    b'"prompt_tokens":[1,-2]}\n',  # negative id
+    b'{"op":"generate","lora_id":"m","prompt_len":1,"response_len":1,'
+    b'"prompt_tokens":[null]}\n',  # not an id
 ])
 def test_malformed_frames_raise_value_error(line):
     with pytest.raises(ValueError):
@@ -112,6 +119,12 @@ def test_validation():
         GenerateOp(request_id="r", lora_id="", prompt_len=1, response_len=1)
     with pytest.raises(ValueError):
         CancelOp(request_id="")
+    with pytest.raises(ValueError, match="prompt_len"):
+        GenerateOp(request_id="r", lora_id="m", prompt_len=39, response_len=1,
+                   prompt_tokens=(1, 2))
+    with pytest.raises(ValueError, match=">= 0"):
+        GenerateOp(request_id="r", lora_id="m", prompt_len=2, response_len=1,
+                   prompt_tokens=(1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -131,17 +144,22 @@ _floats = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-07, 1.5, 1e300,
                      float("inf"), float("-inf"), float("nan")]),
 )
+# A GenerateOp's prompt ids are >= 0 and exactly prompt_len of them.
 _prompt_tokens = st.one_of(
-    st.none(),
-    st.just(()),
-    st.lists(_ints, max_size=8).map(tuple),
+    st.lists(st.integers(0, 2 ** 70), min_size=1, max_size=8).map(tuple),
     st.integers(500, 3000).map(lambda n: tuple(range(n))),
 )
 _any_frame = st.one_of(
     st.builds(
         GenerateOp, request_id=_texts, tenant=_texts, lora_id=_names,
         prompt_len=st.integers(1, 2 ** 70), response_len=st.integers(1, 2 ** 70),
-        prompt_tokens=_prompt_tokens,
+    ),
+    st.builds(
+        lambda prompt, **kw: GenerateOp(
+            prompt_len=len(prompt), prompt_tokens=prompt, **kw
+        ),
+        prompt=_prompt_tokens, request_id=_texts, tenant=_texts,
+        lora_id=_names, response_len=st.integers(1, 2 ** 70),
     ),
     st.builds(CancelOp, request_id=_names),
     st.builds(AcceptedFrame, request_id=_texts),
@@ -161,9 +179,9 @@ def test_encode_frame_matches_the_asdict_oracle(frame):
     assert repr(decode_frame(line)) == repr(frame)
 
 
-# A token frame is spelled by an f-string only when its token and index are
-# exactly ``int``, its time exactly ``float``, its id exactly ``str`` and its
-# event "token"; anything else goes through the general encoder and must
+# A chunk of token frames is spelled by f-strings only when its tokens and
+# first index are exactly ``int``, its times exactly ``float`` and its id
+# exactly ``str``; anything else goes through the general encoder and must
 # still say the same bytes the oracle says.
 class _Int(int):
     pass
@@ -183,45 +201,59 @@ _not_int = st.one_of(
 _not_float = st.one_of(
     st.booleans(), st.none(), st.text(max_size=4), _ints, _floats.map(_Float),
 )
-_token_frames = st.builds(
-    TokenFrame, request_id=st.one_of(st.text(), _texts), token=_ints,
-    index=_ints, time=_floats,
-)
-_odd_token_frames = st.one_of(
-    st.builds(TokenFrame, request_id=_texts, token=_not_int, index=_ints,
-              time=_floats),
-    st.builds(TokenFrame, request_id=_texts, token=_ints, index=_not_int,
-              time=_floats),
-    st.builds(TokenFrame, request_id=_texts, token=_ints, index=_ints,
-              time=_not_float),
-    st.builds(TokenFrame, request_id=_texts.map(_Str), token=_ints,
-              index=_ints, time=_floats),
-    st.builds(TokenFrame, event=_texts.filter(lambda e: e != "token"),
-              request_id=_texts, token=_ints, index=_ints, time=_floats),
-)
+_chunks = st.lists(st.tuples(_ints, _floats), min_size=1, max_size=8)
 
 
-@settings(max_examples=300, deadline=None)
-@given(frame=_token_frames)
-def test_token_frame_f_string_matches_the_oracle(frame):
+@st.composite
+def _odd_chunks(draw):
+    """A chunk with exactly one thing not exactly typed: one token, one
+    time, the first index or the id."""
+    rid, first, chunk = draw(_texts), draw(_ints), draw(_chunks)
+    k = draw(st.integers(0, len(chunk) - 1))
+    token, t = chunk[k]
+    odd = draw(st.sampled_from(["token", "time", "index", "id"]))
+    if odd == "token":
+        chunk[k] = (draw(_not_int), t)
+    elif odd == "time":
+        chunk[k] = (token, draw(_not_float))
+    elif odd == "index":
+        first = draw(st.one_of(st.booleans(), _ints.map(_Int)))
+    else:
+        rid = _Str(rid)
+    return rid, first, chunk
+
+
+def encode_chunk(rid, first, chunk):
+    """``encode_tokens`` on a chunk, with the general encoder watched, and
+    the frames the oracle says the chunk holds."""
+    tokens, times = zip(*chunk)
     with mock.patch.object(
         protocol, "_encode_json", wraps=protocol._encode_json
     ) as general:
-        line = encode_frame(frame)
-    assert not general.called, "an exactly typed token frame left the f-string"
-    assert line == reference_encode(frame)
-    assert repr(decode_frame(line)) == repr(frame)
+        data = encode_tokens(rid, first, tokens, times)
+    frames = [
+        TokenFrame("token", rid, token, first + k, t)
+        for k, (token, t) in enumerate(chunk)
+    ]
+    return data, general.called, frames
 
 
 @settings(max_examples=300, deadline=None)
-@given(frame=_odd_token_frames)
-def test_token_frame_of_other_types_takes_the_general_path(frame):
-    with mock.patch.object(
-        protocol, "_encode_json", wraps=protocol._encode_json
-    ) as general:
-        line = encode_frame(frame)
-    assert general.called
-    assert line == reference_encode(frame)
+@given(rid=st.one_of(st.text(), _texts), first=_ints, chunk=_chunks)
+def test_token_frame_f_string_matches_the_oracle(rid, first, chunk):
+    data, general, frames = encode_chunk(rid, first, chunk)
+    assert not general, "an exactly typed chunk left the f-string"
+    assert data == b"".join(reference_encode(f) for f in frames)
+    lines = data.splitlines(keepends=True)
+    assert [repr(decode_frame(line)) for line in lines] == list(map(repr, frames))
+
+
+@settings(max_examples=300, deadline=None)
+@given(odd=_odd_chunks())
+def test_token_frame_of_other_types_takes_the_general_path(odd):
+    data, general, frames = encode_chunk(*odd)
+    assert general
+    assert data == b"".join(reference_encode(f) for f in frames)
 
 
 def test_token_frame_prefix_is_what_the_ledger_client_slices():
