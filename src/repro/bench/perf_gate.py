@@ -40,7 +40,9 @@ BENCH_JSON = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH
 #: runners are several times slower than a quiet workstation, and the
 #: floor exists to catch order-of-magnitude regressions, not jitter.
 DEFAULT_THRESHOLDS = {
-    "min_speedup": 3.0,
+    # The three lanes alone: memos and the calendar queue run on both
+    # paths, so the reference path is not memo-free (1.6-1.9x measured).
+    "min_speedup": 1.4,
     "min_requests_per_s": 150.0,
     "max_variance": 0.20,
     # The observer effect: a traced fast run over an untraced one. Tracing

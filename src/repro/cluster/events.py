@@ -7,16 +7,14 @@ reproducible under a fixed seed. Actions may schedule further events.
 become moot (a request's deadline after it finished, a retry after a
 cancel) can be disarmed instead of firing as no-ops.
 
-Two queue disciplines back the loop, selected by ``fast_path``:
-
-* a binary heap (the reference discipline), and
-* a :class:`CalendarQueue` — a bucketed scheduler tuned for the dense,
-  near-monotone timestamp stream a decode-heavy simulation produces.
-
-Both implement the identical total order ``(time, seq)``; the tie-break
-contract (equal times pop in scheduling order) is part of the public
-determinism guarantee and is pinned by a property test against a heap
-oracle (``tests/test_calendar_queue.py``).
+One queue backs the loop on every path: a :class:`CalendarQueue`, a
+bucketed scheduler tuned for the dense, near-monotone timestamp stream a
+decode-heavy simulation produces. It implements the total order
+``(time, seq)``; the tie-break contract (equal times pop in scheduling
+order) is part of the public determinism guarantee and is pinned by a
+property test against the binary-heap oracle kept in
+``tests/test_calendar_queue.py``. Event times must be finite: a calendar
+bucket is ``floor(time / width)``.
 """
 
 from __future__ import annotations
@@ -25,9 +23,7 @@ import heapq
 from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from math import floor
-
-from repro.utils.fastpath import fastpath_enabled
+from math import floor, isfinite
 
 
 @dataclass
@@ -53,41 +49,18 @@ class EventHandle:
 _Item = tuple[float, int, Callable[[float], None], EventHandle]
 
 
-class HeapQueue:
-    """The reference queue: a plain binary heap over ``(time, seq)``."""
-
-    def __init__(self) -> None:
-        self._heap: list[_Item] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, item: _Item) -> None:
-        heapq.heappush(self._heap, item)
-
-    def peek(self) -> _Item | None:
-        """Smallest live item, pruning cancelled heads in passing."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        return heap[0] if heap else None
-
-    def pop(self) -> _Item:
-        return heapq.heappop(self._heap)
-
-
 class CalendarQueue:
     """A bucketed priority queue over ``(time, seq)`` keys.
 
     Items hash into fixed-width time buckets (a dict keyed by
     ``floor(time / width)``, so sparse regions cost nothing). Buckets
     stay unsorted until they become the *front* bucket, at which point
-    one in-place sort orders them by ``(time, seq)`` — the same total
-    order the heap discipline uses, including the scheduling-order
-    tie-break. A small lazy min-heap over bucket *indices* finds the
-    next nonempty bucket, so heap traffic is per-bucket, not per-event:
-    in the dense-timestamp decode regime most pushes and pops are O(1)
-    appends/pointer bumps.
+    one in-place sort orders them by ``(time, seq)`` — the order a
+    binary heap over the same items pops in, including the
+    scheduling-order tie-break. A small lazy min-heap over bucket
+    *indices* finds the next nonempty bucket, so heap traffic is
+    per-bucket, not per-event: in the dense-timestamp decode regime most
+    pushes and pops are O(1) appends/pointer bumps.
 
     Late pushes into the already-sorted front bucket are placed with
     ``bisect.insort``; their keys always land at or after the read
@@ -190,22 +163,10 @@ class CalendarQueue:
 
 
 class EventLoop:
-    """Deterministic discrete-event executor.
+    """Deterministic discrete-event executor over a :class:`CalendarQueue`."""
 
-    ``fast_path`` picks the queue discipline: the calendar queue when
-    enabled (the default; ``None`` means on), the reference binary
-    heap otherwise. Pop order is identical either way.
-    """
-
-    def __init__(
-        self,
-        fast_path: bool | None = None,
-        bucket_width: float = 0.25,
-    ) -> None:
-        self.fast_path = fastpath_enabled(fast_path)
-        self._queue: HeapQueue | CalendarQueue = (
-            CalendarQueue(bucket_width) if self.fast_path else HeapQueue()
-        )
+    def __init__(self, bucket_width: float = 0.25) -> None:
+        self._queue = CalendarQueue(bucket_width)
         self._seq = 0
         self._now = 0.0
         self._processed = 0
@@ -226,7 +187,9 @@ class EventLoop:
         return self._processed
 
     def schedule(self, time: float, action: Callable[[float], None]) -> EventHandle:
-        """Enqueue ``action`` to run at ``time`` (must not be in the past)."""
+        """Enqueue ``action`` to run at ``time`` (finite, not in the past)."""
+        if not isfinite(time):
+            raise ValueError(f"event time must be finite, got {time}")
         if time < self._now - 1e-12:
             raise ValueError(f"cannot schedule at {time} before now={self._now}")
         handle = EventHandle(time=time, seq=self._seq)

@@ -22,6 +22,7 @@ cancels it wherever it is and retries with exponential backoff, up to
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from repro.cluster.events import EventHandle
@@ -108,12 +109,15 @@ class Frontend:
         backoff, keeping any generated prefix (the §5.3 re-prefill pays
         for it). Out of retries, the handle surfaces FAILED.
         """
-        if deadline is not None and deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
+        # Chained so NaN fails too; ``None`` is "no deadline", not ``inf``.
+        if deadline is not None and not 0 < deadline < math.inf:
+            raise ValueError(f"deadline must be positive and finite, got {deadline}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_backoff <= 0:
-            raise ValueError(f"retry_backoff must be positive, got {retry_backoff}")
+        if not 0 < retry_backoff < math.inf:
+            raise ValueError(
+                f"retry_backoff must be positive and finite, got {retry_backoff}"
+            )
         rid = request_id or f"fe-{next(self._ids):05d}"
         if rid in self._handles:
             raise ValueError(f"request id {rid!r} already submitted")

@@ -155,7 +155,7 @@ class ClusterSimulator:
         if handoff is not None and scheduler_config is None:
             scheduler_config = SchedulerConfig(consolidation=False)
         self.fast_path = fastpath_enabled(fast_path)
-        self.loop = EventLoop(fast_path=self.fast_path)
+        self.loop = EventLoop()
         self.metrics = ClusterMetrics()
         self.control = control
         if control is None:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 
 from repro.hw.spec import FP16_BYTES, GpuSpec
-from repro.utils.fastpath import fastpath_enabled
 from repro.utils.validation import check_positive
 
 
@@ -109,30 +108,22 @@ workloads, in which case the memo is cleared and rebuilt."""
 class KernelCostModel:
     """Latency model for every kernel the Punica runtime invokes.
 
-    With ``memoize`` on (the fast-path default), the pure per-kernel
-    latency functions cache their results keyed on their arguments. A
-    memo hit returns the exact float the formula produced the first time,
-    so memoisation is bit-identical to recomputation — the property the
-    fast-path differential suite relies on. ``memoize=False`` restores
-    the reference (recompute-everything) behaviour.
+    The pure per-kernel latency functions cache their results keyed on
+    their arguments. A memo hit returns the exact float the formula
+    produced the first time, so memoisation is bit-identical to
+    recomputation (``tests/test_hw_kernels.py`` checks a warm model
+    against a fresh one).
     """
 
-    def __init__(self, spec: GpuSpec, memoize: "bool | None" = None):
+    def __init__(self, spec: GpuSpec):
         self.spec = spec
-        self._memo: "dict | None" = {} if fastpath_enabled(memoize) else None
-
-    def _memo_get(self, key):
-        memo = self._memo
-        if memo is None:
-            return None
-        return memo.get(key)
+        self._memo: dict = {}
 
     def _memo_put(self, key, value: float) -> float:
         memo = self._memo
-        if memo is not None:
-            if len(memo) >= _MEMO_LIMIT:
-                memo.clear()
-            memo[key] = value
+        if len(memo) >= _MEMO_LIMIT:
+            memo.clear()
+        memo[key] = value
         return value
 
     # ------------------------------------------------------------------
@@ -145,7 +136,7 @@ class KernelCostModel:
         decode stage ``m`` is the batch size (small), so the weight stream
         dominates — exactly the low-utilization regime Fig 1 shows.
         """
-        hit = self._memo_get(("gemm", m, n, k))
+        hit = self._memo.get(("gemm", m, n, k))
         if hit is not None:
             return hit
         if min(m, n, k) <= 0:
@@ -266,7 +257,7 @@ class KernelCostModel:
         total (:mod:`repro.models.perf`) passes it straight in.
         """
         key = ("lora_addon", s_n, n, h_in, h_out, rank, standalone)
-        hit = self._memo_get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         if not 1 <= n <= s_n:
@@ -293,7 +284,7 @@ class KernelCostModel:
         on multi-LoRA workloads.
         """
         key = ("loop_lora", tuple(segments), h_in, h_out, rank)
-        hit = self._memo_get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         total = 0.0
@@ -342,7 +333,7 @@ class KernelCostModel:
         always pay host dispatch, as in the Fig 8 measurement.
         """
         key = ("gather_bmm_lora", tuple(segments), h_in, h_out, rank)
-        hit = self._memo_get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         n = len(segments)
@@ -369,7 +360,7 @@ class KernelCostModel:
         writes the score matrix twice (softmax in between).
         """
         key = ("attn_prefill", seq_len, num_heads, head_dim, num_kv_heads, flash)
-        hit = self._memo_get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         if seq_len <= 0:
@@ -436,7 +427,7 @@ class KernelCostModel:
             "attn_verify", chunk_len, past_len, num_heads, head_dim,
             num_kv_heads, flash,
         )
-        hit = self._memo_get(key)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         if chunk_len <= 0:

@@ -41,7 +41,6 @@ from repro.models.tp import SINGLE_GPU, TensorParallelConfig
 from repro.models.weights import LlamaWeights
 from repro.runtime.request import Request
 from repro.runtime.sampler import GreedySampler
-from repro.utils.fastpath import fastpath_enabled
 from repro.utils.units import GIB
 
 if TYPE_CHECKING:
@@ -122,7 +121,11 @@ class SimulatedBackend:
         ``unified_pool``, KvCache accounting is delegated to it so KvCache
         and adapter weights share one byte budget (adapters are demoted to
         host RAM under KvCache pressure); ``kv_capacity_bytes`` is then
-        ignored — the pool's budget governs."""
+        ignored — the pool's budget governs.
+
+        ``fast_path`` is accepted and ignored: the backend prices every
+        step one way on both paths (the lanes it feeds are the engine's
+        and the simulator's to select)."""
         self.config = config
         self.gpu = gpu
         self.tp = tp
@@ -130,14 +133,13 @@ class SimulatedBackend:
         self.lora_rank = lora_rank
         self.serve_lora = serve_lora
         self.step_overhead = step_overhead
-        self.fast_path = fastpath_enabled(fast_path)
         self.supports_steady = not flags.cache_concat
         """Whether a plan has latency terms that hold across its steps —
         what the shape memo and the engine's armed batch and bulk decode
         lane rest on. Under ``cache_concat`` one layer term
         reads the KV lengths, so nothing is plan-invariant: every step is
         priced with ``model_step_latency`` and the engine never arms."""
-        self.cost_model = KernelCostModel(gpu, memoize=self.fast_path)
+        self.cost_model = KernelCostModel(gpu)
         self._terms_memo: dict = {}
         """:class:`StepLatencyTerms` by batch *shape*, at most
         ``_TERMS_MEMO_LIMIT`` of them. Rotating batch membership yields
@@ -243,26 +245,13 @@ class SimulatedBackend:
         past_lens: Mapping[str, int],
         requests: Mapping[str, Request] | None = None,
     ) -> StepExecution:
-        if self.fast_path and self.supports_steady:
-            # Bit-identical to the reference branch below (see
-            # :class:`~repro.models.perf.StepLatencyTerms` for the
-            # summation-order argument); only the batched-decode-attention
-            # term is recomputed as KvCache lengths advance.
-            decode_ids = plan.decode_ids
-            total_kv = len(decode_ids)
-            for rid in decode_ids:
-                total_kv += past_lens[rid]
-            seconds = self.step_seconds(
-                plan.prefill_lens, len(decode_ids), total_kv, plan.segment_sizes
-            )
-        else:
-            work = workload_from_plan(plan, past_lens, self.serve_lora, self.lora_rank)
-            seconds = (
-                model_step_latency(
-                    self.config, self.cost_model, work, tp=self.tp, flags=self.flags
-                )
-                + self.step_overhead
-            )
+        decode_ids = plan.decode_ids
+        total_kv = len(decode_ids)
+        for rid in decode_ids:
+            total_kv += past_lens[rid]
+        seconds = self.step_seconds(
+            plan.prefill_lens, len(decode_ids), total_kv, plan.segment_sizes
+        )
         tokens = {}
         for entry in plan.entries:
             self._token_counter += 1
@@ -451,7 +440,7 @@ class SimulatedBackend:
             terms = step_latency_terms(
                 self.config,
                 self.cost_model if keep
-                else KernelCostModel(self.gpu, memoize=self.fast_path),
+                else KernelCostModel(self.gpu),
                 self._shape_workload(prefill_lens, n_decode, total_kv, segments),
                 tp=self.tp,
                 flags=self.flags,

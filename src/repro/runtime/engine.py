@@ -205,8 +205,9 @@ class GpuEngine:
         )
         self._steady = ArmedBatch()
         self._plan_cache = self._steady if self.fast_path else None
-        """The armed batch under the name its ``hits`` / ``misses`` are
-        read by; ``None`` on the reference path, which plans every step."""
+        """The armed-batch lane's counters under the name its ``hits`` /
+        ``misses`` are read by; ``None`` on the reference path, where that
+        lane is off and every step plans."""
         self._staged_run: "tuple[np.ndarray, int] | None" = None
         """(step-end times, batch size) priced by :meth:`steady_run_stage`
         and awaiting :meth:`commit_steady_run` within the same event."""
@@ -658,7 +659,6 @@ class GpuEngine:
         past_lens: dict[str, int] = {}
         if (
             n == 1
-            and self.fast_path
             and work_slots
             and self.backend.kv_headroom_pages() >= len(work_slots)
         ):
@@ -930,25 +930,15 @@ class GpuEngine:
                         end, EventKind.SPEC_ROLLBACK, rid, gpu_id,
                         tokens=rollback[0], pages=rollback[1],
                     )
-        elif self.fast_path:
-            if decode_slots:
-                # The step's decode batch as a one-step run block: the same
-                # events, expanded when the trace is read.
-                self.tracer.decode_run(((
-                    gpu_id,
-                    [s.request.spec.request_id for s in decode_slots],
-                    [len(s.request.generated_tokens) - 1 for s in decode_slots],
-                    [now, end],
-                ),))
-        else:
-            # The reference path emits every event itself — the oracle the
-            # run blocks are compared against, byte for byte.
-            for slot in decode_slots:
-                req = slot.request
-                emit(
-                    end, EventKind.DECODE_STEP, req.request_id, gpu_id,
-                    **decode_step_attrs(now, len(req.generated_tokens) - 1),
-                )
+        elif decode_slots:
+            # The step's decode batch as a one-step run block: the same
+            # events, expanded when the trace is read.
+            self.tracer.decode_run(((
+                gpu_id,
+                [s.request.spec.request_id for s in decode_slots],
+                [len(s.request.generated_tokens) - 1 for s in decode_slots],
+                [now, end],
+            ),))
         for slot in finished_slots:
             req = slot.request
             emit(

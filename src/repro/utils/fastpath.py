@@ -1,11 +1,15 @@
-"""The fast-path default shared by every optimised hot loop.
+"""The fast-path default shared by the simulator's three lanes.
 
-The fast-path simulation engine (docs/performance.md) is a set of
-independently guarded, *behaviour-preserving* optimisations: under a fixed
-seed the fast and reference paths produce byte-identical traces
-(tests/test_fastpath_differential.py is the proof obligation). Every
-optimised component takes an explicit ``fast_path`` argument; tests, the
-perf gate and the ledger pin each lane by passing ``True``/``False``.
+``fast_path`` selects lanes, nothing else (docs/performance.md): the
+engine's armed batch and bulk decode run (``GpuEngine._steady_ok``), the
+simulator's inline step coalescing, and the cross-engine merge lane
+(``repro.cluster.vector``). With it off the simulator plans every step
+and runs one event per step. Memos, the calendar event queue and the one
+step price are unconditional. Under a fixed seed both paths produce
+byte-identical traces (tests/test_fastpath_differential.py is the proof
+obligation). ``GpuEngine`` and ``ClusterSimulator`` take an explicit
+``fast_path`` argument; tests, the perf gate and the ledger pin each path
+by passing ``True``/``False``.
 """
 
 from __future__ import annotations

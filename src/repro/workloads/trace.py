@@ -15,6 +15,7 @@ length-limit stopping rule.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -36,8 +37,11 @@ class RequestSpec:
     response_len: int
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
+        # Chained so NaN fails too: every comparison with it is False.
+        if not 0 <= self.arrival_time < math.inf:
+            raise ValueError(
+                f"arrival_time must be finite and >= 0, got {self.arrival_time}"
+            )
         if self.prompt_len < 1 or self.response_len < 1:
             raise ValueError("prompt_len and response_len must be >= 1")
 

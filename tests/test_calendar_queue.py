@@ -1,12 +1,13 @@
 """Property test: the calendar queue against a binary-heap oracle.
 
-The fast path swaps the event loop's binary heap for a bucketed
-calendar queue. The entire safety argument is that both disciplines
-implement the identical total order ``(time, seq)`` — including the
-tie-break contract that equal timestamps pop in scheduling order. This
-suite drives both queues through the same interleaved push/pop/cancel
-programs (dense, sparse and tied timestamps; pushes below the resolved
-front bucket) and asserts identical pop sequences.
+The event loop runs on a bucketed calendar queue. The entire safety
+argument is that it implements the total order ``(time, seq)`` a plain
+binary heap pops in — including the tie-break contract that equal
+timestamps pop in scheduling order. This suite drives both queues
+through the same interleaved push/pop/cancel programs (dense, sparse and
+tied timestamps; pushes below the resolved front bucket) and asserts
+identical pop sequences; :class:`HeapQueue` is the oracle and lives only
+here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.events import CalendarQueue, EventHandle, EventLoop, HeapQueue
+from repro.cluster.events import CalendarQueue, EventHandle, EventLoop
+
+
+class HeapQueue:
+    """The oracle queue: a plain binary heap over ``(time, seq)``."""
+
+    def __init__(self) -> None:
+        self._heap = []
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def push(self, item) -> None:
+        heapq.heappush(self._heap, item)
+
+    def peek(self):
+        """Smallest live item, pruning cancelled heads in passing."""
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
+
+    def pop(self):
+        return heapq.heappop(self._heap)
+
+
+class HeapLoop:
+    """The oracle dispatch: ``EventLoop.schedule`` / ``run`` over
+    :class:`HeapQueue` — pop the smallest live ``(time, seq)`` item, run
+    its action, count it."""
+
+    def __init__(self) -> None:
+        self._queue = HeapQueue()
+        self._seq = 0
+        self.processed = 0
+
+    def schedule(self, time, action) -> EventHandle:
+        handle = EventHandle(time=time, seq=self._seq)
+        self._queue.push((time, self._seq, action, handle))
+        self._seq += 1
+        return handle
+
+    def run(self) -> None:
+        while self._queue.peek() is not None:
+            time, _, action, _ = self._queue.pop()
+            action(time)
+            self.processed += 1
 
 
 def _item(time, seq):
@@ -110,7 +157,7 @@ def test_interleaved_program_matches_heap_oracle(program, width):
     seed_width=st.sampled_from([0.1, 0.5, 2.0]),
 )
 def test_event_loop_pop_order_matches_between_disciplines(entries, seed_width):
-    """Full EventLoop runs dispatch identically under heap and calendar."""
+    """A full EventLoop run dispatches exactly as the heap oracle does."""
 
     def drive(loop):
         order = []
@@ -124,6 +171,4 @@ def test_event_loop_pop_order_matches_between_disciplines(entries, seed_width):
         loop.run()
         return order, loop.processed
 
-    fast = EventLoop(fast_path=True, bucket_width=seed_width)
-    ref = EventLoop(fast_path=False)
-    assert drive(fast) == drive(ref)
+    assert drive(EventLoop(bucket_width=seed_width)) == drive(HeapLoop())

@@ -76,3 +76,18 @@ class TestEventLoop:
         loop.run(max_events=4)
         assert len(fired) == 4
         assert loop.processed == 4
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_times_are_refused(bad):
+    """A calendar bucket is ``floor(time / width)``: a non-finite time is
+    refused by name, before it reaches the queue — fault, elastic and
+    handoff timers included."""
+    loop = EventLoop()
+    with pytest.raises(ValueError, match="finite"):
+        loop.schedule(bad, lambda t: None)
+    with pytest.raises(ValueError, match="finite"):
+        loop.schedule_after(abs(bad), lambda t: None)
+    assert loop.pending == 0
+    loop.run()
+    assert loop.now == 0.0

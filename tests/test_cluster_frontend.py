@@ -110,3 +110,47 @@ class TestCancel:
     def test_cancel_unknown(self):
         with pytest.raises(KeyError):
             make_frontend().cancel("ghost")
+
+
+class TestNonFiniteInputs:
+    """NaN and infinity are refused at the door with a named error, on both
+    paths, and leave nothing scheduled. The calendar queue cannot bucket a
+    non-finite time, and the heap it replaced hung on a NaN arrival or ran
+    its clock to ``inf``; a NaN deadline failed the request at t = 0."""
+
+    @staticmethod
+    def frontend(fast_path):
+        engine = GpuEngine(
+            "gpu0",
+            SimulatedBackend(LLAMA2_7B, step_overhead=0.0),
+            EngineConfig(max_batch_size=4),
+            fast_path=fast_path,
+        )
+        return Frontend(ClusterSimulator([engine], fast_path=fast_path))
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"at_time": float("nan")}, "arrival_time"),
+            ({"at_time": float("inf")}, "arrival_time"),
+            ({"deadline": float("inf")}, "deadline"),
+            ({"deadline": float("nan")}, "deadline"),
+            ({"deadline": 1.0, "retry_backoff": float("inf")}, "retry_backoff"),
+            ({"deadline": 1.0, "retry_backoff": float("nan")}, "retry_backoff"),
+        ],
+        ids=[
+            "at_time-nan", "at_time-inf", "deadline-inf", "deadline-nan",
+            "retry_backoff-inf", "retry_backoff-nan",
+        ],
+    )
+    def test_refused_before_scheduling(self, fast_path, kwargs, field):
+        fe = self.frontend(fast_path)
+        with pytest.raises(ValueError, match=field):
+            fe.submit("a", 8, 2, request_id="bad", **kwargs)
+        assert fe.simulator.loop.pending == 0
+        # The id was not taken, and the frontend still serves normally.
+        ok = fe.submit("a", 8, 2, request_id="bad")
+        fe.run()
+        assert ok.state is RequestState.FINISHED
+        assert fe.simulator.now < float("inf")

@@ -133,14 +133,13 @@ class TestLoraAddonAggregates:
         rank=st.sampled_from([8, 16, 64]),
         standalone=st.booleans(),
         preset=st.sampled_from(["a100-80g", "h100", "l4"]),
-        memoize=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
     def test_segments_equal_aggregates_equal_the_direct_form(
-        self, segments, h_in, h_out, rank, standalone, preset, memoize
+        self, segments, h_in, h_out, rank, standalone, preset
     ):
         spec = HwSpec.preset(preset)
-        kcm = KernelCostModel(spec, memoize=memoize)
+        kcm = KernelCostModel(spec)
         direct = sgmv_from_workload(
             spec, SgmvWorkload(tuple(segments), h_in, rank), standalone
         ) + sgmv_from_workload(
@@ -154,11 +153,12 @@ class TestLoraAddonAggregates:
         work = SgmvWorkload(tuple(segments), h_in, rank)
         assert kcm.sgmv(work, standalone) == sgmv_from_workload(spec, work, standalone)
 
-    @pytest.mark.parametrize("memoize", [True, False])
-    def test_bad_segments_still_raise(self, memoize):
-        kcm = KernelCostModel(A100_80G, memoize=memoize)
-        # Warm the (s_n=4, n=3) entry a bad vector below aggregates to.
-        kcm.lora_addon((1, 1, 2), 4096, 4096, 16)
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_bad_segments_still_raise(self, warm):
+        kcm = KernelCostModel(A100_80G)
+        if warm:
+            # Warm the (s_n=4, n=3) entry a bad vector below aggregates to.
+            kcm.lora_addon((1, 1, 2), 4096, 4096, 16)
         for bad in ((), (0, 1), (3, -1, 2)):
             with pytest.raises(ValueError):
                 kcm.lora_addon(bad, 4096, 4096, 16)
@@ -168,6 +168,59 @@ class TestLoraAddonAggregates:
         for h_in, h_out, rank in ((0, 4096, 16), (4096, -1, 16), (4096, 4096, 0)):
             with pytest.raises(ValueError):
                 kcm.lora_addon_total(8, 2, h_in, h_out, rank)
+
+
+def _memoised_calls(kcm, segments, dims, seq):
+    """One call of every memoised kernel of ``kcm``, in a fixed order."""
+    h_in, h_out, rank = dims
+    return [
+        kcm.gemm(sum(segments), h_out, h_in),
+        kcm.lora_addon_total(sum(segments), len(segments), h_in, h_out, rank),
+        kcm.lora_addon(segments, h_in, h_out, rank, standalone=True),
+        kcm.loop_lora(segments, h_in, h_out, rank),
+        kcm.gather_bmm_lora(segments, h_in, h_out, rank),
+        kcm.attention_prefill(seq, 32, 128, 8),
+        kcm.attention_prefill(seq, 32, 128, flash=False),
+        kcm.attention_verify(len(segments), seq, 32, 128, 8),
+    ]
+
+
+class TestKernelMemo:
+    """The memo is unconditional, so its oracle is a fresh model: a hit
+    must return the float the formula produces, bit for bit."""
+
+    @given(
+        segments=st.lists(st.integers(1, 64), min_size=1, max_size=8).map(tuple),
+        dims=st.sampled_from([(4096, 4096, 16), (4096, 11008, 8), (5120, 1024, 64)]),
+        seq=st.integers(1, 4096),
+        preset=st.sampled_from(["a100-80g", "h100", "l4"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_warm_second_call_equals_fresh_first_call(
+        self, segments, dims, seq, preset
+    ):
+        spec = HwSpec.preset(preset)
+        warm = KernelCostModel(spec)
+        first = _memoised_calls(warm, segments, dims, seq)
+        second = _memoised_calls(warm, segments, dims, seq)
+        fresh = _memoised_calls(KernelCostModel(spec), segments, dims, seq)
+        assert second == first == fresh
+        assert all(a.hex() == b.hex() for a, b in zip(second, fresh))
+
+    def test_full_memo_clears_and_rebuilds(self, monkeypatch):
+        import repro.hw.kernels as kernels
+
+        monkeypatch.setattr(kernels, "_MEMO_LIMIT", 5)
+        kcm = KernelCostModel(A100_80G)
+        sizes = []
+        for _ in range(2):
+            for m in range(1, 18):
+                got = kcm.gemm(m, 4096, 4096)
+                assert got == KernelCostModel(A100_80G).gemm(m, 4096, 4096)
+                sizes.append(len(kcm._memo))
+        assert max(sizes) == 5
+        # A put into a full memo clears it first: 1..5, 1..5, ...
+        assert sizes[:12] == [1, 2, 3, 4, 5, 1, 2, 3, 4, 5, 1, 2]
 
 
 class TestLoraOperatorComparison:

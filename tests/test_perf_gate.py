@@ -54,7 +54,7 @@ class TestEvaluateGate:
         assert evaluate_gate([fake(), fake(fast=1.05)]) == []
 
     def test_speedup_floor(self):
-        failures = evaluate_gate([fake(fast=2.0)])  # 2x < 3x floor
+        failures = evaluate_gate([fake(ref=1.2)])  # 1.2x < 1.4x floor
         assert len(failures) == 1 and "speedup" in failures[0]
 
     def test_throughput_floor(self):
@@ -77,11 +77,11 @@ class TestEvaluateGate:
 
     def test_worst_round_gates(self):
         # One good round must not mask a bad one.
-        failures = evaluate_gate([fake(), fake(fast=1.1, ref=2.0)])
+        failures = evaluate_gate([fake(), fake(fast=1.1, ref=1.3)])
         assert any("speedup" in f for f in failures)
 
     def test_threshold_overrides(self):
-        assert evaluate_gate([fake(fast=2.0)], {"min_speedup": 1.5}) == []
+        assert evaluate_gate([fake(ref=1.2)], {"min_speedup": 1.1}) == []
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -137,7 +137,7 @@ class TestJsonRoundTrip:
 
         data = json.loads(BENCH_JSON.read_text())
         assert set(data) == {"thresholds", "results"}
-        assert data["thresholds"]["min_speedup"] >= 3.0
+        assert data["thresholds"]["min_speedup"] >= 1.4
         budgets = data["thresholds"]["budgets"]
         speedup_rows = [r for r in data["results"] if r.get("kind") != "budget"]
         budget_rows = [r for r in data["results"] if r.get("kind") == "budget"]

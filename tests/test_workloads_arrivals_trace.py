@@ -111,6 +111,11 @@ class TestTrace:
         with pytest.raises(ValueError):
             RequestSpec("a", "l", 0.0, 0, 4)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, bad):
+        with pytest.raises(ValueError, match="arrival_time must be finite"):
+            RequestSpec("a", "l", bad, 4, 4)
+
     def test_custom_lengths(self):
         short = ShareGptLengths(max_prompt_len=8, max_response_len=8)
         trace = generate_trace(20, "uniform", seed=0, lengths=short)
