@@ -218,16 +218,16 @@ def _add_serve_parser(sub) -> None:
     )
     serve.add_argument("--backend", choices=["sim", "functional"], default="sim",
                        help="time-warped cluster simulator, or real tokens "
-                            "from the functional NumPy engine")
+                            "from functional NumPy engines")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7012,
                        help="listening port (0 binds an ephemeral one)")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--gpus", type=int, default=2,
-                       help="simulated GPU pool size (sim backend)")
+                       help="GPU pool size (engines behind the simulator)")
     serve.add_argument("--warp", type=float, default=None,
-                       help="virtual seconds per wall second for the sim "
-                            "backend (default: unthrottled)")
+                       help="virtual seconds per wall second "
+                            "(default: unthrottled)")
     serve.add_argument("--duration", type=float, default=None,
                        help="stop after this many wall seconds "
                             "(default: serve until interrupted)")
@@ -254,7 +254,7 @@ def _add_loadgen_parser(sub) -> None:
     loadgen.add_argument("--slow-fraction", type=float, default=0.05,
                          help="slow readers (sleep between token reads)")
     loadgen.add_argument("--warp", type=float, default=None,
-                         help="sim-backend time warp (in-process runs)")
+                         help="time warp (in-process runs)")
     loadgen.add_argument("--metrics", action="store_true",
                          help="print the Prometheus snapshot after the run")
 

@@ -7,13 +7,11 @@ reproduction: a real :mod:`asyncio` server speaking a newline-delimited
 JSON request/stream/cancel protocol (:mod:`repro.serve.protocol`, whose
 token frames carry the engine steps' token chunks), with per-tenant
 token-bucket rate limits and bounded admission before anything reaches the
-scheduler (:mod:`repro.serve.limits`), serving either backend:
-
-* the **time-warped cluster simulator** — the discrete-event clock is
-  bridged to asyncio so large traces replay at a configurable multiple of
-  wall speed (:class:`~repro.serve.bridge.SimulatorBridge`);
-* the **functional NumPy backend** — real token ids from the toy Llama
-  (:class:`~repro.serve.bridge.FunctionalBridge`).
+scheduler (:mod:`repro.serve.limits`). One bridge
+(:class:`~repro.serve.bridge.SimulatorBridge`) serves the time-warped
+cluster simulator: its discrete-event clock is bridged to asyncio so large
+traces replay at a configurable multiple of wall speed, over engines that
+simulate their tokens or compute real token ids with the toy NumPy Llama.
 
 Client disconnects propagate all the way down to engine eviction through
 the same cancellation path the fault and migration layers hardened; the
@@ -22,7 +20,7 @@ streaming connections, cancellation storms and slow readers against it.
 See docs/serving.md.
 """
 
-from repro.serve.bridge import FunctionalBridge, SimulatorBridge
+from repro.serve.bridge import SimulatorBridge
 from repro.serve.client import ClientResult, LoadGenerator, LoadSpec, ServeClient
 from repro.serve.gateway import ServeGateway
 from repro.serve.limits import (
@@ -50,7 +48,6 @@ __all__ = [
     "Decision",
     "EndFrame",
     "ErrorFrame",
-    "FunctionalBridge",
     "GenerateOp",
     "LoadGenerator",
     "LoadSpec",

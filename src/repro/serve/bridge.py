@@ -1,26 +1,27 @@
-"""Backend bridges: one asyncio-facing interface over either engine.
+"""The backend bridge: the cluster simulator under asyncio.
 
-The serving frontend runs against two very different backends through one
-small surface (``start`` / ``stop`` / ``open`` / ``cancel``; ``open`` takes
-the :class:`Outbox` that stream's wire bytes go on — one
+:class:`SimulatorBridge` is the server's one surface onto the backend
+(``start`` / ``stop`` / ``open`` / ``cancel``; ``open`` takes the
+:class:`Outbox` that stream's wire bytes go on — one
 :func:`~repro.serve.protocol.encode_tokens` per token chunk, one encoded
 :class:`~repro.serve.protocol.EndFrame` last — the server's one outbox per
-connection, streams told apart by ``request_id``):
+connection, streams told apart by ``request_id``). The discrete-event
+loop advances in fixed virtual quanta from a pump coroutine; ``warp``
+maps virtual seconds to wall seconds (``warp=60`` replays a one-hour
+trace in a minute, ``warp=None`` runs as fast as the event loop allows).
+Client submissions and cancels land on the simulator at its current
+virtual time, so admission control, traces and metrics are all stamped
+with the backend clock.
 
-* :class:`SimulatorBridge` — **time-warped cluster simulation**. The
-  discrete-event loop advances in fixed virtual quanta from a pump
-  coroutine; ``warp`` maps virtual seconds to wall seconds (``warp=60``
-  replays a one-hour trace in a minute, ``warp=None`` runs as fast as the
-  event loop allows). Client submissions and cancels land on the
-  simulator at its current virtual time, so admission control, traces and
-  metrics are all stamped with the backend clock.
-* :class:`FunctionalBridge` — **real tokens** from a
-  :class:`~repro.runtime.engine.GpuEngine` over the NumPy model. The pump
-  steps the engine FCFS (same admission discipline as
-  :func:`repro.runtime.serve.serve_requests`) and streams each generated
-  token id the step it appears.
+The engines behind the simulator may simulate their tokens
+(:class:`~repro.runtime.backend.SimulatedBackend`) or compute them
+(:class:`~repro.runtime.backend.NumpyBackend`, real argmax ids from the
+toy Llama); both are served through the same scheduler, frontend and
+gateway. ``open`` reads what an op must fit off the served backends: the
+KvCache size, and for a functional backend its adapter registry and
+vocabulary.
 
-Both bridges are single-threaded asyncio: token callbacks fire inside the
+The bridge is single-threaded asyncio: token callbacks fire inside the
 pump coroutine, so ``Outbox.put`` needs no locking, and a slow reader only
 ever blocks its own connection's writer task — the engine never waits on
 a client socket (bytes buffer in the outbox, unbounded).
@@ -30,15 +31,13 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-from collections import deque
 
-from repro.runtime.request import Request, RequestState
+from repro.runtime.backend import NumpyBackend
+from repro.runtime.request import RequestState
 from repro.serve.gateway import ServeGateway
-from repro.serve.limits import AdmissionController, Decision
-from repro.serve.metrics import ServeMetrics
+from repro.serve.limits import Decision
 from repro.serve.protocol import EndFrame, GenerateOp, encode_frame, encode_tokens
 from repro.utils.rng import new_rng
-from repro.workloads.trace import RequestSpec
 
 
 class Outbox:
@@ -85,16 +84,10 @@ class DuplicateRequestId(RefusedOp):
         super().__init__(409, "duplicate request id")
 
 
-def _claim_id(requested: str, taken, ids, prefix: str) -> str:
-    """``requested`` when it is free; with none requested, the next
-    auto-assigned ``prefix-NNNNN`` id nobody has taken."""
-    if requested:
-        if taken(requested):
-            raise DuplicateRequestId()
-        return requested
-    while taken(rid := f"{prefix}-{next(ids):05d}"):
-        pass
-    return rid
+def _kv_tokens(backend) -> int:
+    """Tokens ``backend``'s whole KvCache holds."""
+    kv = backend.kv_data if isinstance(backend, NumpyBackend) else backend.kv
+    return kv.allocator.total_pages * kv.page_size
 
 
 def _terminal_status(state: RequestState, cancelled: bool) -> str:
@@ -112,6 +105,8 @@ class SimulatorBridge:
     With a ``warp`` the pump keeps ticking even when idle so token buckets
     refill in virtual time; unthrottled, it parks on a wake event until
     the next submission (the virtual clock freezes while truly idle).
+    ``seed`` draws the prompt ids of ops that carry none, when the engines
+    compute real tokens.
     """
 
     def __init__(
@@ -119,6 +114,7 @@ class SimulatorBridge:
         gateway: ServeGateway,
         warp: "float | None" = None,
         quantum: float = 0.05,
+        seed: int = 0,
     ):
         if warp is not None and warp <= 0:
             raise ValueError(f"warp must be positive, got {warp}")
@@ -131,6 +127,18 @@ class SimulatorBridge:
         self._wake: "asyncio.Event | None" = None
         self._task: "asyncio.Task | None" = None
         self._ids = itertools.count()
+        self._rng = new_rng(seed)
+        backends = [
+            e.backend for e in gateway.simulator.scheduler.engines.values()
+        ]
+        self._kv_tokens = max(map(_kv_tokens, backends))
+        """The longest request (prompt plus response) an engine can hold."""
+        self._functional = next(
+            (b for b in backends if isinstance(b, NumpyBackend)), None
+        )
+        """A served backend that computes real tokens: the adapter
+        registry and vocabulary an op must fit. ``None`` when the engines
+        simulate their tokens."""
 
     # ------------------------------------------------------------------
     @property
@@ -169,12 +177,43 @@ class SimulatorBridge:
 
         Returns ``(request_id, outbox, decision)``: the outbox the stream's
         bytes go on (its own when none is given), or ``None`` when shed.
+
+        Raises :class:`RefusedOp` for an op no engine could serve, which
+        would otherwise queue forever or fail inside the pump every stream
+        depends on: one longer (prompt plus response) than every engine's
+        KvCache (400) or, on a functional backend, naming an adapter its
+        registry lacks (404) or a prompt id outside its vocabulary (400).
         Raises :class:`DuplicateRequestId` for an id the frontend has
-        already seen (it keeps every handle, finished ones included).
+        already seen (it keeps every handle, finished ones included). A
+        functional op without prompt ids gets ``prompt_len`` seeded ones,
+        drawn in open order.
         """
-        rid = _claim_id(
-            op.request_id, self.gateway.frontend.has_request, self._ids, "sv"
-        )
+        if op.prompt_len + op.response_len > self._kv_tokens:
+            raise RefusedOp(
+                400, f"prompt_len + response_len must be <= {self._kv_tokens}"
+            )
+        prompt = op.prompt_tokens
+        functional = self._functional
+        if functional is not None:
+            registry = functional.registry
+            if registry is not None and op.lora_id not in registry:
+                raise RefusedOp(404, "unknown adapter")
+            vocab = functional.config.vocab_size
+            if prompt is not None and max(prompt) >= vocab:
+                raise RefusedOp(400, f"prompt token ids must be < {vocab}")
+        taken = self.gateway.frontend.has_request
+        rid = op.request_id
+        if not rid:
+            while taken(rid := f"sv-{next(self._ids):05d}"):
+                pass
+        elif taken(rid):
+            raise DuplicateRequestId()
+        rng_state = None
+        if prompt is not None:
+            prompt = list(prompt)
+        elif functional is not None:
+            rng_state = self._rng.bit_generator.state
+            prompt = self._rng.integers(0, vocab, size=op.prompt_len).tolist()
         now = self.now
         if outbox is None:
             outbox = Outbox()
@@ -194,12 +233,14 @@ class SimulatorBridge:
             response_len=op.response_len,
             now=now,
             request_id=rid,
-            prompt_tokens=(
-                list(op.prompt_tokens) if op.prompt_tokens is not None else None
-            ),
+            prompt_tokens=prompt,
             on_tokens=on_tokens,
         )
         if stream is None:
+            if rng_state is not None:
+                # A shed op draws no ids: the streams after it keep the
+                # prompts the same load gets when nothing is shed.
+                self._rng.bit_generator.state = rng_state
             return rid, None, decision
         outbox.open_ids.add(rid)
         self._outboxes[rid] = outbox
@@ -248,229 +289,3 @@ class SimulatorBridge:
                 await asyncio.sleep(0)
             else:
                 await asyncio.sleep(self.quantum / self.warp)
-
-
-class _FuncStream:
-    """FunctionalBridge-side state of one admitted stream."""
-
-    __slots__ = (
-        "request", "tenant", "outbox", "opened_at",
-        "streamed", "cancelled", "ttfb_observed",
-    )
-
-    def __init__(self, request: Request, tenant: str, outbox, opened_at: float):
-        self.request = request
-        self.tenant = tenant
-        self.outbox = outbox
-        self.opened_at = opened_at
-        self.streamed = 0
-        self.cancelled = False
-        self.ttfb_observed = False
-
-    @property
-    def request_id(self) -> str:
-        return self.request.request_id
-
-
-class FunctionalBridge:
-    """Serve real token ids from one :class:`~repro.runtime.engine.GpuEngine`.
-
-    The pump admits waiting requests FCFS (head blocks, matching
-    :func:`repro.runtime.serve.serve_requests`) and advances the backend
-    clock by each step's reported latency, so admission control runs on
-    the same clock the engine's cost model produces. Prompts without
-    explicit ``prompt_tokens`` get deterministic random ids from ``seed``.
-    """
-
-    def __init__(
-        self,
-        engine,
-        controller: "AdmissionController | None" = None,
-        metrics: "ServeMetrics | None" = None,
-        vocab_size: int = 1000,
-        seed: int = 0,
-    ):
-        self.engine = engine
-        self.controller = controller or AdmissionController()
-        self.metrics = metrics
-        self.vocab_size = int(vocab_size)
-        self._rng = new_rng(seed)
-        self._clock = 0.0
-        self._waiting: "deque[_FuncStream]" = deque()
-        self._streams: "dict[str, _FuncStream]" = {}
-        self._wake: "asyncio.Event | None" = None
-        self._task: "asyncio.Task | None" = None
-        self._ids = itertools.count()
-
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._clock
-
-    async def start(self) -> None:
-        if self._task is not None:
-            raise RuntimeError("bridge already started")
-        self._wake = asyncio.Event()
-        self._task = asyncio.create_task(self._pump())
-
-    async def stop(self) -> None:
-        if self._task is None:
-            return
-        task, self._task = self._task, None
-        task.cancel()
-        try:
-            await task
-        except asyncio.CancelledError:
-            pass
-        for stream in list(self._streams.values()):
-            stream.cancelled = True
-            self._end_stream(stream)
-
-    # ------------------------------------------------------------------
-    def open(
-        self, op: GenerateOp, outbox: "Outbox | None" = None
-    ) -> "tuple[str, Outbox | None, Decision]":
-        """Raises :class:`DuplicateRequestId` for the id of a stream that
-        is still open, and :class:`RefusedOp` for an adapter the engine
-        does not have (404) or a prompt id outside the vocabulary (400):
-        either would fail only inside the pump, every stream with it."""
-        registry = self.engine.backend.registry
-        if registry is not None and op.lora_id not in registry:
-            raise RefusedOp(404, "unknown adapter")
-        if op.prompt_tokens is not None and max(op.prompt_tokens) >= self.vocab_size:
-            raise RefusedOp(400, f"prompt token ids must be < {self.vocab_size}")
-        rid = _claim_id(op.request_id, self._streams.__contains__, self._ids, "fn")
-        now = self._clock
-        if self.metrics is not None:
-            self.metrics.record_connect(op.effective_tenant)
-        decision = self.controller.admit(op.effective_tenant, now)
-        if not decision.admitted:
-            if self.metrics is not None:
-                self.metrics.record_shed(op.effective_tenant, decision.value)
-                self.metrics.record_disconnect()
-            return rid, None, decision
-        if op.prompt_tokens is not None:
-            prompt = [int(t) for t in op.prompt_tokens]
-        else:
-            prompt = [
-                int(t)
-                for t in self._rng.integers(
-                    0, self.vocab_size, size=op.prompt_len
-                )
-            ]
-        spec = RequestSpec(
-            request_id=rid,
-            lora_id=op.lora_id,
-            arrival_time=now,
-            prompt_len=op.prompt_len,
-            response_len=op.response_len,
-        )
-        stream = _FuncStream(
-            request=Request(spec=spec, prompt_tokens=prompt),
-            tenant=op.effective_tenant,
-            outbox=outbox if outbox is not None else Outbox(),
-            opened_at=now,
-        )
-        stream.outbox.open_ids.add(rid)
-        self._streams[rid] = stream
-        self._waiting.append(stream)
-        if self.metrics is not None:
-            self.metrics.record_admitted(op.effective_tenant)
-        if self._wake is not None:
-            self._wake.set()
-        return rid, stream.outbox, decision
-
-    def cancel(self, request_id: str) -> bool:
-        stream = self._streams.get(request_id)
-        if stream is None:
-            return False
-        stream.cancelled = True
-        req = stream.request
-        if self.engine.has_request(request_id):
-            self.engine.cancel(request_id)
-        elif not req.state.is_terminal:
-            req.mark_cancelled()
-        self._end_stream(stream)
-        if self._wake is not None:
-            self._wake.set()
-        return True
-
-    # ------------------------------------------------------------------
-    def _end_stream(self, stream: _FuncStream) -> None:
-        self._streams.pop(stream.request_id, None)
-        self.controller.release(stream.tenant)
-        stream.outbox.end(stream.request_id, encode_frame(EndFrame(
-            request_id=stream.request_id,
-            status=_terminal_status(stream.request.state, stream.cancelled),
-            num_tokens=stream.streamed,
-        )))
-        if self.metrics is not None:
-            self.metrics.record_end(stream.tenant, cancelled=stream.cancelled)
-            self.metrics.record_disconnect()
-
-    def _admit_waiting(self) -> None:
-        """Place waiting requests FCFS; the head blocks (§5.1)."""
-        while self._waiting:
-            head = self._waiting[0]
-            if head.request.state.is_terminal:
-                self._waiting.popleft()
-                continue
-            if not self.engine.can_accept(head.request):
-                break
-            self._waiting.popleft()
-            self.engine.add_request(head.request, self._clock)
-
-    def _stream_step(self, report) -> None:
-        """Frames for the tokens ``report``'s step committed, stamped with
-        its end, then an end frame for each stream it finished. (Cancels
-        and failures end their own streams.)"""
-        end = report.end
-        for rid, tokens in report.committed_tokens().items():
-            stream = self._streams[rid]
-            if self.metrics is not None:
-                if not stream.ttfb_observed:
-                    self.metrics.record_first_token(
-                        max(0.0, end - stream.opened_at)
-                    )
-                self.metrics.record_tokens(len(tokens))
-            stream.ttfb_observed = True
-            stream.outbox.put(
-                encode_tokens(rid, stream.streamed, tokens, (end,) * len(tokens))
-            )
-            stream.streamed += len(tokens)
-        for rid in report.finished:
-            self._end_stream(self._streams[rid])
-
-    async def _pump(self) -> None:
-        engine = self.engine
-        while True:
-            self._admit_waiting()
-            report = engine.step(self._clock)
-            if report is None:
-                if engine.is_idle and self._waiting:
-                    head = self._waiting[0].request
-                    if not head.state.is_terminal and not engine.can_accept(head):
-                        # Never admissible (e.g. prompt longer than the
-                        # KvCache): fail it rather than wedge the queue.
-                        stream = self._waiting.popleft()
-                        stream.request.mark_failed(
-                            "request cannot fit on the engine"
-                        )
-                        self._end_stream(stream)
-                        continue
-                if engine.is_idle and not self._waiting:
-                    self._wake.clear()
-                    if engine.is_idle and not self._waiting:
-                        await self._wake.wait()
-                    continue
-                # Waiting on an in-flight adapter load.
-                self._clock += 1e-3
-                await asyncio.sleep(0)
-                continue
-            self._clock = report.end
-            for rid in report.evicted:
-                stream = self._streams.get(rid)
-                if stream is not None:
-                    self._waiting.appendleft(stream)
-            self._stream_step(report)
-            await asyncio.sleep(0)

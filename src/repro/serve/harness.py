@@ -1,9 +1,12 @@
 """Ready-made serving stacks: what ``repro serve`` / ``repro loadgen`` run.
 
-Builders here assemble a complete serving frontend over either backend —
-cluster simulator or functional NumPy engine — with one call, so the CLI,
-the async test-suite and the CI load smoke all drive the identical stack
-instead of three hand-rolled copies.
+Builders here assemble a complete serving frontend with one call, so the
+CLI, the async test-suite and the CI load smoke all drive the identical
+stack instead of three hand-rolled copies. Both builders put the same
+chain — traced cluster simulator, ``Frontend``, ``ServeGateway``,
+``SimulatorBridge``, ``ServeServer`` — over their engines, which simulate
+their tokens (``build_sim_stack``) or compute them with the tiny NumPy
+Llama (``build_functional_stack``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.models.weights import random_llama_weights
 from repro.obs.tracer import Tracer
 from repro.runtime.backend import NumpyBackend, SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
-from repro.serve.bridge import FunctionalBridge, SimulatorBridge
+from repro.serve.bridge import SimulatorBridge
 from repro.serve.client import LoadGenerator, LoadSpec, summarize
 from repro.serve.gateway import ServeGateway
 from repro.serve.limits import AdmissionController, TenantPolicy
@@ -28,7 +31,12 @@ from repro.serve.metrics import ServeMetrics
 from repro.serve.server import ServeServer
 
 DEFAULT_LORA_IDS = ("lora-0", "lora-1", "lora-2", "lora-3")
-"""Adapters both builders provision; matches ``LoadSpec``'s default mix."""
+"""Adapters the functional builder registers; matches ``LoadSpec``'s
+default mix."""
+
+FUNCTIONAL_STEP_SECONDS = 1e-3
+"""Virtual seconds a functional engine step takes, and the functional
+stack's pump quantum."""
 
 
 @dataclass
@@ -36,9 +44,9 @@ class ServeStack:
     """One assembled serving frontend and its observability handles."""
 
     server: ServeServer
-    bridge: "SimulatorBridge | FunctionalBridge"
+    bridge: SimulatorBridge
     metrics: ServeMetrics
-    tracer: "Tracer | None" = None
+    tracer: Tracer
 
 
 def default_policy() -> TenantPolicy:
@@ -61,11 +69,10 @@ def build_sim_stack(
 ) -> ServeStack:
     """Serving frontend over the (optionally time-warped) cluster simulator.
 
-    ``seed`` is accepted for CLI symmetry; the simulated backend itself is
-    deterministic, so the load mix (the client side) is where seeds matter.
+    ``seed`` is accepted for CLI symmetry; simulated engines read no
+    prompt ids and are deterministic, so the load mix (the client side)
+    is where seeds matter.
     """
-    del seed  # the simulated stack has no randomness of its own
-    tracer = Tracer()
     engines = [
         GpuEngine(
             f"gpu{i:02d}",
@@ -74,6 +81,65 @@ def build_sim_stack(
         )
         for i in range(num_gpus)
     ]
+    return _assemble(
+        engines, seed=seed, warp=warp, quantum=quantum, policy=policy,
+        tenant_policies=tenant_policies,
+        max_total_inflight=max_total_inflight, host=host, port=port,
+    )
+
+
+def build_functional_stack(
+    seed: int = 0,
+    num_gpus: int = 1,
+    max_batch_size: int = 8,
+    warp: "float | None" = None,
+    lora_ids: "tuple[str, ...]" = DEFAULT_LORA_IDS,
+    policy: "TenantPolicy | None" = None,
+    max_total_inflight: "int | None" = None,
+    host: str = "127.0.0.1",
+    port: int = 0,
+) -> ServeStack:
+    """Serving frontend over the cluster simulator with functional
+    engines: real token ids from the tiny NumPy Llama, one registered
+    adapter per tenant in the default load mix, every engine over the
+    same weights; ``seed`` draws the weights, the adapters and the prompt
+    ids of ops that carry none. Each step takes ``FUNCTIONAL_STEP_SECONDS``
+    of virtual time and a pump quantum holds about one, so the pump yields
+    to the event loop about once per step and a cancel lands mid-stream."""
+    cfg = tiny_config(hidden_size=32, num_layers=1, num_heads=4, vocab_size=128)
+    weights = random_llama_weights(cfg, seed=seed)
+    registry = LoraRegistry()
+    for i, lora_id in enumerate(lora_ids):
+        registry.register(
+            random_lora_weights(
+                lora_id, cfg.num_layers, cfg.proj_dims(), 4, seed=seed + 50 + i
+            )
+        )
+    engines = [
+        GpuEngine(
+            f"gpu{i}",
+            NumpyBackend(
+                weights, registry, total_pages=256, page_size=4, lora_rank=4,
+                step_overhead=FUNCTIONAL_STEP_SECONDS,
+            ),
+            EngineConfig(max_batch_size=max_batch_size),
+        )
+        for i in range(num_gpus)
+    ]
+    return _assemble(
+        engines, seed=seed, warp=warp, quantum=FUNCTIONAL_STEP_SECONDS,
+        policy=policy, tenant_policies=None,
+        max_total_inflight=max_total_inflight, host=host, port=port,
+    )
+
+
+def _assemble(
+    engines, *, seed, warp, quantum, policy, tenant_policies,
+    max_total_inflight, host, port,
+) -> ServeStack:
+    """The one serving chain both builders put over their engines:
+    simulator (traced) -> frontend -> gateway -> bridge -> server."""
+    tracer = Tracer()
     sim = ClusterSimulator(engines, SchedulerConfig(), tracer=tracer)
     metrics = ServeMetrics()
     gateway = ServeGateway(
@@ -86,52 +152,10 @@ def build_sim_stack(
         metrics=metrics,
         tracer=tracer,
     )
-    bridge = SimulatorBridge(gateway, warp=warp, quantum=quantum)
+    bridge = SimulatorBridge(gateway, warp=warp, quantum=quantum, seed=seed)
     return ServeStack(
         server=ServeServer(bridge, host=host, port=port),
         bridge=bridge, metrics=metrics, tracer=tracer,
-    )
-
-
-def build_functional_stack(
-    seed: int = 0,
-    max_batch_size: int = 8,
-    lora_ids: "tuple[str, ...]" = DEFAULT_LORA_IDS,
-    policy: "TenantPolicy | None" = None,
-    max_total_inflight: "int | None" = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-) -> ServeStack:
-    """Serving frontend over one functional engine: real token ids from
-    the tiny NumPy Llama, one registered adapter per tenant in the default
-    load mix."""
-    cfg = tiny_config(hidden_size=32, num_layers=1, num_heads=4, vocab_size=128)
-    weights = random_llama_weights(cfg, seed=seed)
-    registry = LoraRegistry()
-    for i, lora_id in enumerate(lora_ids):
-        registry.register(
-            random_lora_weights(
-                lora_id, cfg.num_layers, cfg.proj_dims(), 4, seed=seed + 50 + i
-            )
-        )
-    backend = NumpyBackend(
-        weights, registry, total_pages=256, page_size=4, lora_rank=4
-    )
-    engine = GpuEngine("gpu0", backend, EngineConfig(max_batch_size=max_batch_size))
-    metrics = ServeMetrics()
-    bridge = FunctionalBridge(
-        engine,
-        AdmissionController(
-            default_policy=policy or default_policy(),
-            max_total_inflight=max_total_inflight,
-        ),
-        metrics=metrics,
-        vocab_size=cfg.vocab_size,
-        seed=seed,
-    )
-    return ServeStack(
-        server=ServeServer(bridge, host=host, port=port),
-        bridge=bridge, metrics=metrics, tracer=None,
     )
 
 
@@ -140,8 +164,6 @@ def build_stack(backend: str, **kwargs) -> ServeStack:
     if backend == "sim":
         return build_sim_stack(**kwargs)
     if backend == "functional":
-        kwargs.pop("warp", None)
-        kwargs.pop("num_gpus", None)
         return build_functional_stack(**kwargs)
     raise ValueError(f"unknown backend {backend!r}; pick 'sim' or 'functional'")
 

@@ -41,6 +41,18 @@ Both ends pass it as their stream reader's ``limit``."""
 # ---------------------------------------------------------------------------
 # Client -> server operations
 # ---------------------------------------------------------------------------
+def _is_int(value) -> bool:
+    """An integer, and not a bool (JSON ``true`` decodes to one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_strings(*values) -> None:
+    """An op's names and ids must be strings: anything else would be
+    hashed or echoed back further in."""
+    if not all(isinstance(v, str) for v in values):
+        raise TypeError("op, request_id, tenant and lora_id must be strings")
+
+
 @dataclass(frozen=True)
 class GenerateOp:
     """Open one generation stream (the RESTful POST of Figure 2)."""
@@ -56,11 +68,16 @@ class GenerateOp:
     """Real prompt ids (functional backend); None in simulation mode."""
 
     def __post_init__(self) -> None:
+        _check_strings(self.op, self.request_id, self.tenant, self.lora_id)
+        if not (_is_int(self.prompt_len) and _is_int(self.response_len)):
+            raise TypeError("prompt_len and response_len must be integers")
         if self.prompt_len < 1 or self.response_len < 1:
             raise ValueError("prompt_len and response_len must be >= 1")
         if not self.lora_id:
             raise ValueError("lora_id must be set")
         if self.prompt_tokens is not None:
+            if not all(map(_is_int, self.prompt_tokens)):
+                raise TypeError("prompt token ids must be integers")
             if len(self.prompt_tokens) != self.prompt_len:
                 raise ValueError(
                     f"prompt_tokens holds {len(self.prompt_tokens)} ids but "
@@ -82,6 +99,7 @@ class CancelOp:
     request_id: str = ""
 
     def __post_init__(self) -> None:
+        _check_strings(self.op, self.request_id)
         if not self.request_id:
             raise ValueError("cancel requires a request_id")
 
@@ -212,12 +230,12 @@ def decode_frame(line: "bytes | str"):
     if not isinstance(obj, dict):
         raise ValueError(f"frame must be a JSON object, got {type(obj).__name__}")
     key = obj.get("op") or obj.get("event")
-    cls = _FRAME_TYPES.get(key)
+    cls = _FRAME_TYPES.get(key) if isinstance(key, str) else None
     if cls is None:
         raise ValueError(f"unknown frame discriminator {key!r}")
     try:
-        if "prompt_tokens" in obj and obj["prompt_tokens"] is not None:
-            obj["prompt_tokens"] = tuple(int(t) for t in obj["prompt_tokens"])
+        if obj.get("prompt_tokens") is not None:
+            obj["prompt_tokens"] = tuple(obj["prompt_tokens"])
         return cls(**obj)
     except TypeError as exc:
         raise ValueError(f"bad {key!r} frame: {exc}") from None

@@ -1,17 +1,17 @@
 """The asyncio serving frontend: newline-framed JSON over TCP.
 
 :class:`ServeServer` accepts client connections, decodes
-:mod:`repro.serve.protocol` frames, and drives a backend bridge
-(:class:`~repro.serve.bridge.SimulatorBridge` or
-:class:`~repro.serve.bridge.FunctionalBridge`):
+:mod:`repro.serve.protocol` frames, and drives the backend bridge
+(:class:`~repro.serve.bridge.SimulatorBridge`):
 
 * a :class:`~repro.serve.protocol.GenerateOp` is admitted (or shed with a
   429 :class:`~repro.serve.protocol.ErrorFrame`); admitted streams get an
   :class:`~repro.serve.protocol.AcceptedFrame` and then token frames as
   the backend produces them, each connection multiplexing any number of
   concurrent streams by request id; an op the bridge refuses before
-  admission (a reused ``request_id``, an unknown adapter) is answered
-  with the :class:`~repro.serve.bridge.RefusedOp`'s code;
+  admission (a reused ``request_id``, an unknown adapter, an op no
+  engine's KvCache holds) is answered with the
+  :class:`~repro.serve.bridge.RefusedOp`'s code;
 * a :class:`~repro.serve.protocol.CancelOp` cancels one stream;
 * EOF on the socket with streams still open is a client disconnect: every
   open stream of that connection is cancelled, which propagates down to

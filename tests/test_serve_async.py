@@ -16,7 +16,8 @@ The headline guarantees exercised:
 * per-tenant rate limiting sheds the over-limit tenant without starving
   compliant ones;
 * a slow reader backpressures only its own connection;
-* the functional backend streams real, deterministic token ids.
+* the functional stack — the same simulator, gateway and bridge over
+  NumPy engines — streams real, deterministic token ids.
 
 No pytest-asyncio in the image: each test is a sync function running its
 coroutine through :func:`run`, which also fails the test on anything the
@@ -35,12 +36,9 @@ import random
 import pytest
 
 from repro.obs.tracer import EventKind
-from repro.serve.bridge import (
-    DuplicateRequestId,
-    FunctionalBridge,
-    Outbox,
-    SimulatorBridge,
-)
+from repro.runtime.request import Request
+from repro.runtime.serve import serve_requests
+from repro.serve.bridge import DuplicateRequestId, Outbox
 from repro.serve.client import LoadSpec, ServeClient, expand_plans
 from repro.serve.harness import (
     build_functional_stack,
@@ -59,6 +57,7 @@ from repro.serve.protocol import (
     decode_frame,
     encode_frame,
 )
+from repro.workloads.trace import RequestSpec
 from tests.test_serve_protocol import reference_encode
 
 SEED = int(os.environ.get("REPRO_SERVE_SEED", "0"))
@@ -322,53 +321,113 @@ class TestFunctionalBackend:
         reg = stack.metrics.registry
         assert reg.get("serve_active_streams").total() == 0
 
-    def test_step_stream_matches_the_sweep_oracle(self, monkeypatch):
-        """Streaming from each step's report writes every stream the
-        frames (token, index, time) and end frame that sweeping every
-        open stream after each step wrote, byte for byte, with the same
-        token and TTFB metrics — over FCFS waiting, KvCache evictions, a
-        cancel while waiting and one mid-stream."""
-        frames, metrics, evictions = run(drive_functional_bridge(SEED))
-        assert evictions > 0
-        with monkeypatch.context() as patch:
-            patch.setattr(FunctionalBridge, "_stream_step", sweep_open_streams)
-            oracle_frames, oracle_metrics, _ = run(drive_functional_bridge(SEED))
-        assert frames == oracle_frames
-        assert metrics == oracle_metrics
-        ends = [decode_frame(f[-1]) for f in frames.values()]
-        assert sorted({e.status for e in ends}) == ["cancelled", "finished"]
+    def test_streams_equal_the_greedy_oracle(self):
+        """A seeded load through the stack's own bridge: 20 streams over 8
+        batch slots, long enough to overrun the KvCache, one cancelled
+        while queued and one mid-stream. Each finished stream's ids are
+        the ones ``serve_requests`` generates greedily for its prompt and
+        adapter, every stream's indices run 0..n-1, and the token and
+        TTFB metrics count exactly what was streamed."""
+        stack, ops, frames = run(drive_functional_load(SEED))
+        frontend = stack.bridge.gateway.frontend
+        requests = {op.request_id: frontend.handle(op.request_id).request
+                    for op in ops}
+        # A KvCache eviction counts as a migration on the evicted request.
+        assert sum(r.num_migrations for r in requests.values()) > 0
+        ends = {rid: f[-1] for rid, f in frames.items()}
+        assert all(isinstance(e, EndFrame) for e in ends.values())
+        assert ends["f19"] == EndFrame(
+            request_id="f19", status="cancelled", num_tokens=0
+        )
+        cancels = stack.tracer.by_kind(EventKind.CANCEL)
+        assert [(e.request_id, e.gpu_id) for e in cancels] == [
+            ("f19", None), ("f03", "gpu0")
+        ]
+        assert ends["f03"].status == "cancelled"
+        assert 3 <= ends["f03"].num_tokens < requests["f03"].spec.response_len
+        finished = [rid for rid, e in ends.items() if e.status == "finished"]
+        assert len(finished) == len(ops) - 2
+
+        oracle = build_functional_stack(seed=SEED).bridge.simulator
+        replay = [
+            Request(spec=RequestSpec(
+                request_id=rid, lora_id=requests[rid].lora_id,
+                arrival_time=0.0, prompt_len=requests[rid].spec.prompt_len,
+                response_len=requests[rid].spec.response_len,
+            ), prompt_tokens=list(requests[rid].prompt_tokens))
+            for rid in finished
+        ]
+        serve_requests(oracle.scheduler.engines["gpu0"], replay)
+        for req in replay:
+            tokens = frames[req.request_id][:-1]
+            assert [f.token for f in tokens] == req.generated_tokens
+        for rid, stream in frames.items():
+            tokens = stream[:-1]
+            assert [f.index for f in tokens] == list(range(len(tokens)))
+            assert ends[rid].num_tokens == len(tokens)
+        reg = stack.metrics.registry
+        streamed = [f[:-1] for f in frames.values()]
+        assert reg.get("serve_tokens_streamed_total").total() == sum(
+            map(len, streamed)
+        )
+        assert reg.get("serve_ttfb_seconds").count == sum(map(bool, streamed))
+
+    def test_streams_are_traced_and_a_dropped_connection_cancels(self):
+        """Every functional stream is one CONNECT and one DISCONNECT in the
+        stack's trace, and dropping a socket mid-stream reaches the engine
+        as a CANCEL with ``reason="disconnect"``."""
+        kept_ids = [f"kept-{k}" for k in range(4)]
+
+        async def scenario():
+            stack = build_functional_stack(seed=SEED)
+            await stack.server.start()
+            reg = stack.metrics.registry
+            try:
+                kept = await RawConnection.open(stack.server.port)
+                dropped = await RawConnection.open(stack.server.port)
+                for k, rid in enumerate(kept_ids):
+                    kept.send(GenerateOp(
+                        request_id=rid, tenant="t", lora_id=f"lora-{k}",
+                        prompt_len=4, response_len=8,
+                    ))
+                dropped.send(GenerateOp(
+                    request_id="dropped", tenant="t", lora_id="lora-0",
+                    prompt_len=4, response_len=500,
+                ))
+                await dropped.read_until(streaming(["dropped"]))
+                dropped.writer.transport.abort()
+                await kept.read_until(ended(kept_ids))
+                await kept.close()
+                assert await settle(
+                    lambda: reg.get("serve_active_connections").total() == 0
+                )
+            finally:
+                await stack.server.stop()
+            return stack
+
+        stack = run(scenario())
+
+        def conns(kind):
+            return sorted(
+                (e.attrs["conn"], e.attrs.get("cause"))
+                for e in stack.tracer.by_kind(kind)
+            )
+
+        assert conns(EventKind.CONNECT) == sorted(
+            (rid, None) for rid in kept_ids + ["dropped"]
+        )
+        assert conns(EventKind.DISCONNECT) == sorted(
+            [(rid, "served") for rid in kept_ids] + [("dropped", "client")]
+        )
+        assert disconnect_cancels(stack) == ["dropped"]
 
 
-def sweep_open_streams(bridge, report) -> None:
-    """The oracle for ``FunctionalBridge._stream_step``: after a step,
-    stream every open stream's not-yet-sent tokens at the bridge clock
-    and end each stream whose request is terminal."""
-    ended = []
-    for stream in bridge._streams.values():
-        req = stream.request
-        for tok in req.generated_tokens[stream.streamed:]:
-            if bridge.metrics is not None:
-                if not stream.ttfb_observed:
-                    bridge.metrics.record_first_token(
-                        max(0.0, bridge._clock - stream.opened_at)
-                    )
-                bridge.metrics.record_tokens(1)
-            stream.ttfb_observed = True
-            stream.outbox.put(encode_frame(TokenFrame(
-                "token", stream.request_id, tok, stream.streamed, bridge._clock
-            )))
-            stream.streamed += 1
-        if req.state.is_terminal:
-            ended.append(stream)
-    for stream in ended:
-        bridge._end_stream(stream)
-
-
-async def drive_functional_bridge(seed: int):
+async def drive_functional_load(seed: int):
     """A seeded load on one ``build_functional_stack`` bridge, no server:
     more streams than batch slots, long enough to overrun the KvCache,
-    all on one outbox. Returns each stream's encoded frames, the metrics
-    registry as JSON, and the number of evictions."""
+    all on one outbox, none carrying prompt ids. ``f19`` is cancelled at
+    the first token frame, still queued; ``f03`` after its third token.
+    Returns the stack, the ops and each stream's decoded frames."""
     stack = build_functional_stack(seed=seed)
     bridge = stack.bridge
     rng = random.Random(seed)
@@ -383,31 +442,25 @@ async def drive_functional_bridge(seed: int):
     frames = {op.request_id: [] for op in ops}
     for op in ops:
         bridge.open(op, outbox)
-    bridge.cancel("f19")  # still waiting
-    evictions = 0
-    step = bridge.engine.step
-
-    def counting_step(now):
-        nonlocal evictions
-        report = step(now)
-        evictions += len(report.evicted) if report is not None else 0
-        return report
-
-    bridge.engine.step = counting_step
     await bridge.start()
     try:
         ended = 0
+        queued_cancelled = False
         while ended < len(ops):
-            for line in (await outbox.take()).splitlines(keepends=True):
+            data = await asyncio.wait_for(outbox.take(), 20.0)
+            for line in data.splitlines(keepends=True):
                 frame = decode_frame(line)
-                frames[frame.request_id].append(line)
+                frames[frame.request_id].append(frame)
                 if isinstance(frame, EndFrame):
                     ended += 1
-                elif frame.request_id == "f03" and frame.index == 2:
+                    continue
+                if not queued_cancelled:
+                    queued_cancelled = bridge.cancel("f19")
+                if frame.request_id == "f03" and frame.index == 2:
                     bridge.cancel("f03")
     finally:
         await bridge.stop()
-    return frames, stack.metrics.registry.to_json(), evictions
+    return stack, ops, frames
 
 
 class TestServerProtocolErrors:
@@ -843,13 +896,6 @@ class TestOutbox:
 # ---------------------------------------------------------------------------
 # A reused request id: refused before admission, everything else carries on
 # ---------------------------------------------------------------------------
-def controller(stack):
-    bridge = stack.bridge
-    if isinstance(bridge, SimulatorBridge):
-        return bridge.gateway.controller
-    return bridge.controller
-
-
 @pytest.mark.parametrize("backend", ["sim", "functional"])
 class TestDuplicateRequestId:
     def test_reused_id_is_refused_and_the_connection_carries_on(self, backend):
@@ -872,7 +918,7 @@ class TestDuplicateRequestId:
                         prompt_len=4, response_len=n,
                     ))
                 await conn.read_until(ended(["dup", "next"]))
-                inflight = controller(stack).total_inflight
+                inflight = stack.bridge.gateway.controller.total_inflight
                 await conn.close()
                 return stack, conn.by_stream(), inflight
             finally:
@@ -889,14 +935,11 @@ class TestDuplicateRequestId:
         assert_stream_lines("next", streams["next"], 8)
         assert inflight == 0
         assert stack.metrics.registry.get("serve_connections_total").total() == 2
-        if stack.tracer is not None:
-            assert len(stack.tracer.by_kind(EventKind.CONNECT)) == 2
+        assert len(stack.tracer.by_kind(EventKind.CONNECT)) == 2
 
     def test_auto_assigned_ids_skip_taken_ones(self, backend):
-        """``sv-…`` / ``fn-…`` ids skip one a client already chose; a
-        finished id stays taken on the simulator (its frontend keeps every
-        handle) and is free again on the functional stack."""
-        prefix = "sv" if backend == "sim" else "fn"
+        """Auto-assigned ``sv-…`` ids skip one a client already chose, and
+        a finished id stays taken: the frontend keeps every handle."""
 
         def op(rid: str, n: int = 64) -> GenerateOp:
             return GenerateOp(request_id=rid, tenant="t", lora_id="lora-0",
@@ -907,59 +950,75 @@ class TestDuplicateRequestId:
             bridge = stack.bridge
             await bridge.start()
             try:
-                taken = f"{prefix}-00000"
+                taken = "sv-00000"
                 assert bridge.open(op(taken))[0] == taken
                 auto = bridge.open(op(""))[0]
                 with pytest.raises(DuplicateRequestId):
                     bridge.open(op(taken))
-                inflight = controller(stack).total_inflight
+                inflight = stack.bridge.gateway.controller.total_inflight
                 _, outbox, _ = bridge.open(op("short", 1))
                 await take_frames(
                     outbox, lambda fs: any(isinstance(f, EndFrame) for f in fs)
                 )
-                try:
+                with pytest.raises(DuplicateRequestId):
                     bridge.open(op("short"))
-                    reused = True
-                except DuplicateRequestId:
-                    reused = False
-                return auto, inflight, reused
+                return auto, inflight
             finally:
                 await bridge.stop()
 
-        auto, inflight, reused = run(scenario())
-        assert auto == f"{prefix}-00001"
+        auto, inflight = run(scenario())
+        assert auto == "sv-00001"
         assert inflight == 2
-        assert reused is (backend == "functional")
 
 
 # ---------------------------------------------------------------------------
-# A GenerateOp the functional engine cannot serve: refused, never admitted
+# An op the stack cannot serve: refused, never admitted
 # ---------------------------------------------------------------------------
+def generate(**fields) -> dict:
+    """A ``generate`` op as the client writes it, ``fields`` overriding."""
+    return {"op": "generate", "request_id": "bad", "tenant": "t",
+            "lora_id": "lora-0", "prompt_len": 2, "response_len": 8, **fields}
+
+
+BOTH, FUNCTIONAL = ("sim", "functional"), ("functional",)
 BAD_OPS = {
-    "unknown-adapter": ({"lora_id": "nope"}, 404),
-    "id-past-the-vocabulary": ({"prompt_tokens": [1, 10 ** 6]}, 400),
-    "prompt-len-mismatch": ({"prompt_tokens": [1, 2], "prompt_len": 39}, 400),
-    "negative-id": ({"prompt_tokens": [1, -2]}, 400),
+    "unknown-adapter": (generate(lora_id="nope"), 404, FUNCTIONAL),
+    "id-past-the-vocabulary": (generate(prompt_tokens=[1, 10 ** 6]), 400,
+                               FUNCTIONAL),
+    "prompt-len-mismatch": (generate(prompt_tokens=[1, 2], prompt_len=39), 400,
+                            BOTH),
+    "negative-id": (generate(prompt_tokens=[1, -2]), 400, BOTH),
+    "float-prompt-len": (generate(prompt_len=2.5), 400, BOTH),
+    "bool-prompt-len": (generate(prompt_len=True), 400, BOTH),
+    "list-tenant": (generate(tenant=["x"]), 400, BOTH),
+    "list-lora-id": (generate(lora_id=["a"]), 400, BOTH),
+    "int-request-id": (generate(request_id=7), 400, BOTH),
+    "string-prompt-ids": (generate(prompt_tokens=["3", "4"]), 400, BOTH),
+    "float-prompt-ids": (generate(prompt_tokens=[1.5, 2]), 400, BOTH),
+    "list-cancel-id": ({"op": "cancel", "request_id": ["x"]}, 400, BOTH),
+    "fits-no-kv-cache": (generate(prompt_len=100_000_000), 400, BOTH),
 }
 
 
 class TestBadGenerateOp:
-    @pytest.mark.parametrize("fields, code", BAD_OPS.values(), ids=BAD_OPS)
-    def test_refused_and_the_streams_around_it_complete(self, fields, code):
-        """Each op used to be admitted and then raise inside the functional
-        pump (or, for a negative id, be served off a wrapped index): the
-        pump died and every stream hung. It is answered with an error
-        before admission, and streams opened before and after it finish."""
+    @pytest.mark.parametrize("backend, bad, code", [
+        pytest.param(backend, bad, code, id=f"{name}-{backend}")
+        for name, (bad, code, backends) in BAD_OPS.items()
+        for backend in backends
+    ])
+    def test_refused_and_the_streams_around_it_complete(self, backend, bad, code):
+        """Each op used to be admitted and then raise inside the bridge
+        pump, kill the connection, wait forever for a KvCache no engine
+        has, or be served with a coerced field. It is answered with an
+        error before admission, and the streams opened on the connection
+        before and after it finish."""
         async def scenario():
-            stack = build_functional_stack(seed=SEED)
+            stack = build_stack(backend)
             await stack.server.start()
             try:
                 conn = await RawConnection.open(stack.server.port)
                 good = {"tenant": "t", "lora_id": "lora-1", "prompt_len": 4,
                         "response_len": 8}
-                bad = {"op": "generate", "request_id": "bad", "tenant": "t",
-                       "lora_id": "lora-0", "prompt_len": 2, "response_len": 8,
-                       **fields}
                 conn.send(GenerateOp(request_id="before", **good))
                 conn.writer.write(json.dumps(bad).encode() + b"\n")
                 conn.send(GenerateOp(request_id="after", **good))
@@ -970,7 +1029,7 @@ class TestBadGenerateOp:
                     return refused and both_ended(lines)
 
                 await conn.read_until(done)
-                inflight = controller(stack).total_inflight
+                inflight = stack.bridge.gateway.controller.total_inflight
                 await conn.close()
                 return stack, conn, inflight
             finally:

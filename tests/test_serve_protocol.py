@@ -100,6 +100,19 @@ def test_effective_tenant_defaults_to_lora():
     b'"prompt_tokens":[1,-2]}\n',  # negative id
     b'{"op":"generate","lora_id":"m","prompt_len":1,"response_len":1,'
     b'"prompt_tokens":[null]}\n',  # not an id
+    b'{"op":"generate","lora_id":"m","prompt_len":2.5,"response_len":1}\n',
+    b'{"op":"generate","lora_id":"m","prompt_len":true,"response_len":1}\n',
+    b'{"op":"generate","lora_id":"m","prompt_len":1,"response_len":1,'
+    b'"tenant":["x"]}\n',
+    b'{"op":"generate","lora_id":["a"],"prompt_len":1,"response_len":1}\n',
+    b'{"op":"cancel","request_id":["x"]}\n',
+    b'{"op":["cancel"],"request_id":"x"}\n',
+    b'{"op":"generate","lora_id":"m","prompt_len":1,"response_len":1,'
+    b'"request_id":7}\n',
+    b'{"op":"generate","lora_id":"m","prompt_len":2,"response_len":1,'
+    b'"prompt_tokens":["3","4"]}\n',  # ids as strings
+    b'{"op":"generate","lora_id":"m","prompt_len":2,"response_len":1,'
+    b'"prompt_tokens":[1.5,2]}\n',  # ids as floats
 ])
 def test_malformed_frames_raise_value_error(line):
     with pytest.raises(ValueError):
