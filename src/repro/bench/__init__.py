@@ -1,14 +1,16 @@
-"""Figure/table runners: one module per evaluation artifact of the paper.
+"""Figure/table runners: one module per figure of the paper, one per
+group of ablations.
 
-Each ``run_figXX`` function computes the figure's series and returns a
+Each ``run_*`` function computes a table's series and returns a
 :class:`~repro.bench.reporting.FigureTable` whose ``render()`` prints the
-same rows the paper plots. The pytest-benchmark files under
-``benchmarks/`` call these, print the tables, and additionally measure the
-wall-clock of the real NumPy kernels.
+same rows the paper plots. :data:`~repro.bench.experiments.EXPERIMENTS`
+registers every checked-in table with its runner, claims and CLI flags;
+the CLI and ``benchmarks/bench_experiments.py`` both read it.
 """
 
 from repro.bench.adapter_cache import run_adapter_cache_ablation
 from repro.bench.disagg_ablation import run_disagg_ablation
+from repro.bench.experiments import EXPERIMENTS, Experiment
 from repro.bench.faults_ablation import run_faults_ablation
 from repro.bench.fig01_batching import run_fig01
 from repro.bench.fig07_roofline import run_fig07
@@ -24,6 +26,8 @@ from repro.bench.slo_ablation import run_slo_ablation
 from repro.bench.spec_ablation import run_spec_ablation
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "FigureTable",
     "run_adapter_cache_ablation",
     "run_disagg_ablation",

@@ -187,3 +187,20 @@ def run_disagg_ablation(
         "inter-token smoothness (decode GPUs never absorb a prefill stall)"
     )
     return table
+
+
+def disagg_claims(table: FigureTable) -> None:
+    headers = list(table.headers)
+    colo, dis = (dict(zip(headers, row)) for row in table.rows)
+    assert (colo["mode"], dis["mode"]) == ("colocated", "disagg")
+    # Both modes finish the same work.
+    assert dis["finished"] == colo["finished"]
+    # The headline claim: decode smoothness. With prefills quarantined
+    # on their own GPUs, both the median and the tail of inter-token
+    # latency drop.
+    assert dis["p50_itl_ms"] < colo["p50_itl_ms"], (colo, dis)
+    assert dis["p99_itl_ms"] < colo["p99_itl_ms"], (colo, dis)
+    # The price: every request pays a KV handoff, which shows up in
+    # TTFT and in the transfer latency tile.
+    assert dis["transfer_s"] > 0.0
+    assert dis["mean_ttft_ms"] > colo["mean_ttft_ms"]

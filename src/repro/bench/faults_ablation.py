@@ -98,3 +98,14 @@ def run_faults_ablation(
         "then recovers toward the 3/4-capacity steady state"
     )
     return table
+
+
+def faults_claims(table: FigureTable) -> None:
+    # Throughput recovers: after the crash settles, the crashed cluster
+    # still moves tokens at a healthy fraction of the 4-GPU baseline.
+    ratios = [
+        ratio for t, healthy, _, ratio in table.rows
+        if t >= CRASH_TIME + 20.0 and healthy > 0
+    ]
+    assert ratios, "no post-crash buckets with load to compare"
+    assert max(ratios) > 0.5, f"throughput never recovered: {ratios}"

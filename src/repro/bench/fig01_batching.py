@@ -45,3 +45,13 @@ def run_fig01(
         "paper endpoints: decode 11->13 ms (short) and 17->34 ms (long) over bs 1->32"
     )
     return table
+
+
+def fig01_claims(table: FigureTable) -> None:
+    rows = {(r[0], r[1], r[2]): r[3] for r in table.rows}
+    # Decode batching is nearly free for short sequences (11 -> 13 ms).
+    assert rows[("decode", 128, 32)] < 1.6 * rows[("decode", 128, 1)]
+    # ...but costs real time for long sequences (17 -> 34 ms).
+    assert rows[("decode", 2048, 32)] > 2.0 * rows[("decode", 2048, 1)]
+    # Prefill latency is roughly proportional to batch size.
+    assert 12 < rows[("prefill", 2048, 32)] / rows[("prefill", 2048, 1)] < 40

@@ -4,7 +4,8 @@ Places the SGMV expand launch (h_in=16, h_out=4096, the paper's case
 study) on the A100 roofline for batch sizes 1-64 under the four popularity
 distributions. Paper shape: Distinct keeps constant arithmetic intensity
 and climbs vertically (more parallelism); Identical rides the memory-
-bandwidth diagonal; Uniform/Skewed sit in between.
+bandwidth diagonal; Uniform/Skewed sit in between. The table carries the
+same points as an ASCII roofline (:attr:`FigureTable.plot`).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ def run_fig07(
         "paper shape: Distinct = constant intensity rising with parallelism; "
         "Identical rides the bandwidth diagonal"
     )
+    table.plot = fig07_ascii_plot(gpu, batch_sizes)
     return table
 
 
@@ -72,3 +74,27 @@ def fig07_ascii_plot(
                 )
             )
     return roofline_ascii(gpu, points)
+
+
+def fig07_claims(table: FigureTable) -> None:
+    by_dist = {}
+    for dist, bs, intensity, achieved, roof in table.rows:
+        by_dist.setdefault(dist, {})[bs] = (intensity, achieved, roof)
+
+    # Distinct: intensity constant across batch sizes, throughput grows.
+    d = by_dist["distinct"]
+    assert abs(d[64][0] - d[1][0]) / d[1][0] < 0.02
+    assert d[64][1] > 5 * d[1][1]
+
+    # Identical: intensity grows with batch (weight reuse), rides bandwidth
+    # roof — bounded by h_in*h_out/(h_in+h_out) ~ 16 FLOP/byte as token IO
+    # starts to dominate.
+    i = by_dist["identical"]
+    assert i[64][0] > 10 * i[1][0]
+
+    # Nothing exceeds the roofline bound.
+    for dist, bs, intensity, achieved, roof in table.rows:
+        assert achieved <= roof * 1.0001, (dist, bs)
+
+    # Uniform/Skewed sit between Distinct and Identical at bs 64.
+    assert d[64][1] <= by_dist["uniform"][64][1] <= i[64][1] * 1.05

@@ -48,3 +48,16 @@ def run_fig08(
             table.add_row(dist, bs, loop / US, gbmm / US, sgmv / US, gather / US, bmm / US)
     table.add_note("paper: SGMV 37us at bs1; Identical stays ~40us at bs64")
     return table
+
+
+def fig08_claims(table: FigureTable) -> None:
+    rows = {(r[0], r[1]): r for r in table.rows}
+    # Paper endpoints: SGMV ~37us at bs1, flat for Identical.
+    sgmv_bs1 = rows[("distinct", 1)][4]
+    assert 30 < sgmv_bs1 < 45
+    assert rows[("identical", 64)][4] < 1.25 * sgmv_bs1
+    # SGMV beats Gather-BMM beats Loop on Distinct bs 64.
+    dist64 = rows[("distinct", 64)]
+    loop, gbmm, sgmv = dist64[2], dist64[3], dist64[4]
+    assert sgmv < gbmm < loop
+    assert loop > 10 * sgmv

@@ -37,3 +37,23 @@ def run_fig09(
                 table.add_row(dist, rank, bs, t / US)
     table.add_note("paper: distinct bs64 = 72/75/89/118 us at ranks 8/16/32/64")
     return table
+
+
+def fig09_claims(table: FigureTable) -> None:
+    rows = {(r[0], r[1], r[2]): r[3] for r in table.rows}
+
+    # Paper: distinct bs64 at ranks 8/16/32/64 -> 72/75/89/118 us.
+    measured = [rows[("distinct", r, 64)] for r in (8, 16, 32, 64)]
+    paper = [72, 75, 89, 118]
+    for m, p in zip(measured, paper):
+        assert abs(m - p) / p < 0.25, (m, p)
+    assert measured == sorted(measured)
+
+    # Batch-1 latency nearly rank-independent (~42us in the paper).
+    bs1 = [rows[("distinct", r, 1)] for r in (8, 16, 32, 64)]
+    assert max(bs1) < 1.2 * min(bs1)
+
+    # Weight sharing flattens the curve for every rank.
+    for r in (8, 16, 32, 64):
+        assert rows[("identical", r, 64)] < 1.3 * rows[("identical", r, 1)]
+        assert rows[("uniform", r, 64)] < 1.5 * rows[("uniform", r, 1)]

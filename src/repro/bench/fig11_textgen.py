@@ -62,3 +62,50 @@ def run_fig11(
         "baselines ~70-90 tok/s on Distinct; vLLM 1140/789 on Identical"
     )
     return table
+
+
+def fig11_claims(table: FigureTable) -> None:
+    """The paper's headline shapes: ~12x on multi-LoRA workloads,
+    near-parity with backbone-only vLLM on Identical, Punica flat across
+    workloads."""
+    tput = {(r[0], r[1], r[2]): r[3] for r in table.rows}
+
+    for model in ("llama2-7b", "llama2-13b"):
+        # Headline: Punica ~12x the best baseline on Distinct.
+        best_baseline = max(
+            tput[(model, "distinct", s)]
+            for s in ("hf", "deepspeed", "faster_transformer", "vllm")
+        )
+        ratio = tput[(model, "distinct", "punica")] / best_baseline
+        assert ratio > 8.0, (model, ratio)
+
+        # Punica consistent across all four workloads.
+        punica = [
+            tput[(model, d, "punica")]
+            for d in ("distinct", "uniform", "skewed", "identical")
+        ]
+        assert max(punica) < 1.5 * min(punica), (model, punica)
+
+        # vLLM backbone-only slightly ahead on Identical, but within ~25%.
+        vllm_ident = tput[(model, "identical", "vllm")]
+        punica_ident = tput[(model, "identical", "punica")]
+        assert vllm_ident > punica_ident
+        assert vllm_ident < 1.35 * punica_ident
+
+        # HF is the slowest system on every workload.
+        for dist in ("distinct", "uniform", "skewed", "identical"):
+            hf = tput[(model, dist, "hf")]
+            assert all(
+                tput[(model, dist, s)] > hf
+                for s in ("deepspeed", "faster_transformer", "vllm", "punica")
+            )
+
+    # 7B throughput exceeds 13B for every system.
+    for key_7b, value in tput.items():
+        if key_7b[0] == "llama2-7b":
+            key_13b = ("llama2-13b",) + key_7b[1:]
+            assert value > tput[key_13b]
+
+    # Absolute band: Punica 7B in the high hundreds of tok/s (paper: 1044).
+    assert 700 < tput[("llama2-7b", "distinct", "punica")] < 1500
+    assert 400 < tput[("llama2-13b", "distinct", "punica")] < 1000

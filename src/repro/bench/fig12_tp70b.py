@@ -47,3 +47,21 @@ def run_fig12(
         "~457 tok/s backbone-only Identical"
     )
     return table
+
+
+def fig12_claims(table: FigureTable) -> None:
+    tput = {(r[0], r[1]): r[2] for r in table.rows}
+
+    # vLLM collapses on multi-LoRA workloads; Punica does not (paper: ~20x).
+    for dist in ("distinct", "uniform", "skewed"):
+        assert tput[(dist, "punica")] > 8 * tput[(dist, "vllm")], dist
+
+    # On Identical both use the same parallel scheme: near parity, with
+    # backbone-only vLLM slightly ahead.
+    assert tput[("identical", "vllm")] > tput[("identical", "punica")]
+    assert tput[("identical", "vllm")] < 1.35 * tput[("identical", "punica")]
+
+    # Punica consistent across workloads (paper: 441-446 tok/s).
+    punica = [tput[(d, "punica")] for d in ("distinct", "uniform", "skewed", "identical")]
+    assert max(punica) < 1.4 * min(punica)
+    assert 250 < min(punica) < 900  # same order as the paper's ~441-446

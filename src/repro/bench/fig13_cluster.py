@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.bench.fig11_textgen import paper_scale
 from repro.bench.reporting import FigureTable
 from repro.cluster.scheduler import SchedulerConfig
@@ -24,7 +26,7 @@ from repro.obs.tracer import Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.workloads.arrivals import PoissonArrivals, RampProfile
-from repro.workloads.trace import generate_trace
+from repro.workloads.trace import Trace, generate_trace
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,18 @@ def build_cluster(
     )
 
 
+def ramp_trace(scale: Fig13Scale, seed: int = 0) -> Trace:
+    """The Zipf-skewed Poisson ramp: up, a 20 % hold at the peak, down."""
+    arrivals = PoissonArrivals(
+        rate=RampProfile(duration=scale.duration, peak_rate=scale.peak_rate,
+                         hold_fraction=0.2),
+        duration=scale.duration,
+    )
+    # Provision enough specs for the Poisson draw.
+    n_specs = int(scale.duration * scale.peak_rate) + 64
+    return generate_trace(n_specs, "skewed", seed=seed, arrivals=arrivals)
+
+
 def run_fig13_simulation(
     scale: Fig13Scale | None = None,
     config: LlamaConfig = LLAMA2_7B,
@@ -72,14 +86,7 @@ def run_fig13_simulation(
     tracer: "Tracer | None" = None,
 ) -> "tuple[SimulationResult, Fig13Scale]":
     scale = scale or (PAPER if paper_scale() else QUICK)
-    arrivals = PoissonArrivals(
-        rate=RampProfile(duration=scale.duration, peak_rate=scale.peak_rate,
-                         hold_fraction=0.2),
-        duration=scale.duration,
-    )
-    # Provision enough specs for the Poisson draw.
-    n_specs = int(scale.duration * scale.peak_rate) + 64
-    trace = generate_trace(n_specs, "skewed", seed=seed, arrivals=arrivals)
+    trace = ramp_trace(scale, seed)
     sim = build_cluster(
         scale.num_gpus, config=config, gpu=gpu, scheduler_config=scheduler_config,
         fast_path=fast_path, tracer=tracer,
@@ -123,3 +130,26 @@ def run_fig13(
         "(releasable); throughput tracks the request-rate ramp"
     )
     return table
+
+
+def fig13_claims(table: FigureTable) -> None:
+    rows = table.rows
+    rates = [r[1] for r in rows]
+    tputs = [r[2] for r in rows]
+    actives = [r[3] for r in rows]
+
+    # The ramp: rate peaks mid-experiment.
+    peak = rates.index(max(rates))
+    assert 0 < peak < len(rates) - 1
+    assert rates[0] < max(rates) / 2 and rates[-1] < max(rates) / 2
+
+    # Throughput tracks the request rate (correlation of the two series).
+    assert np.corrcoef(rates, tputs)[0, 1] > 0.85
+
+    # Consolidation: active-GPU count also ramps up then back down.
+    assert actives[peak] >= max(actives) - 1
+    assert actives[0] <= actives[peak] and actives[-1] <= actives[peak]
+
+    # Busy GPUs run large batches (paper: usually at the max batch size).
+    mean_batches = [r[4] for r in rows if r[4] > 0]
+    assert max(mean_batches) > 20  # near the max batch size of 32

@@ -43,3 +43,14 @@ def run_loader_bench(
         )
     table.add_note("paper: ~50us/layer, ~2ms/model, ~30ms/decode step (7B)")
     return table
+
+
+def loader_claims(table: FigureTable) -> None:
+    for model, layer_us, model_ms, step_ms, hidden in table.rows:
+        # Whole-model load stays within one decode step (the §5.2 argument
+        # for simple whole-model async loading over layer-by-layer).
+        assert hidden == "yes", model
+        assert model_ms < step_ms
+        # Order-of-magnitude check vs the paper's 50us/2ms quotes.
+        assert 20 < layer_us < 400
+        assert 1 < model_ms < 30

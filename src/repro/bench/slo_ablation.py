@@ -159,3 +159,31 @@ def run_slo_ablation(
         "heterogeneous fleet beats FCFS on the homogeneous one"
     )
     return table
+
+
+def slo_claims(table: FigureTable) -> None:
+    headers = list(table.headers)
+    cells = {(row[0], row[1]): dict(zip(headers, row)) for row in table.rows}
+    assert len(cells) == 4
+
+    # Equal spend everywhere — the comparison is shape, not budget.
+    costs = {row["cost_hr"] for row in cells.values()}
+    assert costs == {4.0}, costs
+
+    # The headline claim: SLO routing on the heterogeneous fleet beats
+    # FCFS on the homogeneous fleet at the same dollar cost.
+    hetero_slo = cells[("hetero H100+A100+4xL4", "slo")]
+    homo_fcfs = cells[("homo 4xA100", "fcfs")]
+    assert hetero_slo["attainment"] > homo_fcfs["attainment"], (
+        hetero_slo, homo_fcfs,
+    )
+
+    # Within each fleet the SLO router dominates FCFS: deadline-aware
+    # placement plus shedding the hopeless tail beats head-blocking.
+    for fleet in FLEETS:
+        slo, fcfs = cells[(fleet, "slo")], cells[(fleet, "fcfs")]
+        assert slo["attainment"] > fcfs["attainment"], fleet
+        assert slo["p99_ttft_ms"] < fcfs["p99_ttft_ms"], fleet
+        # Only the SLO router sheds; FCFS queues everything forever.
+        assert slo["shed"] > 0, fleet
+        assert fcfs["shed"] == 0, fleet

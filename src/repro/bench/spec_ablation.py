@@ -15,9 +15,8 @@ short prefill of ``draft_len + 1``-token chunks — and earns back
   scales with batch x chunk tokens) faster than the decode baseline, so
   the break-even acceptance rate climbs with batch size.
 
-``repro spec`` renders this table from the CLI;
-``benchmarks/bench_ablation_spec.py`` checks the shape and saves
-``benchmarks/results/ablation_spec.txt``.
+``repro spec`` renders this table (``benchmarks/results/ablation_spec.txt``);
+:func:`spec_claims` holds its shape.
 """
 
 from __future__ import annotations
@@ -128,3 +127,26 @@ def run_spec_ablation(
         "the baseline decode step grows only with batch (MagicDec)"
     )
     return table
+
+
+def spec_claims(table: FigureTable) -> None:
+    by_batch: "dict[int, list[tuple[float, float]]]" = {}
+    for batch, rate, _itl, _base, speedup, _acc, _rounds in table.rows:
+        by_batch.setdefault(batch, []).append((rate, speedup))
+    for batch, points in by_batch.items():
+        rates = [rate for rate, _ in points]
+        speedups = [speedup for _, speedup in points]
+        # Low acceptance loses: the round overhead outweighs the burst.
+        assert speedups[0] < 1.0, (batch, points)
+        # High acceptance wins: bursts amortize the draft + verify cost.
+        assert speedups[-1] > 1.0, (batch, points)
+        # Speedup is monotone in acceptance within a batch size (up to
+        # the discretization of rounds-per-request at small batches).
+        for lo, hi in zip(speedups, speedups[1:]):
+            assert hi >= lo - 0.01, (batch, points)
+        assert rates == sorted(rates)
+
+    # MagicDec: bigger batches make the verify chunk relatively more
+    # expensive, so high-acceptance speedup shrinks as batch grows.
+    top_speedups = [by_batch[b][-1][1] for b in sorted(by_batch)]
+    assert top_speedups == sorted(top_speedups, reverse=True), top_speedups

@@ -1,4 +1,8 @@
-"""Command-line interface: regenerate any paper figure from the shell.
+"""Command-line interface: regenerate any checked-in table from the shell.
+
+One subcommand per entry of :data:`repro.bench.experiments.EXPERIMENTS`;
+``--out DIR`` saves a table under the name it has in
+``benchmarks/results/``.
 
 Examples
 --------
@@ -15,33 +19,11 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from collections.abc import Callable
 
-from repro.bench import (
-    run_faults_ablation,
-    run_fig01,
-    run_fig07,
-    run_fig08,
-    run_fig09,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig13,
-    run_loader_bench,
-)
+from repro.bench.experiments import EXPERIMENTS, positive_int, zipf_alpha
 from repro.bench.reporting import FigureTable
 
-RUNNERS: "dict[str, tuple[str, Callable[..., FigureTable]]]" = {
-    "fig01": ("Figure 1: prefill/decode batching", run_fig01),
-    "fig07": ("Figure 7: SGMV roofline", run_fig07),
-    "fig08": ("Figure 8: LoRA operator comparison", run_fig08),
-    "fig09": ("Figure 9: SGMV rank sweep", run_fig09),
-    "fig10": ("Figure 10: transformer layer latency", run_fig10),
-    "fig11": ("Figure 11: single-GPU text generation", run_fig11),
-    "fig12": ("Figure 12: 70B tensor parallelism", run_fig12),
-    "fig13": ("Figure 13: cluster deployment", run_fig13),
-    "loader": ("§5.2: on-demand LoRA loading", run_loader_bench),
-}
+EXPERIMENTS_BY_NAME = {experiment.name: experiment for experiment in EXPERIMENTS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,21 +32,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate figures from 'Punica: Multi-Tenant LoRA Serving'",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("list", help="list available figures")
-    all_p = sub.add_parser("all", help="run every figure")
+    sub.add_parser("list", help="list every experiment")
+    all_p = sub.add_parser("all", help="run every experiment")
     all_p.add_argument("--out", type=pathlib.Path, default=None,
                        help="directory to save tables into")
-    for name, (desc, _) in RUNNERS.items():
-        p = sub.add_parser(name, help=desc)
+    for experiment in EXPERIMENTS:
+        p = sub.add_parser(experiment.name, help=experiment.description)
+        for flag in experiment.flags:
+            p.add_argument(flag.option, type=flag.type, default=flag.default,
+                           choices=flag.choices, help=flag.help)
         p.add_argument("--out", type=pathlib.Path, default=None)
-        if name in ("fig11", "fig12"):
-            p.add_argument("--requests", type=int, default=None,
-                           help="trace size (default: quick scale)")
     _add_adapters_parser(sub)
-    _add_disagg_parser(sub)
-    _add_spec_parser(sub)
-    _add_slo_parser(sub)
-    _add_faults_parser(sub)
     _add_trace_parser(sub)
     _add_perf_parser(sub)
     _add_serve_parser(sub)
@@ -82,8 +60,9 @@ def _add_adapters_parser(sub) -> None:
     lst = asub.add_parser(
         "list", help="register a trace's adapters and list their metadata"
     )
-    lst.add_argument("--requests", type=int, default=500, help="trace size")
-    lst.add_argument("--alpha", type=float, default=1.1, help="Zipf skew")
+    lst.add_argument("--requests", type=positive_int, default=500,
+                     help="trace size")
+    lst.add_argument("--alpha", type=zipf_alpha, default=1.1, help="Zipf skew")
     lst.add_argument("--seed", type=int, default=0)
     lst.add_argument("--out", type=pathlib.Path, default=None)
 
@@ -100,72 +79,6 @@ def _add_adapters_parser(sub) -> None:
                       help="disable the popularity-driven prefetcher")
     simc.add_argument("--seed", type=int, default=0)
     simc.add_argument("--out", type=pathlib.Path, default=None)
-
-
-def _add_disagg_parser(sub) -> None:
-    """The disaggregation subcommand (prefill/decode split ablation)."""
-    disagg = sub.add_parser(
-        "disagg",
-        help="disaggregated prefill/decode ablation with paged KV handoff",
-    )
-    disagg.add_argument("--seed", type=int, default=0, help="trace seed")
-    disagg.add_argument(
-        "--interconnect", choices=["nvlink", "pcie"], default="nvlink",
-        help="interconnect model pricing the KV handoff (default: nvlink)",
-    )
-    disagg.add_argument("--out", type=pathlib.Path, default=None)
-
-
-def _positive_int(value: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}")
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {parsed}")
-    return parsed
-
-
-def _add_spec_parser(sub) -> None:
-    """The speculative-decoding subcommand (MagicDec trade-off ablation)."""
-    spec = sub.add_parser(
-        "spec",
-        help="speculative decoding: ITL vs acceptance rate vs batch ablation",
-    )
-    spec.add_argument("--seed", type=int, default=0, help="trace seed")
-    spec.add_argument(
-        "--draft-len", type=_positive_int, default=4,
-        help="draft tokens proposed per speculative round (default: 4)",
-    )
-    spec.add_argument("--out", type=pathlib.Path, default=None)
-
-
-def _add_slo_parser(sub) -> None:
-    """The SLO control-plane subcommand (fleet-shape ablation)."""
-    slo = sub.add_parser(
-        "slo",
-        help="SLO attainment vs fleet shape at equal cost (control plane)",
-    )
-    slo.add_argument("--seed", type=int, default=0, help="trace seed")
-    slo.add_argument("--ttft-deadline", type=float, default=None,
-                     help="TTFT deadline in seconds (default: 0.3)")
-    slo.add_argument("--itl-deadline", type=float, default=None,
-                     help="mean inter-token deadline in seconds "
-                          "(default: 0.12)")
-    slo.add_argument("--out", type=pathlib.Path, default=None)
-
-
-def _add_faults_parser(sub) -> None:
-    """The fault-injection subcommand (crash ablation on the cluster sim)."""
-    faults = sub.add_parser(
-        "faults",
-        help="fault tolerance: GPU crash ablation with §5.3 re-placement",
-    )
-    faults.add_argument("--seed", type=int, default=0,
-                        help="trace and injector seed")
-    faults.add_argument("--crash-time", type=float, default=None,
-                        help="when the GPU dies (default: mid-trace)")
-    faults.add_argument("--out", type=pathlib.Path, default=None)
 
 
 def _add_trace_parser(sub) -> None:
@@ -356,62 +269,6 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _run_disagg(args) -> int:
-    from repro.bench import run_disagg_ablation
-
-    table = run_disagg_ablation(
-        seed=args.seed, interconnect_name=args.interconnect
-    )
-    text = table.render()
-    print(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "disagg.txt").write_text(text + "\n")
-    return 0
-
-
-def _run_spec(args) -> int:
-    from repro.bench import run_spec_ablation
-
-    table = run_spec_ablation(seed=args.seed, draft_len=args.draft_len)
-    text = table.render()
-    print(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "spec.txt").write_text(text + "\n")
-    return 0
-
-
-def _run_slo(args) -> int:
-    from repro.bench import run_slo_ablation
-
-    kwargs = {"seed": args.seed}
-    if args.ttft_deadline is not None:
-        kwargs["ttft_deadline"] = args.ttft_deadline
-    if args.itl_deadline is not None:
-        kwargs["itl_deadline"] = args.itl_deadline
-    table = run_slo_ablation(**kwargs)
-    text = table.render()
-    print(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "slo.txt").write_text(text + "\n")
-    return 0
-
-
-def _run_faults(args) -> int:
-    kwargs = {"seed": args.seed}
-    if args.crash_time is not None:
-        kwargs["crash_time"] = args.crash_time
-    table = run_faults_ablation(**kwargs)
-    text = table.render()
-    print(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "faults.txt").write_text(text + "\n")
-    return 0
-
-
 def _parse_tiers(spec: str) -> "tuple[int, int | None]":
     gpu, _, host = spec.partition(":")
     try:
@@ -505,44 +362,26 @@ def _run_adapters(args) -> int:
     return 0
 
 
-def _run_one(name: str, out: "pathlib.Path | None", requests: "int | None") -> None:
-    _, runner = RUNNERS[name]
-    kwargs = {}
-    if requests is not None and name in ("fig11", "fig12"):
-        kwargs["n_requests"] = requests
-    table = runner(**kwargs)
+def _emit(table: FigureTable, out: "pathlib.Path | None") -> None:
     text = table.render()
-    if name == "fig07":
-        from repro.bench.fig07_roofline import fig07_ascii_plot
-
-        text += "\n\n" + fig07_ascii_plot()
-    print(text)
-    print()
+    print(text + "\n")
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"{name}.txt").write_text(text + "\n")
+        (out / table.file_name).write_text(text + "\n")
 
 
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list":
-        for name, (desc, _) in RUNNERS.items():
-            print(f"{name:8s} {desc}")
+        for experiment in EXPERIMENTS:
+            print(f"{experiment.name:14s} {experiment.description}")
         return 0
     if args.command == "all":
-        for name in RUNNERS:
-            _run_one(name, args.out, requests=None)
+        for experiment in EXPERIMENTS:
+            _emit(experiment.run(), args.out)
         return 0
     if args.command == "adapters":
         return _run_adapters(args)
-    if args.command == "disagg":
-        return _run_disagg(args)
-    if args.command == "spec":
-        return _run_spec(args)
-    if args.command == "slo":
-        return _run_slo(args)
-    if args.command == "faults":
-        return _run_faults(args)
     if args.command == "trace":
         return _run_trace(args)
     if args.command == "perf":
@@ -551,7 +390,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return _run_serve_cmd(args)
     if args.command == "loadgen":
         return _run_loadgen(args)
-    _run_one(args.command, args.out, getattr(args, "requests", None))
+    _emit(EXPERIMENTS_BY_NAME[args.command].run_with(args), args.out)
     return 0
 
 

@@ -4,15 +4,21 @@ import pathlib
 
 import pytest
 
-from repro.cli import RUNNERS, build_parser, main
+from repro.bench.experiments import EXPERIMENTS
+from repro.cli import build_parser, main
 
 
 class TestParser:
     def test_all_figures_registered(self):
-        assert set(RUNNERS) == {
+        names = {experiment.name for experiment in EXPERIMENTS}
+        assert names >= {
             "fig01", "fig07", "fig08", "fig09", "fig10",
             "fig11", "fig12", "fig13", "loader",
+            "disagg", "spec", "slo", "faults",
         }
+        parser = build_parser()
+        for name in names:
+            assert parser.parse_args([name]).command == name
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -40,7 +46,7 @@ class TestMain:
 
     def test_out_directory(self, tmp_path, capsys):
         assert main(["loader", "--out", str(tmp_path)]) == 0
-        saved = tmp_path / "loader.txt"
+        saved = tmp_path / "sec5_2.txt"
         assert saved.exists()
         assert "On-demand LoRA load" in saved.read_text()
 
@@ -60,7 +66,7 @@ class TestDisaggSubcommand:
         out = capsys.readouterr().out
         assert "colocated" in out and "disagg" in out
         assert "p99_itl_ms" in out and "KV handoffs" in out
-        assert (tmp_path / "disagg.txt").exists()
+        assert (tmp_path / "ablation_disagg.txt").exists()
 
     def test_trace_scenario(self, tmp_path, capsys):
         trace_path = tmp_path / "disagg.jsonl"
@@ -147,12 +153,28 @@ class TestSpecSubcommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["spec", "--draft-len", bad])
 
+    @pytest.mark.parametrize("argv", [
+        ["fig12", "--requests", "0"],
+        ["fig11", "--requests", "-5"],
+        ["adapters", "list", "--requests", "0"],
+        ["faults", "--crash-time", "-5"],
+        ["faults", "--crash-time", "nan"],
+        ["slo", "--ttft-deadline", "-1"],
+        ["slo", "--itl-deadline", "0"],
+        ["adapters", "list", "--alpha", "-1"],
+    ], ids=" ".join)
+    def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
     def test_ablation_table(self, tmp_path, capsys):
         assert main(["spec", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "acceptance" in out and "speedup" in out
         assert "break-even" in out
-        saved = tmp_path / "spec.txt"
+        saved = tmp_path / "ablation_spec.txt"
         assert saved.exists()
         assert "baseline_itl_ms" in saved.read_text()
 
@@ -180,7 +202,7 @@ class TestSloSubcommand:
         out = capsys.readouterr().out
         assert "attainment" in out and "cost_hr" in out
         assert "homo 4xA100" in out and "hetero H100+A100+4xL4" in out
-        saved = tmp_path / "slo.txt"
+        saved = tmp_path / "ablation_slo.txt"
         assert saved.exists()
         assert "equal spend" in saved.read_text()
 
