@@ -29,11 +29,15 @@ The first generated token travels with the KV pages — the decode GPU
 delivers it with its first decode step (Splitwise-style accounting), so
 time-to-first-token includes the handoff cost for transferred requests.
 
-Fault story: a ``KV_TRANSFER_FAIL`` loses one in-flight handoff; the
-request drops its KV copy and re-enters through the §5.3 evict +
-re-prefill path. A decode-pool GPU crash re-places its requests through
-the prefill pool; if the whole decode pool dies, waiting handoffs fall
-back to re-prefill too.
+The transfer carries the backend's payload with the accounting: on the
+functional backend the K/V rows themselves, written back on import, so
+decode attends over the prefill GPU's history.
+
+Fault story: a ``KV_TRANSFER_FAIL`` loses one in-flight handoff and its
+payload; the request drops its KV copy and re-enters through the §5.3
+evict + re-prefill path. A decode-pool GPU crash re-places its requests
+through the prefill pool; if the whole decode pool dies, waiting
+handoffs fall back to re-prefill too.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ class _Transfer:
 
     request: Request
     kv_tokens: int
+    payload: object
+    """The backend's K/V payload (``None`` on a simulated backend)."""
     nbytes: float
     start: float
     source: str
@@ -79,10 +85,10 @@ class KvHandoff:
         self.sim = sim
         self.config = config
         self.transfers: "dict[str, _Transfer]" = {}
-        self.decode_queue: "list[tuple[float, int, Request, int]]" = []
+        self.decode_queue: "list[tuple[float, int, Request, int, object]]" = []
         """Waiting handoffs in completion order: (ready time, seq,
-        request, kv tokens). The scheduler's discipline orders each
-        drain pass."""
+        request, kv tokens, payload). The scheduler's discipline orders
+        each drain pass."""
         self._seq = 0
         self.colocated: "set[str]" = set()
         """Requests decoding on their prefill GPU (backpressure fallback);
@@ -106,7 +112,7 @@ class KvHandoff:
     @property
     def decode_queue_depth(self) -> int:
         return sum(
-            1 for _, _, r, _ in self.decode_queue if not r.state.is_terminal
+            1 for _, _, r, _, _ in self.decode_queue if not r.state.is_terminal
         )
 
     def work_remaining(self) -> bool:
@@ -157,7 +163,7 @@ class KvHandoff:
 
     def _start_transfer(self, engine, request_id: str, now: float) -> None:
         sim = self.sim
-        request, kv_tokens = engine.export_request(request_id, now)
+        request, kv_tokens, payload = engine.export_request(request_id, now)
         if request.num_generated == 1:
             # The prefill-produced token travels with the pages; the
             # decode GPU delivers it, so TTFT includes the handoff.
@@ -174,7 +180,7 @@ class KvHandoff:
             now + duration, self._make_transfer_done(request_id)
         )
         self.transfers[request_id] = _Transfer(
-            request=request, kv_tokens=kv_tokens, nbytes=nbytes,
+            request=request, kv_tokens=kv_tokens, payload=payload, nbytes=nbytes,
             start=now, source=engine.gpu_id, handle=handle,
         )
 
@@ -191,7 +197,7 @@ class KvHandoff:
             req = tr.request
             if req.state.is_terminal:
                 return
-            self.decode_queue.append((now, self._seq, req, tr.kv_tokens))
+            self.decode_queue.append((now, self._seq, req, tr.kv_tokens, tr.payload))
             self._seq += 1
             handled = self.drain(now)
             if request_id not in handled and sim.tracer is not None:
@@ -215,13 +221,13 @@ class KvHandoff:
         waiting = [e for e in self.decode_queue if not e[2].state.is_terminal]
         self.decode_queue = []
         if not self._decode_pool_alive():
-            victims = [req for _, _, req, _ in waiting]
+            victims = [req for _, _, req, _, _ in waiting]
             self._reprefill(victims, now, "decode_pool_lost")
             return [req.request_id for req in victims]
         waiting.sort(key=lambda e: scheduler.decode_queue_key(e[2], e[0], e[1]))
         blocked = False
         for entry in waiting:
-            _, _, req, kv_tokens = entry
+            _, _, req, kv_tokens, payload = entry
             if blocked:
                 self.decode_queue.append(entry)
                 continue
@@ -233,7 +239,7 @@ class KvHandoff:
                 self.decode_queue.append(entry)
                 blocked = scheduler.decode_head_blocks
                 continue
-            scheduler.engines[gpu].import_request(req, kv_tokens, now)
+            scheduler.engines[gpu].import_request(req, kv_tokens, payload, now)
             handled.append(req.request_id)
             sim._kick(gpu, now)
         self.decode_queue.sort()  # kept waiters back in completion order

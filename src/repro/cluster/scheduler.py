@@ -31,7 +31,7 @@ class SchedulerConfig:
     migration_interval: float = 10.0
     """Seconds between consolidation passes (§3 "periodically migrates")."""
     consolidation: bool = True
-    """Disable to ablate migration (bench_ablation_scheduler)."""
+    """Disable to ablate migration (``repro migration``)."""
     light_load_fraction: float = 0.5
     """A GPU below this fraction of max batch size counts as lightly loaded."""
     routing: str = "pack"

@@ -251,8 +251,8 @@ class LoraSlab:
     one ``(slots, h_in, r)`` / ``(slots, r, h_out)`` pair in the adapters'
     own dtype (widened, exactly, if a later adapter needs it). An adapter
     is copied in once, through :meth:`LoraRegistry.stack_padded`, when a
-    plan first names it; :meth:`gather` is then one fancy index per
-    weight array.
+    plan first names it; :meth:`resident` then hands SGMV the tables and
+    each segment's slot, and nothing is copied per launch.
 
     The slab is a copy for the kernels, not a residency store: it holds
     the batch working set, never the registry, and is not consulted for
@@ -343,15 +343,26 @@ class LoraSlab:
                 ranks[slot] = rank
                 self._tables[layer, proj] = (table_a, table_b, ranks)
 
-    def gather(
+    def resident(
         self, plan: "BatchPlan", layer: int, proj: str
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``registry.stack_padded(plan.segment_lora_ids, layer, proj)`` read
-        from the slab: one row per SGMV segment, zero-padded to the
-        largest rank in the batch."""
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, int]":
+        """What SGMV reads for ``plan`` at one ``(layer, proj)``: the
+        resident ``A`` and ``B`` tables, each SGMV segment's slot in them
+        (Punica's ``wa_ptr``/``wb_ptr``) and the batch's padded rank, the
+        largest rank among those slots. Nothing is copied."""
         _, slots, ranks = self._place(plan)
         table_a, table_b, slot_ranks = self._tables[layer, proj]
         rank = ranks.get((layer, proj))
         if rank is None:
             rank = ranks[layer, proj] = int(slot_ranks[slots].max())
+        return table_a, table_b, slots, rank
+
+    def gather(
+        self, plan: "BatchPlan", layer: int, proj: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``registry.stack_padded(plan.segment_lora_ids, layer, proj)`` read
+        from the slab: one row per SGMV segment, zero-padded to the
+        largest rank in the batch. A stacked copy; the forward reads
+        :meth:`resident` in place instead."""
+        table_a, table_b, slots, rank = self.resident(plan, layer, proj)
         return table_a[slots][:, :, :rank], table_b[slots][:, :rank]

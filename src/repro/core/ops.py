@@ -13,7 +13,9 @@ but with the execution strategies of the paper's microbenchmark:
   the ``torch.bmm`` baseline and pays ``s_n x h_in x h_out`` extra IO for
   the stacked copies.
 * :func:`add_lora_sgmv` — two SGMV launches (shrink then expand), the
-  paper's kernel.
+  paper's kernel. :func:`add_lora_sgmv_slots` is the same operator
+  reading each segment's weights by slot from resident tables, as the
+  serving forward does.
 
 Numeric equality of the three is property-tested; the *latency* difference
 is modelled by :class:`repro.hw.kernels.KernelCostModel`.
@@ -83,4 +85,50 @@ def add_lora_sgmv(
     v = np.zeros((x.shape[0], rank), dtype=y.dtype)
     sgmv_shrink(v, x, wa, seg)
     sgmv_expand(y, v, wb, seg)
+    return y
+
+
+def add_lora_sgmv_slots(
+    y: np.ndarray,
+    x: np.ndarray,
+    table_a: np.ndarray,
+    table_b: np.ndarray,
+    slots: np.ndarray,
+    rank: int,
+    seg: np.ndarray,
+) -> np.ndarray:
+    """:func:`add_lora_sgmv` over ``table_a[slots, :, :rank]`` and
+    ``table_b[slots, :rank]``, without stacking that copy first.
+
+    ``table_a`` ``(num_slots, h_in, r)`` and ``table_b`` ``(num_slots, r,
+    h_out)`` hold the resident adapters; ``slots[i]`` is segment ``i``'s
+    row in both, Punica's ``wa_ptr``/``wb_ptr``. Each lane of the segment
+    plan is one shrink and one expand over its own rows: a one-segment
+    lane multiplies a view of its slot, a run of same-size segments
+    gathers just its own slots. The result is bitwise that of the stacked
+    operator.
+    """
+    plan = _segment_plan(seg, batch_size=x.shape[0])
+    slots = np.asarray(slots, dtype=np.int64)
+    slot_list = slots.tolist()
+    num_slots = table_a.shape[0]
+    if len(slot_list) != plan.sizes.size:
+        raise ValueError(f"{len(slot_list)} slots for {plan.sizes.size} segments")
+    if slot_list and not (0 <= min(slot_list) and max(slot_list) < num_slots):
+        raise IndexError(f"slots {slot_list} outside a {num_slots}-slot table")
+    if table_b.shape[0] != num_slots or not 0 < rank <= min(table_a.shape[2], table_b.shape[1]):
+        raise ValueError(
+            f"rank {rank} or slot count does not fit tables {table_a.shape}/{table_b.shape}"
+        )
+    v = np.zeros((x.shape[0], rank), dtype=y.dtype)
+    for (lo, hi, s0, s1, _), lane_seg in zip(plan.lanes, plan.lane_segs):
+        if s1 - s0 == 1:
+            slot = slot_list[s0]
+            wa = table_a[slot : slot + 1, :, :rank]
+            wb = table_b[slot : slot + 1, :rank]
+        else:
+            wa = table_a[slots[s0:s1]][:, :, :rank]
+            wb = table_b[slots[s0:s1]][:, :rank]
+        sgmv_shrink(v[lo:hi], x[lo:hi], wa, lane_seg)
+        sgmv_expand(y[lo:hi], v[lo:hi], wb, lane_seg)
     return y

@@ -45,12 +45,15 @@ class SegmentPlan(NamedTuple):
     the paper's GEMV schedule for the Distinct case (§4.1: every decode
     row its own adapter), so the decode tail of a mixed step is one
     launch however many tenants it carries. Any other segment is its own
-    GEMM (``seg_hi == seg_lo + 1``).
+    GEMM (``seg_hi == seg_lo + 1``). ``lane_segs[i]`` is lane ``i``'s
+    own segment vector, ``seg[seg_lo:seg_hi + 1] - row_lo``: what one
+    launch over the lane's rows takes.
     """
 
     seg: np.ndarray
     sizes: np.ndarray
     lanes: "tuple[tuple[int, int, int, int, int], ...]"
+    lane_segs: "tuple[np.ndarray, ...]"
 
 
 def _lanes(seg: np.ndarray, sizes: np.ndarray) -> "tuple[tuple[int, int, int, int, int], ...]":
@@ -84,7 +87,9 @@ def _segment_plan(seg: np.ndarray, batch_size: "int | None" = None) -> SegmentPl
     if plan is None:
         seg = validate_segments(seg, allow_empty=True)
         sizes = np.diff(seg)
-        plan = SegmentPlan(seg, sizes, _lanes(seg, sizes))
+        lanes = _lanes(seg, sizes)
+        lane_segs = tuple(seg[s0 : s1 + 1] - lo for lo, _, s0, s1, _ in lanes)
+        plan = SegmentPlan(seg, sizes, lanes, lane_segs)
         if len(_SEG_PLAN_CACHE) >= _SEG_PLAN_LIMIT:
             _SEG_PLAN_CACHE.clear()
         _SEG_PLAN_CACHE[key] = plan

@@ -28,14 +28,16 @@ import numpy as np
 
 from repro.core.batch import BatchPlan
 from repro.core.lora import LoraRegistry, LoraSlab
-from repro.core.ops import add_lora_sgmv
+from repro.core.ops import add_lora_sgmv_slots
 from repro.kvcache.pool import DecodeRows, PagedKvData
 from repro.models.weights import LlamaLayerWeights, LlamaWeights
 
 
 def rmsnorm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Root-mean-square LayerNorm (the variant Llama uses)."""
-    scale = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    # np.mean's own sum-then-divide, bitwise, without its dispatch.
+    mean_sq = np.add.reduce(x * x, -1, keepdims=True) / x.shape[-1]
+    scale = np.sqrt(mean_sq + eps)
     return x / scale * weight
 
 
@@ -85,14 +87,15 @@ def causal_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, q_positions: n
     ``(n_q, H, D)``.
     """
     head_dim = q.shape[-1]
-    scores = np.einsum("qhd,hsd->hqs", q, k) / np.sqrt(head_dim)
+    # Both products are batched GEMMs over the heads, so they run on BLAS.
+    scores = np.matmul(q.transpose(1, 0, 2), k.transpose(0, 2, 1)) / np.sqrt(head_dim)
     key_pos = np.arange(k.shape[1])
     mask = key_pos[None, :] > q_positions[:, None]  # (n_q, S)
     scores = np.where(mask[None, :, :], -np.inf, scores)
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
-    return np.einsum("hqs,hsd->qhd", weights, v)
+    return np.matmul(weights, v).transpose(1, 0, 2)
 
 
 def paged_decode_attention(
@@ -197,15 +200,14 @@ class LlamaModel:
     ) -> None:
         """Add the batched LoRA delta for one projection via SGMV in place.
 
-        The weights are gathered by slot from the resident slab,
+        SGMV reads each segment's weights by slot from the resident slab,
         zero-padded to the batch's largest rank so tenants of *different*
         ranks batch into one launch (exact; identical to the strict stack
         when ranks are uniform).
         """
         if self.slab is None:
             return
-        wa, wb = self.slab.gather(plan, layer, proj)
-        add_lora_sgmv(y, h, wa, wb, plan.seg)
+        add_lora_sgmv_slots(y, h, *self.slab.resident(plan, layer, proj), plan.seg)
 
     def _project(
         self, h: np.ndarray, lw: LlamaLayerWeights, plan: BatchPlan, layer: int, proj: str

@@ -226,11 +226,12 @@ class SimulatedBackend:
         return self.kv.free_pages
 
     # -- KV handoff (disaggregated prefill/decode) ------------------------
-    def kv_export(self, request_id: str) -> int:
-        """Release a sequence for transfer; returns its token count."""
-        return self.kv.export_sequence(request_id)
+    def kv_export(self, request_id: str) -> "tuple[int, None]":
+        """Release a sequence for transfer; returns its token count and
+        its payload, ``None``: only the accounting moves here."""
+        return self.kv.export_sequence(request_id), None
 
-    def kv_import(self, request_id: str, num_tokens: int) -> None:
+    def kv_import(self, request_id: str, num_tokens: int, payload: None) -> None:
         """Admit a sequence whose KV history arrived over the interconnect."""
         self.kv.import_sequence(request_id, num_tokens)
 
@@ -535,17 +536,27 @@ class NumpyBackend:
         return self.kv_data.allocator.free_pages
 
     # -- KV handoff (disaggregated prefill/decode) ------------------------
-    # Accounting-only: pages move between allocators but the stored K/V
-    # payload is not copied across PagedKvData arrays yet (see ROADMAP),
-    # so functional-mode disaggregation re-prefills after import.
-    def kv_export(self, request_id: str) -> int:
-        tokens = self.kv_data.allocator.seq_len(request_id)
-        self.kv_data.free(request_id)
+    def kv_export(self, request_id: str) -> "tuple[int, np.ndarray]":
+        """Release a sequence for transfer; returns its token count and
+        the K/V it has written, ``(layers, 2, N_kv, written, D)`` — the
+        payload its pages carry to the decode GPU."""
+        kv = self.kv_data
+        tokens = kv.allocator.seq_len(request_id)
+        written = kv.written_len(request_id)
+        payload = np.stack(
+            [kv.gather(request_id, layer, written) for layer in range(kv.num_layers)]
+        )
+        kv.free(request_id)
         self._drop_draft(request_id)
-        return tokens
+        return tokens, payload
 
-    def kv_import(self, request_id: str, num_tokens: int) -> None:
+    def kv_import(self, request_id: str, num_tokens: int, payload: np.ndarray) -> None:
+        """Admit a transferred sequence and write its payload back."""
         self.kv_data.allocate(request_id, num_tokens)
+        for layer, (k, v) in enumerate(payload):
+            self.kv_data.write_tokens(
+                request_id, layer, 0, k.swapaxes(0, 1), v.swapaxes(0, 1)
+            )
 
     def kv_bytes_of(self, num_tokens: int) -> float:
         return float(num_tokens) * self.config.kv_bytes_per_token()

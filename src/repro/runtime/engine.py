@@ -417,27 +417,37 @@ class GpuEngine:
     # ------------------------------------------------------------------
     # KV handoff (disaggregated prefill/decode serving)
     # ------------------------------------------------------------------
-    def export_request(self, request_id: str, now: float) -> "tuple[Request, int]":
+    def export_request(
+        self, request_id: str, now: float
+    ) -> "tuple[Request, int, object]":
         """Detach a prefilled request for handoff to a decode GPU.
 
         The request must be in the working (decoding) set — i.e. its
         prefill already ran here. Its KvCache pages are released locally
         (the bytes travel over the interconnect; the caller models that
-        cost) and the adapter pin is dropped. Returns the request plus the
-        token count of the exported KV history.
+        cost) and the adapter pin is dropped. Returns the request, the
+        token count of the exported KV history and the backend's payload
+        for :meth:`import_request` (the K/V itself on a functional
+        backend, ``None`` on a simulated one).
         """
         slot = self._working.get(request_id)
         if slot is None:
             raise KeyError(f"request {request_id} not working on {self.gpu_id}")
-        kv_tokens = self.backend.kv_export(request_id)
+        kv_tokens, payload = self.backend.kv_export(request_id)
         self._remove(slot)
         request = slot.request
         request.suspend_for_transfer()
         request.kv_len = kv_tokens
-        return request, kv_tokens
+        return request, kv_tokens, payload
 
-    def import_request(self, request: Request, kv_tokens: int, now: float) -> None:
+    def import_request(
+        self, request: Request, kv_tokens: int, payload: object, now: float
+    ) -> None:
         """Admit a request whose KV pages just arrived over the interconnect.
+
+        ``kv_tokens`` and ``payload`` are what :meth:`export_request`
+        returned on the source engine; the backend writes the payload
+        into the pages it allocates here.
 
         No prefill is needed: the pages are materialized immediately and
         the request joins the decode batch as soon as its adapter is
@@ -453,7 +463,7 @@ class GpuEngine:
             )
         self.loader.request_load(request.lora_id, self._default_lora_bytes, now)
         self.loader.acquire(request.lora_id, now)
-        self.backend.kv_import(request.request_id, kv_tokens)
+        self.backend.kv_import(request.request_id, kv_tokens, payload)
         request.kv_len = kv_tokens
         request.needs_prefill = False
         request.mark_running(self.gpu_id, now)

@@ -5,7 +5,7 @@ feasible to implement sophisticated layer-by-layer or even matrix-by-
 matrix loading to minimize the model loading delay" — but opts for simple
 whole-model loading because a full LoRA load (~2-3 ms) already hides
 behind one ~30 ms decode step. This module implements the sophisticated
-variant so the trade-off can be quantified (``bench_ablation_loading``):
+variant so the trade-off can be quantified (``repro loading``):
 
 * :class:`LayeredTransferPlan` — one async copy per layer, issued
   back-to-back on the PCIe link;

@@ -700,7 +700,7 @@ class TestSloDisagg:
         req.needs_prefill = False
         req.mark_running("p0", 0.0)
         req.first_token_time = 0.2
-        sim.handoff.decode_queue.append((10.0, 0, req, 16))
+        sim.handoff.decode_queue.append((10.0, 0, req, 16, None))
         handled = sim.handoff.drain(10.0)
         assert handled == ["r"]
         assert req.state is not RequestState.FAILED

@@ -12,6 +12,7 @@ from repro.models.tp import TensorParallelConfig
 from repro.hw.interconnect import NVLINK_A100
 from repro.models.weights import random_llama_weights
 from repro.runtime.backend import NumpyBackend, SimulatedBackend, workload_from_plan
+from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import Request
 from repro.utils.units import GIB
 from repro.workloads.trace import RequestSpec
@@ -136,3 +137,33 @@ class TestNumpyBackend:
         before = backend.kv_free_tokens()
         backend.kv_admit("a", 8)
         assert backend.kv_free_tokens() == before - 8
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 1(b)")
+    def test_request_admitted_during_a_full_batch_joins_within_a_few_steps(self):
+        # Without a cost model every step is priced at 0 s, so the clock
+        # stands still while a batch runs: a request whose adapter copy
+        # is still in flight waits in _pending until the batch drains.
+        cfg = tiny_config(hidden_size=32, num_layers=1, num_heads=4, vocab_size=32)
+        reg = LoraRegistry()
+        for lora in ("m0", "m1"):
+            reg.register(random_lora_weights(lora, 1, cfg.proj_dims(), 4, seed=len(reg)))
+        backend = NumpyBackend(
+            random_llama_weights(cfg, seed=0), reg, total_pages=64, page_size=4, lora_rank=4
+        )
+        engine = GpuEngine("gpu0", backend, EngineConfig(max_batch_size=4))
+
+        def request(rid, lora):
+            spec = RequestSpec(rid, lora, 0.0, prompt_len=4, response_len=24)
+            return Request(spec=spec, prompt_tokens=[1, 2, 3, 4])
+
+        clock = 0.0
+        for i in range(3):
+            engine.add_request(request(f"r{i}", "m0"), clock)
+        while engine.step(clock) is None:  # m0's copy is in flight
+            clock += 1e-4
+        late = request("late", "m1")
+        engine.add_request(late, clock)
+        for _ in range(4):
+            report = engine.step(clock)
+            clock = report.end if report is not None else clock + 1e-4
+        assert late.num_generated > 0

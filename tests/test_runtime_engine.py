@@ -228,14 +228,14 @@ class TestKvHandoff:
         report = src.step(ready)
         assert report.num_prefill == 1 and req.num_generated == 1
 
-        request, kv_tokens = src.export_request("r0", report.end)
+        request, kv_tokens, payload = src.export_request("r0", report.end)
         assert request is req
         assert kv_tokens == req.kv_len and kv_tokens >= 16
         assert src.is_idle
         assert not req.needs_prefill
 
         assert dst.can_accept(req, kv_tokens)
-        dst.import_request(req, kv_tokens, report.end)
+        dst.import_request(req, kv_tokens, payload, report.end)
         assert req.state is RequestState.RUNNING
         reports, _ = run_until_idle(dst, now=report.end)
         assert req.state is RequestState.FINISHED
@@ -260,10 +260,10 @@ class TestKvHandoff:
         req = make_request("r0", prompt=16, response=4)
         src.add_request(req, 0.0)
         report = src.step(src.loader.ready_time("m0"))
-        _, kv_tokens = src.export_request("r0", report.end)
+        _, kv_tokens, payload = src.export_request("r0", report.end)
         assert not dst.can_accept(req, kv_tokens)
         with pytest.raises(RuntimeError):
-            dst.import_request(req, kv_tokens, report.end)
+            dst.import_request(req, kv_tokens, payload, report.end)
 
 
 class TestStepReport:
