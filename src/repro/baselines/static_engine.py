@@ -19,12 +19,11 @@ Behavioural differences from the continuous engine:
 
 from __future__ import annotations
 
-from repro.hw.kernels import KernelCostModel
 from repro.hw.spec import A100_80G, GpuSpec
 from repro.models.config import LlamaConfig
-from repro.models.perf import StepWorkload, model_step_latency
 from repro.models.tp import SINGLE_GPU, TensorParallelConfig
 from repro.runtime.engine import StepReport
+from repro.runtime.pricing import StepPricer
 from repro.runtime.request import Request
 from repro.utils.units import GIB
 
@@ -46,10 +45,11 @@ class StaticBatchEngine:
         self.gpu_id = gpu_id
         self.profile = profile
         self.config = config
-        self.tp = tp
         self.max_batch_size = max_batch_size
-        self.lora_rank = lora_rank
-        self.cost_model = KernelCostModel(gpu)
+        self.pricer = StepPricer(
+            config, gpu, tp, profile.flags, lora_rank,
+            profile.serves_lora, profile.step_overhead,
+        )
         weights = config.weight_bytes() // tp.world_size
         self.kv_capacity_tokens = int(
             (gpu.hbm_capacity - weights - workspace_bytes)
@@ -134,28 +134,13 @@ class StaticBatchEngine:
             return self._prefill_step(now)
         return self._decode_step(now)
 
-    def _latency(self, work: StepWorkload) -> float:
-        return (
-            model_step_latency(
-                self.config, self.cost_model, work, tp=self.tp, flags=self.profile.flags
-            )
-            + self.profile.step_overhead
-        )
-
-    def _lora_segments(self, num_tokens: int) -> "tuple[int, ...] | None":
-        # One shared LoRA model per batch => a single segment; or no LoRA
-        # at all for backbone-only systems.
-        return (num_tokens,) if self.profile.serves_lora else None
-
     def _prefill_step(self, now: float) -> StepReport:
         prefill_lens = tuple(r.effective_prompt_len for r in self._active)
-        work = StepWorkload(
-            prefill_lens=prefill_lens,
-            decode_kv_lens=(),
-            lora_segments=self._lora_segments(sum(prefill_lens)),
-            lora_rank=self.lora_rank,
+        # One shared LoRA model per batch: a single segment (the pricer
+        # drops it for backbone-only systems).
+        latency = self.pricer.step_seconds(
+            prefill_lens, 0, 0, (sum(prefill_lens),)
         )
-        latency = self._latency(work)
         end = now + latency
         tokens: dict[str, int] = {}
         finished: list[str] = []
@@ -181,14 +166,9 @@ class StaticBatchEngine:
 
     def _decode_step(self, now: float) -> StepReport:
         # Every member — finished or not — occupies a decode lane (Fig 6).
-        kv_lens = tuple(self._lane_kv[r.request_id] for r in self._active)
-        work = StepWorkload(
-            prefill_lens=(),
-            decode_kv_lens=kv_lens,
-            lora_segments=self._lora_segments(len(self._active)),
-            lora_rank=self.lora_rank,
-        )
-        latency = self._latency(work)
+        batch = len(self._active)
+        total_kv = sum(self._lane_kv[r.request_id] + 1 for r in self._active)
+        latency = self.pricer.step_seconds((), batch, total_kv, (batch,))
         end = now + latency
         tokens: dict[str, int] = {}
         finished: list[str] = []
@@ -203,8 +183,7 @@ class StaticBatchEngine:
                 self._finish(req, end, finished)
         report = StepReport(
             gpu_id=self.gpu_id, start=now, latency=latency,
-            batch_size=len(self._active),
-            num_prefill=0, num_decode=len(self._active),
+            batch_size=batch, num_prefill=0, num_decode=batch,
             num_lora_segments=1 if self.profile.serves_lora else 0,
             new_tokens=tokens, finished=tuple(finished), evicted=(),
         )

@@ -71,11 +71,11 @@ class EngineState(NamedTuple):
 class FleetCostModel:
     """Prices candidate placements across a (possibly mixed) engine pool.
 
-    Every quote is the engine's own backend pricing a batch *shape* plus a
-    decode KV total (:meth:`SimulatedBackend.step_seconds
-    <repro.runtime.backend.SimulatedBackend.step_seconds>`), so it shares
-    the backend's shape-keyed latency terms with the engine's steps and is
-    bit-identical to pricing the per-request workload from scratch."""
+    Every quote is the engine's own pricer pricing a batch *shape* plus a
+    decode KV total (``backend.pricer``, :meth:`StepPricer.step_seconds
+    <repro.runtime.pricing.StepPricer.step_seconds>`), so it shares the
+    engine's shape-keyed latency terms and is bit-identical to pricing
+    the per-request workload from scratch."""
 
     def __init__(
         self,
@@ -100,7 +100,7 @@ class FleetCostModel:
     def snapshot(self, engine) -> EngineState:
         """Read ``engine``'s batch once, pricing each pending prefill's
         solo step on the way."""
-        step_seconds = engine.backend.step_seconds
+        step_seconds = engine.backend.pricer.step_seconds
         running = kv_total = 0
         pending = []
         for r in engine.all_requests():
@@ -114,7 +114,8 @@ class FleetCostModel:
 
     def _ttft(self, engine, request: Request, state: EngineState) -> float:
         prompt = max(1, request.effective_prompt_len)
-        t = self.load_stall(engine, request) + engine.backend.step_seconds(
+        t = self.load_stall(engine, request)
+        t += engine.backend.pricer.step_seconds(
             (prompt,), state.running, state.kv_total
         )
         rid = request.request_id
@@ -126,7 +127,7 @@ class FleetCostModel:
     @staticmethod
     def _itl(engine, request: Request, state: EngineState) -> float:
         prompt = max(1, request.effective_prompt_len)
-        return engine.backend.step_seconds(
+        return engine.backend.pricer.step_seconds(
             (), state.running + 1, state.kv_total + prompt + 1
         )
 
@@ -184,20 +185,20 @@ class FleetCostModel:
         """The best TTFT this engine could ever offer the request: a solo
         prefill on an empty batch with the adapter already GPU-resident.
         Placement-state-free, and remembered where every other quote is —
-        in the engine's own backend, so two engines share a floor only
-        when they share a backend's whole pricing identity."""
-        return engine.backend.step_seconds(
+        in the engine's own pricer, so two engines share a floor only
+        when their pricers share a whole identity."""
+        return engine.backend.pricer.step_seconds(
             (max(1, request.effective_prompt_len),), 0, 0
         )
 
     @staticmethod
     def device_classes(engines) -> list:
-        """One live engine per distinct backend pricing identity: engines
+        """One live engine per distinct pricer identity: engines
         of one class quote the same floor for every request."""
         classes: dict = {}
         for e in engines:
             if getattr(e, "alive", True):
-                classes.setdefault(e.backend.pricing_identity, e)
+                classes.setdefault(e.backend.pricer.identity, e)
         return list(classes.values())
 
     def best_floor(self, engines, request: Request) -> "float | None":
@@ -216,7 +217,7 @@ class FleetCostModel:
     def engine_cost_per_hour(engine) -> float:
         """Relative dollar rate of one engine (1.0 when its spec predates
         :class:`~repro.hw.spec.HwSpec` and carries no price)."""
-        return float(getattr(engine.backend.gpu, "cost_per_hour", 1.0))
+        return float(getattr(engine.backend.pricer.gpu, "cost_per_hour", 1.0))
 
     @classmethod
     def fleet_cost_per_hour(cls, engines) -> float:

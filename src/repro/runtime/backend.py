@@ -8,8 +8,10 @@ per request:
 * :class:`SimulatedBackend` prices the invocation with the analytical A100
   model and emits placeholder tokens; response lengths come from the trace.
 * :class:`NumpyBackend` runs the functional Llama on real token ids and
-  samples real next tokens; it can *also* price the step with the cost
-  model, so the same run yields both semantics and timing.
+  samples real next tokens; it always prices the step too, so the same
+  run yields both semantics and timing.
+
+Both price through their :class:`~repro.runtime.pricing.StepPricer`.
 """
 
 from __future__ import annotations
@@ -22,23 +24,14 @@ import numpy as np
 
 from repro.core.batch import BatchEntry, BatchPlan, plan_batch
 from repro.core.lora import LoraRegistry
-from repro.hw.kernels import KernelCostModel
 from repro.hw.spec import A100_80G, GpuSpec
 from repro.kvcache.pool import KvPool, PagedKvData
 from repro.models.config import LlamaConfig
 from repro.models.llama import LlamaModel, TokenBatch
-from repro.models.perf import (
-    PUNICA_FLAGS,
-    PerfFlags,
-    StepWorkload,
-    model_step_latency,
-    spec_round_latency,
-    step_latency_from_terms,
-    step_latency_steady_run,
-    step_latency_terms,
-)
+from repro.models.perf import PUNICA_FLAGS, PerfFlags
 from repro.models.tp import SINGLE_GPU, TensorParallelConfig
 from repro.models.weights import LlamaWeights
+from repro.runtime.pricing import StepPricer
 from repro.runtime.request import Request
 from repro.runtime.sampler import GreedySampler
 from repro.utils.units import GIB
@@ -70,28 +63,6 @@ class SpecExecution:
     """request_id -> accepted draft-token count (``len(committed) - 1``)."""
     proposed: int
     """Draft tokens proposed per request this round (= ``spec.draft_len``)."""
-
-
-def workload_from_plan(
-    plan: BatchPlan,
-    past_lens: Mapping[str, int],
-    serve_lora: bool,
-    lora_rank: int,
-) -> StepWorkload:
-    """Translate a planned batch into the analytical workload description:
-    the plan's shape fields plus the per-step ``decode_kv`` lookup."""
-    return StepWorkload(
-        prefill_lens=plan.prefill_lens,
-        decode_kv_lens=tuple(past_lens[rid] for rid in plan.decode_ids),
-        lora_segments=plan.segment_sizes if serve_lora else None,
-        lora_rank=lora_rank,
-    )
-
-
-_TERMS_MEMO_LIMIT = 4096
-"""Shapes ``SimulatedBackend._terms_memo`` holds before it is cleared
-wholesale (as ``hw.kernels._MEMO_LIMIT``): terms are cheap to rebuild,
-the limit only bounds memory on a run of unboundedly many batch shapes."""
 
 
 class SimulatedBackend:
@@ -127,26 +98,10 @@ class SimulatedBackend:
         step one way on both paths (the lanes it feeds are the engine's
         and the simulator's to select)."""
         self.config = config
-        self.gpu = gpu
-        self.tp = tp
-        self.flags = flags
-        self.lora_rank = lora_rank
-        self.serve_lora = serve_lora
-        self.step_overhead = step_overhead
-        self.supports_steady = not flags.cache_concat
-        """Whether a plan has latency terms that hold across its steps —
-        what the shape memo and the engine's armed batch and bulk decode
-        lane rest on. Under ``cache_concat`` one layer term
-        reads the KV lengths, so nothing is plan-invariant: every step is
-        priced with ``model_step_latency`` and the engine never arms."""
-        self.cost_model = KernelCostModel(gpu)
-        self._terms_memo: dict = {}
-        """:class:`StepLatencyTerms` by batch *shape*, at most
-        ``_TERMS_MEMO_LIMIT`` of them. Rotating batch membership yields
-        thousands of distinct plans whose shapes (token counts, LoRA
-        segment sizes) repeat heavily; the terms are a pure function of
-        shape (``supports_steady`` rules out ``cache_concat``, the one
-        flag that would make them read the decode KV lengths)."""
+        self.pricer = StepPricer(
+            config, gpu, tp, flags, lora_rank, serve_lora, step_overhead
+        )
+        self._step_seconds = self.pricer.step_seconds
         self.pool = unified_pool
         self._token_counter = 0
         if unified_pool is not None:
@@ -167,15 +122,6 @@ class SimulatedBackend:
             capacity_bytes=kv_capacity_bytes,
             page_size=page_size,
             bytes_per_token=bytes_per_token,
-        )
-
-    @property
-    def pricing_identity(self) -> tuple:
-        """Everything :meth:`step_seconds` reads besides its arguments:
-        backends with equal identities price every shape alike."""
-        return (
-            self.gpu, self.config, self.tp, self.flags,
-            self.lora_rank, self.serve_lora, self.step_overhead,
         )
 
     # -- KvCache interface ------------------------------------------------
@@ -250,7 +196,7 @@ class SimulatedBackend:
         total_kv = len(decode_ids)
         for rid in decode_ids:
             total_kv += past_lens[rid]
-        seconds = self.step_seconds(
+        seconds = self._step_seconds(
             plan.prefill_lens, len(decode_ids), total_kv, plan.segment_sizes
         )
         tokens = {}
@@ -269,25 +215,14 @@ class SimulatedBackend:
     ) -> SpecExecution:
         """One speculative draft/verify round over an all-decode plan.
 
-        Pricing goes through :func:`~repro.models.perf.spec_round_latency`
-        on both the fast and reference paths — the round has no term
-        memo, so armed runs are trivially float-identical across paths.
+        The pricer's round price has no term memo, so armed runs are
+        trivially float-identical across the fast and reference paths.
         Acceptance counts come from a geometric model at
         ``spec.acceptance_rate`` using the engine-owned ``rng`` (seeded
         per GPU), drawn in plan decode order so replays are deterministic.
         ``past_lens`` holds the pre-reservation KV lengths (``T - 1``),
         exactly what a non-speculative decode step would see.
         """
-        work = workload_from_plan(plan, past_lens, self.serve_lora, self.lora_rank)
-        latency = spec_round_latency(
-            self.config,
-            self.cost_model,
-            work,
-            spec.draft_len,
-            spec.draft_cost_ratio,
-            tp=self.tp,
-            flags=self.flags,
-        )
         committed: dict[str, tuple[int, ...]] = {}
         accepted: dict[str, int] = {}
         counter = self._token_counter
@@ -303,31 +238,10 @@ class SimulatedBackend:
             accepted[rid] = m
         self._token_counter = counter
         return SpecExecution(
-            latency=latency + self.step_overhead,
+            latency=self.pricer.spec_round_seconds(plan, past_lens, spec),
             committed=committed,
             accepted=accepted,
             proposed=spec.draft_len,
-        )
-
-    def steady_run_latencies(self, plan: BatchPlan, total_kv: int, count: int):
-        """Per-step latencies for a ``count``-step decode run of one batch.
-
-        ``total_kv`` is ``sum(past + 1)`` over the all-decode ``plan``'s
-        requests at the run's first step. Step ``k`` prices exactly like
-        :meth:`execute` with every past length ``k`` tokens on — decode
-        attention reads the lengths only through their total,
-        ``total_kv + k * batch`` — overhead included; see
-        :func:`~repro.models.perf.step_latency_steady_run` for the
-        bit-identity argument.
-        """
-        batch = len(plan.decode_ids)
-        return (
-            step_latency_steady_run(
-                self.config, self.cost_model,
-                self._terms(plan.prefill_lens, batch, total_kv, plan.segment_sizes),
-                total_kv, batch, count,
-            )
-            + self.step_overhead
         )
 
     def commit_steady_run(self, request_ids, count: int) -> int:
@@ -347,111 +261,6 @@ class SimulatedBackend:
         self._token_counter = base + count * len(request_ids)
         return base
 
-    def step_seconds(
-        self,
-        prefill_lens: "tuple[int, ...]",
-        n_decode: int,
-        total_kv: int,
-        segments: "tuple[int, ...] | None" = None,
-    ) -> float:
-        """Seconds of one invocation, host overhead included, from its
-        *shape* and the decode requests' KV total — the one way this
-        backend prices a step, for the engine (:meth:`execute`) and for
-        the control plane's placement quotes alike.
-
-        ``total_kv`` is ``sum(past + 1)`` over the ``n_decode`` decode
-        requests: the analytical model reads their KvCache lengths through
-        that sum alone. ``segments`` are the LoRA segment sizes in batch
-        order; ``None`` puts every request on its own adapter (a quote's
-        assumption about a batch that does not exist yet). Equal, bit for
-        bit, to ``model_step_latency`` over the per-request workload plus
-        ``step_overhead`` (``tests/test_cluster_control.py``, the quote
-        oracle).
-        """
-        if self.supports_steady:
-            latency = step_latency_from_terms(
-                self.config,
-                self.cost_model,
-                self._terms(prefill_lens, n_decode, total_kv, segments),
-                total_kv,
-            )
-        else:
-            latency = model_step_latency(
-                self.config,
-                self.cost_model,
-                self._shape_workload(prefill_lens, n_decode, total_kv, segments),
-                tp=self.tp,
-                flags=self.flags,
-            )
-        return latency + self.step_overhead
-
-    def _shape_workload(
-        self, prefill_lens, n_decode: int, total_kv: int, segments
-    ) -> StepWorkload:
-        """A validated workload of the given shape and decode KV total.
-        Nothing downstream reads the individual decode lengths — decode
-        attention and the ``cache_concat`` copy sum them — so the first
-        decode request carries the whole past."""
-        if not self.serve_lora:
-            segments = None
-        elif segments is None:
-            segments = prefill_lens + (1,) * n_decode
-        past = (total_kv - n_decode,) + (0,) * (n_decode - 1) if n_decode else ()
-        return StepWorkload(prefill_lens, past, segments, self.lora_rank)
-
-    def _terms(self, prefill_lens, n_decode: int, total_kv: int, segments):
-        """Memoized :func:`step_latency_terms` for one invocation shape.
-
-        Every term is shape-invariant in the decode KV lengths, so the
-        memo keys on the shape alone and batches that recompose the same
-        shape — an engine's plans and the router's quotes against that
-        engine — share one build; on a hit the :class:`StepWorkload`
-        (validation plus one tuple per batch) is never built, and
-        ``total_kv`` is only what a miss builds it from.
-
-        Under the SGMV and Gather-BMM operators the LoRA terms depend on
-        the segment vector only through its sum and count (see
-        :meth:`~repro.hw.kernels.KernelCostModel.lora_addon_total`) — and
-        the sum is the token total the other key parts already fix — so
-        the key collapses the segments to their count and rotating LoRA
-        membership stops defeating the memo. The Loop operator prices
-        each segment individually, so it keeps the full tuple.
-        """
-        if not self.serve_lora:
-            seg_key = None
-        elif self.flags.lora_impl != "loop":
-            seg_key = (
-                len(segments) if segments is not None
-                else len(prefill_lens) + n_decode
-            )
-        else:
-            seg_key = (
-                segments if segments is not None
-                else prefill_lens + (1,) * n_decode
-            )
-        key = (prefill_lens, n_decode, seg_key, self.lora_rank)
-        memo = self._terms_memo
-        terms = memo.get(key)
-        if terms is None:
-            # A mixed prefill nobody has run (``segments is None``: a
-            # quote) is looked up but not remembered, here or in the
-            # kernel memo — a throwaway cost model prices it: its prompt
-            # length is new on nearly every arrival (docs/performance.md).
-            keep = segments is not None or not prefill_lens or not n_decode
-            terms = step_latency_terms(
-                self.config,
-                self.cost_model if keep
-                else KernelCostModel(self.gpu),
-                self._shape_workload(prefill_lens, n_decode, total_kv, segments),
-                tp=self.tp,
-                flags=self.flags,
-            )
-            if keep:
-                if len(memo) >= _TERMS_MEMO_LIMIT:
-                    memo.clear()
-                memo[key] = terms
-        return terms
-
 
 class NumpyBackend:
     """Functional backend: really generates tokens at toy scale."""
@@ -464,17 +273,19 @@ class NumpyBackend:
         page_size: int = 8,
         sampler=None,
         lora_rank: int = 16,
-        cost_model: KernelCostModel | None = None,
+        gpu: GpuSpec = A100_80G,
         step_overhead: float = 0.0,
     ):
+        """A step is priced as the toy model's time on ``gpu`` at
+        ``lora_rank`` plus ``step_overhead``."""
         cfg = weights.config
         self.config = cfg
         self.registry = registry
-        self.lora_rank = lora_rank
-        self.serve_lora = registry is not None
         self.sampler = sampler or GreedySampler()
-        self.cost_model = cost_model
-        self.step_overhead = step_overhead
+        self.pricer = StepPricer(
+            cfg, gpu, lora_rank=lora_rank, serve_lora=registry is not None,
+            step_overhead=step_overhead,
+        )
         self.kv_data = PagedKvData(
             total_pages=total_pages,
             page_size=page_size,
@@ -572,6 +383,7 @@ class NumpyBackend:
             raise ValueError("NumpyBackend.execute needs the request objects")
         token_ids: list[int] = []
         pasts: list[int] = []
+        total_kv = 0
         for entry in plan.entries:
             req = requests[entry.request_id]
             if req.prompt_tokens is None:
@@ -593,6 +405,7 @@ class NumpyBackend:
                     else req.prompt_tokens[-1]
                 )
                 token_ids.append(int(last))
+                total_kv += past_lens[entry.request_id] + 1
             pasts.append(past_lens[entry.request_id])
 
         batch = TokenBatch(plan, np.asarray(token_ids, dtype=np.int64), tuple(pasts))
@@ -603,12 +416,10 @@ class NumpyBackend:
             sampler = req.sampler if req.sampler is not None else self.sampler
             tokens[entry.request_id] = sampler.sample(logits[i])
 
-        if self.cost_model is not None:
-            work = workload_from_plan(plan, past_lens, self.serve_lora, self.lora_rank)
-            latency = model_step_latency(self.config, self.cost_model, work)
-        else:
-            latency = 0.0
-        return StepExecution(latency=latency + self.step_overhead, tokens=tokens)
+        latency = self.pricer.step_seconds(
+            plan.prefill_lens, len(plan.decode_ids), total_kv, plan.segment_sizes
+        )
+        return StepExecution(latency=latency, tokens=tokens)
 
     # -- speculative decoding ---------------------------------------------
     def _ensure_draft(self, spec: "SpecConfig") -> None:
@@ -755,15 +566,8 @@ class NumpyBackend:
             self._draft_kv.truncate(rid, keep)
             self._draft_synced[rid] = keep
 
-        if self.cost_model is not None:
-            work = workload_from_plan(plan, past_lens, self.serve_lora, self.lora_rank)
-            latency = spec_round_latency(
-                self.config, self.cost_model, work, d, spec.draft_cost_ratio
-            )
-        else:
-            latency = 0.0
         return SpecExecution(
-            latency=latency + self.step_overhead,
+            latency=self.pricer.spec_round_seconds(plan, past_lens, spec),
             committed=committed,
             accepted=accepted,
             proposed=d,

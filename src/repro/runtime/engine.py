@@ -196,11 +196,12 @@ class GpuEngine:
         self.spec_rounds = 0
         """Speculative rounds run (diagnostic, like ``fast_steps``)."""
         # The armed batch and the bulk lane assume one token per request
-        # per step and shape-only latency terms; speculative engines and
-        # backends without such terms (``supports_steady``) never arm.
+        # per step and shape-only latency terms (``supports_steady``);
+        # speculative engines and backends with no bulk run never arm.
         self._steady_ok = (
             self.fast_path
-            and getattr(backend, "supports_steady", False)
+            and hasattr(backend, "commit_steady_run")
+            and backend.pricer.supports_steady
             and self._spec is None
         )
         self._steady = ArmedBatch()
@@ -296,8 +297,9 @@ class GpuEngine:
     @cached_property
     def _default_lora_bytes(self) -> float:
         """Fallback adapter size when the registry has no metadata — worked
-        out once: the backend's model config and rank never change."""
-        return float(self.backend.config.lora_bytes(self.backend.lora_rank))
+        out once: the pricer's model config and rank never change."""
+        pricer = self.backend.pricer
+        return float(pricer.config.lora_bytes(pricer.lora_rank))
 
     def all_requests(self) -> list[Request]:
         """Every request currently on this GPU (working + pending), in
@@ -753,7 +755,7 @@ class GpuEngine:
         # headroom-sized array would fall short of later slices and force
         # a rebuild per merge. Pricing past headroom is harmless — the
         # *returned* slice below stays capped at ``count``.
-        lats = backend.steady_run_latencies(
+        lats = backend.pricer.steady_run_latencies(
             plan, total, min(rem_cap, self._MAX_RUN)
         )
         if slowdown != 1.0:

@@ -9,11 +9,11 @@ correction token still lands) and ``draft_len + 1`` (every draft accepted
 plus the bonus token) tokens. Rejected draft tokens roll their reserved
 KV slots back exactly (docs/speculative.md).
 
-The two backends consume the config differently:
+Both backends price a round through their step pricer
+(:func:`repro.models.perf.spec_round_latency`) but draft differently:
 
 * the simulated backend draws per-request acceptance counts from a
-  geometric model at ``acceptance_rate`` and prices the round via
-  :func:`repro.models.perf.spec_round_latency`;
+  geometric model at ``acceptance_rate``;
 * the functional NumPy backend ignores ``acceptance_rate`` and runs a
   *real* truncated-layer draft model plus sequential argmax
   verification, so speculative output is token-identical to greedy

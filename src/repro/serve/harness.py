@@ -35,8 +35,8 @@ DEFAULT_LORA_IDS = ("lora-0", "lora-1", "lora-2", "lora-3")
 default mix."""
 
 FUNCTIONAL_STEP_SECONDS = 1e-3
-"""Virtual seconds a functional engine step takes, and the functional
-stack's pump quantum."""
+"""Host seconds a functional engine step adds to its modelled time, and
+the functional stack's pump quantum."""
 
 
 @dataclass
@@ -103,9 +103,10 @@ def build_functional_stack(
     engines: real token ids from the tiny NumPy Llama, one registered
     adapter per tenant in the default load mix, every engine over the
     same weights; ``seed`` draws the weights, the adapters and the prompt
-    ids of ops that carry none. Each step takes ``FUNCTIONAL_STEP_SECONDS``
-    of virtual time and a pump quantum holds about one, so the pump yields
-    to the event loop about once per step and a cancel lands mid-stream."""
+    ids of ops that carry none. A step is ``FUNCTIONAL_STEP_SECONDS`` plus
+    the tiny model's modelled A100 time (~0.13 ms) and a pump quantum
+    holds about one, so the pump yields to the event loop about once per
+    step and a cancel lands mid-stream."""
     cfg = tiny_config(hidden_size=32, num_layers=1, num_heads=4, vocab_size=128)
     weights = random_llama_weights(cfg, seed=seed)
     registry = LoraRegistry()

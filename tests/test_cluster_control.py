@@ -204,58 +204,58 @@ class DirectQuotes:
         ]
 
     @staticmethod
-    def _price(backend, work):
+    def _price(pricer, work):
         return (
             model_step_latency(
-                backend.config, backend.cost_model, work,
-                tp=backend.tp, flags=backend.flags,
+                pricer.config, pricer.cost_model, work,
+                tp=pricer.tp, flags=pricer.flags,
             )
-            + backend.step_overhead
+            + pricer.step_overhead
         )
 
     @staticmethod
-    def _segments(backend, prefill_tokens, decodes):
-        if not backend.serve_lora:
+    def _segments(pricer, prefill_tokens, decodes):
+        if not pricer.serve_lora:
             return None
         segs = [prefill_tokens] if prefill_tokens else []
         segs.extend([1] * decodes)
         return tuple(segs)
 
-    def _solo(self, backend, prompt):
+    def _solo(self, pricer, prompt):
         return self._price(
-            backend,
+            pricer,
             StepWorkload(
                 prefill_lens=(prompt,),
-                lora_segments=self._segments(backend, prompt, 0),
-                lora_rank=backend.lora_rank,
+                lora_segments=self._segments(pricer, prompt, 0),
+                lora_rank=pricer.lora_rank,
             ),
         )
 
     def predict_ttft(self, engine, request):
-        backend = engine.backend
+        pricer = engine.backend.pricer
         prompt = max(1, request.effective_prompt_len)
         running = self._running_kv_lens(engine)
         work = StepWorkload(
             prefill_lens=(prompt,),
             decode_kv_lens=tuple(running),
-            lora_segments=self._segments(backend, prompt, len(running)),
-            lora_rank=backend.lora_rank,
+            lora_segments=self._segments(pricer, prompt, len(running)),
+            lora_rank=pricer.lora_rank,
         )
-        t = self.cost.load_stall(engine, request) + self._price(backend, work)
+        t = self.cost.load_stall(engine, request) + self._price(pricer, work)
         for other in self._pending_prefill_lens(engine, request):
-            t += self._solo(backend, max(1, other))
+            t += self._solo(pricer, max(1, other))
         return t
 
     def predict_itl(self, engine, request):
-        backend = engine.backend
+        pricer = engine.backend.pricer
         kv_lens = self._running_kv_lens(engine)
         kv_lens.append(max(1, request.effective_prompt_len))
         work = StepWorkload(
             decode_kv_lens=tuple(kv_lens),
-            lora_segments=self._segments(backend, 0, len(kv_lens)),
-            lora_rank=backend.lora_rank,
+            lora_segments=self._segments(pricer, 0, len(kv_lens)),
+            lora_rank=pricer.lora_rank,
         )
-        return self._price(backend, work)
+        return self._price(pricer, work)
 
     def estimate(self, engine, request, now):
         policy = self.cost.control.policy_for(request.lora_id)
@@ -271,7 +271,9 @@ class DirectQuotes:
         )
 
     def optimistic_floor(self, engine, request):
-        return self._solo(engine.backend, max(1, request.effective_prompt_len))
+        return self._solo(
+            engine.backend.pricer, max(1, request.effective_prompt_len)
+        )
 
     def best_floor(self, engines, request):
         return min(self.optimistic_floor(e, request) for e in engines)

@@ -47,6 +47,7 @@ from repro.obs.scenarios import SCENARIOS, run_scenario
 from repro.obs.tracer import TERMINAL_KINDS, EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
+from repro.runtime.pricing import StepPricer
 from repro.runtime.request import RequestState
 from repro.runtime.spec import SpecConfig
 from repro.workloads.arrivals import PoissonArrivals, RampProfile, constant_rate
@@ -279,17 +280,17 @@ def test_random_workload_differential(
 
 def _watch_terms_memo(monkeypatch, limit):
     """Bound the latency-term memo at ``limit`` shapes and record its size
-    after every lookup, per backend."""
-    monkeypatch.setattr("repro.runtime.backend._TERMS_MEMO_LIMIT", limit)
+    after every lookup, per pricer."""
+    monkeypatch.setattr("repro.runtime.pricing._TERMS_MEMO_LIMIT", limit)
     sizes: dict[int, list[int]] = {}
-    lookup = SimulatedBackend._terms
+    lookup = StepPricer._terms
 
     def watched(self, *shape):
         terms = lookup(self, *shape)
         sizes.setdefault(id(self), []).append(len(self._terms_memo))
         return terms
 
-    monkeypatch.setattr(SimulatedBackend, "_terms", watched)
+    monkeypatch.setattr(StepPricer, "_terms", watched)
     return sizes
 
 

@@ -88,8 +88,9 @@ def test_disagg_streams_are_greedy_exact(weights, registry, seed):
 
 
 def test_failed_transfer_reprefills_exactly(weights, registry):
-    # Steps are unpriced here, so the first handoffs are in flight from
-    # about 10 us to 35 us (adapter copy, then the interconnect).
+    # The first handoff is in flight from its prefill step's start (about
+    # 10 us, after the adapter copy) until it lands at about 283 us: the
+    # step is priced at about 248 us, the interconnect takes 25 us.
     injector = FaultInjector(
         [FaultSpec(FaultKind.KV_TRANSFER_FAIL, time=2e-5)], seed=0
     )

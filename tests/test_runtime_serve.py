@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.lora import LoraRegistry, random_lora_weights
-from repro.hw.kernels import KernelCostModel
 from repro.hw.spec import A100_80G
 from repro.models.config import LLAMA2_7B, tiny_config
 from repro.models.llama import reference_forward_full
@@ -125,7 +124,7 @@ class TestFunctionalServing:
         weights = random_llama_weights(cfg, seed=0)
         backend = NumpyBackend(
             weights, registry, total_pages=128, page_size=4, lora_rank=4,
-            cost_model=KernelCostModel(A100_80G),
+            gpu=A100_80G,
         )
         engine = GpuEngine("gpu0", backend, EngineConfig())
         lengths = ShareGptLengths(max_prompt_len=6, max_response_len=4)
