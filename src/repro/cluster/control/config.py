@@ -48,10 +48,6 @@ class ControlConfig:
     default_policy: SloPolicy = field(default_factory=SloPolicy)
     per_tenant: "Mapping[str, SloPolicy]" = field(default_factory=dict)
     """Overrides keyed by LoRA adapter id."""
-    shed_infeasible: bool = True
-    """Refuse (FAILED terminal state) requests whose remaining deadline
-    budget is below the fleet's optimistic floor. With False the router
-    keeps them queued best-effort — useful for ablating shed policy."""
 
     def policy_for(self, lora_id: str) -> SloPolicy:
         return self.per_tenant.get(lora_id, self.default_policy)

@@ -6,6 +6,12 @@ with the *largest* working set; break ties by highest GPU UUID. If none
 qualifies, queue FCFS. The deliberately anti-balancing rule keeps busy GPUs
 busy and lets lightly loaded GPUs drain to idle, enabling cluster scale-down.
 
+:class:`PunicaScheduler` runs the only admission loops — ``submit``,
+``drain_queue`` and ``route_decode`` — for every policy. A policy (the
+SLO router, :mod:`repro.cluster.control.router`) overrides only its
+ranking keys, its queue key and discipline, its shed rule and what it
+records after an admit.
+
 Consolidation migration: periodically, requests on lightly loaded GPUs are
 migrated (cancel + re-add, §5.3) onto busier GPUs that can absorb them,
 freeing the source GPU entirely.
@@ -37,10 +43,6 @@ class SchedulerConfig:
     routing: str = "pack"
     """"pack" = Punica's largest-working-set rule (§5.1); "spread" = classic
     least-loaded balancing, kept as an ablation of the design choice."""
-    locality_aware: bool = True
-    """Break working-set ties by adapter residency tier (GPU > HOST > DISK)
-    before the highest-UUID rule, so routing prefers GPUs that can skip all
-    or part of the adapter load (CaraServe-style locality)."""
 
     def __post_init__(self) -> None:
         if self.migration_interval <= 0:
@@ -52,7 +54,11 @@ class SchedulerConfig:
 
 
 class PunicaScheduler:
-    """Routes requests over a pool of engines; owns the FCFS wait queue."""
+    """Routes requests over a pool of engines; owns the wait queue.
+
+    Working-set ties always break by adapter residency tier (GPU > HOST >
+    DISK) before the highest-UUID rule, so routing prefers GPUs that can
+    skip all or part of the adapter load (CaraServe-style locality)."""
 
     def __init__(
         self,
@@ -69,11 +75,11 @@ class PunicaScheduler:
         self.engines = {e.gpu_id: e for e in engines}
         self.config = config or SchedulerConfig()
         self.prefetcher = prefetcher
+        """Optional :class:`~repro.adapters.prefetch.Prefetcher` that gets
+        routing hints (queued requests' adapters are staged host-side)."""
         self.tracer = tracer
         """Optional :class:`~repro.obs.tracer.Tracer` receiving QUEUE and
         MIGRATE events (engines emit their own PLACE/step events)."""
-        """Optional :class:`~repro.adapters.prefetch.Prefetcher` that gets
-        routing hints (queued requests' adapters are staged host-side)."""
         self._queue: list[tuple[float, int, Request]] = []
         self._queue_seq = 0
         self.num_migrations = 0
@@ -133,8 +139,10 @@ class PunicaScheduler:
         return [gid for gid, e in self.engines.items() if e.is_idle]
 
     # ------------------------------------------------------------------
+    # The admission loops, run for every policy.
     def submit(self, request: Request, now: float) -> "str | None":
-        """Route a request; returns the chosen GPU id or None if queued.
+        """Route a request; returns the chosen GPU id, or None if it was
+        queued or shed.
 
         Terminal requests are dropped, not routed: a user may cancel before
         the simulated arrival fires, and routing a CANCELLED request into
@@ -142,43 +150,53 @@ class PunicaScheduler:
         """
         if request.state.is_terminal:
             return None
-        gpu = self._route(request)
-        if gpu is None:
-            self._enqueue(request, now, request.spec.arrival_time, "no_capacity")
-            return None
-        self.engines[gpu].add_request(request, now)
+        self._new_pass()
+        gpu = self._route(request, now)
+        if gpu is not None:
+            self._admit(request, gpu, now)
+        elif not self._shed_hopeless(request, now):
+            self._enqueue(request, now)
         return gpu
 
-    def _enqueue(self, request: Request, now: float, key: float, reason: str) -> None:
-        """Park a request in the wait queue under ``key`` (ties -> FIFO)."""
-        heapq.heappush(self._queue, (key, self._queue_seq, request))
-        self._queue_seq += 1
-        self.num_queued_total += 1
-        if self.prefetcher is not None:
-            self.prefetcher.hint_queued(request.lora_id, now)
-        if self.tracer is not None:
-            self.tracer.emit(
-                now, EventKind.QUEUE, request.request_id,
-                reason=reason, depth=len(self._queue),
-            )
+    def drain_queue(self, now: float) -> "list[str]":
+        """Place queued requests in queue-key order as capacity frees up.
 
-    def _adapter_locality(self, engine, request: Request) -> int:
-        """Residency tier of the request's adapter on ``engine`` (2 GPU /
-        1 HOST / 0 DISK); 0 when disabled or the engine has no tier view."""
-        if not self.config.locality_aware:
-            return 0
-        tier_of = getattr(engine, "adapter_tier", None)
-        return tier_of(request.lora_id) if tier_of is not None else 0
+        A waiter nobody admits is shed when the policy finds it hopeless;
+        otherwise it keeps its place, and under a blocking discipline
+        (:attr:`queue_head_blocks`) the pass ends there."""
+        queue = self._queue
+        if not queue:
+            return []
+        self._new_pass()
+        placed, kept = [], []
+        while queue:
+            entry = queue[0]
+            request = entry[2]
+            if not request.state.is_terminal:
+                gpu = self._route(request, now)
+                if gpu is not None:
+                    self._admit(request, gpu, now)
+                    placed.append(gpu)
+                elif not self._shed_hopeless(request, now):
+                    if self.queue_head_blocks:
+                        break
+                    kept.append(entry)
+            heapq.heappop(queue)
+        if kept:
+            # Only a non-blocking pass keeps waiters, and it ran the queue
+            # dry; they left it in key order, so the list is a heap.
+            self._queue = kept
+        return placed
 
-    @staticmethod
-    def _prefill_capable(engine) -> bool:
-        """Whether an engine may run prefills — everything except pure
-        decode-pool members (engines without a role are colocated)."""
-        return getattr(engine, "role", "both") != "decode"
+    def route_decode(self, request: Request, kv_tokens: int) -> "str | None":
+        """Pick the decode GPU for a request whose KV handoff completed:
+        first fit over :meth:`_decode_keys`. Returns None when no
+        decode-capable engine can admit the imported history right now."""
+        return self._first_fit(self._decode_keys(request), request, kv_tokens)
 
-    @staticmethod
-    def _decode_capable(engine) -> bool:
-        return getattr(engine, "role", "both") != "prefill"
+    def _route(self, request: Request, now: float) -> "str | None":
+        """The prefill placement: first fit over :meth:`_prefill_keys`."""
+        return self._first_fit(self._prefill_keys(request, now), request)
 
     def _first_fit(self, ranked: "list[tuple]", *admission) -> "str | None":
         """The one placement rule: every placement is "max key among the
@@ -194,47 +212,90 @@ class PunicaScheduler:
                 return gid
         return None
 
-    def _route(self, request: Request) -> "str | None":
-        """§5.1, both routing modes under one ordering rule: first fit in
-        descending ``(load, adapter locality, GPU UUID)``, where ``load``
-        is the working-set size under "pack" (largest working set wins;
-        ties -> GPU-resident beats HOST-staged beats DISK-only, then max
-        UUID) and its negation under the "spread" ablation (least loaded
-        wins, same tie-breaks) — the conventional balancing rule the paper
-        argues against for consolidation.
+    def _admit(self, request: Request, gpu: str, now: float) -> None:
+        self.engines[gpu].add_request(request, now)
+
+    def _enqueue(self, request: Request, now: float) -> None:
+        """Park a request in the wait queue under its :meth:`_queue_key`
+        (ties -> FIFO)."""
+        key, reason = self._queue_key(request)
+        heapq.heappush(self._queue, (key, self._queue_seq, request))
+        self._queue_seq += 1
+        self.num_queued_total += 1
+        if self.prefetcher is not None:
+            self.prefetcher.hint_queued(request.lora_id, now)
+        if self.tracer is not None:
+            self.tracer.emit(
+                now, EventKind.QUEUE, request.request_id,
+                reason=reason, depth=len(self._queue),
+            )
+
+    def _adapter_locality(self, engine, request: Request) -> int:
+        """Residency tier of the request's adapter on ``engine`` (2 GPU /
+        1 HOST / 0 DISK); 0 when the engine has no tier view."""
+        tier_of = getattr(engine, "adapter_tier", None)
+        return tier_of(request.lora_id) if tier_of is not None else 0
+
+    @staticmethod
+    def _prefill_capable(engine) -> bool:
+        """Whether an engine may run prefills — everything except pure
+        decode-pool members (engines without a role are colocated)."""
+        return getattr(engine, "role", "both") != "decode"
+
+    @staticmethod
+    def _decode_capable(engine) -> bool:
+        return getattr(engine, "role", "both") != "prefill"
+
+    # ------------------------------------------------------------------
+    # Policy hooks (Punica's pack rule and FCFS queue); a policy overrides
+    # these and nothing else.
+    queue_head_blocks = True
+    """Whether a waiter nobody admits blocks the waiters behind it."""
+
+    def _new_pass(self) -> None:
+        """Start one ``submit`` or ``drain_queue`` pass; a policy that
+        keeps per-pass scratch resets it here."""
+
+    def _prefill_keys(self, request: Request, now: float) -> "list[tuple]":
+        """§5.1, both routing modes under one ordering rule: descending
+        ``(load, adapter locality, GPU UUID)``, where ``load`` is the
+        working-set size under "pack" (largest working set wins; ties ->
+        GPU-resident beats HOST-staged beats DISK-only, then max UUID) and
+        its negation under the "spread" ablation (least loaded wins, same
+        tie-breaks) — the conventional balancing rule the paper argues
+        against for consolidation.
 
         New and re-queued requests need a prefill, so pure decode-pool
         engines are never candidates here; they admit work only through
         :meth:`route_decode`.
         """
         sign = 1 if self.config.routing == "pack" else -1
-        return self._first_fit(
-            [
-                (sign * e.working_set_size, self._adapter_locality(e, request), gid)
-                for gid, e in self.engines.items()
-                if self._prefill_capable(e)
-            ],
-            request,
-        )
+        return [
+            (sign * e.working_set_size, self._adapter_locality(e, request), gid)
+            for gid, e in self.engines.items()
+            if self._prefill_capable(e)
+        ]
 
-    def route_decode(self, request: Request, kv_tokens: int) -> "str | None":
-        """Pick the decode GPU for a request whose KV handoff completed.
+    def _decode_keys(self, request: Request) -> "list[tuple]":
+        """CaraServe-style adapter locality leads: a GPU already holding
+        the adapter skips the load stall entirely, which on the decode path
+        is the dominant admission cost (the KV pages arrive either way).
+        Ties fall back to Punica's pack rule (largest working set), then
+        max UUID."""
+        return [
+            (self._adapter_locality(e, request), e.working_set_size, gid)
+            for gid, e in self.engines.items()
+            if self._decode_capable(e)
+        ]
 
-        CaraServe-style adapter locality leads: a GPU already holding the
-        adapter skips the load stall entirely, which on the decode path is
-        the dominant admission cost (the KV pages arrive either way). Ties
-        fall back to Punica's pack rule (largest working set), then max
-        UUID. Returns None when no decode-capable engine can admit the
-        imported history right now.
-        """
-        return self._first_fit(
-            [
-                (self._adapter_locality(e, request), e.working_set_size, gid)
-                for gid, e in self.engines.items()
-                if self._decode_capable(e)
-            ],
-            request, kv_tokens,
-        )
+    def _queue_key(self, request: Request) -> "tuple[float, str]":
+        """Wait-queue key and the QUEUE event's reason: FCFS by arrival."""
+        return request.spec.arrival_time, "no_capacity"
+
+    def _shed_hopeless(self, request: Request, now: float) -> bool:
+        """Asked after a failed placement: shed the request instead of
+        (re)queueing it; returns whether it was shed. Punica never sheds."""
+        return False
 
     # The handoff's decode queue (docs/disagg.md) asks the scheduler for
     # its discipline: FCFS by handoff completion, the head blocks, and a
@@ -249,29 +310,13 @@ class PunicaScheduler:
         it is waiting for; returns whether it was shed."""
         return False
 
-    def drain_queue(self, now: float) -> list[str]:
-        """Place queued requests FCFS as capacity frees up; head blocks."""
-        placed = []
-        while self._queue:
-            _, _, request = self._queue[0]
-            if request.state.is_terminal:
-                heapq.heappop(self._queue)
-                continue
-            gpu = self._route(request)
-            if gpu is None:
-                break
-            heapq.heappop(self._queue)
-            self.engines[gpu].add_request(request, now)
-            placed.append(gpu)
-        return placed
-
     # ------------------------------------------------------------------
     def cancel(self, request: Request) -> "str | None":
         """User cancellation: drop from whichever GPU or queue holds it.
 
         Returns the GPU the request was running on (None if it was only
         queued or not yet arrived). Callers that own an event loop must
-        drain the FCFS queue afterwards — the freed batch slot and KvCache
+        drain the wait queue afterwards — the freed batch slot and KvCache
         pages admit nobody by themselves (see ClusterSimulator.cancel).
         """
         for gid, engine in self.engines.items():
@@ -292,7 +337,7 @@ class PunicaScheduler:
         return None
 
     def drain_all_queued(self) -> "list[Request]":
-        """Empty the FCFS queue, returning the live requests it held (the
+        """Empty the wait queue, returning the live requests it held (the
         shed path: the caller marks them FAILED when no capacity remains)."""
         out = [
             r for _, _, r in sorted(self._queue) if not r.state.is_terminal

@@ -9,7 +9,7 @@ from repro.bench.adapter_cache import (
     build_adapter_cluster,
     mean_cold_ttft,
 )
-from repro.cluster.scheduler import PunicaScheduler, SchedulerConfig
+from repro.cluster.scheduler import PunicaScheduler
 from repro.models.config import LLAMA2_7B
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
@@ -44,14 +44,6 @@ class TestLocalityRouting:
         self._warm(low, "lora-a")
         sched = PunicaScheduler([low, high])
         assert sched.submit(make_request("r0", "lora-a"), now=100.0) == "gpu0"
-
-    def test_locality_disabled_restores_uuid_rule(self):
-        low, high = make_engine("gpu0"), make_engine("gpu1")
-        self._warm(low, "lora-a")
-        sched = PunicaScheduler(
-            [low, high], SchedulerConfig(locality_aware=False)
-        )
-        assert sched.submit(make_request("r0", "lora-a"), now=100.0) == "gpu1"
 
     def test_working_set_still_dominates_locality(self):
         # §5.1's pack rule is primary; locality only breaks ties.

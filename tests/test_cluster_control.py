@@ -26,6 +26,7 @@ from repro.cluster.control import (
 )
 from repro.cluster.disagg import DisaggConfig
 from repro.cluster.elastic import ElasticConfig, ElasticPool
+from repro.cluster.scheduler import PunicaScheduler, SchedulerConfig
 from repro.cluster.simulator import ClusterSimulator
 from repro.hw.spec import HwSpec
 from repro.models.config import LLAMA2_7B, LLAMA2_13B
@@ -37,6 +38,7 @@ from repro.runtime.request import Request, RequestState
 from repro.workloads.arrivals import PoissonArrivals, constant_rate
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import RequestSpec, generate_trace
+from tests.test_cluster_scheduler import CountedAdmission, asked_at_most
 
 
 def make_engine(gpu_id, preset="a100-80g", max_batch=4, step_overhead=0.0,
@@ -515,19 +517,6 @@ class TestSloRouter:
         assert req.state is RequestState.FAILED
         assert router.num_slo_sheds == 1
 
-    def test_shedding_can_be_disabled(self):
-        blocker = make_engine("g", max_batch=1)
-        blocker.add_request(make_request("hog"), 0.0)
-        control = ControlConfig(
-            default_policy=SloPolicy(ttft_deadline=0.5, itl_deadline=1.0),
-            shed_infeasible=False,
-        )
-        router = SloRouter([blocker], control=control)
-        req = make_request("r", arrival=0.0)
-        assert router.submit(req, 10.0) is None
-        assert req.state is not RequestState.FAILED
-        assert router.queue_depth == 1
-
     def test_router_is_built_at_construction_and_sheds_through_the_simulator(self):
         # No scheduler swap after construction: the simulator owns an SLO
         # router from the start, wired to its metrics and its shed path.
@@ -547,6 +536,196 @@ class TestSloRouter:
         assert late.state is RequestState.FAILED
         assert sim.metrics.slo_shed_count() == 1
         assert [e.request_id for e in tracer.by_kind(EventKind.SHED)] == ["late"]
+
+
+    def test_spread_routing_conflicts_with_slo_control(self):
+        # The SLO router ranks by fitness and never reads ``routing``, so
+        # asking for the spread ablation under control= is an error, not a
+        # silent fitness run.
+        with pytest.raises(ValueError, match="routing='spread'.*control="):
+            ClusterSimulator(
+                [make_engine("g")], SchedulerConfig(routing="spread"),
+                control=ControlConfig(),
+            )
+        sim = ClusterSimulator(
+            [make_engine("g")], SchedulerConfig(routing="pack"),
+            control=ControlConfig(),
+        )
+        assert isinstance(sim.scheduler, SloRouter)
+
+
+# ----------------------------------------------------------------------
+# Placement: the merged first-fit loop == the exhaustive SLO scans it
+# replaced (admit-test every engine, then estimate and take the max)
+# ----------------------------------------------------------------------
+PAGE = 16
+PROBE_LORA = "probe-lora"
+
+
+def oracle_slo_place(router, request, now):
+    """The SLO prefill scan as it was: every open engine that admits the
+    request is quoted afresh, and the max ``(fitness, locality, gid)``
+    wins."""
+    best = None
+    for gid, engine in router.engines.items():
+        if not (router._prefill_capable(engine) and engine.has_free_slot):
+            continue
+        if not engine.can_accept(request):
+            continue
+        est = router.cost.estimate(engine, request, now)
+        key = (est.fitness, router._adapter_locality(engine, request), gid)
+        if best is None or key > best[0]:
+            best = (key, gid)
+    return None if best is None else best[1]
+
+
+def oracle_slo_route_decode(router, request, kv_tokens):
+    """The SLO decode scan as it was: ITL headroom, locality, working set,
+    gid over every decode-capable engine that admits the history."""
+    policy = router.control.policy_for(request.lora_id)
+    best = None
+    for gid, engine in router.engines.items():
+        if not router._decode_capable(engine):
+            continue
+        if not engine.can_accept(request, kv_tokens):
+            continue
+        key = (
+            policy.itl_deadline - router.cost.predict_itl(engine, request),
+            router._adapter_locality(engine, request),
+            engine.working_set_size,
+            gid,
+        )
+        if best is None or key > best[0]:
+            best = (key, gid)
+    return None if best is None else best[1]
+
+
+@st.composite
+def slo_fleets(draw):
+    """1-6 engines of mixed presets and roles, each with 0-4 requests
+    (decoding or still waiting to prefill, up to a full batch), some
+    KvCache-tight and some with the probe's adapter warm; plus a probe
+    request, the clock and an imported KV length."""
+    engines = []
+    now = 1.0
+    for i in range(draw(st.integers(1, 6))):
+        max_batch = draw(st.integers(1, 4))
+        engine = make_engine(
+            f"g{i}", preset=draw(st.sampled_from(["l4", "a100-80g", "h100"])),
+            max_batch=max_batch,
+            role=draw(st.sampled_from(["both", "both", "prefill", "decode"])),
+        )
+        if draw(st.booleans()):
+            engine.loader.request_load(PROBE_LORA, 40e6, now=0.0)
+        n_running = draw(st.integers(0, min(4, max_batch)))
+        for j in range(n_running):
+            engine.add_request(
+                make_request(f"g{i}-r{j}", prompt=draw(st.integers(1, 256)),
+                             response=32,
+                             lora=draw(st.sampled_from(["bg", PROBE_LORA]))),
+                0.0,
+            )
+        if draw(st.booleans()):  # prefill what is there: decoding, not pending
+            while any(r.needs_prefill for r in engine.all_requests()):
+                engine.step(now)
+        if draw(st.booleans()):  # KvCache-tight: leave 0-5 pages free
+            filler = engine.kv_free_tokens() - draw(st.integers(0, 5)) * PAGE
+            if filler > 0:
+                engine.backend.kv.allocate(f"filler-g{i}", filler)
+        engines.append(engine)
+    router = SloRouter(
+        engines,
+        control=ControlConfig(default_policy=SloPolicy(
+            ttft_deadline=draw(st.sampled_from([0.05, 0.3, 2.0])),
+            itl_deadline=draw(st.sampled_from([0.01, 0.12])),
+        )),
+    )
+    now += 1.0
+    probe = make_request(
+        "probe", arrival=now - draw(st.floats(0.0, 0.5)),
+        prompt=draw(st.integers(1, 6 * PAGE)), lora=PROBE_LORA,
+    )
+    return router, probe, now, draw(st.integers(1, 6 * PAGE))
+
+
+class TestSloPlacementOracle:
+    """The merge turned SLO placement from "admit-test, then estimate"
+    into "estimate, then admit-test down to the winner"; the winner must
+    not move, and ``can_accept`` must stop at it."""
+
+    @given(slo_fleets())
+    @settings(max_examples=60, deadline=None)
+    def test_picks_equal_the_exhaustive_scans(self, fleet):
+        router, probe, now, kv_tokens = fleet
+        engines = router.engines
+        loc = {gid: router._adapter_locality(e, probe) for gid, e in engines.items()}
+
+        want = oracle_slo_place(router, probe, now)
+        keys = {
+            gid: (router.cost.estimate(e, probe, now).fitness, loc[gid], gid)
+            for gid, e in engines.items()
+            if router._prefill_capable(e) and e.has_free_slot
+        }
+        router._new_pass()
+        with CountedAdmission(router) as counted:
+            assert router._route(probe, now) == want
+        assert counted.calls <= asked_at_most(want, keys)
+
+        want_decode = oracle_slo_route_decode(router, probe, kv_tokens)
+        itl_deadline = router.control.default_policy.itl_deadline
+        keys = {
+            gid: (itl_deadline - router.cost.predict_itl(e, probe), loc[gid],
+                  e.working_set_size, gid)
+            for gid, e in engines.items() if router._decode_capable(e)
+        }
+        with CountedAdmission(router) as counted:
+            assert router.route_decode(probe, kv_tokens) == want_decode
+        assert counted.calls <= asked_at_most(want_decode, keys)
+
+        # The public path: submit places on the same engine, or else
+        # queues or sheds the probe.
+        assert router.submit(probe, now) == want
+        if want is None:
+            assert router.queue_depth + router.num_slo_sheds == 1
+        else:
+            assert engines[want].has_request("probe")
+
+
+class TestHeadBlocking:
+    """One KvCache-tight engine: the queue head needs more KV than is
+    free, and the waiter behind it fits."""
+
+    def _queued_pair(self, scheduler_cls, **kwargs):
+        engine = make_engine("g", max_batch=2)
+        hog = make_request("hog", prompt=16)
+        engine.add_request(hog, 0.0)
+        engine.add_request(make_request("hog2", prompt=16), 0.0)
+        sched = scheduler_cls([engine], **kwargs)
+        head = make_request("head", arrival=0.0, prompt=8 * PAGE)
+        tail = make_request("tail", arrival=0.5, prompt=PAGE)
+        assert sched.submit(head, 1.0) is None
+        assert sched.submit(tail, 1.0) is None
+        # A slot frees up, but only two pages of KvCache stay free.
+        engine.cancel("hog")
+        engine.backend.kv.allocate("filler", engine.kv_free_tokens() - 2 * PAGE)
+        assert not engine.can_accept(head) and engine.can_accept(tail)
+        return sched, engine
+
+    def test_fcfs_head_blocks_the_waiter_behind_it(self):
+        sched, engine = self._queued_pair(PunicaScheduler)
+        assert sched.drain_queue(2.0) == []
+        assert [r.request_id for r in sched.drain_all_queued()] == ["head", "tail"]
+        assert not engine.has_request("tail")
+
+    def test_edf_places_the_waiter_behind_a_head_that_does_not_fit(self):
+        control = ControlConfig(
+            default_policy=SloPolicy(ttft_deadline=100.0, itl_deadline=1.0)
+        )
+        sched, engine = self._queued_pair(SloRouter, control=control)
+        assert sched.drain_queue(2.0) == ["g"]
+        assert engine.has_request("tail")
+        assert sched.num_slo_sheds == 0
+        assert [r.request_id for r in sched.drain_all_queued()] == ["head"]
 
 
 class TestSloClusterSimulator:

@@ -256,7 +256,7 @@ def fleets(draw):
     """2-8 engines in every state a placement has to tell apart: working
     sets up to ``max_batch_size``, KvCache filled until some engines
     refuse, the probe adapter on GPU / in host RAM / on disk, all three
-    roles, one dead engine; pack and spread, locality on and off."""
+    roles, one dead engine; pack and spread."""
     n = draw(st.integers(2, 8))
     max_batch = draw(st.integers(1, 4))
     pooled = draw(st.booleans())
@@ -284,10 +284,7 @@ def fleets(draw):
         if i == dead:
             engine.fail(0.0)
         engines.append(engine)
-    config = SchedulerConfig(
-        routing=draw(st.sampled_from(["pack", "spread"])),
-        locality_aware=draw(st.booleans()),
-    )
+    config = SchedulerConfig(routing=draw(st.sampled_from(["pack", "spread"])))
     probe = make_request("probe-req", lora=PROBE, prompt=draw(st.integers(1, 5 * PAGE)))
     return PunicaScheduler(engines, config), probe, draw(st.integers(1, 5 * PAGE))
 
@@ -335,7 +332,7 @@ class TestFirstFitPlacement:
 
         want = oracle_route(sched, probe)
         with CountedAdmission(sched) as counted:
-            assert sched._route(probe) == want
+            assert sched._route(probe, 0.0) == want
         keys = {
             gid: (sign * e.working_set_size, loc[gid], gid)
             for gid, e in engines.items() if e.role != "decode"
@@ -367,13 +364,13 @@ class TestFirstFitPlacement:
         # Eight empty engines: the top-ranked one admits, nobody else is asked.
         sched = make_scheduler(8)
         with CountedAdmission(sched) as counted:
-            assert sched._route(make_request("r0")) == "gpu7"
+            assert sched._route(make_request("r0"), 0.0) == "gpu7"
         assert counted.calls == 1
         # The top-ranked engine is full: it refuses, the runner-up admits.
         for i in range(4):
             sched.engines["gpu7"].add_request(make_request(f"fill{i}"), 0.0)
         with CountedAdmission(sched) as counted:
-            assert sched._route(make_request("r1")) == "gpu6"
+            assert sched._route(make_request("r1"), 0.0) == "gpu6"
         assert counted.calls == 2
 
     def test_nobody_admits_returns_none(self):
@@ -381,7 +378,7 @@ class TestFirstFitPlacement:
         for i in range(3):
             sched.submit(make_request(f"r{i}"), 0.0)
         probe = make_request("late")
-        assert sched._route(probe) is None
+        assert sched._route(probe, 0.0) is None
         assert sched.route_decode(probe, 16) is None
         assert sched._migration_target("gpu0", probe) is None
 
