@@ -59,6 +59,7 @@ positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 positive_float = _checked(float, lambda v: v > 0, "finite and > 0")
 nonnegative_float = _checked(float, lambda v: v >= 0, "finite and >= 0")
 zipf_alpha = _checked(float, lambda v: v > 1, "finite and > 1")
+unit_fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 @dataclass(frozen=True)

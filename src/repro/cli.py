@@ -20,7 +20,13 @@ import argparse
 import pathlib
 import sys
 
-from repro.bench.experiments import EXPERIMENTS, positive_int, zipf_alpha
+from repro.bench.experiments import (
+    EXPERIMENTS,
+    positive_float,
+    positive_int,
+    unit_fraction,
+    zipf_alpha,
+)
 from repro.bench.reporting import FigureTable
 
 EXPERIMENTS_BY_NAME = {experiment.name: experiment for experiment in EXPERIMENTS}
@@ -99,27 +105,29 @@ def _add_trace_parser(sub) -> None:
                        help="write the JSONL trace to this file")
     trace.add_argument("--metrics", action="store_true",
                        help="also print the Prometheus-text metrics snapshot")
-    trace.add_argument("--limit", type=int, default=None,
+    trace.add_argument("--limit", type=positive_int, default=None,
                        help="cap the breakdown table at N requests")
 
 
 def _add_perf_parser(sub) -> None:
-    """The fast-path perf gate (fig13 timed through both engine paths)."""
+    """Host seconds per layer and function (``repro.obs.profile``)."""
+    from repro.obs.profile import GATES, SCENARIOS
+
+    def scenario(value: str) -> str:
+        if value not in SCENARIOS:
+            raise argparse.ArgumentTypeError(f"pick from {', '.join(SCENARIOS)}")
+        return value
+
     perf = sub.add_parser(
-        "perf",
-        help="fast-path perf gate: time fig13 through both engine paths",
+        "perf", help="host seconds per layer and function; the perf gate"
     )
+    perf.add_argument("scenarios", nargs="*", type=scenario, metavar="SCENARIO",
+                      help=f"any of {', '.join(SCENARIOS)} "
+                           f"(default: {' '.join(GATES)}, the gate)")
     perf.add_argument("--seed", type=int, default=0)
-    perf.add_argument("--scenario", default="fig13_quick",
-                      choices=["fig13_quick", "fig13_1m", "all"],
-                      help="fig13_quick = fast-vs-ref speedup gate; "
-                           "fig13_1m = scale-out wall budget (fast only)")
-    perf.add_argument("--rounds", type=int, default=1,
-                      help="measurement rounds (>=2 also bounds variance)")
     perf.add_argument("--check", action="store_true",
-                      help="exit nonzero if any gate threshold is violated")
-    perf.add_argument("--update", action="store_true",
-                      help="rewrite benchmarks/BENCH_perf.json with the results")
+                      help="exit 1 on a gate violation, a missing target or "
+                           "a silent layer")
     perf.add_argument("--out", type=pathlib.Path, default=None)
 
 
@@ -136,12 +144,12 @@ def _add_serve_parser(sub) -> None:
     serve.add_argument("--port", type=int, default=7012,
                        help="listening port (0 binds an ephemeral one)")
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--gpus", type=int, default=2,
+    serve.add_argument("--gpus", type=positive_int, default=2,
                        help="GPU pool size (engines behind the simulator)")
-    serve.add_argument("--warp", type=float, default=None,
+    serve.add_argument("--warp", type=positive_float, default=None,
                        help="virtual seconds per wall second "
                             "(default: unthrottled)")
-    serve.add_argument("--duration", type=float, default=None,
+    serve.add_argument("--duration", type=positive_float, default=None,
                        help="stop after this many wall seconds "
                             "(default: serve until interrupted)")
 
@@ -158,15 +166,15 @@ def _add_loadgen_parser(sub) -> None:
     loadgen.add_argument("--port", type=int, default=7012)
     loadgen.add_argument("--backend", choices=["sim", "functional"],
                          default="sim", help="in-process backend")
-    loadgen.add_argument("--clients", type=int, default=100)
+    loadgen.add_argument("--clients", type=positive_int, default=100)
     loadgen.add_argument("--seed", type=int, default=0)
-    loadgen.add_argument("--cancel-fraction", type=float, default=0.1,
+    loadgen.add_argument("--cancel-fraction", type=unit_fraction, default=0.1,
                          help="clients that cancel mid-stream")
-    loadgen.add_argument("--abort-fraction", type=float, default=0.05,
+    loadgen.add_argument("--abort-fraction", type=unit_fraction, default=0.05,
                          help="clients that hard-disconnect mid-stream")
-    loadgen.add_argument("--slow-fraction", type=float, default=0.05,
+    loadgen.add_argument("--slow-fraction", type=unit_fraction, default=0.05,
                          help="slow readers (sleep between token reads)")
-    loadgen.add_argument("--warp", type=float, default=None,
+    loadgen.add_argument("--warp", type=positive_float, default=None,
                          help="time warp (in-process runs)")
     loadgen.add_argument("--metrics", action="store_true",
                          help="print the Prometheus snapshot after the run")
@@ -226,20 +234,20 @@ def _run_loadgen(args) -> int:
 
 
 def _run_perf(args) -> int:
-    from repro.bench.perf_gate import run_perf_gate
+    from repro.obs.profile import GATES, run
 
-    table, failures = run_perf_gate(
-        seed=args.seed, rounds=args.rounds, write_json=args.update,
-        scenario=args.scenario,
-    )
-    text = table.render()
-    print(text)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "perf_gate.txt").write_text(text + "\n")
+    failures: "list[str]" = []
+    for name in args.scenarios or list(GATES):
+        profile = run(name, seed=args.seed)
+        text = profile.render()
+        print(text + "\n")
+        if args.out is not None:
+            args.out.mkdir(parents=True, exist_ok=True)
+            (args.out / f"perf_{name}.txt").write_text(text + "\n")
+        failures += profile.failures
     if args.check and failures:
         for failure in failures:
-            print(f"PERF GATE FAILURE: {failure}", file=sys.stderr)
+            print(f"PERF CHECK FAILURE: {failure}", file=sys.stderr)
         return 1
     return 0
 

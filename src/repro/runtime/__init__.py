@@ -28,7 +28,6 @@ from repro.runtime.latency import (
     LatencyBreakdown,
     LatencyStats,
     breakdown_of,
-    slo_attainment,
 )
 from repro.runtime.request import Request, RequestState
 from repro.runtime.sampler import GreedySampler, TemperatureSampler
@@ -56,6 +55,5 @@ __all__ = [
     "plan_layered_transfer",
     "requests_from_trace",
     "serve_requests",
-    "slo_attainment",
     "time_to_first_token",
 ]

@@ -1,10 +1,11 @@
-"""Per-request latency breakdowns and fleet-level SLO statistics.
+"""Per-request latency breakdowns and fleet-level latency statistics.
 
 Serving papers (this one included) report *normalized latency* — seconds
 per generated token end to end. This module decomposes it into the phases
 operators actually tune: queue wait (scheduler backlog), time-to-first-
 token (admission + LoRA load + prefill), and the decode phase, plus
-percentile/SLO-attainment aggregation across a set of finished requests.
+percentile aggregation across a set of finished requests. Attainment of
+TTFT and ITL deadlines is :func:`repro.cluster.control.slo_attainment`.
 """
 
 from __future__ import annotations
@@ -98,17 +99,3 @@ class LatencyStats:
             mean_queue_wait=float(queue.mean()),
         )
 
-
-def slo_attainment(requests: Iterable[Request], slo_seconds_per_token: float) -> float:
-    """Fraction of finished requests meeting a normalized-latency SLO."""
-    if slo_seconds_per_token <= 0:
-        raise ValueError("SLO must be positive")
-    breakdowns = [
-        breakdown_of(r)
-        for r in requests
-        if r.state is RequestState.FINISHED and r.num_generated > 0
-    ]
-    if not breakdowns:
-        return 0.0
-    met = sum(1 for b in breakdowns if b.normalized <= slo_seconds_per_token)
-    return met / len(breakdowns)

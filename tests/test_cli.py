@@ -118,33 +118,35 @@ class TestServeSubcommands:
 
 class TestPerfSubcommand:
     def test_scenario_default_and_choices(self):
+        from repro.obs.profile import SCENARIOS
+
         parser = build_parser()
-        assert parser.parse_args(["perf"]).scenario == "fig13_quick"
-        for name in ("fig13_quick", "fig13_1m", "all"):
-            assert parser.parse_args(["perf", "--scenario", name]).scenario == name
+        args = parser.parse_args(["perf"])
+        assert args.scenarios == []
+        assert set(vars(args)) == {"command", "scenarios", "seed", "check", "out"}
+        assert parser.parse_args(["perf", *SCENARIOS]).scenarios == list(SCENARIOS)
 
     def test_bad_scenario_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["perf", "--scenario", "fig99_huge"])
+        """Unknown scenarios, and the flags of the old gate, are usage errors."""
+        for argv in (["perf", "fig99_huge"], ["perf", "--scenario", "fig13_1m"],
+                     ["perf", "--rounds", "2"], ["perf", "--update"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_scale_scenario_smoke(self, tmp_path, monkeypatch, capsys):
-        """``repro perf --scenario fig13_1m`` runs the wall-budget row
-        (shrunk to 500 requests so tier-1 stays fast)."""
-        import repro.bench.perf_gate as pg
+        """``repro perf fig13_1m --check`` prints the layer rows and the
+        gate (the slice shrunk to 500 requests so tier-1 stays fast)."""
+        from repro.obs import profile
 
-        monkeypatch.setitem(
-            pg.DEFAULT_THRESHOLDS["budgets"]["fig13_1m"], "fraction", 0.0005
-        )
-        # Sidestep the checked-in JSON: its budgets would merge over the
-        # shrunken fraction and run the full 2 % smoke.
-        monkeypatch.setattr(pg, "BENCH_JSON", tmp_path / "no_such.json")
-        rc = main([
-            "perf", "--scenario", "fig13_1m", "--out", str(tmp_path),
-        ])
+        monkeypatch.setitem(profile.FIG13_1M_GATE, "fraction", 0.0005)
+        assert main([
+            "perf", "fig13_1m", "--check", "--out", str(tmp_path),
+        ]) == 0
         out = capsys.readouterr().out
-        assert rc == 0
-        assert "fig13_1m" in out
-        assert "fig13_1m" in (tmp_path / "perf_gate.txt").read_text()
+        assert "== perf fig13_1m" in out and "unattributed" in out
+        assert "events_per_s" in out and "FAIL" not in out
+        saved = (tmp_path / "perf_fig13_1m.txt").read_text()
+        assert "EventLoop.run" in saved
 
 
 class TestSpecSubcommand:
@@ -162,6 +164,15 @@ class TestSpecSubcommand:
         ["slo", "--ttft-deadline", "-1"],
         ["slo", "--itl-deadline", "0"],
         ["adapters", "list", "--alpha", "-1"],
+        ["loadgen", "--clients", "0"],
+        ["loadgen", "--cancel-fraction", "1.5"],
+        ["loadgen", "--abort-fraction", "1.5"],
+        ["loadgen", "--slow-fraction", "1.5"],
+        ["loadgen", "--warp", "-1"],
+        ["serve", "--warp", "0"],
+        ["serve", "--gpus", "0"],
+        ["serve", "--duration", "-1"],
+        ["trace", "--limit", "-1"],
     ], ids=" ".join)
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,4 @@
-"""Tests for latency breakdowns and SLO statistics."""
+"""Tests for latency breakdowns and latency statistics."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.runtime.latency import (
     LatencyBreakdown,
     LatencyStats,
     breakdown_of,
-    slo_attainment,
 )
 from repro.runtime.request import Request
 from repro.runtime.serve import requests_from_trace, serve_requests
@@ -79,14 +78,3 @@ class TestLatencyStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             LatencyStats.from_requests([])
-
-    def test_slo_attainment_bounds(self):
-        reqs = self.run_fleet()
-        assert slo_attainment(reqs, 1e-9) == 0.0
-        assert slo_attainment(reqs, 1e9) == 1.0
-        mid = slo_attainment(reqs, LatencyStats.from_requests(reqs).p50_normalized)
-        assert 0.4 <= mid <= 0.7
-
-    def test_slo_validation(self):
-        with pytest.raises(ValueError):
-            slo_attainment([], 0.0)

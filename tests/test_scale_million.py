@@ -15,7 +15,7 @@ from time import perf_counter
 import pytest
 
 from repro.bench.fig13_cluster import build_cluster
-from repro.bench.perf_gate import DEFAULT_THRESHOLDS
+from repro.obs.profile import FIG13_1M_GATE
 from repro.workloads.scale import FIG13_1M, scale_trace
 
 pytestmark = pytest.mark.scale
@@ -41,7 +41,7 @@ def test_million_request_run_within_budget():
     # The event-throughput floor the smoke row enforces must hold at full
     # scale too — the calendar queue exists so the queue does not become
     # superlinear in pending-event count.
-    floor = DEFAULT_THRESHOLDS["budgets"]["fig13_1m"]["min_events_per_s"]
+    floor = FIG13_1M_GATE["min_events_per_s"]
     events_per_s = result.events_processed / wall
     assert events_per_s >= floor, (
         f"{events_per_s:.0f} events/s below the {floor:.0f} floor "
