@@ -12,6 +12,7 @@ Run: ``python examples/elastic_autoscaling.py``
 from repro import LLAMA2_7B, EngineConfig, GpuEngine, SchedulerConfig, SimulatedBackend
 from repro.cluster.elastic import ElasticConfig, ElasticPool
 from repro.cluster.simulator import ClusterSimulator
+from repro.runtime.latency import LatencyStats
 from repro.utils.tables import format_table
 from repro.workloads.arrivals import PoissonArrivals, RampProfile
 from repro.workloads.trace import generate_trace
@@ -50,11 +51,15 @@ def main() -> None:
         ),
     ).run(trace)
 
+    static_ms, elastic_ms = (
+        LatencyStats.from_requests(r.requests).mean_normalized * 1e3
+        for r in (static, elastic)
+    )
     rows = [
         ["static", f"{NUM_GPUS * static.duration:.0f}", static.finished_requests,
-         f"{static.mean_normalized_latency() * 1e3:.0f}", "-", "-"],
+         f"{static_ms:.0f}", "-", "-"],
         ["elastic", f"{elastic.gpu_seconds():.0f}", elastic.finished_requests,
-         f"{elastic.mean_normalized_latency() * 1e3:.0f}",
+         f"{elastic_ms:.0f}",
          elastic.scale_ups, elastic.releases],
     ]
     print(format_table(

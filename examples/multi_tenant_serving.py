@@ -10,6 +10,7 @@ Run: ``python examples/multi_tenant_serving.py``
 """
 
 from repro import ALL_SYSTEMS, LLAMA2_7B, build_engine, generate_trace
+from repro.runtime.latency import LatencyStats
 from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.utils.tables import format_table
 
@@ -27,7 +28,7 @@ def main() -> None:
             rows.append(
                 [dist, profile.display_name, f"{result.throughput:.0f}",
                  f"{result.mean_batch_size:.1f}",
-                 f"{1e3 * result.mean_normalized_latency():.0f}"]
+                 f"{1e3 * LatencyStats.from_requests(result.requests).mean_normalized:.0f}"]
             )
     print()
     print(format_table(

@@ -31,6 +31,8 @@ from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.models.config import LLAMA2_7B, LlamaConfig
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
+from repro.runtime.latency import LatencyStats
+from repro.runtime.request import Request, RequestState
 from repro.utils.units import MS
 from repro.workloads.trace import Trace, open_loop_trace
 
@@ -121,24 +123,14 @@ def build_adapter_cluster(
     return sim, registry, prefetcher
 
 
-def mean_ttft(result: SimulationResult) -> float:
-    """Mean time-to-first-token over requests that produced one (seconds)."""
-    ttfts = [
-        r.time_to_first_token()
-        for r in result.requests
-        if r.first_token_time is not None
-    ]
-    return sum(ttfts) / len(ttfts) if ttfts else 0.0
-
-
 def mean_cold_ttft(result: SimulationResult) -> float:
     """Mean TTFT of each adapter's *first* request — the cold-start cost the
     prefetcher attacks; later requests mostly hit warm tiers either way."""
-    first: dict[str, float] = {}
+    first: "dict[str, Request]" = {}
     for r in sorted(result.requests, key=lambda r: r.spec.arrival_time):
-        if r.first_token_time is not None and r.lora_id not in first:
-            first[r.lora_id] = r.time_to_first_token()
-    return sum(first.values()) / len(first) if first else 0.0
+        if r.state is RequestState.FINISHED:
+            first.setdefault(r.lora_id, r)
+    return LatencyStats.from_requests(first.values()).mean_ttft if first else 0.0
 
 
 def run_adapter_cache_ablation(
@@ -179,7 +171,7 @@ def run_adapter_cache_ablation(
         table.add_row(
             label,
             mean_cold_ttft(result) / MS,
-            mean_ttft(result) / MS,
+            LatencyStats.from_requests(result.requests).mean_ttft / MS,
             hits["gpu"], hits["host"], hits["disk"],
             result.metrics.eviction_count(),
             result.metrics.prefetch_accuracy(),

@@ -12,22 +12,26 @@ The same decode-heavy trace is served two ways on four GPUs:
 The table reports the serving-level consequences: time-to-first-token
 (the handoff makes it *worse* for disagg — the transfer sits on the
 critical path and shows up in the `transfer` latency tile), and p50/p99
-inter-token latency (*better* for disagg — decode GPUs never absorb a
-prefill stall). That is exactly the TTFT-vs-smoothness trade the
-disaggregation literature reports.
+inter-token latency, read as TPOT
+(:func:`~repro.obs.analysis.request_tpots`; *better* for disagg — decode
+GPUs never absorb a prefill stall). That is exactly the
+TTFT-vs-smoothness trade the disaggregation literature reports.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.bench.reporting import FigureTable
 from repro.cluster.disagg import INTERCONNECTS, DisaggConfig
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.hw.interconnect import InterconnectSpec
 from repro.models.config import LLAMA2_7B
-from repro.obs.analysis import breakdown_totals, compute_breakdowns
-from repro.obs.tracer import EventKind, Tracer
+from repro.obs.analysis import breakdown_totals, compute_breakdowns, request_tpots
+from repro.obs.tracer import Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
+from repro.runtime.latency import LatencyStats
 from repro.utils.units import MS
 from repro.workloads.arrivals import PoissonArrivals, constant_rate
 from repro.workloads.lengths import ShareGptLengths
@@ -98,54 +102,15 @@ def run_disaggregated(
     return sim.run(_trace(seed)), tracer, sim
 
 
-def inter_token_latencies(tracer: Tracer) -> "list[float]":
-    """Per-request mean inter-token latency (TPOT), one value per request.
-
-    Computed from the trace as the mean gap between that request's
-    consecutive decode steps, the standard time-per-output-token metric.
-    The prefill->first-decode gap is excluded on purpose: that is TTFT
-    territory (and where disagg pays its transfer), not decode smoothness.
-    A colocated request's gaps absorb every prefill its engine ran while
-    it was decoding; a disaggregated request's never do.
-    """
-    per: "dict[str, list[float]]" = {}
-    for e in tracer.by_kind(EventKind.DECODE_STEP):
-        per.setdefault(e.request_id, []).append(e.time)
-    tpots: "list[float]" = []
-    for times in per.values():
-        if len(times) < 2:
-            continue
-        times.sort()
-        tpots.append((times[-1] - times[0]) / (len(times) - 1))
-    return tpots
-
-
-def percentile(values: "list[float]", q: float) -> float:
-    if not values:
-        raise ValueError("no values to take a percentile of")
-    ordered = sorted(values)
-    idx = min(len(ordered) - 1, int(round(q / 100.0 * (len(ordered) - 1))))
-    return ordered[idx]
-
-
-def _mean_ttft(result: SimulationResult) -> float:
-    ttfts = [
-        r.time_to_first_token()
-        for r in result.requests
-        if r.first_token_time is not None
-    ]
-    return sum(ttfts) / len(ttfts) if ttfts else 0.0
-
-
 def _summarize(result: SimulationResult, tracer: Tracer) -> "dict[str, float]":
-    tpots = inter_token_latencies(tracer)
+    tpots = request_tpots(tracer)
     totals = breakdown_totals(compute_breakdowns(tracer))
     return {
         "finished": result.finished_requests,
         "tok_s": result.metrics.total_tokens() / result.duration,
-        "mean_ttft_ms": _mean_ttft(result) / MS,
-        "p50_itl_ms": percentile(tpots, 50.0) / MS,
-        "p99_itl_ms": percentile(tpots, 99.0) / MS,
+        "mean_ttft_ms": LatencyStats.from_requests(result.requests).mean_ttft / MS,
+        "p50_itl_ms": float(np.percentile(tpots, 50)) / MS,
+        "p99_itl_ms": float(np.percentile(tpots, 99)) / MS,
         "transfer_s": totals.get("transfer", 0.0),
     }
 

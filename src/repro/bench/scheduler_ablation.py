@@ -24,6 +24,7 @@ from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.models.config import LLAMA2_7B
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
+from repro.runtime.latency import LatencyStats
 from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.workloads.trace import generate_trace
 
@@ -119,7 +120,10 @@ def run_prefill_limit_sweep(seed: int = 0, n_requests: int = 64) -> FigureTable:
     for limit in (1, 2, 4, 8):
         engine = _engine("gpu0", prefill_batch_limit=limit)
         result = serve_requests(engine, requests_from_trace(trace), keep_steps=False)
-        table.add_row(limit, result.throughput, result.percentile_latency(99))
+        table.add_row(
+            limit, result.throughput,
+            LatencyStats.from_requests(result.requests).p99_normalized,
+        )
     return table
 
 
@@ -192,11 +196,12 @@ def run_elastic_ablation(seed: int = 0) -> FigureTable:
     )
     table.add_row(
         "static", scale.num_gpus * static.duration, static.finished_requests,
-        static.duration, static.mean_normalized_latency(),
+        static.duration, LatencyStats.from_requests(static.requests).mean_normalized,
     )
     table.add_row(
         "elastic", elastic.gpu_seconds(), elastic.finished_requests,
-        elastic.duration, elastic.mean_normalized_latency(),
+        elastic.duration,
+        LatencyStats.from_requests(elastic.requests).mean_normalized,
     )
     table.add_note(
         f"elastic: {elastic.scale_ups} scale-ups, {elastic.releases} releases, "

@@ -26,15 +26,14 @@ shape (big prefills to the H100, short decodes to the L4s).
 
 from __future__ import annotations
 
-from repro.bench.disagg_ablation import percentile
 from repro.bench.reporting import FigureTable
-from repro.cluster.control import ControlConfig, SloPolicy, score_requests
+from repro.cluster.control import ControlConfig, SloPolicy, slo_attainment
 from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.hw.spec import HwSpec
 from repro.models.config import LLAMA2_7B
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
-from repro.runtime.request import RequestState
+from repro.runtime.latency import LatencyStats
 from repro.utils.units import MS
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import Trace, open_loop_trace
@@ -93,28 +92,13 @@ def run_cell(
 
 
 def _stats(result: SimulationResult, control: ControlConfig) -> "dict[str, float]":
-    scored = score_requests(result.requests, control, result.duration)
-    attained = sum(1 for _, ok in scored if ok)
-    finished = [
-        r for r in result.requests if r.state is RequestState.FINISHED
-    ]
-    ttfts = sorted(
-        r.first_token_time - r.spec.arrival_time
-        for r in finished
-        if r.first_token_time is not None
-    )
-    itls = sorted(
-        (r.finish_time - r.first_token_time) / (r.num_generated - 1)
-        for r in finished
-        if r.num_generated > 1 and r.first_token_time is not None
-    )
-    shed = sum(1 for r in result.requests if r.state is RequestState.FAILED)
+    stats = LatencyStats.from_requests(result.requests)
     return {
-        "attainment": attained / len(scored) if scored else 0.0,
-        "shed": shed,
-        "p50_ttft_ms": percentile(ttfts, 50.0) / MS if ttfts else 0.0,
-        "p99_ttft_ms": percentile(ttfts, 99.0) / MS if ttfts else 0.0,
-        "p99_itl_ms": percentile(itls, 99.0) / MS if itls else 0.0,
+        "attainment": slo_attainment(result.requests, control, result.duration),
+        "shed": result.failed_requests,
+        "p50_ttft_ms": stats.p50_ttft / MS,
+        "p99_ttft_ms": stats.p99_ttft / MS,
+        "p99_itl_ms": stats.p99_itl / MS,
     }
 
 

@@ -21,9 +21,9 @@ short prefill of ``draft_len + 1``-token chunks — and earns back
 
 from __future__ import annotations
 
-from repro.bench.disagg_ablation import inter_token_latencies
 from repro.bench.reporting import FigureTable
 from repro.models.config import LLAMA2_7B
+from repro.obs.analysis import request_tpots
 from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
@@ -67,11 +67,9 @@ def run_one(
     return result, tracer
 
 
-def _mean_itl_ms(tracer: Tracer) -> float:
-    tpots = inter_token_latencies(tracer)
-    if not tpots:
-        return 0.0
-    return sum(tpots) / len(tpots) / MS
+def _mean_tpot_ms(tracer: Tracer) -> float:
+    tpots = request_tpots(tracer)
+    return sum(tpots) / len(tpots) / MS if tpots else 0.0
 
 
 def _mean_accepted(tracer: Tracer) -> float:
@@ -101,13 +99,13 @@ def run_spec_ablation(
     )
     for batch in batch_sizes:
         base_result, base_tracer = run_one(seed, batch, None)
-        base_itl = _mean_itl_ms(base_tracer)
+        base_itl = _mean_tpot_ms(base_tracer)
         for rate in acceptance_rates:
             spec = SpecConfig(
                 draft_len=draft_len, acceptance_rate=rate, seed=seed
             )
             result, tracer = run_one(seed, batch, spec)
-            itl = _mean_itl_ms(tracer)
+            itl = _mean_tpot_ms(tracer)
             table.add_row(
                 batch,
                 rate,

@@ -297,9 +297,9 @@ def _run_adapters(args) -> int:
         QUICK,
         build_adapter_cluster,
         mean_cold_ttft,
-        mean_ttft,
     )
     from repro.models.config import LLAMA2_7B
+    from repro.runtime.latency import LatencyStats
     from repro.utils.units import MIB, MS
     from repro.workloads.trace import generate_trace, open_loop_trace
 
@@ -355,7 +355,8 @@ def _run_adapters(args) -> int:
             result = sim.run(trace)
             hits = result.metrics.adapter_hit_counts()
             table.add_row(
-                spec, mean_cold_ttft(result) / MS, mean_ttft(result) / MS,
+                spec, mean_cold_ttft(result) / MS,
+                LatencyStats.from_requests(result.requests).mean_ttft / MS,
                 hits["gpu"], hits["host"], hits["disk"],
                 result.metrics.eviction_count(),
                 result.metrics.prefetch_accuracy(),

@@ -12,6 +12,7 @@ attainment verdict only needs terminal timestamps anyway.
 from __future__ import annotations
 
 from repro.cluster.control.config import ControlConfig
+from repro.runtime.latency import breakdown_of
 from repro.runtime.request import Request, RequestState
 
 
@@ -31,35 +32,25 @@ def score_requests(
 ) -> "list[tuple[float, bool]]":
     """Per-request SLO verdicts as (terminal time, attained) pairs.
 
-    FINISHED requests attain when their TTFT met the tenant deadline and
-    their mean decode ITL met the per-token deadline; FAILED (shed) and
-    still-live requests are misses, stamped at run end. CANCELLED
-    requests are excluded — a user disconnect is not an operator miss.
-    Output is time-sorted so it can feed a monotone series directly.
+    A FINISHED request attains when its :func:`breakdown_of` TTFT met
+    the tenant deadline and its mean decode ITL met the per-token
+    deadline; FAILED (shed) and still-live requests are misses, stamped
+    at run end. CANCELLED requests are excluded — a user disconnect is
+    not an operator miss. Output is time-sorted so it can feed a
+    monotone series directly.
     """
     scored: "list[tuple[float, bool]]" = []
     for r in requests:
         if r.state is RequestState.CANCELLED:
             continue
-        policy = control.policy_for(r.lora_id)
         if r.state is RequestState.FINISHED:
-            t = r.finish_time if r.finish_time is not None else duration
-            ttft_ok = (
-                r.first_token_time is not None
-                and r.first_token_time - r.spec.arrival_time
-                <= policy.ttft_deadline
-            )
-            if (
-                r.num_generated > 1
-                and r.first_token_time is not None
-                and r.finish_time is not None
-            ):
-                itl = (r.finish_time - r.first_token_time) / (
-                    r.num_generated - 1
-                )
-            else:
-                itl = 0.0
-            scored.append((t, ttft_ok and itl <= policy.itl_deadline))
+            b = breakdown_of(r)
+            policy = control.policy_for(r.lora_id)
+            scored.append((
+                r.finish_time,
+                b.time_to_first_token <= policy.ttft_deadline
+                and b.inter_token_time <= policy.itl_deadline,
+            ))
         else:
             scored.append((duration, False))
     scored.sort(key=lambda e: e[0])

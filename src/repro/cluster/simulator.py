@@ -38,6 +38,7 @@ from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.scheduler import PunicaScheduler, SchedulerConfig
 from repro.obs.tracer import EventKind, Tracer
 from repro.cluster.vector import VectorDecodeLane
+from repro.runtime.latency import LatencyStats
 from repro.runtime.request import Request, RequestState
 from repro.runtime.serve import requests_from_trace
 from repro.utils.fastpath import fastpath_enabled
@@ -95,22 +96,17 @@ class SimulationResult:
     def throughput(self) -> float:
         return self.tokens_generated / self.duration if self.duration > 0 else 0.0
 
-    def mean_normalized_latency(self) -> float:
-        lats = [
-            r.normalized_latency()
-            for r in self.requests
-            if r.state is RequestState.FINISHED and r.num_generated > 0
-        ]
-        return sum(lats) / len(lats) if lats else 0.0
-
     def summary(self) -> str:
         """One human-readable line for logs and examples."""
-        return (
+        line = (
             f"{self.finished_requests}/{len(self.requests)} requests, "
             f"{self.tokens_generated} tokens in {self.duration:.1f}s | "
-            f"{self.throughput:.0f} tok/s | {self.num_migrations} migrations | "
-            f"mean latency {self.mean_normalized_latency() * 1e3:.1f} ms/tok"
+            f"{self.throughput:.0f} tok/s | {self.num_migrations} migrations"
         )
+        if not self.finished_requests:
+            return line
+        stats = LatencyStats.from_requests(self.requests)
+        return f"{line} | mean latency {stats.mean_normalized * 1e3:.1f} ms/tok"
 
 
 class ClusterSimulator:

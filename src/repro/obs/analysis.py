@@ -71,6 +71,32 @@ def compute_breakdowns(trace: "Tracer | list[TraceEvent]") -> "dict[str, Request
     }
 
 
+def request_tpots(tracer: Tracer) -> "list[float]":
+    """Per-request TPOT (time per output token), one value per request
+    with at least two decode steps.
+
+    The mean gap between that request's consecutive ``DECODE_STEP``
+    events. Unlike the stamp ITL of :mod:`repro.runtime.latency`, it
+    leaves out the prefill-to-first-decode gap: that gap is TTFT
+    territory (and where disagg pays its transfer), not decode
+    smoothness. A colocated request's gaps absorb every prefill its
+    engine ran while it was decoding; a disaggregated request's never
+    do. The spec table reads TPOT because a speculative round's burst
+    is what it measures; folding in the first gap flattens the batch-1
+    speedup below the batch-8 one (the MagicDec ordering).
+    """
+    per: "dict[str, list[float]]" = {}
+    for e in tracer.by_kind(EventKind.DECODE_STEP):
+        per.setdefault(e.request_id, []).append(e.time)
+    tpots: "list[float]" = []
+    for times in per.values():
+        if len(times) < 2:
+            continue
+        times.sort()
+        tpots.append((times[-1] - times[0]) / (len(times) - 1))
+    return tpots
+
+
 def _walk_timeline(request_id: str, timeline: "list[TraceEvent]") -> RequestBreakdown:
     first = timeline[0]
     if first.kind is not EventKind.SUBMIT:

@@ -1,11 +1,24 @@
-"""Per-request latency breakdowns and fleet-level latency statistics.
+"""The one latency definition: request stamps to numbers.
 
-Serving papers (this one included) report *normalized latency* — seconds
-per generated token end to end. This module decomposes it into the phases
-operators actually tune: queue wait (scheduler backlog), time-to-first-
-token (admission + LoRA load + prefill), and the decode phase, plus
-percentile aggregation across a set of finished requests. Attainment of
-TTFT and ITL deadlines is :func:`repro.cluster.control.slo_attainment`.
+A :class:`~repro.runtime.request.Request` records only stamps — its
+spec's arrival time, first admission, first token and finish — plus its
+generated tokens. This module is the only place that turns them into
+latencies:
+
+* **queue wait** — arrival to first GPU admission;
+* **TTFT** — arrival to first token (queue wait, adapter load, prefill
+  and any disagg KV handoff all count);
+* **decode time** — first token to finish;
+* **ITL** — decode time over the ``n - 1`` gaps between ``n`` tokens
+  (0 for a one-token request);
+* **normalized latency** — arrival to finish per generated token, the
+  paper's serving metric (§7).
+
+:class:`LatencyStats` aggregates a fleet with ``np.percentile``, the one
+percentile definition. Attainment of TTFT and ITL deadlines is
+:func:`repro.cluster.control.score_requests`, a predicate over
+:func:`breakdown_of`. The trace-derived TPOT, which leaves out the
+prefill-to-first-decode gap, is :func:`repro.obs.analysis.request_tpots`.
 """
 
 from __future__ import annotations
@@ -50,52 +63,66 @@ class LatencyBreakdown:
 
 
 def breakdown_of(request: Request) -> LatencyBreakdown:
-    """Decompose one FINISHED request's latency."""
+    """Decompose one FINISHED request's latency from its stamps."""
     if request.state is not RequestState.FINISHED:
         raise ValueError(f"{request.request_id} is {request.state}, not finished")
     if not request.generated_tokens:
         raise ValueError(f"{request.request_id} generated no tokens")
+    arrival = request.spec.arrival_time
     return LatencyBreakdown(
         request_id=request.request_id,
-        queue_wait=request.queue_wait(),
-        time_to_first_token=request.time_to_first_token(),
-        decode_time=request.decode_time(),
-        total=request.finish_time - request.spec.arrival_time,
+        queue_wait=request.first_admitted_time - arrival,
+        time_to_first_token=request.first_token_time - arrival,
+        decode_time=request.finish_time - request.first_token_time,
+        total=request.finish_time - arrival,
         num_tokens=request.num_generated,
     )
 
 
+def _percentile(values: "list[float]", q: float) -> float:
+    return float(np.percentile(values, q)) if values else 0.0
+
+
 @dataclass(frozen=True)
 class LatencyStats:
-    """Aggregate latency statistics over a fleet of finished requests."""
+    """Aggregate latency statistics over a fleet of finished requests.
+
+    ITL figures cover requests with at least two tokens (a one-token
+    request has no gap) and read 0 when there are none.
+    """
 
     count: int
     mean_normalized: float
     p50_normalized: float
     p99_normalized: float
     mean_ttft: float
+    p50_ttft: float
     p99_ttft: float
+    mean_itl: float
+    p50_itl: float
+    p99_itl: float
     mean_queue_wait: float
 
     @classmethod
     def from_requests(cls, requests: Iterable[Request]) -> "LatencyStats":
         breakdowns = [
-            breakdown_of(r)
-            for r in requests
-            if r.state is RequestState.FINISHED and r.num_generated > 0
+            breakdown_of(r) for r in requests if r.state is RequestState.FINISHED
         ]
         if not breakdowns:
             raise ValueError("no finished requests to aggregate")
-        normalized = np.asarray([b.normalized for b in breakdowns])
-        ttft = np.asarray([b.time_to_first_token for b in breakdowns])
-        queue = np.asarray([b.queue_wait for b in breakdowns])
+        normalized = [b.normalized for b in breakdowns]
+        ttft = [b.time_to_first_token for b in breakdowns]
+        itl = [b.inter_token_time for b in breakdowns if b.num_tokens > 1]
         return cls(
             count=len(breakdowns),
-            mean_normalized=float(normalized.mean()),
-            p50_normalized=float(np.percentile(normalized, 50)),
-            p99_normalized=float(np.percentile(normalized, 99)),
-            mean_ttft=float(ttft.mean()),
-            p99_ttft=float(np.percentile(ttft, 99)),
-            mean_queue_wait=float(queue.mean()),
+            mean_normalized=float(np.mean(normalized)),
+            p50_normalized=_percentile(normalized, 50),
+            p99_normalized=_percentile(normalized, 99),
+            mean_ttft=float(np.mean(ttft)),
+            p50_ttft=_percentile(ttft, 50),
+            p99_ttft=_percentile(ttft, 99),
+            mean_itl=float(np.mean(itl)) if itl else 0.0,
+            p50_itl=_percentile(itl, 50),
+            p99_itl=_percentile(itl, 99),
+            mean_queue_wait=float(np.mean([b.queue_wait for b in breakdowns])),
         )
-

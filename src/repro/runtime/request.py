@@ -5,8 +5,9 @@ QUEUED on migration/eviction (cancel + re-add, §5.3). Two terminal error
 states exist besides FINISHED: CANCELLED (user disconnect) and FAILED
 (shed under faults, or deadline exceeded after the retry budget — see
 docs/faults.md). The object records everything the scheduler, engine and
-metrics need: timing marks, generated tokens, and how many of its tokens
-are currently materialized in some GPU's KvCache.
+metrics need: timing stamps, generated tokens, and how many of its tokens
+are currently materialized in some GPU's KvCache. Latencies are derived
+from the stamps in one place, :mod:`repro.runtime.latency`.
 """
 
 from __future__ import annotations
@@ -88,12 +89,12 @@ class Request:
         if self.first_token_time is None:
             self.first_token_time = now
 
-    def mark_running(self, gpu_id: str, now: "float | None" = None) -> None:
+    def mark_running(self, gpu_id: str, now: float) -> None:
         if self.state not in (RequestState.QUEUED, RequestState.RUNNING):
             raise RuntimeError(f"cannot run {self.request_id} from state {self.state}")
         self.state = RequestState.RUNNING
         self.gpu_id = gpu_id
-        if now is not None and self.first_admitted_time is None:
+        if self.first_admitted_time is None:
             self.first_admitted_time = now
 
     def mark_finished(self, now: float) -> None:
@@ -177,29 +178,3 @@ class Request:
         self.kv_len = 0
         self.needs_prefill = True
         self.num_migrations += 1
-
-    # -- latency metrics ------------------------------------------------
-    def normalized_latency(self) -> float:
-        """End-to-end latency per generated token (the serving SLO metric)."""
-        if self.finish_time is None:
-            raise RuntimeError(f"{self.request_id} not finished")
-        if not self.generated_tokens:
-            return 0.0
-        return (self.finish_time - self.spec.arrival_time) / len(self.generated_tokens)
-
-    def time_to_first_token(self) -> float:
-        if self.first_token_time is None:
-            raise RuntimeError(f"{self.request_id} has no first token yet")
-        return self.first_token_time - self.spec.arrival_time
-
-    def queue_wait(self) -> float:
-        """Time from arrival until first GPU admission."""
-        if self.first_admitted_time is None:
-            raise RuntimeError(f"{self.request_id} was never admitted")
-        return self.first_admitted_time - self.spec.arrival_time
-
-    def decode_time(self) -> float:
-        """First token to finish: the pure generation phase."""
-        if self.finish_time is None or self.first_token_time is None:
-            raise RuntimeError(f"{self.request_id} not finished")
-        return self.finish_time - self.first_token_time

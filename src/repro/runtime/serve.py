@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.engine import GpuEngine, StepReport
+from repro.runtime.latency import LatencyStats
 from repro.runtime.request import Request, RequestState
 from repro.utils.rng import new_rng
 from repro.workloads.trace import Trace
@@ -67,30 +68,17 @@ class ServeResult:
         total_t = sum(t for _, t in busy)
         return sum(b * t for b, t in busy) / total_t if total_t > 0 else 0.0
 
-    def normalized_latencies(self) -> list[float]:
-        """Per-request end-to-end seconds per generated token."""
-        return [
-            r.normalized_latency()
-            for r in self.requests
-            if r.state is RequestState.FINISHED and r.num_generated > 0
-        ]
-
-    def mean_normalized_latency(self) -> float:
-        lats = self.normalized_latencies()
-        return float(np.mean(lats)) if lats else 0.0
-
-    def percentile_latency(self, q: float) -> float:
-        lats = self.normalized_latencies()
-        return float(np.percentile(lats, q)) if lats else 0.0
-
     def summary(self) -> str:
         """One human-readable line — what an operator dashboard would show."""
-        return (
+        line = (
             f"{self.requests_finished} requests, {self.tokens_generated} tokens "
             f"in {self.duration:.2f}s | {self.throughput:.0f} tok/s | "
-            f"mean batch {self.mean_batch_size:.1f} | "
-            f"p50 latency {self.percentile_latency(50) * 1e3:.1f} ms/tok"
+            f"mean batch {self.mean_batch_size:.1f}"
         )
+        if not self.requests_finished:
+            return line
+        stats = LatencyStats.from_requests(self.requests)
+        return f"{line} | p50 latency {stats.p50_normalized * 1e3:.1f} ms/tok"
 
 
 def serve_requests(

@@ -20,6 +20,7 @@ from repro.models.config import LLAMA2_7B
 from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
+from repro.runtime.latency import LatencyStats
 from repro.runtime.request import RequestState
 from repro.workloads.arrivals import PoissonArrivals, constant_rate
 from repro.workloads.lengths import ShareGptLengths
@@ -169,7 +170,10 @@ def test_slowdown_hurts_latency():
     slowed = ClusterSimulator(
         make_engines(2), fault_injector=FaultInjector([spec])
     ).run(trace2)
-    assert slowed.mean_normalized_latency() > healthy.mean_normalized_latency()
+    assert (
+        LatencyStats.from_requests(slowed.requests).mean_normalized
+        > LatencyStats.from_requests(healthy.requests).mean_normalized
+    )
 
 
 # ---------------------------------------------------------------------------

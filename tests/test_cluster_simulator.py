@@ -9,6 +9,7 @@ from repro.models.config import LLAMA2_7B
 from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
+from repro.runtime.latency import LatencyStats
 from repro.runtime.request import RequestState
 from repro.workloads.arrivals import PoissonArrivals, RampProfile, constant_rate
 from repro.workloads.lengths import ShareGptLengths
@@ -112,7 +113,8 @@ class TestClusterSimulation:
         trace = small_trace(rate=2.0, duration=20.0)
         result = sim.run(trace)
         # Per-token latency should be tens of ms (decode step scale).
-        assert 0.005 < result.mean_normalized_latency() < 0.5
+        stats = LatencyStats.from_requests(result.requests)
+        assert 0.005 < stats.mean_normalized < 0.5
 
     def test_saturated_cluster_queues_then_drains(self):
         sim = ClusterSimulator(make_engines(1, max_batch=2))

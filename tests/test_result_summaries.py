@@ -27,6 +27,18 @@ class TestServeSummary:
         assert "tok/s" in s
         assert "ms/tok" in s
 
+    def test_summary_without_finished_requests(self):
+        engine = GpuEngine(
+            "gpu0", SimulatedBackend(LLAMA2_7B), EngineConfig(max_batch_size=8)
+        )
+        result = serve_requests(
+            engine, requests_from_trace(short_trace()), max_steps=1
+        )
+        assert result.requests_finished == 0
+        s = result.summary()
+        assert "0 requests" in s
+        assert "ms/tok" not in s
+
 
 class TestSimulationSummary:
     def test_summary_fields_present(self):
@@ -41,3 +53,13 @@ class TestSimulationSummary:
         assert "8/8 requests" in s
         assert "migrations" in s
         assert "tok/s" in s
+
+    def test_summary_without_finished_requests(self):
+        engines = [
+            GpuEngine("g0", SimulatedBackend(LLAMA2_7B), EngineConfig(max_batch_size=8))
+        ]
+        result = ClusterSimulator(engines).run(short_trace(), until=1e-6)
+        assert result.finished_requests == 0
+        s = result.summary()
+        assert "0/8 requests" in s
+        assert "ms/tok" not in s

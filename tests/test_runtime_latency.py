@@ -16,8 +16,10 @@ from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import RequestSpec, generate_trace
 
 
-def finished_request(arrival=0.0, admitted=1.0, first=2.0, finish=6.0, tokens=5):
-    req = Request(spec=RequestSpec("r", "m", arrival, 8, tokens))
+def finished_request(
+    arrival=0.0, admitted=1.0, first=2.0, finish=6.0, tokens=5, rid="r"
+):
+    req = Request(spec=RequestSpec(rid, "m", arrival, 8, tokens))
     req.mark_running("gpu0", admitted)
     for i in range(tokens):
         req.record_token(i, first if i == 0 else finish)
@@ -78,3 +80,26 @@ class TestLatencyStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             LatencyStats.from_requests([])
+
+    def test_interpolated_percentiles(self):
+        # TTFTs 1, 2, 3, 4: np.percentile interpolates (p50 = 2.5) where
+        # a nearest-rank percentile would pick a sample.
+        reqs = [
+            finished_request(first=float(t), finish=float(t) + 2.0, rid=f"r{t}")
+            for t in (1, 2, 3, 4)
+        ]
+        stats = LatencyStats.from_requests(reqs)
+        assert stats.p50_ttft == 2.5
+        assert stats.p99_ttft == pytest.approx(3.97)
+        assert stats.mean_ttft == 2.5
+
+    def test_itl_skips_one_token_requests(self):
+        reqs = [
+            finished_request(first=2.0, finish=6.0, tokens=5, rid="a"),
+            finished_request(first=2.0, finish=2.0, tokens=1, rid="b"),
+        ]
+        stats = LatencyStats.from_requests(reqs)
+        assert stats.count == 2
+        assert stats.mean_itl == stats.p50_itl == stats.p99_itl == 1.0
+        only_one = LatencyStats.from_requests(reqs[1:])
+        assert only_one.mean_itl == only_one.p99_itl == 0.0

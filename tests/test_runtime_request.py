@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.runtime.latency import LatencyStats, breakdown_of
 from repro.runtime.request import Request, RequestState
 from repro.workloads.trace import RequestSpec
 
@@ -24,7 +25,7 @@ class TestLifecycle:
 
     def test_run_and_finish(self):
         r = make_request(response_len=2)
-        r.mark_running("gpu0")
+        r.mark_running("gpu0", 0.0)
         r.record_token(5, now=1.0)
         r.record_token(7, now=2.0)
         assert r.reached_limit()
@@ -34,11 +35,10 @@ class TestLifecycle:
 
     def test_first_token_time_stamped_once(self):
         r = make_request()
-        r.mark_running("gpu0")
+        r.mark_running("gpu0", 0.0)
         r.record_token(1, now=3.0)
         r.record_token(2, now=4.0)
         assert r.first_token_time == 3.0
-        assert r.time_to_first_token() == 3.0
 
     def test_record_token_requires_running(self):
         r = make_request()
@@ -49,7 +49,7 @@ class TestLifecycle:
 class TestEviction:
     def test_evict_preserves_progress(self):
         r = make_request(prompt_len=10)
-        r.mark_running("gpu0")
+        r.mark_running("gpu0", 0.0)
         r.record_token(1, now=1.0)
         r.record_token(2, now=2.0)
         r.kv_len = 12
@@ -70,7 +70,7 @@ class TestEviction:
 class TestTransferHandoff:
     def test_suspend_preserves_kv_and_progress(self):
         r = make_request(prompt_len=10)
-        r.mark_running("gpu0")
+        r.mark_running("gpu0", 0.0)
         r.needs_prefill = False  # as the engine's prefill step leaves it
         r.record_token(1, now=1.0)
         r.kv_len = 11
@@ -88,7 +88,7 @@ class TestTransferHandoff:
 
     def test_drop_kv_falls_back_to_reprefill(self):
         r = make_request(prompt_len=10)
-        r.mark_running("gpu0")
+        r.mark_running("gpu0", 0.0)
         r.needs_prefill = False
         r.record_token(1, now=1.0)
         r.kv_len = 11
@@ -101,20 +101,24 @@ class TestTransferHandoff:
 
     def test_drop_kv_requires_queued(self):
         r = make_request()
-        r.mark_running("gpu0")
+        r.mark_running("gpu0", 0.0)
         with pytest.raises(RuntimeError):
             r.drop_kv()
 
 
 class TestMetrics:
+    """Latency is read from the stamps by ``repro.runtime.latency``."""
+
     def test_normalized_latency(self):
         r = make_request(arrival=10.0, response_len=2)
-        r.mark_running("gpu0")
+        r.mark_running("gpu0", 11.0)
         r.record_token(1, now=12.0)
         r.record_token(2, now=14.0)
         r.mark_finished(14.0)
-        assert r.normalized_latency() == pytest.approx(2.0)
+        assert breakdown_of(r).normalized == pytest.approx(2.0)
+        assert breakdown_of(r).queue_wait == 1.0
+        assert LatencyStats.from_requests([r]).mean_normalized == pytest.approx(2.0)
 
     def test_latency_requires_finished(self):
-        with pytest.raises(RuntimeError):
-            make_request().normalized_latency()
+        with pytest.raises(ValueError):
+            breakdown_of(make_request())

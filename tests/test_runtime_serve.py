@@ -10,6 +10,7 @@ from repro.models.llama import reference_forward_full
 from repro.models.weights import random_llama_weights
 from repro.runtime.backend import NumpyBackend, SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
+from repro.runtime.latency import LatencyStats, breakdown_of
 from repro.runtime.request import RequestState
 from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.workloads.lengths import ShareGptLengths
@@ -76,10 +77,12 @@ class TestSimulatedServing:
     def test_normalized_latency_metrics(self):
         trace = short_trace(10, "uniform")
         result = serve_requests(simulated_engine(), requests_from_trace(trace))
-        lats = result.normalized_latencies()
+        lats = [breakdown_of(r).normalized for r in result.requests]
         assert len(lats) == 10
         assert all(l > 0 for l in lats)
-        assert result.percentile_latency(50) <= result.percentile_latency(99)
+        stats = LatencyStats.from_requests(result.requests)
+        assert stats.count == 10
+        assert stats.p50_normalized <= stats.p99_normalized
 
     def test_mean_batch_size_bounded(self):
         trace = short_trace(40, "uniform")

@@ -23,6 +23,8 @@ import pytest
 
 from repro.obs import compute_breakdowns, run_scenario
 from repro.obs.tracer import EventKind, TERMINAL_KINDS
+from repro.runtime.latency import breakdown_of
+from repro.runtime.request import RequestState
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SCENARIO_NAMES = (
@@ -140,7 +142,8 @@ def test_scenario_covers_required_kinds(scenario_results, name):
 @pytest.mark.parametrize("name", SCENARIO_NAMES)
 def test_breakdown_components_sum_to_total(scenario_results, name):
     """The acceptance invariant: phase components tile [submit, terminal]
-    exactly, for every request in every golden scenario."""
+    exactly, for every request in every golden scenario, and that span
+    is the one the request's own stamps give."""
     result = scenario_results[name]
     breakdowns = compute_breakdowns(result.tracer)
     assert breakdowns, f"{name} produced no per-request breakdowns"
@@ -151,6 +154,28 @@ def test_breakdown_components_sum_to_total(scenario_results, name):
         )
         assert bd.terminal in ("FINISH", "SHED", "CANCEL"), (
             f"{name}/{rid} never reached a terminal event"
+        )
+    # Value parity with the stamps: the trace tiles the same end-to-end
+    # span that repro.runtime.latency reads off the request. A handoff
+    # request's decode-admission wait is trace queue by design, so queue
+    # parity holds for requests that never left their first GPU.
+    handoffs = {
+        e.request_id for e in result.tracer.events
+        if e.kind is EventKind.KV_TRANSFER_START
+    }
+    finished = [
+        r for r in result.requests if r.state is RequestState.FINISHED
+    ]
+    assert finished, f"{name} finished no requests"
+    for r in finished:
+        bd, stamps = breakdowns[r.request_id], breakdown_of(r)
+        assert bd.submit_time == r.spec.arrival_time, (name, r.request_id)
+        assert bd.total == stamps.total, (name, r.request_id)
+        if r.num_migrations or r.num_retries or r.request_id in handoffs:
+            continue
+        assert bd.queue == stamps.queue_wait, (
+            f"{name}/{r.request_id}: trace queue {bd.queue}, "
+            f"stamp queue wait {stamps.queue_wait}"
         )
 
 
