@@ -9,9 +9,14 @@ Punica's SGMV keeps the batch full.
 Run: ``python examples/multi_tenant_serving.py``
 """
 
-from repro import ALL_SYSTEMS, LLAMA2_7B, build_engine, generate_trace
+from repro import (
+    ALL_SYSTEMS,
+    LLAMA2_7B,
+    ClusterSimulator,
+    build_engine,
+    generate_trace,
+)
 from repro.runtime.latency import LatencyStats
-from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.utils.tables import format_table
 
 
@@ -24,10 +29,10 @@ def main() -> None:
               f"LoRA model(s), {trace.total_response_tokens} tokens to generate")
         for profile in ALL_SYSTEMS:
             engine = build_engine(profile, LLAMA2_7B)
-            result = serve_requests(engine, requests_from_trace(trace))
+            result = ClusterSimulator([engine]).run(trace)
             rows.append(
                 [dist, profile.display_name, f"{result.throughput:.0f}",
-                 f"{result.mean_batch_size:.1f}",
+                 f"{result.metrics.mean_batch_size():.1f}",
                  f"{1e3 * LatencyStats.from_requests(result.requests).mean_normalized:.0f}"]
             )
     print()

@@ -13,6 +13,7 @@ Run: ``python examples/quickstart.py``
 import numpy as np
 
 from repro import (
+    ClusterSimulator,
     EngineConfig,
     GpuEngine,
     LoraRegistry,
@@ -21,7 +22,6 @@ from repro import (
     random_llama_weights,
     random_lora_weights,
     requests_from_trace,
-    serve_requests,
     tiny_config,
 )
 from repro.models.llama import reference_forward_full
@@ -53,13 +53,11 @@ def main() -> None:
     requests = requests_from_trace(
         trace, with_prompt_tokens=True, vocab_size=config.vocab_size
     )
-    result = serve_requests(engine, requests)
+    result = ClusterSimulator([engine]).run(requests)
 
-    print(f"\nserved {result.requests_finished} requests, "
-          f"{result.tokens_generated} tokens, "
-          f"max invocation batch {max(s.batch_size for s in result.steps)}")
-    multi_lora_steps = sum(1 for s in result.steps if s.num_lora_segments > 1)
-    print(f"invocations batching >1 LoRA model: {multi_lora_steps}")
+    batches = result.metrics.gpu_batch_size["gpu0"].values
+    print(f"\n{result.summary()}")
+    print(f"{len(batches)} invocations, max invocation batch {int(batches.max())}")
 
     # 4. Verify every generated token against a merged-weight recompute.
     for req in requests:

@@ -6,7 +6,7 @@ Quick tour
 >>> from repro import sgmv_shrink, sgmv_expand          # the SGMV operator
 >>> from repro import LlamaModel, tiny_config            # functional Llama
 >>> from repro import GpuEngine, SimulatedBackend        # serving runtime
->>> from repro import ClusterSimulator, PunicaScheduler  # multi-GPU serving
+>>> from repro import ClusterSimulator, PunicaScheduler  # every serving run
 >>> from repro import generate_trace                     # workloads
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -70,11 +70,9 @@ from repro.runtime import (
     GpuEngine,
     NumpyBackend,
     Request,
-    ServeResult,
     SimulatedBackend,
     SpecConfig,
     requests_from_trace,
-    serve_requests,
 )
 from repro.workloads import ShareGptLengths, Trace, generate_trace, open_loop_trace
 
@@ -116,7 +114,6 @@ __all__ = [
     "PunicaScheduler",
     "Request",
     "SchedulerConfig",
-    "ServeResult",
     "ShareGptLengths",
     "SimulatedBackend",
     "SimulationResult",
@@ -137,7 +134,6 @@ __all__ = [
     "random_llama_weights",
     "random_lora_weights",
     "requests_from_trace",
-    "serve_requests",
     "sgmv_expand",
     "sgmv_shrink",
     "tiny_config",

@@ -2,10 +2,13 @@
 
 These systems use an inseparable KvCache layout (§5.4): requests that enter
 a batch together stay until *every* member reaches its stopping condition
-(Fig 6). The engine exposes the same driver interface as
-:class:`~repro.runtime.engine.GpuEngine` (``can_accept`` / ``add_request``
-/ ``step`` / ``is_idle``), so the identical FCFS driver serves both — the
-throughput difference is entirely the system model, as in the paper.
+(Fig 6). The engine speaks the engine protocol of
+:class:`~repro.runtime.engine.GpuEngine` that a
+:class:`~repro.cluster.simulator.ClusterSimulator` pool drives
+(``can_accept`` / ``add_request`` / ``step`` / ``is_idle``, an adapter
+store and ``fast_path``), so the one FCFS scheduler serves
+both — the throughput difference is entirely the system model, as in the
+paper.
 
 Behavioural differences from the continuous engine:
 
@@ -19,6 +22,7 @@ Behavioural differences from the continuous engine:
 
 from __future__ import annotations
 
+from repro.adapters.store import GpuAdapterStore
 from repro.hw.spec import A100_80G, GpuSpec
 from repro.models.config import LlamaConfig
 from repro.models.tp import SINGLE_GPU, TensorParallelConfig
@@ -30,6 +34,9 @@ from repro.utils.units import GIB
 
 class StaticBatchEngine:
     """Inseparable-KvCache, same-LoRA, whole-batch-prefill baseline."""
+
+    fast_path = False
+    """No bulk decode lane: every step is a scalar step."""
 
     def __init__(
         self,
@@ -65,8 +72,10 @@ class StaticBatchEngine:
         self._lane_kv: dict[str, int] = {}
         self._prefilled = False
         self._token_counter = 0
+        self.loader = GpuAdapterStore(gpu_id=gpu_id)
+        """Stays empty: the baselines model no asynchronous LoRA loads."""
 
-    # -- driver interface -------------------------------------------------
+    # -- engine protocol --------------------------------------------------
     @property
     def working_set_size(self) -> int:
         return len(self._pending) + len(self._active)

@@ -33,7 +33,6 @@ from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.latency import LatencyStats
 from repro.runtime.request import RequestState
-from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.utils.units import GB, GIB, TB
 from repro.workloads.arrivals import PoissonArrivals, RampProfile, constant_rate
 from repro.workloads.lengths import ShareGptLengths
@@ -78,9 +77,10 @@ def run_load_latency(seed: int = 0) -> FigureTable:
     for profile in (PUNICA, VLLM):
         for rate in sweeps[profile.name]:
             engine = build_engine(profile, LLAMA2_7B)
-            reqs = requests_from_trace(_open_loop_trace(rate, seed))
-            result = serve_requests(engine, reqs, keep_steps=False)
-            finished = [r for r in reqs if r.state is RequestState.FINISHED]
+            result = ClusterSimulator([engine]).run(_open_loop_trace(rate, seed))
+            finished = [
+                r for r in result.requests if r.state is RequestState.FINISHED
+            ]
             stats = LatencyStats.from_requests(finished)
             table.add_row(
                 profile.name, rate, stats.p50_normalized, stats.p99_normalized,
@@ -110,8 +110,7 @@ def run_hardware_projection(n_requests: int = 96, seed: int = 0) -> FigureTable:
         tput = {}
         for profile in (VLLM, PUNICA):
             engine = build_engine(profile, LLAMA2_7B, gpu=gpu)
-            result = serve_requests(engine, requests_from_trace(trace), keep_steps=False)
-            tput[profile.name] = result.throughput
+            tput[profile.name] = ClusterSimulator([engine]).run(trace).throughput
         ratio = tput["punica"] / tput["vllm"]
         for name, v in tput.items():
             table.add_row(gpu.name, name, v, ratio if name == "punica" else "")

@@ -18,9 +18,9 @@ import os
 
 from repro.baselines.framework import ALL_SYSTEMS, FrameworkProfile, build_engine
 from repro.bench.reporting import FigureTable
+from repro.cluster.simulator import ClusterSimulator
 from repro.hw.spec import A100_80G, GpuSpec
 from repro.models.config import LLAMA2_7B, LLAMA2_13B, LlamaConfig
-from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.workloads.popularity import POPULARITY_NAMES
 from repro.workloads.trace import generate_trace
 
@@ -50,12 +50,10 @@ def run_fig11(
             trace = generate_trace(n_requests, dist, seed=seed)
             for profile in systems:
                 engine = build_engine(profile, config, gpu=gpu)
-                result = serve_requests(
-                    engine, requests_from_trace(trace), keep_steps=True
-                )
+                result = ClusterSimulator([engine]).run(trace)
                 table.add_row(
                     config.name, dist, profile.name,
-                    result.throughput, result.mean_batch_size,
+                    result.throughput, result.metrics.mean_batch_size(),
                 )
     table.add_note(
         "paper: Punica 1044 (7B) / 693 (13B) tok/s on all workloads; "

@@ -11,11 +11,11 @@ from __future__ import annotations
 from repro.baselines.framework import PUNICA, VLLM, FrameworkProfile, build_engine
 from repro.bench.fig11_textgen import DEFAULT_REQUESTS, paper_scale
 from repro.bench.reporting import FigureTable
+from repro.cluster.simulator import ClusterSimulator
 from repro.hw.interconnect import NVLINK_A100
 from repro.hw.spec import A100_40G, GpuSpec
 from repro.models.config import LLAMA2_70B, LlamaConfig
 from repro.models.tp import TensorParallelConfig
-from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.workloads.popularity import POPULARITY_NAMES
 from repro.workloads.trace import generate_trace
 
@@ -40,8 +40,11 @@ def run_fig12(
         trace = generate_trace(n_requests, dist, seed=seed)
         for profile in systems:
             engine = build_engine(profile, config, gpu=gpu, tp=tp)
-            result = serve_requests(engine, requests_from_trace(trace), keep_steps=True)
-            table.add_row(dist, profile.name, result.throughput, result.mean_batch_size)
+            result = ClusterSimulator([engine]).run(trace)
+            table.add_row(
+                dist, profile.name, result.throughput,
+                result.metrics.mean_batch_size(),
+            )
     table.add_note(
         "paper: Punica 441-446 tok/s everywhere; vLLM 21-25 tok/s multi-LoRA, "
         "~457 tok/s backbone-only Identical"

@@ -16,6 +16,7 @@
 from __future__ import annotations
 
 from repro.bench.reporting import FigureTable
+from repro.cluster.simulator import ClusterSimulator
 from repro.hw.kernels import KernelCostModel
 from repro.hw.pcie import PCIE_GEN4_X16
 from repro.hw.spec import A100_80G
@@ -30,7 +31,6 @@ from repro.models.perf import (
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.layered_loading import time_to_first_token
-from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.utils.units import MS, US
 from repro.workloads.trace import generate_trace
 
@@ -103,8 +103,7 @@ def run_lora_impl_ablation(n_requests: int = 96, seed: int = 0) -> FigureTable:
     for impl in LORA_IMPLS:
         backend = SimulatedBackend(LLAMA2_7B, flags=PerfFlags(lora_impl=impl))
         engine = GpuEngine("gpu0", backend, EngineConfig(max_batch_size=32))
-        result = serve_requests(engine, requests_from_trace(trace), keep_steps=False)
-        results[impl] = result.throughput
+        results[impl] = ClusterSimulator([engine]).run(trace).throughput
     for impl in LORA_IMPLS:
         table.add_row(impl, results[impl], results["sgmv"] / results[impl])
     table.add_note(

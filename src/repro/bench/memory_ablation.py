@@ -23,13 +23,13 @@ import numpy as np
 
 from repro.baselines.framework import FASTER_TRANSFORMER, VLLM, build_engine
 from repro.bench.reporting import FigureTable
+from repro.cluster.simulator import ClusterSimulator
 from repro.hw.spec import A100_80G
 from repro.kvcache.contiguous import wasted_decode_steps
 from repro.kvcache.page import PageAllocator
 from repro.models.config import LLAMA2_7B, LLAMA2_13B
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
-from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.utils.units import GIB
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import generate_trace
@@ -61,14 +61,10 @@ def run_kvcache_ablation(n_requests: int = 96, seed: int = 0) -> FigureTable:
 
     # (2) End-to-end: same kernels, different layout discipline.
     trace = generate_trace(n_requests, "identical", seed=seed)
-    continuous = serve_requests(
-        build_engine(VLLM, LLAMA2_7B), requests_from_trace(trace), keep_steps=False
-    )
-    static = serve_requests(
-        build_engine(FASTER_TRANSFORMER, LLAMA2_7B),
-        requests_from_trace(trace),
-        keep_steps=False,
-    )
+    continuous = ClusterSimulator([build_engine(VLLM, LLAMA2_7B)]).run(trace)
+    static = ClusterSimulator(
+        [build_engine(FASTER_TRANSFORMER, LLAMA2_7B)]
+    ).run(trace)
     table.add_row("continuous (separable) tok/s", continuous.throughput)
     table.add_row("static (inseparable) tok/s", static.throughput)
     table.add_row("separable speedup", continuous.throughput / static.throughput)
@@ -138,8 +134,8 @@ def run_quantization_ablation(n_requests: int = 48, seed: int = 0) -> FigureTabl
             LLAMA2_13B, gpu=A100_80G, kv_capacity_bytes=kv_capacity
         )
         engine = GpuEngine("gpu0", backend, EngineConfig(max_batch_size=32))
-        result = serve_requests(engine, requests_from_trace(trace), keep_steps=True)
-        evictions = sum(len(s.evicted) for s in result.steps)
+        result = ClusterSimulator([engine]).run(trace)
+        evictions = sum(r.num_migrations for r in result.requests)
         table.add_row(label, kv_capacity / GIB, evictions, result.throughput)
     table.add_note("paper §8: quantization frees KvCache headroom, fewer migrations")
     return table

@@ -14,8 +14,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench.fig13_cluster import Fig13Scale, ramp_trace, run_fig13_simulation
 from repro.bench.reporting import FigureTable
 from repro.cluster.elastic import ElasticConfig, ElasticPool
@@ -25,7 +23,6 @@ from repro.models.config import LLAMA2_7B
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.latency import LatencyStats
-from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.workloads.trace import generate_trace
 
 MIGRATION_SCALE = Fig13Scale(num_gpus=4, duration=120.0, peak_rate=6.0, bucket=10.0)
@@ -90,12 +87,11 @@ def run_batch_size_sweep(seed: int = 0, n_requests: int = 96) -> FigureTable:
     )
     trace = generate_trace(n_requests, "skewed", seed=seed)
     for max_bs in (1, 4, 8, 16, 32, 64):
-        engine = _engine("gpu0", max_batch_size=max_bs)
-        result = serve_requests(engine, requests_from_trace(trace), keep_steps=True)
+        result = ClusterSimulator([_engine("gpu0", max_batch_size=max_bs)]).run(trace)
         # Inter-token latency of a running request = the step time it waits.
-        steps = [s.latency for s in result.steps if s.num_decode > 0]
-        mean_step_ms = 1e3 * float(np.mean(steps)) if steps else 0.0
-        table.add_row(max_bs, result.throughput, mean_step_ms)
+        table.add_row(
+            max_bs, result.throughput, 1e3 * result.metrics.mean_step_seconds()
+        )
     return table
 
 
@@ -119,7 +115,7 @@ def run_prefill_limit_sweep(seed: int = 0, n_requests: int = 64) -> FigureTable:
     trace = generate_trace(n_requests, "skewed", seed=seed)
     for limit in (1, 2, 4, 8):
         engine = _engine("gpu0", prefill_batch_limit=limit)
-        result = serve_requests(engine, requests_from_trace(trace), keep_steps=False)
+        result = ClusterSimulator([engine]).run(trace)
         table.add_row(
             limit, result.throughput,
             LatencyStats.from_requests(result.requests).p99_normalized,

@@ -22,12 +22,12 @@ short prefill of ``draft_len + 1``-token chunks — and earns back
 from __future__ import annotations
 
 from repro.bench.reporting import FigureTable
+from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.models.config import LLAMA2_7B
 from repro.obs.analysis import request_tpots
 from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
-from repro.runtime.serve import ServeResult, requests_from_trace, serve_requests
 from repro.runtime.spec import SpecConfig
 from repro.utils.units import MS
 from repro.workloads.lengths import ShareGptLengths
@@ -53,7 +53,7 @@ def _trace(seed: int, batch: int) -> Trace:
 
 def run_one(
     seed: int, batch: int, spec: "SpecConfig | None"
-) -> "tuple[ServeResult, Tracer]":
+) -> "tuple[SimulationResult, Tracer]":
     """Serve the closed-loop batch on one engine; spec arms the lane."""
     engine = GpuEngine(
         "gpu0",
@@ -61,9 +61,7 @@ def run_one(
         EngineConfig(max_batch_size=batch, spec=spec),
     )
     tracer = Tracer()
-    result = serve_requests(
-        engine, requests_from_trace(_trace(seed, batch)), tracer=tracer
-    )
+    result = ClusterSimulator([engine], tracer=tracer).run(_trace(seed, batch))
     return result, tracer
 
 

@@ -265,11 +265,8 @@ def _run_trace(args) -> int:
     parts = "  ".join(f"{k}={v:.4f}s" for k, v in totals.items())
     print(f"totals: {parts}")
     if args.metrics:
-        if result.metrics is None:
-            print("(no cluster metrics for this scenario)")
-        else:
-            print()
-            print(result.metrics.registry.render_prometheus(), end="")
+        print()
+        print(result.metrics.registry.render_prometheus(), end="")
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         result.tracer.dump_jsonl(args.out)

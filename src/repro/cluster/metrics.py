@@ -9,8 +9,10 @@ simulator makes, and answers every summary (``fault_count``,
 
 A :class:`TimeSeries` is kept only where something reads a *series*: the
 three panels of Fig 13 (``arrivals``, ``tokens``, ``gpu_batch_size``), the
-host->GPU link utilisation plot (``pcie_busy``) and the SLO router's
-per-placement headroom samples (``slo_admits``).
+host->GPU link utilisation plot (``pcie_busy``), the SLO router's
+per-placement headroom samples (``slo_admits``) and each GPU's step spans
+(``gpu_step_spans``: Fig 11/12's time-weighted mean batch and the mean
+step time).
 
 Series and registry are *instance* state — nothing module-level survives
 a run, so two back-to-back simulations report identical numbers
@@ -96,7 +98,9 @@ class TimeSeries:
             return
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
-        if np.any(times[1:] < times[:-1]) or (
+        # ``ndarray.any`` skips the ``np.any`` dispatch: this runs per
+        # engine per merged decode run.
+        if (times[1:] < times[:-1]).any() or (
             self._n and times[0] < self._times[self._n - 1]
         ):
             raise ValueError("bulk samples must be time-ordered")
@@ -158,7 +162,7 @@ SLO_HEADROOM_BUCKETS = (
 class ClusterMetrics:
     """Everything one simulation run measures.
 
-    Every ``record_*`` takes the event time first; only the five series
+    Every ``record_*`` takes the event time first; only the series
     store it, the registry instruments count. What each instrument counts
     is its help string in ``__post_init__``.
     """
@@ -166,9 +170,13 @@ class ClusterMetrics:
     arrivals: TimeSeries = field(default_factory=TimeSeries)
     """(time, 1) per request arrival — bucket_sum/bucket = request rate."""
     tokens: TimeSeries = field(default_factory=TimeSeries)
-    """(step end, tokens generated that step) — bucket_sum/bucket = tok/s."""
+    """(step start, tokens generated that step) — bucket_sum/bucket = tok/s."""
     gpu_batch_size: dict[str, TimeSeries] = field(default_factory=dict)
     """Per-GPU (step start, invocation batch size) — Fig 13 lower panel."""
+    gpu_step_spans: dict[str, TimeSeries] = field(default_factory=dict)
+    """Per-GPU (step start, step end), sample for sample beside
+    ``gpu_batch_size`` — the step times behind :meth:`mean_batch_size`
+    and :meth:`mean_step_seconds`."""
     pcie_busy: TimeSeries = field(default_factory=TimeSeries)
     """(copy start, copy seconds) per host->GPU transfer — busy time."""
     slo_admits: TimeSeries = field(default_factory=TimeSeries)
@@ -261,14 +269,17 @@ class ClusterMetrics:
         self.arrivals.record(t, 1.0)
         self._arrivals.inc()
 
-    def record_step(self, gpu_id: str, start: float, tokens: int, batch_size: int) -> None:
+    def record_step(
+        self, gpu_id: str, start: float, end: float, tokens: int, batch_size: int
+    ) -> None:
         ftokens = float(tokens)
         fbatch = float(batch_size)
         self.tokens.record(start, ftokens)
         series = self.gpu_batch_size.get(gpu_id)
         if series is None:
-            series = self.gpu_batch_size.setdefault(gpu_id, TimeSeries())
+            series = self._gpu_series(gpu_id)
         series.record(start, fbatch)
+        self.gpu_step_spans[gpu_id].record(start, end)
         key = (gpu_id,)
         self._tokens_counter.inc_key((), ftokens)
         self._steps_counter.inc_key(key)
@@ -287,8 +298,8 @@ class ClusterMetrics:
         step samples across *all* merged engines — exactly the sequence of
         ``record_step`` calls the per-event path would have made against
         the global token series. ``per_gpu`` is an iterable of
-        ``(gpu_id, starts, batch_size)`` triples carrying each engine's
-        own (already ascending) step starts for its per-GPU series and
+        ``(gpu_id, bounds, batch_size)`` triples carrying each engine's
+        own (already ascending) step bounds for its per-GPU series and
         registry counters; every step of a decode run generates one token
         per batch row. Token and step counts are small integers, so one
         float add of the product equals the per-step adds exactly, and
@@ -297,19 +308,29 @@ class ClusterMetrics:
         if len(times) == 0:
             return
         self.tokens.extend(times, tokens_per_step)
-        for gpu_id, starts, batch_size in per_gpu:
-            n = len(starts)
-            if not n:
+        for gpu_id, bounds, batch_size in per_gpu:
+            # ``bounds`` chains the engine's steps: bounds[k] starts step
+            # k and bounds[k + 1] ends it.
+            n = len(bounds) - 1
+            if n < 1:
                 continue
             fbatch = float(batch_size)
             series = self.gpu_batch_size.get(gpu_id)
             if series is None:
-                series = self.gpu_batch_size.setdefault(gpu_id, TimeSeries())
+                series = self._gpu_series(gpu_id)
+            starts = bounds[:-1]
             series.extend(starts, np.full(n, fbatch))
+            self.gpu_step_spans[gpu_id].extend(starts, bounds[1:])
             key = (gpu_id,)
             self._tokens_counter.inc_key((), fbatch * n)
             self._steps_counter.inc_key(key, float(n))
             self._batch_gauge.set_key(key, fbatch)
+
+    def _gpu_series(self, gpu_id: str) -> TimeSeries:
+        """Open a GPU's per-step series; returns its batch-size series."""
+        self.gpu_step_spans[gpu_id] = TimeSeries()
+        series = self.gpu_batch_size[gpu_id] = TimeSeries()
+        return series
 
     # -- adapter lifecycle ------------------------------------------------
     def record_adapter_load(self, t: float, tier: "Tier | int") -> None:
@@ -416,6 +437,23 @@ class ClusterMetrics:
     # -- summaries ---------------------------------------------------------
     def total_tokens(self) -> float:
         return self._tokens_counter.value()
+
+    def mean_batch_size(self) -> float:
+        """Time-weighted mean invocation batch size over every GPU's
+        steps (Fig 11/12's ``mean_batch``)."""
+        busy = total = 0.0
+        for gpu_id, spans in self.gpu_step_spans.items():
+            secs = spans.values - spans.times
+            busy += float(np.dot(self.gpu_batch_size[gpu_id].values, secs))
+            total += float(secs.sum())
+        return busy / total if total > 0 else 0.0
+
+    def mean_step_seconds(self) -> float:
+        """Mean time of one invocation over every GPU's steps."""
+        spans = self.gpu_step_spans.values()
+        steps = sum(len(s) for s in spans)
+        total = sum(float((s.values - s.times).sum()) for s in spans)
+        return total / steps if steps else 0.0
 
     def adapter_hit_counts(self) -> dict[str, int]:
         """Demand loads by the tier that satisfied them."""

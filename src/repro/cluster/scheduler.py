@@ -147,8 +147,16 @@ class PunicaScheduler:
         Terminal requests are dropped, not routed: a user may cancel before
         the simulated arrival fires, and routing a CANCELLED request into
         ``engine.add_request`` would crash its ``mark_running`` transition.
+        Under a blocking discipline a live waiter holds every later
+        submission behind it (strict FCFS): the request queues, and the
+        next drain admits in queue-key order.
         """
         if request.state.is_terminal:
+            return None
+        if self.queue_head_blocks and any(
+            not entry[2].state.is_terminal for entry in self._queue
+        ):
+            self._enqueue(request, now)
             return None
         self._new_pass()
         gpu = self._route(request, now)

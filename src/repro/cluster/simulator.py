@@ -13,7 +13,9 @@ and its in-flight requests are re-placed through the same evict +
 re-prefill path migration uses (§5.3); requests are shed with a FAILED
 terminal state only when no surviving capacity remains (docs/faults.md).
 
-:class:`ClusterSimulator` is the only simulator class. Three optional
+:class:`ClusterSimulator` is the only simulator class and the only engine
+driver: a one-engine pool is the paper's single-GPU system (Fig 11/12,
+static baselines included). Three optional
 collaborators compose onto the one event loop, in any combination:
 ``control=ControlConfig`` (SLO routing and run-end attainment scoring,
 docs/slo.md), ``handoff=DisaggConfig`` (role-split prefill/decode with
@@ -51,7 +53,7 @@ tokens, each stamped with the end of the step that committed it."""
 
 @dataclass
 class SimulationResult:
-    """Outcome of one cluster run."""
+    """Outcome of one run, on one engine or many."""
 
     duration: float
     metrics: ClusterMetrics
@@ -209,12 +211,27 @@ class ClusterSimulator:
         return self.loop.now
 
     # ------------------------------------------------------------------
-    def run(self, trace: Trace, until: float | None = None) -> SimulationResult:
-        requests = requests_from_trace(trace)
-        for req in requests:
+    def run(
+        self, workload: "Trace | list[Request]", until: float | None = None
+    ) -> SimulationResult:
+        """Serve ``workload`` — a trace, or prebuilt requests (functional
+        runs need their prompt ids) — plus every request already handed
+        to :meth:`schedule_arrival`, until the work runs out or ``until``.
+
+        The result covers every one of those requests, and its duration
+        lasts until the last token: a bulk decode run commits stamps past
+        the loop's last event, which is the last step's *start*."""
+        if isinstance(workload, Trace):
+            workload = requests_from_trace(workload)
+        for req in workload:
             self.schedule_arrival(req)
+        requests = list(self._requests.values())
         cfg = self.scheduler.config
-        if cfg.consolidation:
+        # Consolidation needs a second engine to move work to: a static
+        # one-engine pool arms no tick (it would only stretch the run).
+        if cfg.consolidation and (
+            self.pool is not None or len(self.scheduler.engines) > 1
+        ):
             self.loop.schedule(cfg.migration_interval, self._migration_tick)
         if self.prefetcher is not None:
             self.loop.schedule(0.0, self._prefetch_tick)
@@ -230,8 +247,12 @@ class ClusterSimulator:
             # sheds and still-live requests count as misses.
             for t, attained in score_requests(requests, self.control, end):
                 self.metrics.record_slo_outcome(t, attained)
+        last_finish = max(
+            (r.finish_time for r in requests if r.finish_time is not None),
+            default=end,
+        )
         result = SimulationResult(
-            duration=end,
+            duration=max(end, last_finish),
             metrics=self.metrics,
             requests=requests,
             num_migrations=self.scheduler.num_migrations,
@@ -456,7 +477,8 @@ class ClusterSimulator:
 
                 end = report.end
                 self.metrics.record_step(
-                    gpu_id, report.start, report.tokens_generated, report.batch_size
+                    gpu_id, report.start, end, report.tokens_generated,
+                    report.batch_size,
                 )
                 if report.finished or report.evicted:
                     for rid in report.evicted:

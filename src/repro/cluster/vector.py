@@ -222,7 +222,7 @@ class VectorDecodeLane:
                 continue
             lane_of[i] = len(per_gpu)
             lane[i].commit_steady_run(n, trace_lanes)
-            per_gpu.append((gids[i], ends_np[i][:n], batches[i]))
+            per_gpu.append((gids[i], ends_np[i][:n + 1], batches[i]))
             if sink is not None:
                 # One chunk per request of the run, each token stamped
                 # with the end of its step. The armed batch is the whole

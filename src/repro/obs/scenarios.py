@@ -5,7 +5,7 @@ runs it with a fresh :class:`~repro.obs.tracer.Tracer`, and returns the
 trace plus the run's metrics. The scenarios cover the stack's regimes:
 
 * ``single_gpu`` — mixed prefill/decode continuous batching on one engine
-  (the Fig 11 path, via :func:`~repro.runtime.serve.serve_requests`);
+  (the Fig 11 path: a one-engine :class:`ClusterSimulator`);
 * ``cluster_migration`` — a 4-GPU cluster under load with consolidation
   migration enabled (the Fig 13 / §5.3 path);
 * ``faults`` — the same cluster under a scripted fault plan (crash,
@@ -53,14 +53,13 @@ from repro.cluster.elastic import ElasticConfig, ElasticPool
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.scheduler import SchedulerConfig
-from repro.cluster.simulator import ClusterSimulator
+from repro.cluster.simulator import ClusterSimulator, SimulationResult
 from repro.hw.spec import A100_80G, GpuSpec, HwSpec
 from repro.models.config import LLAMA2_7B
 from repro.obs.tracer import Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import Request
-from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.runtime.spec import SpecConfig
 from repro.workloads.arrivals import PoissonArrivals, constant_rate
 from repro.workloads.lengths import ShareGptLengths
@@ -74,8 +73,17 @@ class ScenarioResult:
     name: str
     tracer: Tracer
     requests: "list[Request]"
-    metrics: "ClusterMetrics | None"
-    """None for the single-GPU driver (it has no ClusterMetrics)."""
+    metrics: ClusterMetrics
+    duration: float
+    """How long the run lasted: ``SimulationResult.duration`` (until the
+    last token), or the loop clock for ``serve``, which drives the loop
+    itself."""
+
+
+def _scenario(name: str, tracer: Tracer, result: SimulationResult) -> ScenarioResult:
+    return ScenarioResult(
+        name, tracer, result.requests, result.metrics, result.duration
+    )
 
 
 def _short_lengths() -> ShareGptLengths:
@@ -114,14 +122,12 @@ def _engine(
 def run_single_gpu(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
     """Mixed prefill/decode on one engine: arrivals stagger so prefills
     join live decode batches (the §5 continuous-batching property)."""
-    trace = _open_loop(seed, rate=2.0, duration=8.0)
-    requests = requests_from_trace(trace)
     tracer = Tracer()
-    serve_requests(
-        _engine("gpu00", max_batch_size=8, fast_path=fast_path),
-        requests, tracer=tracer,
-    )
-    return ScenarioResult("single_gpu", tracer, requests, metrics=None)
+    result = ClusterSimulator(
+        [_engine("gpu00", max_batch_size=8, fast_path=fast_path)],
+        tracer=tracer, fast_path=fast_path,
+    ).run(_open_loop(seed, rate=2.0, duration=8.0))
+    return _scenario("single_gpu", tracer, result)
 
 
 def _cluster(
@@ -149,9 +155,7 @@ def run_cluster_migration(
     trace = _open_loop(seed, rate=16.0, duration=4.0)
     tracer = Tracer()
     result = _cluster(tracer, fast_path=fast_path).run(trace)
-    return ScenarioResult(
-        "cluster_migration", tracer, result.requests, metrics=result.metrics
-    )
+    return _scenario("cluster_migration", tracer, result)
 
 
 def run_faults(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
@@ -170,7 +174,7 @@ def run_faults(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult
     tracer = Tracer()
     result = _cluster(tracer, fault_injector=injector,
                       fast_path=fast_path).run(trace)
-    return ScenarioResult("faults", tracer, result.requests, metrics=result.metrics)
+    return _scenario("faults", tracer, result)
 
 
 def run_disagg(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
@@ -189,7 +193,7 @@ def run_disagg(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult
         fast_path=fast_path,
     )
     result = sim.run(trace)
-    return ScenarioResult("disagg", tracer, result.requests, metrics=result.metrics)
+    return _scenario("disagg", tracer, result)
 
 
 def run_serve(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
@@ -246,7 +250,7 @@ def run_serve(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
     sim.loop.run()
     gateway.poll(sim.now)
     return ScenarioResult(
-        "serve", tracer, list(sim._requests.values()), metrics=sim.metrics
+        "serve", tracer, list(sim._requests.values()), sim.metrics, sim.now
     )
 
 
@@ -257,8 +261,6 @@ def run_spec(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
     multi-token DECODE_STEP burst per request, and SPEC_ROLLBACK whenever
     the geometric acceptance model rejects draft tokens and their KV
     slots roll back (docs/speculative.md)."""
-    trace = _open_loop(seed, rate=2.0, duration=8.0)
-    requests = requests_from_trace(trace)
     tracer = Tracer()
     engine = GpuEngine(
         "gpu00",
@@ -269,8 +271,10 @@ def run_spec(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
         ),
         fast_path=fast_path,
     )
-    serve_requests(engine, requests, tracer=tracer)
-    return ScenarioResult("spec", tracer, requests, metrics=None)
+    result = ClusterSimulator([engine], tracer=tracer, fast_path=fast_path).run(
+        _open_loop(seed, rate=2.0, duration=8.0)
+    )
+    return _scenario("spec", tracer, result)
 
 
 def run_slo(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
@@ -306,7 +310,7 @@ def run_slo(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
         fast_path=fast_path,
     )
     result = sim.run(trace)
-    return ScenarioResult("slo", tracer, result.requests, metrics=result.metrics)
+    return _scenario("slo", tracer, result)
 
 
 def run_composed(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
@@ -346,9 +350,7 @@ def run_composed(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResu
         fast_path=fast_path,
     )
     result = sim.run(trace)
-    return ScenarioResult(
-        "composed", tracer, result.requests, metrics=result.metrics
-    )
+    return _scenario("composed", tracer, result)
 
 
 def run_steady_dense(
@@ -377,9 +379,7 @@ def run_steady_dense(
         fast_path=fast_path,
     )
     result = sim.run(trace)
-    return ScenarioResult(
-        "steady_dense", tracer, result.requests, metrics=result.metrics
-    )
+    return _scenario("steady_dense", tracer, result)
 
 
 SCENARIOS: "dict[str, Callable[..., ScenarioResult]]" = {

@@ -31,7 +31,7 @@ from repro.runtime.latency import (
 )
 from repro.runtime.request import Request, RequestState
 from repro.runtime.sampler import GreedySampler, TemperatureSampler
-from repro.runtime.serve import ServeResult, requests_from_trace, serve_requests
+from repro.runtime.serve import requests_from_trace
 
 __all__ = [
     "EngineConfig",
@@ -43,7 +43,6 @@ __all__ = [
     "NumpyBackend",
     "Request",
     "RequestState",
-    "ServeResult",
     "SimulatedBackend",
     "SpecConfig",
     "SpecExecution",
@@ -54,6 +53,5 @@ __all__ = [
     "pipelined_prefill_finish",
     "plan_layered_transfer",
     "requests_from_trace",
-    "serve_requests",
     "time_to_first_token",
 ]

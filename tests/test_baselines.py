@@ -14,11 +14,11 @@ from repro.baselines.framework import (
     build_engine,
 )
 from repro.baselines.static_engine import StaticBatchEngine
+from repro.cluster.simulator import ClusterSimulator
 from repro.models.config import LLAMA2_7B
 from repro.models.perf import PerfFlags
 from repro.runtime.engine import GpuEngine
 from repro.runtime.request import Request, RequestState
-from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import RequestSpec, generate_trace
 
@@ -137,7 +137,7 @@ class TestFig11Shape:
 
     def run(self, profile, trace):
         engine = build_engine(profile, LLAMA2_7B)
-        return serve_requests(engine, requests_from_trace(trace), keep_steps=False)
+        return ClusterSimulator([engine]).run(trace)
 
     def test_punica_beats_all_baselines_on_distinct(self):
         trace = short_trace(40, "distinct")

@@ -35,8 +35,8 @@ class TestClusterMetrics:
         m = ClusterMetrics()
         m.record_arrival(0.5)
         m.record_arrival(1.5)
-        m.record_step("gpu0", 0.6, tokens=4, batch_size=2)
-        m.record_step("gpu1", 1.6, tokens=8, batch_size=4)
+        m.record_step("gpu0", 0.6, 0.7, tokens=4, batch_size=2)
+        m.record_step("gpu1", 1.6, 1.7, tokens=8, batch_size=4)
         assert m.total_tokens() == 12
         rates = m.request_rate_series(bucket=1.0, duration=2.0)
         assert rates == [(0.0, 1.0), (1.0, 1.0)]
@@ -45,8 +45,8 @@ class TestClusterMetrics:
 
     def test_per_gpu_batch_series(self):
         m = ClusterMetrics()
-        m.record_step("gpu0", 0.1, tokens=1, batch_size=3)
-        m.record_step("gpu0", 0.9, tokens=1, batch_size=5)
+        m.record_step("gpu0", 0.1, 0.2, tokens=1, batch_size=3)
+        m.record_step("gpu0", 0.9, 1.0, tokens=1, batch_size=5)
         series = m.batch_size_series("gpu0", bucket=1.0, duration=1.0)
         assert series == [(0.0, 4.0)]
 

@@ -108,6 +108,39 @@ class TestQueueDrain:
         assert sched.queue_depth == 0
 
 
+def same_lora_scheduler():
+    backend = SimulatedBackend(LLAMA2_7B, step_overhead=0.0)
+    engine = GpuEngine(
+        "gpu0", backend, EngineConfig(max_batch_size=4, same_lora_only=True)
+    )
+    return PunicaScheduler([engine])
+
+
+class TestStrictFcfsOnArrival:
+    """A live waiter at the head holds every later arrival behind it."""
+
+    def test_later_arrival_does_not_overtake_a_blocked_waiter(self):
+        sched = same_lora_scheduler()
+        a, b, c = (make_request(r, lora) for r, lora in
+                   (("a", "lora-1"), ("b", "lora-2"), ("c", "lora-1")))
+        assert sched.submit(a, 0.0) == "gpu0"
+        assert sched.submit(b, 0.0) is None  # another adapter is running
+        assert sched.submit(c, 0.0) is None  # fits, but b is first in line
+        assert sched.queue_depth == 2
+        sched.engines["gpu0"].cancel("a")
+        assert sched.drain_queue(1.0) == ["gpu0"]
+        assert sched.engines["gpu0"].has_request("b")
+        assert c.state is RequestState.QUEUED
+
+    def test_a_cancelled_waiter_does_not_block(self):
+        sched = same_lora_scheduler()
+        b = make_request("b", "lora-2")
+        sched.submit(make_request("a", "lora-1"), 0.0)
+        sched.submit(b, 0.0)
+        b.mark_cancelled()  # the queue still holds its entry
+        assert sched.submit(make_request("c", "lora-1"), 0.0) == "gpu0"
+
+
 class TestMigration:
     def test_consolidation_moves_light_gpu_to_busy(self):
         sched = make_scheduler(2, max_batch=4, migration_interval=5.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.control import ControlConfig
 from repro.cluster.metrics import ClusterMetrics, TimeSeries
 from repro.cluster.scheduler import SchedulerConfig
 from repro.cluster.simulator import ClusterSimulator
@@ -11,9 +12,10 @@ from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.latency import LatencyStats
 from repro.runtime.request import RequestState
+from repro.runtime.serve import requests_from_trace
 from repro.workloads.arrivals import PoissonArrivals, RampProfile, constant_rate
 from repro.workloads.lengths import ShareGptLengths
-from repro.workloads.trace import generate_trace
+from repro.workloads.trace import Trace, generate_trace
 
 
 def make_engines(n, max_batch=8):
@@ -60,6 +62,21 @@ class TestClusterSimulation:
         assert result.finished_requests == len(trace)
         assert result.tokens_generated == trace.total_response_tokens
         assert result.duration > 0
+
+    def test_prescheduled_requests_are_in_the_result(self):
+        """Requests handed to ``schedule_arrival`` before ``run`` belong to
+        the run: the result lists them and run-end SLO scoring counts
+        every one."""
+        sim = ClusterSimulator(make_engines(2), control=ControlConfig())
+        trace = small_trace()
+        requests = requests_from_trace(Trace(trace.requests[:20]))
+        for req in requests:
+            sim.schedule_arrival(req)
+        result = sim.run(Trace())
+        assert result.requests == requests
+        assert result.finished_requests == 20
+        metrics = result.metrics
+        assert metrics.slo_attained_count() + metrics.slo_missed_count() == 20
 
     def test_deterministic_under_seed(self):
         r1 = ClusterSimulator(make_engines(3)).run(small_trace(seed=5))

@@ -31,11 +31,15 @@ comparing the slow path to itself.
 from __future__ import annotations
 
 import pathlib
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import framework
+from repro.baselines.framework import ALL_SYSTEMS
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.frontend import Frontend
 from repro.cluster.scheduler import SchedulerConfig
@@ -79,10 +83,15 @@ def _assert_equivalent(fast, ref):
     assert fast.tracer.dumps_jsonl() == ref.tracer.dumps_jsonl()
     assert compute_breakdowns(fast.tracer) == compute_breakdowns(ref.tracer)
     assert _request_states(fast.requests) == _request_states(ref.requests)
-    if fast.metrics is not None or ref.metrics is not None:
-        assert fast.metrics.registry.to_json() == ref.metrics.registry.to_json()
-        assert fast.metrics.tokens == ref.metrics.tokens
-        assert fast.metrics.gpu_batch_size == ref.metrics.gpu_batch_size
+    assert fast.duration == ref.duration
+    _assert_metrics_equal(fast.metrics, ref.metrics)
+
+
+def _assert_metrics_equal(fast, ref):
+    assert fast.registry.to_json() == ref.registry.to_json()
+    assert fast.tokens == ref.tokens
+    assert fast.gpu_batch_size == ref.gpu_batch_size
+    assert fast.gpu_step_spans == ref.gpu_step_spans
 
 
 def _streams(frontend):
@@ -124,6 +133,46 @@ def test_scenario_differential(name, seed, frontends):
         assert streams == _streams(ref_fe)
     else:
         assert frontends == []
+
+
+@pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "reference"])
+@pytest.mark.parametrize("name", ["single_gpu", "spec", "disagg"])
+def test_run_lasts_until_its_last_token(name, fast_path):
+    """A run's duration covers every committed token: the loop's last
+    event is the last step's *start*, and a bulk decode run commits
+    stamps past it."""
+    result = run_scenario(name, seed=0, fast_path=fast_path)
+    finishes = [r.finish_time for r in result.requests if r.finish_time is not None]
+    assert finishes
+    assert result.duration >= max(finishes)
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+@pytest.mark.parametrize("profile", ALL_SYSTEMS, ids=lambda p: p.name)
+def test_one_engine_system_differential(profile, seed):
+    """Every Fig 11 system, static baselines included, serves a staggered
+    multi-adapter load on a one-engine pool identically on both paths."""
+    trace = generate_trace(
+        24, "skewed", seed=seed, lengths=_short_lengths(),
+        arrivals=PoissonArrivals(rate=constant_rate(8.0), duration=3.0),
+    )
+    results = []
+    for fast_path in (True, False):
+        # build_engine takes no fast_path: pin the GpuEngine it builds.
+        with mock.patch.object(
+            framework, "GpuEngine", partial(GpuEngine, fast_path=fast_path)
+        ):
+            engine = framework.build_engine(profile, LLAMA2_7B, max_batch_size=6)
+        assert engine.fast_path is (fast_path and profile.batching != "static")
+        sim = ClusterSimulator([engine], fast_path=fast_path)
+        results.append(sim.run(trace))
+    fast, ref = results
+    assert fast.finished_requests == len(trace)
+    assert _request_states(fast.requests) == _request_states(ref.requests)
+    assert fast.duration == ref.duration
+    assert fast.events_processed <= ref.events_processed
+    _assert_metrics_equal(fast.metrics, ref.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +272,7 @@ class _Run:
         self.tracer = tracer
         self.requests = result.requests
         self.metrics = result.metrics
+        self.duration = result.duration
         self.summary = summary
 
 

@@ -22,13 +22,14 @@ import pathlib
 
 import pytest
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.core.lora import LoraRegistry, random_lora_weights
 from repro.models.config import tiny_config
 from repro.models.weights import random_llama_weights
 from repro.runtime.backend import NumpyBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import RequestState
-from repro.runtime.serve import requests_from_trace, serve_requests
+from repro.runtime.serve import requests_from_trace
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import generate_trace
 
@@ -72,7 +73,7 @@ def run_tokens(name: str) -> "dict[str, list[int]]":
     requests = requests_from_trace(
         trace, with_prompt_tokens=True, vocab_size=cfg.vocab_size, seed=7
     )
-    serve_requests(engine, requests, keep_steps=False)
+    ClusterSimulator([engine]).run(requests)
     assert all(r.state is RequestState.FINISHED for r in requests)
     return {r.request_id: [int(t) for t in r.generated_tokens] for r in requests}
 

@@ -25,7 +25,7 @@ from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import RequestState
 from repro.runtime.serve import requests_from_trace
 from repro.workloads.lengths import ShareGptLengths
-from repro.workloads.trace import Trace, generate_trace
+from repro.workloads.trace import generate_trace
 from tests.test_cluster_control import DirectQuotes
 
 CFG = tiny_config(hidden_size=32, num_layers=2, num_heads=4, vocab_size=64)
@@ -80,9 +80,7 @@ def run_controlled(weights, registry, seed):
     requests = requests_from_trace(
         trace, with_prompt_tokens=True, vocab_size=CFG.vocab_size, seed=seed
     )
-    for req in requests:
-        sim.schedule_arrival(req)
-    sim.run(Trace())  # the arrivals above carry prompt tokens
+    sim.run(requests)
     admits = [
         (e.request_id, e.gpu_id, e.attrs["ttft"])
         for e in tracer.by_kind(EventKind.SLO_ADMIT)

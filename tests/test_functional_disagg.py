@@ -24,7 +24,7 @@ from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import RequestState
 from repro.runtime.serve import requests_from_trace
 from repro.workloads.lengths import ShareGptLengths
-from repro.workloads.trace import Trace, generate_trace
+from repro.workloads.trace import generate_trace
 
 CFG = tiny_config(hidden_size=32, num_layers=2, num_heads=4, vocab_size=64)
 NUM_ADAPTERS = 16
@@ -63,9 +63,7 @@ def run_disagg(weights, registry, seed, fault_injector=None):
     requests = requests_from_trace(
         trace, with_prompt_tokens=True, vocab_size=CFG.vocab_size, seed=seed
     )
-    for req in requests:
-        sim.schedule_arrival(req)
-    sim.run(Trace())  # the arrivals above carry prompt tokens; run() arms faults
+    sim.run(requests)
     return sim, requests
 
 

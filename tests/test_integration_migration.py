@@ -20,7 +20,7 @@ from repro.models.weights import random_llama_weights
 from repro.runtime.backend import NumpyBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import Request, RequestState
-from repro.runtime.serve import requests_from_trace, serve_requests
+from repro.runtime.serve import requests_from_trace
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import RequestSpec, generate_trace
 
@@ -162,8 +162,8 @@ class TestFunctionalCluster:
         lengths = ShareGptLengths(min_len=4, max_prompt_len=6, max_response_len=8)
         trace = generate_trace(3, "distinct", seed=4, lengths=lengths)
         reqs = requests_from_trace(trace, with_prompt_tokens=True, vocab_size=CFG.vocab_size)
-        result = serve_requests(engine, reqs)
-        assert result.requests_finished == 3
+        result = ClusterSimulator([engine]).run(reqs)
+        assert result.finished_requests == 3
         assert any(r.num_migrations > 0 for r in reqs)  # pressure did evict
         for req in reqs:
             history = list(req.prompt_tokens)

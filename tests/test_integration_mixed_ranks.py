@@ -9,6 +9,7 @@ merged-weight reference.
 
 import numpy as np
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.core.lora import LoraRegistry, random_lora_weights
 from repro.models.config import tiny_config
 from repro.models.llama import reference_forward_full
@@ -16,7 +17,7 @@ from repro.models.weights import random_llama_weights
 from repro.runtime.backend import NumpyBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import RequestState
-from repro.runtime.serve import requests_from_trace, serve_requests
+from repro.runtime.serve import requests_from_trace
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import generate_trace
 
@@ -42,10 +43,10 @@ class TestMixedRankServing:
         lengths = ShareGptLengths(max_prompt_len=6, max_response_len=4)
         trace = generate_trace(3, "distinct", seed=9, lengths=lengths)
         reqs = requests_from_trace(trace, with_prompt_tokens=True, vocab_size=CFG.vocab_size)
-        result = serve_requests(engine, reqs)
-        assert result.requests_finished == 3
+        result = ClusterSimulator([engine]).run(reqs)
+        assert result.finished_requests == 3
         # The three tenants (ranks 2/4/8) really shared invocations.
-        assert any(s.num_lora_segments >= 2 for s in result.steps)
+        assert result.metrics.gpu_batch_size["gpu0"].values.max() >= 2
         for req in reqs:
             history = list(req.prompt_tokens)
             for tok in req.generated_tokens:
@@ -60,5 +61,5 @@ class TestMixedRankServing:
         lengths = ShareGptLengths(max_prompt_len=6, max_response_len=4)
         trace = generate_trace(6, "uniform", seed=11, lengths=lengths)
         reqs = requests_from_trace(trace, with_prompt_tokens=True, vocab_size=CFG.vocab_size)
-        serve_requests(engine, reqs)
+        ClusterSimulator([engine]).run(reqs)
         assert all(r.state is RequestState.FINISHED for r in reqs)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.core.lora import LoraRegistry, random_lora_weights
 from repro.kvcache.pool import PagedKvData
 from repro.models.config import tiny_config
@@ -20,7 +21,6 @@ from repro.models.weights import random_llama_weights
 from repro.runtime.backend import NumpyBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import Request
-from repro.runtime.serve import serve_requests
 from repro.utils.rng import new_rng
 from repro.workloads.trace import RequestSpec
 
@@ -233,7 +233,7 @@ class TestBatchInvariantTokens:
         def serve(requests):
             backend = NumpyBackend(weights, registry, total_pages=64, page_size=4)
             engine = GpuEngine("gpu0", backend, EngineConfig(max_batch_size=8))
-            serve_requests(engine, requests, keep_steps=False)
+            ClusterSimulator([engine]).run(requests)
             return requests
 
         probe_prompt = [int(t) for t in rng.integers(0, cfg.vocab_size, size=3)]

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.core.lora import LoraRegistry, random_lora_weights
 from repro.models.config import tiny_config
 from repro.models.weights import random_llama_weights
@@ -9,7 +10,6 @@ from repro.runtime.backend import NumpyBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import Request
 from repro.runtime.sampler import GreedySampler, TemperatureSampler
-from repro.runtime.serve import serve_requests
 from repro.workloads.trace import RequestSpec
 
 CFG = tiny_config(hidden_size=32, num_layers=1, num_heads=4, vocab_size=64)
@@ -36,31 +36,31 @@ class TestPerRequestSampling:
     def test_default_sampler_used_when_unset(self):
         engine = make_engine()
         a = make_request("a")
-        serve_requests(engine, [a])
+        ClusterSimulator([engine]).run([a])
         engine2 = make_engine()
         b = make_request("b")  # same prompt/seed, default greedy
-        serve_requests(engine2, [b])
+        ClusterSimulator([engine2]).run([b])
         assert a.generated_tokens == b.generated_tokens
 
     def test_high_temperature_diverges_from_greedy(self):
         greedy_engine = make_engine()
         greedy = make_request("g")
-        serve_requests(greedy_engine, [greedy])
+        ClusterSimulator([greedy_engine]).run([greedy])
 
         hot_engine = make_engine()
         hot = make_request("h", sampler=TemperatureSampler(temperature=50.0, seed=3),
                            response=12)
-        serve_requests(hot_engine, [hot])
+        ClusterSimulator([hot_engine]).run([hot])
         assert hot.generated_tokens[: len(greedy.generated_tokens)] != greedy.generated_tokens
 
     def test_mixed_samplers_in_one_batch(self):
         engine = make_engine()
         greedy = make_request("g", sampler=GreedySampler(), seed=4)
         hot = make_request("h", sampler=TemperatureSampler(temperature=20.0, seed=5), seed=6)
-        result = serve_requests(engine, [greedy, hot])
-        assert result.requests_finished == 2
+        result = ClusterSimulator([engine]).run([greedy, hot])
+        assert result.finished_requests == 2
         # The greedy request's stream matches a solo greedy run.
         solo_engine = make_engine()
         solo = make_request("s", seed=4)
-        serve_requests(solo_engine, [solo])
+        ClusterSimulator([solo_engine]).run([solo])
         assert greedy.generated_tokens == solo.generated_tokens

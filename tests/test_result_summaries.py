@@ -4,7 +4,6 @@ from repro.cluster.simulator import ClusterSimulator
 from repro.models.config import LLAMA2_7B
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
-from repro.runtime.serve import requests_from_trace, serve_requests
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import generate_trace
 
@@ -21,9 +20,9 @@ class TestServeSummary:
         engine = GpuEngine(
             "gpu0", SimulatedBackend(LLAMA2_7B), EngineConfig(max_batch_size=8)
         )
-        result = serve_requests(engine, requests_from_trace(short_trace()))
+        result = ClusterSimulator([engine]).run(short_trace())
         s = result.summary()
-        assert "8 requests" in s
+        assert "8/8 requests" in s
         assert "tok/s" in s
         assert "ms/tok" in s
 
@@ -31,12 +30,11 @@ class TestServeSummary:
         engine = GpuEngine(
             "gpu0", SimulatedBackend(LLAMA2_7B), EngineConfig(max_batch_size=8)
         )
-        result = serve_requests(
-            engine, requests_from_trace(short_trace()), max_steps=1
-        )
-        assert result.requests_finished == 0
+        # The run stops at t=0, before any request can finish.
+        result = ClusterSimulator([engine]).run(short_trace(), until=0.0)
+        assert result.finished_requests == 0
         s = result.summary()
-        assert "0 requests" in s
+        assert "0/8 requests" in s
         assert "ms/tok" not in s
 
 

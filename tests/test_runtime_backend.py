@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.core.batch import BatchEntry, plan_batch
 from repro.core.lora import LoraRegistry, random_lora_weights
 from repro.hw.kernels import KernelCostModel
@@ -21,7 +22,7 @@ from repro.runtime.backend import NumpyBackend, SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.pricing import StepPricer
 from repro.runtime.request import Request
-from repro.runtime.serve import requests_from_trace, serve_requests
+from repro.runtime.serve import requests_from_trace
 from repro.runtime.spec import SpecConfig
 from repro.utils.units import GIB
 from repro.workloads.lengths import ShareGptLengths
@@ -236,7 +237,7 @@ class TestFunctionalPricing:
         reqs = requests_from_trace(
             trace, with_prompt_tokens=True, vocab_size=self.CFG.vocab_size, seed=seed
         )
-        serve_requests(engine, reqs)
+        ClusterSimulator([engine]).run(reqs)
         return calls
 
     @pytest.mark.parametrize("step_overhead", [0.0, 0.001])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.models.config import LLAMA2_7B
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
@@ -11,7 +12,7 @@ from repro.runtime.latency import (
     breakdown_of,
 )
 from repro.runtime.request import Request
-from repro.runtime.serve import requests_from_trace, serve_requests
+from repro.runtime.serve import requests_from_trace
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import RequestSpec, generate_trace
 
@@ -66,7 +67,7 @@ class TestLatencyStats:
             "gpu0", SimulatedBackend(LLAMA2_7B), EngineConfig(max_batch_size=8)
         )
         reqs = requests_from_trace(trace)
-        serve_requests(engine, reqs)
+        ClusterSimulator([engine]).run(reqs)
         return reqs
 
     def test_aggregate(self):

@@ -1,8 +1,9 @@
-"""Tests for the single-GPU serving drivers (simulation and functional)."""
+"""Single-GPU serving: a one-engine ClusterSimulator, simulated and functional."""
 
 import numpy as np
 import pytest
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.core.lora import LoraRegistry, random_lora_weights
 from repro.hw.spec import A100_80G
 from repro.models.config import LLAMA2_7B, tiny_config
@@ -12,7 +13,7 @@ from repro.runtime.backend import NumpyBackend, SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.latency import LatencyStats, breakdown_of
 from repro.runtime.request import RequestState
-from repro.runtime.serve import requests_from_trace, serve_requests
+from repro.runtime.serve import requests_from_trace
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import generate_trace
 
@@ -21,6 +22,10 @@ def simulated_engine(same_lora_only=False, serve_lora=True):
     backend = SimulatedBackend(LLAMA2_7B, serve_lora=serve_lora)
     cfg = EngineConfig(max_batch_size=32, same_lora_only=same_lora_only)
     return GpuEngine("gpu0", backend, cfg)
+
+
+def serve(workload, **engine_kw):
+    return ClusterSimulator([simulated_engine(**engine_kw)]).run(workload)
 
 
 def short_trace(n, distribution, seed=0):
@@ -32,33 +37,29 @@ class TestSimulatedServing:
     def test_all_requests_finish(self):
         trace = short_trace(20, "uniform")
         reqs = requests_from_trace(trace)
-        result = serve_requests(simulated_engine(), reqs)
-        assert result.requests_finished == 20
+        result = serve(reqs)
+        assert result.finished_requests == 20
         assert all(r.state is RequestState.FINISHED for r in reqs)
         assert result.tokens_generated == trace.total_response_tokens
 
     def test_throughput_positive_and_sane(self):
         trace = short_trace(20, "distinct")
-        result = serve_requests(simulated_engine(), requests_from_trace(trace))
+        result = serve(trace)
         assert 10 < result.throughput < 10_000
 
     def test_multi_lora_beats_single_lora_restriction(self):
         # The core Punica claim at small scale: batching across LoRA models
         # yields higher throughput than same-model-only batching.
         trace = short_trace(30, "distinct")
-        punica = serve_requests(simulated_engine(), requests_from_trace(trace))
-        baseline = serve_requests(
-            simulated_engine(same_lora_only=True), requests_from_trace(trace)
-        )
+        punica = serve(trace)
+        baseline = serve(trace, same_lora_only=True)
         assert punica.throughput > 2.0 * baseline.throughput
-        assert punica.mean_batch_size > baseline.mean_batch_size
+        assert punica.metrics.mean_batch_size() > baseline.metrics.mean_batch_size()
 
     def test_identical_workload_similar_for_both_policies(self):
         trace = short_trace(20, "identical")
-        punica = serve_requests(simulated_engine(), requests_from_trace(trace))
-        restricted = serve_requests(
-            simulated_engine(same_lora_only=True), requests_from_trace(trace)
-        )
+        punica = serve(trace)
+        restricted = serve(trace, same_lora_only=True)
         assert restricted.throughput == pytest.approx(punica.throughput, rel=0.15)
 
     def test_open_loop_respects_arrivals(self):
@@ -68,15 +69,13 @@ class TestSimulatedServing:
             50, "uniform", seed=1, lengths=lengths,
             arrivals=PoissonArrivals(rate=constant_rate(2.0), duration=10.0),
         )
-        reqs = requests_from_trace(trace)
-        result = serve_requests(simulated_engine(), reqs)
-        for r in reqs:
+        for r in serve(trace).requests:
             if r.first_token_time is not None:
                 assert r.first_token_time >= r.spec.arrival_time
 
     def test_normalized_latency_metrics(self):
         trace = short_trace(10, "uniform")
-        result = serve_requests(simulated_engine(), requests_from_trace(trace))
+        result = serve(trace)
         lats = [breakdown_of(r).normalized for r in result.requests]
         assert len(lats) == 10
         assert all(l > 0 for l in lats)
@@ -86,8 +85,8 @@ class TestSimulatedServing:
 
     def test_mean_batch_size_bounded(self):
         trace = short_trace(40, "uniform")
-        result = serve_requests(simulated_engine(), requests_from_trace(trace))
-        assert 1.0 <= result.mean_batch_size <= 32.0
+        result = serve(trace)
+        assert 1.0 <= result.metrics.mean_batch_size() <= 32.0
 
 
 class TestFunctionalServing:
@@ -109,8 +108,8 @@ class TestFunctionalServing:
         lengths = ShareGptLengths(max_prompt_len=6, max_response_len=4)
         trace = generate_trace(4, "uniform", seed=3, lengths=lengths)
         reqs = requests_from_trace(trace, with_prompt_tokens=True, vocab_size=cfg.vocab_size)
-        result = serve_requests(engine, reqs)
-        assert result.requests_finished == 4
+        result = ClusterSimulator([engine]).run(reqs)
+        assert result.finished_requests == 4
         # Every generated token must be the greedy continuation of the
         # prompt under the request's own LoRA model.
         for req in reqs:
@@ -133,6 +132,6 @@ class TestFunctionalServing:
         lengths = ShareGptLengths(max_prompt_len=6, max_response_len=4)
         trace = generate_trace(2, "identical", seed=5, lengths=lengths)
         reqs = requests_from_trace(trace, with_prompt_tokens=True, vocab_size=cfg.vocab_size)
-        result = serve_requests(engine, reqs)
+        result = ClusterSimulator([engine]).run(reqs)
         assert result.duration > 0
         assert result.throughput > 0

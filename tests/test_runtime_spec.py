@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.models.config import LLAMA2_7B
 from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine, StepReport
 from repro.runtime.request import RequestState
-from repro.runtime.serve import requests_from_trace, serve_requests
+from repro.runtime.serve import requests_from_trace
 from repro.runtime.spec import SpecConfig
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import generate_trace
@@ -96,7 +97,7 @@ def run_simulated(spec, n_requests=6, seed=0, tracer=None, **backend_kwargs):
     backend, engine, reqs = make_simulated(
         spec, n_requests, seed, **backend_kwargs
     )
-    result = serve_requests(engine, reqs, tracer=tracer)
+    result = ClusterSimulator([engine], tracer=tracer).run(reqs)
     return backend, engine, reqs, result
 
 

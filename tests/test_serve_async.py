@@ -35,9 +35,9 @@ import random
 
 import pytest
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.obs.tracer import EventKind
 from repro.runtime.request import Request
-from repro.runtime.serve import serve_requests
 from repro.serve.bridge import DuplicateRequestId, Outbox
 from repro.serve.client import LoadSpec, ServeClient, expand_plans
 from repro.serve.harness import (
@@ -325,7 +325,7 @@ class TestFunctionalBackend:
         """A seeded load through the stack's own bridge: 20 streams over 8
         batch slots, long enough to overrun the KvCache, one cancelled
         while queued and one mid-stream. Each finished stream's ids are
-        the ones ``serve_requests`` generates greedily for its prompt and
+        the ones a one-engine simulator generates greedily for its prompt and
         adapter, every stream's indices run 0..n-1, and the token and
         TTFB metrics count exactly what was streamed."""
         stack, ops, frames = run(drive_functional_load(SEED))
@@ -357,7 +357,7 @@ class TestFunctionalBackend:
             ), prompt_tokens=list(requests[rid].prompt_tokens))
             for rid in finished
         ]
-        serve_requests(oracle.scheduler.engines["gpu0"], replay)
+        ClusterSimulator([oracle.scheduler.engines["gpu0"]]).run(replay)
         for req in replay:
             tokens = frames[req.request_id][:-1]
             assert [f.token for f in tokens] == req.generated_tokens

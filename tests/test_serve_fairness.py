@@ -1,14 +1,14 @@
-"""FCFS fairness properties of the serving drivers."""
+"""FCFS fairness properties of one-engine serving."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.models.config import LLAMA2_7B
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import Request, RequestState
-from repro.runtime.serve import serve_requests
 from repro.workloads.trace import RequestSpec
 
 
@@ -48,7 +48,7 @@ class TestFcfsProperties:
     @settings(max_examples=20, deadline=None)
     def test_admission_order_is_arrival_order(self, raw):
         reqs = make_requests(raw)
-        serve_requests(make_engine(), reqs)
+        ClusterSimulator([make_engine()]).run(reqs)
         finished = [r for r in reqs if r.state is RequestState.FINISHED]
         assert len(finished) == len(reqs)
         # First admission times must be nondecreasing in arrival order.
@@ -66,10 +66,25 @@ class TestFcfsProperties:
             for _ in range(6)
         ]
         reqs = make_requests(specs)
-        result = serve_requests(make_engine(), reqs)
+        result = ClusterSimulator([make_engine()]).run(reqs)
         assert result.tokens_generated == sum(resp for _, _, _, resp in specs)
         for req, (_, _, _, resp) in zip(reqs, specs):
             assert req.num_generated == resp
+
+    def test_later_arrival_does_not_overtake_a_blocked_head(self):
+        # One same-LoRA-only engine: b cannot join a's batch, and c, which
+        # could, arrived after b (strict FCFS on arrival, §5.1).
+        engine = GpuEngine(
+            "gpu0",
+            SimulatedBackend(LLAMA2_7B, step_overhead=0.0),
+            EngineConfig(max_batch_size=4, same_lora_only=True),
+        )
+        a, b, c = make_requests(
+            [(0.0, "lora-1", 8, 4), (0.0, "lora-2", 8, 4), (0.0, "lora-1", 8, 4)]
+        )
+        ClusterSimulator([engine]).run([a, b, c])
+        assert a.first_admitted_time < b.first_admitted_time
+        assert b.first_admitted_time <= c.first_admitted_time
 
     def test_head_of_line_blocks_admission(self):
         # A huge head request that does not fit must not be overtaken by a
@@ -80,7 +95,7 @@ class TestFcfsProperties:
         big = make_requests([(0.0, "a", 4096, 4)])[0]  # never fits
         small = make_requests([(1.0, "a", 8, 4)])[0]
         small.spec = RequestSpec("small", "a", 1.0, 8, 4)
-        result = serve_requests(engine, [big, small], max_steps=50)
+        result = ClusterSimulator([engine]).run([big, small])
         assert big.state is RequestState.QUEUED
         assert small.state is RequestState.QUEUED  # blocked behind the head
         assert result.tokens_generated == 0

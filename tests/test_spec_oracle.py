@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.simulator import ClusterSimulator
 from repro.core.lora import LoraRegistry, random_lora_weights
 from repro.models.config import tiny_config
 from repro.models.weights import random_llama_weights
 from repro.runtime.backend import NumpyBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import RequestState
-from repro.runtime.serve import requests_from_trace, serve_requests
+from repro.runtime.serve import requests_from_trace
 from repro.runtime.spec import SpecConfig
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import generate_trace
@@ -63,7 +64,7 @@ def serve_trace(seed: int, spec: "SpecConfig | None", n_requests=4,
     reqs = requests_from_trace(
         trace, with_prompt_tokens=True, vocab_size=cfg.vocab_size
     )
-    serve_requests(engine, reqs)
+    ClusterSimulator([engine]).run(reqs)
     return backend, engine, reqs
 
 
@@ -150,7 +151,7 @@ def test_spec_eos_clips_mid_round():
         reqs = requests_from_trace(
             trace, with_prompt_tokens=True, vocab_size=cfg_.vocab_size
         )
-        serve_requests(engine, reqs)
+        ClusterSimulator([engine]).run(reqs)
         return backend, engine, reqs
 
     _, _, baseline = run(None)
