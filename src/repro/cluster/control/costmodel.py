@@ -74,8 +74,9 @@ class FleetCostModel:
     Every quote is the engine's own pricer pricing a batch *shape* plus a
     decode KV total (``backend.pricer``, :meth:`StepPricer.step_seconds
     <repro.runtime.pricing.StepPricer.step_seconds>`), so it shares the
-    engine's shape-keyed latency terms and is bit-identical to pricing
-    the per-request workload from scratch."""
+    shape-keyed latency terms of every engine of that pricer identity
+    and is bit-identical to pricing the per-request workload from
+    scratch."""
 
     def __init__(
         self,
@@ -185,8 +186,8 @@ class FleetCostModel:
         """The best TTFT this engine could ever offer the request: a solo
         prefill on an empty batch with the adapter already GPU-resident.
         Placement-state-free, and remembered where every other quote is —
-        in the engine's own pricer, so two engines share a floor only
-        when their pricers share a whole identity."""
+        in the price list of the engine's pricer identity, so two engines
+        share a floor only when their pricers share a whole identity."""
         return engine.backend.pricer.step_seconds(
             (max(1, request.effective_prompt_len),), 0, 0
         )

@@ -68,6 +68,11 @@ class SloRouter(PunicaScheduler):
         simulator points this at its ``_shed`` path so refused requests
         get the standard FAILED state + SHED event + sheds_total count."""
         self.num_slo_sheds = 0
+        self._floor_key: "frozenset | None" = None
+        self._floors: "dict[int, float | None]" = {}
+        """The fleet floor by effective prompt length, for the device
+        classes whose identities are ``_floor_key`` (see
+        :meth:`_shed_hopeless`)."""
 
     # ------------------------------------------------------------------
     # benchmarks/ledger/boundaries.py hooks the router layer through
@@ -92,7 +97,8 @@ class SloRouter(PunicaScheduler):
         the request is worked out once: which prefill-capable engines have
         a free batch slot, and (lazily) each one's cost-model snapshot and
         the pool's device classes. So a pass over a saturated fleet quotes
-        nobody and costs each waiter only its hopelessness check."""
+        nobody and costs each waiter only its hopelessness check, which
+        is a dictionary lookup once its prompt length has been priced."""
         self._open = {
             gid: e for gid, e in self.engines.items()
             if self._prefill_capable(e) and e.has_free_slot
@@ -100,6 +106,12 @@ class SloRouter(PunicaScheduler):
         self._states = {}
         self._quotes = {}
         self._floor_engines = None
+
+    def _route(self, request: Request, now: float) -> "str | None":
+        """A pass with no open engine places nobody and quotes nothing."""
+        if not self._open:
+            return None
+        return super()._route(request, now)
 
     def _prefill_keys(self, request: Request, now: float) -> "list[tuple]":
         """``(fitness, adapter locality, gid)`` over the pass's open
@@ -152,13 +164,27 @@ class SloRouter(PunicaScheduler):
 
     def _shed_hopeless(self, request: Request, now: float) -> bool:
         """Shed when no engine could meet the TTFT deadline even solo and
-        empty; the floor is asked of one prefill-capable engine per device
-        class (a floor is the same on every engine of a class)."""
-        if self._floor_engines is None:
-            self._floor_engines = self.cost.device_classes(
+        empty. The floor is asked of one prefill-capable engine per device
+        class (a floor is the same on every engine of a class), and is a
+        pure function of the classes' identities and the effective prompt
+        length: it is remembered per prompt length until a pass finds a
+        different set of class identities (an engine of a new class
+        joined, or the last of one died)."""
+        engines = self._floor_engines
+        if engines is None:
+            engines = self._floor_engines = self.cost.device_classes(
                 e for e in self.engines.values() if self._prefill_capable(e)
             )
-        floor = self.cost.best_floor(self._floor_engines, request)
+            key = frozenset(e.backend.pricer.identity for e in engines)
+            if key != self._floor_key:
+                self._floor_key = key
+                self._floors = {}
+        prompt = max(1, request.effective_prompt_len)
+        floors = self._floors
+        if prompt in floors:
+            floor = floors[prompt]
+        else:
+            floor = floors[prompt] = self.cost.best_floor(engines, request)
         if floor is not None and self._remaining_budget(request, now) >= floor:
             return False
         self._shed_slo(request, now)

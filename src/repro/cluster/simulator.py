@@ -181,7 +181,7 @@ class ClusterSimulator:
         event logs still fold into the metrics at run end."""
         for engine in engines:
             self._adopt_engine(engine, 0.0)
-        self._sync_prefetcher()
+        self._pool_changed()
         self.handoff = KvHandoff(self, handoff) if handoff is not None else None
         self._requests: dict[str, Request] = {}
         self._step_actions: dict[str, "object"] = {}
@@ -308,8 +308,9 @@ class ClusterSimulator:
                 )
             if self.registry is not None and req.lora_id in self.registry:
                 self.registry.record_request(req.lora_id, now)
-            if not self.scheduler.engines:
-                self._shed(req, now, "shed: no GPUs in the pool")
+            lost = self._placement_lost()
+            if lost is not None:
+                self._shed(req, now, lost)
                 return
             gpu = self.scheduler.submit(req, now)
             if gpu is not None:
@@ -366,7 +367,7 @@ class ClusterSimulator:
         """Bring a newly provisioned GPU into the running pool."""
         self.scheduler.add_engine(engine)
         self._adopt_engine(engine, now)
-        self._sync_prefetcher()
+        self._pool_changed()
         self._drain_queue(now)
 
     def drop_engine(self, engine, now: float) -> None:
@@ -380,9 +381,16 @@ class ClusterSimulator:
         self._departed.append(engine)
         if self.pool is not None:
             self.pool.close_lease(gpu_id, now)
-        self._sync_prefetcher()
+        self._pool_changed()
 
-    def _sync_prefetcher(self) -> None:
+    def _pool_changed(self) -> None:
+        """Re-read the pool after an engine joined or left: the
+        prefetcher's targets, and whether prefill capacity is gone for
+        good — no live engine may prefill and no elastic pool could
+        provision one (a role-split run whose last prefill GPU died)."""
+        self._prefill_lost = self.pool is None and not any(
+            map(PunicaScheduler._prefill_capable, self.scheduler.engines.values())
+        )
         if self.prefetcher is not None:
             self.prefetcher.attach(
                 {gid: e.loader for gid, e in self.scheduler.engines.items()}
@@ -482,7 +490,12 @@ class ClusterSimulator:
                 )
                 if report.finished or report.evicted:
                     for rid in report.evicted:
-                        target = self.scheduler.submit(self._requests[rid], end)
+                        req = self._requests[rid]
+                        lost = self._placement_lost()
+                        if lost is not None:
+                            self._shed(req, end, lost)
+                            continue
+                        target = self.scheduler.submit(req, end)
                         if target is not None:
                             self._kick(target, end)
                     self._drain_queue(end)
@@ -653,12 +666,14 @@ class ClusterSimulator:
 
     def _replace_requests(self, displaced: "list[Request]", now: float) -> None:
         """Re-place requests a fault knocked off their GPU (§5.3 re-prefill),
-        shedding only when no surviving capacity remains."""
-        if not displaced:
-            return
-        if not self.scheduler.engines:
+        shedding only when no surviving capacity remains — then the wait
+        queue goes too, since nothing could ever admit it."""
+        lost = self._placement_lost()
+        if lost is not None:
             for req in displaced + self.scheduler.drain_all_queued():
-                self._shed(req, now, "shed: no GPUs in the pool")
+                self._shed(req, now, lost)
+            return
+        if not displaced:
             return
         for req in displaced:
             self.metrics.record_replacement(now)
@@ -668,6 +683,15 @@ class ClusterSimulator:
         self._drain_queue(now)
         self._recovering.append((now, list(displaced)))
         self._check_recoveries(now)
+
+    def _placement_lost(self) -> "str | None":
+        """The shed reason when nothing could ever place a request that
+        needs a prefill, else None."""
+        if not self.scheduler.engines:
+            return "shed: no GPUs in the pool"
+        if self._prefill_lost:
+            return "shed: no prefill GPUs"
+        return None
 
     def _shed(self, request: Request, now: float, reason: str) -> None:
         request.mark_failed(reason)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
+import gc
 import importlib
 import inspect
 import sys
@@ -285,10 +286,13 @@ def _summary(result) -> tuple:
 
 def fig13_quick_round(seed: int = 0, scale=QUICK) -> "dict[str, float]":
     """The fast path, the fast path with a tracer and the reference path,
-    timed. All three must simulate the same run, or the round raises."""
+    timed. All three must simulate the same run, or the round raises.
+    Each starts from a collected heap: an earlier run's fleet, and with it
+    the price lists its pricers shared, is gone, so every run prices cold."""
     walls, results = {}, {}
     for name, kwargs in (("fast", {}), ("traced", {"tracer": Tracer()}),
                          ("reference", {"fast_path": False})):
+        gc.collect()
         t0 = perf_counter()
         results[name] = fig13_quick(seed, scale, **kwargs)
         walls[name] = perf_counter() - t0
@@ -314,6 +318,7 @@ FIG13_QUICK_GATE = {"min_speedup": 1.4, "min_requests_per_s": 150.0,
 
 
 def fig13_1m_round(seed: int = 0, fraction=None) -> "dict[str, float]":
+    gc.collect()
     t0 = perf_counter()
     result = fig13_1m(seed, fraction)
     wall = perf_counter() - t0

@@ -5,6 +5,7 @@ quotes through the engine's own (``engine.backend.pricer``)."""
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
@@ -29,14 +30,42 @@ if TYPE_CHECKING:
 
 
 _TERMS_MEMO_LIMIT = 4096
-"""Shapes ``StepPricer._terms_memo`` holds before it is cleared
-wholesale (as ``hw.kernels._MEMO_LIMIT``): terms are cheap to rebuild,
-the limit only bounds memory on a run of unboundedly many batch shapes."""
+"""Shapes one identity's price list holds before its term dict is
+cleared wholesale (as ``hw.kernels._MEMO_LIMIT``): terms are cheap to
+rebuild, the limit only bounds memory on a run of unboundedly many batch
+shapes. The bound is per identity — every live pricer of one identity
+fills the same dict — not per pricer."""
+
+
+class _PriceList:
+    """What every pricer of one identity shares: its
+    :class:`KernelCostModel` and its shape-keyed
+    :class:`~repro.models.perf.StepLatencyTerms`."""
+
+    __slots__ = ("cost_model", "terms", "__weakref__")
+
+    def __init__(self, gpu: GpuSpec):
+        self.cost_model = KernelCostModel(gpu)
+        self.terms: dict = {}
+
+
+_PRICE_LISTS: "weakref.WeakValueDictionary[tuple, _PriceList]" = (
+    weakref.WeakValueDictionary()
+)
+"""The live price lists by :attr:`StepPricer.identity`. Each pricer
+holds its list strongly and this registry weakly, so a list lives
+exactly as long as some pricer of its identity: identical engines, and
+the router's quotes against any of them, build each shape once, and a
+new fleet starts cold once the last one is gone."""
 
 
 class StepPricer:
     """Seconds of one batched invocation on ``gpu`` plus ``step_overhead``
-    of host time; ``serve_lora`` False prices the bare backbone."""
+    of host time; ``serve_lora`` False prices the bare backbone.
+
+    Pricers of one :attr:`identity` share one price list (the kernel
+    cost model and the shape memo, ``_PRICE_LISTS``): they price every
+    shape alike, so whatever one of them priced the others read."""
 
     def __init__(
         self,
@@ -61,14 +90,20 @@ class StepPricer:
         lane rest on. Under ``cache_concat`` one layer term reads the KV
         lengths, so nothing is plan-invariant: every step is priced with
         ``model_step_latency`` and the engine never arms."""
-        self.cost_model = KernelCostModel(gpu)
-        self._terms_memo: dict = {}
-        """:class:`StepLatencyTerms` by batch *shape*, at most
-        ``_TERMS_MEMO_LIMIT`` of them. Rotating batch membership yields
-        thousands of distinct plans whose shapes (token counts, LoRA
-        segment sizes) repeat heavily; the terms are a pure function of
-        shape (``supports_steady`` rules out ``cache_concat``, the one
-        flag that would make them read the decode KV lengths)."""
+        identity = self.identity
+        prices = _PRICE_LISTS.get(identity)
+        if prices is None:
+            prices = _PRICE_LISTS[identity] = _PriceList(gpu)
+        self._prices = prices
+        self.cost_model = prices.cost_model
+        self._terms_memo = prices.terms
+        """:class:`StepLatencyTerms` by batch *shape*, shared by every
+        pricer of this identity, at most ``_TERMS_MEMO_LIMIT`` of them.
+        Rotating batch membership yields thousands of distinct plans
+        whose shapes (token counts, LoRA segment sizes) repeat heavily;
+        the terms are a pure function of shape and identity
+        (``supports_steady`` rules out ``cache_concat``, the one flag
+        that would make them read the decode KV lengths)."""
 
     @property
     def identity(self) -> tuple:
@@ -163,10 +198,11 @@ class StepPricer:
 
         Every term is shape-invariant in the decode KV lengths, so the
         memo keys on the shape alone and batches that recompose the same
-        shape — an engine's plans and the router's quotes against that
-        engine — share one build; on a hit the :class:`StepWorkload`
-        (validation plus one tuple per batch) is never built, and
-        ``total_kv`` is only what a miss builds it from.
+        shape — the plans of every engine of this identity and the
+        router's quotes against any of them, mixed prefills included —
+        share one build; on a hit the :class:`StepWorkload` (validation
+        plus one tuple per batch) is never built, and ``total_kv`` is
+        only what a miss builds it from.
 
         Under the SGMV and Gather-BMM operators the LoRA terms depend on
         the segment vector only through its sum and count (see
@@ -188,25 +224,18 @@ class StepPricer:
                 segments if segments is not None
                 else prefill_lens + (1,) * n_decode
             )
-        key = (prefill_lens, n_decode, seg_key, self.lora_rank)
+        key = (prefill_lens, n_decode, seg_key)
         memo = self._terms_memo
         terms = memo.get(key)
         if terms is None:
-            # A mixed prefill nobody has run (``segments is None``: a
-            # quote) is looked up but not remembered, here or in the
-            # kernel memo — a throwaway cost model prices it: its prompt
-            # length is new on nearly every arrival (docs/performance.md).
-            keep = segments is not None or not prefill_lens or not n_decode
             terms = step_latency_terms(
                 self.config,
-                self.cost_model if keep
-                else KernelCostModel(self.gpu),
+                self.cost_model,
                 self._shape_workload(prefill_lens, n_decode, total_kv, segments),
                 tp=self.tp,
                 flags=self.flags,
             )
-            if keep:
-                if len(memo) >= _TERMS_MEMO_LIMIT:
-                    memo.clear()
-                memo[key] = terms
+            if len(memo) >= _TERMS_MEMO_LIMIT:
+                memo.clear()
+            memo[key] = terms
         return terms

@@ -517,6 +517,34 @@ class TestSloRouter:
         assert req.state is RequestState.FAILED
         assert router.num_slo_sheds == 1
 
+    def test_remembered_floor_follows_the_fleet_classes(self):
+        # The router remembers the fleet floor per prompt length. When the
+        # cheaper class leaves (its only engine dies) the floor must rise
+        # to the remaining class's, and fall back when one rejoins — a
+        # memo keyed on the prompt alone would keep the stale floor.
+        def busy(gpu_id, config):
+            engine = make_engine(gpu_id, max_batch=1, config=config)
+            engine.add_request(make_request(f"{gpu_id}-hog"), 0.0)
+            return engine
+
+        cheap, dear = busy("7b", LLAMA2_7B), busy("13b", LLAMA2_13B)
+        router = self._router([cheap, dear], ttft=10.0)
+        probe = make_request("probe", arrival=0.0)
+        f7 = router.cost.optimistic_floor(cheap, probe)
+        f13 = router.cost.optimistic_floor(dear, probe)
+        assert f7 < f13
+        now = 10.0 - (f7 + f13) / 2  # the budget sits between the floors
+        first, second = (make_request(r, arrival=0.0) for r in ("a", "b"))
+        router.submit(first, now)
+        assert router.queue_depth == 1  # above the 7B floor: it waits
+        router.fail_engine("7b", now)
+        router.drain_queue(now)
+        assert first.state is RequestState.FAILED  # below the 13B floor
+        router.add_engine(busy("7b-again", LLAMA2_7B))
+        router.submit(second, now)
+        assert second.state is RequestState.QUEUED
+        assert router.num_slo_sheds == 1
+
     def test_router_is_built_at_construction_and_sheds_through_the_simulator(self):
         # No scheduler swap after construction: the simulator owns an SLO
         # router from the start, wired to its metrics and its shed path.

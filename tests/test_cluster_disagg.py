@@ -340,6 +340,72 @@ class TestDecodePoolCrash:
         assert survivors, "the surviving decode GPU took no handoffs"
 
 
+class TestPrefillPoolCrash:
+    def test_last_prefill_crash_sheds_instead_of_stranding(self):
+        injector = FaultInjector(
+            [FaultSpec(kind=FaultKind.GPU_CRASH, time=0.5, gpu_id="p0")],
+            seed=0,
+        )
+        tracer = Tracer()
+        sim = make_sim(
+            num_prefill=1, num_decode=1, fault_injector=injector, tracer=tracer
+        )
+        result = sim.run(make_trace(n=40, rate=8.0, duration=4.0))
+        assert injector.injected[0].applied
+        # Nothing can ever prefill again: every request that had not yet
+        # been handed off — queued, displaced or arriving later — is shed
+        # FAILED, and the run ends with no request left waiting.
+        states = {r.state for r in result.requests}
+        assert states <= {RequestState.FINISHED, RequestState.FAILED}
+        failed = [r for r in result.requests if r.state is RequestState.FAILED]
+        assert failed
+        assert {r.failure_reason for r in failed} == {"shed: no prefill GPUs"}
+        assert any(r.spec.arrival_time > 0.5 for r in failed)
+        assert sim.metrics.shed_count() == len(failed)
+        shed_events = tracer.by_kind(EventKind.SHED)
+        assert sorted(e.request_id for e in shed_events) == sorted(
+            r.request_id for r in failed
+        )
+        for req in result.requests:
+            if req.state is RequestState.FINISHED:
+                assert req.num_generated == req.spec.response_len
+
+
+    def test_decode_evictions_after_the_crash_are_shed_too(self):
+        # A decode GPU with KvCache for ~640 tokens evicts long decodes;
+        # with no prefill GPU left, an evicted request (it must
+        # re-prefill) is shed instead of queueing forever.
+        injector = FaultInjector(
+            [FaultSpec(kind=FaultKind.GPU_CRASH, time=0.6, gpu_id="p0")],
+            seed=0,
+        )
+        tight = LLAMA2_7B.kv_bytes_per_token() * 16 * 40
+        decode = GpuEngine(
+            "d0", SimulatedBackend(LLAMA2_7B, kv_capacity_bytes=tight),
+            EngineConfig(max_batch_size=16), role="decode",
+        )
+        sim = ClusterSimulator(
+            [make_engine("p0", max_batch=16), decode],
+            handoff=DisaggConfig(), fault_injector=injector,
+        )
+        trace = generate_trace(
+            30, "uniform", seed=0,
+            lengths=ShareGptLengths(max_prompt_len=48, max_response_len=200),
+            arrivals=PoissonArrivals(rate=constant_rate(30.0), duration=1.0),
+        )
+        result = sim.run(trace)
+        evicted_late = [
+            r for r in result.requests
+            if r.num_migrations and r.state is RequestState.FAILED
+            and r.first_token_time is not None
+        ]
+        assert evicted_late
+        for req in result.requests:
+            assert req.state in (RequestState.FINISHED, RequestState.FAILED)
+            if req.state is RequestState.FAILED:
+                assert req.failure_reason == "shed: no prefill GPUs"
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_same_seed_same_trace(self, seed):

@@ -31,6 +31,7 @@ comparing the slow path to itself.
 from __future__ import annotations
 
 import pathlib
+import weakref
 from functools import partial
 from unittest import mock
 
@@ -330,8 +331,13 @@ def test_random_workload_differential(
 
 def _watch_terms_memo(monkeypatch, limit):
     """Bound the latency-term memo at ``limit`` shapes and record its size
-    after every lookup, per pricer."""
+    after every lookup, per pricer. The price-list registry is swapped
+    for an empty one, so a pricer still alive from an earlier test cannot
+    hand its shapes to this one's memos."""
     monkeypatch.setattr("repro.runtime.pricing._TERMS_MEMO_LIMIT", limit)
+    monkeypatch.setattr(
+        "repro.runtime.pricing._PRICE_LISTS", weakref.WeakValueDictionary()
+    )
     sizes: dict[int, list[int]] = {}
     lookup = StepPricer._terms
 

@@ -45,7 +45,7 @@ def registry():
     return reg
 
 
-def run_disagg(weights, registry, seed, fault_injector=None):
+def run_disagg(weights, registry, seed, fault_injector=None, num_requests=None):
     engines = [
         GpuEngine(
             gpu_id,
@@ -59,7 +59,9 @@ def run_disagg(weights, registry, seed, fault_injector=None):
         engines, handoff=DisaggConfig(), fault_injector=fault_injector
     )
     lengths = ShareGptLengths(max_prompt_len=8, max_response_len=6)
-    trace = generate_trace(12 + seed, "uniform", seed=seed, lengths=lengths)
+    trace = generate_trace(
+        num_requests or 12 + seed, "uniform", seed=seed, lengths=lengths
+    )
     requests = requests_from_trace(
         trace, with_prompt_tokens=True, vocab_size=CFG.vocab_size, seed=seed
     )
@@ -96,4 +98,26 @@ def test_failed_transfer_reprefills_exactly(weights, registry):
     assert sim.metrics.kv_transfer_failure_count() == 1
     for req in requests:
         assert req.state is RequestState.FINISHED
+        assert_greedy_exact(weights, registry, req)
+
+
+def test_last_prefill_crash_sheds_the_rest(weights, registry):
+    # The prefill GPU dies mid-run with requests queued behind it: those,
+    # the ones it held and later arrivals are shed FAILED instead of
+    # waiting forever, and every stream that was handed off still
+    # finishes greedy-exact on the decode GPU.
+    injector = FaultInjector(
+        [FaultSpec(FaultKind.GPU_CRASH, time=1e-3, gpu_id="prefill0")], seed=0
+    )
+    sim, requests = run_disagg(
+        weights, registry, 0, fault_injector=injector, num_requests=40
+    )
+    assert injector.injected[0].applied
+    finished = [r for r in requests if r.state is RequestState.FINISHED]
+    failed = [r for r in requests if r.state is RequestState.FAILED]
+    assert finished and failed
+    assert len(finished) + len(failed) == len(requests)
+    assert {r.failure_reason for r in failed} == {"shed: no prefill GPUs"}
+    assert sim.metrics.shed_count() == len(failed)
+    for req in finished:
         assert_greedy_exact(weights, registry, req)
