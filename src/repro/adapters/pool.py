@@ -103,9 +103,9 @@ class UnifiedMemoryPool(KvPool):
             return float(self.page_bytes)
         return 0.0
 
-    def can_admit(self, prompt_len: int, headroom_tokens: int = 0) -> bool:
-        return super().can_admit(prompt_len, headroom_tokens) and self._fits(
-            self._pages_bytes(prompt_len + headroom_tokens)
+    def can_admit(self, prompt_len: int) -> bool:
+        return super().can_admit(prompt_len) and self._fits(
+            self._pages_bytes(prompt_len)
         )
 
     def allocate(self, seq_id: str, seq_len: int) -> list[int]:

@@ -7,23 +7,23 @@ reproducible under a fixed seed. Actions may schedule further events.
 become moot (a request's deadline after it finished, a retry after a
 cancel) can be disarmed instead of firing as no-ops.
 
-One queue backs the loop on every path: a :class:`CalendarQueue`, a
-bucketed scheduler tuned for the dense, near-monotone timestamp stream a
-decode-heavy simulation produces. It implements the total order
-``(time, seq)``; the tie-break contract (equal times pop in scheduling
-order) is part of the public determinism guarantee and is pinned by a
-property test against the binary-heap oracle kept in
-``tests/test_calendar_queue.py``. Event times must be finite: a calendar
-bucket is ``floor(time / width)``.
+One binary heap backs the loop on every path. It pops in the total
+order ``(time, seq)``; the tie-break contract (equal times pop in
+scheduling order) is part of the public determinism guarantee and is
+pinned against a separate heap oracle in ``tests/test_event_order.py``.
+The heap stays small because a trace's arrivals stream in one at a
+time (each queues its successor under a seq set aside by
+:meth:`EventLoop.reserve`), so a trace run's queue holds about one event
+per engine plus a few timers. Event times must be finite: a NaN would
+corrupt the heap order, and an infinite time would never fire.
 """
 
 from __future__ import annotations
 
-import heapq
-from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from math import floor, isfinite
+from heapq import heappop, heappush
+from math import isfinite
 
 
 @dataclass
@@ -49,124 +49,11 @@ class EventHandle:
 _Item = tuple[float, int, Callable[[float], None], EventHandle]
 
 
-class CalendarQueue:
-    """A bucketed priority queue over ``(time, seq)`` keys.
-
-    Items hash into fixed-width time buckets (a dict keyed by
-    ``floor(time / width)``, so sparse regions cost nothing). Buckets
-    stay unsorted until they become the *front* bucket, at which point
-    one in-place sort orders them by ``(time, seq)`` — the order a
-    binary heap over the same items pops in, including the
-    scheduling-order tie-break. A small lazy min-heap over bucket
-    *indices* finds the next nonempty bucket, so heap traffic is
-    per-bucket, not per-event: in the dense-timestamp decode regime most
-    pushes and pops are O(1) appends/pointer bumps.
-
-    Late pushes into the already-sorted front bucket are placed with
-    ``bisect.insort``; their keys always land at or after the read
-    pointer because anything already consumed had a strictly smaller
-    ``(time, seq)`` key. A push into a bucket *before* the current front
-    (possible when the front sits far in the future) demotes the front
-    back into an ordinary bucket and re-resolves.
-    """
-
-    def __init__(self, bucket_width: float = 0.25) -> None:
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be > 0, got {bucket_width}")
-        self._width = bucket_width
-        self._buckets: dict[int, list[_Item]] = {}
-        self._index_heap: list[int] = []
-        self._front: int | None = None
-        self._pos = 0
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def _index(self, time: float) -> int:
-        return floor(time / self._width)
-
-    def push(self, item: _Item) -> None:
-        idx = self._index(item[0])
-        if idx == self._front:
-            # Front bucket is sorted; keep it sorted. The new key is
-            # strictly greater than every consumed key, so searching
-            # from the read pointer is safe and keeps the insert cheap.
-            insort(self._buckets[idx], item, lo=self._pos)
-        else:
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                self._buckets[idx] = [item]
-                heapq.heappush(self._index_heap, idx)
-            else:
-                bucket.append(item)
-            if self._front is not None and idx < self._front:
-                self._demote_front()
-        self._len += 1
-
-    def _demote_front(self) -> None:
-        """Return the partially-consumed front to ordinary-bucket status."""
-        bucket = self._buckets.get(self._front, [])
-        del bucket[: self._pos]
-        if bucket:
-            heapq.heappush(self._index_heap, self._front)
-        else:
-            self._buckets.pop(self._front, None)
-        self._front = None
-        self._pos = 0
-
-    def _resolve_front(self) -> bool:
-        """Sort the lowest nonempty bucket into front position."""
-        if self._front is not None:
-            return True
-        heap = self._index_heap
-        while heap:
-            idx = heap[0]
-            bucket = self._buckets.get(idx)
-            if bucket is None:
-                heapq.heappop(heap)  # stale entry for a drained bucket
-                continue
-            heapq.heappop(heap)
-            bucket.sort(key=lambda it: (it[0], it[1]))
-            self._front = idx
-            self._pos = 0
-            return True
-        return False
-
-    def peek(self) -> _Item | None:
-        """Smallest live item, pruning cancelled heads in passing."""
-        while self._resolve_front():
-            bucket = self._buckets[self._front]
-            while self._pos < len(bucket):
-                item = bucket[self._pos]
-                if not item[3].cancelled:
-                    return item
-                self._pos += 1
-                self._len -= 1
-            del self._buckets[self._front]
-            self._front = None
-            self._pos = 0
-        return None
-
-    def pop(self) -> _Item:
-        item = self.peek()
-        if item is None:
-            raise IndexError("pop from an empty CalendarQueue")
-        self._pos += 1
-        self._len -= 1
-        bucket = self._buckets[self._front]
-        if self._pos >= len(bucket):
-            del self._buckets[self._front]
-            self._front = None
-            self._pos = 0
-        return item
-
-
 class EventLoop:
-    """Deterministic discrete-event executor over a :class:`CalendarQueue`."""
+    """Deterministic discrete-event executor over one binary heap."""
 
-    def __init__(self, bucket_width: float = 0.25) -> None:
-        self._queue = CalendarQueue(bucket_width)
+    def __init__(self) -> None:
+        self._heap: list[_Item] = []
         self._seq = 0
         self._now = 0.0
         self._processed = 0
@@ -180,21 +67,47 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        return len(self._queue)
+        return len(self._heap)
 
     @property
     def processed(self) -> int:
         return self._processed
 
-    def schedule(self, time: float, action: Callable[[float], None]) -> EventHandle:
-        """Enqueue ``action`` to run at ``time`` (finite, not in the past)."""
+    def reserve(self, count: int) -> int:
+        """Set aside the next ``count`` seqs and return the first.
+
+        An event pushed later with one of them (``schedule(seq=)``) sorts
+        exactly where it would have had it been scheduled now: a source
+        of many known future events can keep one of them queued at a
+        time without changing the pop order.
+        """
+        first = self._seq
+        self._seq = first + count
+        return first
+
+    def schedule(
+        self,
+        time: float,
+        action: Callable[[float], None],
+        seq: "int | None" = None,
+    ) -> EventHandle:
+        """Enqueue ``action`` to run at ``time`` (finite, not in the past).
+
+        A time within 1e-12 before ``now`` (float noise) runs at ``now``:
+        the clock never moves backwards. ``seq`` is a key handed out by
+        :meth:`reserve`; by default the event takes the next one.
+        """
         if not isfinite(time):
             raise ValueError(f"event time must be finite, got {time}")
-        if time < self._now - 1e-12:
-            raise ValueError(f"cannot schedule at {time} before now={self._now}")
-        handle = EventHandle(time=time, seq=self._seq)
-        self._queue.push((time, self._seq, action, handle))
-        self._seq += 1
+        if time < self._now:
+            if time < self._now - 1e-12:
+                raise ValueError(f"cannot schedule at {time} before now={self._now}")
+            time = self._now
+        if seq is None:
+            seq = self._seq
+            self._seq = seq + 1
+        handle = EventHandle(time=time, seq=seq)
+        heappush(self._heap, (time, seq, action, handle))
         return handle
 
     def schedule_after(
@@ -213,7 +126,7 @@ class EventLoop:
         fast lane compares a step's end against this: strictly earlier
         means running it inline is exactly what the loop would do next.
         """
-        item = self._queue.peek()
+        item = self._head()
         return item[0] if item is not None else None
 
     def peek_time_excluding(self, skip_ids: "set[int]") -> float | None:
@@ -225,21 +138,20 @@ class EventLoop:
         ``(time, seq)`` keys, so queue order is untouched; the cost is
         O(len(skip_ids)) heap operations.
         """
-        queue = self._queue
+        heap = self._heap
         popped: list[_Item] = []
-        result: float | None = None
-        while True:
-            item = queue.peek()
-            if item is None:
-                break
-            if id(item[3]) in skip_ids:
-                popped.append(queue.pop())
-                continue
-            result = item[0]
-            break
-        for item in popped:
-            queue.push(item)
-        return result
+        while (item := self._head()) is not None and id(item[3]) in skip_ids:
+            popped.append(heappop(heap))
+        for skipped in popped:
+            heappush(heap, skipped)
+        return item[0] if item is not None else None
+
+    def _head(self) -> "_Item | None":
+        """Smallest live item, pruning cancelled heads in passing."""
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
+        return heap[0] if heap else None
 
     def merge_info(self) -> "tuple[float | None, int | None, int] | None":
         """State the merge lane needs: ``(until, budget_left, next_seq)``.
@@ -300,19 +212,13 @@ class EventLoop:
         self._until = until
         self._max_events = max_events
         self._running = True
-        queue = self._queue
+        heap = self._heap
         try:
-            while True:
-                if max_events is not None and self._processed >= max_events:
+            while max_events is None or self._processed < max_events:
+                head = self._head()
+                if head is None or (until is not None and head[0] > until):
                     break
-                head = queue.peek()
-                if head is None:
-                    break
-                time = head[0]
-                if until is not None and time > until:
-                    self._now = until
-                    return self._now
-                _, _, action, handle = queue.pop()
+                time, _, action, _ = heappop(heap)
                 self._now = time
                 action(time)
                 self._processed += 1

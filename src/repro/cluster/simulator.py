@@ -25,7 +25,7 @@ allocation, reactive or forecast-sized).
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 from repro.cluster.control.config import ControlConfig
@@ -223,8 +223,7 @@ class ClusterSimulator:
         the loop's last event, which is the last step's *start*."""
         if isinstance(workload, Trace):
             workload = requests_from_trace(workload)
-        for req in workload:
-            self.schedule_arrival(req)
+        self._stream_arrivals(workload)
         requests = list(self._requests.values())
         cfg = self.scheduler.config
         # Consolidation needs a second engine to move work to: a static
@@ -277,6 +276,32 @@ class ClusterSimulator:
         time = req.spec.arrival_time if at is None else at
         self.loop.schedule(time, self._make_arrival(req))
 
+    def _stream_arrivals(self, workload: "list[Request]") -> None:
+        """Register ``workload`` as one :meth:`schedule_arrival` call per
+        request would, but keep only its next arrival queued.
+
+        Each request takes the seq that call would have given it (one
+        reserved block), the stream is sorted by ``(arrival time, seq)`` —
+        the order the loop pops them in — and each arrival queues its
+        successor before its body runs. Every arrival therefore keeps its
+        ``(time, seq)`` key and pops exactly when it would have, while the
+        queue holds one pending arrival instead of the whole trace."""
+        first = self.loop.reserve(len(workload))
+        for req in workload:
+            self._requests[req.request_id] = req
+        self._pending_arrivals += len(workload)
+        stream = sorted(
+            (req.spec.arrival_time, first + i, req)
+            for i, req in enumerate(workload)
+        )
+        self._queue_next_arrival(iter(stream))
+
+    def _queue_next_arrival(self, stream: "Iterator[tuple]") -> None:
+        item = next(stream, None)
+        if item is not None:
+            time, seq, req = item
+            self.loop.schedule(time, self._make_arrival(req, stream), seq)
+
     def work_remaining(self) -> bool:
         """Whether any request is still queued, running, or yet to arrive.
 
@@ -290,8 +315,10 @@ class ClusterSimulator:
             return True
         return any(not e.is_idle for e in self.scheduler.engines.values())
 
-    def _make_arrival(self, req: Request):
+    def _make_arrival(self, req: Request, stream: "Iterator[tuple] | None" = None):
         def arrival(now: float) -> None:
+            if stream is not None:
+                self._queue_next_arrival(stream)
             self._pending_arrivals -= 1
             if req.state.is_terminal:
                 # Cancelled (or failed) before the simulated arrival: the

@@ -174,22 +174,6 @@ def _assemble(
     )
 
 
-def plan_decode_batch(entries: Sequence[BatchEntry]) -> BatchPlan:
-    """:func:`plan_batch` for an all-decode batch — the same grouping and
-    the same assembly, so the two agree field for field; it only refuses
-    prefills. The engine re-arms its decode batch with it on every
-    membership change.
-    """
-    if not entries:
-        raise ValueError("cannot plan an empty batch")
-    order: dict[object, list[BatchEntry]] = {}
-    for e in entries:
-        if e.is_prefill:
-            raise ValueError("plan_decode_batch requires all-decode entries")
-        order.setdefault(e.lora_id, []).append(e)
-    return _assemble([], list(order.values()))
-
-
 def plan_batch(entries: Sequence[BatchEntry]) -> BatchPlan:
     """Order a batch and derive its ``BatchLen`` and SGMV segments.
 

@@ -71,9 +71,9 @@ class KvPool:
         """Guaranteed-admittable token capacity right now."""
         return self.allocator.free_pages * self.page_size
 
-    def can_admit(self, prompt_len: int, headroom_tokens: int = 0) -> bool:
-        """Whether a new request's prompt plus ``headroom_tokens`` fits."""
-        return self.allocator.can_allocate(prompt_len + headroom_tokens)
+    def can_admit(self, prompt_len: int) -> bool:
+        """Whether a new request's prompt fits."""
+        return self.allocator.can_allocate(prompt_len)
 
     def allocate(self, seq_id: str, seq_len: int) -> list[int]:
         return self.allocator.allocate(seq_id, seq_len)

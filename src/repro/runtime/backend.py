@@ -127,8 +127,8 @@ class SimulatedBackend:
     # -- KvCache interface ------------------------------------------------
     # Unconditional forwards to ``self.kv``: a :class:`KvPool`, or the
     # unified pool (a ``KvPool`` that also gates on the shared byte budget).
-    def kv_can_admit(self, prompt_len: int, headroom_tokens: int = 0) -> bool:
-        return self.kv.can_admit(prompt_len, headroom_tokens)
+    def kv_can_admit(self, prompt_len: int) -> bool:
+        return self.kv.can_admit(prompt_len)
 
     def kv_admit(self, request_id: str, prompt_len: int) -> None:
         self.kv.allocate(request_id, prompt_len)
@@ -301,8 +301,8 @@ class NumpyBackend:
         """request_id -> tokens of committed history in the draft cache."""
 
     # -- KvCache interface ------------------------------------------------
-    def kv_can_admit(self, prompt_len: int, headroom_tokens: int = 0) -> bool:
-        return self.kv_data.allocator.can_allocate(prompt_len + headroom_tokens)
+    def kv_can_admit(self, prompt_len: int) -> bool:
+        return self.kv_data.allocator.can_allocate(prompt_len)
 
     def kv_admit(self, request_id: str, prompt_len: int) -> None:
         self.kv_data.allocate(request_id, prompt_len)

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.adapters.store import GpuAdapterStore
-from repro.core.batch import BatchEntry, BatchPlan, plan_batch, plan_decode_batch
+from repro.core.batch import BatchEntry, BatchPlan, plan_batch
 from repro.obs.tracer import EventKind, Tracer, decode_step_attrs
 from repro.runtime.request import Request, RequestState
 from repro.runtime.spec import SpecConfig
@@ -45,8 +45,6 @@ class EngineConfig:
     """Baseline restriction: batch only requests of one LoRA model (§7)."""
     eos_token_id: int | None = None
     """Functional mode's end-of-sequence stopping condition."""
-    admission_headroom_tokens: int = 0
-    """Extra free KvCache tokens required before admitting a new request."""
     spec: "SpecConfig | None" = None
     """Arm speculative decoding (docs/speculative.md): pure-decode
     invocations become draft/verify rounds committing 1..draft_len+1
@@ -285,8 +283,7 @@ class GpuEngine:
         ):
             return False
         return self.backend.kv_can_admit(
-            request.effective_prompt_len if kv_tokens is None else kv_tokens,
-            self.config.admission_headroom_tokens,
+            request.effective_prompt_len if kv_tokens is None else kv_tokens
         )
 
     def adapter_tier(self, lora_id: str) -> int:
@@ -864,7 +861,7 @@ class GpuEngine:
                     rem = None  # fall back to the per-token finish check
                 else:
                     rem.append(left)
-        steady.plan = plan_decode_batch(entries)
+        steady.plan = plan_batch(entries)
         steady.misses += 1
         steady.past = past
         steady.total = total + len(slots)

@@ -4,7 +4,7 @@
 engine's armed batch and bulk decode run (``GpuEngine._steady_ok``), the
 simulator's inline step coalescing, and the cross-engine merge lane
 (``repro.cluster.vector``). With it off the simulator plans every step
-and runs one event per step. Memos, the calendar event queue and the one
+and runs one event per step. Memos, the one-heap event loop and the one
 step price are unconditional. Under a fixed seed both paths produce
 byte-identical traces (tests/test_fastpath_differential.py is the proof
 obligation). ``GpuEngine`` and ``ClusterSimulator`` take an explicit

@@ -61,6 +61,16 @@ class TestEventLoop:
         with pytest.raises(ValueError):
             loop.schedule(1.0, lambda t: None)
 
+    def test_clock_never_runs_backwards(self):
+        # A time within float noise before ``now`` is accepted — and runs
+        # at ``now``, not before it.
+        loop = EventLoop()
+        fired = []
+        loop.schedule(1.0, lambda t: loop.schedule(1.0 - 5e-13, fired.append))
+        assert loop.run() == 1.0
+        assert fired == [1.0]
+        assert loop.now == 1.0
+
     def test_schedule_after(self):
         loop = EventLoop()
         fired = []
@@ -80,9 +90,9 @@ class TestEventLoop:
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_times_are_refused(bad):
-    """A calendar bucket is ``floor(time / width)``: a non-finite time is
-    refused by name, before it reaches the queue — fault, elastic and
-    handoff timers included."""
+    """A NaN would corrupt the heap order and an infinite time never
+    fires: a non-finite time is refused by name, before it reaches the
+    queue — fault, elastic and handoff timers included."""
     loop = EventLoop()
     with pytest.raises(ValueError, match="finite"):
         loop.schedule(bad, lambda t: None)

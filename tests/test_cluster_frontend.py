@@ -114,9 +114,9 @@ class TestCancel:
 
 class TestNonFiniteInputs:
     """NaN and infinity are refused at the door with a named error, on both
-    paths, and leave nothing scheduled. The calendar queue cannot bucket a
-    non-finite time, and the heap it replaced hung on a NaN arrival or ran
-    its clock to ``inf``; a NaN deadline failed the request at t = 0."""
+    paths, and leave nothing scheduled. A NaN arrival once hung the event
+    heap and an infinite one ran its clock to ``inf``; a NaN deadline
+    failed the request at t = 0."""
 
     @staticmethod
     def frontend(fast_path):

@@ -12,7 +12,6 @@ from repro.core.batch import (
     BatchLen,
     BatchPlan,
     plan_batch,
-    plan_decode_batch,
 )
 from repro.core.segments import segments_from_lora_ids
 
@@ -295,29 +294,9 @@ class TestPlanBatch:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(plan, f.name, None)
 
-
-class TestPlanDecodeBatch:
-    @given(
-        st.lists(
-            st.sampled_from(["a", "b", "c", "d", 0, 1, 3, "3"]),
-            min_size=1, max_size=24,
-        )
-    )
-    def test_equals_plan_batch_field_for_field(self, loras):
-        # ``int`` and ``str`` ids: both planners hand back the entries'
-        # ``lora_id`` objects as given (``3`` and ``"3"`` are two adapters).
-        entries = [decode(str(i), lora) for i, lora in enumerate(loras)]
-        fast = plan_decode_batch(entries)
-        assert_plans_equal(fast, plan_batch(entries))
-        assert_plans_equal(fast, reference_plan_batch(entries))
-
     def test_non_str_ids_are_not_coerced(self):
-        entries = [decode("r1", 3), decode("r2", 3)]
-        assert plan_batch(entries).segment_lora_ids == (3,)
-        assert plan_decode_batch(entries).segment_lora_ids == (3,)
-
-    def test_rejects_prefill_and_empty(self):
-        with pytest.raises(ValueError):
-            plan_decode_batch([decode("1", "a"), prefill("p", "a", 2)])
-        with pytest.raises(ValueError):
-            plan_decode_batch([])
+        # ``int`` and ``str`` ids: the plan hands back the entries'
+        # ``lora_id`` objects as given (``3`` and ``"3"`` are two adapters).
+        assert plan_batch([decode("r1", 3), decode("r2", 3)]).segment_lora_ids == (3,)
+        mixed = plan_batch([decode("r1", 3), decode("r2", "3")])
+        assert mixed.segment_lora_ids == (3, "3")

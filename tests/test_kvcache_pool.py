@@ -27,7 +27,7 @@ class TestKvPool:
     def test_admission_headroom(self):
         pool = KvPool(capacity_bytes=8 * 16, page_size=4, bytes_per_token=16)  # 2 pages
         assert pool.can_admit(8)
-        assert not pool.can_admit(8, headroom_tokens=1)
+        assert not pool.can_admit(9)
 
     def test_used_bytes(self):
         pool = self.make()
