@@ -11,8 +11,14 @@ decode run — a lone engine's run is simply a merge with one lane:
 
 1. Each steady-armed engine prices its future step latencies in one set
    of array ops (:meth:`~repro.runtime.engine.GpuEngine.steady_run_stage`),
-   capped so no step inside the run could finish a request, evict, or
-   exhaust KvCache headroom — i.e. every step is provably a pure tick.
+   capped at the first step that finishes a request and so that no step
+   could evict or exhaust KvCache headroom — every step before the cap
+   is provably a pure tick. The finishing step itself is replayed only
+   while the scheduler's wait queue is empty: its queue drain is then a
+   no-op, and nothing inside a replay can enqueue (arrivals and
+   evictions are foreign events). Otherwise the run stops one step
+   short of it and the finish runs as a scalar
+   :meth:`~repro.runtime.engine.GpuEngine.step`.
 2. The lane computes the merge *horizon*: the first pending event that
    is not one of those decode ticks (an arrival, fault, migration or
    prefetch tick, a non-steady engine's step, the run's ``until``).
@@ -20,15 +26,22 @@ decode run — a lone engine's run is simply a merge with one lane:
    queue would produce: consumed real events keep their scheduling
    ``seq``; successor ticks created mid-merge get virtual keys above
    every pending ``seq``, assigned in creation order — exactly the order
-   the reference loop would have assigned them.
-4. Committed runs are applied per engine in bulk, metrics and — when a
-   tracer is attached — one trace run block covering every engine's
-   ``DECODE_STEP`` events are recorded in pop order, each request's run
-   goes to the simulator's token sink as one chunk, the loop's
-   clock/processed count advance by the replay,
-   and each engine's one outstanding successor event is materialized as
-   a real scheduled event *in creation order*, so every relative
-   ``(time, seq)`` comparison any future event can make is unchanged.
+   the reference loop would have assigned them. When a finishing tick
+   pops, its engine's run is committed through it, the finished
+   requests leave in slot order, the step's (empty) queue drain runs,
+   and the engine re-arms, restages from the step's end and pushes its
+   successor — or, idle, drops out with no successor, as a scalar step
+   leaves it.
+4. Committed runs are applied per engine in bulk, one segment per
+   finish and one at the end; metrics per segment and — when a tracer
+   is attached — run blocks of every engine's ``DECODE_STEP`` events are
+   recorded in pop order (a finish closes the open block, so its FINISH
+   events follow their step); each request's segment goes to the
+   simulator's token sink as one chunk; the loop's clock/processed
+   count advance by the replay, and each busy engine's one outstanding
+   successor event is materialized as a real scheduled event *in
+   creation order*, so every relative ``(time, seq)`` comparison any
+   future event can make is unchanged.
 
 The relative-order argument is the same one that justifies the gen-1
 inline lane: coalescing may shift absolute ``seq`` values, but the
@@ -45,6 +58,18 @@ import heapq
 import numpy as np
 
 
+STOP_REASONS = (
+    "foreign", "run_cap", "unstageable", "blocked_finish", "until", "idle",
+)
+"""Why a merge's replay stopped: the first pending event that is no
+decode tick of the lane; an engine's run cap (KvCache headroom or the
+run-length bound); an engine whose next tick could not be staged; a
+finish held back because requests wait in the queue; the loop's
+``until`` or event budget; or every engine went idle with nothing else
+pending. A replay that runs out of ticks counts under the horizon in
+force when it did."""
+
+
 class VectorDecodeLane:
     """Merge-replay driver bound to one :class:`ClusterSimulator`."""
 
@@ -52,6 +77,31 @@ class VectorDecodeLane:
         self.sim = sim
         self.merges = 0
         self.merged_steps = 0
+        self.finishes = 0
+        """Finishing steps committed inside a replay."""
+        self.stops = dict.fromkeys(STOP_REASONS, 0)
+        """Committed merges by the reason their replay stopped (see
+        :data:`STOP_REASONS`). Like ``merges``, diagnostic only — kept
+        out of the metrics registry so differential runs compare equal."""
+
+    @staticmethod
+    def _stage(engine, start: float, finish_ok: bool):
+        """Stage ``engine``'s run from ``start``: ``(ends, batch, steps,
+        cap)``, where ``cap`` says what ends the run after ``steps`` pops
+        — ``"finish"`` (its last step finishes requests, committed in the
+        replay), ``"blocked_finish"`` (that step is cut because
+        ``finish_ok`` is false), ``"run_cap"``, or ``"unstageable"``.
+        ``steps == 0`` when not one step can be replayed."""
+        staged = engine.steady_run_stage(start)
+        if staged is None:
+            return None, 0, 0, "unstageable"
+        ends, batch, finishes = staged
+        steps = len(ends) - 1
+        if not finishes:
+            return ends, batch, steps, "run_cap"
+        if finish_ok:
+            return ends, batch, steps, "finish"
+        return ends, batch, steps - 1, "blocked_finish"
 
     def try_merge(self, e0_gpu: str, e0_engine, end: float, entry: bool = False) -> int:
         """Attempt a merge of one or more engines' decode runs; returns
@@ -70,8 +120,8 @@ class VectorDecodeLane:
           it would not have fired) without re-accounting it.
 
         On success the committed prefix of every participating engine's
-        run has been applied, the loop advanced, and every engine's next
-        step event scheduled — the caller's step action must simply
+        run has been applied, the loop advanced, and every busy engine's
+        next step event scheduled — the caller's step action must simply
         return. On failure nothing observable changed and the caller
         falls back to the per-step path.
         """
@@ -86,14 +136,17 @@ class VectorDecodeLane:
         prepaid = 1 if entry else 0
         if budget is not None and budget <= -prepaid:
             return 0
+        # A finishing step drains the wait queue. With nobody waiting the
+        # drain is a no-op, and nothing inside the replay can enqueue
+        # (arrivals and evictions are foreign events), so finishes commit
+        # in the replay; otherwise every run stops one step short of them.
+        finish_ok = not sim.scheduler.queue_depth
 
-        # Stage E0 first: it is the cheapest disqualifier (a request
-        # finishing next tick, no headroom) and staging has no observable
-        # side effects, so bailing here costs nothing. The priced length
-        # is the finish/headroom cap, which the per-arm cache serves
-        # sliced; the replay below never walks past its horizon anyway.
-        staged0 = e0_engine.steady_run_stage(end)
-        if staged0 is None:
+        # Stage E0 first: it is the cheapest disqualifier (no headroom, a
+        # blocked finish next tick) and staging has no observable side
+        # effects, so bailing here costs nothing.
+        staged0 = self._stage(e0_engine, end, finish_ok)
+        if not staged0[2]:
             return 0
 
         # Collect the other engines whose pending events are candidate
@@ -118,44 +171,93 @@ class VectorDecodeLane:
             others.append((gid, handle, eng))
             skip_ids.add(id(handle))
 
-        horizon = loop.peek_time_excluding(skip_ids)
-        if horizon is not None and horizon <= end:
+        h_dyn = loop.peek_time_excluding(skip_ids)
+        if h_dyn is not None and h_dyn <= end:
             return 0
+        h_why = "foreign"
 
-        # Stage the rest. A candidate that fails staging (a finish next
-        # tick, no headroom) keeps its real event, which clamps the
-        # replay horizon below it.
+        # Stage the rest. A candidate that fails staging keeps its real
+        # event, which clamps the replay horizon below it.
         gids = [e0_gpu]
         lane = [e0_engine]
         handles: "list[object | None]" = [None]
-        ends_np = [staged0[0]]
-        batches = [staged0[1]]
-        h_dyn = horizon
+        runs = [staged0]
         for gid, handle, eng in others:
-            staged = eng.steady_run_stage(handle.time)
-            if staged is None:
+            staged = self._stage(eng, handle.time, finish_ok)
+            if not staged[2]:
                 if h_dyn is None or handle.time < h_dyn:
                     h_dyn = handle.time
+                    h_why = staged[3]
                 continue
             gids.append(gid)
             lane.append(eng)
             handles.append(handle)
-            ends_np.append(staged[0])
-            batches.append(staged[1])
+            runs.append(staged)
         if h_dyn is not None and h_dyn <= end:
             return 0
 
+        # Per engine, its current staged run (a finish restages it):
+        # step ends, batch, steps available, what caps it, and the pops
+        # committed from it so far.
         n_eng = len(lane)
+        ends_np = [r[0] for r in runs]
         ends = [a.tolist() for a in ends_np]
-        avail = [len(e) - 1 for e in ends]
+        batches = [r[1] for r in runs]
         fbatch = [float(b) for b in batches]
+        avail = [r[2] for r in runs]
+        caps = [r[3] for r in runs]
         committed = [0] * n_eng
         # E0's initial event is virtual (creation index 0, due at ``end``);
         # if the replay stops before it pops, it must still materialize —
-        # every other engine keeps its real queued event instead.
+        # every other engine keeps its real queued event until it pops.
+        # An engine that goes idle at a finish schedules nothing.
         succ_time = [0.0] * n_eng
         succ_time[0] = end
         succ_order = [0] * n_eng
+        succ_live = [False] * n_eng
+        succ_live[0] = True
+
+        tracer = sim.tracer
+        sink = sim.token_sink
+        # Under a tracer the replay's DECODE_STEP events go out as run
+        # blocks in pop order; a committed finish closes the open block
+        # so its FINISH events follow their step, as in the reference.
+        block_from = [0] * n_eng
+        block_start = 0
+        segments = []
+
+        def close_block() -> None:
+            nonlocal block_start
+            slot_of: "dict[int, int]" = {}
+            lanes = []
+            order = []
+            for j in merged_i[block_start:]:
+                k = slot_of.get(j)
+                if k is None:
+                    k = slot_of[j] = len(lanes)
+                    lanes.append(
+                        lane[j].steady_trace_lane(block_from[j], committed[j])
+                    )
+                    block_from[j] = committed[j]
+                order.append(k)
+            tracer.decode_run(lanes, order)
+            block_start = len(merged_i)
+
+        def commit(j: int) -> None:
+            """Apply engine ``j``'s committed pops of its staged run: one
+            token-sink chunk per request, one span of per-GPU bounds."""
+            n = committed[j]
+            eng = lane[j]
+            reqs = eng.all_requests() if sink is not None else ()
+            eng.commit_steady_run(n)
+            segments.append((gids[j], ends_np[j][:n + 1], batches[j]))
+            if reqs:
+                # The armed batch is the whole working set, and none of
+                # it holds a token: only a handoff holds one, and handoff
+                # simulations never merge.
+                times = tuple(ends[j][1:n + 1])
+                for req in reqs:
+                    sink(req.request_id, tuple(req.generated_tokens[-n:]), times)
 
         # Replay the queue's pop order. E0's (virtual) initial event is
         # creation index 0 — the reference path schedules it before any
@@ -175,10 +277,12 @@ class VectorDecodeLane:
         while heap:
             t, _key, i = heap[0]
             if h_dyn is not None and t >= h_dyn:
+                stop = h_why
                 break
-            if until is not None and t > until:
-                break
-            if budget is not None and pops >= budget + prepaid:
+            if (until is not None and t > until) or (
+                budget is not None and pops >= budget + prepaid
+            ):
+                stop = "until"
                 break
             heapq.heappop(heap)
             handle = handles[i]
@@ -194,51 +298,64 @@ class VectorDecodeLane:
             nxt = ends[i][ki]
             succ_time[i] = nxt
             succ_order[i] = next_idx
-            if ki >= avail[i]:
+            succ_live[i] = True
+            if ki < avail[i]:
+                heapq.heappush(heap, (nxt, vbase + next_idx, i))
+            elif caps[i] != "finish":
                 # Run exhausted: the successor might finish a request or
                 # need the general path, so it must fire as a real event —
                 # nothing may be replayed past it.
                 if h_dyn is None or nxt < h_dyn:
                     h_dyn = nxt
+                    h_why = caps[i]
             else:
-                heapq.heappush(heap, (nxt, vbase + next_idx, i))
+                # The finishing step: commit the segment through it, let
+                # the finished requests go, run its queue drain (a no-op:
+                # nobody waits) and continue the engine from the step's
+                # end as its successor tick — or drop it, idle.
+                if tracer is not None:
+                    close_block()
+                commit(i)
+                sim._drain_queue(nxt)
+                self.finishes += 1
+                eng = lane[i]
+                committed[i] = block_from[i] = 0
+                if eng.is_idle:
+                    succ_live[i] = False
+                    sim._gpu_busy[gids[i]] = False
+                    sim._step_handles.pop(gids[i], None)
+                else:
+                    staged = self._stage(eng, nxt, finish_ok)
+                    if not staged[2]:
+                        if h_dyn is None or nxt < h_dyn:
+                            h_dyn = nxt
+                            h_why = staged[3]
+                    else:
+                        ends_np[i], batches[i], avail[i], caps[i] = staged
+                        ends[i] = ends_np[i].tolist()
+                        fbatch[i] = float(batches[i])
+                        heapq.heappush(heap, (nxt, vbase + next_idx, i))
             next_idx += 1
+        else:
+            # Out of ticks: every engine hit its cap or went idle.
+            stop = h_why if h_dyn is not None else "idle"
         if pops == 0:
             return 0
 
         # Apply each engine's committed prefix in bulk, then account the
         # replay and materialize successors in creation order so their
         # relative seqs match what the reference loop assigned.
-        per_gpu = []
-        # Under the simulator's tracer every engine hands its trace lane
-        # back, for one block in pop order.
-        tracer = sim.tracer
-        trace_lanes: "list | None" = [] if tracer is not None else None
-        sink = sim.token_sink
-        lane_of = [0] * n_eng
+        if tracer is not None and block_start < len(merged_i):
+            close_block()
         for i in range(n_eng):
-            n = committed[i]
-            if n == 0:
-                continue
-            lane_of[i] = len(per_gpu)
-            lane[i].commit_steady_run(n, trace_lanes)
-            per_gpu.append((gids[i], ends_np[i][:n + 1], batches[i]))
-            if sink is not None:
-                # One chunk per request of the run, each token stamped
-                # with the end of its step. The armed batch is the whole
-                # working set, and none of it holds a token: only a
-                # handoff holds one, and handoff simulations never merge.
-                times = tuple(ends[i][1:n + 1])
-                for req in lane[i].all_requests():
-                    sink(req.request_id, tuple(req.generated_tokens[-n:]), times)
-        if trace_lanes:
-            tracer.decode_run(trace_lanes, [lane_of[i] for i in merged_i])
+            if committed[i]:
+                commit(i)
         sim.metrics.record_step_merge(
-            np.array(merged_t), np.array(merged_b), per_gpu
+            np.array(merged_t), np.array(merged_b), segments
         )
         loop.consume_merged(pops - prepaid, merged_t[-1])
         order = sorted(
-            (i for i in range(n_eng) if committed[i] or i == 0),
+            (i for i in range(n_eng) if succ_live[i]),
             key=succ_order.__getitem__,
         )
         for i in order:
@@ -246,4 +363,5 @@ class VectorDecodeLane:
             sim._step_handles[gids[i]] = h
         self.merges += 1
         self.merged_steps += pops
+        self.stops[stop] += 1
         return pops

@@ -48,7 +48,7 @@ class Layer(NamedTuple):
 
 
 TRACES = tuple(TRACE_SCENARIOS)
-FIG13 = ("fig13_quick", "fig13_1m")
+FIG13 = ("fig13_quick", "fig13_1m", "fig13_1m_full")
 LOADGEN = ("loadgen_sim", "loadgen_functional")
 CLUSTER = ("cluster_migration", "faults", "disagg", "slo", "composed",
            "steady_dense") + FIG13
@@ -272,6 +272,8 @@ SCENARIOS: "dict[str, Callable[[int], object]]" = {
     **{name: functools.partial(run_scenario, name) for name in TRACES},
     "fig13_quick": fig13_quick,
     "fig13_1m": fig13_1m,
+    # The whole million-request run: attribution only, no gate (minutes).
+    "fig13_1m_full": functools.partial(fig13_1m, fraction=1.0),
     "loadgen_sim": functools.partial(loadgen, "sim"),
     "loadgen_functional": functools.partial(loadgen, "functional"),
 }
@@ -309,9 +311,9 @@ def fig13_quick_round(seed: int = 0, scale=QUICK) -> "dict[str, float]":
 
 
 #: The three fast-path lanes against the reference path (memos and the
-#: event heap run on both; 1.6-1.9x measured); a throughput floor for
+#: event heap run on both; 1.9-2.7x measured); a throughput floor for
 #: order-of-magnitude regressions on slow runners; two rounds within 20 %
-#: of each other; a tracer costs at most 1.5x (~1.1x measured).
+#: of each other; a tracer costs at most 1.5x (~1.2x measured).
 FIG13_QUICK_GATE = {"min_speedup": 1.4, "min_requests_per_s": 150.0,
                     "max_variance": 0.20, "max_traced_ratio": 1.5}
 

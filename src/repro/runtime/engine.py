@@ -699,35 +699,41 @@ class GpuEngine:
     _MAX_RUN = 8192
     """Upper bound on one vectorized run; bounds the array one staging
     prices."""
+    _SCALAR_RUN = 16
+    """Runs shorter than this price step by step: the array expression
+    costs ~35-50 us whatever its length, the scalar loop ~2.2 us per step
+    (LLaMA-2 7B, batch 4 and 16, Python 3.11 on a 2-vCPU x86 host), so
+    they break even at ~16 steps."""
 
-    def steady_run_stage(self, start: float) -> "tuple[np.ndarray, int] | None":
+    def steady_run_stage(
+        self, start: float
+    ) -> "tuple[np.ndarray, int, bool] | None":
         """Price a vectorized run of steady decode steps starting at ``start``.
 
-        Stages and returns ``(ends, batch)`` where ``ends[0] == start``
-        and ``ends[k]`` is the end of step ``k`` — so ``ends[:-1]`` are
-        the step start times and ``len(ends) - 1`` steps are available.
-        Returns ``None`` when not even one step is possible. The run is
-        capped so that, by construction, no step inside it could deviate
-        from :meth:`step` on the armed batch: every request has at least
-        one countdown tick left *after* the run (no finishes), and
-        worst-case page consumption keeps KvCache headroom at one page
-        per request before every step (no eviction can trigger). Call
+        Stages and returns ``(ends, batch, finishes)`` where
+        ``ends[0] == start`` and ``ends[k]`` is the end of step ``k`` — so
+        ``ends[:-1]`` are the step start times and ``len(ends) - 1`` steps
+        are available. Returns ``None`` when not even one step is
+        possible. The run is capped so that, by construction, no step
+        inside it could deviate from :meth:`step` on the armed batch: it
+        ends at the first step that finishes a request (the smallest
+        countdown), and worst-case page consumption keeps KvCache headroom
+        at one page per request before every step (no eviction can
+        trigger). ``finishes`` is whether the run's last step is that
+        finishing step; every earlier step is a pure tick. Call
         :meth:`commit_steady_run` to apply a prefix. Requires the
-        length-limit countdown (``ArmedBatch.rem``). A tracer does not disarm
-        the lane: the commit records the run's ``DECODE_STEP`` events as
-        one run block.
+        length-limit countdown (``ArmedBatch.rem``).
         """
         backend = self.backend
         if not self.steady_ready() or getattr(backend, "pool", True) is not None:
             return None
         steady = self._steady
         batch = len(steady.past)
-        rem_cap = min(steady.rem) - 1
-        if rem_cap < 1:
-            return None
+        rem_cap = min(steady.rem)
         count = min(rem_cap, backend.kv_headroom_pages() // batch, self._MAX_RUN)
         if count < 1:
             return None
+        finishes = count == rem_cap
         plan = steady.plan
         total = steady.total
         slowdown = self.slowdown_factor
@@ -744,25 +750,42 @@ class GpuEngine:
                 off //= batch
                 ends_full = cached[3]
                 if off + count < len(ends_full) and ends_full[off] == start:
-                    self._staged_run = (ends_full[off:off + count + 1], batch)
-                    return self._staged_run
+                    ends = ends_full[off:off + count + 1]
+                    self._staged_run = (ends, batch)
+                    return ends, batch, finishes
         # Build to the finish cap, not the (tighter) headroom cap: the
         # headroom bound shrinks slower than the commit offset advances
         # (a decode append only consumes a page at page boundaries), so a
         # headroom-sized array would fall short of later slices and force
         # a rebuild per merge. Pricing past headroom is harmless — the
         # *returned* slice below stays capped at ``count``.
-        lats = backend.pricer.steady_run_latencies(
-            plan, total, min(rem_cap, self._MAX_RUN)
-        )
-        if slowdown != 1.0:
-            lats = lats * slowdown
-        # ends[k] = end of step k, chained exactly like the scalar
-        # now + latency accumulation (cumsum adds sequentially).
-        ends_full = np.cumsum(np.concatenate(((start,), lats)))
+        steps = min(rem_cap, self._MAX_RUN)
+        pricer = backend.pricer
+        if steps < self._SCALAR_RUN:
+            # The scalar step's own pricing, step by step: element ``k``
+            # of the array below equals it bit for bit.
+            end = start
+            chain = [start]
+            for k in range(steps):
+                lat = pricer.step_seconds(
+                    plan.prefill_lens, batch, total + k * batch, plan.segment_sizes
+                )
+                if slowdown != 1.0:
+                    lat = lat * slowdown
+                end += lat
+                chain.append(end)
+            ends_full = np.array(chain)
+        else:
+            lats = pricer.steady_run_latencies(plan, total, steps)
+            if slowdown != 1.0:
+                lats = lats * slowdown
+            # ends[k] = end of step k, chained exactly like the scalar
+            # now + latency accumulation (cumsum adds sequentially).
+            ends_full = np.cumsum(np.concatenate(((start,), lats)))
         self._steady_lats = (plan, total, slowdown, ends_full)
-        self._staged_run = (ends_full[:count + 1], batch)
-        return self._staged_run
+        ends = ends_full[:count + 1]
+        self._staged_run = (ends, batch)
+        return ends, batch, finishes
 
     def steady_ready(self) -> bool:
         """Cheap pre-gate: is the next step a pure steady decode tick?
@@ -777,42 +800,46 @@ class GpuEngine:
             and not self._pending
         )
 
-    def commit_steady_run(
-        self, n: int, merge_lanes: "list | None" = None
-    ) -> "tuple[float, int]":
+    def steady_trace_lane(self, first: int, last: int) -> tuple:
+        """Steps ``first .. last - 1`` of the staged run as one
+        :meth:`Tracer.decode_run` lane, read before the run's commit.
+
+        The merge lane closes a run block wherever a committed finish
+        must emit its FINISH events, so one staged run may span several
+        blocks; each block takes the lane of its own steps."""
+        ends = self._staged_run[0]
+        past = self._steady.past
+        working = self._working
+        return (
+            self.gpu_id,
+            tuple(past),  # request ids, in slot order
+            [len(working[rid].request.generated_tokens) + first for rid in past],
+            ends[first:last + 1].tolist(),
+        )
+
+    def commit_steady_run(self, n: int) -> None:
         """Apply the first ``n`` steps of the staged run in bulk.
 
         Replays exactly what ``n`` :meth:`step` calls on the armed batch
         would do — KvCache appends (page ids included), token values,
-        per-request countdowns, loader clock, total-KV counter, trace
-        events — without the per-step Python work. Returns
-        ``(end_of_last_step, batch_size)``: the next step of this engine
-        is due at that end time.
+        per-request countdowns, loader clock, total-KV counter — without
+        the per-step Python work. When step ``n`` is the run's finishing
+        step, its finished requests then leave as :meth:`step` lets them
+        go: in slot order, each through :meth:`_remove` and then
+        ``mark_finished`` at the step's end, with their FINISH events,
+        and the engine re-arms over whatever remains.
 
-        With a tracer attached the run's ``DECODE_STEP`` events are
-        recorded as one run block (:meth:`Tracer.decode_run`). The merge
-        lane passes ``merge_lanes``: this engine's lane is appended to it
-        instead, and the caller records a single block for the whole
-        merge, in pop order.
+        The run's ``DECODE_STEP`` events are not recorded here: the merge
+        lane records them, from :meth:`steady_trace_lane`, in run blocks
+        in pop order — closed before a finish's FINISH events.
         """
         ends, batch = self._staged_run
         self._staged_run = None
         steady = self._steady
         working = self._working
-        if self.tracer is not None:
-            lane = (
-                self.gpu_id,
-                tuple(steady.past),  # request ids, in slot order
-                [len(working[rid].request.generated_tokens) for rid in steady.past],
-                ends[:n + 1].tolist(),
-            )
-            if merge_lanes is None:
-                self.tracer.decode_run((lane,))
-            else:
-                merge_lanes.append(lane)
         # Reference steps call loader.advance(step start) each step;
         # advance is a monotone clock max, so the last start subsumes
-        # the sequence.
+        # the sequence — and precedes a finish's adapter releases.
         self.loader.advance(float(ends[n - 1]))
         base = self.backend.commit_steady_run(steady.past, n)
         span = n * batch
@@ -823,11 +850,20 @@ class GpuEngine:
             req.generated_tokens.extend(
                 range(first_token, first_token + span, batch)
             )
-        steady.rem = [left - n for left in steady.rem]
+        rem = steady.rem = [left - n for left in steady.rem]
         steady.total += span
         steady.hits += n
         self.fast_steps += n
-        return float(ends[n]), batch
+        if min(rem):
+            return
+        end = float(ends[n])
+        finished = [working[rid] for rid, left in zip(steady.past, rem) if not left]
+        for slot in finished:
+            self._remove(slot)
+            slot.request.mark_finished(end)
+        if self.tracer is not None:
+            self._trace_finishes(end, finished)
+        self._refresh_steady()
 
     def _refresh_steady(self) -> None:
         """(Re)arm the steady batch after a step, when the *next* step is
@@ -948,10 +984,14 @@ class GpuEngine:
                 [len(s.request.generated_tokens) - 1 for s in decode_slots],
                 [now, end],
             ),))
+        self._trace_finishes(end, finished_slots)
+
+    def _trace_finishes(self, end: float, finished_slots: "list[_Slot]") -> None:
+        """One FINISH per finished request, stamped with its step's end."""
         for slot in finished_slots:
             req = slot.request
-            emit(
-                end, EventKind.FINISH, req.request_id, gpu_id,
+            self.tracer.emit(
+                end, EventKind.FINISH, req.request_id, self.gpu_id,
                 tokens=req.num_generated,
             )
 

@@ -58,7 +58,7 @@ from repro.runtime.spec import SpecConfig
 from repro.workloads.arrivals import PoissonArrivals, RampProfile, constant_rate
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.scale import FIG13_1M, scale_trace
-from repro.workloads.trace import generate_trace
+from repro.workloads.trace import RequestSpec, Trace, generate_trace
 
 
 def _request_states(requests):
@@ -874,6 +874,147 @@ def test_interrupted_merge_windows_leave_no_stray_decode_steps():
                 interrupted += kind is not EventKind.FINISH
         assert done is not None, f"{rid} never terminated"
     assert interrupted >= 4
+
+
+# ---------------------------------------------------------------------------
+# Finishes inside the merge lane: committed while nobody waits, cut otherwise
+# ---------------------------------------------------------------------------
+def _staggered_trace(n, *, spacing, response_lens):
+    """``n`` requests ``spacing`` seconds apart whose response lengths
+    cycle through ``response_lens``, so their finishes fall at scattered
+    steps of their engines' decode runs."""
+    return Trace(tuple(
+        RequestSpec(
+            request_id=f"req-{i:03d}", lora_id=f"lora-{i % 3}",
+            arrival_time=i * spacing, prompt_len=16 + 4 * (i % 5),
+            response_len=response_lens[i % len(response_lens)],
+        )
+        for i in range(n)
+    ))
+
+
+def _finish_run(trace, *, num_gpus, max_batch, traced, fast_path, sink):
+    """One run of ``trace``; with ``sink`` each request's ``(token,
+    time)`` stream as the token sink delivered it."""
+    sim = ClusterSimulator(
+        [
+            GpuEngine(
+                f"gpu{i:02d}",
+                SimulatedBackend(LLAMA2_7B, fast_path=fast_path),
+                EngineConfig(max_batch_size=max_batch),
+                fast_path=fast_path,
+            )
+            for i in range(num_gpus)
+        ],
+        tracer=Tracer() if traced else None,
+        fast_path=fast_path,
+    )
+    streams: dict = {}
+    if sink:
+        sim.token_sink = lambda rid, tokens, times: streams.setdefault(
+            rid, []
+        ).extend(zip(tokens, times))
+    return sim, sim.run(trace), streams
+
+
+def _lane_counts(sim):
+    lane = sim._vector
+    engines = sim.scheduler.engines.values()
+    return (
+        lane.merges, lane.merged_steps, lane.finishes, dict(lane.stops),
+        sim.inline_steps, [(e.fast_steps, e.slow_steps) for e in engines],
+    )
+
+
+def _assert_finish_runs_identical(trace, **kwargs):
+    """Fast traced, fast untraced and fast with a token sink against the
+    traced reference path: bytes, request state, metrics, event count and
+    streams equal, and the lane commits the same windows whether or not
+    a tracer watches. Returns the untraced fast simulator."""
+    ref_sim, ref, ref_streams = _finish_run(
+        trace, traced=True, fast_path=False, sink=True, **kwargs
+    )
+    assert ref_sim._vector.merges == 0 and ref_sim.inline_steps == 0
+    runs = {
+        (traced, sink): _finish_run(
+            trace, traced=traced, fast_path=True, sink=sink, **kwargs
+        )
+        for traced, sink in ((True, False), (False, False), (False, True))
+    }
+    for (traced, sink), (sim, result, streams) in runs.items():
+        assert _request_states(result.requests) == _request_states(ref.requests)
+        _assert_metrics_equal(result.metrics, ref.metrics)
+        assert result.events_processed == ref.events_processed
+        assert result.duration == ref.duration
+        assert sim._step_handles == {} and sim.loop.pending == 0
+        if traced:
+            assert sim.tracer.dumps_jsonl() == ref_sim.tracer.dumps_jsonl()
+        if sink:
+            assert streams == ref_streams
+        assert _lane_counts(sim) == _lane_counts(runs[(False, False)][0])
+    return runs[(False, False)][0]
+
+
+def test_finishes_commit_inside_merges():
+    """Four engines decode staggered response lengths with nobody waiting:
+    the lane replays through each finishing step — its FINISH events
+    between two run blocks, its requests released, the engine re-armed
+    and restaged — and the run stays byte-identical to the reference."""
+    trace = _staggered_trace(
+        30, spacing=0.004, response_lens=(23, 57, 9, 88, 41, 70, 15, 33)
+    )
+    sim = _assert_finish_runs_identical(trace, num_gpus=4, max_batch=8)
+    lane = sim._vector
+    assert lane.finishes > 0
+    assert lane.merges > 0 and lane.stops["blocked_finish"] == 0
+    assert sum(lane.stops.values()) == lane.merges
+
+
+def test_finish_with_requests_waiting_keeps_the_cut():
+    """A batch-limited run whose queue is non-empty at its finishes: a
+    finishing step drains the queue, so the lane stops one step short of
+    it and the scalar step admits the waiter, as before."""
+    trace = _staggered_trace(
+        16, spacing=0.001, response_lens=(30, 12, 45, 21, 38)
+    )
+    sim = _assert_finish_runs_identical(trace, num_gpus=2, max_batch=2)
+    lane = sim._vector
+    assert lane.merges > 0
+    assert lane.stops["blocked_finish"] > 0
+
+
+def test_engine_idled_by_a_merged_finish_schedules_nothing(monkeypatch):
+    """An engine whose last requests all finish inside a merge goes idle
+    there: no successor step event, its busy flag down and its handle
+    gone — so the run takes exactly the reference path's events and
+    steps, and a later arrival kicks it as usual."""
+    idled = []
+    commit = GpuEngine.commit_steady_run
+
+    def spy(self, n):
+        commit(self, n)
+        if self.is_idle:
+            idled.append(self.gpu_id)
+            assert self._steady.plan is None
+
+    monkeypatch.setattr(GpuEngine, "commit_steady_run", spy)
+    burst = _staggered_trace(5, spacing=0.002, response_lens=(17, 40, 26))
+    late = RequestSpec(
+        request_id="req-late", lora_id="lora-0", arrival_time=30.0,
+        prompt_len=16, response_len=20,
+    )
+    trace = Trace(burst.requests + (late,))
+    sim = _assert_finish_runs_identical(trace, num_gpus=1, max_batch=8)
+    # The burst, then the late request, in each of the three fast runs.
+    assert idled == ["gpu00"] * 2 * 3
+    assert sim._gpu_busy == {"gpu00": False}
+    ref_sim, _, _ = _finish_run(
+        trace, num_gpus=1, max_batch=8, traced=False, fast_path=False,
+        sink=False,
+    )
+    (engine,) = sim.scheduler.engines.values()
+    (ref_engine,) = ref_sim.scheduler.engines.values()
+    assert engine.fast_steps + engine.slow_steps == ref_engine.slow_steps
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ def small(monkeypatch):
         profile.SCENARIOS, "fig13_quick", partial(profile.fig13_quick, scale=TINY)
     )
     monkeypatch.setitem(profile.FIG13_1M_GATE, "fraction", 0.0005)
+    monkeypatch.setitem(
+        profile.SCENARIOS, "fig13_1m_full", partial(profile.fig13_1m, fraction=0.0005)
+    )
     monkeypatch.setattr(profile, "GATES", {})
 
 
