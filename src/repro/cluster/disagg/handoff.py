@@ -11,8 +11,9 @@ two-stage lifecycle (InfiniLoRA-style):
 2. **Handoff** — the moment a request's prefill invocation completes, its
    paged KvCache is exported and a point-to-point transfer is scheduled,
    priced by :meth:`~repro.hw.interconnect.InterconnectSpec.transfer_time`
-   over the configured link. The transfer is a real event-loop event, so
-   the fast path's inline step coalescing disarms on it automatically.
+   over the configured link. The transfer is a real event-loop event, and
+   the merge lane stands down under ``handoff=``: every engine steps one
+   event at a time, so steps and transfers interleave in event order.
 3. **Decode admission** — on arrival the request is admitted onto the
    decode GPU the scheduler's ``route_decode`` picks (adapter locality
    under the pack scheduler, ITL headroom under the SLO router); if none

@@ -117,18 +117,6 @@ class EventLoop:
             raise ValueError(f"delay must be nonnegative, got {delay}")
         return self.schedule(self._now + delay, action)
 
-    def peek_time(self) -> float | None:
-        """Time of the next live event, or ``None`` when the queue is empty.
-
-        Cancelled heads are pruned in passing — in :meth:`run` they would
-        be popped and skipped without touching the clock or the processed
-        count, so discarding them here changes nothing observable. The
-        fast lane compares a step's end against this: strictly earlier
-        means running it inline is exactly what the loop would do next.
-        """
-        item = self._head()
-        return item[0] if item is not None else None
-
     def peek_time_excluding(self, skip_ids: "set[int]") -> float | None:
         """Time of the next live event whose handle id is not in ``skip_ids``.
 
@@ -153,55 +141,29 @@ class EventLoop:
             heappop(heap)
         return heap[0] if heap else None
 
-    def merge_info(self) -> "tuple[float | None, int | None, int] | None":
-        """State the merge lane needs: ``(until, budget_left, next_seq)``.
+    def merge_info(self) -> "tuple[float | None, int] | None":
+        """State the merge lane needs: ``(until, next_seq)``.
 
-        Returns ``None`` outside :meth:`run` — merged pops would then have
-        no budget to account against, so the caller must fall back to
-        scheduling real events.
+        Returns ``None`` outside :meth:`run` and under a ``max_events``
+        budget: a replay then has no loop to account its pops against, or
+        one that must stop after an exact event count, so the caller steps
+        one event at a time like the reference path.
         """
-        if not self._running:
+        if not self._running or self._max_events is not None:
             return None
-        budget = (
-            None
-            if self._max_events is None
-            else self._max_events - self._processed
-        )
-        return self._until, budget, self._seq
+        return self._until, self._seq
 
     def consume_merged(self, count: int, final_time: float) -> None:
         """Account ``count`` events replayed inline by the merge lane.
 
         The caller has already verified every replayed pop against the
-        ``until`` horizon and the ``max_events`` budget (via
-        :meth:`merge_info`), cancelled the real events it consumed, and is
-        about to schedule their successors; this just moves the clock and
-        the processed count exactly as the queue-driven pops would have.
+        ``until`` horizon (via :meth:`merge_info`), cancelled the real
+        events it consumed, and is about to schedule their successors;
+        this just moves the clock and the processed count exactly as the
+        queue-driven pops would have.
         """
         self._now = max(self._now, final_time)
         self._processed += count
-
-    def try_advance(self, time: float) -> bool:
-        """Account one event processed inline at ``time`` (the fast lane).
-
-        Returns False — and changes nothing — when the loop is not inside
-        :meth:`run`, ``time`` lies beyond the active ``until`` horizon, or
-        the ``max_events`` budget is spent; the caller must then fall back
-        to scheduling a real event so the queue ends up in the same state
-        the slow path would leave. On success the clock and the processed
-        count move exactly as if the event had gone through the queue.
-        """
-        if time < self._now - 1e-12:
-            raise ValueError(f"cannot advance to {time} before now={self._now}")
-        if not self._running:
-            return False
-        if self._until is not None and time > self._until:
-            return False
-        if self._max_events is not None and self._processed >= self._max_events:
-            return False
-        self._now = max(self._now, time)
-        self._processed += 1
-        return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
         """Process events in time order; returns the final clock.

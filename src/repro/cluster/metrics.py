@@ -384,8 +384,9 @@ class ClusterMetrics:
         modelled TTFT slack (may be negative for best-effort placements).
 
         The router records at two interleaved clocks — loop events, and
-        step-completion times the fast path's inline coalescing runs
-        ahead of the loop — hence the order-tolerant insert."""
+        the end of a scalar step, whose queue drain places requests ahead
+        of the loop clock on either path — hence the order-tolerant
+        insert."""
         headroom = float(headroom)
         self.slo_admits.record_unordered(t, headroom)
         self._slo_headroom.observe(headroom)

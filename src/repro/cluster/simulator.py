@@ -192,10 +192,6 @@ class ClusterSimulator:
         lane consumes these to replay interleaved decode ticks inline;
         entries are dropped when their event fires."""
         self._vector = VectorDecodeLane(self)
-        self.inline_steps = 0
-        """Steps run inline by the batched-decode fast lane instead of
-        through the heap (diagnostic only — kept out of the metrics
-        registry so differential runs compare equal)."""
         self._pending_arrivals = 0
         self._recovering: list[tuple[float, list[Request]]] = []
         """(fault time, displaced requests) sets not yet fully re-admitted."""
@@ -209,6 +205,13 @@ class ClusterSimulator:
     def now(self) -> float:
         """The simulated clock — what the serving bridge warps to wall time."""
         return self.loop.now
+
+    @property
+    def inline_steps(self) -> int:
+        """Steps the merge lane committed instead of ``engine.step``
+        (diagnostic only — kept out of the metrics registry so
+        differential runs compare equal)."""
+        return self._vector.merged_steps
 
     # ------------------------------------------------------------------
     def run(
@@ -470,111 +473,69 @@ class ClusterSimulator:
     def _make_step(self, gpu_id: str):
         def step(now: float) -> None:
             self._step_handles.pop(gpu_id, None)
-            while True:
-                engine = self.scheduler.engines.get(gpu_id)
-                if engine is None or not getattr(engine, "alive", True):
-                    # The GPU crashed (or was released) after this step event
-                    # was armed; its requests were already re-placed.
-                    self._gpu_busy.pop(gpu_id, None)
-                    return
-                # The merge lane commits whole steady decode runs in bulk —
-                # trace records included, as run blocks in pop order, so a
-                # tracer does not disarm it. Disaggregated and mid-recovery
-                # simulations keep the per-step lane: their bookkeeping
-                # observes individual steps.
-                vector_ok = (
-                    self.fast_path
-                    and self.handoff is None
-                    and not self._recovering
-                    and engine.fast_path
-                )
-                # Window-start merge: this tick is already paid for (its
-                # event just fired, or the gen-1 continuation advanced to
-                # it), and when other engines' decode ticks interleave
-                # with ours the merge lane replays the whole window in
-                # pop order instead of stepping scalar, one event each.
-                if vector_ok and self._step_handles and engine.steady_ready():
-                    merged = self._vector.try_merge(gpu_id, engine, now, entry=True)
-                    if merged:
-                        self.inline_steps += merged
-                        return
-                report = engine.step(now)
-                if report is None:
-                    # Blocked on an in-flight LoRA load: wake when it lands.
-                    self._gpu_busy[gpu_id] = False
-                    wake = engine.next_ready_time()
-                    if wake is not None and not engine.is_idle:
-                        self._gpu_busy[gpu_id] = True
-                        self._step_handles[gpu_id] = self.loop.schedule(
-                            max(wake, now), self._step_action(gpu_id)
-                        )
-                    return
+            engine = self.scheduler.engines.get(gpu_id)
+            if engine is None or not getattr(engine, "alive", True):
+                # The GPU crashed (or was released) after this step event
+                # was armed; its requests were already re-placed.
+                self._gpu_busy.pop(gpu_id, None)
+                return
+            # The merge lane commits whole steady decode runs in bulk —
+            # this tick first, then every other steady engine's ticks in
+            # pop order — trace records included, as run blocks, so a
+            # tracer does not disarm it. Disaggregated and mid-recovery
+            # simulations keep the scalar lane: their bookkeeping
+            # observes individual steps.
+            if (
+                self.fast_path
+                and self.handoff is None
+                and not self._recovering
+                and engine.fast_path
+                and engine.steady_ready()
+                and self._vector.try_merge(gpu_id, engine, now)
+            ):
+                return
+            report = engine.step(now)
+            if report is None:
+                # Blocked on an in-flight LoRA load: wake when it lands.
+                self._gpu_busy[gpu_id] = False
+                wake = engine.next_ready_time()
+                if wake is not None and not engine.is_idle:
+                    self._gpu_busy[gpu_id] = True
+                    self._step_handles[gpu_id] = self.loop.schedule(
+                        max(wake, now), self._step_action(gpu_id)
+                    )
+                return
 
-                end = report.end
-                self.metrics.record_step(
-                    gpu_id, report.start, end, report.tokens_generated,
-                    report.batch_size,
-                )
-                if report.finished or report.evicted:
-                    for rid in report.evicted:
-                        req = self._requests[rid]
-                        lost = self._placement_lost()
-                        if lost is not None:
-                            self._shed(req, end, lost)
-                            continue
-                        target = self.scheduler.submit(req, end)
-                        if target is not None:
-                            self._kick(target, end)
-                    self._drain_queue(end)
-
-                if self.handoff is not None:
-                    self.handoff.on_step(engine, report)
-                if self.token_sink is not None:
-                    self._stream_step(report)
-
-                if engine.is_idle:
-                    self._gpu_busy[gpu_id] = False
-                    if self._recovering:
-                        self._check_recoveries(end)
-                    return
-
-                if self.fast_path:
-                    # This GPU's next step is due at `end`. Window-tail
-                    # merge: when the engine is armed for steady decode,
-                    # the merge lane prices a whole run of its future
-                    # steps in one set of array ops and replays it —
-                    # interleaved with every other steady engine's ticks,
-                    # or alone as a one-engine merge — up to the first
-                    # foreign event. On success all successor events (this
-                    # engine's included) are scheduled and this action is
-                    # done.
-                    if vector_ok and engine.steady_ready():
-                        merged = self._vector.try_merge(gpu_id, engine, end)
-                        if merged:
-                            self.inline_steps += merged
-                            return
-                    # Gen-1 inline continuation: run the next step inline
-                    # when it would be the very next event anyway —
-                    # strictly earlier than every pending event (a tie
-                    # loses to the already-enqueued event by seq order)
-                    # and inside the loop's until/max_events budget. Any
-                    # interleaved arrival, fault, kick or migration tick
-                    # lands in the queue first and forces the general
-                    # path, so coalescing cannot reorder cross-cutting
-                    # events.
-                    peek = self.loop.peek_time()
-                    if (peek is None or end < peek) and self.loop.try_advance(end):
-                        self.inline_steps += 1
-                        if self._recovering:
-                            self._check_recoveries(end)
-                        now = end
+            end = report.end
+            self.metrics.record_step(
+                gpu_id, report.start, end, report.tokens_generated,
+                report.batch_size,
+            )
+            if report.finished or report.evicted:
+                for rid in report.evicted:
+                    req = self._requests[rid]
+                    lost = self._placement_lost()
+                    if lost is not None:
+                        self._shed(req, end, lost)
                         continue
+                    target = self.scheduler.submit(req, end)
+                    if target is not None:
+                        self._kick(target, end)
+                self._drain_queue(end)
+
+            if self.handoff is not None:
+                self.handoff.on_step(engine, report)
+            if self.token_sink is not None:
+                self._stream_step(report)
+
+            if engine.is_idle:
+                self._gpu_busy[gpu_id] = False
+            else:
                 self._step_handles[gpu_id] = self.loop.schedule(
                     end, self._step_action(gpu_id)
                 )
-                if self._recovering:
-                    self._check_recoveries(end)
-                return
+            if self._recovering:
+                self._check_recoveries(end)
 
         return step
 

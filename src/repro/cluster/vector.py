@@ -1,13 +1,13 @@
-"""The bulk decode-run lane: vectorized steady-decode merge (gen-2 fast path).
+"""The bulk decode-run lane: vectorized steady-decode merge.
 
 The one client of the engine's bulk API (``steady_ready`` /
 ``steady_run_stage`` / ``commit_steady_run``). When several GPUs are
 mid-decode their step events interleave densely: each engine's next tick
-lands before any other engine finishes one, so the gen-1 inline
-continuation (strictly-before-``peek`` coalescing) never gets a window
-wider than one step. This module commits whole runs anyway by *replaying
-the event queue's own pop order* over every steady engine's priced
-decode run — a lone engine's run is simply a merge with one lane:
+lands before any other engine finishes one, so no single engine ever
+owns a window wider than one step. This module commits whole runs
+anyway by *replaying the event queue's own pop order* over every steady
+engine's priced decode run, starting from the step event that just
+fired — a lone engine's run is simply a merge with one lane:
 
 1. Each steady-armed engine prices its future step latencies in one set
    of array ops (:meth:`~repro.runtime.engine.GpuEngine.steady_run_stage`),
@@ -43,10 +43,9 @@ decode run — a lone engine's run is simply a merge with one lane:
    creation order*, so every relative ``(time, seq)`` comparison any
    future event can make is unchanged.
 
-The relative-order argument is the same one that justifies the gen-1
-inline lane: coalescing may shift absolute ``seq`` values, but the
-relative scheduling order of any two events that ever coexist in the
-queue — and therefore every tie-break — is preserved. The differential
+Replaying may shift absolute ``seq`` values, but the relative
+scheduling order of any two events that ever coexist in the queue — and
+therefore every tie-break — is preserved. The differential
 equivalence harness (``tests/test_fastpath_differential.py``) pins the
 end-to-end claim byte-for-byte.
 """
@@ -65,9 +64,9 @@ STOP_REASONS = (
 decode tick of the lane; an engine's run cap (KvCache headroom or the
 run-length bound); an engine whose next tick could not be staged; a
 finish held back because requests wait in the queue; the loop's
-``until`` or event budget; or every engine went idle with nothing else
-pending. A replay that runs out of ticks counts under the horizon in
-force when it did."""
+``until``; or every engine went idle with nothing else pending. A
+replay that runs out of ticks counts under the horizon in force when it
+did."""
 
 
 class VectorDecodeLane:
@@ -103,39 +102,27 @@ class VectorDecodeLane:
             return ends, batch, steps, "finish"
         return ends, batch, steps - 1, "blocked_finish"
 
-    def try_merge(self, e0_gpu: str, e0_engine, end: float, entry: bool = False) -> int:
-        """Attempt a merge of one or more engines' decode runs; returns
-        steps committed (0 = no-op).
+    def try_merge(self, e0_gpu: str, e0_engine, now: float) -> int:
+        """Replay one or more engines' decode runs from E0's step event,
+        which just fired at ``now``; returns the steps committed (0 = no
+        merge).
 
-        Two call modes share the replay machinery:
-
-        * ``entry=False`` (window tail): ``e0_engine`` just finished a
-          step at ``end`` (its next tick's start); that tick is *unpaid*
-          — the reference path would schedule and later pop it, so the
-          replay accounts every pop including E0's first.
-        * ``entry=True`` (window start): E0's step event at ``end`` just
-          *fired* — the loop already popped and paid for it, and the
-          caller has not yet executed the step. The replay commits that
-          tick as its guaranteed first pop (it was the queue minimum, or
-          it would not have fired) without re-accounting it.
-
-        On success the committed prefix of every participating engine's
-        run has been applied, the loop advanced, and every busy engine's
-        next step event scheduled — the caller's step action must simply
-        return. On failure nothing observable changed and the caller
-        falls back to the per-step path.
+        The loop has already popped and will count that event, and the
+        caller has not run its step yet: the replay commits it as its
+        guaranteed first pop (it was the queue minimum, or it would not
+        have fired), then every pop the queue would make next up to the
+        horizon. On success the committed prefix of every participating
+        engine's run has been applied, the loop advanced, and every busy
+        engine's next step event scheduled — the caller's step action
+        must simply return. On failure nothing observable changed and the
+        caller runs the scalar step.
         """
         sim = self.sim
         loop = sim.loop
         info = loop.merge_info()
         if info is None:
             return 0
-        until, budget, vbase = info
-        if until is not None and end > until:
-            return 0
-        prepaid = 1 if entry else 0
-        if budget is not None and budget <= -prepaid:
-            return 0
+        until, vbase = info
         # A finishing step drains the wait queue. With nobody waiting the
         # drain is a no-op, and nothing inside the replay can enqueue
         # (arrivals and evictions are foreign events), so finishes commit
@@ -145,7 +132,7 @@ class VectorDecodeLane:
         # Stage E0 first: it is the cheapest disqualifier (no headroom, a
         # blocked finish next tick) and staging has no observable side
         # effects, so bailing here costs nothing.
-        staged0 = self._stage(e0_engine, end, finish_ok)
+        staged0 = self._stage(e0_engine, now, finish_ok)
         if not staged0[2]:
             return 0
 
@@ -172,7 +159,7 @@ class VectorDecodeLane:
             skip_ids.add(id(handle))
 
         h_dyn = loop.peek_time_excluding(skip_ids)
-        if h_dyn is not None and h_dyn <= end:
+        if h_dyn is not None and h_dyn <= now:
             return 0
         h_why = "foreign"
 
@@ -193,7 +180,7 @@ class VectorDecodeLane:
             lane.append(eng)
             handles.append(handle)
             runs.append(staged)
-        if h_dyn is not None and h_dyn <= end:
+        if h_dyn is not None and h_dyn <= now:
             return 0
 
         # Per engine, its current staged run (a finish restages it):
@@ -207,15 +194,13 @@ class VectorDecodeLane:
         avail = [r[2] for r in runs]
         caps = [r[3] for r in runs]
         committed = [0] * n_eng
-        # E0's initial event is virtual (creation index 0, due at ``end``);
-        # if the replay stops before it pops, it must still materialize —
-        # every other engine keeps its real queued event until it pops.
-        # An engine that goes idle at a finish schedules nothing.
+        # Each engine's one outstanding successor tick, made when its last
+        # replayed pop did: its due time and creation index. An engine
+        # whose real event has not popped keeps it queued, and one that
+        # goes idle at a finish schedules nothing.
         succ_time = [0.0] * n_eng
-        succ_time[0] = end
         succ_order = [0] * n_eng
         succ_live = [False] * n_eng
-        succ_live[0] = True
 
         tracer = sim.tracer
         sink = sim.token_sink
@@ -259,17 +244,16 @@ class VectorDecodeLane:
                 for req in reqs:
                     sink(req.request_id, tuple(req.generated_tokens[-n:]), times)
 
-        # Replay the queue's pop order. E0's (virtual) initial event is
-        # creation index 0 — the reference path schedules it before any
-        # of the window's pops; consumed real events compare by their
-        # true seq, which every virtual key exceeds, as in the reference.
-        # In entry mode E0's event already fired as the queue minimum, so
-        # a below-every-seq key reproduces that it pops first.
-        heap: "list[tuple[float, int, int]]" = [(end, -1 if entry else vbase, 0)]
+        # Replay the queue's pop order. E0's event already fired as the
+        # queue minimum, so a below-every-seq key pops it first; consumed
+        # real events compare by their true seq, and successor ticks by
+        # virtual keys above every pending seq in creation order — the
+        # seqs the reference loop would have given them.
+        heap: "list[tuple[float, int, int]]" = [(now, -1, 0)]
         for i in range(1, n_eng):
             heap.append((ends[i][0], handles[i].seq, i))
         heapq.heapify(heap)
-        next_idx = 1
+        next_idx = 0
         pops = 0
         merged_t: "list[float]" = []
         merged_b: "list[float]" = []
@@ -279,9 +263,7 @@ class VectorDecodeLane:
             if h_dyn is not None and t >= h_dyn:
                 stop = h_why
                 break
-            if (until is not None and t > until) or (
-                budget is not None and pops >= budget + prepaid
-            ):
+            if until is not None and t > until:
                 stop = "until"
                 break
             heapq.heappop(heap)
@@ -339,8 +321,6 @@ class VectorDecodeLane:
         else:
             # Out of ticks: every engine hit its cap or went idle.
             stop = h_why if h_dyn is not None else "idle"
-        if pops == 0:
-            return 0
 
         # Apply each engine's committed prefix in bulk, then account the
         # replay and materialize successors in creation order so their
@@ -353,7 +333,8 @@ class VectorDecodeLane:
         sim.metrics.record_step_merge(
             np.array(merged_t), np.array(merged_b), segments
         )
-        loop.consume_merged(pops - prepaid, merged_t[-1])
+        # The loop counts E0's own pop when this action returns.
+        loop.consume_merged(pops - 1, merged_t[-1])
         order = sorted(
             (i for i in range(n_eng) if succ_live[i]),
             key=succ_order.__getitem__,

@@ -310,7 +310,7 @@ def fig13_quick_round(seed: int = 0, scale=QUICK) -> "dict[str, float]":
             "requests_per_s": results["fast"].finished_requests / fast}
 
 
-#: The three fast-path lanes against the reference path (memos and the
+#: The two fast-path lanes against the reference path (memos and the
 #: event heap run on both; 1.9-2.7x measured); a throughput floor for
 #: order-of-magnitude regressions on slow runners; two rounds within 20 %
 #: of each other; a tracer costs at most 1.5x (~1.2x measured).

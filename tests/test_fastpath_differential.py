@@ -2,8 +2,7 @@
 
 The fast path (``fast_path=``, default on) layers optimisations over the
 simulation engine — kernel-cost memoisation, the shape-keyed latency-term
-memo, the armed-batch shortcut inside ``GpuEngine.step``, the
-simulator's inline same-engine decode continuation, and the bulk
+memo, the armed-batch shortcut inside ``GpuEngine.step`` and the bulk
 decode-run merge lane. The contract for every one of them is *bit
 identity*: the optimised run must produce byte-identical traces and equal
 results, not merely statistically similar ones.
@@ -54,6 +53,7 @@ from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.pricing import StepPricer
 from repro.runtime.request import RequestState
+from repro.runtime.serve import requests_from_trace
 from repro.runtime.spec import SpecConfig
 from repro.workloads.arrivals import PoissonArrivals, RampProfile, constant_rate
 from repro.workloads.lengths import ShareGptLengths
@@ -1020,34 +1020,103 @@ def test_engine_idled_by_a_merged_finish_schedules_nothing(monkeypatch):
 # ---------------------------------------------------------------------------
 # Canary: the fast lanes must actually engage
 # ---------------------------------------------------------------------------
-def test_fast_lanes_engage():
-    """A decode-heavy run must commit decode steps in bulk through the
-    merge lane (``fast_steps``), still run boundary steps through
-    ``step()`` (``slow_steps``), hit the inline continuation, and both
-    reuse the armed plan and re-plan on membership changes — otherwise
-    the differential suite would be comparing the reference path to
-    itself."""
-    trace = generate_trace(
+def _lanes_trace():
+    return generate_trace(
         40, "skewed", seed=3,
         lengths=ShareGptLengths(max_prompt_len=32, max_response_len=24),
         arrivals=PoissonArrivals(rate=constant_rate(10.0), duration=4.0),
     )
+
+
+def _lanes_sim(num_gpus, fast_path):
     engines = [
         GpuEngine(
             f"gpu{i:02d}",
-            SimulatedBackend(LLAMA2_7B, fast_path=True),
+            SimulatedBackend(LLAMA2_7B, fast_path=fast_path),
             EngineConfig(max_batch_size=8),
-            fast_path=True,
+            fast_path=fast_path,
         )
-        for i in range(2)
+        for i in range(num_gpus)
     ]
-    sim = ClusterSimulator(engines, fast_path=True)
-    sim.run(trace)
+    return ClusterSimulator(engines, fast_path=fast_path), engines
+
+
+def test_fast_lanes_engage():
+    """A decode-heavy run must commit decode steps in bulk through the
+    merge lane (``fast_steps``), still run boundary steps through
+    ``step()`` (``slow_steps``), and both reuse the armed plan and
+    re-plan on membership changes — otherwise the differential suite
+    would be comparing the reference path to itself."""
+    sim, engines = _lanes_sim(2, fast_path=True)
+    sim.run(_lanes_trace())
     assert sum(e.fast_steps for e in engines) > 0
     assert sum(e.slow_steps for e in engines) > 0
     assert sim.inline_steps > 0
     assert sum(e._plan_cache.hits for e in engines) > 0
     assert sum(e._plan_cache.misses for e in engines) > 0
+
+
+def _lanes_outcome(sim):
+    return (
+        sim.loop.processed,
+        sim.loop.now,
+        sorted(
+            (r.request_id, r.state, r.num_generated)
+            for r in sim._requests.values()
+        ),
+    )
+
+
+@pytest.mark.parametrize("num_gpus", [1, 2])
+def test_event_budget_is_exact_on_the_fast_path(num_gpus):
+    """``loop.run(max_events=k)`` stops after exactly ``k`` events on both
+    paths: a merge must not replay pops past the budget, so the clock,
+    the processed count and every request's state and tokens match the
+    reference after any budget."""
+    trace = _lanes_trace()
+    for k in range(1, 280, 3):
+        outcomes = []
+        for fast_path in (True, False):
+            sim, _ = _lanes_sim(num_gpus, fast_path)
+            sim._stream_arrivals(requests_from_trace(trace))
+            sim.loop.run(max_events=k)
+            outcomes.append(_lanes_outcome(sim))
+        assert outcomes[0] == outcomes[1], k
+        assert outcomes[0][0] <= k
+
+
+def _pumped(sim, requests, quantum=0.005):
+    """Advance the loop in ``run(until=)`` quanta, the way the serving
+    bridge pumps it, until no event is left."""
+    sim._stream_arrivals(requests)
+    until = 0.0
+    while sim.loop.pending:
+        until += quantum
+        sim.loop.run(until=until)
+
+
+def test_pumped_lone_engine_still_merges():
+    """A one-engine run pumped in 5 ms quanta must merge as it does in
+    one ``run()`` call: every quantum's first step event opens a merge,
+    so the pumped run takes exactly the scalar steps of the single run
+    and ends with the reference path's tokens and states."""
+    trace = _lanes_trace()
+    sim, (engine,) = _lanes_sim(1, fast_path=True)
+    _pumped(sim, requests_from_trace(trace))
+    ref_sim, _ = _lanes_sim(1, fast_path=False)
+    _pumped(ref_sim, requests_from_trace(trace))
+    whole_sim, (whole_engine,) = _lanes_sim(1, fast_path=True)
+    whole_sim.run(trace)
+
+    def tokens(s):
+        return sorted(
+            (r.request_id, r.state, tuple(r.generated_tokens))
+            for r in s._requests.values()
+        )
+
+    assert tokens(sim) == tokens(ref_sim) == tokens(whole_sim)
+    assert sim._vector.merges > 0
+    assert engine.slow_steps == whole_engine.slow_steps
 
 
 def test_spec_lane_engages_in_differential_workloads():
