@@ -291,8 +291,9 @@ class ClusterMetrics:
         tokens_per_step: np.ndarray,
         per_gpu,
     ) -> None:
-        """Bulk :meth:`record_step` for a merged decode run (one engine's
-        or several engines' interleaved).
+        """Bulk :meth:`record_step` for a merge: one engine's or several
+        engines' interleaved decode runs, and the scalar steps replayed
+        between them.
 
         ``times``/``tokens_per_step`` are the pop-ordered (non-decreasing)
         step samples across *all* merged engines — exactly the sequence of
@@ -300,8 +301,8 @@ class ClusterMetrics:
         the global token series. ``per_gpu`` is an iterable of
         ``(gpu_id, bounds, batch_size)`` triples carrying each engine's
         own (already ascending) step bounds for its per-GPU series and
-        registry counters; every step of a decode run generates one token
-        per batch row. Token and step counts are small integers, so one
+        registry counters; every step generates one token per batch
+        row. Token and step counts are small integers, so one
         float add of the product equals the per-step adds exactly, and
         the gauge keeps the last value.
         """
@@ -318,9 +319,15 @@ class ClusterMetrics:
             series = self.gpu_batch_size.get(gpu_id)
             if series is None:
                 series = self._gpu_series(gpu_id)
-            starts = bounds[:-1]
-            series.extend(starts, np.full(n, fbatch))
-            self.gpu_step_spans[gpu_id].extend(starts, bounds[1:])
+            if n == 1:
+                # One step — a scalar step the merge replayed, as a rule:
+                # two scalar appends beat four one-element arrays.
+                series.record(bounds[0], fbatch)
+                self.gpu_step_spans[gpu_id].record(bounds[0], bounds[1])
+            else:
+                starts = bounds[:-1]
+                series.extend(starts, np.full(n, fbatch))
+                self.gpu_step_spans[gpu_id].extend(starts, bounds[1:])
             key = (gpu_id,)
             self._tokens_counter.inc_key((), fbatch * n)
             self._steps_counter.inc_key(key, float(n))

@@ -189,7 +189,7 @@ class ClusterSimulator:
         decode continuations must not allocate a fresh closure each."""
         self._step_handles: dict[str, EventHandle] = {}
         """The pending step event per busy GPU. The cross-engine merge
-        lane consumes these to replay interleaved decode ticks inline;
+        lane consumes these to replay interleaved steps inline;
         entries are dropped when their event fires."""
         self._vector = VectorDecodeLane(self)
         self._pending_arrivals = 0
@@ -481,7 +481,8 @@ class ClusterSimulator:
                 return
             # The merge lane commits whole steady decode runs in bulk —
             # this tick first, then every other steady engine's ticks in
-            # pop order — trace records included, as run blocks, so a
+            # pop order, with other engines' plain scalar steps replayed
+            # between them — trace records included, as run blocks, so a
             # tracer does not disarm it. Disaggregated and mid-recovery
             # simulations keep the scalar lane: their bookkeeping
             # observes individual steps.
@@ -506,38 +507,47 @@ class ClusterSimulator:
                     )
                 return
 
-            end = report.end
             self.metrics.record_step(
-                gpu_id, report.start, end, report.tokens_generated,
+                gpu_id, report.start, report.end, report.tokens_generated,
                 report.batch_size,
             )
-            if report.finished or report.evicted:
-                for rid in report.evicted:
-                    req = self._requests[rid]
-                    lost = self._placement_lost()
-                    if lost is not None:
-                        self._shed(req, end, lost)
-                        continue
-                    target = self.scheduler.submit(req, end)
-                    if target is not None:
-                        self._kick(target, end)
-                self._drain_queue(end)
-
-            if self.handoff is not None:
-                self.handoff.on_step(engine, report)
-            if self.token_sink is not None:
-                self._stream_step(report)
-
-            if engine.is_idle:
-                self._gpu_busy[gpu_id] = False
-            else:
+            if self._after_step(gpu_id, engine, report):
                 self._step_handles[gpu_id] = self.loop.schedule(
-                    end, self._step_action(gpu_id)
+                    report.end, self._step_action(gpu_id)
                 )
-            if self._recovering:
-                self._check_recoveries(end)
 
         return step
+
+    def _after_step(self, gpu_id: str, engine, report) -> bool:
+        """Everything one scalar step sets off past its metrics sample:
+        evicted requests re-placed, the queue drained after a finish or an
+        eviction, the handoff, the token sink, fault recoveries and the
+        GPU's busy flag. Both the step event and the merge lane's replay
+        of a scalar step call it. Returns whether the engine is still busy
+        — keying its successor step is the caller's."""
+        end = report.end
+        if report.finished or report.evicted:
+            for rid in report.evicted:
+                req = self._requests[rid]
+                lost = self._placement_lost()
+                if lost is not None:
+                    self._shed(req, end, lost)
+                    continue
+                target = self.scheduler.submit(req, end)
+                if target is not None:
+                    self._kick(target, end)
+            self._drain_queue(end)
+
+        if self.handoff is not None:
+            self.handoff.on_step(engine, report)
+        if self.token_sink is not None:
+            self._stream_step(report)
+        if self._recovering:
+            self._check_recoveries(end)
+        if engine.is_idle:
+            self._gpu_busy[gpu_id] = False
+            return False
+        return True
 
     def _stream_step(self, report) -> None:
         """One chunk per request the step committed tokens for, stamped

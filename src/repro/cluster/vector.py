@@ -19,10 +19,18 @@ fired — a lone engine's run is simply a merge with one lane:
    evictions are foreign events). Otherwise the run stops one step
    short of it and the finish runs as a scalar
    :meth:`~repro.runtime.engine.GpuEngine.step`.
-2. The lane computes the merge *horizon*: the first pending event that
-   is not one of those decode ticks (an arrival, fault, migration or
-   prefetch tick, a non-steady engine's step, the run's ``until``).
-3. A private heap replays the exact ``(time, seq)`` pop order the real
+2. The step event of a non-steady engine — a prefill joining its
+   decodes, typically — is replayed too, as one scalar
+   :meth:`~repro.runtime.engine.GpuEngine.step` at its pop, while nobody
+   waits in the queue and :meth:`~repro.runtime.engine.GpuEngine.step_is_plain`
+   holds (the step runs a batch and evicts nothing). Its engine then
+   re-arms and joins with a decode run, takes another scalar step, or
+   drops out idle.
+3. The lane computes the merge *horizon*: the first pending event that
+   it cannot replay (an arrival, fault, migration or prefetch tick, a
+   scalar step that could evict, come back empty or admit a waiter, a
+   speculative engine's step, the run's ``until``).
+4. A private heap replays the exact ``(time, seq)`` pop order the real
    queue would produce: consumed real events keep their scheduling
    ``seq``; successor ticks created mid-merge get virtual keys above
    every pending ``seq``, assigned in creation order — exactly the order
@@ -32,11 +40,11 @@ fired — a lone engine's run is simply a merge with one lane:
    and the engine re-arms, restages from the step's end and pushes its
    successor — or, idle, drops out with no successor, as a scalar step
    leaves it.
-4. Committed runs are applied per engine in bulk, one segment per
+5. Committed runs are applied per engine in bulk, one segment per
    finish and one at the end; metrics per segment and — when a tracer
    is attached — run blocks of every engine's ``DECODE_STEP`` events are
-   recorded in pop order (a finish closes the open block, so its FINISH
-   events follow their step); each request's segment goes to the
+   recorded in pop order (a finish or a scalar step closes the open
+   block, so its own events follow it); each request's segment goes to the
    simulator's token sink as one chunk; the loop's clock/processed
    count advance by the replay, and each busy engine's one outstanding
    successor event is materialized as a real scheduled event *in
@@ -58,15 +66,20 @@ import numpy as np
 
 
 STOP_REASONS = (
-    "foreign", "run_cap", "unstageable", "blocked_finish", "until", "idle",
+    "foreign", "run_cap", "unstageable", "blocked_finish", "scalar", "until",
+    "idle",
 )
-"""Why a merge's replay stopped: the first pending event that is no
-decode tick of the lane; an engine's run cap (KvCache headroom or the
-run-length bound); an engine whose next tick could not be staged; a
-finish held back because requests wait in the queue; the loop's
-``until``; or every engine went idle with nothing else pending. A
-replay that runs out of ticks counts under the horizon in force when it
-did."""
+"""Why a merge's replay stopped: the first pending event that is no step
+of the lane; an engine's run cap (KvCache headroom or the run-length
+bound); an engine whose next tick could not be staged; a finish held
+back because requests wait in the queue; a scalar step the lane could
+not replay (it could evict or come back empty, requests wait, or the
+engine is speculative); the loop's ``until``; or every engine went idle
+with nothing else pending. A replay that runs out of ticks counts under
+the horizon in force when it did."""
+
+_SCALAR = (None, 0, 1, "scalar")
+"""The staged-run record of an engine whose next pop is a scalar step."""
 
 
 class VectorDecodeLane:
@@ -78,6 +91,9 @@ class VectorDecodeLane:
         self.merged_steps = 0
         self.finishes = 0
         """Finishing steps committed inside a replay."""
+        self.scalar_steps = 0
+        """Scalar ``GpuEngine.step`` calls replayed inside merges (not
+        counted in ``merged_steps``)."""
         self.stops = dict.fromkeys(STOP_REASONS, 0)
         """Committed merges by the reason their replay stopped (see
         :data:`STOP_REASONS`). Like ``merges``, diagnostic only — kept
@@ -103,9 +119,8 @@ class VectorDecodeLane:
         return ends, batch, steps - 1, "blocked_finish"
 
     def try_merge(self, e0_gpu: str, e0_engine, now: float) -> int:
-        """Replay one or more engines' decode runs from E0's step event,
-        which just fired at ``now``; returns the steps committed (0 = no
-        merge).
+        """Replay one or more engines' steps from E0's step event, which
+        just fired at ``now``; returns the steps committed (0 = no merge).
 
         The loop has already popped and will count that event, and the
         caller has not run its step yet: the replay commits it as its
@@ -125,8 +140,9 @@ class VectorDecodeLane:
         until, vbase = info
         # A finishing step drains the wait queue. With nobody waiting the
         # drain is a no-op, and nothing inside the replay can enqueue
-        # (arrivals and evictions are foreign events), so finishes commit
-        # in the replay; otherwise every run stops one step short of them.
+        # (arrivals and evictions are foreign events), so finishes and
+        # scalar steps commit in the replay; otherwise every run stops one
+        # step short of its finish and every scalar step is a cut.
         finish_ok = not sim.scheduler.queue_depth
 
         # Stage E0 first: it is the cheapest disqualifier (no headroom, a
@@ -136,46 +152,54 @@ class VectorDecodeLane:
         if not staged0[2]:
             return 0
 
-        # Collect the other engines whose pending events are candidate
-        # decode ticks. Anything that fails the cheap gate keeps its
-        # event in the queue, where it bounds the horizon like any other
-        # foreign event.
+        # Sort the other pending step events: a steady engine's is a
+        # candidate decode tick, a plain one's (see
+        # ``GpuEngine.step_is_plain``) a scalar step to replay, and any
+        # other engine's step is a cut. Events of engines that are gone
+        # stay in the queue as foreign events.
         engines = sim.scheduler.engines
         others = []
+        cuts = []
         skip_ids = set()
         for gid, handle in list(sim._step_handles.items()):
             if handle.cancelled:
                 del sim._step_handles[gid]
                 continue
             eng = engines.get(gid)
-            if (
-                eng is None
-                or not getattr(eng, "alive", True)
-                or not eng.fast_path
-                or not eng.steady_ready()
-            ):
+            if eng is None or not getattr(eng, "alive", True):
                 continue
-            others.append((gid, handle, eng))
             skip_ids.add(id(handle))
+            if eng.fast_path and eng.steady_ready():
+                others.append((gid, handle, eng, True))
+            elif eng.fast_path and finish_ok and eng.step_is_plain():
+                others.append((gid, handle, eng, False))
+            else:
+                cuts.append(handle.time)
 
         h_dyn = loop.peek_time_excluding(skip_ids)
+        h_why = "foreign"
+        if cuts and (h_dyn is None or min(cuts) < h_dyn):
+            h_dyn = min(cuts)
+            h_why = "scalar"
         if h_dyn is not None and h_dyn <= now:
             return 0
-        h_why = "foreign"
 
-        # Stage the rest. A candidate that fails staging keeps its real
-        # event, which clamps the replay horizon below it.
+        # Stage the steady ones. A candidate that fails staging keeps its
+        # real event, which clamps the replay horizon below it.
         gids = [e0_gpu]
         lane = [e0_engine]
         handles: "list[object | None]" = [None]
         runs = [staged0]
-        for gid, handle, eng in others:
-            staged = self._stage(eng, handle.time, finish_ok)
-            if not staged[2]:
-                if h_dyn is None or handle.time < h_dyn:
-                    h_dyn = handle.time
-                    h_why = staged[3]
-                continue
+        for gid, handle, eng, steady in others:
+            if steady:
+                staged = self._stage(eng, handle.time, finish_ok)
+                if not staged[2]:
+                    if h_dyn is None or handle.time < h_dyn:
+                        h_dyn = handle.time
+                        h_why = staged[3]
+                    continue
+            else:
+                staged = _SCALAR
             gids.append(gid)
             lane.append(eng)
             handles.append(handle)
@@ -185,10 +209,11 @@ class VectorDecodeLane:
 
         # Per engine, its current staged run (a finish restages it):
         # step ends, batch, steps available, what caps it, and the pops
-        # committed from it so far.
+        # committed from it so far. An engine whose next pop is a scalar
+        # step has no run: its cap reads "scalar".
         n_eng = len(lane)
         ends_np = [r[0] for r in runs]
-        ends = [a.tolist() for a in ends_np]
+        ends = [None if a is None else a.tolist() for a in ends_np]
         batches = [r[1] for r in runs]
         fbatch = [float(b) for b in batches]
         avail = [r[2] for r in runs]
@@ -205,8 +230,8 @@ class VectorDecodeLane:
         tracer = sim.tracer
         sink = sim.token_sink
         # Under a tracer the replay's DECODE_STEP events go out as run
-        # blocks in pop order; a committed finish closes the open block
-        # so its FINISH events follow their step, as in the reference.
+        # blocks in pop order; a committed finish or a scalar step closes
+        # the open block so its own events follow it, as in the reference.
         block_from = [0] * n_eng
         block_start = 0
         segments = []
@@ -244,6 +269,30 @@ class VectorDecodeLane:
                 for req in reqs:
                     sink(req.request_id, tuple(req.generated_tokens[-n:]), times)
 
+        def key_successor(j: int, nxt: float) -> None:
+            """Key busy engine ``j``'s next step, due at ``nxt``, under the
+            next virtual key: a restaged decode run, a scalar step, or —
+            when neither can be replayed — the horizon, where the tick
+            fires as a real event."""
+            nonlocal h_dyn, h_why
+            eng = lane[j]
+            if eng.steady_ready():
+                staged = self._stage(eng, nxt, finish_ok)
+                why = staged[3]
+            else:
+                staged = _SCALAR if eng.step_is_plain() else None
+                why = "scalar"
+            if staged is None or not staged[2]:
+                if h_dyn is None or nxt < h_dyn:
+                    h_dyn = nxt
+                    h_why = why
+                return
+            ends_np[j], batches[j], avail[j], caps[j] = staged
+            if staged is not _SCALAR:
+                ends[j] = ends_np[j].tolist()
+                fbatch[j] = float(batches[j])
+            heapq.heappush(heap, (nxt, vbase + next_idx, j))
+
         # Replay the queue's pop order. E0's event already fired as the
         # queue minimum, so a below-every-seq key pops it first; consumed
         # real events compare by their true seq, and successor ticks by
@@ -251,10 +300,11 @@ class VectorDecodeLane:
         # seqs the reference loop would have given them.
         heap: "list[tuple[float, int, int]]" = [(now, -1, 0)]
         for i in range(1, n_eng):
-            heap.append((ends[i][0], handles[i].seq, i))
+            heap.append((handles[i].time, handles[i].seq, i))
         heapq.heapify(heap)
         next_idx = 0
         pops = 0
+        scalar_pops = 0
         merged_t: "list[float]" = []
         merged_b: "list[float]" = []
         merged_i: "list[int]" = []
@@ -271,16 +321,37 @@ class VectorDecodeLane:
             if handle is not None:
                 handle.cancel()
                 handles[i] = None
+            pops += 1
+            succ_order[i] = next_idx
+            succ_live[i] = True
+            if caps[i] == "scalar":
+                # A plain step of a non-steady engine (a prefill joining
+                # its decodes): run it as the step event would, its
+                # metrics sample in pop order, after the open run block.
+                if tracer is not None and block_start < len(merged_i):
+                    close_block()
+                eng = lane[i]
+                report = eng.step(t)
+                nxt = succ_time[i] = report.end
+                merged_t.append(t)
+                # Every row of a classic step commits one token, so the
+                # batch size is its token count too.
+                merged_b.append(float(report.tokens_generated))
+                segments.append((gids[i], (t, nxt), report.batch_size))
+                scalar_pops += 1
+                if sim._after_step(gids[i], eng, report):
+                    key_successor(i, nxt)
+                else:
+                    succ_live[i] = False
+                    sim._step_handles.pop(gids[i], None)
+                next_idx += 1
+                continue
             merged_t.append(t)
             merged_b.append(fbatch[i])
             merged_i.append(i)
             ki = committed[i] + 1
             committed[i] = ki
-            pops += 1
-            nxt = ends[i][ki]
-            succ_time[i] = nxt
-            succ_order[i] = next_idx
-            succ_live[i] = True
+            nxt = succ_time[i] = ends[i][ki]
             if ki < avail[i]:
                 heapq.heappush(heap, (nxt, vbase + next_idx, i))
             elif caps[i] != "finish":
@@ -300,23 +371,13 @@ class VectorDecodeLane:
                 commit(i)
                 sim._drain_queue(nxt)
                 self.finishes += 1
-                eng = lane[i]
                 committed[i] = block_from[i] = 0
-                if eng.is_idle:
+                if lane[i].is_idle:
                     succ_live[i] = False
                     sim._gpu_busy[gids[i]] = False
                     sim._step_handles.pop(gids[i], None)
                 else:
-                    staged = self._stage(eng, nxt, finish_ok)
-                    if not staged[2]:
-                        if h_dyn is None or nxt < h_dyn:
-                            h_dyn = nxt
-                            h_why = staged[3]
-                    else:
-                        ends_np[i], batches[i], avail[i], caps[i] = staged
-                        ends[i] = ends_np[i].tolist()
-                        fbatch[i] = float(batches[i])
-                        heapq.heappush(heap, (nxt, vbase + next_idx, i))
+                    key_successor(i, nxt)
             next_idx += 1
         else:
             # Out of ticks: every engine hit its cap or went idle.
@@ -343,6 +404,7 @@ class VectorDecodeLane:
             h = loop.schedule(succ_time[i], sim._step_action(gids[i]))
             sim._step_handles[gids[i]] = h
         self.merges += 1
-        self.merged_steps += pops
+        self.merged_steps += pops - scalar_pops
+        self.scalar_steps += scalar_pops
         self.stops[stop] += 1
         return pops

@@ -800,6 +800,21 @@ class GpuEngine:
             and not self._pending
         )
 
+    def step_is_plain(self) -> bool:
+        """Will the next :meth:`step` surely run a batch and evict nothing?
+
+        True for a live, non-speculative engine with requests decoding and
+        a free KvCache page for each of them (``_reserve``'s no-eviction
+        case). The merge lane replays such a step in pop order, prefills
+        included; any other step stays a cut."""
+        decoding = len(self._working_order)
+        return (
+            self.alive
+            and self._spec is None
+            and decoding > 0
+            and self.backend.kv_headroom_pages() >= decoding
+        )
+
     def steady_trace_lane(self, first: int, last: int) -> tuple:
         """Steps ``first .. last - 1`` of the staged run as one
         :meth:`Tracer.decode_run` lane, read before the run's commit.

@@ -893,14 +893,23 @@ def _staggered_trace(n, *, spacing, response_lens):
     ))
 
 
-def _finish_run(trace, *, num_gpus, max_batch, traced, fast_path, sink):
+def _finish_run(
+    trace, *, num_gpus, max_batch, traced, fast_path, sink, kv_tokens=None
+):
     """One run of ``trace``; with ``sink`` each request's ``(token,
-    time)`` stream as the token sink delivered it."""
+    time)`` stream as the token sink delivered it. ``kv_tokens`` sizes
+    each engine's KvCache pool (default: the A100's)."""
+    kv_bytes = (
+        None if kv_tokens is None
+        else kv_tokens * LLAMA2_7B.kv_bytes_per_token()
+    )
     sim = ClusterSimulator(
         [
             GpuEngine(
                 f"gpu{i:02d}",
-                SimulatedBackend(LLAMA2_7B, fast_path=fast_path),
+                SimulatedBackend(
+                    LLAMA2_7B, kv_capacity_bytes=kv_bytes, fast_path=fast_path
+                ),
                 EngineConfig(max_batch_size=max_batch),
                 fast_path=fast_path,
             )
@@ -921,8 +930,9 @@ def _lane_counts(sim):
     lane = sim._vector
     engines = sim.scheduler.engines.values()
     return (
-        lane.merges, lane.merged_steps, lane.finishes, dict(lane.stops),
-        sim.inline_steps, [(e.fast_steps, e.slow_steps) for e in engines],
+        lane.merges, lane.merged_steps, lane.finishes, lane.scalar_steps,
+        dict(lane.stops), sim.inline_steps,
+        [(e.fast_steps, e.slow_steps) for e in engines],
     )
 
 
@@ -981,6 +991,64 @@ def test_finish_with_requests_waiting_keeps_the_cut():
     lane = sim._vector
     assert lane.merges > 0
     assert lane.stops["blocked_finish"] > 0
+
+
+def test_scalar_steps_replay_inside_merges(monkeypatch):
+    """Staggered arrivals land on one engine while the others decode: the
+    lane replays each such engine's mixed prefill step as one scalar
+    ``GpuEngine.step`` at its pop, instead of stopping there, and the run
+    stays byte-identical to the reference — with fewer merges than a lane
+    that leaves every scalar step as its horizon."""
+    trace = _staggered_trace(12, spacing=0.04, response_lens=(150, 90, 120))
+    kwargs = dict(num_gpus=3, max_batch=4)
+    sim = _assert_finish_runs_identical(trace, **kwargs)
+    lane = sim._vector
+    assert lane.scalar_steps > 0
+    assert sum(lane.stops.values()) == lane.merges
+    # The same run with every scalar step left as a cut.
+    monkeypatch.setattr(GpuEngine, "step_is_plain", lambda self: False)
+    cut_sim, _, _ = _finish_run(
+        trace, traced=False, fast_path=True, sink=False, **kwargs
+    )
+    cut = cut_sim._vector
+    assert cut.scalar_steps == 0 and cut.stops["scalar"] > 0
+    assert lane.merges < cut.merges
+
+
+def test_scalar_step_with_requests_waiting_keeps_the_cut():
+    """The batch-limited run of
+    ``test_finish_with_requests_waiting_keeps_the_cut``: while requests
+    wait, a scalar step's finish would drain the queue, so the lane
+    leaves every scalar step as its horizon (the ``scalar`` stop)."""
+    trace = _staggered_trace(
+        16, spacing=0.001, response_lens=(30, 12, 45, 21, 38)
+    )
+    sim = _assert_finish_runs_identical(trace, num_gpus=2, max_batch=2)
+    assert sim._vector.stops["scalar"] > 0
+
+
+def test_scalar_step_that_could_evict_keeps_the_cut(monkeypatch):
+    """A tight KvCache pool: an engine with a prefill pending whose
+    decodes have less than one free page each could evict on its next
+    step, so the lane leaves that step as its horizon (the ``scalar``
+    stop) and the step fires as a real event."""
+    refused = []
+    plain = GpuEngine.step_is_plain
+
+    def spy(self):
+        ok = plain(self)
+        if not ok and self._working_order:  # decoding, short of pages
+            refused.append(self.gpu_id)
+        return ok
+
+    monkeypatch.setattr(GpuEngine, "step_is_plain", spy)
+    trace = _staggered_trace(16, spacing=0.01, response_lens=(60, 90, 40, 75))
+    sim = _assert_finish_runs_identical(
+        trace, num_gpus=2, max_batch=8, kv_tokens=256
+    )
+    lane = sim._vector
+    assert lane.stops["scalar"] > 0 and refused
+    assert sum(lane.stops.values()) == lane.merges
 
 
 def test_engine_idled_by_a_merged_finish_schedules_nothing(monkeypatch):
