@@ -79,7 +79,8 @@ class EventLoop:
         An event pushed later with one of them (``schedule(seq=)``) sorts
         exactly where it would have had it been scheduled now: a source
         of many known future events can keep one of them queued at a
-        time without changing the pop order.
+        time without changing the pop order. ``reserve(0)`` just reads
+        the next seq.
         """
         first = self._seq
         self._seq = first + count

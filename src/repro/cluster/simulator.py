@@ -193,6 +193,11 @@ class ClusterSimulator:
         entries are dropped when their event fires."""
         self._vector = VectorDecodeLane(self)
         self._pending_arrivals = 0
+        self._next_arrival: "tuple[EventHandle, tuple, Iterator] | None" = None
+        """The streamed workload's one queued arrival: its event handle,
+        its ``(time, seq, request)`` item and the stream it came from. The
+        merge lane replays it and the arrivals after it straight from the
+        stream, and queues the first one it leaves."""
         self._recovering: list[tuple[float, list[Request]]] = []
         """(fault time, displaced requests) sets not yet fully re-admitted."""
         self.token_sink: "TokenSink | None" = None
@@ -288,22 +293,31 @@ class ClusterSimulator:
         the order the loop pops them in — and each arrival queues its
         successor before its body runs. Every arrival therefore keeps its
         ``(time, seq)`` key and pops exactly when it would have, while the
-        queue holds one pending arrival instead of the whole trace."""
+        queue holds one pending arrival instead of the whole trace. The
+        merge lane replays arrivals from the same stream under the same
+        keys (see :attr:`_next_arrival`)."""
         first = self.loop.reserve(len(workload))
         for req in workload:
             self._requests[req.request_id] = req
         self._pending_arrivals += len(workload)
-        stream = sorted(
+        stream = iter(sorted(
             (req.spec.arrival_time, first + i, req)
             for i, req in enumerate(workload)
-        )
-        self._queue_next_arrival(iter(stream))
+        ))
+        self._queue_arrival(next(stream, None), stream)
 
-    def _queue_next_arrival(self, stream: "Iterator[tuple]") -> None:
-        item = next(stream, None)
-        if item is not None:
-            time, seq, req = item
-            self.loop.schedule(time, self._make_arrival(req, stream), seq)
+    def _queue_arrival(
+        self, item: "tuple | None", stream: "Iterator[tuple]"
+    ) -> None:
+        """Queue the stream's ``(time, seq, request)`` ``item`` under its
+        reserved seq and remember it as :attr:`_next_arrival` (``None``
+        once the stream is spent)."""
+        if item is None:
+            self._next_arrival = None
+            return
+        time, seq, req = item
+        handle = self.loop.schedule(time, self._make_arrival(req, stream), seq)
+        self._next_arrival = (handle, item, stream)
 
     def work_remaining(self) -> bool:
         """Whether any request is still queued, running, or yet to arrive.
@@ -321,32 +335,39 @@ class ClusterSimulator:
     def _make_arrival(self, req: Request, stream: "Iterator[tuple] | None" = None):
         def arrival(now: float) -> None:
             if stream is not None:
-                self._queue_next_arrival(stream)
-            self._pending_arrivals -= 1
-            if req.state.is_terminal:
-                # Cancelled (or failed) before the simulated arrival: the
-                # stale event must not reach the scheduler — submitting a
-                # CANCELLED request used to crash mark_running and with it
-                # the whole event loop.
-                return
-            self.metrics.record_arrival(now)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    now, EventKind.SUBMIT, req.request_id,
-                    lora=req.lora_id, prompt=req.spec.prompt_len,
-                    response=req.spec.response_len, retries=req.num_retries,
-                )
-            if self.registry is not None and req.lora_id in self.registry:
-                self.registry.record_request(req.lora_id, now)
-            lost = self._placement_lost()
-            if lost is not None:
-                self._shed(req, now, lost)
-                return
-            gpu = self.scheduler.submit(req, now)
-            if gpu is not None:
-                self._kick(gpu, now)
+                self._queue_arrival(next(stream, None), stream)
+            self._arrive(req, now)
 
         return arrival
+
+    def _arrive(self, req: Request, now: float) -> None:
+        """One request's arrival: the scheduler's submit, the metrics and
+        trace records around it, and a kick for the GPU it lands on. Both
+        the arrival event and the merge lane's replay of a streamed
+        arrival call it."""
+        self._pending_arrivals -= 1
+        if req.state.is_terminal:
+            # Cancelled (or failed) before the simulated arrival: the
+            # stale event must not reach the scheduler — submitting a
+            # CANCELLED request used to crash mark_running and with it
+            # the whole event loop.
+            return
+        self.metrics.record_arrival(now)
+        if self.tracer is not None:
+            self.tracer.emit(
+                now, EventKind.SUBMIT, req.request_id,
+                lora=req.lora_id, prompt=req.spec.prompt_len,
+                response=req.spec.response_len, retries=req.num_retries,
+            )
+        if self.registry is not None and req.lora_id in self.registry:
+            self.registry.record_request(req.lora_id, now)
+        lost = self._placement_lost()
+        if lost is not None:
+            self._shed(req, now, lost)
+            return
+        gpu = self.scheduler.submit(req, now)
+        if gpu is not None:
+            self._kick(gpu, now)
 
     # ------------------------------------------------------------------
     # Cancellation (user disconnect — frontends call this)
@@ -481,11 +502,11 @@ class ClusterSimulator:
                 return
             # The merge lane commits whole steady decode runs in bulk —
             # this tick first, then every other steady engine's ticks in
-            # pop order, with other engines' plain scalar steps replayed
-            # between them — trace records included, as run blocks, so a
-            # tracer does not disarm it. Disaggregated and mid-recovery
-            # simulations keep the scalar lane: their bookkeeping
-            # observes individual steps.
+            # pop order, with plain scalar steps, streamed arrivals and
+            # queue drains replayed between them — trace records
+            # included, as run blocks, so a tracer does not disarm it.
+            # Disaggregated and mid-recovery simulations keep the scalar
+            # lane: their bookkeeping observes individual steps.
             if (
                 self.fast_path
                 and self.handoff is None

@@ -816,12 +816,14 @@ class GpuEngine:
         )
 
     def steady_trace_lane(self, first: int, last: int) -> tuple:
-        """Steps ``first .. last - 1`` of the staged run as one
-        :meth:`Tracer.decode_run` lane, read before the run's commit.
+        """Steps ``first .. last - 1`` of the staged run — counted from
+        its first step not yet committed — as one
+        :meth:`Tracer.decode_run` lane, read before those steps commit.
 
         The merge lane closes a run block wherever a committed finish
-        must emit its FINISH events, so one staged run may span several
-        blocks; each block takes the lane of its own steps."""
+        or a scheduler pass must emit its own events, so one staged run
+        may span several blocks; each block takes the lane of its own
+        steps."""
         ends = self._staged_run[0]
         past = self._steady.past
         working = self._working
@@ -838,9 +840,12 @@ class GpuEngine:
         Replays exactly what ``n`` :meth:`step` calls on the armed batch
         would do — KvCache appends (page ids included), token values,
         per-request countdowns, loader clock, total-KV counter — without
-        the per-step Python work. When step ``n`` is the run's finishing
-        step, its finished requests then leave as :meth:`step` lets them
-        go: in slot order, each through :meth:`_remove` and then
+        the per-step Python work. The rest of the run stays staged, from
+        the end of step ``n``, so a later commit continues it (the merge
+        lane commits a prefix wherever a scheduler pass must read this
+        engine). When step ``n`` is the run's finishing step, its
+        finished requests then leave as :meth:`step` lets them go: in
+        slot order, each through :meth:`_remove` and then
         ``mark_finished`` at the step's end, with their FINISH events,
         and the engine re-arms over whatever remains.
 
@@ -849,7 +854,7 @@ class GpuEngine:
         in pop order — closed before a finish's FINISH events.
         """
         ends, batch = self._staged_run
-        self._staged_run = None
+        self._staged_run = (ends[n:], batch)
         steady = self._steady
         working = self._working
         # Reference steps call loader.advance(step start) each step;
@@ -871,6 +876,7 @@ class GpuEngine:
         self.fast_steps += n
         if min(rem):
             return
+        self._staged_run = None
         end = float(ends[n])
         finished = [working[rid] for rid, left in zip(steady.past, rem) if not left]
         for slot in finished:

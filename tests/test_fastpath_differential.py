@@ -29,6 +29,7 @@ comparing the slow path to itself.
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 import weakref
 from functools import partial
@@ -40,11 +41,13 @@ from hypothesis import strategies as st
 
 from repro.baselines import framework
 from repro.baselines.framework import ALL_SYSTEMS
+from repro.cluster.control import ControlConfig, SloPolicy
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.frontend import Frontend
 from repro.cluster.scheduler import SchedulerConfig
 from repro.cluster.simulator import ClusterSimulator
-from repro.hw.spec import A100_40G
+from repro.cluster.vector import VectorDecodeLane
+from repro.hw.spec import A100_40G, HwSpec
 from repro.models.config import LLAMA2_7B
 from repro.obs.analysis import compute_breakdowns
 from repro.obs.scenarios import SCENARIOS, run_scenario
@@ -58,7 +61,9 @@ from repro.runtime.spec import SpecConfig
 from repro.workloads.arrivals import PoissonArrivals, RampProfile, constant_rate
 from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.scale import FIG13_1M, scale_trace
-from repro.workloads.trace import RequestSpec, Trace, generate_trace
+from repro.workloads.trace import (
+    RequestSpec, Trace, generate_trace, open_loop_trace,
+)
 
 
 def _request_states(requests):
@@ -90,6 +95,8 @@ def _assert_equivalent(fast, ref):
 
 def _assert_metrics_equal(fast, ref):
     assert fast.registry.to_json() == ref.registry.to_json()
+    assert fast.arrivals == ref.arrivals
+    assert fast.slo_admits == ref.slo_admits
     assert fast.tokens == ref.tokens
     assert fast.gpu_batch_size == ref.gpu_batch_size
     assert fast.gpu_step_spans == ref.gpu_step_spans
@@ -877,7 +884,7 @@ def test_interrupted_merge_windows_leave_no_stray_decode_steps():
 
 
 # ---------------------------------------------------------------------------
-# Finishes inside the merge lane: committed while nobody waits, cut otherwise
+# Finishes and scalar steps inside the merge lane
 # ---------------------------------------------------------------------------
 def _staggered_trace(n, *, spacing, response_lens):
     """``n`` requests ``spacing`` seconds apart whose response lengths
@@ -894,36 +901,57 @@ def _staggered_trace(n, *, spacing, response_lens):
 
 
 def _finish_run(
-    trace, *, num_gpus, max_batch, traced, fast_path, sink, kv_tokens=None
+    trace, *, max_batch, traced, fast_path, sink, num_gpus=None,
+    kv_tokens=None, presets=None, control=None, quantum=None,
 ):
     """One run of ``trace``; with ``sink`` each request's ``(token,
     time)`` stream as the token sink delivered it. ``kv_tokens`` sizes
-    each engine's KvCache pool (default: the A100's)."""
+    each engine's KvCache pool (default: the GPU's); ``presets`` names
+    one GPU preset per engine (default: ``num_gpus`` of the backend's
+    default GPU); ``control`` routes through the SLO router; ``quantum``
+    pumps the loop in ``run(until=)`` quanta, the way the serving bridge
+    drives it."""
     kv_bytes = (
         None if kv_tokens is None
         else kv_tokens * LLAMA2_7B.kv_bytes_per_token()
+    )
+    gpus = (
+        [{}] * num_gpus if presets is None
+        else [{"gpu": HwSpec.preset(p)} for p in presets]
     )
     sim = ClusterSimulator(
         [
             GpuEngine(
                 f"gpu{i:02d}",
                 SimulatedBackend(
-                    LLAMA2_7B, kv_capacity_bytes=kv_bytes, fast_path=fast_path
+                    LLAMA2_7B, kv_capacity_bytes=kv_bytes,
+                    fast_path=fast_path, **gpu,
                 ),
                 EngineConfig(max_batch_size=max_batch),
                 fast_path=fast_path,
             )
-            for i in range(num_gpus)
+            for i, gpu in enumerate(gpus)
         ],
         tracer=Tracer() if traced else None,
         fast_path=fast_path,
+        control=control,
     )
     streams: dict = {}
     if sink:
         sim.token_sink = lambda rid, tokens, times: streams.setdefault(
             rid, []
         ).extend(zip(tokens, times))
-    return sim, sim.run(trace), streams
+    if quantum is None:
+        return sim, sim.run(trace), streams
+    until = quantum
+    result = sim.run(trace, until=until)
+    while sim.loop.pending:
+        until += quantum
+        sim.loop.run(until=until)
+    result = dataclasses.replace(
+        result, duration=sim.loop.now, events_processed=sim.loop.processed
+    )
+    return sim, result, streams
 
 
 def _lane_counts(sim):
@@ -931,16 +959,17 @@ def _lane_counts(sim):
     engines = sim.scheduler.engines.values()
     return (
         lane.merges, lane.merged_steps, lane.finishes, lane.scalar_steps,
-        dict(lane.stops), sim.inline_steps,
+        lane.arrivals, lane.drains, dict(lane.stops), sim.inline_steps,
         [(e.fast_steps, e.slow_steps) for e in engines],
     )
 
 
 def _assert_finish_runs_identical(trace, **kwargs):
     """Fast traced, fast untraced and fast with a token sink against the
-    traced reference path: bytes, request state, metrics, event count and
-    streams equal, and the lane commits the same windows whether or not
-    a tracer watches. Returns the untraced fast simulator."""
+    traced reference path: bytes, request state, metrics, event count,
+    the loop's seq counter and streams equal, and the lane commits the
+    same windows whether or not a tracer watches. Returns the untraced
+    fast simulator."""
     ref_sim, ref, ref_streams = _finish_run(
         trace, traced=True, fast_path=False, sink=True, **kwargs
     )
@@ -957,6 +986,8 @@ def _assert_finish_runs_identical(trace, **kwargs):
         assert result.events_processed == ref.events_processed
         assert result.duration == ref.duration
         assert sim._step_handles == {} and sim.loop.pending == 0
+        # Every event took the seq the reference loop gave it.
+        assert sim.loop.reserve(0) == ref_sim.loop.reserve(0)
         if traced:
             assert sim.tracer.dumps_jsonl() == ref_sim.tracer.dumps_jsonl()
         if sink:
@@ -976,21 +1007,23 @@ def test_finishes_commit_inside_merges():
     sim = _assert_finish_runs_identical(trace, num_gpus=4, max_batch=8)
     lane = sim._vector
     assert lane.finishes > 0
-    assert lane.merges > 0 and lane.stops["blocked_finish"] == 0
+    assert lane.merges > 0
     assert sum(lane.stops.values()) == lane.merges
 
 
-def test_finish_with_requests_waiting_keeps_the_cut():
+def test_finish_with_requests_waiting_replays_the_drain():
     """A batch-limited run whose queue is non-empty at its finishes: a
-    finishing step drains the queue, so the lane stops one step short of
-    it and the scalar step admits the waiter, as before."""
+    finishing step's queue drain runs inside the replay as a scheduler
+    pass — every engine's popped prefix committed first — and admits the
+    waiter there, so no finish cuts the merge."""
     trace = _staggered_trace(
         16, spacing=0.001, response_lens=(30, 12, 45, 21, 38)
     )
     sim = _assert_finish_runs_identical(trace, num_gpus=2, max_batch=2)
     lane = sim._vector
     assert lane.merges > 0
-    assert lane.stops["blocked_finish"] > 0
+    assert lane.drains > 0 and lane.finishes > 0
+    assert "blocked_finish" not in lane.stops
 
 
 def test_scalar_steps_replay_inside_merges(monkeypatch):
@@ -1015,16 +1048,19 @@ def test_scalar_steps_replay_inside_merges(monkeypatch):
     assert lane.merges < cut.merges
 
 
-def test_scalar_step_with_requests_waiting_keeps_the_cut():
+def test_scalar_step_with_requests_waiting_replays_the_drain():
     """The batch-limited run of
-    ``test_finish_with_requests_waiting_keeps_the_cut``: while requests
-    wait, a scalar step's finish would drain the queue, so the lane
-    leaves every scalar step as its horizon (the ``scalar`` stop)."""
+    ``test_finish_with_requests_waiting_replays_the_drain``: while
+    requests wait, a replayed scalar step's finish drains the queue as a
+    scheduler pass inside the replay, so no scalar step is left as the
+    horizon (no ``scalar`` stop)."""
     trace = _staggered_trace(
         16, spacing=0.001, response_lens=(30, 12, 45, 21, 38)
     )
     sim = _assert_finish_runs_identical(trace, num_gpus=2, max_batch=2)
-    assert sim._vector.stops["scalar"] > 0
+    lane = sim._vector
+    assert lane.drains > 0 and lane.scalar_steps > 0
+    assert lane.stops["scalar"] == 0
 
 
 def test_scalar_step_that_could_evict_keeps_the_cut(monkeypatch):
@@ -1049,6 +1085,134 @@ def test_scalar_step_that_could_evict_keeps_the_cut(monkeypatch):
     lane = sim._vector
     assert lane.stops["scalar"] > 0 and refused
     assert sum(lane.stops.values()) == lane.merges
+
+
+# ---------------------------------------------------------------------------
+# Scheduler passes inside the merge lane: arrivals and queue drains
+# ---------------------------------------------------------------------------
+@pytest.fixture
+def replayed_arrivals(monkeypatch):
+    """Request ids whose arrival ran inside a merge's replay, in order,
+    over every run the test makes."""
+    ids = []
+    depth = []
+    merge = VectorDecodeLane.try_merge
+    arrive = ClusterSimulator._arrive
+
+    def merging(self, *args):
+        depth.append(None)
+        try:
+            return merge(self, *args)
+        finally:
+            depth.pop()
+
+    def arriving(self, req, now):
+        if depth:
+            ids.append(req.request_id)
+        arrive(self, req, now)
+
+    monkeypatch.setattr(VectorDecodeLane, "try_merge", merging)
+    monkeypatch.setattr(ClusterSimulator, "_arrive", arriving)
+    return ids
+
+
+def test_arrivals_replay_inside_merges(monkeypatch):
+    """Staggered arrivals while three engines decode: each streamed
+    arrival runs inside the replay as a scheduler pass — every engine's
+    popped prefix committed, then the ordinary submit — and the merge
+    goes on, byte-identical to the reference and with fewer merges than a
+    lane that leaves every arrival as its horizon."""
+    trace = _staggered_trace(12, spacing=0.04, response_lens=(150, 90, 120))
+    kwargs = dict(num_gpus=3, max_batch=4)
+    sim = _assert_finish_runs_identical(trace, **kwargs)
+    lane = sim._vector
+    assert lane.arrivals > 0
+    assert sum(lane.stops.values()) == lane.merges
+    # The same run with the queued arrival hidden from the lane: every
+    # arrival is then a foreign event, the horizon of the merge it meets.
+    monkeypatch.setattr(
+        ClusterSimulator, "_next_arrival",
+        property(lambda self: None, lambda self, value: None),
+        raising=False,
+    )
+    cut_sim, _, _ = _finish_run(
+        trace, traced=False, fast_path=True, sink=False, **kwargs
+    )
+    cut = cut_sim._vector
+    assert cut.arrivals == 0 and cut.stops["foreign"] > lane.stops["foreign"]
+    assert lane.merges < cut.merges
+
+
+def test_arrival_that_wakes_an_idle_engine_ends_the_replay(replayed_arrivals):
+    """Batch-2 engines: arrivals replayed inside merges land on idle
+    engines. The pass kicks each one, its step takes the next key the
+    reference loop hands out and stays a real event, and the replay stops
+    at its time (the ``kick`` stop)."""
+    trace = _staggered_trace(9, spacing=0.05, response_lens=(200, 60, 120))
+    sim = _assert_finish_runs_identical(trace, num_gpus=3, max_batch=2)
+    lane = sim._vector
+    assert lane.stops["kick"] > 0 and replayed_arrivals
+    assert sum(lane.stops.values()) == lane.merges
+
+
+def test_arrival_tied_with_a_tick_pops_first(replayed_arrivals):
+    """An arrival due exactly when a replayed decode tick starts: its
+    seq, reserved when the run streamed the workload, is below the
+    tick's, so the replay runs the arrival's pass first — as the
+    reference loop pops it."""
+    base = _staggered_trace(8, spacing=0.01, response_lens=(120, 90, 150))
+    kwargs = dict(num_gpus=2, max_batch=8)
+    _, ref, _ = _finish_run(
+        base, traced=False, fast_path=False, sink=False, **kwargs
+    )
+    starts = ref.metrics.tokens.times
+    tie = float(starts[len(starts) // 2])
+    late = RequestSpec(
+        request_id="req-tie", lora_id="lora-1", arrival_time=tie,
+        prompt_len=24, response_len=30,
+    )
+    trace = Trace(base.requests + (late,))
+    sim = _assert_finish_runs_identical(trace, **kwargs)
+    assert tie in sim.metrics.tokens.times.tolist()
+    assert "req-tie" in replayed_arrivals
+
+
+def test_pumped_run_replays_arrivals_inside_merges(replayed_arrivals):
+    """The loop pumped in 50 ms ``run(until=)`` quanta, the way the
+    serving bridge drives it: arrivals replay inside merges, each
+    quantum's ``until`` stops the replay, and the stream's next arrival
+    is queued again under its reserved seq — the run equal to the
+    reference pumped the same way."""
+    trace = _staggered_trace(12, spacing=0.04, response_lens=(150, 90, 120))
+    sim = _assert_finish_runs_identical(
+        trace, num_gpus=3, max_batch=4, quantum=0.05
+    )
+    lane = sim._vector
+    assert lane.arrivals > 0 and replayed_arrivals
+    assert lane.stops["until"] > 0
+
+
+def test_slo_router_passes_replay_inside_merges():
+    """The ``sim_slo`` fleet — an H100, an A100-80G and four L4s behind
+    the SLO router — at an overloaded 96 req/s: arrivals and queue
+    drains run the router inside merges, its quotes reading every
+    engine's committed state, and the traced bytes, the admit series and
+    the shed count equal the reference's."""
+    trace = open_loop_trace(
+        rate=96.0, duration=2.0, seed=0,
+        lengths=ShareGptLengths(max_prompt_len=768, max_response_len=24),
+    )
+    control = ControlConfig(
+        default_policy=SloPolicy(ttft_deadline=0.3, itl_deadline=0.12)
+    )
+    sim = _assert_finish_runs_identical(
+        trace, presets=("h100", "a100-80g", "l4", "l4", "l4", "l4"),
+        max_batch=8, control=control,
+    )
+    lane = sim._vector
+    assert lane.arrivals > 0 and lane.drains > 0
+    assert len(sim.metrics.slo_admits) > 0
+    assert sim.metrics.slo_shed_count() > 0
 
 
 def test_engine_idled_by_a_merged_finish_schedules_nothing(monkeypatch):
