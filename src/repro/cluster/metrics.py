@@ -291,37 +291,32 @@ class ClusterMetrics:
         tokens_per_step: np.ndarray,
         per_gpu,
     ) -> None:
-        """Bulk :meth:`record_step` for a merge: one engine's or several
-        engines' interleaved decode runs, and the scalar steps replayed
-        between them.
+        """Bulk :meth:`record_step` for the decode lane's log: engines'
+        interleaved decode ticks and the scalar steps between them.
 
         ``times``/``tokens_per_step`` are the pop-ordered (non-decreasing)
-        step samples across *all* merged engines — exactly the sequence of
+        step samples across *all* logged engines — exactly the sequence of
         ``record_step`` calls the per-event path would have made against
         the global token series. ``per_gpu`` is an iterable of
-        ``(gpu_id, bounds, batch_size)`` triples carrying each engine's
-        own (already ascending) step bounds for its per-GPU series and
-        registry counters; every step generates one token per batch
-        row. Token and step counts are small integers, so one
-        float add of the product equals the per-step adds exactly, and
-        the gauge keeps the last value.
+        ``(gpu_id, bounds, batch_size, tokens)`` tuples, each GPU's in
+        step order, carrying a stretch of one engine's steps: its own
+        (already ascending) step bounds for its per-GPU series and the
+        stretch's token total for the registry counters. Token and step
+        counts are small integers, so one float add of a total equals the
+        per-step adds exactly, and the gauge keeps the last value.
         """
-        if len(times) == 0:
-            return
         self.tokens.extend(times, tokens_per_step)
-        for gpu_id, bounds, batch_size in per_gpu:
+        for gpu_id, bounds, batch_size, tokens in per_gpu:
             # ``bounds`` chains the engine's steps: bounds[k] starts step
             # k and bounds[k + 1] ends it.
             n = len(bounds) - 1
-            if n < 1:
-                continue
             fbatch = float(batch_size)
             series = self.gpu_batch_size.get(gpu_id)
             if series is None:
                 series = self._gpu_series(gpu_id)
             if n == 1:
-                # One step — a scalar step the merge replayed, as a rule:
-                # two scalar appends beat four one-element arrays.
+                # One step — a scalar step, as a rule: two scalar appends
+                # beat four one-element arrays.
                 series.record(bounds[0], fbatch)
                 self.gpu_step_spans[gpu_id].record(bounds[0], bounds[1])
             else:
@@ -329,7 +324,7 @@ class ClusterMetrics:
                 series.extend(starts, np.full(n, fbatch))
                 self.gpu_step_spans[gpu_id].extend(starts, bounds[1:])
             key = (gpu_id,)
-            self._tokens_counter.inc_key((), fbatch * n)
+            self._tokens_counter.inc_key((), tokens)
             self._steps_counter.inc_key(key, float(n))
             self._batch_gauge.set_key(key, fbatch)
 

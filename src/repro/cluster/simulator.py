@@ -34,7 +34,7 @@ from repro.cluster.control.simulator import score_requests
 from repro.cluster.disagg.config import DisaggConfig
 from repro.cluster.disagg.handoff import KvHandoff
 from repro.cluster.elastic import ElasticPool, GpuLease
-from repro.cluster.events import EventHandle, EventLoop
+from repro.cluster.events import EventLoop
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.scheduler import PunicaScheduler, SchedulerConfig
@@ -153,7 +153,8 @@ class ClusterSimulator:
         if handoff is not None and scheduler_config is None:
             scheduler_config = SchedulerConfig(consolidation=False)
         self.fast_path = fastpath_enabled(fast_path)
-        self.loop = EventLoop()
+        self._vector = VectorDecodeLane(self)
+        self.loop = EventLoop(self._vector.settle if self.fast_path else None)
         self.metrics = ClusterMetrics()
         self.control = control
         if control is None:
@@ -187,17 +188,7 @@ class ClusterSimulator:
         self._step_actions: dict[str, "object"] = {}
         """One reusable step closure per GPU — scheduling thousands of
         decode continuations must not allocate a fresh closure each."""
-        self._step_handles: dict[str, EventHandle] = {}
-        """The pending step event per busy GPU. The cross-engine merge
-        lane consumes these to replay interleaved steps inline;
-        entries are dropped when their event fires."""
-        self._vector = VectorDecodeLane(self)
         self._pending_arrivals = 0
-        self._next_arrival: "tuple[EventHandle, tuple, Iterator] | None" = None
-        """The streamed workload's one queued arrival: its event handle,
-        its ``(time, seq, request)`` item and the stream it came from. The
-        merge lane replays it and the arrivals after it straight from the
-        stream, and queues the first one it leaves."""
         self._recovering: list[tuple[float, list[Request]]] = []
         """(fault time, displaced requests) sets not yet fully re-admitted."""
         self.token_sink: "TokenSink | None" = None
@@ -213,7 +204,7 @@ class ClusterSimulator:
 
     @property
     def inline_steps(self) -> int:
-        """Steps the merge lane committed instead of ``engine.step``
+        """Steps the decode lane committed instead of ``engine.step``
         (diagnostic only — kept out of the metrics registry so
         differential runs compare equal)."""
         return self._vector.merged_steps
@@ -293,9 +284,7 @@ class ClusterSimulator:
         the order the loop pops them in — and each arrival queues its
         successor before its body runs. Every arrival therefore keeps its
         ``(time, seq)`` key and pops exactly when it would have, while the
-        queue holds one pending arrival instead of the whole trace. The
-        merge lane replays arrivals from the same stream under the same
-        keys (see :attr:`_next_arrival`)."""
+        queue holds one pending arrival instead of the whole trace."""
         first = self.loop.reserve(len(workload))
         for req in workload:
             self._requests[req.request_id] = req
@@ -310,14 +299,11 @@ class ClusterSimulator:
         self, item: "tuple | None", stream: "Iterator[tuple]"
     ) -> None:
         """Queue the stream's ``(time, seq, request)`` ``item`` under its
-        reserved seq and remember it as :attr:`_next_arrival` (``None``
-        once the stream is spent)."""
+        reserved seq (nothing once the stream is spent)."""
         if item is None:
-            self._next_arrival = None
             return
         time, seq, req = item
-        handle = self.loop.schedule(time, self._make_arrival(req, stream), seq)
-        self._next_arrival = (handle, item, stream)
+        self.loop.schedule(time, self._make_arrival(req, stream), seq)
 
     def work_remaining(self) -> bool:
         """Whether any request is still queued, running, or yet to arrive.
@@ -342,9 +328,7 @@ class ClusterSimulator:
 
     def _arrive(self, req: Request, now: float) -> None:
         """One request's arrival: the scheduler's submit, the metrics and
-        trace records around it, and a kick for the GPU it lands on. Both
-        the arrival event and the merge lane's replay of a streamed
-        arrival call it."""
+        trace records around it, and a kick for the GPU it lands on."""
         self._pending_arrivals -= 1
         if req.state.is_terminal:
             # Cancelled (or failed) before the simulated arrival: the
@@ -423,12 +407,11 @@ class ClusterSimulator:
 
     def drop_engine(self, engine, now: float) -> None:
         """Forget an engine the scheduler already let go (idle release or
-        crash): its busy flag, step closure and pending-step handle, its
-        prefetch target and its lease."""
+        crash): its busy flag and step closure, its prefetch target and
+        its lease."""
         gpu_id = engine.gpu_id
         self._gpu_busy.pop(gpu_id, None)
         self._step_actions.pop(gpu_id, None)
-        self._step_handles.pop(gpu_id, None)
         self._departed.append(engine)
         if self.pool is not None:
             self.pool.close_lease(gpu_id, now)
@@ -480,9 +463,7 @@ class ClusterSimulator:
         if engine.is_idle:
             return
         self._gpu_busy[gpu_id] = True
-        self._step_handles[gpu_id] = self.loop.schedule(
-            now, self._step_action(gpu_id)
-        )
+        self.loop.schedule_step(now, self._step_action(gpu_id))
 
     def _step_action(self, gpu_id: str):
         """The cached step closure for one GPU (see ``_step_actions``)."""
@@ -493,28 +474,18 @@ class ClusterSimulator:
 
     def _make_step(self, gpu_id: str):
         def step(now: float) -> None:
-            self._step_handles.pop(gpu_id, None)
             engine = self.scheduler.engines.get(gpu_id)
             if engine is None or not getattr(engine, "alive", True):
                 # The GPU crashed (or was released) after this step event
                 # was armed; its requests were already re-placed.
                 self._gpu_busy.pop(gpu_id, None)
                 return
-            # The merge lane commits whole steady decode runs in bulk —
-            # this tick first, then every other steady engine's ticks in
-            # pop order, with plain scalar steps, streamed arrivals and
-            # queue drains replayed between them — trace records
-            # included, as run blocks, so a tracer does not disarm it.
-            # Disaggregated and mid-recovery simulations keep the scalar
-            # lane: their bookkeeping observes individual steps.
-            if (
-                self.fast_path
-                and self.handoff is None
-                and not self._recovering
-                and engine.fast_path
-                and engine.steady_ready()
-                and self._vector.try_merge(gpu_id, engine, now)
-            ):
+            # On the fast path the decode lane takes the pop when it can:
+            # a tick of the engine's staged run, or the first tick of a
+            # run staged from now. Disaggregated and mid-recovery
+            # simulations keep the scalar step: their bookkeeping
+            # observes individual steps.
+            if self.fast_path and self._vector.try_merge(gpu_id, engine, now):
                 return
             report = engine.step(now)
             if report is None:
@@ -523,19 +494,14 @@ class ClusterSimulator:
                 wake = engine.next_ready_time()
                 if wake is not None and not engine.is_idle:
                     self._gpu_busy[gpu_id] = True
-                    self._step_handles[gpu_id] = self.loop.schedule(
+                    self.loop.schedule_step(
                         max(wake, now), self._step_action(gpu_id)
                     )
                 return
 
-            self.metrics.record_step(
-                gpu_id, report.start, report.end, report.tokens_generated,
-                report.batch_size,
-            )
+            self._vector.record_step(gpu_id, report)
             if self._after_step(gpu_id, engine, report):
-                self._step_handles[gpu_id] = self.loop.schedule(
-                    report.end, self._step_action(gpu_id)
-                )
+                self.loop.schedule_step(report.end, self._step_action(gpu_id))
 
         return step
 
@@ -543,11 +509,14 @@ class ClusterSimulator:
         """Everything one scalar step sets off past its metrics sample:
         evicted requests re-placed, the queue drained after a finish or an
         eviction, the handoff, the token sink, fault recoveries and the
-        GPU's busy flag. Both the step event and the merge lane's replay
-        of a scalar step call it. Returns whether the engine is still busy
-        — keying its successor step is the caller's."""
+        GPU's busy flag. Returns whether the engine is still busy —
+        scheduling its successor step is the caller's."""
         end = report.end
         if report.finished or report.evicted:
+            if report.evicted or self.scheduler.queue_depth:
+                # Placement reads the fleet: apply every staged run's
+                # popped steps first.
+                self._vector.settle(False)
             for rid in report.evicted:
                 req = self._requests[rid]
                 lost = self._placement_lost()

@@ -207,9 +207,11 @@ class GpuEngine:
         """The armed-batch lane's counters under the name its ``hits`` /
         ``misses`` are read by; ``None`` on the reference path, where that
         lane is off and every step plans."""
-        self._staged_run: "tuple[np.ndarray, int] | None" = None
-        """(step-end times, batch size) priced by :meth:`steady_run_stage`
-        and awaiting :meth:`commit_steady_run` within the same event."""
+        self._staged_run: "tuple[np.ndarray, int, object, float] | None" = None
+        """(step-end times, batch size, armed plan, slowdown) priced by
+        :meth:`steady_run_stage`; :meth:`commit_steady_run` applies it a
+        prefix at a time, and :meth:`steady_run_valid` says whether it
+        still prices the engine's next steps."""
         self._steady_lats: "tuple[object, int, float, np.ndarray] | None" = None
         """(plan, base KV total, slowdown, step-end array) staging cache. Step
         ``k`` of a run from total ``T`` prices with ``T + k * batch`` and
@@ -505,6 +507,7 @@ class GpuEngine:
         """
         if not self.alive:
             return None
+        self._staged_run = None  # whatever was staged no longer prices
         self.loader.advance(now)
         if self._num_importing:
             self._promote_imports(now)
@@ -751,13 +754,13 @@ class GpuEngine:
                 ends_full = cached[3]
                 if off + count < len(ends_full) and ends_full[off] == start:
                     ends = ends_full[off:off + count + 1]
-                    self._staged_run = (ends, batch)
+                    self._staged_run = (ends, batch, plan, slowdown)
                     return ends, batch, finishes
         # Build to the finish cap, not the (tighter) headroom cap: the
         # headroom bound shrinks slower than the commit offset advances
         # (a decode append only consumes a page at page boundaries), so a
         # headroom-sized array would fall short of later slices and force
-        # a rebuild per merge. Pricing past headroom is harmless — the
+        # a rebuild per staging. Pricing past headroom is harmless — the
         # *returned* slice below stays capped at ``count``.
         steps = min(rem_cap, self._MAX_RUN)
         pricer = backend.pricer
@@ -784,15 +787,15 @@ class GpuEngine:
             ends_full = np.cumsum(np.concatenate(((start,), lats)))
         self._steady_lats = (plan, total, slowdown, ends_full)
         ends = ends_full[:count + 1]
-        self._staged_run = (ends, batch)
+        self._staged_run = (ends, batch, plan, slowdown)
         return ends, batch, finishes
 
     def steady_ready(self) -> bool:
         """Cheap pre-gate: is the next step a pure steady decode tick?
 
-        The merge lane calls this before paying for
-        :meth:`steady_run_stage`'s array pricing; engines that fail it
-        keep their queued step event, which then bounds the merge horizon.
+        The decode lane calls this before paying for
+        :meth:`steady_run_stage`'s array pricing; an engine that fails it
+        takes a scalar :meth:`step` instead.
         """
         return (
             self._steady.rem is not None
@@ -800,19 +803,21 @@ class GpuEngine:
             and not self._pending
         )
 
-    def step_is_plain(self) -> bool:
-        """Will the next :meth:`step` surely run a batch and evict nothing?
+    def steady_run_valid(self) -> bool:
+        """Does the staged run still price this engine's next steps?
 
-        True for a live, non-speculative engine with requests decoding and
-        a free KvCache page for each of them (``_reserve``'s no-eviction
-        case). The merge lane replays such a step in pop order, prefills
-        included; any other step stays a cut."""
-        decoding = len(self._working_order)
+        True while the armed plan, the empty pending set, liveness and
+        the slowdown are the ones the run was staged under. Every change
+        from outside — an admit, a cancel, a migration, a crash, a
+        slowdown or its restore — breaks one of them, so a stale run is
+        never ticked on."""
+        staged = self._staged_run
         return (
-            self.alive
-            and self._spec is None
-            and decoding > 0
-            and self.backend.kv_headroom_pages() >= decoding
+            staged is not None
+            and staged[2] is self._steady.plan
+            and not self._pending
+            and self.alive
+            and staged[3] == self.slowdown_factor
         )
 
     def steady_trace_lane(self, first: int, last: int) -> tuple:
@@ -820,10 +825,9 @@ class GpuEngine:
         its first step not yet committed — as one
         :meth:`Tracer.decode_run` lane, read before those steps commit.
 
-        The merge lane closes a run block wherever a committed finish
-        or a scheduler pass must emit its own events, so one staged run
-        may span several blocks; each block takes the lane of its own
-        steps."""
+        The decode lane closes a run block wherever another event must
+        emit its own records, so one staged run may span several blocks;
+        each block takes the lane of its own steps."""
         ends = self._staged_run[0]
         past = self._steady.past
         working = self._working
@@ -841,20 +845,20 @@ class GpuEngine:
         would do — KvCache appends (page ids included), token values,
         per-request countdowns, loader clock, total-KV counter — without
         the per-step Python work. The rest of the run stays staged, from
-        the end of step ``n``, so a later commit continues it (the merge
-        lane commits a prefix wherever a scheduler pass must read this
+        the end of step ``n``, so a later commit continues it (the decode
+        lane commits a prefix wherever another event may read this
         engine). When step ``n`` is the run's finishing step, its
         finished requests then leave as :meth:`step` lets them go: in
         slot order, each through :meth:`_remove` and then
         ``mark_finished`` at the step's end, with their FINISH events,
         and the engine re-arms over whatever remains.
 
-        The run's ``DECODE_STEP`` events are not recorded here: the merge
+        The run's ``DECODE_STEP`` events are not recorded here: the decode
         lane records them, from :meth:`steady_trace_lane`, in run blocks
         in pop order — closed before a finish's FINISH events.
         """
-        ends, batch = self._staged_run
-        self._staged_run = (ends[n:], batch)
+        ends, batch, plan, slowdown = self._staged_run
+        self._staged_run = (ends[n:], batch, plan, slowdown)
         steady = self._steady
         working = self._working
         # Reference steps call loader.advance(step start) each step;

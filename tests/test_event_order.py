@@ -244,15 +244,18 @@ def test_fig13_1m_queue_holds_about_one_event_per_engine():
     )
     loop = sim.loop
     peak = 0
-    schedule = loop.schedule
 
-    def watched(*args):
-        nonlocal peak
-        handle = schedule(*args)
-        peak = max(peak, loop.pending)
-        return handle
+    def watch(schedule):
+        def watched(*args):
+            nonlocal peak
+            handle = schedule(*args)
+            peak = max(peak, loop.pending)
+            return handle
 
-    loop.schedule = watched
+        return watched
+
+    loop.schedule = watch(loop.schedule)
+    loop.schedule_step = watch(loop.schedule_step)
     result = sim.run(trace)
     assert result.finished_requests + result.failed_requests == len(trace)
     assert 0 < peak <= FIG13_1M.num_gpus + 4

@@ -884,7 +884,7 @@ def test_interrupted_merge_windows_leave_no_stray_decode_steps():
 
 
 # ---------------------------------------------------------------------------
-# Finishes and scalar steps inside the merge lane
+# Staged runs between other events: finishes, scalar steps, arrivals, drains
 # ---------------------------------------------------------------------------
 def _staggered_trace(n, *, spacing, response_lens):
     """``n`` requests ``spacing`` seconds apart whose response lengths
@@ -958,8 +958,7 @@ def _lane_counts(sim):
     lane = sim._vector
     engines = sim.scheduler.engines.values()
     return (
-        lane.merges, lane.merged_steps, lane.finishes, lane.scalar_steps,
-        lane.arrivals, lane.drains, dict(lane.stops), sim.inline_steps,
+        lane.merges, lane.merged_steps, lane.finishes, sim.inline_steps,
         [(e.fast_steps, e.slow_steps) for e in engines],
     )
 
@@ -985,7 +984,7 @@ def _assert_finish_runs_identical(trace, **kwargs):
         _assert_metrics_equal(result.metrics, ref.metrics)
         assert result.events_processed == ref.events_processed
         assert result.duration == ref.duration
-        assert sim._step_handles == {} and sim.loop.pending == 0
+        assert sim.loop.pending == 0
         # Every event took the seq the reference loop gave it.
         assert sim.loop.reserve(0) == ref_sim.loop.reserve(0)
         if traced:
@@ -996,11 +995,102 @@ def _assert_finish_runs_identical(trace, **kwargs):
     return runs[(False, False)][0]
 
 
+def _open_runs(sim, but=None):
+    """``[(run, steps popped)]`` for every staged run (other than GPU
+    ``but``'s) that still has steps for the loop to pop."""
+    return [
+        (run, run.popped) for run in sim._vector._runs.values()
+        if run.popped < run.steps and run.gpu_id != but
+    ]
+
+
+def _went_on(seen):
+    """Whether some run open at a recorded event popped steps after it:
+    it ticked on past the event instead of being restaged."""
+    return any(run.popped > popped for _, runs in seen for run, popped in runs)
+
+
+@pytest.fixture
+def arrivals_between_ticks(monkeypatch):
+    """``(request id, open runs)`` for every arrival that ran while some
+    engine's staged run had steps left, over every run the test makes
+    (see :func:`_open_runs`)."""
+    seen = []
+    arrive = ClusterSimulator._arrive
+
+    def arriving(self, req, now):
+        runs = _open_runs(self)
+        if runs:
+            seen.append((req.request_id, runs))
+        arrive(self, req, now)
+
+    monkeypatch.setattr(ClusterSimulator, "_arrive", arriving)
+    return seen
+
+
+@pytest.fixture
+def scalar_steps_between_ticks(monkeypatch):
+    """``(gpu id, open runs)`` for every scalar step that ran while
+    another engine's staged run had steps left."""
+    seen = []
+    after = ClusterSimulator._after_step
+
+    def after_step(self, gpu_id, engine, report):
+        runs = _open_runs(self, but=gpu_id)
+        if runs:
+            seen.append((gpu_id, runs))
+        return after(self, gpu_id, engine, report)
+
+    monkeypatch.setattr(ClusterSimulator, "_after_step", after_step)
+    return seen
+
+
+@pytest.fixture
+def drains_with_waiters(monkeypatch):
+    """``(source, settled)`` for every queue drain that ran with requests
+    waiting: ``"tick"`` inside the lane's step action (a run's finishing
+    step), ``"scalar"`` after a scalar step, ``None`` elsewhere; and
+    whether every popped tick was applied first, as placement needs."""
+    drains = []
+    source = []
+
+    def within(name, method):
+        def wrapped(*args):
+            source.append(name)
+            try:
+                return method(*args)
+            finally:
+                source.pop()
+
+        return wrapped
+
+    monkeypatch.setattr(
+        VectorDecodeLane, "try_merge", within("tick", VectorDecodeLane.try_merge)
+    )
+    monkeypatch.setattr(
+        ClusterSimulator, "_after_step",
+        within("scalar", ClusterSimulator._after_step),
+    )
+    drain = ClusterSimulator._drain_queue
+
+    def draining(self, now):
+        if self.scheduler.queue_depth:
+            settled = all(
+                run.popped == run.done for run in self._vector._runs.values()
+            )
+            drains.append((source[-1] if source else None, settled))
+        drain(self, now)
+
+    monkeypatch.setattr(ClusterSimulator, "_drain_queue", draining)
+    return drains
+
+
 def test_finishes_commit_inside_merges():
     """Four engines decode staggered response lengths with nobody waiting:
-    the lane replays through each finishing step — its FINISH events
+    each run's finishing step commits at its pop — its FINISH events
     between two run blocks, its requests released, the engine re-armed
-    and restaged — and the run stays byte-identical to the reference."""
+    and restaged at its next pop — and the run stays byte-identical to
+    the reference."""
     trace = _staggered_trace(
         30, spacing=0.004, response_lens=(23, 57, 9, 88, 41, 70, 15, 33)
     )
@@ -1008,158 +1098,111 @@ def test_finishes_commit_inside_merges():
     lane = sim._vector
     assert lane.finishes > 0
     assert lane.merges > 0
-    assert sum(lane.stops.values()) == lane.merges
 
 
-def test_finish_with_requests_waiting_replays_the_drain():
+def test_finish_with_requests_waiting_replays_the_drain(drains_with_waiters):
     """A batch-limited run whose queue is non-empty at its finishes: a
-    finishing step's queue drain runs inside the replay as a scheduler
-    pass — every engine's popped prefix committed first — and admits the
-    waiter there, so no finish cuts the merge."""
+    run's finishing step settles every engine — each one's popped ticks
+    applied — and drains the queue at its pop, admitting the waiter
+    there."""
     trace = _staggered_trace(
         16, spacing=0.001, response_lens=(30, 12, 45, 21, 38)
     )
     sim = _assert_finish_runs_identical(trace, num_gpus=2, max_batch=2)
-    lane = sim._vector
-    assert lane.merges > 0
-    assert lane.drains > 0 and lane.finishes > 0
-    assert "blocked_finish" not in lane.stops
+    assert sim._vector.finishes > 0
+    assert ("tick", True) in drains_with_waiters
+    assert all(settled for _, settled in drains_with_waiters)
 
 
-def test_scalar_steps_replay_inside_merges(monkeypatch):
-    """Staggered arrivals land on one engine while the others decode: the
-    lane replays each such engine's mixed prefill step as one scalar
-    ``GpuEngine.step`` at its pop, instead of stopping there, and the run
-    stays byte-identical to the reference — with fewer merges than a lane
-    that leaves every scalar step as its horizon."""
+def test_scalar_steps_run_between_ticks(scalar_steps_between_ticks):
+    """Staggered arrivals land on one engine while the others decode: its
+    mixed prefill step is one scalar ``GpuEngine.step`` at its pop, an
+    ordinary event between the other engines' ticks, and their staged
+    runs tick on past it — byte-identical to the reference."""
     trace = _staggered_trace(12, spacing=0.04, response_lens=(150, 90, 120))
-    kwargs = dict(num_gpus=3, max_batch=4)
-    sim = _assert_finish_runs_identical(trace, **kwargs)
-    lane = sim._vector
-    assert lane.scalar_steps > 0
-    assert sum(lane.stops.values()) == lane.merges
-    # The same run with every scalar step left as a cut.
-    monkeypatch.setattr(GpuEngine, "step_is_plain", lambda self: False)
-    cut_sim, _, _ = _finish_run(
-        trace, traced=False, fast_path=True, sink=False, **kwargs
-    )
-    cut = cut_sim._vector
-    assert cut.scalar_steps == 0 and cut.stops["scalar"] > 0
-    assert lane.merges < cut.merges
+    _assert_finish_runs_identical(trace, num_gpus=3, max_batch=4)
+    assert _went_on(scalar_steps_between_ticks)
 
 
-def test_scalar_step_with_requests_waiting_replays_the_drain():
+def test_scalar_step_with_requests_waiting_replays_the_drain(
+    drains_with_waiters,
+):
     """The batch-limited run of
     ``test_finish_with_requests_waiting_replays_the_drain``: while
-    requests wait, a replayed scalar step's finish drains the queue as a
-    scheduler pass inside the replay, so no scalar step is left as the
-    horizon (no ``scalar`` stop)."""
+    requests wait, a scalar step's finish settles every engine before its
+    queue drain places anyone."""
     trace = _staggered_trace(
         16, spacing=0.001, response_lens=(30, 12, 45, 21, 38)
     )
-    sim = _assert_finish_runs_identical(trace, num_gpus=2, max_batch=2)
-    lane = sim._vector
-    assert lane.drains > 0 and lane.scalar_steps > 0
-    assert lane.stops["scalar"] == 0
+    _assert_finish_runs_identical(trace, num_gpus=2, max_batch=2)
+    assert ("scalar", True) in drains_with_waiters
+    assert all(settled for _, settled in drains_with_waiters)
 
 
-def test_scalar_step_that_could_evict_keeps_the_cut(monkeypatch):
-    """A tight KvCache pool: an engine with a prefill pending whose
-    decodes have less than one free page each could evict on its next
-    step, so the lane leaves that step as its horizon (the ``scalar``
-    stop) and the step fires as a real event."""
-    refused = []
-    plain = GpuEngine.step_is_plain
+def test_eviction_settles_the_fleet_before_replacing(monkeypatch):
+    """A tight KvCache pool: a scalar step evicts while another engine's
+    staged run has ticks popped but not applied. The step settles every
+    engine before the evicted requests are placed again, so the router
+    reads the reference state and the run stays byte-identical."""
+    evictions = []
+    after = ClusterSimulator._after_step
 
-    def spy(self):
-        ok = plain(self)
-        if not ok and self._working_order:  # decoding, short of pages
-            refused.append(self.gpu_id)
-        return ok
+    def after_step(self, gpu_id, engine, report):
+        if report.evicted:
+            evictions.append(any(
+                run.popped > run.done for run in self._vector._runs.values()
+            ))
+        busy = after(self, gpu_id, engine, report)
+        if report.evicted:
+            assert all(
+                run.popped == run.done for run in self._vector._runs.values()
+            )
+        return busy
 
-    monkeypatch.setattr(GpuEngine, "step_is_plain", spy)
+    monkeypatch.setattr(ClusterSimulator, "_after_step", after_step)
     trace = _staggered_trace(16, spacing=0.01, response_lens=(60, 90, 40, 75))
-    sim = _assert_finish_runs_identical(
+    _assert_finish_runs_identical(
         trace, num_gpus=2, max_batch=8, kv_tokens=256
     )
-    lane = sim._vector
-    assert lane.stops["scalar"] > 0 and refused
-    assert sum(lane.stops.values()) == lane.merges
+    assert any(evictions)
 
 
-# ---------------------------------------------------------------------------
-# Scheduler passes inside the merge lane: arrivals and queue drains
-# ---------------------------------------------------------------------------
-@pytest.fixture
-def replayed_arrivals(monkeypatch):
-    """Request ids whose arrival ran inside a merge's replay, in order,
-    over every run the test makes."""
-    ids = []
-    depth = []
-    merge = VectorDecodeLane.try_merge
-    arrive = ClusterSimulator._arrive
-
-    def merging(self, *args):
-        depth.append(None)
-        try:
-            return merge(self, *args)
-        finally:
-            depth.pop()
-
-    def arriving(self, req, now):
-        if depth:
-            ids.append(req.request_id)
-        arrive(self, req, now)
-
-    monkeypatch.setattr(VectorDecodeLane, "try_merge", merging)
-    monkeypatch.setattr(ClusterSimulator, "_arrive", arriving)
-    return ids
-
-
-def test_arrivals_replay_inside_merges(monkeypatch):
-    """Staggered arrivals while three engines decode: each streamed
-    arrival runs inside the replay as a scheduler pass — every engine's
-    popped prefix committed, then the ordinary submit — and the merge
-    goes on, byte-identical to the reference and with fewer merges than a
-    lane that leaves every arrival as its horizon."""
+def test_arrivals_replay_inside_merges(arrivals_between_ticks):
+    """Staggered arrivals while three engines decode: each arrival is an
+    ordinary event between ticks — the engines' popped ticks applied
+    first, then the ordinary submit — and a staged run the arrival did
+    not land on ticks on past it, byte-identical to the reference."""
     trace = _staggered_trace(12, spacing=0.04, response_lens=(150, 90, 120))
-    kwargs = dict(num_gpus=3, max_batch=4)
-    sim = _assert_finish_runs_identical(trace, **kwargs)
-    lane = sim._vector
-    assert lane.arrivals > 0
-    assert sum(lane.stops.values()) == lane.merges
-    # The same run with the queued arrival hidden from the lane: every
-    # arrival is then a foreign event, the horizon of the merge it meets.
-    monkeypatch.setattr(
-        ClusterSimulator, "_next_arrival",
-        property(lambda self: None, lambda self, value: None),
-        raising=False,
-    )
-    cut_sim, _, _ = _finish_run(
-        trace, traced=False, fast_path=True, sink=False, **kwargs
-    )
-    cut = cut_sim._vector
-    assert cut.arrivals == 0 and cut.stops["foreign"] > lane.stops["foreign"]
-    assert lane.merges < cut.merges
+    _assert_finish_runs_identical(trace, num_gpus=3, max_batch=4)
+    assert arrivals_between_ticks
+    assert _went_on(arrivals_between_ticks)
 
 
-def test_arrival_that_wakes_an_idle_engine_ends_the_replay(replayed_arrivals):
-    """Batch-2 engines: arrivals replayed inside merges land on idle
-    engines. The pass kicks each one, its step takes the next key the
-    reference loop hands out and stays a real event, and the replay stops
-    at its time (the ``kick`` stop)."""
+def test_arrival_that_wakes_an_idle_engine_keeps_runs_staged(
+    arrivals_between_ticks, monkeypatch,
+):
+    """Batch-2 engines: arrivals land on idle engines while others tick.
+    The arrival kicks the idle engine, whose step takes the next seq as
+    in the reference, and the other engines' staged runs tick on."""
+    kicked = []
+    kick = ClusterSimulator._kick
+
+    def kicking(self, gpu_id, now):
+        if not self._gpu_busy[gpu_id] and _open_runs(self, but=gpu_id):
+            kicked.append(gpu_id)
+        kick(self, gpu_id, now)
+
+    monkeypatch.setattr(ClusterSimulator, "_kick", kicking)
     trace = _staggered_trace(9, spacing=0.05, response_lens=(200, 60, 120))
-    sim = _assert_finish_runs_identical(trace, num_gpus=3, max_batch=2)
-    lane = sim._vector
-    assert lane.stops["kick"] > 0 and replayed_arrivals
-    assert sum(lane.stops.values()) == lane.merges
+    _assert_finish_runs_identical(trace, num_gpus=3, max_batch=2)
+    assert kicked and _went_on(arrivals_between_ticks)
 
 
-def test_arrival_tied_with_a_tick_pops_first(replayed_arrivals):
-    """An arrival due exactly when a replayed decode tick starts: its
-    seq, reserved when the run streamed the workload, is below the
-    tick's, so the replay runs the arrival's pass first — as the
-    reference loop pops it."""
+def test_arrival_tied_with_a_tick_pops_first(arrivals_between_ticks):
+    """An arrival due exactly when a decode tick starts: its seq, reserved
+    when the run streamed the workload, is below the tick's, so the loop
+    runs the arrival first — and its settle applies the ticks before
+    it — as the reference loop pops it."""
     base = _staggered_trace(8, spacing=0.01, response_lens=(120, 90, 150))
     kwargs = dict(num_gpus=2, max_batch=8)
     _, ref, _ = _finish_run(
@@ -1174,29 +1217,28 @@ def test_arrival_tied_with_a_tick_pops_first(replayed_arrivals):
     trace = Trace(base.requests + (late,))
     sim = _assert_finish_runs_identical(trace, **kwargs)
     assert tie in sim.metrics.tokens.times.tolist()
-    assert "req-tie" in replayed_arrivals
+    assert "req-tie" in [rid for rid, _ in arrivals_between_ticks]
 
 
-def test_pumped_run_replays_arrivals_inside_merges(replayed_arrivals):
+def test_pumped_run_replays_arrivals_inside_merges(arrivals_between_ticks):
     """The loop pumped in 50 ms ``run(until=)`` quanta, the way the
-    serving bridge drives it: arrivals replay inside merges, each
-    quantum's ``until`` stops the replay, and the stream's next arrival
-    is queued again under its reserved seq — the run equal to the
-    reference pumped the same way."""
+    serving bridge drives it: each ``run`` settles before it returns, a
+    staged run goes on ticking in the next quantum, and arrivals run
+    between ticks — the run equal to the reference pumped the same way."""
     trace = _staggered_trace(12, spacing=0.04, response_lens=(150, 90, 120))
-    sim = _assert_finish_runs_identical(
+    _assert_finish_runs_identical(
         trace, num_gpus=3, max_batch=4, quantum=0.05
     )
-    lane = sim._vector
-    assert lane.arrivals > 0 and replayed_arrivals
-    assert lane.stops["until"] > 0
+    assert _went_on(arrivals_between_ticks)
 
 
-def test_slo_router_passes_replay_inside_merges():
+def test_slo_router_passes_replay_inside_merges(
+    arrivals_between_ticks, drains_with_waiters,
+):
     """The ``sim_slo`` fleet — an H100, an A100-80G and four L4s behind
     the SLO router — at an overloaded 96 req/s: arrivals and queue
-    drains run the router inside merges, its quotes reading every
-    engine's committed state, and the traced bytes, the admit series and
+    drains run the router between ticks, its quotes reading every
+    engine's settled state, and the traced bytes, the admit series and
     the shed count equal the reference's."""
     trace = open_loop_trace(
         rate=96.0, duration=2.0, seed=0,
@@ -1209,10 +1251,151 @@ def test_slo_router_passes_replay_inside_merges():
         trace, presets=("h100", "a100-80g", "l4", "l4", "l4", "l4"),
         max_batch=8, control=control,
     )
-    lane = sim._vector
-    assert lane.arrivals > 0 and lane.drains > 0
+    assert arrivals_between_ticks and drains_with_waiters
+    assert all(settled for _, settled in drains_with_waiters)
     assert len(sim.metrics.slo_admits) > 0
     assert sim.metrics.slo_shed_count() > 0
+
+
+def test_metrics_log_flushed_between_ticks(monkeypatch):
+    """A metrics log limit of 3 samples flushes it mid-stretch, while
+    engines hold ticks not yet applied: the global token series keeps
+    pop order, each GPU's series and counters its step order, and every
+    metric equals the reference's."""
+    monkeypatch.setattr(VectorDecodeLane, "LOG_LIMIT", 3)
+    flushes = []
+    flush = VectorDecodeLane._flush
+
+    def flushing(self):
+        flushes.append(any(
+            run.popped > run.done for run in self._runs.values()
+        ))
+        flush(self)
+
+    monkeypatch.setattr(VectorDecodeLane, "_flush", flushing)
+    trace = _staggered_trace(12, spacing=0.04, response_lens=(150, 90, 120))
+    _assert_finish_runs_identical(trace, num_gpus=3, max_batch=4)
+    assert any(flushes)
+
+
+def _invalidated_run(fast_path):
+    """Three engines decoding long responses while outside changes land
+    between ticks of staged runs: a ``GPU_SLOWDOWN`` of gpu01 and its
+    restore, a frontend deadline cancel, late arrivals placed on busy
+    engines and a consolidation migration as the tail drains."""
+    sim = ClusterSimulator(
+        [
+            GpuEngine(
+                f"gpu{i:02d}",
+                SimulatedBackend(LLAMA2_7B, fast_path=fast_path),
+                EngineConfig(max_batch_size=8),
+                fast_path=fast_path,
+            )
+            for i in range(3)
+        ],
+        SchedulerConfig(migration_interval=0.4, light_load_fraction=0.5),
+        fault_injector=FaultInjector([FaultSpec(
+            kind=FaultKind.GPU_SLOWDOWN, time=0.3, gpu_id="gpu01",
+            factor=2.0, duration=0.25,
+        )]),
+        tracer=Tracer(),
+        fast_path=fast_path,
+    )
+    frontend = Frontend(sim)
+    for i in range(14):
+        frontend.submit(
+            lora_id=f"lora-{i % 3}", prompt_len=16 + 3 * i,
+            response_len=(60, 90, 40, 120, 75)[i % 5],
+            at_time=0.01 * i + (0.5 if i >= 10 else 0.0),
+            deadline=0.45 if i == 3 else None,
+        )
+    return sim, sim.run([])
+
+
+def test_outside_changes_invalidate_staged_runs(monkeypatch):
+    """Between two ticks of one staged run, each outside change — a
+    slowdown and its restore, a consolidation migration, a deadline
+    cancel, an arrival placed on the engine — breaks the run's validity,
+    so the engine's next pop restages or takes a scalar step, with no
+    code for the event's kind. Fast and reference agree byte for byte:
+    trace JSONL, metrics registry, every request's stamps and tokens, and
+    the loop's seq counter."""
+    landed = []
+    stale = []
+
+    def open_gpus(sim):
+        return {run.gpu_id for run, _ in _open_runs(sim)}
+
+    def spy(name, landing):
+        """Wrap ``ClusterSimulator.<name>``: ``landing(sim, *args)``, read
+        before the call, returns what names the change once it is made
+        (``None`` when it did not land on a staged run)."""
+        method = getattr(ClusterSimulator, name)
+
+        def wrapped(self, *args, **kwargs):
+            named = landing(self, *args, **kwargs)
+            result = method(self, *args, **kwargs)
+            landed.append(named(self))
+            return result
+
+        monkeypatch.setattr(ClusterSimulator, name, wrapped)
+
+    def faulting(sim, spec, now):
+        hit = spec.gpu_id in open_gpus(sim)
+        return lambda sim: "slowdown" if hit else None
+
+    def cancelling(sim, req, now=None, reason="user"):
+        hit = req.gpu_id in open_gpus(sim)
+        return lambda sim: reason if hit else None
+
+    def migrating(sim, now):
+        moved, busy = sim.scheduler.num_migrations, open_gpus(sim)
+        return lambda sim: (
+            "migration" if busy and sim.scheduler.num_migrations > moved
+            else None
+        )
+
+    def arriving(sim, req, now):
+        busy = open_gpus(sim)
+        return lambda sim: "arrival" if req.gpu_id in busy else None
+
+    spy("_apply_fault", faulting)
+    spy("cancel", cancelling)
+    spy("_migration_tick", migrating)
+    spy("_arrive", arriving)
+    valid = GpuEngine.steady_run_valid
+
+    def checking(self):
+        ok = valid(self)
+        if not ok:
+            _, _, plan, slowdown = self._staged_run
+            stale.append((
+                self.gpu_id,
+                "slowdown" if slowdown != self.slowdown_factor
+                else "pending" if self._pending else "plan",
+            ))
+        return ok
+
+    monkeypatch.setattr(GpuEngine, "steady_run_valid", checking)
+    fast_sim, fast = _invalidated_run(True)
+    ref_sim, ref = _invalidated_run(False)
+    assert fast_sim.tracer.dumps_jsonl() == ref_sim.tracer.dumps_jsonl()
+    assert (
+        fast.metrics.registry.to_json() == ref.metrics.registry.to_json()
+    )
+    assert _request_states(fast.requests) == _request_states(ref.requests)
+    assert [r.generated_tokens for r in fast.requests] == [
+        r.generated_tokens for r in ref.requests
+    ]
+    assert fast_sim.loop.reserve(0) == ref_sim.loop.reserve(0)
+    assert fast_sim._vector.merged_steps > 0
+    # Each change landed on an engine with a staged run open ...
+    for kind in ("slowdown", "deadline", "migration", "arrival"):
+        assert kind in landed, kind
+    # ... and its next pop found the run stale: the slowdown and its
+    # restore, the removed requests, the admitted ones.
+    assert stale.count(("gpu01", "slowdown")) == 2
+    assert {why for _, why in stale} == {"slowdown", "plan", "pending"}
 
 
 def test_engine_idled_by_a_merged_finish_schedules_nothing(monkeypatch):
@@ -1302,10 +1485,12 @@ def _lanes_outcome(sim):
 @pytest.mark.parametrize("num_gpus", [1, 2])
 def test_event_budget_is_exact_on_the_fast_path(num_gpus):
     """``loop.run(max_events=k)`` stops after exactly ``k`` events on both
-    paths: a merge must not replay pops past the budget, so the clock,
-    the processed count and every request's state and tokens match the
-    reference after any budget."""
+    paths, with the decode lane engaged: every tick is one event, and
+    ``run`` settles before it returns, so the clock, the processed count
+    and every request's state and tokens match the reference after any
+    budget."""
     trace = _lanes_trace()
+    merged = []
     for k in range(1, 280, 3):
         outcomes = []
         for fast_path in (True, False):
@@ -1313,8 +1498,11 @@ def test_event_budget_is_exact_on_the_fast_path(num_gpus):
             sim._stream_arrivals(requests_from_trace(trace))
             sim.loop.run(max_events=k)
             outcomes.append(_lanes_outcome(sim))
+            if fast_path:
+                merged.append(sim._vector.merged_steps)
         assert outcomes[0] == outcomes[1], k
         assert outcomes[0][0] <= k
+    assert merged[-1] > 0
 
 
 def _pumped(sim, requests, quantum=0.005):

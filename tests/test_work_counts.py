@@ -1,10 +1,11 @@
-"""Work counts are budgets: the exact number of merges, scalar steps and
-events a small seeded scenario takes.
+"""Work counts are budgets: the exact number of events, scalar steps and
+bulk-committed decode ticks a small seeded scenario takes.
 
 These counts are the same on every host, so they gate what wall-clock
-timing cannot: a change that stops replaying some step inside the merge
-lane, or disarms a lane, raises them and fails here. A change that lowers
-one updates the pin and says so in CHANGES.md.
+timing cannot: a change that turns decode ticks back into scalar steps,
+or disarms a lane, raises ``slow_steps`` and lowers ``merged_steps`` and
+fails here. A pin may only move toward fewer ``slow_steps`` and more
+``merged_steps``, and the change that moves it says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -26,44 +27,53 @@ def _simulators(monkeypatch) -> "list[ClusterSimulator]":
     return sims
 
 
-def _lane_work(sim) -> "dict[str, int]":
-    lane = sim._vector
-    assert sum(lane.stops.values()) == lane.merges
+def _work(sim) -> "dict[str, int]":
     return {
-        "merges": lane.merges,
-        "scalar_steps": lane.scalar_steps,
-        "arrivals": lane.arrivals,
-        "drains": lane.drains,
+        "events": sim.loop.processed,
         "slow_steps": sum(
             e.slow_steps for e in sim.scheduler.engines.values()
         ),
-        "events": sim.loop.processed,
+        "merged_steps": sim._vector.merged_steps,
     }
 
 
-def test_steady_dense_work_counts(monkeypatch):
-    """Seed-0 ``steady_dense`` on the fast path: 4 merges (8 while every
-    streamed arrival cut the merge it met, 14 while every mixed prefill
-    step did too), 12 scalar steps and 10 arrivals replayed inside them,
-    27 ``GpuEngine.step`` calls and 397 events."""
+def _pinned(monkeypatch, scenario: str) -> "dict[str, int]":
+    """Seed-0 ``scenario`` on the fast path: the loop's events, the
+    engines' ``GpuEngine.step`` calls and the decode lane's ticks."""
     sims = _simulators(monkeypatch)
-    run_scenario("steady_dense", seed=0)
+    run_scenario(scenario, seed=0)
     (sim,) = sims
-    assert _lane_work(sim) == {
-        "merges": 4, "scalar_steps": 12, "arrivals": 10, "drains": 0,
-        "slow_steps": 27, "events": 397,
+    return _work(sim)
+
+
+def test_steady_dense_work_counts(monkeypatch):
+    """Eight engines decoding long ShareGPT responses: 27 scalar steps
+    and 347 ticks of staged runs in 397 events."""
+    assert _pinned(monkeypatch, "steady_dense") == {
+        "events": 397, "slow_steps": 27, "merged_steps": 347,
     }
 
 
 def test_slo_work_counts(monkeypatch):
-    """Seed-0 ``slo`` (the SLO router over a mixed fleet) on the fast
-    path: 15 merges (19 while arrivals and drains behind a waiter cut
-    them), 7 arrivals and 1 queue drain replayed inside them, 8
-    ``GpuEngine.step`` calls and 107 events."""
-    sims = _simulators(monkeypatch)
-    run_scenario("slo", seed=0)
-    (sim,) = sims
-    assert _lane_work(sim) == {
-        "merges": 15, "scalar_steps": 8, "arrivals": 7, "drains": 1,
-        "slow_steps": 8, "events": 107,
+    """The SLO router over a mixed fleet: 8 scalar steps on the engines
+    still in the pool at the end, and 42 ticks, in 107 events."""
+    assert _pinned(monkeypatch, "slo") == {
+        "events": 107, "slow_steps": 8, "merged_steps": 42,
+    }
+
+
+def test_faults_work_counts(monkeypatch):
+    """Crashes, slowdowns and their restores land on staged runs, whose
+    engines restage or step at their next pop: 43 scalar steps and 68
+    ticks in 167 events."""
+    assert _pinned(monkeypatch, "faults") == {
+        "events": 167, "slow_steps": 43, "merged_steps": 68,
+    }
+
+
+def test_cluster_migration_work_counts(monkeypatch):
+    """Consolidation migrations land on staged runs: 65 scalar steps and
+    84 ticks in 209 events."""
+    assert _pinned(monkeypatch, "cluster_migration") == {
+        "events": 209, "slow_steps": 65, "merged_steps": 84,
     }
