@@ -302,31 +302,41 @@ class ClusterMetrics:
         step order, carrying a stretch of one engine's steps: its own
         (already ascending) step bounds for its per-GPU series and the
         stretch's token total for the registry counters. Token and step
-        counts are small integers, so one float add of a total equals the
-        per-step adds exactly, and the gauge keeps the last value.
+        counts are small integers, so one float add of a GPU's total
+        equals the per-step adds exactly, and the gauge keeps the last
+        value.
         """
         self.tokens.extend(times, tokens_per_step)
+        # Coalesced per GPU, in order of first appearance (the order the
+        # per-step path first touches each series): one extend per series
+        # and one add per counter.
+        merged: "dict[str, tuple[list, list, list, list]]" = {}
         for gpu_id, bounds, batch_size, tokens in per_gpu:
+            acc = merged.get(gpu_id)
+            if acc is None:
+                acc = merged[gpu_id] = ([], [], [], [0.0, 0.0])
+            starts, ends, sizes, totals = acc
             # ``bounds`` chains the engine's steps: bounds[k] starts step
             # k and bounds[k + 1] ends it.
+            if type(bounds) is not tuple:
+                bounds = bounds.tolist()
             n = len(bounds) - 1
             fbatch = float(batch_size)
+            starts += bounds[:-1]
+            ends += bounds[1:]
+            sizes += [fbatch] * n
+            totals[0] += tokens
+            totals[1] += n
+        for gpu_id, (starts, ends, sizes, totals) in merged.items():
             series = self.gpu_batch_size.get(gpu_id)
             if series is None:
                 series = self._gpu_series(gpu_id)
-            if n == 1:
-                # One step — a scalar step, as a rule: two scalar appends
-                # beat four one-element arrays.
-                series.record(bounds[0], fbatch)
-                self.gpu_step_spans[gpu_id].record(bounds[0], bounds[1])
-            else:
-                starts = bounds[:-1]
-                series.extend(starts, np.full(n, fbatch))
-                self.gpu_step_spans[gpu_id].extend(starts, bounds[1:])
+            series.extend(starts, sizes)
+            self.gpu_step_spans[gpu_id].extend(starts, ends)
             key = (gpu_id,)
-            self._tokens_counter.inc_key((), tokens)
-            self._steps_counter.inc_key(key, float(n))
-            self._batch_gauge.set_key(key, fbatch)
+            self._tokens_counter.inc_key((), totals[0])
+            self._steps_counter.inc_key(key, totals[1])
+            self._batch_gauge.set_key(key, sizes[-1])
 
     def _gpu_series(self, gpu_id: str) -> TimeSeries:
         """Open a GPU's per-step series; returns its batch-size series."""

@@ -22,7 +22,8 @@ as given, never coerced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from itertools import accumulate
 
 import numpy as np
 
@@ -132,11 +133,12 @@ def _assemble(
     prefills: "list[BatchEntry]", groups: "list[list[BatchEntry]]"
 ) -> BatchPlan:
     """Lay out prefills then decode groups and derive ``BatchLen`` and the
-    SGMV segments in one walk over the *entries*: an entry (or a decode
-    group — its members share a LoRA id and add one token each) either
-    extends the open run or starts the next one. Nothing here is per token.
+    SGMV segments in one walk over the prefills and one over the groups:
+    a prefill either extends the open run or starts the next one, and so
+    may the first decode group (the prefill tail / decode head merge);
+    every later group is a run of its own, since the groups' LoRA ids are
+    distinct. Nothing here is per token.
     """
-    ordered = list(prefills)
     starts: list[int] = []
     run_ids: list[object] = []
     sizes: list[int] = []
@@ -149,27 +151,28 @@ def _assemble(
         else:
             run_ids.append(e.lora_id)
             sizes.append(e.num_tokens)
+    decodes: list[BatchEntry] = []
     for group in groups:
-        ordered.extend(group)
-        if run_ids and run_ids[-1] == group[0].lora_id:
-            sizes[-1] += len(group)  # the prefill tail / decode head merge
-        else:
-            run_ids.append(group[0].lora_id)
-            sizes.append(len(group))
-    seg = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(sizes, dtype=np.int64), out=seg[1:])
-    num_prefill = len(prefills)
+        decodes.extend(group)
+    if groups:
+        lens = [len(g) for g in groups]
+        loras = [g[0].lora_id for g in groups]
+        if run_ids and run_ids[-1] == loras[0]:
+            sizes[-1] += lens.pop(0)
+            del loras[0]
+        run_ids += loras
+        sizes += lens
     return BatchPlan(
-        entries=tuple(ordered),
+        entries=(*prefills, *decodes),
         batchlen=BatchLen(
             prefill_starts=tuple(starts),
             num_prefill_tokens=cursor,
-            num_decode=len(ordered) - num_prefill,
+            num_decode=len(decodes),
         ),
-        seg=seg,
+        seg=np.array([0, *accumulate(sizes)], dtype=np.int64),
         segment_lora_ids=tuple(run_ids),
         prefill_lens=tuple([e.num_tokens for e in prefills]),
-        decode_ids=tuple([e.request_id for e in ordered[num_prefill:]]),
+        decode_ids=tuple([e.request_id for e in decodes]),
         segment_sizes=tuple(sizes),
     )
 
@@ -195,8 +198,22 @@ def plan_batch(entries: Sequence[BatchEntry]) -> BatchPlan:
             prefills.append(e)
         else:
             order.setdefault(e.lora_id, []).append(e)
-    head = order.pop(prefills[-1].lora_id, None) if prefills else None
-    groups = list(order.values())
-    if head is not None:
-        groups.insert(0, head)
-    return _assemble(prefills, groups)
+    return plan_grouped(prefills, order)
+
+
+def plan_grouped(
+    prefills: "list[BatchEntry]", groups: "Mapping[object, list[BatchEntry]]"
+) -> BatchPlan:
+    """:func:`plan_batch` for decodes already grouped by rule 2: ``groups``
+    maps each LoRA id to its decode entries, groups in the order of their
+    first member. Applies rule 3 and lays the batch out; nothing here
+    walks the decode entries one by one before :func:`_assemble` does.
+    ``groups`` is only read — an engine keeps its armed batch's groups
+    across steps and edits them."""
+    head = groups.get(prefills[-1].lora_id) if prefills else None
+    if head is None:
+        ordered = list(groups.values())
+    else:
+        ordered = [head]
+        ordered.extend(g for g in groups.values() if g is not head)
+    return _assemble(prefills, ordered)

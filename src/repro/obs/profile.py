@@ -84,7 +84,7 @@ LAYERS = (
            "SimulatedBackend.commit_steady_run", "NumpyBackend.execute",
            "NumpyBackend.execute_spec"), ALL),
     Layer("core.batch", "repro.core.batch",
-          ("plan_batch",), ALL),
+          ("plan_batch", "plan_grouped"), ALL),
     Layer("models.perf", "repro.models.perf",
           ("step_latency_terms", "step_latency_from_terms",
            "step_latency_steady_run", "model_step_latency",

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.adapters.store import GpuAdapterStore
-from repro.core.batch import BatchEntry, BatchPlan, plan_batch
+from repro.core.batch import BatchEntry, BatchPlan, plan_batch, plan_grouped
 from repro.obs.tracer import EventKind, Tracer, decode_step_attrs
 from repro.runtime.request import Request, RequestState
 from repro.runtime.spec import SpecConfig
@@ -99,8 +99,12 @@ class StepReport:
         return {rid: (tok,) for rid, tok in self.new_tokens.items()}
 
 
-@dataclass
+@dataclass(eq=False)
 class _Slot:
+    """One request's place on this GPU. Slots compare by identity: list
+    removal and the armed batch's tail check need the slot itself, never
+    a deep comparison of the requests it holds."""
+
     request: Request
     admit_seq: int
 
@@ -108,17 +112,24 @@ class _Slot:
 class ArmedBatch:
     """The engine's one plan memo: the pure-decode batch its last step armed.
 
-    Valid while the batch membership is unchanged and nothing is pending;
-    ``plan is None`` means the next step must plan its batch from scratch
-    and re-arm. The bulk lane reads the exact KV total and per-request
-    countdowns, so they advance with every step taken on the armed plan.
+    Valid while the working set is unchanged; ``plan is None`` means the
+    next step must plan its batch from scratch and re-arm. The bulk
+    lane reads the exact KV total and per-request countdowns, so they
+    advance with every step taken on the armed plan. A request that joins
+    at the tail or leaves on its countdown edits the batch in place: the
+    groups lose or gain one entry, and the plan is laid out from them
+    again (:meth:`GpuEngine._edit_steady`).
     """
 
     def __init__(self) -> None:
         self.plan: "BatchPlan | None" = None
-        self.past: dict[str, int] = {}
-        """Arm-time ``request id -> kv_len`` snapshot, in slot order. Only
-        its keys — the batch — stay current."""
+        self.groups: "dict[object, list[BatchEntry]]" = {}
+        """The batch's decode entries grouped by LoRA id, each group in
+        slot order and the groups in the slot order of their first
+        members — :func:`plan_batch`'s rule 2, kept so a mixed step and a
+        re-arm reuse it instead of regrouping."""
+        self.ids: "list[str]" = []
+        """The batch's request ids, in slot order."""
         self.total = 0
         """``sum(kv_len + 1)`` over the batch at its next step."""
         self.rem: "list[int] | None" = None
@@ -128,7 +139,13 @@ class ArmedBatch:
         """Steps that ran on the already-armed plan: armed ``step`` calls
         plus bulk-committed steps (diagnostic, like ``fast_steps``)."""
         self.misses = 0
-        """Plans built."""
+        """Plans built: every arm, edited or not, and every step that does
+        not run on the armed plan as it stands (the ledger's
+        ``plan_hit_rate`` reads it)."""
+        self.rebuilds = 0
+        """Plans built by grouping the batch entry by entry: un-armed
+        steps and cold arms; the rest of ``misses`` edited the armed
+        groups (diagnostic, not a registry metric)."""
 
 
 class GpuEngine:
@@ -540,23 +557,20 @@ class GpuEngine:
                 )
             return None
 
-        # Steady decode is the degenerate case: the batch is exactly the
-        # one the last step armed (any eviction above disarmed it), so its
-        # plan is reused instead of rebuilding entries and plan.
+        # On an armed engine with nothing left pending the decode batch is
+        # exactly the one the last step armed (any eviction above disarmed
+        # it): a pure decode step reuses its plan, a mixed step lays the
+        # prefills in front of its LoRA groups instead of regrouping.
         steady = self._steady
-        armed = (
-            steady.plan is not None
-            and not self._pending
-            and not prefill_slots
-        )
-        if armed:
+        armed = steady.plan is not None and not self._pending
+        if armed and not prefill_slots:
             plan = steady.plan
             steady.hits += 1
         else:
-            entries: list[BatchEntry] = []
+            prefills: list[BatchEntry] = []
             for slot in prefill_slots:
                 req = slot.request
-                entries.append(
+                prefills.append(
                     BatchEntry(
                         request_id=req.request_id,
                         lora_id=req.lora_id,
@@ -565,14 +579,19 @@ class GpuEngine:
                     )
                 )
                 past_lens[req.request_id] = 0
-            cache = self._entry_cache
-            for slot in decode_slots:
-                rspec = slot.request.spec
-                entries.append(
-                    cache.get(rspec.request_id) or self._decode_entry(rspec)
-                )
-            plan = plan_batch(entries)
             steady.misses += 1
+            if armed:
+                plan = plan_grouped(prefills, steady.groups)
+            else:
+                entries = prefills  # then the decodes, in slot order
+                cache = self._entry_cache
+                for slot in decode_slots:
+                    rspec = slot.request.spec
+                    entries.append(
+                        cache.get(rspec.request_id) or self._decode_entry(rspec)
+                    )
+                plan = plan_batch(entries)
+                steady.rebuilds += 1
 
         batch = prefill_slots + decode_slots
         requests = {s.request.request_id: s.request for s in batch}
@@ -587,10 +606,13 @@ class GpuEngine:
         end = now + latency
 
         # Commit 1..n tokens per request, stopping at its finish condition.
+        # On the armed batch's countdown a decode request finishes when its
+        # count runs out: one append each, no per-token check.
+        countdown = armed and steady.rem is not None
         finished_slots: "list[_Slot]" = []
         committed: "dict[str, tuple[int, ...]] | None" = {} if spec_round else None
         rollbacks: "dict[str, tuple[int, int]]" = {}
-        for slot in batch:
+        for slot in prefill_slots if countdown else batch:
             req = slot.request
             rid = req.request_id
             if req.needs_prefill:
@@ -620,6 +642,19 @@ class GpuEngine:
                 req.kv_len = past_lens[rid] + kept
                 pages = self.backend.kv_truncate(rid, req.kv_len)
                 rollbacks[rid] = (n - kept, pages)
+        if countdown:
+            tokens = execution.tokens
+            rem = steady.rem = [left - 1 for left in steady.rem]
+            total = steady.total + len(decode_slots)
+            gone = []
+            for slot, left in zip(decode_slots, rem):
+                req = slot.request
+                req.generated_tokens.append(tokens[req.request_id])
+                if not left:
+                    gone.append(slot)
+                    total -= req.kv_len + 1
+            steady.total = total
+            finished_slots += gone
 
         for slot in finished_slots:
             self._remove(slot)
@@ -631,15 +666,15 @@ class GpuEngine:
                 (execution, committed, rollbacks) if spec_round else None,
             )
 
-        if armed and not finished_slots:
-            # Same batch again next step: advance the armed state in place
-            # (what a full re-arm would recompute) — the bulk lane reads
-            # the exact KV total and per-request countdowns.
+        if countdown:
+            self._edit_steady(
+                gone,
+                [s for s in prefill_slots if s.request.state is RequestState.RUNNING],
+            )
+        elif armed and not prefill_slots and not finished_slots:
+            # Same batch again next step, no countdown (EOS armed): only
+            # the KV total advances.
             steady.total += len(decode_slots)
-            rem = steady.rem
-            if rem is not None:
-                for i in range(len(rem)):
-                    rem[i] -= 1
         else:
             self._refresh_steady()
         return StepReport(
@@ -731,7 +766,7 @@ class GpuEngine:
         if not self.steady_ready() or getattr(backend, "pool", True) is not None:
             return None
         steady = self._steady
-        batch = len(steady.past)
+        batch = len(steady.ids)
         rem_cap = min(steady.rem)
         count = min(rem_cap, backend.kv_headroom_pages() // batch, self._MAX_RUN)
         if count < 1:
@@ -829,12 +864,12 @@ class GpuEngine:
         emit its own records, so one staged run may span several blocks;
         each block takes the lane of its own steps."""
         ends = self._staged_run[0]
-        past = self._steady.past
+        ids = self._steady.ids
         working = self._working
         return (
             self.gpu_id,
-            tuple(past),  # request ids, in slot order
-            [len(working[rid].request.generated_tokens) + first for rid in past],
+            tuple(ids),
+            [len(working[rid].request.generated_tokens) + first for rid in ids],
             ends[first:last + 1].tolist(),
         )
 
@@ -851,7 +886,7 @@ class GpuEngine:
         finished requests then leave as :meth:`step` lets them go: in
         slot order, each through :meth:`_remove` and then
         ``mark_finished`` at the step's end, with their FINISH events,
-        and the engine re-arms over whatever remains.
+        and the armed batch drops them (:meth:`_edit_steady`).
 
         The run's ``DECODE_STEP`` events are not recorded here: the decode
         lane records them, from :meth:`steady_trace_lane`, in run blocks
@@ -865,7 +900,7 @@ class GpuEngine:
         # advance is a monotone clock max, so the last start subsumes
         # the sequence — and precedes a finish's adapter releases.
         self.loader.advance(float(ends[n - 1]))
-        base = self.backend.commit_steady_run(steady.past, n)
+        base = self.backend.commit_steady_run(steady.ids, n)
         span = n * batch
         for pos, rid in enumerate(steady.plan.decode_ids):
             req = working[rid].request
@@ -882,25 +917,84 @@ class GpuEngine:
             return
         self._staged_run = None
         end = float(ends[n])
-        finished = [working[rid] for rid, left in zip(steady.past, rem) if not left]
+        finished = [working[rid] for rid, left in zip(steady.ids, rem) if not left]
         for slot in finished:
+            steady.total -= slot.request.kv_len + 1
             self._remove(slot)
             slot.request.mark_finished(end)
         if self.tracer is not None:
             self._trace_finishes(end, finished)
-        self._refresh_steady()
+        self._edit_steady(finished, [])
+
+    def _edit_steady(self, gone: "list[_Slot]", joined: "list[_Slot]") -> None:
+        """Re-arm after a step on the armed countdown by editing the batch
+        instead of re-planning it. ``gone`` are the batch's requests whose
+        countdown ran out (already removed, their KV already off
+        ``total``): they leave their groups, and a group that lost its
+        first member re-sorts by its new first member's slot. ``joined``
+        — the step's prefills still running — join their LoRA's group, or
+        open one at the end. The plan is then the one :func:`plan_batch`
+        would build over ``_working_order``. A prefill that did not land
+        at the tail of the slot order, or anything pending, re-arms from
+        scratch (:meth:`_refresh_steady`).
+        """
+        steady = self._steady
+        if not gone and not joined and steady.plan is not None:
+            return  # the same batch again: the plan stands
+        order = self._working_order
+        k = len(joined)
+        if self._pending or not order or (k and order[-k:] != joined):
+            self._refresh_steady()
+            return
+        groups = steady.groups
+        if gone:
+            rem = steady.rem
+            steady.ids = [rid for rid, left in zip(steady.ids, rem) if left]
+            steady.rem = [left for left in rem if left]
+            gone_ids = {s.request.request_id for s in gone}
+            resort = False
+            for lora in {s.request.lora_id for s in gone}:
+                group = groups[lora]
+                kept = [e for e in group if e.request_id not in gone_ids]
+                if kept:
+                    resort = resort or kept[0] is not group[0]
+                    groups[lora] = kept
+                else:
+                    del groups[lora]
+            if resort:
+                working = self._working
+                groups = steady.groups = dict(sorted(
+                    groups.items(),
+                    key=lambda item: working[item[1][0].request_id].admit_seq,
+                ))
+        for slot in joined:
+            req = slot.request
+            spec = req.spec
+            left = spec.response_len - len(req.generated_tokens)
+            entry = self._entry_cache.get(spec.request_id) or self._decode_entry(spec)
+            group = groups.get(entry.lora_id)
+            if group is None:
+                groups[entry.lora_id] = [entry]
+            else:
+                group.append(entry)
+            steady.ids.append(spec.request_id)
+            steady.rem.append(left)
+            steady.total += req.kv_len + 1
+        steady.plan = plan_grouped([], groups)
+        steady.misses += 1
 
     def _refresh_steady(self) -> None:
-        """(Re)arm the steady batch after a step, when the *next* step is
-        known to be a pure decode of the current working set."""
+        """(Re)arm the steady batch from scratch after a step, when the
+        *next* step is known to be a pure decode of the current working
+        set: group its entries, snapshot the KV total and countdowns."""
         steady = self._steady
         slots = self._working_order
         if not self._steady_ok or self._pending or not slots:
             steady.plan = None
             return
         cache = self._entry_cache
-        entries = []
-        past: dict[str, int] = {}
+        groups: "dict[object, list[BatchEntry]]" = {}
+        ids: "list[str]" = []
         total = 0
         rem: "list[int] | None" = (
             [] if self.config.eos_token_id is None else None
@@ -909,8 +1003,9 @@ class GpuEngine:
             req = s.request
             spec = req.spec
             rid = spec.request_id
-            entries.append(cache.get(rid) or self._decode_entry(spec))
-            past[rid] = req.kv_len
+            entry = cache.get(rid) or self._decode_entry(spec)
+            groups.setdefault(entry.lora_id, []).append(entry)
+            ids.append(rid)
             total += req.kv_len
             if rem is not None:
                 left = spec.response_len - len(req.generated_tokens)
@@ -922,9 +1017,11 @@ class GpuEngine:
                     rem = None  # fall back to the per-token finish check
                 else:
                     rem.append(left)
-        steady.plan = plan_batch(entries)
+        steady.plan = plan_grouped([], groups)
         steady.misses += 1
-        steady.past = past
+        steady.rebuilds += 1
+        steady.groups = groups
+        steady.ids = ids
         steady.total = total + len(slots)
         steady.rem = rem
 

@@ -12,6 +12,7 @@ from repro.core.batch import (
     BatchLen,
     BatchPlan,
     plan_batch,
+    plan_grouped,
 )
 from repro.core.segments import segments_from_lora_ids
 
@@ -275,6 +276,21 @@ class TestPlanBatch:
     @given(mixed_batches())
     def test_equals_token_level_oracle(self, entries):
         assert_plans_equal(plan_batch(entries), reference_plan_batch(entries))
+
+    @given(mixed_batches())
+    def test_grouped_plan_equals_oracle_and_reads_only(self, entries):
+        # The engine keeps its armed batch's groups across steps and lays
+        # a mixed step's plan out from them: same plan, groups untouched.
+        prefills = [e for e in entries if e.is_prefill]
+        groups = {}
+        for e in entries:
+            if not e.is_prefill:
+                groups.setdefault(e.lora_id, []).append(e)
+        before = {k: list(g) for k, g in groups.items()}
+        assert_plans_equal(
+            plan_grouped(prefills, groups), reference_plan_batch(entries)
+        )
+        assert groups == before and list(groups) == list(before)
 
     def test_forced_shapes_against_oracle(self):
         # The three shapes the strategy forces, once each by hand.

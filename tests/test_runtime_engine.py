@@ -1,7 +1,10 @@
 """Tests for the continuous-batching engine with the simulated backend."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.batch import BatchEntry, plan_batch
 from repro.models.config import LLAMA2_7B, tiny_config
 from repro.models.perf import PUNICA_FLAGS, PerfFlags
 from repro.runtime.backend import SimulatedBackend
@@ -9,6 +12,7 @@ from repro.runtime.engine import EngineConfig, GpuEngine
 from repro.runtime.request import Request, RequestState
 from repro.utils.units import GIB
 from repro.workloads.trace import RequestSpec
+from tests.test_core_batch import assert_plans_equal
 
 
 def make_request(rid, lora="m0", prompt=16, response=4, arrival=0.0):
@@ -385,3 +389,165 @@ class TestEvictionOrderingRegression:
 
         for flags in (PUNICA_FLAGS, PerfFlags(cache_concat=True)):
             assert run(True, flags) == run(False, flags), flags
+
+
+def _decode_entries(engine):
+    return [
+        BatchEntry(s.request.request_id, s.request.lora_id, 1, False)
+        for s in engine._working_order
+    ]
+
+
+def assert_armed_is_fresh(engine):
+    """The armed batch, however it got there, is what arming the working
+    set from scratch gives: ``plan_batch`` over ``_working_order``, its
+    ids, KV total and countdowns."""
+    steady = engine._steady
+    if steady.plan is None:
+        return
+    slots = engine._working_order
+    assert_plans_equal(steady.plan, plan_batch(_decode_entries(engine)))
+    assert [e for g in steady.groups.values() for e in g] == list(
+        steady.plan.entries
+    )
+    assert tuple(steady.groups) == steady.plan.segment_lora_ids
+    assert steady.ids == [s.request.request_id for s in slots]
+    assert steady.total == sum(s.request.kv_len + 1 for s in slots)
+    assert steady.rem == [
+        s.request.spec.response_len - s.request.num_generated for s in slots
+    ]
+
+
+def watch_plans(engine):
+    """Check every executed plan against ``plan_batch`` over the step's
+    prefills followed by its decodes in slot order (``past_lens`` holds
+    the decodes in slot order, then the prefills)."""
+    backend = engine.backend
+    execute = backend.execute
+    seen = []
+
+    def checked(plan, past_lens, requests=None):
+        prefills = list(plan.entries[:len(plan.prefill_lens)])
+        prefill_ids = {e.request_id for e in prefills}
+        decodes = [
+            BatchEntry(rid, requests[rid].lora_id, 1, False)
+            for rid in past_lens if rid not in prefill_ids
+        ]
+        assert_plans_equal(plan, plan_batch(prefills + decodes))
+        seen.append((len(prefills), len(decodes)))
+        return execute(plan, past_lens, requests=requests)
+
+    backend.execute = checked
+    return seen
+
+
+class TestArmedBatchEdits:
+    """A mixed step and every re-arm on the countdown edit the armed
+    batch; the result must be what planning from scratch gives."""
+
+    def test_first_member_leaving_reorders_groups(self):
+        # Working order a1, b1, a2: the plan groups A (a1, a2) before B.
+        # When a1 finishes, A's first member is a2, behind b1: B leads.
+        engine = make_engine()
+        for rid, lora, response in (("a1", "A", 5), ("b1", "B", 9), ("a2", "A", 9)):
+            engine.add_request(make_request(rid, lora=lora, response=response), 0.0)
+        watch_plans(engine)
+        now = 0.0
+        orders = []
+        while not engine.is_idle:
+            r = engine.step(now)
+            if r is None:
+                now += 1e-3
+                continue
+            now = r.end
+            assert_armed_is_fresh(engine)
+            if engine._steady.plan is not None:
+                orders.append(engine._steady.plan.segment_lora_ids)
+        assert ("A", "B") in orders and ("B", "A") in orders
+        assert orders.index(("A", "B")) < orders.index(("B", "A"))
+        # Only the unarmed steps and the cold arm regroup entry by entry.
+        steady = engine._steady
+        assert steady.rebuilds < steady.misses
+
+    def test_mixed_step_on_armed_batch_moves_matching_group_first(self):
+        engine = make_engine()
+        for rid, lora in (("x", "X"), ("y", "Y")):
+            engine.add_request(make_request(rid, lora=lora, response=20), 0.0)
+        run = [engine.step(t) for t in (0.0, 0.01, 0.02, 0.03)]
+        assert all(r is not None for r in run[-2:])
+        assert engine._steady.plan.segment_lora_ids == ("X", "Y")
+        engine.add_request(make_request("y2", lora="Y", response=20), 0.04)
+        seen = watch_plans(engine)
+        rebuilds = engine._steady.rebuilds
+        r = engine.step(0.04)
+        assert r.num_prefill == 1 and seen == [(1, 2)]
+        # The prefill tail and the Y decode group share one segment.
+        assert r.num_lora_segments == 2
+        assert engine._steady.rebuilds == rebuilds
+        assert_armed_is_fresh(engine)
+
+    _ADMIT = st.tuples(
+        st.just("admit"),
+        st.sampled_from(["A", "B", "C"]),
+        st.integers(1, 24),
+        st.integers(1, 2),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(
+            # Admits weigh three to one, so batches grow between cancels
+            # and a group's first member often leaves before the rest.
+            st.one_of(
+                _ADMIT, _ADMIT, _ADMIT,
+                st.tuples(st.just("step"), st.integers(1, 4)),
+                st.tuples(st.just("run"), st.integers(1, 40)),
+                st.tuples(st.just("cancel"), st.integers(0, 50)),
+            ),
+            max_size=40,
+        )
+    )
+    @example(ops=[
+        ("admit", "A", 5, 1), ("admit", "B", 12, 1), ("admit", "A", 12, 1),
+        ("step", 4),
+    ])
+    def test_edited_armed_batch_equals_a_fresh_arm(self, ops):
+        """Random admits (repeated LoRAs, each followed by a few steps),
+        scalar steps, bulk runs through their finishing step and cancels:
+        after each, the armed batch equals arming from scratch, and every
+        executed plan equals ``plan_batch`` over the step's prefills and
+        decodes."""
+        engine = make_engine(max_batch=8)
+        watch_plans(engine)
+        # Resident adapters: an admit can prefill at the very next step,
+        # so it joins an armed batch.
+        for lora in "ABC":
+            engine.loader.request_load(lora, engine._default_lora_bytes, 0.0)
+        now = max(engine.loader.ready_time(lora) for lora in "ABC")
+        serial = 0
+        for op in ops:
+            kind = op[0]
+            steps = op[-1] if kind in ("admit", "step") else 0
+            if kind == "admit":
+                req = make_request(f"r{serial}", lora=op[1], response=op[2])
+                serial += 1
+                if engine.can_accept(req):
+                    engine.add_request(req, now)
+            elif kind == "run":
+                staged = engine.steady_run_stage(now)
+                if staged is not None:
+                    ends, _, _ = staged
+                    k = min(op[1], len(ends) - 1)
+                    engine.commit_steady_run(k)
+                    now = float(ends[k])
+            elif kind == "cancel":
+                requests = engine.all_requests()
+                if requests:
+                    engine.cancel(requests[op[1] % len(requests)].request_id)
+            assert_armed_is_fresh(engine)
+            for _ in range(steps):
+                r = engine.step(now)
+                now = r.end if r is not None else now + 1e-3
+                assert_armed_is_fresh(engine)
+        run_until_idle(engine, now)
+        assert engine.is_idle

@@ -1,11 +1,14 @@
-"""Work counts are budgets: the exact number of events, scalar steps and
-bulk-committed decode ticks a small seeded scenario takes.
+"""Work counts are budgets: the exact number of events, scalar steps,
+bulk-committed decode ticks and plans built from scratch a small seeded
+scenario takes.
 
 These counts are the same on every host, so they gate what wall-clock
 timing cannot: a change that turns decode ticks back into scalar steps,
 or disarms a lane, raises ``slow_steps`` and lowers ``merged_steps`` and
-fails here. A pin may only move toward fewer ``slow_steps`` and more
-``merged_steps``, and the change that moves it says why in CHANGES.md.
+fails here; one that re-plans where the armed batch could be edited
+raises ``rebuilds`` (``ArmedBatch.rebuilds``). A pin may only move toward
+fewer ``slow_steps`` and ``rebuilds`` and more ``merged_steps``, and the
+change that moves it says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -34,12 +37,16 @@ def _work(sim) -> "dict[str, int]":
             e.slow_steps for e in sim.scheduler.engines.values()
         ),
         "merged_steps": sim._vector.merged_steps,
+        "rebuilds": sum(
+            e._steady.rebuilds for e in sim.scheduler.engines.values()
+        ),
     }
 
 
 def _pinned(monkeypatch, scenario: str) -> "dict[str, int]":
     """Seed-0 ``scenario`` on the fast path: the loop's events, the
-    engines' ``GpuEngine.step`` calls and the decode lane's ticks."""
+    engines' ``GpuEngine.step`` calls, the decode lane's ticks and the
+    engines' plans built by regrouping the batch."""
     sims = _simulators(monkeypatch)
     run_scenario(scenario, seed=0)
     (sim,) = sims
@@ -48,32 +55,34 @@ def _pinned(monkeypatch, scenario: str) -> "dict[str, int]":
 
 def test_steady_dense_work_counts(monkeypatch):
     """Eight engines decoding long ShareGPT responses: 27 scalar steps
-    and 347 ticks of staged runs in 397 events."""
+    and 347 ticks of staged runs in 397 events; 28 of the 49 plans are
+    built from scratch, the rest edit the armed batch."""
     assert _pinned(monkeypatch, "steady_dense") == {
-        "events": 397, "slow_steps": 27, "merged_steps": 347,
+        "events": 397, "slow_steps": 27, "merged_steps": 347, "rebuilds": 28,
     }
 
 
 def test_slo_work_counts(monkeypatch):
     """The SLO router over a mixed fleet: 8 scalar steps on the engines
-    still in the pool at the end, and 42 ticks, in 107 events."""
+    still in the pool at the end, and 42 ticks, in 107 events; 10 plans
+    built from scratch."""
     assert _pinned(monkeypatch, "slo") == {
-        "events": 107, "slow_steps": 8, "merged_steps": 42,
+        "events": 107, "slow_steps": 8, "merged_steps": 42, "rebuilds": 10,
     }
 
 
 def test_faults_work_counts(monkeypatch):
     """Crashes, slowdowns and their restores land on staged runs, whose
     engines restage or step at their next pop: 43 scalar steps and 68
-    ticks in 167 events."""
+    ticks in 167 events; 26 plans built from scratch."""
     assert _pinned(monkeypatch, "faults") == {
-        "events": 167, "slow_steps": 43, "merged_steps": 68,
+        "events": 167, "slow_steps": 43, "merged_steps": 68, "rebuilds": 26,
     }
 
 
 def test_cluster_migration_work_counts(monkeypatch):
     """Consolidation migrations land on staged runs: 65 scalar steps and
-    84 ticks in 209 events."""
+    84 ticks in 209 events; 51 plans built from scratch."""
     assert _pinned(monkeypatch, "cluster_migration") == {
-        "events": 209, "slow_steps": 65, "merged_steps": 84,
+        "events": 209, "slow_steps": 65, "merged_steps": 84, "rebuilds": 51,
     }
