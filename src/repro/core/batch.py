@@ -16,7 +16,9 @@ its entries' ``num_tokens``, so planning costs the same whether a prefill
 carries 8 tokens or 2 048 (the token-level form — expand to one LoRA id
 per token, run-length scan it back — is kept in ``tests/test_core_batch.py``
 as the oracle). ``segment_lora_ids`` are the entries' ``lora_id`` objects
-as given, never coerced.
+as given, never coerced. :class:`ArmedBatch` keeps a decode batch grouped
+across steps, edited as requests join and leave, so a step lays its plan
+out from the groups instead of regrouping the batch.
 """
 
 from __future__ import annotations
@@ -208,7 +210,7 @@ def plan_grouped(
     maps each LoRA id to its decode entries, groups in the order of their
     first member. Applies rule 3 and lays the batch out; nothing here
     walks the decode entries one by one before :func:`_assemble` does.
-    ``groups`` is only read — an engine keeps its armed batch's groups
+    ``groups`` is only read — an :class:`ArmedBatch` keeps its groups
     across steps and edits them."""
     head = groups.get(prefills[-1].lora_id) if prefills else None
     if head is None:
@@ -217,3 +219,103 @@ def plan_grouped(
         ordered = [head]
         ordered.extend(g for g in groups.values() if g is not head)
     return _assemble(prefills, ordered)
+
+
+class ArmedBatch:
+    """The fast path's decode batch, edited as requests join and leave.
+
+    From one step to the next the batch changes by the request that
+    joins or leaves (§5), so an engine that arms edits this state at each
+    change instead of regrouping its batch. ``groups``, ``ids``, ``rem``
+    and ``total`` always describe the working set as of its next step;
+    ``decode_plan`` is its pure-decode plan, which every edit clears and
+    the engine lays again once nothing is pending.
+    """
+
+    def __init__(self, countdown: bool = True) -> None:
+        self.groups: "dict[object, list[BatchEntry]]" = {}
+        """The decode entries grouped by LoRA id (:func:`plan_batch`'s
+        rule 2): each group in slot order, the groups in the slot order
+        of their first members."""
+        self.ids: "list[str]" = []
+        """The batch's request ids, in slot order."""
+        self.total = 0
+        """``sum(kv_len + 1)`` over the batch at its next step."""
+        self.rem: "list[int] | None" = [] if countdown else None
+        """Tokens left per request (slot order); ``None`` when a finish
+        needs the per-token check (EOS armed)."""
+        self.decode_plan: "BatchPlan | None" = None
+        """The pure-decode plan of ``groups``; ``None`` after an edit
+        until the engine lays it again."""
+        self.hits = 0
+        """Steps that ran on ``decode_plan``: scalar steps plus
+        bulk-committed steps (diagnostic, like ``fast_steps``)."""
+        self.misses = 0
+        """Plans built: every step that does not run on ``decode_plan``
+        and every laying of it (the ledger's ``plan_hit_rate`` reads
+        it)."""
+        self.rebuilds = 0
+        """Plans built by :func:`plan_batch`, grouping the batch entry by
+        entry (diagnostic, not a registry metric)."""
+
+    def plan(self, prefills: "list[BatchEntry]") -> BatchPlan:
+        """``prefills`` followed by the batch's decodes, as
+        :func:`plan_batch` would lay them out."""
+        return plan_grouped(prefills, self.groups)
+
+    def advance(self, steps: int = 1) -> None:
+        """``steps`` decode steps of the whole batch: each request's KV
+        grows and its countdown falls by ``steps``."""
+        self.total += steps * len(self.ids)
+        if self.rem is not None:
+            self.rem = [left - steps for left in self.rem]
+
+    def join(self, pos: int, entry: BatchEntry, kv_len: int, left: int) -> None:
+        """Insert ``entry``'s request at slot position ``pos``, holding
+        ``kv_len`` KV tokens with ``left`` tokens still to generate. A
+        join at the tail appends to its group or opens one at the end;
+        one mid-order inserts in slot order and re-sorts the groups."""
+        ids = self.ids
+        tail = pos == len(ids)
+        ids.insert(pos, entry.request_id)
+        if self.rem is not None:
+            self.rem.insert(pos, left)
+        self.total += kv_len + 1
+        self.decode_plan = None
+        group = self.groups.get(entry.lora_id)
+        if group is None:
+            self.groups[entry.lora_id] = [entry]
+            if not tail:
+                self._resort()
+        elif tail:
+            group.append(entry)
+        else:
+            members = {e.request_id for e in group}
+            at = sum(rid in members for rid in ids[:pos])
+            group.insert(at, entry)
+            if not at:
+                self._resort()
+
+    def leave(self, entry: BatchEntry, kv_len: int) -> None:
+        """Drop ``entry``'s request, which holds ``kv_len`` KV tokens. A
+        group that loses its first member re-sorts by its new one."""
+        i = self.ids.index(entry.request_id)
+        del self.ids[i]
+        if self.rem is not None:
+            del self.rem[i]
+        self.total -= kv_len + 1
+        self.decode_plan = None
+        group = self.groups[entry.lora_id]
+        if len(group) == 1:
+            del self.groups[entry.lora_id]
+            return
+        at = group.index(entry)
+        del group[at]
+        if not at:
+            self._resort()
+
+    def _resort(self) -> None:
+        at = {rid: i for i, rid in enumerate(self.ids)}
+        self.groups = dict(sorted(
+            self.groups.items(), key=lambda item: at[item[1][0].request_id]
+        ))

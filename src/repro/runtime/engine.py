@@ -26,9 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from repro.adapters.store import GpuAdapterStore
-from repro.core.batch import BatchEntry, BatchPlan, plan_batch, plan_grouped
+from repro.core.batch import ArmedBatch, BatchEntry, plan_batch
 from repro.obs.tracer import EventKind, Tracer, decode_step_attrs
-from repro.runtime.request import Request, RequestState
+from repro.runtime.request import Request
 from repro.runtime.spec import SpecConfig
 from repro.utils.fastpath import fastpath_enabled
 
@@ -102,50 +102,11 @@ class StepReport:
 @dataclass(eq=False)
 class _Slot:
     """One request's place on this GPU. Slots compare by identity: list
-    removal and the armed batch's tail check need the slot itself, never
-    a deep comparison of the requests it holds."""
+    removal needs the slot itself, never a deep comparison of the
+    requests it holds."""
 
     request: Request
     admit_seq: int
-
-
-class ArmedBatch:
-    """The engine's one plan memo: the pure-decode batch its last step armed.
-
-    Valid while the working set is unchanged; ``plan is None`` means the
-    next step must plan its batch from scratch and re-arm. The bulk
-    lane reads the exact KV total and per-request countdowns, so they
-    advance with every step taken on the armed plan. A request that joins
-    at the tail or leaves on its countdown edits the batch in place: the
-    groups lose or gain one entry, and the plan is laid out from them
-    again (:meth:`GpuEngine._edit_steady`).
-    """
-
-    def __init__(self) -> None:
-        self.plan: "BatchPlan | None" = None
-        self.groups: "dict[object, list[BatchEntry]]" = {}
-        """The batch's decode entries grouped by LoRA id, each group in
-        slot order and the groups in the slot order of their first
-        members — :func:`plan_batch`'s rule 2, kept so a mixed step and a
-        re-arm reuse it instead of regrouping."""
-        self.ids: "list[str]" = []
-        """The batch's request ids, in slot order."""
-        self.total = 0
-        """``sum(kv_len + 1)`` over the batch at its next step."""
-        self.rem: "list[int] | None" = None
-        """Tokens left per request (slot order); ``None`` when a finish
-        needs the per-token check (EOS armed, or a request at its limit)."""
-        self.hits = 0
-        """Steps that ran on the already-armed plan: armed ``step`` calls
-        plus bulk-committed steps (diagnostic, like ``fast_steps``)."""
-        self.misses = 0
-        """Plans built: every arm, edited or not, and every step that does
-        not run on the armed plan as it stands (the ledger's
-        ``plan_hit_rate`` reads it)."""
-        self.rebuilds = 0
-        """Plans built by grouping the batch entry by entry: un-armed
-        steps and cold arms; the rest of ``misses`` edited the armed
-        groups (diagnostic, not a registry metric)."""
 
 
 class GpuEngine:
@@ -219,7 +180,12 @@ class GpuEngine:
             and backend.pricer.supports_steady
             and self._spec is None
         )
-        self._steady = ArmedBatch()
+        self._steady = ArmedBatch(
+            countdown=self._steady_ok and self.config.eos_token_id is None
+        )
+        """The working set's decode batch, edited by :meth:`_order_insert`,
+        :meth:`_remove` and :meth:`fail` on an engine that arms; only its
+        counters move on one that does not."""
         self._plan_cache = self._steady if self.fast_path else None
         """The armed-batch lane's counters under the name its ``hits`` /
         ``misses`` are read by; ``None`` on the reference path, where that
@@ -235,8 +201,8 @@ class GpuEngine:
         the ends chain sequentially, so the array built from ``T``
         *contains* — bit for bit — every run from ``T + n * batch``:
         later stagings slice at offset ``n`` instead of re-pricing.
-        Keyed by plan identity; every re-arm builds a new plan object and
-        misses naturally."""
+        Keyed by plan identity; every laying of the armed plan builds a
+        new plan object and misses naturally."""
         self._entry_cache: dict[str, BatchEntry] = {}
         """Decode :class:`BatchEntry` per request id on this GPU — entries
         are immutable, so each request's is built once and reused by every
@@ -399,9 +365,10 @@ class GpuEngine:
         batch membership, the armed batch, its KvCache pages, its adapter
         pin and its cached plan entry. Callers set the request's state."""
         rid = slot.request.request_id
-        self._steady.plan = None
         if self._working.pop(rid, None) is not None:
             self._working_order.remove(slot)
+            if self._steady_ok:
+                self._steady.leave(self._entry_cache[rid], slot.request.kv_len)
         else:
             self._pending.remove(slot)
             if not slot.request.needs_prefill:
@@ -419,7 +386,10 @@ class GpuEngine:
         die with the GPU, so no release bookkeeping survives the crash.
         """
         self.alive = False
-        self._steady.plan = None
+        if self._steady_ok:
+            for slot in self._working_order:
+                req = slot.request
+                self._steady.leave(self._entry_cache[req.request_id], req.kv_len)
         slots = self._all_slots()
         self._working.clear()
         self._working_order.clear()
@@ -488,7 +458,6 @@ class GpuEngine:
         self._pending.append(_Slot(request=request, admit_seq=self._admit_seq))
         self._admit_seq += 1
         self._num_importing += 1
-        self._steady.plan = None
         if self.tracer is not None:
             self.tracer.emit(
                 now, EventKind.PLACE, request.request_id, self.gpu_id,
@@ -557,41 +526,44 @@ class GpuEngine:
                 )
             return None
 
-        # On an armed engine with nothing left pending the decode batch is
-        # exactly the one the last step armed (any eviction above disarmed
-        # it): a pure decode step reuses its plan, a mixed step lays the
-        # prefills in front of its LoRA groups instead of regrouping.
-        steady = self._steady
-        armed = steady.plan is not None and not self._pending
-        if armed and not prefill_slots:
-            plan = steady.plan
-            steady.hits += 1
-        else:
-            prefills: list[BatchEntry] = []
-            for slot in prefill_slots:
-                req = slot.request
-                prefills.append(
-                    BatchEntry(
-                        request_id=req.request_id,
-                        lora_id=req.lora_id,
-                        num_tokens=req.effective_prompt_len,
-                        is_prefill=True,
-                    )
+        prefills: list[BatchEntry] = []
+        for slot in prefill_slots:
+            req = slot.request
+            prefills.append(
+                BatchEntry(
+                    request_id=req.request_id,
+                    lora_id=req.lora_id,
+                    num_tokens=req.effective_prompt_len,
+                    is_prefill=True,
                 )
-                past_lens[req.request_id] = 0
-            steady.misses += 1
-            if armed:
-                plan = plan_grouped(prefills, steady.groups)
+            )
+            past_lens[req.request_id] = 0
+        # With nothing left pending, an arming engine's decode batch is its
+        # armed batch, kept current through every join and leave: a pure
+        # decode step runs on the laid plan, any other step lays the
+        # prefills in front of the armed LoRA groups. A step that leaves a
+        # request pending, and every step of an engine that does not arm,
+        # groups the batch entry by entry.
+        steady = self._steady
+        laid = steady.decode_plan is not None
+        if self._steady_ok and not self._pending:
+            if prefills or not laid:
+                plan = steady.plan(prefills)
+                steady.misses += 1
             else:
-                entries = prefills  # then the decodes, in slot order
-                cache = self._entry_cache
-                for slot in decode_slots:
-                    rspec = slot.request.spec
-                    entries.append(
-                        cache.get(rspec.request_id) or self._decode_entry(rspec)
-                    )
-                plan = plan_batch(entries)
-                steady.rebuilds += 1
+                plan = steady.decode_plan
+                steady.hits += 1
+        else:
+            entries = prefills  # then the decodes, in slot order
+            cache = self._entry_cache
+            for slot in decode_slots:
+                rspec = slot.request.spec
+                entries.append(
+                    cache.get(rspec.request_id) or self._decode_entry(rspec)
+                )
+            plan = plan_batch(entries)
+            steady.misses += 1
+            steady.rebuilds += 1
 
         batch = prefill_slots + decode_slots
         requests = {s.request.request_id: s.request for s in batch}
@@ -606,55 +578,62 @@ class GpuEngine:
         end = now + latency
 
         # Commit 1..n tokens per request, stopping at its finish condition.
-        # On the armed batch's countdown a decode request finishes when its
-        # count runs out: one append each, no per-token check.
-        countdown = armed and steady.rem is not None
-        finished_slots: "list[_Slot]" = []
+        # Decodes first, so the armed batch advances before this step's
+        # prefills join it. A step that starts on the laid plan commits on
+        # the countdown: each of its requests has decoded here before (an
+        # import's first token here still needs its first-token stamp), so
+        # one append each, and a request finishes when its count runs out.
+        steady.advance()
+        done: "list[_Slot]" = []
         committed: "dict[str, tuple[int, ...]] | None" = {} if spec_round else None
         rollbacks: "dict[str, tuple[int, int]]" = {}
-        for slot in prefill_slots if countdown else batch:
-            req = slot.request
-            rid = req.request_id
-            if req.needs_prefill:
-                req.kv_len = req.effective_prompt_len
-                req.needs_prefill = False
-                self._working[rid] = slot
-                self._order_insert(slot)
-            offered = (
-                execution.committed[rid] if spec_round else (execution.tokens[rid],)
-            )
-            kept = 0
-            for token in offered:
-                kept += 1
-                req.record_token(token, end)
-                if self._is_finished(req, token):
-                    finished_slots.append(slot)
-                    break
-            if spec_round:
-                committed[rid] = offered[:kept]
-            if kept < n:
-                # The request's inputs filled slots [past, past + kept) —
-                # its last committed token's KV lands next step — so the
-                # rest of the reservation rolls back. The allocator's free
-                # list is LIFO: the next reservation reacquires the same
-                # pages, a rejected draft leaves no footprint in page
-                # assignment.
-                req.kv_len = past_lens[rid] + kept
-                pages = self.backend.kv_truncate(rid, req.kv_len)
-                rollbacks[rid] = (n - kept, pages)
-        if countdown:
+        if laid and steady.rem is not None:
             tokens = execution.tokens
-            rem = steady.rem = [left - 1 for left in steady.rem]
-            total = steady.total + len(decode_slots)
-            gone = []
-            for slot, left in zip(decode_slots, rem):
+            for slot, left in zip(decode_slots, steady.rem):
                 req = slot.request
                 req.generated_tokens.append(tokens[req.request_id])
                 if not left:
-                    gone.append(slot)
-                    total -= req.kv_len + 1
-            steady.total = total
-            finished_slots += gone
+                    done.append(slot)
+        else:
+            for slot in decode_slots:
+                req = slot.request
+                rid = req.request_id
+                offered = (
+                    execution.committed[rid] if spec_round
+                    else (execution.tokens[rid],)
+                )
+                kept = 0
+                for token in offered:
+                    kept += 1
+                    req.record_token(token, end)
+                    if self._is_finished(req, token):
+                        done.append(slot)
+                        break
+                if spec_round:
+                    committed[rid] = offered[:kept]
+                if kept < n:
+                    # The request's inputs filled slots [past, past + kept)
+                    # — its last committed token's KV lands next step — so
+                    # the rest of the reservation rolls back. The
+                    # allocator's free list is LIFO: the next reservation
+                    # reacquires the same pages, a rejected draft leaves no
+                    # footprint in page assignment.
+                    req.kv_len = past_lens[rid] + kept
+                    pages = self.backend.kv_truncate(rid, req.kv_len)
+                    rollbacks[rid] = (n - kept, pages)
+        finished_slots: "list[_Slot]" = []
+        for slot in prefill_slots:
+            req = slot.request
+            rid = req.request_id
+            token = execution.tokens[rid]
+            req.kv_len = req.effective_prompt_len
+            req.needs_prefill = False
+            req.record_token(token, end)
+            self._working[rid] = slot
+            self._order_insert(slot)
+            if self._is_finished(req, token):
+                finished_slots.append(slot)
+        finished_slots += done
 
         for slot in finished_slots:
             self._remove(slot)
@@ -665,18 +644,7 @@ class GpuEngine:
                 now, end, prefill_slots, decode_slots, finished_slots,
                 (execution, committed, rollbacks) if spec_round else None,
             )
-
-        if countdown:
-            self._edit_steady(
-                gone,
-                [s for s in prefill_slots if s.request.state is RequestState.RUNNING],
-            )
-        elif armed and not prefill_slots and not finished_slots:
-            # Same batch again next step, no countdown (EOS armed): only
-            # the KV total advances.
-            steady.total += len(decode_slots)
-        else:
-            self._refresh_steady()
+        self._arm()
         return StepReport(
             gpu_id=self.gpu_id,
             start=now,
@@ -772,7 +740,7 @@ class GpuEngine:
         if count < 1:
             return None
         finishes = count == rem_cap
-        plan = steady.plan
+        plan = steady.decode_plan
         total = steady.total
         slowdown = self.slowdown_factor
         # The run from (T + n*batch, start') is an offset slice of the
@@ -834,7 +802,7 @@ class GpuEngine:
         """
         return (
             self._steady.rem is not None
-            and self._steady.plan is not None
+            and self._steady.decode_plan is not None
             and not self._pending
         )
 
@@ -849,7 +817,7 @@ class GpuEngine:
         staged = self._staged_run
         return (
             staged is not None
-            and staged[2] is self._steady.plan
+            and staged[2] is self._steady.decode_plan
             and not self._pending
             and self.alive
             and staged[3] == self.slowdown_factor
@@ -886,7 +854,7 @@ class GpuEngine:
         finished requests then leave as :meth:`step` lets them go: in
         slot order, each through :meth:`_remove` and then
         ``mark_finished`` at the step's end, with their FINISH events,
-        and the armed batch drops them (:meth:`_edit_steady`).
+        and the armed plan is laid again (:meth:`_arm`).
 
         The run's ``DECODE_STEP`` events are not recorded here: the decode
         lane records them, from :meth:`steady_trace_lane`, in run blocks
@@ -902,128 +870,37 @@ class GpuEngine:
         self.loader.advance(float(ends[n - 1]))
         base = self.backend.commit_steady_run(steady.ids, n)
         span = n * batch
-        for pos, rid in enumerate(steady.plan.decode_ids):
+        for pos, rid in enumerate(steady.decode_plan.decode_ids):
             req = working[rid].request
             first_token = base + pos + 1
             req.kv_len += n
             req.generated_tokens.extend(
                 range(first_token, first_token + span, batch)
             )
-        rem = steady.rem = [left - n for left in steady.rem]
-        steady.total += span
+        steady.advance(n)
         steady.hits += n
         self.fast_steps += n
+        rem = steady.rem
         if min(rem):
             return
         self._staged_run = None
         end = float(ends[n])
         finished = [working[rid] for rid, left in zip(steady.ids, rem) if not left]
         for slot in finished:
-            steady.total -= slot.request.kv_len + 1
             self._remove(slot)
             slot.request.mark_finished(end)
         if self.tracer is not None:
             self._trace_finishes(end, finished)
-        self._edit_steady(finished, [])
+        self._arm()
 
-    def _edit_steady(self, gone: "list[_Slot]", joined: "list[_Slot]") -> None:
-        """Re-arm after a step on the armed countdown by editing the batch
-        instead of re-planning it. ``gone`` are the batch's requests whose
-        countdown ran out (already removed, their KV already off
-        ``total``): they leave their groups, and a group that lost its
-        first member re-sorts by its new first member's slot. ``joined``
-        — the step's prefills still running — join their LoRA's group, or
-        open one at the end. The plan is then the one :func:`plan_batch`
-        would build over ``_working_order``. A prefill that did not land
-        at the tail of the slot order, or anything pending, re-arms from
-        scratch (:meth:`_refresh_steady`).
-        """
+    def _arm(self) -> None:
+        """Lay the armed batch's pure-decode plan again after an edit
+        cleared it, once the next step is known to be a pure decode of a
+        nonempty working set (nothing pending)."""
         steady = self._steady
-        if not gone and not joined and steady.plan is not None:
-            return  # the same batch again: the plan stands
-        order = self._working_order
-        k = len(joined)
-        if self._pending or not order or (k and order[-k:] != joined):
-            self._refresh_steady()
-            return
-        groups = steady.groups
-        if gone:
-            rem = steady.rem
-            steady.ids = [rid for rid, left in zip(steady.ids, rem) if left]
-            steady.rem = [left for left in rem if left]
-            gone_ids = {s.request.request_id for s in gone}
-            resort = False
-            for lora in {s.request.lora_id for s in gone}:
-                group = groups[lora]
-                kept = [e for e in group if e.request_id not in gone_ids]
-                if kept:
-                    resort = resort or kept[0] is not group[0]
-                    groups[lora] = kept
-                else:
-                    del groups[lora]
-            if resort:
-                working = self._working
-                groups = steady.groups = dict(sorted(
-                    groups.items(),
-                    key=lambda item: working[item[1][0].request_id].admit_seq,
-                ))
-        for slot in joined:
-            req = slot.request
-            spec = req.spec
-            left = spec.response_len - len(req.generated_tokens)
-            entry = self._entry_cache.get(spec.request_id) or self._decode_entry(spec)
-            group = groups.get(entry.lora_id)
-            if group is None:
-                groups[entry.lora_id] = [entry]
-            else:
-                group.append(entry)
-            steady.ids.append(spec.request_id)
-            steady.rem.append(left)
-            steady.total += req.kv_len + 1
-        steady.plan = plan_grouped([], groups)
-        steady.misses += 1
-
-    def _refresh_steady(self) -> None:
-        """(Re)arm the steady batch from scratch after a step, when the
-        *next* step is known to be a pure decode of the current working
-        set: group its entries, snapshot the KV total and countdowns."""
-        steady = self._steady
-        slots = self._working_order
-        if not self._steady_ok or self._pending or not slots:
-            steady.plan = None
-            return
-        cache = self._entry_cache
-        groups: "dict[object, list[BatchEntry]]" = {}
-        ids: "list[str]" = []
-        total = 0
-        rem: "list[int] | None" = (
-            [] if self.config.eos_token_id is None else None
-        )
-        for s in slots:
-            req = s.request
-            spec = req.spec
-            rid = spec.request_id
-            entry = cache.get(rid) or self._decode_entry(spec)
-            groups.setdefault(entry.lora_id, []).append(entry)
-            ids.append(rid)
-            total += req.kv_len
-            if rem is not None:
-                left = spec.response_len - len(req.generated_tokens)
-                if (
-                    left <= 0
-                    or not req.generated_tokens
-                    or req.state is not RequestState.RUNNING
-                ):
-                    rem = None  # fall back to the per-token finish check
-                else:
-                    rem.append(left)
-        steady.plan = plan_grouped([], groups)
-        steady.misses += 1
-        steady.rebuilds += 1
-        steady.groups = groups
-        steady.ids = ids
-        steady.total = total + len(slots)
-        steady.rem = rem
+        if steady.decode_plan is None and steady.ids and not self._pending:
+            steady.decode_plan = steady.plan([])
+            steady.misses += 1
 
     def _decode_entry(self, spec) -> BatchEntry:
         """Build and cache a request's decode entry (an ``_entry_cache``
@@ -1035,14 +912,24 @@ class GpuEngine:
         return entry
 
     def _order_insert(self, slot: _Slot) -> None:
-        """Insert into ``_working_order`` keeping ascending ``admit_seq``.
-        Loads complete nearly in admission order, so scanning from the end
-        is O(1) in the common case."""
+        """Insert into ``_working_order`` keeping ascending ``admit_seq``,
+        and into the armed batch at the same position. Loads complete
+        nearly in admission order, so scanning from the end is O(1) in the
+        common case."""
         order = self._working_order
         i = len(order)
         while i > 0 and order[i - 1].admit_seq > slot.admit_seq:
             i -= 1
         order.insert(i, slot)
+        if self._steady_ok:
+            req = slot.request
+            spec = req.spec
+            self._steady.join(
+                i,
+                self._entry_cache.get(spec.request_id) or self._decode_entry(spec),
+                req.kv_len,
+                spec.response_len - len(req.generated_tokens),
+            )
 
     # ------------------------------------------------------------------
     def _trace_step(

@@ -4,10 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from repro.core.batch import (
+    ArmedBatch,
     BatchEntry,
     BatchLen,
     BatchPlan,
@@ -316,3 +317,69 @@ class TestPlanBatch:
         assert plan_batch([decode("r1", 3), decode("r2", 3)]).segment_lora_ids == (3,)
         mixed = plan_batch([decode("r1", 3), decode("r2", "3")])
         assert mixed.segment_lora_ids == (3, "3")
+
+
+_LORAS = st.sampled_from(["A", "B", "C", "D"])
+
+
+class TestArmedBatch:
+    """The armed batch edited join by join and leave by leave is the batch
+    ``plan_batch`` groups from scratch over the slot order."""
+
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("join"), st.integers(0, 40), _LORAS,
+                    st.integers(1, 4096), st.integers(1, 64),
+                ),
+                st.tuples(st.just("leave"), st.integers(0, 40)),
+                st.tuples(st.just("advance"), st.integers(1, 3)),
+            ),
+            max_size=40,
+        ),
+        prefills=st.lists(
+            st.tuples(_LORAS, st.integers(1, 2048)), max_size=2
+        ),
+    )
+    @example(
+        # a1, b1, a2; a1 leaves (B leads), then c1 joins at the head and
+        # a3 at the head of A: both re-sort.
+        ops=[
+            ("join", 0, "A", 8, 5), ("join", 1, "B", 8, 5),
+            ("join", 2, "A", 8, 5), ("leave", 0), ("join", 0, "C", 8, 5),
+            ("join", 1, "A", 8, 5),
+        ],
+        prefills=[("A", 16)],
+    )
+    def test_edits_equal_grouping_the_slot_order(self, ops, prefills):
+        armed = ArmedBatch()
+        slots = []  # (entry, kv_len, left), the oracle's slot order
+        pre = [prefill(f"p{i}", lora, n) for i, (lora, n) in enumerate(prefills)]
+        for serial, op in enumerate(ops):
+            kind = op[0]
+            if kind == "join":
+                _, at, lora, kv_len, left = op
+                pos = at % (len(slots) + 1)
+                entry = decode(f"r{serial}", lora)
+                armed.join(pos, entry, kv_len, left)
+                slots.insert(pos, (entry, kv_len, left))
+            elif kind == "leave":
+                if not slots:
+                    continue
+                entry, kv_len, _ = slots.pop(op[1] % len(slots))
+                armed.leave(entry, kv_len)
+            else:
+                steps = op[1]
+                armed.advance(steps)
+                slots = [(e, kv + steps, left - steps) for e, kv, left in slots]
+            if kind != "advance":
+                assert armed.decode_plan is None
+            decodes = [e for e, _, _ in slots]
+            assert armed.ids == [e.request_id for e in decodes]
+            assert armed.total == sum(kv + 1 for _, kv, _ in slots)
+            assert armed.rem == [left for _, _, left in slots]
+            if decodes:
+                assert_plans_equal(armed.plan([]), plan_batch(decodes))
+            if pre or decodes:
+                assert_plans_equal(armed.plan(pre), plan_batch(pre + decodes))

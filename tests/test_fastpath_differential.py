@@ -1410,7 +1410,7 @@ def test_engine_idled_by_a_merged_finish_schedules_nothing(monkeypatch):
         commit(self, n)
         if self.is_idle:
             idled.append(self.gpu_id)
-            assert self._steady.plan is None
+            assert self._steady.decode_plan is None
 
     monkeypatch.setattr(GpuEngine, "commit_steady_run", spy)
     burst = _staggered_trace(5, spacing=0.002, response_lens=(17, 40, 26))

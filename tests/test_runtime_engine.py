@@ -401,16 +401,17 @@ def _decode_entries(engine):
 def assert_armed_is_fresh(engine):
     """The armed batch, however it got there, is what arming the working
     set from scratch gives: ``plan_batch`` over ``_working_order``, its
-    ids, KV total and countdowns."""
+    ids, KV total and countdowns — always, pending work or not — and its
+    laid plan, whenever one is laid. A prefill that joined this step
+    counts its first token once: in ``rem`` and in ``total``."""
     steady = engine._steady
-    if steady.plan is None:
-        return
     slots = engine._working_order
-    assert_plans_equal(steady.plan, plan_batch(_decode_entries(engine)))
-    assert [e for g in steady.groups.values() for e in g] == list(
-        steady.plan.entries
+    decodes = _decode_entries(engine)
+    assert [e for g in steady.groups.values() for e in g] == (
+        list(plan_batch(decodes).entries) if decodes else []
     )
-    assert tuple(steady.groups) == steady.plan.segment_lora_ids
+    if steady.decode_plan is not None:
+        assert_plans_equal(steady.decode_plan, plan_batch(decodes))
     assert steady.ids == [s.request.request_id for s in slots]
     assert steady.total == sum(s.request.kv_len + 1 for s in slots)
     assert steady.rem == [
@@ -442,8 +443,8 @@ def watch_plans(engine):
 
 
 class TestArmedBatchEdits:
-    """A mixed step and every re-arm on the countdown edit the armed
-    batch; the result must be what planning from scratch gives."""
+    """Every join and leave edits the armed batch; the result must be
+    what planning from scratch gives."""
 
     def test_first_member_leaving_reorders_groups(self):
         # Working order a1, b1, a2: the plan groups A (a1, a2) before B.
@@ -461,13 +462,15 @@ class TestArmedBatchEdits:
                 continue
             now = r.end
             assert_armed_is_fresh(engine)
-            if engine._steady.plan is not None:
-                orders.append(engine._steady.plan.segment_lora_ids)
+            if engine._steady.decode_plan is not None:
+                orders.append(engine._steady.decode_plan.segment_lora_ids)
         assert ("A", "B") in orders and ("B", "A") in orders
         assert orders.index(("A", "B")) < orders.index(("B", "A"))
-        # Only the unarmed steps and the cold arm regroup entry by entry.
+        # Only the steps that leave a request pending regroup entry by
+        # entry: the first two, while the three prefills queue one at a
+        # time; a1 leaving edits the groups.
         steady = engine._steady
-        assert steady.rebuilds < steady.misses
+        assert steady.rebuilds == 2 < steady.misses
 
     def test_mixed_step_on_armed_batch_moves_matching_group_first(self):
         engine = make_engine()
@@ -475,7 +478,7 @@ class TestArmedBatchEdits:
             engine.add_request(make_request(rid, lora=lora, response=20), 0.0)
         run = [engine.step(t) for t in (0.0, 0.01, 0.02, 0.03)]
         assert all(r is not None for r in run[-2:])
-        assert engine._steady.plan.segment_lora_ids == ("X", "Y")
+        assert engine._steady.decode_plan.segment_lora_ids == ("X", "Y")
         engine.add_request(make_request("y2", lora="Y", response=20), 0.04)
         seen = watch_plans(engine)
         rebuilds = engine._steady.rebuilds
@@ -486,12 +489,41 @@ class TestArmedBatchEdits:
         assert engine._steady.rebuilds == rebuilds
         assert_armed_is_fresh(engine)
 
+    def test_late_load_and_import_join_mid_order(self):
+        # "slow" waits on its adapter load while the later "fast"
+        # prefills, so slow lands ahead of fast in slot order; "moved"
+        # (imported KV) waits on its own load while "last" prefills, and
+        # lands ahead of it. Each join re-sorts the groups.
+        engine = make_engine()
+        engine.loader.request_load("A", engine._default_lora_bytes, 0.0)
+        now = engine.loader.ready_time("A")
+        engine.add_request(make_request("slow", lora="S", response=20), now)
+        engine.add_request(make_request("fast", lora="A", response=20), now)
+        now = self._step_until(engine, now, 2)
+        assert engine._steady.decode_plan.segment_lora_ids == ("S", "A")
+        moved = make_request("moved", lora="M", response=20)
+        moved.generated_tokens = [7, 7]
+        engine.import_request(moved, 18, None, now)
+        engine.add_request(make_request("last", lora="A", response=20), now)
+        self._step_until(engine, now, 4)
+        assert engine._steady.ids == ["slow", "fast", "moved", "last"]
+        assert engine._steady.decode_plan.segment_lora_ids == ("S", "A", "M")
+
+    @staticmethod
+    def _step_until(engine, now, working):
+        while len(engine._working_order) < working:
+            r = engine.step(now)
+            now = r.end if r is not None else now + 1e-3
+            assert_armed_is_fresh(engine)
+        return now
+
     _ADMIT = st.tuples(
         st.just("admit"),
         st.sampled_from(["A", "B", "C"]),
         st.integers(1, 24),
         st.integers(1, 2),
     )
+    _LORA = st.sampled_from(["A", "B", "C", "new"])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -503,6 +535,20 @@ class TestArmedBatchEdits:
                 st.tuples(st.just("step"), st.integers(1, 4)),
                 st.tuples(st.just("run"), st.integers(1, 40)),
                 st.tuples(st.just("cancel"), st.integers(0, 50)),
+                # An admit on an adapter not yet loaded, then one on a
+                # resident adapter: the second prefills first, and the
+                # first lands mid-order when its load completes.
+                st.tuples(
+                    st.just("late"), st.sampled_from(["A", "B", "C"]),
+                    st.integers(1, 24), st.integers(1, 3),
+                ),
+                # A request arriving with its KV history: it joins when
+                # its adapter is resident, mid-order if a later admit
+                # prefilled first.
+                st.tuples(
+                    st.just("import"), _LORA, st.integers(2, 24),
+                    st.integers(1, 2),
+                ),
             ),
             max_size=40,
         )
@@ -513,6 +559,7 @@ class TestArmedBatchEdits:
     ])
     def test_edited_armed_batch_equals_a_fresh_arm(self, ops):
         """Random admits (repeated LoRAs, each followed by a few steps),
+        admits that land mid-order after a late adapter load, imports,
         scalar steps, bulk runs through their finishing step and cancels:
         after each, the armed batch equals arming from scratch, and every
         executed plan equals ``plan_batch`` over the step's prefills and
@@ -527,12 +574,26 @@ class TestArmedBatchEdits:
         serial = 0
         for op in ops:
             kind = op[0]
-            steps = op[-1] if kind in ("admit", "step") else 0
+            steps = op[-1] if kind in ("admit", "step", "late", "import") else 0
             if kind == "admit":
                 req = make_request(f"r{serial}", lora=op[1], response=op[2])
                 serial += 1
                 if engine.can_accept(req):
                     engine.add_request(req, now)
+            elif kind == "late":
+                for lora in (f"L{serial}", op[1]):
+                    req = make_request(f"r{serial}", lora=lora, response=op[2])
+                    serial += 1
+                    if engine.can_accept(req):
+                        engine.add_request(req, now)
+            elif kind == "import":
+                lora = f"L{serial}" if op[1] == "new" else op[1]
+                req = make_request(f"r{serial}", lora=lora, response=op[2])
+                serial += 1
+                req.generated_tokens = [7] * (op[2] // 2)
+                kv_tokens = req.effective_prompt_len
+                if engine.can_accept(req, kv_tokens):
+                    engine.import_request(req, kv_tokens, None, now)
             elif kind == "run":
                 staged = engine.steady_run_stage(now)
                 if staged is not None:

@@ -1,14 +1,18 @@
 """Work counts are budgets: the exact number of events, scalar steps,
-bulk-committed decode ticks and plans built from scratch a small seeded
+bulk-committed decode ticks and plans built by regrouping a small seeded
 scenario takes.
 
 These counts are the same on every host, so they gate what wall-clock
 timing cannot: a change that turns decode ticks back into scalar steps,
 or disarms a lane, raises ``slow_steps`` and lowers ``merged_steps`` and
-fails here; one that re-plans where the armed batch could be edited
-raises ``rebuilds`` (``ArmedBatch.rebuilds``). A pin may only move toward
-fewer ``slow_steps`` and ``rebuilds`` and more ``merged_steps``, and the
-change that moves it says why in CHANGES.md.
+fails here. ``rebuilds`` (``ArmedBatch.rebuilds``) counts the steps that
+group their batch entry by entry with ``plan_batch``: on the fast path,
+only a step that leaves a request pending (its adapter still loading, or
+its prefill not selected). Every other plan is laid from the armed
+batch's LoRA groups, which each join and leave edits, so a change that
+re-plans where those groups would do raises it. A pin may only move
+toward fewer ``slow_steps`` and ``rebuilds`` and more ``merged_steps``,
+and the change that moves it says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ def _work(sim) -> "dict[str, int]":
 def _pinned(monkeypatch, scenario: str) -> "dict[str, int]":
     """Seed-0 ``scenario`` on the fast path: the loop's events, the
     engines' ``GpuEngine.step`` calls, the decode lane's ticks and the
-    engines' plans built by regrouping the batch."""
+    engines' steps that left a request pending and so regrouped."""
     sims = _simulators(monkeypatch)
     run_scenario(scenario, seed=0)
     (sim,) = sims
@@ -55,34 +59,35 @@ def _pinned(monkeypatch, scenario: str) -> "dict[str, int]":
 
 def test_steady_dense_work_counts(monkeypatch):
     """Eight engines decoding long ShareGPT responses: 27 scalar steps
-    and 347 ticks of staged runs in 397 events; 28 of the 49 plans are
-    built from scratch, the rest edit the armed batch."""
+    and 347 ticks of staged runs in 397 events; 14 of the 49 plans come
+    from steps that left a request pending, the rest from the armed
+    batch's groups."""
     assert _pinned(monkeypatch, "steady_dense") == {
-        "events": 397, "slow_steps": 27, "merged_steps": 347, "rebuilds": 28,
+        "events": 397, "slow_steps": 27, "merged_steps": 347, "rebuilds": 14,
     }
 
 
 def test_slo_work_counts(monkeypatch):
     """The SLO router over a mixed fleet: 8 scalar steps on the engines
-    still in the pool at the end, and 42 ticks, in 107 events; 10 plans
-    built from scratch."""
+    still in the pool at the end, and 42 ticks, in 107 events; 2 steps
+    left a request pending."""
     assert _pinned(monkeypatch, "slo") == {
-        "events": 107, "slow_steps": 8, "merged_steps": 42, "rebuilds": 10,
+        "events": 107, "slow_steps": 8, "merged_steps": 42, "rebuilds": 2,
     }
 
 
 def test_faults_work_counts(monkeypatch):
     """Crashes, slowdowns and their restores land on staged runs, whose
     engines restage or step at their next pop: 43 scalar steps and 68
-    ticks in 167 events; 26 plans built from scratch."""
+    ticks in 167 events; 10 steps left a request pending."""
     assert _pinned(monkeypatch, "faults") == {
-        "events": 167, "slow_steps": 43, "merged_steps": 68, "rebuilds": 26,
+        "events": 167, "slow_steps": 43, "merged_steps": 68, "rebuilds": 10,
     }
 
 
 def test_cluster_migration_work_counts(monkeypatch):
     """Consolidation migrations land on staged runs: 65 scalar steps and
-    84 ticks in 209 events; 51 plans built from scratch."""
+    84 ticks in 209 events; 21 steps left a request pending."""
     assert _pinned(monkeypatch, "cluster_migration") == {
-        "events": 209, "slow_steps": 65, "merged_steps": 84, "rebuilds": 51,
+        "events": 209, "slow_steps": 65, "merged_steps": 84, "rebuilds": 21,
     }
