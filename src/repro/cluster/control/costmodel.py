@@ -99,19 +99,15 @@ class FleetCostModel:
         return self.host_load_seconds if tier == 1 else self.disk_load_seconds
 
     def snapshot(self, engine) -> EngineState:
-        """Read ``engine``'s batch once, pricing each pending prefill's
-        solo step on the way."""
+        """Read ``engine``'s load once (``GpuEngine.batch_load``), pricing
+        each pending prefill's solo step on the way."""
         step_seconds = engine.backend.pricer.step_seconds
-        running = kv_total = 0
-        pending = []
-        for r in engine.all_requests():
-            if r.needs_prefill:
-                solo = step_seconds((max(1, r.effective_prompt_len),), 0, 0)
-                pending.append((r.request_id, solo))
-            else:
-                running += 1
-                kv_total += r.kv_len + 1
-        return EngineState(running, kv_total, tuple(pending))
+        running, kv_total, waiting = engine.batch_load()
+        pending = tuple([
+            (r.request_id, step_seconds((max(1, r.effective_prompt_len),), 0, 0))
+            for r in waiting
+        ])
+        return EngineState(running, kv_total, pending)
 
     def _ttft(self, engine, request: Request, state: EngineState) -> float:
         prompt = max(1, request.effective_prompt_len)

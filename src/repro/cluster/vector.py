@@ -199,8 +199,14 @@ class VectorDecodeLane:
             for run in self._runs.values():
                 if run.popped > run.done:
                     self._commit(run)
-        if returning and (self._times or self._segments):
-            self._flush()
+        if returning:
+            # Only an engine with a run here can lag behind its commits:
+            # every other one left its run through a scalar step or a
+            # finish, and both write back.
+            for run in self._runs.values():
+                run.engine.write_back()
+            if self._times or self._segments:
+                self._flush()
 
     def _flush(self) -> None:
         """Hand the metrics log to the metrics. A tick not yet applied
@@ -231,6 +237,7 @@ class VectorDecodeLane:
             (run.gpu_id, run.ends_np[d:n + 1], run.batch, run.fbatch * k)
         )
         if reqs:
+            engine.write_back()
             # The armed batch is the whole working set, and none of it
             # holds a token: only a handoff holds one, and a simulation
             # with a handoff stages no run.

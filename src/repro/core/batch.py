@@ -29,6 +29,9 @@ from itertools import accumulate
 
 import numpy as np
 
+_NEVER = 1 << 62
+"""A finish step no batch reaches: ``next_fin`` of an empty batch."""
+
 
 @dataclass(frozen=True)
 class BatchEntry:
@@ -230,9 +233,18 @@ class ArmedBatch:
     and ``total`` always describe the working set as of its next step;
     ``decode_plan`` is its pure-decode plan, which every edit clears and
     the engine lays again once nothing is pending.
+
+    Every member gains one KV slot and one token per decode step, so its
+    moving state is held as offsets of one step count, ``steps``: its KV
+    length is ``kv0[rid] + steps``, it finishes at step ``fin[i]``, and
+    the step that starts at ``t`` opens a KV page for exactly the members
+    in ``pages[t % page_size]``. Advancing the batch ``n`` steps is then
+    ``steps += n``, whatever its size (like Punica's ``BatchLenInfo``,
+    the lengths are batch state); ``synced`` and ``base`` tell the engine
+    how far its members' own records lag behind.
     """
 
-    def __init__(self, countdown: bool = True) -> None:
+    def __init__(self, countdown: bool = True, page_size: "int | None" = None) -> None:
         self.groups: "dict[object, list[BatchEntry]]" = {}
         """The decode entries grouped by LoRA id (:func:`plan_batch`'s
         rule 2): each group in slot order, the groups in the slot order
@@ -241,9 +253,29 @@ class ArmedBatch:
         """The batch's request ids, in slot order."""
         self.total = 0
         """``sum(kv_len + 1)`` over the batch at its next step."""
-        self.rem: "list[int] | None" = [] if countdown else None
-        """Tokens left per request (slot order); ``None`` when a finish
-        needs the per-token check (EOS armed)."""
+        self.steps = 0
+        """Decode steps the batch has taken: the offset every member's
+        KV length and countdown move with."""
+        self.kv0: "dict[str, int]" = {}
+        """Each member's KV length minus ``steps``."""
+        self.fin: "list[int] | None" = [] if countdown else None
+        """The step count at which each member (slot order) has produced
+        its last token; ``None`` when a finish needs the per-token check
+        (EOS armed)."""
+        self.next_fin = _NEVER
+        """``min(fin)``: kept at each join and leave."""
+        self.pages: "list[list[str]] | None" = (
+            [[] for _ in range(page_size)] if page_size else None
+        )
+        """Page phases, when the batch holds them (``page_size`` given):
+        ``pages[p]`` lists, in slot order, the members whose KV length is
+        a multiple of the page size at every step count ``t`` with
+        ``t % page_size == p`` — whose next token opens a page there."""
+        self.synced = 0
+        """The step count the members' own records (the engine's requests
+        and allocator) were last brought up to."""
+        self.base = 0
+        """Token counter before step ``synced``'s bulk-committed tokens."""
         self.decode_plan: "BatchPlan | None" = None
         """The pure-decode plan of ``groups``; ``None`` after an edit
         until the engine lays it again."""
@@ -257,6 +289,28 @@ class ArmedBatch:
         self.rebuilds = 0
         """Plans built by :func:`plan_batch`, grouping the batch entry by
         entry (diagnostic, not a registry metric)."""
+        self.write_backs = 0
+        """Passes that brought the members' own records up to ``steps``
+        (diagnostic, like ``rebuilds``)."""
+
+    @property
+    def rem(self) -> "list[int] | None":
+        """Tokens left per request (slot order); ``None`` with EOS armed."""
+        if self.fin is None:
+            return None
+        steps = self.steps
+        return [f - steps for f in self.fin]
+
+    @property
+    def left(self) -> int:
+        """Steps until the first member finishes (``min(rem)``)."""
+        return self.next_fin - self.steps
+
+    def finishing(self) -> "list[str]":
+        """The members whose last token the latest step produced, in slot
+        order."""
+        steps = self.steps
+        return [rid for rid, f in zip(self.ids, self.fin) if f == steps]
 
     def plan(self, prefills: "list[BatchEntry]") -> BatchPlan:
         """``prefills`` followed by the batch's decodes, as
@@ -266,9 +320,8 @@ class ArmedBatch:
     def advance(self, steps: int = 1) -> None:
         """``steps`` decode steps of the whole batch: each request's KV
         grows and its countdown falls by ``steps``."""
+        self.steps += steps
         self.total += steps * len(self.ids)
-        if self.rem is not None:
-            self.rem = [left - steps for left in self.rem]
 
     def join(self, pos: int, entry: BatchEntry, kv_len: int, left: int) -> None:
         """Insert ``entry``'s request at slot position ``pos``, holding
@@ -276,10 +329,21 @@ class ArmedBatch:
         join at the tail appends to its group or opens one at the end;
         one mid-order inserts in slot order and re-sorts the groups."""
         ids = self.ids
+        rid = entry.request_id
         tail = pos == len(ids)
-        ids.insert(pos, entry.request_id)
-        if self.rem is not None:
-            self.rem.insert(pos, left)
+        steps = self.steps
+        self.kv0[rid] = kv_len - steps
+        if self.fin is not None:
+            self.fin.insert(pos, steps + left)
+            self.next_fin = min(self.next_fin, steps + left)
+        if self.pages is not None:
+            phase = self.pages[(steps - kv_len) % len(self.pages)]
+            if tail:
+                phase.append(rid)
+            else:
+                ahead = set(ids[:pos])
+                phase.insert(sum(r in ahead for r in phase), rid)
+        ids.insert(pos, rid)
         self.total += kv_len + 1
         self.decode_plan = None
         group = self.groups.get(entry.lora_id)
@@ -291,19 +355,24 @@ class ArmedBatch:
             group.append(entry)
         else:
             members = {e.request_id for e in group}
-            at = sum(rid in members for rid in ids[:pos])
+            at = sum(r in members for r in ids[:pos])
             group.insert(at, entry)
             if not at:
                 self._resort()
 
-    def leave(self, entry: BatchEntry, kv_len: int) -> None:
-        """Drop ``entry``'s request, which holds ``kv_len`` KV tokens. A
-        group that loses its first member re-sorts by its new one."""
-        i = self.ids.index(entry.request_id)
+    def leave(self, entry: BatchEntry) -> None:
+        """Drop ``entry``'s request. A group that loses its first member
+        re-sorts by its new one."""
+        rid = entry.request_id
+        i = self.ids.index(rid)
         del self.ids[i]
-        if self.rem is not None:
-            del self.rem[i]
-        self.total -= kv_len + 1
+        kv0 = self.kv0.pop(rid)
+        if self.fin is not None:
+            del self.fin[i]
+            self.next_fin = min(self.fin, default=_NEVER)
+        if self.pages is not None:
+            self.pages[(-kv0) % len(self.pages)].remove(rid)
+        self.total -= kv0 + self.steps + 1
         self.decode_plan = None
         group = self.groups[entry.lora_id]
         if len(group) == 1:

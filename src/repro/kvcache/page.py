@@ -143,40 +143,42 @@ class PageAllocator:
                     )
                 pages[sid].append(free.pop())
 
-    def append_tokens_run(self, seq_ids, count: int) -> None:
-        """``count`` rounds of :meth:`append_tokens` applied in one call.
+    def append_tokens_run(self, phases, start: int, count: int) -> None:
+        """``count`` rounds of :meth:`append_tokens` over a batch whose
+        lengths the caller holds as offsets of a round count.
 
-        The vectorized steady-decode lane commits a whole run of decode
-        steps at once; each round appends one token per sequence in
-        ``seq_ids`` order. Page allocations replay in exact (round,
-        sequence-position) order, so the LIFO free list hands every
-        sequence the same page ids the per-round calls would — the
-        allocator's observable state is bit-identical. The caller
-        guarantees ``free_pages`` covers the worst case (one page per
-        sequence per round is never needed; the lane's cap is
-        ``free_pages // len(seq_ids)`` rounds, which more than covers the
-        one-page-per-``page_size``-rounds actual demand).
+        Round ``t`` (``start <= t < start + count``) appends one token to
+        every sequence of the batch; it opens a page for exactly the
+        sequences in ``phases[t % page_size]`` — those whose length at
+        round ``t`` fills its last page — in that list's order. Pages are
+        popped in (round, position) order, so with each phase list in the
+        batch's order the LIFO free list hands every sequence the same
+        page ids the per-round calls would. The cost is one pass over the
+        rounds plus one pop per page, whatever the batch size. Lengths are
+        not touched: the caller writes them back into :attr:`lengths`.
         """
-        seq_len = self._seq_len
-        pages = self._pages
+        size = self.page_size
         free = self._free
-        page_size = self.page_size
-        allocs: list[tuple[int, int, str]] = []
-        for pos, sid in enumerate(seq_ids):
-            cur = seq_len[sid]
-            # Rounds k in [0, count) with (cur + k) % page_size == 0 open
-            # a fresh page, exactly as the per-round loop would.
-            for k in range((-cur) % page_size, count, page_size):
-                allocs.append((k, pos, sid))
-            seq_len[sid] = cur + count
-        if len(allocs) > len(free):
-            raise MemoryError(
-                f"bulk append needs {len(allocs)} pages but only "
-                f"{len(free)} free"
+        cycles, part = divmod(count, size)
+        members = sum(map(len, phases))
+        if (cycles + 1) * members > len(free):  # a bound; the exact count
+            need = cycles * members + sum(
+                len(phases[t % size]) for t in range(start, start + part)
             )
-        allocs.sort()
-        for _, _, sid in allocs:
-            pages[sid].append(free.pop())
+            if need > len(free):
+                raise MemoryError(
+                    f"bulk append needs {need} pages but only {len(free)} free"
+                )
+        pages = self._pages
+        for t in range(start, start + count):
+            for sid in phases[t % size]:
+                pages[sid].append(free.pop())
+
+    @property
+    def lengths(self) -> "dict[str, int]":
+        """The live sequence-length map. A caller that appends through
+        :meth:`append_tokens_run` writes its lengths back here."""
+        return self._seq_len
 
     def truncate(self, seq_id: str, new_len: int) -> int:
         """Shrink a sequence to ``new_len`` tokens; returns pages released.

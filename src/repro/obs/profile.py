@@ -24,6 +24,7 @@ import inspect
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
+from statistics import median
 from time import perf_counter
 from typing import NamedTuple
 
@@ -285,18 +286,27 @@ def _summary(result) -> tuple:
             result.num_migrations, result.duration)
 
 
+#: Timed runs of each kind per ``fig13_quick`` round; the round reads
+#: their median, so one sample's host noise does not decide a gate row.
+FIG13_QUICK_SAMPLES = 3
+
+
 def fig13_quick_round(seed: int = 0, scale=QUICK) -> "dict[str, float]":
     """The fast path, the fast path with a tracer and the reference path,
-    timed. All three must simulate the same run, or the round raises.
-    Each starts from a collected heap: an earlier run's fleet, and with it
+    each timed :data:`FIG13_QUICK_SAMPLES` times (the median counts). All
+    three must simulate the same run, or the round raises. Each run
+    starts from a collected heap: an earlier run's fleet, and with it
     the price lists its pricers shared, is gone, so every run prices cold."""
     walls, results = {}, {}
-    for name, kwargs in (("fast", {}), ("traced", {"tracer": Tracer()}),
-                         ("reference", {"fast_path": False})):
-        gc.collect()
-        t0 = perf_counter()
-        results[name] = fig13_quick(seed, scale, **kwargs)
-        walls[name] = perf_counter() - t0
+    for name, kwargs in (("fast", dict), ("traced", lambda: {"tracer": Tracer()}),
+                         ("reference", lambda: {"fast_path": False})):
+        samples = []
+        for _ in range(FIG13_QUICK_SAMPLES):
+            gc.collect()
+            t0 = perf_counter()
+            results[name] = fig13_quick(seed, scale, **kwargs())
+            samples.append(perf_counter() - t0)
+        walls[name] = median(samples)
     fast_summary = _summary(results["fast"])
     for name in ("reference", "traced"):
         if _summary(results[name]) != fast_summary:

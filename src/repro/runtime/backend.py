@@ -68,6 +68,9 @@ class SpecExecution:
 class SimulatedBackend:
     """Analytical-latency backend for full-scale (7B/13B/70B) experiments."""
 
+    reads_requests = False
+    """:meth:`execute` needs no request objects: the engine passes none."""
+
     def __init__(
         self,
         config: LlamaConfig,
@@ -150,6 +153,17 @@ class SimulatedBackend:
         """
         self.kv.append_many(request_ids)
 
+    def kv_append_run(self, phases, start: int, count: int) -> None:
+        """``count`` decode rounds' page appends for a batch held as
+        offsets (:meth:`PageAllocator.append_tokens_run`); its lengths
+        are written back through :meth:`kv_lengths`. Only valid without
+        a unified pool: a bulk append bypasses the shared byte budget."""
+        self.kv.allocator.append_tokens_run(phases, start, count)
+
+    def kv_lengths(self) -> "dict[str, int]":
+        """The allocator's live per-sequence lengths."""
+        return self.kv.allocator.lengths
+
     def kv_truncate(self, request_id: str, new_len: int) -> int:
         """Roll a sequence back to ``new_len`` KV slots; returns pages freed
         (under a unified pool, straight back to the shared budget)."""
@@ -191,18 +205,26 @@ class SimulatedBackend:
         plan: BatchPlan,
         past_lens: Mapping[str, int],
         requests: Mapping[str, Request] | None = None,
+        kv_total: "int | None" = None,
     ) -> StepExecution:
+        """Price the step and hand each entry the next counter token.
+        ``kv_total`` is ``sum(past + 1)`` over the decodes when the caller
+        holds it (an armed engine's ``ArmedBatch.total``); otherwise it is
+        summed from ``past_lens``."""
         decode_ids = plan.decode_ids
-        total_kv = len(decode_ids)
-        for rid in decode_ids:
-            total_kv += past_lens[rid]
+        if kv_total is None:
+            kv_total = len(decode_ids)
+            for rid in decode_ids:
+                kv_total += past_lens[rid]
         seconds = self._step_seconds(
-            plan.prefill_lens, len(decode_ids), total_kv, plan.segment_sizes
+            plan.prefill_lens, len(decode_ids), kv_total, plan.segment_sizes
         )
-        tokens = {}
-        for entry in plan.entries:
-            self._token_counter += 1
-            tokens[entry.request_id] = self._token_counter
+        ids = (
+            [e.request_id for e in plan.entries] if plan.prefill_lens else decode_ids
+        )
+        base = self._token_counter
+        self._token_counter = base + len(ids)
+        tokens = dict(zip(ids, range(base + 1, base + 1 + len(ids))))
         return StepExecution(latency=seconds, tokens=tokens)
 
     def execute_spec(
@@ -244,26 +266,27 @@ class SimulatedBackend:
             proposed=spec.draft_len,
         )
 
-    def commit_steady_run(self, request_ids, count: int) -> int:
+    def commit_steady_run(self, phases, start: int, count: int, batch: int) -> int:
         """Apply ``count`` decode steps' KvCache and token effects in bulk.
 
-        ``request_ids`` iterates in the same order the per-step
-        :meth:`kv_append_many` call would (the engine's slot order), so
-        page assignment replays exactly. Returns the token counter value
+        ``phases`` are the batch's page phases from round ``start``
+        (:meth:`kv_append_run`), each in the engine's slot order, so page
+        assignment replays exactly. Returns the token counter value
         *before* the run: step ``k``'s token for the request at workload
         position ``p`` is ``base + k * batch + p + 1``, matching ``count``
-        :meth:`execute` calls. Only valid without a unified pool (the
-        lane gates on ``backend.pool is None``): a bulk append bypasses
-        the shared byte budget.
+        :meth:`execute` calls.
         """
-        self.kv.allocator.append_tokens_run(request_ids, count)
+        self.kv_append_run(phases, start, count)
         base = self._token_counter
-        self._token_counter = base + count * len(request_ids)
+        self._token_counter = base + count * batch
         return base
 
 
 class NumpyBackend:
     """Functional backend: really generates tokens at toy scale."""
+
+    reads_requests = True
+    """:meth:`execute` feeds each request's tokens to the model."""
 
     def __init__(
         self,

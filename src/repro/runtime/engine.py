@@ -180,12 +180,25 @@ class GpuEngine:
             and backend.pricer.supports_steady
             and self._spec is None
         )
+        countdown = self._steady_ok and self.config.eos_token_id is None
+        self._offsets = countdown and getattr(backend, "pool", True) is None
+        """Whether the armed members' KV lengths, pages and tokens advance
+        as offsets of the batch's step count (:meth:`write_back` writes
+        them back): a countdown and a private KvPool (a unified pool gates
+        every page on its shared budget)."""
         self._steady = ArmedBatch(
-            countdown=self._steady_ok and self.config.eos_token_id is None
+            countdown=countdown,
+            page_size=backend.kv.page_size if self._offsets else None,
         )
         """The working set's decode batch, edited by :meth:`_order_insert`,
         :meth:`_remove` and :meth:`fail` on an engine that arms; only its
         counters move on one that does not."""
+        self._kv_lengths = backend.kv_lengths() if self._offsets else None
+        """The allocator's per-sequence lengths, which :meth:`write_back`
+        brings up to the armed batch's step count."""
+        self._reads_requests = getattr(backend, "reads_requests", True)
+        """Whether ``execute`` reads the request objects (the functional
+        backend does); a step builds the ``requests`` dict only then."""
         self._plan_cache = self._steady if self.fast_path else None
         """The armed-batch lane's counters under the name its ``hits`` /
         ``misses`` are read by; ``None`` on the reference path, where that
@@ -286,7 +299,29 @@ class GpuEngine:
     def all_requests(self) -> list[Request]:
         """Every request currently on this GPU (working + pending), in
         admission order — what the migration pass iterates over."""
+        self.write_back()
         return [s.request for s in self._all_slots()]
+
+    def batch_load(self) -> "tuple[int, int, list[Request]]":
+        """``(running, kv_total, waiting)``: the requests holding KV here
+        (the working set and imports waiting on their adapter), ``sum(kv_len
+        + 1)`` over them, and the requests waiting to prefill, in
+        admission order — what a cost model prices this GPU from. An
+        arming engine answers from its armed batch, with no write-back."""
+        if self._steady_ok:
+            running, kv_total = len(self._steady.ids), self._steady.total
+        else:
+            running = len(self._working_order)
+            kv_total = running + sum(s.request.kv_len for s in self._working_order)
+        waiting = []
+        for slot in self._pending:
+            req = slot.request
+            if req.needs_prefill:
+                waiting.append(req)
+            else:
+                running += 1
+                kv_total += req.kv_len + 1
+        return running, kv_total, waiting
 
     def _all_slots(self) -> "list[_Slot]":
         """Working + pending slots in admission order. Both source lists are
@@ -365,10 +400,12 @@ class GpuEngine:
         batch membership, the armed batch, its KvCache pages, its adapter
         pin and its cached plan entry. Callers set the request's state."""
         rid = slot.request.request_id
-        if self._working.pop(rid, None) is not None:
-            self._working_order.remove(slot)
+        if rid in self._working:
             if self._steady_ok:
-                self._steady.leave(self._entry_cache[rid], slot.request.kv_len)
+                self.write_back()
+                self._steady.leave(self._entry_cache[rid])
+            del self._working[rid]
+            self._working_order.remove(slot)
         else:
             self._pending.remove(slot)
             if not slot.request.needs_prefill:
@@ -387,9 +424,9 @@ class GpuEngine:
         """
         self.alive = False
         if self._steady_ok:
+            self.write_back()
             for slot in self._working_order:
-                req = slot.request
-                self._steady.leave(self._entry_cache[req.request_id], req.kv_len)
+                self._steady.leave(self._entry_cache[slot.request.request_id])
         slots = self._all_slots()
         self._working.clear()
         self._working_order.clear()
@@ -421,6 +458,7 @@ class GpuEngine:
         slot = self._working.get(request_id)
         if slot is None:
             raise KeyError(f"request {request_id} not working on {self.gpu_id}")
+        self.write_back()
         kv_tokens, payload = self.backend.kv_export(request_id)
         self._remove(slot)
         request = slot.request
@@ -505,9 +543,24 @@ class GpuEngine:
         n = spec.max_tokens_per_round if spec_round else 1
         # Reserve the decode requests' KvCache slots FIRST (evicting newest
         # requests on pressure), so prefill admission below can only use
-        # pages genuinely left over.
+        # pages genuinely left over. A step on the laid plan of an engine
+        # that holds its batch as offsets, with a free page per request,
+        # cannot evict: its decodes are the whole armed batch, advanced
+        # like a one-step bulk commit — only the pages its round opens.
+        steady = self._steady
+        offsets = (
+            self._offsets
+            and steady.decode_plan is not None
+            and self.backend.kv_headroom_pages() >= len(steady.ids)
+        )
         evicted: list[str] = []
-        decode_slots, past_lens = self._reserve(n, evicted)
+        if offsets:
+            decode_slots = list(self._working_order)
+            past_lens: "dict[str, int]" = {}
+            self.backend.kv_append_run(steady.pages, steady.steps, 1)
+        else:
+            self.write_back()
+            decode_slots, past_lens = self._reserve(n, evicted)
         if self.tracer is not None:
             for rid in evicted:
                 self.tracer.emit(
@@ -544,7 +597,6 @@ class GpuEngine:
         # prefills in front of the armed LoRA groups. A step that leaves a
         # request pending, and every step of an engine that does not arm,
         # groups the batch entry by entry.
-        steady = self._steady
         laid = steady.decode_plan is not None
         if self._steady_ok and not self._pending:
             if prefills or not laid:
@@ -565,13 +617,18 @@ class GpuEngine:
             steady.misses += 1
             steady.rebuilds += 1
 
-        batch = prefill_slots + decode_slots
-        requests = {s.request.request_id: s.request for s in batch}
+        requests = (
+            {s.request.request_id: s.request for s in prefill_slots + decode_slots}
+            if self._reads_requests
+            else None
+        )
         if spec_round:
             execution = self.backend.execute_spec(
                 plan, past_lens, spec, self._spec_rng, requests=requests
             )
             self.spec_rounds += 1
+        elif self._steady_ok:
+            execution = self.backend.execute(plan, past_lens, kv_total=steady.total)
         else:
             execution = self.backend.execute(plan, past_lens, requests=requests)
         latency = execution.latency * self.slowdown_factor
@@ -582,12 +639,19 @@ class GpuEngine:
         # prefills join it. A step that starts on the laid plan commits on
         # the countdown: each of its requests has decoded here before (an
         # import's first token here still needs its first-token stamp), so
-        # one append each, and a request finishes when its count runs out.
+        # one append each, and a request finishes when its count runs out —
+        # on an offsets step, in the write-back of the batch's lag.
         steady.advance()
         done: "list[_Slot]" = []
         committed: "dict[str, tuple[int, ...]] | None" = {} if spec_round else None
         rollbacks: "dict[str, tuple[int, int]]" = {}
-        if laid and steady.rem is not None:
+        if offsets:
+            self.write_back(execution.tokens)
+            if steady.steps == steady.next_fin:
+                working = self._working
+                done = [working[rid] for rid in steady.finishing()]
+        elif laid and steady.fin is not None:
+            steady.synced = steady.steps
             tokens = execution.tokens
             for slot, left in zip(decode_slots, steady.rem):
                 req = slot.request
@@ -621,6 +685,7 @@ class GpuEngine:
                     req.kv_len = past_lens[rid] + kept
                     pages = self.backend.kv_truncate(rid, req.kv_len)
                     rollbacks[rid] = (n - kept, pages)
+            steady.synced = steady.steps
         finished_slots: "list[_Slot]" = []
         for slot in prefill_slots:
             req = slot.request
@@ -649,12 +714,12 @@ class GpuEngine:
             gpu_id=self.gpu_id,
             start=now,
             latency=latency,
-            batch_size=len(batch),
+            batch_size=len(prefill_slots) + len(decode_slots),
             num_prefill=len(prefill_slots),
             num_decode=len(decode_slots),
             num_lora_segments=plan.num_lora_segments,
             new_tokens=(
-                dict(execution.tokens)
+                execution.tokens
                 if committed is None
                 else {rid: toks[-1] for rid, toks in committed.items()}
             ),
@@ -728,14 +793,14 @@ class GpuEngine:
         trigger). ``finishes`` is whether the run's last step is that
         finishing step; every earlier step is a pure tick. Call
         :meth:`commit_steady_run` to apply a prefix. Requires the
-        length-limit countdown (``ArmedBatch.rem``).
+        length-limit countdown (``ArmedBatch.fin``).
         """
         backend = self.backend
-        if not self.steady_ready() or getattr(backend, "pool", True) is not None:
+        if not self.steady_ready():
             return None
         steady = self._steady
         batch = len(steady.ids)
-        rem_cap = min(steady.rem)
+        rem_cap = steady.left
         count = min(rem_cap, backend.kv_headroom_pages() // batch, self._MAX_RUN)
         if count < 1:
             return None
@@ -801,7 +866,7 @@ class GpuEngine:
         takes a scalar :meth:`step` instead.
         """
         return (
-            self._steady.rem is not None
+            self._offsets
             and self._steady.decode_plan is not None
             and not self._pending
         )
@@ -830,31 +895,37 @@ class GpuEngine:
 
         The decode lane closes a run block wherever another event must
         emit its own records, so one staged run may span several blocks;
-        each block takes the lane of its own steps."""
+        each block takes the lane of its own steps. A request's count is
+        its written-back tokens plus the batch's lag."""
         ends = self._staged_run[0]
-        ids = self._steady.ids
+        steady = self._steady
+        ids = steady.ids
         working = self._working
+        first_count = steady.steps - steady.synced + first
         return (
             self.gpu_id,
             tuple(ids),
-            [len(working[rid].request.generated_tokens) + first for rid in ids],
+            [len(working[rid].request.generated_tokens) + first_count for rid in ids],
             ends[first:last + 1].tolist(),
         )
 
     def commit_steady_run(self, n: int) -> None:
         """Apply the first ``n`` steps of the staged run in bulk.
 
-        Replays exactly what ``n`` :meth:`step` calls on the armed batch
-        would do — KvCache appends (page ids included), token values,
-        per-request countdowns, loader clock, total-KV counter — without
-        the per-step Python work. The rest of the run stays staged, from
-        the end of step ``n``, so a later commit continues it (the decode
-        lane commits a prefix wherever another event may read this
-        engine). When step ``n`` is the run's finishing step, its
-        finished requests then leave as :meth:`step` lets them go: in
-        slot order, each through :meth:`_remove` and then
-        ``mark_finished`` at the step's end, with their FINISH events,
-        and the armed plan is laid again (:meth:`_arm`).
+        Replays what ``n`` :meth:`step` calls on the armed batch would do —
+        KvCache pages (page ids included), token values, countdowns,
+        loader clock, total-KV counter — as ``n`` more steps of the armed
+        batch's step count plus the pages its rounds open: O(pages + n),
+        whatever the batch size. Each request's ``kv_len`` and tokens and
+        the allocator's lengths follow at the next :meth:`write_back`. The
+        rest of the run stays staged, from the end of step ``n``, so a
+        later commit continues it (the decode lane commits a prefix
+        wherever another event may read this engine). When step ``n`` is
+        the run's finishing step, its finished requests then leave as
+        :meth:`step` lets them go: in slot order, each through
+        :meth:`_remove` and then ``mark_finished`` at the step's end, with
+        their FINISH events, and the armed plan is laid again
+        (:meth:`_arm`).
 
         The run's ``DECODE_STEP`` events are not recorded here: the decode
         lane records them, from :meth:`steady_trace_lane`, in run blocks
@@ -863,35 +934,64 @@ class GpuEngine:
         ends, batch, plan, slowdown = self._staged_run
         self._staged_run = (ends[n:], batch, plan, slowdown)
         steady = self._steady
-        working = self._working
         # Reference steps call loader.advance(step start) each step;
         # advance is a monotone clock max, so the last start subsumes
         # the sequence — and precedes a finish's adapter releases.
         self.loader.advance(float(ends[n - 1]))
-        base = self.backend.commit_steady_run(steady.ids, n)
-        span = n * batch
-        for pos, rid in enumerate(steady.decode_plan.decode_ids):
-            req = working[rid].request
-            first_token = base + pos + 1
-            req.kv_len += n
-            req.generated_tokens.extend(
-                range(first_token, first_token + span, batch)
-            )
+        base = self.backend.commit_steady_run(steady.pages, steady.steps, n, batch)
+        if steady.synced == steady.steps:
+            steady.base = base
         steady.advance(n)
         steady.hits += n
         self.fast_steps += n
-        rem = steady.rem
-        if min(rem):
+        if steady.steps < steady.next_fin:
             return
         self._staged_run = None
         end = float(ends[n])
-        finished = [working[rid] for rid, left in zip(steady.ids, rem) if not left]
+        working = self._working
+        finished = [working[rid] for rid in steady.finishing()]
         for slot in finished:
             self._remove(slot)
             slot.request.mark_finished(end)
         if self.tracer is not None:
             self._trace_finishes(end, finished)
         self._arm()
+
+    def write_back(self, tokens: "dict[str, int] | None" = None) -> None:
+        """Bring each armed request's ``kv_len`` and tokens, and the
+        allocator's lengths, up to the batch's step count, in one pass.
+
+        Bulk commits leave them behind (:meth:`commit_steady_run`); every
+        reader catches them up first: a join or a leave, a scalar step,
+        :meth:`all_requests`, :meth:`cancel`, :meth:`fail`,
+        :meth:`export_request`, and the decode lane before it feeds the
+        token sink and before the event loop returns. The lagging steps'
+        tokens are the backend counter's, ``base + k * batch + pos + 1``
+        for plan position ``pos``; a scalar step passes its own step's
+        ``tokens``, which it has not handed out yet."""
+        steady = self._steady
+        steps = steady.steps
+        lag = steps - steady.synced
+        if not lag:
+            return
+        steady.synced = steps
+        steady.write_backs += 1
+        working = self._working
+        lengths = self._kv_lengths
+        kv0 = steady.kv0
+        order = steady.decode_plan.decode_ids
+        batch = len(order)
+        first = steady.base + 1
+        span = (lag if tokens is None else lag - 1) * batch
+        for rid in order:
+            req = working[rid].request
+            req.kv_len = lengths[rid] = kv0[rid] + steps
+            gen = req.generated_tokens
+            if span:
+                gen.extend(range(first, first + span, batch))
+            if tokens is not None:
+                gen.append(tokens[rid])
+            first += 1
 
     def _arm(self) -> None:
         """Lay the armed batch's pure-decode plan again after an edit
@@ -922,6 +1022,7 @@ class GpuEngine:
             i -= 1
         order.insert(i, slot)
         if self._steady_ok:
+            self.write_back()
             req = slot.request
             spec = req.spec
             self._steady.join(

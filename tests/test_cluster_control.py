@@ -31,6 +31,7 @@ from repro.cluster.simulator import ClusterSimulator
 from repro.hw.spec import HwSpec
 from repro.models.config import LLAMA2_7B, LLAMA2_13B
 from repro.models.perf import PUNICA_FLAGS, PerfFlags, StepWorkload, model_step_latency
+from repro.obs.scenarios import run_scenario
 from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.engine import EngineConfig, GpuEngine
@@ -160,6 +161,36 @@ class TestFleetCostModel:
                 for e in fleet:
                     assert asked[e.gpu_id] <= cost.predict_ttft(e, req)
                 assert cost.best_floor(fleet, req) == min(alone.values())
+
+    @pytest.mark.parametrize("scenario", ["slo", "disagg", "composed"])
+    def test_batch_load_equals_the_request_walk_at_every_arrival(
+        self, scenario, monkeypatch
+    ):
+        """``GpuEngine.batch_load``, which ``snapshot`` prices an engine
+        from, equals walking the engine's requests at every arrival of
+        the scenario — also while an armed batch's requests lag its bulk
+        commits, since it reads the batch without writing them back."""
+        arrive = ClusterSimulator._arrive
+        lagging = []
+
+        def checking(sim, req, now):
+            for engine in sim.scheduler.engines.values():
+                steady = engine._steady
+                lagging.append(steady.steps != steady.synced)
+                load = engine.batch_load()
+                reqs = engine.all_requests()
+                held = [r for r in reqs if not r.needs_prefill]
+                assert load == (
+                    len(held), sum(r.kv_len + 1 for r in held),
+                    [r for r in reqs if r.needs_prefill],
+                )
+            arrive(sim, req, now)
+
+        monkeypatch.setattr(ClusterSimulator, "_arrive", checking)
+        run_scenario(scenario, seed=0)
+        assert lagging
+        if scenario == "slo":
+            assert any(lagging)
 
     def test_estimate_headroom_goes_negative_past_deadline(self):
         control = ControlConfig(

@@ -353,7 +353,7 @@ class TestArmedBatch:
         prefills=[("A", 16)],
     )
     def test_edits_equal_grouping_the_slot_order(self, ops, prefills):
-        armed = ArmedBatch()
+        armed = ArmedBatch(page_size=4)
         slots = []  # (entry, kv_len, left), the oracle's slot order
         pre = [prefill(f"p{i}", lora, n) for i, (lora, n) in enumerate(prefills)]
         for serial, op in enumerate(ops):
@@ -367,8 +367,8 @@ class TestArmedBatch:
             elif kind == "leave":
                 if not slots:
                     continue
-                entry, kv_len, _ = slots.pop(op[1] % len(slots))
-                armed.leave(entry, kv_len)
+                entry, _, _ = slots.pop(op[1] % len(slots))
+                armed.leave(entry)
             else:
                 steps = op[1]
                 armed.advance(steps)
@@ -379,6 +379,16 @@ class TestArmedBatch:
             assert armed.ids == [e.request_id for e in decodes]
             assert armed.total == sum(kv + 1 for _, kv, _ in slots)
             assert armed.rem == [left for _, _, left in slots]
+            assert armed.left == min(armed.rem, default=armed.left)
+            assert [armed.kv0[e.request_id] + armed.steps for e, _, _ in slots] == [
+                kv for _, kv, _ in slots
+            ]
+            # The step that starts at t opens a page for a member whose KV
+            # length then fills its last page: phase (t - kv) % 4 now.
+            assert armed.pages == [
+                [e.request_id for e, kv, _ in slots if (armed.steps - kv) % 4 == p]
+                for p in range(4)
+            ]
             if decodes:
                 assert_plans_equal(armed.plan([]), plan_batch(decodes))
             if pre or decodes:

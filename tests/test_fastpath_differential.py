@@ -660,6 +660,42 @@ def test_vector_merge_lane_engages_untraced():
     assert any(len(set(times)) > 1 for times in chunk_times)
 
 
+@pytest.mark.parametrize("until", [1.5, 3.0, 4.5])
+def test_run_cut_mid_decode_writes_back_the_armed_batches(until):
+    """A run cut short (``until=``) returns with every staged run's popped
+    steps applied and the armed batches written back: each request's
+    state, KV length and tokens, and each allocator's lengths and pages,
+    equal the reference path's at the same cut."""
+    trace = generate_trace(
+        60, "skewed", seed=5,
+        lengths=ShareGptLengths(max_prompt_len=32, max_response_len=24),
+        arrivals=PoissonArrivals(rate=constant_rate(12.0), duration=5.0),
+    )
+
+    def cut(fast_path):
+        engines = [
+            GpuEngine(
+                f"gpu{i:02d}", SimulatedBackend(LLAMA2_7B),
+                EngineConfig(max_batch_size=8), fast_path=fast_path,
+            )
+            for i in range(2)
+        ]
+        sim = ClusterSimulator(engines, fast_path=fast_path)
+        result = sim.run(trace, until=until)
+        allocators = [e.backend.kv.allocator for e in engines]
+        return sim, (
+            _request_states(result.requests),
+            [r.generated_tokens for r in result.requests],
+            [(dict(a.lengths), a._pages, a._free) for a in allocators],
+        )
+
+    fast, fast_state = cut(True)
+    _, ref_state = cut(False)
+    assert fast._vector.merged_steps > 0
+    assert any(r.state is RequestState.RUNNING for r in fast._requests.values())
+    assert fast_state == ref_state
+
+
 # ---------------------------------------------------------------------------
 # Tracing at untraced speed: a Tracer must not disarm a lane
 # ---------------------------------------------------------------------------

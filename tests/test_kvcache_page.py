@@ -110,6 +110,38 @@ class TestPageAllocator:
             a.allocate(f"r{i}", s)
         assert a.used_pages == sum(pages_needed(s, 16) for s in lengths)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+        start=st.integers(0, 9),
+        counts=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    )
+    def test_phased_run_equals_per_round_appends(self, lengths, start, counts):
+        """``append_tokens_run`` over a batch held as offsets of a round
+        count pops the pages ``append_tokens`` would, round by round, and
+        leaves the lengths to the caller."""
+        bulk, ref = PageAllocator(128, 4), PageAllocator(128, 4)
+        ids = [f"r{i}" for i, _ in enumerate(lengths)]
+        for a in (bulk, ref):
+            for sid, n in zip(ids, lengths):
+                a.allocate(sid, n)
+        # The round starting at t opens a page iff the length is then a
+        # multiple of 4: phase (t - length) % 4 at round ``start``.
+        phases = [[sid for sid, n in zip(ids, lengths) if (start - n) % 4 == p]
+                  for p in range(4)]
+        t = start
+        for count in counts:
+            bulk.append_tokens_run(phases, t, count)
+            for _ in range(count):
+                ref.append_tokens(ids)
+            t += count
+            assert bulk._free == ref._free
+            assert [bulk.pages_of(s) for s in ids] == [ref.pages_of(s) for s in ids]
+        assert [bulk.seq_len(s) for s in ids] == lengths
+        grown = t - start
+        bulk.lengths.update({s: n + grown for s, n in zip(ids, lengths)})
+        assert bulk.stats() == ref.stats()
+
 
 class TestExportImport:
     def test_roundtrip_frees_then_reallocates(self):

@@ -24,12 +24,16 @@ def make_request(rid, lora="m0", prompt=16, response=4, arrival=0.0):
     )
 
 
-def make_engine(max_batch=32, same_lora_only=False, kv_capacity=None, config=LLAMA2_7B):
+def make_engine(
+    max_batch=32, same_lora_only=False, kv_capacity=None, config=LLAMA2_7B,
+    fast_path=None,
+):
     backend = SimulatedBackend(config, kv_capacity_bytes=kv_capacity, step_overhead=0.0)
     return GpuEngine(
         "gpu0",
         backend,
         EngineConfig(max_batch_size=max_batch, same_lora_only=same_lora_only),
+        fast_path=fast_path,
     )
 
 
@@ -403,40 +407,62 @@ def assert_armed_is_fresh(engine):
     set from scratch gives: ``plan_batch`` over ``_working_order``, its
     ids, KV total and countdowns — always, pending work or not — and its
     laid plan, whenever one is laid. A prefill that joined this step
-    counts its first token once: in ``rem`` and in ``total``."""
+    counts its first token once: in ``rem`` and in ``total``. Bulk
+    commits leave each request ``lag`` steps behind the batch's step
+    count until a reader writes them back; this check reads nothing that
+    writes back."""
     steady = engine._steady
     slots = engine._working_order
     decodes = _decode_entries(engine)
+    lag = steady.steps - steady.synced
     assert [e for g in steady.groups.values() for e in g] == (
         list(plan_batch(decodes).entries) if decodes else []
     )
     if steady.decode_plan is not None:
         assert_plans_equal(steady.decode_plan, plan_batch(decodes))
     assert steady.ids == [s.request.request_id for s in slots]
-    assert steady.total == sum(s.request.kv_len + 1 for s in slots)
+    assert steady.total == sum(s.request.kv_len + lag + 1 for s in slots)
     assert steady.rem == [
-        s.request.spec.response_len - s.request.num_generated for s in slots
+        s.request.spec.response_len - s.request.num_generated - lag for s in slots
     ]
+
+
+def assert_matches_reference(engine, ref, seen, lagging=()):
+    """Every request in ``seen`` (id -> the request on ``engine`` and its
+    twin on ``ref``) — running, finished, cancelled — holds the
+    ``kv_len`` and tokens of its twin on ``ref``, a
+    reference-path engine stepped one step at a time, and the two
+    allocators hold the same page lists, lengths and free list. Requests
+    in ``lagging`` (an armed batch not yet written back) skip the
+    per-request fields, never their pages."""
+    for rid, (req, twin) in seen.items():
+        assert req.state == twin.state, rid
+        if rid not in lagging:
+            assert (req.kv_len, req.generated_tokens) == (
+                twin.kv_len, twin.generated_tokens
+            ), rid
+    alloc, ref_alloc = engine.backend.kv.allocator, ref.backend.kv.allocator
+    assert alloc._free == ref_alloc._free
+    assert alloc._pages == ref_alloc._pages
+    assert {rid: n for rid, n in alloc.lengths.items() if rid not in lagging} == {
+        rid: n for rid, n in ref_alloc.lengths.items() if rid not in lagging
+    }
 
 
 def watch_plans(engine):
     """Check every executed plan against ``plan_batch`` over the step's
-    prefills followed by its decodes in slot order (``past_lens`` holds
-    the decodes in slot order, then the prefills)."""
+    prefills followed by its decodes in slot order (the working slots
+    when the backend runs: this step's prefills join after it)."""
     backend = engine.backend
     execute = backend.execute
     seen = []
 
-    def checked(plan, past_lens, requests=None):
+    def checked(plan, past_lens, **kwargs):
         prefills = list(plan.entries[:len(plan.prefill_lens)])
-        prefill_ids = {e.request_id for e in prefills}
-        decodes = [
-            BatchEntry(rid, requests[rid].lora_id, 1, False)
-            for rid in past_lens if rid not in prefill_ids
-        ]
+        decodes = _decode_entries(engine)
         assert_plans_equal(plan, plan_batch(prefills + decodes))
         seen.append((len(prefills), len(decodes)))
-        return execute(plan, past_lens, requests=requests)
+        return execute(plan, past_lens, **kwargs)
 
     backend.execute = checked
     return seen
@@ -509,6 +535,35 @@ class TestArmedBatchEdits:
         assert engine._steady.ids == ["slow", "fast", "moved", "last"]
         assert engine._steady.decode_plan.segment_lora_ids == ("S", "A", "M")
 
+    def test_step_short_of_headroom_after_a_commit_writes_back_first(self):
+        """A bulk commit that leaves less than a page per request makes
+        the next scalar step reserve slot by slot: it must write the
+        commit back before it reads the requests' KV lengths and the
+        allocator's, and so equal the reference path stepped alike."""
+        kv = 11 * 16 * LLAMA2_7B.kv_bytes_per_token()
+        engine = make_engine(max_batch=4, kv_capacity=kv)
+        ref = make_engine(max_batch=4, kv_capacity=kv, fast_path=False)
+        pairs = [
+            tuple(make_request(f"r{i}", lora="A", prompt=14, response=30) for _ in "ab")
+            for i in range(4)
+        ]
+        for e, twin in ((engine, 0), (ref, 1)):
+            e.loader.request_load("A", e._default_lora_bytes, 0.0)
+            for pair in pairs:
+                e.add_request(pair[twin], e.loader.ready_time("A"))
+        now = engine.loader.ready_time("A")
+        for _ in range(6):
+            now, twin_end = engine.step(now).end, ref.step(now).end
+            assert now == twin_end
+        ends, _, _ = engine.steady_run_stage(now)
+        engine.commit_steady_run(len(ends) - 1)
+        for start, end in zip(ends[:-1], ends[1:]):
+            assert ref.step(float(start)).end == end
+        assert engine.backend.kv_headroom_pages() < len(engine._steady.ids)
+        engine.step(float(ends[-1]))
+        ref.step(float(ends[-1]))
+        assert_matches_reference(engine, ref, {p[0].request_id: p for p in pairs})
+
     @staticmethod
     def _step_until(engine, now, working):
         while len(engine._working_order) < working:
@@ -524,8 +579,11 @@ class TestArmedBatchEdits:
         st.integers(1, 2),
     )
     _LORA = st.sampled_from(["A", "B", "C", "new"])
+    _READERS = (
+        None, "read", "cancel", "export", "trace", "step", "import", "end",
+    )
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         ops=st.lists(
             # Admits weigh three to one, so batches grow between cancels
@@ -533,7 +591,19 @@ class TestArmedBatchEdits:
             st.one_of(
                 _ADMIT, _ADMIT, _ADMIT,
                 st.tuples(st.just("step"), st.integers(1, 4)),
-                st.tuples(st.just("run"), st.integers(1, 40)),
+                # A bulk run of random length, then one reader of what it
+                # left behind: the request list, a cancel, an export, the
+                # trace lane of the staged run's next steps, a scalar
+                # step, an import joining at the next step, or the
+                # write-back the decode lane makes as the loop returns.
+                st.tuples(
+                    st.just("run"), st.integers(1, 40), st.sampled_from(_READERS),
+                    st.integers(0, 50),
+                ),
+                st.tuples(
+                    st.just("run"), st.integers(1, 4), st.sampled_from(_READERS),
+                    st.integers(0, 50),
+                ),
                 st.tuples(st.just("cancel"), st.integers(0, 50)),
                 # An admit on an adapter not yet loaded, then one on a
                 # resident adapter: the second prefills first, and the
@@ -550,65 +620,133 @@ class TestArmedBatchEdits:
                     st.integers(1, 2),
                 ),
             ),
+            min_size=5,
             max_size=40,
-        )
+        ),
+        # A pool of 12 or 20 pages leaves steps short of a page per request
+        # (they reserve slot by slot, and may evict) right after commits.
+        kv_pages=st.sampled_from([None, 12, 20]),
     )
     @example(ops=[
         ("admit", "A", 5, 1), ("admit", "B", 12, 1), ("admit", "A", 12, 1),
         ("step", 4),
-    ])
-    def test_edited_armed_batch_equals_a_fresh_arm(self, ops):
+    ], kv_pages=None)
+    def test_edited_armed_batch_equals_a_fresh_arm(self, ops, kv_pages):
         """Random admits (repeated LoRAs, each followed by a few steps),
         admits that land mid-order after a late adapter load, imports,
-        scalar steps, bulk runs through their finishing step and cancels:
-        after each, the armed batch equals arming from scratch, and every
-        executed plan equals ``plan_batch`` over the step's prefills and
-        decodes."""
-        engine = make_engine(max_batch=8)
+        scalar steps, bulk runs of random length, through their finishing
+        step or not, each followed by a reader, and cancels: after each,
+        the armed batch equals arming from scratch, every executed plan
+        equals ``plan_batch`` over the step's prefills and decodes, and
+        every request's ``kv_len`` and tokens and the allocator's lengths
+        and pages equal those of a reference-path engine stepped one step
+        at a time — except that after a bulk commit the armed requests'
+        own records may lag until a reader writes them back."""
+        kv = None if kv_pages is None else kv_pages * 16 * LLAMA2_7B.kv_bytes_per_token()
+        engine = make_engine(max_batch=8, kv_capacity=kv)
+        ref = make_engine(max_batch=8, kv_capacity=kv, fast_path=False)
         watch_plans(engine)
         # Resident adapters: an admit can prefill at the very next step,
         # so it joins an armed batch.
-        for lora in "ABC":
-            engine.loader.request_load(lora, engine._default_lora_bytes, 0.0)
+        for e in (engine, ref):
+            for lora in "ABC":
+                e.loader.request_load(lora, e._default_lora_bytes, 0.0)
         now = max(engine.loader.ready_time(lora) for lora in "ABC")
-        serial = 0
+        seen = {}
+
+        def admit(lora, response, kv_from=0):
+            rid = f"r{len(seen)}"
+            pair = tuple(make_request(rid, lora=lora, response=response) for _ in "ab")
+            for req in pair:
+                req.generated_tokens = [7] * kv_from
+            kv_tokens = pair[0].effective_prompt_len if kv_from else None
+            if engine.can_accept(pair[0], kv_tokens):
+                seen[rid] = pair
+                for e, req in zip((engine, ref), pair):
+                    if kv_from:
+                        e.import_request(req, kv_tokens, None, now)
+                    else:
+                        e.add_request(req, now)
+
+        def step(now):
+            r = engine.step(now)
+            twin = ref.step(now)
+            assert (r is None) == (twin is None)
+            if r is None:
+                return now + 1e-3
+            assert (r.end, r.new_tokens, r.finished, r.evicted) == (
+                twin.end, twin.new_tokens, twin.finished, twin.evicted
+            )
+            return r.end
+
+        def check(lagging=()):
+            assert_armed_is_fresh(engine)
+            assert_matches_reference(engine, ref, seen, lagging)
+
+        def read(reader, pick, now):
+            """Run one reader; it must leave nothing lagging, except the
+            trace lane, which reads the lag instead of writing it back."""
+            slots = engine._working_order  # picked without a reader
+            rid = slots[pick % len(slots)].request.request_id if slots else None
+            if reader == "read":
+                assert [r.request_id for r in engine.all_requests()] == [
+                    r.request_id for r in ref.all_requests()
+                ]
+            elif reader == "cancel" and rid is not None:
+                engine.cancel(rid)
+                ref.cancel(rid)
+            elif reader == "export" and rid is not None:
+                assert engine.export_request(rid, now)[1] == (
+                    ref.export_request(rid, now)[1]
+                )
+            elif reader == "trace":
+                staged = engine._staged_run
+                if staged is not None and len(staged[0]) > 1:
+                    last = min(pick + 1, len(staged[0]) - 1)
+                    _, ids, counts, times = engine.steady_trace_lane(0, last)
+                    assert list(ids) == engine._steady.ids
+                    assert counts == [len(seen[r][1].generated_tokens) for r in ids]
+                    assert times == staged[0][:last + 1].tolist()
+                check(set(engine._steady.ids))
+                return now
+            elif reader == "step":
+                now = step(now)
+            elif reader == "import":
+                admit(("A", "B", "C")[pick % 3], 4 + pick % 8, 2)
+                now = step(now)
+            elif reader == "end":
+                engine.write_back()
+            check()
+            return now
+
         for op in ops:
             kind = op[0]
             steps = op[-1] if kind in ("admit", "step", "late", "import") else 0
             if kind == "admit":
-                req = make_request(f"r{serial}", lora=op[1], response=op[2])
-                serial += 1
-                if engine.can_accept(req):
-                    engine.add_request(req, now)
+                admit(op[1], op[2])
             elif kind == "late":
-                for lora in (f"L{serial}", op[1]):
-                    req = make_request(f"r{serial}", lora=lora, response=op[2])
-                    serial += 1
-                    if engine.can_accept(req):
-                        engine.add_request(req, now)
+                admit(f"L{len(seen)}", op[2])
+                admit(op[1], op[2])
             elif kind == "import":
-                lora = f"L{serial}" if op[1] == "new" else op[1]
-                req = make_request(f"r{serial}", lora=lora, response=op[2])
-                serial += 1
-                req.generated_tokens = [7] * (op[2] // 2)
-                kv_tokens = req.effective_prompt_len
-                if engine.can_accept(req, kv_tokens):
-                    engine.import_request(req, kv_tokens, None, now)
+                admit(f"L{len(seen)}" if op[1] == "new" else op[1], op[2], op[2] // 2)
             elif kind == "run":
                 staged = engine.steady_run_stage(now)
                 if staged is not None:
                     ends, _, _ = staged
                     k = min(op[1], len(ends) - 1)
                     engine.commit_steady_run(k)
+                    for j in range(k):
+                        assert ref.step(float(ends[j])).end == ends[j + 1]
                     now = float(ends[k])
             elif kind == "cancel":
-                requests = engine.all_requests()
-                if requests:
-                    engine.cancel(requests[op[1] % len(requests)].request_id)
-            assert_armed_is_fresh(engine)
+                read("cancel", op[1], now)
+            # Not a reader: the armed requests may lag.
+            check(set(engine._steady.ids))
+            if kind == "run" and op[2] is not None:
+                now = read(op[2], op[3], now)
             for _ in range(steps):
-                r = engine.step(now)
-                now = r.end if r is not None else now + 1e-3
-                assert_armed_is_fresh(engine)
-        run_until_idle(engine, now)
-        assert engine.is_idle
+                now = step(now)
+                check()
+        while not (engine.is_idle and ref.is_idle):
+            now = step(now)
+        assert_matches_reference(engine, ref, seen)
