@@ -104,6 +104,10 @@ class StaticBatchEngine:
     def add_request(self, request: Request, now: float) -> None:
         if not self.can_accept(request):
             raise RuntimeError(f"{self.gpu_id} cannot accept {request.request_id}")
+        self.place(request, now)
+
+    def place(self, request: Request, now: float) -> None:
+        """:meth:`add_request` for a request :meth:`can_accept` admitted."""
         request.needs_prefill = True
         request.mark_running(self.gpu_id, now)
         self._pending.append(request)

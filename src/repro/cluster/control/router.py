@@ -108,10 +108,11 @@ class SloRouter(PunicaScheduler):
         self._floor_engines = None
 
     def _route(self, request: Request, now: float) -> "str | None":
-        """A pass with no open engine places nobody and quotes nothing."""
+        """First fit over :meth:`_prefill_keys`; a pass with no open
+        engine places nobody and quotes nothing."""
         if not self._open:
             return None
-        return super()._route(request, now)
+        return self._first_fit(self._prefill_keys(request, now), request)
 
     def _prefill_keys(self, request: Request, now: float) -> "list[tuple]":
         """``(fitness, adapter locality, gid)`` over the pass's open

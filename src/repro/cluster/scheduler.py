@@ -9,8 +9,8 @@ busy and lets lightly loaded GPUs drain to idle, enabling cluster scale-down.
 :class:`PunicaScheduler` runs the only admission loops — ``submit``,
 ``drain_queue`` and ``route_decode`` — for every policy. A policy (the
 SLO router, :mod:`repro.cluster.control.router`) overrides only its
-ranking keys, its queue key and discipline, its shed rule and what it
-records after an admit.
+prefill placement and decode ranking keys, its queue key and discipline,
+its shed rule and what it records after an admit.
 
 Consolidation migration: periodically, requests on lightly loaded GPUs are
 migrated (cancel + re-add, §5.3) onto busier GPUs that can absorb them,
@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from repro.obs.tracer import EventKind, Tracer
 from repro.runtime.request import Request, RequestState
@@ -203,17 +205,47 @@ class PunicaScheduler:
         return self._first_fit(self._decode_keys(request), request, kv_tokens)
 
     def _route(self, request: Request, now: float) -> "str | None":
-        """The prefill placement: first fit over :meth:`_prefill_keys`."""
-        return self._first_fit(self._prefill_keys(request, now), request)
+        """The prefill placement (§5.1), both routing modes under one
+        rule: first fit in descending ``(load, adapter locality, GPU
+        UUID)``, where ``load`` is the working-set size under "pack"
+        (largest working set wins; ties -> GPU-resident beats HOST-staged
+        beats DISK-only, then max UUID) and its negation under the
+        "spread" ablation (least loaded wins, same tie-breaks) — the
+        conventional balancing rule the paper argues against for
+        consolidation.
+
+        Each engine's working-set size is read once; the load levels are
+        then walked from the best one, and only the engines on the level
+        being walked are asked their adapter locality, so an arrival on a
+        fleet of distinct loads asks one engine. New and re-queued
+        requests need a prefill, so pure decode-pool engines are never
+        candidates here; they admit work only through
+        :meth:`route_decode`.
+        """
+        engines = self.engines
+        loads = [
+            (engine.working_set_size, gid)
+            for gid, engine in engines.items()
+            if self._prefill_capable(engine)
+        ]
+        loads.sort(reverse=self.config.routing == "pack")
+        for _, level in groupby(loads, key=itemgetter(0)):
+            gid = self._first_fit(
+                [(self._adapter_locality(engines[g], request), g) for _, g in level],
+                request,
+            )
+            if gid is not None:
+                return gid
+        return None
 
     def _first_fit(self, ranked: "list[tuple]", *admission) -> "str | None":
-        """The one placement rule: every placement is "max key among the
-        engines that can admit". ``ranked`` holds a ``(..., gid)`` key per
-        role-eligible engine; walk the keys in descending order and return
-        the first GPU that admits ``admission`` — the request, plus its
-        imported KV tokens on the decode route — or None. The admission
-        test is a pure predicate, so only the winner and whatever ranks
-        above it are asked."""
+        """The placement rule, which :meth:`_route` applies level by
+        level: "max key among the engines that can admit". ``ranked``
+        holds a ``(..., gid)`` key per role-eligible engine; walk the keys
+        in descending order and return the first GPU that admits
+        ``admission`` — the request, plus its imported KV tokens on the
+        decode route — or None. The admission test is a pure predicate,
+        so only the winner and whatever ranks above it are asked."""
         ranked.sort(reverse=True)
         for *_, gid in ranked:
             if self.engines[gid].can_accept(*admission):
@@ -221,7 +253,9 @@ class PunicaScheduler:
         return None
 
     def _admit(self, request: Request, gpu: str, now: float) -> None:
-        self.engines[gpu].add_request(request, now)
+        """Place a request on the GPU whose ``can_accept`` just admitted
+        it: one admission test per placement."""
+        self.engines[gpu].place(request, now)
 
     def _enqueue(self, request: Request, now: float) -> None:
         """Park a request in the wait queue under its :meth:`_queue_key`
@@ -255,34 +289,14 @@ class PunicaScheduler:
         return getattr(engine, "role", "both") != "prefill"
 
     # ------------------------------------------------------------------
-    # Policy hooks (Punica's pack rule and FCFS queue); a policy overrides
-    # these and nothing else.
+    # Policy hooks (Punica's FCFS queue; its pack rule is ``_route``); a
+    # policy overrides these, ``_route`` and nothing else.
     queue_head_blocks = True
     """Whether a waiter nobody admits blocks the waiters behind it."""
 
     def _new_pass(self) -> None:
         """Start one ``submit`` or ``drain_queue`` pass; a policy that
         keeps per-pass scratch resets it here."""
-
-    def _prefill_keys(self, request: Request, now: float) -> "list[tuple]":
-        """§5.1, both routing modes under one ordering rule: descending
-        ``(load, adapter locality, GPU UUID)``, where ``load`` is the
-        working-set size under "pack" (largest working set wins; ties ->
-        GPU-resident beats HOST-staged beats DISK-only, then max UUID) and
-        its negation under the "spread" ablation (least loaded wins, same
-        tie-breaks) — the conventional balancing rule the paper argues
-        against for consolidation.
-
-        New and re-queued requests need a prefill, so pure decode-pool
-        engines are never candidates here; they admit work only through
-        :meth:`route_decode`.
-        """
-        sign = 1 if self.config.routing == "pack" else -1
-        return [
-            (sign * e.working_set_size, self._adapter_locality(e, request), gid)
-            for gid, e in self.engines.items()
-            if self._prefill_capable(e)
-        ]
 
     def _decode_keys(self, request: Request) -> "list[tuple]":
         """CaraServe-style adapter locality leads: a GPU already holding
@@ -384,7 +398,7 @@ class PunicaScheduler:
                         target=target,
                     )
                 source.cancel(request.request_id, requeue=True)
-                self.engines[target].add_request(request, now)
+                self.engines[target].place(request, now)
                 moved += 1
                 self.num_migrations += 1
                 if self.migration_hook is not None:

@@ -24,6 +24,7 @@ out from the groups instead of regrouping the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from collections.abc import Mapping, Sequence
 from itertools import accumulate
 
@@ -96,26 +97,40 @@ class BatchPlan:
     """A fully planned model invocation — plain, immutable data.
 
     ``entries`` is the execution order (prefills then decodes, same-LoRA
-    consecutive); ``seg``/``segment_lora_ids`` are the token-level SGMV
-    segment indices shared by all layers of the invocation (paper §6:
-    computed once per invocation, not ``7L`` times). The last three
-    fields restate the plan in the shape its consumers read — the cost
-    model's workload and the backends' per-request loops — filled by the
-    planner so nothing is written to a plan after it is returned. The
-    fast path holds one plan across every steady decode step of an
-    unchanged batch (the engine's armed batch).
+    consecutive); ``segment_lora_ids`` and ``segment_sizes`` are the SGMV
+    segments shared by all layers of the invocation (paper §6: computed
+    once per invocation, not ``7L`` times). ``prefill_lens`` and
+    ``decode_ids`` restate the plan in the shape the cost model and the
+    backends' per-request loops read. The token-level ``seg`` and the
+    ``BatchLen`` only the functional model reads are derived from them
+    on first read. The fast path holds one plan across every steady
+    decode step of an unchanged batch (the engine's armed batch).
     """
 
     entries: tuple[BatchEntry, ...]
-    batchlen: BatchLen
-    seg: np.ndarray
     segment_lora_ids: tuple[str, ...]
     prefill_lens: tuple[int, ...]
     """Token count of each prefill entry, in plan order."""
     decode_ids: tuple[str, ...]
     """Request id of each decode entry, in plan order."""
     segment_sizes: tuple[int, ...]
-    """Tokens per SGMV segment (the differences of ``seg``)."""
+    """Tokens per SGMV segment."""
+
+    @cached_property
+    def seg(self) -> np.ndarray:
+        """The token-level SGMV segment indices: ``segment_sizes``
+        accumulated from 0."""
+        return np.array([0, *accumulate(self.segment_sizes)], dtype=np.int64)
+
+    @cached_property
+    def batchlen(self) -> BatchLen:
+        """The paper's ``BatchLen`` of the invocation."""
+        lens = self.prefill_lens
+        return BatchLen(
+            prefill_starts=tuple(accumulate(lens[:-1], initial=0)) if lens else (),
+            num_prefill_tokens=sum(lens),
+            num_decode=len(self.decode_ids),
+        )
 
     @property
     def batch_size(self) -> int:
@@ -124,7 +139,7 @@ class BatchPlan:
 
     @property
     def total_tokens(self) -> int:
-        return self.batchlen.total_tokens
+        return sum(self.prefill_lens) + len(self.decode_ids)
 
     @property
     def num_lora_segments(self) -> int:
@@ -137,20 +152,16 @@ class BatchPlan:
 def _assemble(
     prefills: "list[BatchEntry]", groups: "list[list[BatchEntry]]"
 ) -> BatchPlan:
-    """Lay out prefills then decode groups and derive ``BatchLen`` and the
-    SGMV segments in one walk over the prefills and one over the groups:
-    a prefill either extends the open run or starts the next one, and so
-    may the first decode group (the prefill tail / decode head merge);
-    every later group is a run of its own, since the groups' LoRA ids are
-    distinct. Nothing here is per token.
+    """Lay out prefills then decode groups and derive the SGMV segments in
+    one walk over the prefills and one over the groups: a prefill either
+    extends the open run or starts the next one, and so may the first
+    decode group (the prefill tail / decode head merge); every later
+    group is a run of its own, since the groups' LoRA ids are distinct.
+    Nothing here is per token.
     """
-    starts: list[int] = []
     run_ids: list[object] = []
     sizes: list[int] = []
-    cursor = 0
     for e in prefills:
-        starts.append(cursor)
-        cursor += e.num_tokens
         if run_ids and run_ids[-1] == e.lora_id:
             sizes[-1] += e.num_tokens
         else:
@@ -169,12 +180,6 @@ def _assemble(
         sizes += lens
     return BatchPlan(
         entries=(*prefills, *decodes),
-        batchlen=BatchLen(
-            prefill_starts=tuple(starts),
-            num_prefill_tokens=cursor,
-            num_decode=len(decodes),
-        ),
-        seg=np.array([0, *accumulate(sizes)], dtype=np.int64),
         segment_lora_ids=tuple(run_ids),
         prefill_lens=tuple([e.num_tokens for e in prefills]),
         decode_ids=tuple([e.request_id for e in decodes]),
@@ -232,7 +237,8 @@ class ArmedBatch:
     change instead of regrouping its batch. ``groups``, ``ids``, ``rem``
     and ``total`` always describe the working set as of its next step;
     ``decode_plan`` is its pure-decode plan, which every edit clears and
-    the engine lays again once nothing is pending.
+    the engine lays again where it runs one: a pure decode step or a
+    bulk run.
 
     Every member gains one KV slot and one token per decode step, so its
     moving state is held as offsets of one step count, ``steps``: its KV
@@ -286,12 +292,10 @@ class ArmedBatch:
         """Plans built: every step that does not run on ``decode_plan``
         and every laying of it (the ledger's ``plan_hit_rate`` reads
         it)."""
-        self.rebuilds = 0
-        """Plans built by :func:`plan_batch`, grouping the batch entry by
-        entry (diagnostic, not a registry metric)."""
-        self.write_backs = 0
-        """Passes that brought the members' own records up to ``steps``
-        (diagnostic, like ``rebuilds``)."""
+        self.member_passes = 0
+        """Passes over the members' own records: write-backs to
+        ``steps``, slot-by-slot KV reservations and slot-by-slot token
+        commits (diagnostic, like ``hits``)."""
 
     @property
     def rem(self) -> "list[int] | None":
@@ -367,8 +371,7 @@ class ArmedBatch:
         i = self.ids.index(rid)
         del self.ids[i]
         kv0 = self.kv0.pop(rid)
-        if self.fin is not None:
-            del self.fin[i]
+        if self.fin is not None and self.fin.pop(i) == self.next_fin:
             self.next_fin = min(self.fin, default=_NEVER)
         if self.pages is not None:
             self.pages[(-kv0) % len(self.pages)].remove(rid)

@@ -78,8 +78,9 @@ LAYERS = (
     Layer("cluster.metrics", "repro.cluster.metrics",
           ("ClusterMetrics.record_*",), CLUSTER + ("serve",) + LOADGEN),
     Layer("runtime.engine", "repro.runtime.engine",
-          ("GpuEngine.step", "GpuEngine.add_request", "GpuEngine.cancel",
-           "GpuEngine.steady_run_stage", "GpuEngine.commit_steady_run"), ALL),
+          ("GpuEngine.step", "GpuEngine.add_request", "GpuEngine.place",
+           "GpuEngine.cancel", "GpuEngine.steady_run_stage",
+           "GpuEngine.commit_steady_run"), ALL),
     Layer("runtime.backend", "repro.runtime.backend",
           ("SimulatedBackend.execute", "SimulatedBackend.execute_spec",
            "SimulatedBackend.commit_steady_run", "NumpyBackend.execute",

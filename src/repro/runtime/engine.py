@@ -355,7 +355,8 @@ class GpuEngine:
     # Mutations
     # ------------------------------------------------------------------
     def add_request(self, request: Request, now: float) -> None:
-        """Assign a request to this GPU; its LoRA load starts immediately."""
+        """Assign a request to this GPU; its LoRA load starts immediately.
+        Refuses a request already here or one :meth:`can_accept` declines."""
         if self.has_request(request.request_id):
             raise ValueError(f"request {request.request_id} already on {self.gpu_id}")
         if not self.can_accept(request):
@@ -364,6 +365,12 @@ class GpuEngine:
                 f"(working set {self.working_set_size}, "
                 f"free kv tokens {self.kv_free_tokens()})"
             )
+        self.place(request, now)
+
+    def place(self, request: Request, now: float) -> None:
+        """:meth:`add_request` without its guards, for a caller that has
+        just had :meth:`can_accept` admit a request not on any GPU (the
+        cluster scheduler's first fit)."""
         self.loader.request_load(request.lora_id, self._default_lora_bytes, now)
         self.loader.acquire(request.lora_id, now)
         request.needs_prefill = True
@@ -502,9 +509,10 @@ class GpuEngine:
                 lora=request.lora_id, imported_kv=kv_tokens,
             )
 
-    def _promote_imports(self, now: float) -> None:
+    def _promote_imports(self, now: float) -> bool:
         """Move imported slots whose adapter is resident into the decode
-        batch; they contribute a decode token in this very invocation."""
+        batch; they contribute a decode token in this very invocation.
+        Returns whether any moved."""
         remaining: list[_Slot] = []
         for slot in self._pending:
             req = slot.request
@@ -514,7 +522,9 @@ class GpuEngine:
                 self._num_importing -= 1
             else:
                 remaining.append(slot)
+        promoted = len(remaining) < len(self._pending)
         self._pending = remaining
+        return promoted
 
     # ------------------------------------------------------------------
     # Execution
@@ -533,8 +543,7 @@ class GpuEngine:
             return None
         self._staged_run = None  # whatever was staged no longer prices
         self.loader.advance(now)
-        if self._num_importing:
-            self._promote_imports(now)
+        promoted = bool(self._num_importing) and self._promote_imports(now)
         self.slow_steps += 1
         spec = self._spec
         spec_round = (
@@ -543,21 +552,23 @@ class GpuEngine:
         n = spec.max_tokens_per_round if spec_round else 1
         # Reserve the decode requests' KvCache slots FIRST (evicting newest
         # requests on pressure), so prefill admission below can only use
-        # pages genuinely left over. A step on the laid plan of an engine
-        # that holds its batch as offsets, with a free page per request,
-        # cannot evict: its decodes are the whole armed batch, advanced
-        # like a one-step bulk commit — only the pages its round opens.
+        # pages genuinely left over. On an engine that holds its batch as
+        # offsets, a step with a free page per request cannot evict: its
+        # decodes are the whole armed batch, advanced like a one-step bulk
+        # commit — only the pages its round opens. A promoted import
+        # commits slot by slot: its first decode here is stamped.
         steady = self._steady
         offsets = (
             self._offsets
-            and steady.decode_plan is not None
+            and not promoted
             and self.backend.kv_headroom_pages() >= len(steady.ids)
         )
         evicted: list[str] = []
         if offsets:
             decode_slots = list(self._working_order)
             past_lens: "dict[str, int]" = {}
-            self.backend.kv_append_run(steady.pages, steady.steps, 1)
+            if decode_slots:
+                self.backend.kv_append_run(steady.pages, steady.steps, 1)
         else:
             self.write_back()
             decode_slots, past_lens = self._reserve(n, evicted)
@@ -591,18 +602,21 @@ class GpuEngine:
                 )
             )
             past_lens[req.request_id] = 0
-        # With nothing left pending, an arming engine's decode batch is its
-        # armed batch, kept current through every join and leave: a pure
-        # decode step runs on the laid plan, any other step lays the
-        # prefills in front of the armed LoRA groups. A step that leaves a
-        # request pending, and every step of an engine that does not arm,
-        # groups the batch entry by entry.
+        # An arming engine's decode batch is its armed batch, kept current
+        # through every join and leave, pending work or not: a pure decode
+        # step runs on the laid plan (laying it first if an edit cleared
+        # it), any other step lays the prefills in front of the armed LoRA
+        # groups. An empty armed batch has nothing to group, and an engine
+        # that does not arm groups its batch entry by entry.
         laid = steady.decode_plan is not None
-        if self._steady_ok and not self._pending:
-            if prefills or not laid:
+        if self._steady_ok and decode_slots:
+            if prefills:
                 plan = steady.plan(prefills)
                 steady.misses += 1
             else:
+                if not laid:
+                    steady.decode_plan = steady.plan([])
+                    steady.misses += 1
                 plan = steady.decode_plan
                 steady.hits += 1
         else:
@@ -615,7 +629,6 @@ class GpuEngine:
                 )
             plan = plan_batch(entries)
             steady.misses += 1
-            steady.rebuilds += 1
 
         requests = (
             {s.request.request_id: s.request for s in prefill_slots + decode_slots}
@@ -636,11 +649,11 @@ class GpuEngine:
 
         # Commit 1..n tokens per request, stopping at its finish condition.
         # Decodes first, so the armed batch advances before this step's
-        # prefills join it. A step that starts on the laid plan commits on
-        # the countdown: each of its requests has decoded here before (an
-        # import's first token here still needs its first-token stamp), so
-        # one append each, and a request finishes when its count runs out —
-        # on an offsets step, in the write-back of the batch's lag.
+        # prefills join it. An offsets step commits in the write-back of
+        # the batch's one-step lag, and a request finishes when its count
+        # runs out. Otherwise a step that starts on the laid plan commits
+        # on the countdown: each of its requests has decoded here before,
+        # so one append each.
         steady.advance()
         done: "list[_Slot]" = []
         committed: "dict[str, tuple[int, ...]] | None" = {} if spec_round else None
@@ -652,6 +665,7 @@ class GpuEngine:
                 done = [working[rid] for rid in steady.finishing()]
         elif laid and steady.fin is not None:
             steady.synced = steady.steps
+            steady.member_passes += 1
             tokens = execution.tokens
             for slot, left in zip(decode_slots, steady.rem):
                 req = slot.request
@@ -659,6 +673,8 @@ class GpuEngine:
                 if not left:
                     done.append(slot)
         else:
+            if decode_slots:
+                steady.member_passes += 1
             for slot in decode_slots:
                 req = slot.request
                 rid = req.request_id
@@ -709,7 +725,6 @@ class GpuEngine:
                 now, end, prefill_slots, decode_slots, finished_slots,
                 (execution, committed, rollbacks) if spec_round else None,
             )
-        self._arm()
         return StepReport(
             gpu_id=self.gpu_id,
             start=now,
@@ -737,6 +752,8 @@ class GpuEngine:
         their pre-reservation (*past*) KV lengths."""
         work_slots = list(self._working_order)
         past_lens: dict[str, int] = {}
+        if work_slots:
+            self._steady.member_passes += 1
         if (
             n == 1
             and work_slots
@@ -806,6 +823,9 @@ class GpuEngine:
             return None
         finishes = count == rem_cap
         plan = steady.decode_plan
+        if plan is None:
+            plan = steady.decode_plan = steady.plan([])
+            steady.misses += 1
         total = steady.total
         slowdown = self.slowdown_factor
         # The run from (T + n*batch, start') is an offset slice of the
@@ -865,11 +885,7 @@ class GpuEngine:
         :meth:`steady_run_stage`'s array pricing; an engine that fails it
         takes a scalar :meth:`step` instead.
         """
-        return (
-            self._offsets
-            and self._steady.decode_plan is not None
-            and not self._pending
-        )
+        return self._offsets and not self._pending and bool(self._steady.ids)
 
     def steady_run_valid(self) -> bool:
         """Does the staged run still price this engine's next steps?
@@ -924,8 +940,8 @@ class GpuEngine:
         the run's finishing step, its finished requests then leave as
         :meth:`step` lets them go: in slot order, each through
         :meth:`_remove` and then ``mark_finished`` at the step's end, with
-        their FINISH events, and the armed plan is laid again
-        (:meth:`_arm`).
+        their FINISH events; the edited batch's plan is laid at its next
+        step or staging.
 
         The run's ``DECODE_STEP`` events are not recorded here: the decode
         lane records them, from :meth:`steady_trace_lane`, in run blocks
@@ -955,31 +971,36 @@ class GpuEngine:
             slot.request.mark_finished(end)
         if self.tracer is not None:
             self._trace_finishes(end, finished)
-        self._arm()
 
     def write_back(self, tokens: "dict[str, int] | None" = None) -> None:
         """Bring each armed request's ``kv_len`` and tokens, and the
         allocator's lengths, up to the batch's step count, in one pass.
 
         Bulk commits leave them behind (:meth:`commit_steady_run`); every
-        reader catches them up first: a join or a leave, a scalar step,
-        :meth:`all_requests`, :meth:`cancel`, :meth:`fail`,
-        :meth:`export_request`, and the decode lane before it feeds the
-        token sink and before the event loop returns. The lagging steps'
-        tokens are the backend counter's, ``base + k * batch + pos + 1``
-        for plan position ``pos``; a scalar step passes its own step's
-        ``tokens``, which it has not handed out yet."""
+        reader catches them up first: a join or a leave, a step that
+        reserves slot by slot, :meth:`all_requests`, :meth:`cancel`,
+        :meth:`fail`, :meth:`export_request`, and the decode lane before
+        it feeds the token sink and before the event loop returns. The
+        lagging steps' tokens are the backend counter's, ``base + k *
+        batch + pos + 1`` for plan position ``pos`` (a lag of more than
+        the current step only follows bulk commits, which run on the laid
+        plan); a scalar step passes its own step's ``tokens``, which it
+        has not handed out yet, and with no plan laid the members are
+        walked in slot order."""
         steady = self._steady
         steps = steady.steps
         lag = steps - steady.synced
         if not lag:
             return
         steady.synced = steps
-        steady.write_backs += 1
+        plan = steady.decode_plan
+        order = steady.ids if plan is None else plan.decode_ids
+        if not order:
+            return
+        steady.member_passes += 1
         working = self._working
         lengths = self._kv_lengths
         kv0 = steady.kv0
-        order = steady.decode_plan.decode_ids
         batch = len(order)
         first = steady.base + 1
         span = (lag if tokens is None else lag - 1) * batch
@@ -992,15 +1013,6 @@ class GpuEngine:
             if tokens is not None:
                 gen.append(tokens[rid])
             first += 1
-
-    def _arm(self) -> None:
-        """Lay the armed batch's pure-decode plan again after an edit
-        cleared it, once the next step is known to be a pure decode of a
-        nonempty working set (nothing pending)."""
-        steady = self._steady
-        if steady.decode_plan is None and steady.ids and not self._pending:
-            steady.decode_plan = steady.plan([])
-            steady.misses += 1
 
     def _decode_entry(self, spec) -> BatchEntry:
         """Build and cache a request's decode entry (an ``_entry_cache``
@@ -1147,21 +1159,24 @@ class GpuEngine:
     def _select_prefills(self, now: float) -> list[_Slot]:
         """Pick pending requests ready to prefill, FIFO, up to the limit."""
         limit = self.config.prefill_batch_limit
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return []
         selected: list[_Slot] = []
         remaining: list[_Slot] = []
-        for slot in self._pending:
+        for i, slot in enumerate(pending):
+            if len(selected) == limit:
+                remaining += pending[i:]
+                break
             req = slot.request
             ready = (
                 req.needs_prefill  # import slots wait for _promote_imports
-                and len(selected) < limit
                 and self.loader.is_ready(req.lora_id, now)
-                and self.backend.kv_can_admit(req.effective_prompt_len)
+                and self.backend.kv_can_admit(prompt := req.effective_prompt_len)
                 and self._lora_compatible(req)
             )
             if ready:
-                self.backend.kv_admit(req.request_id, req.effective_prompt_len)
+                self.backend.kv_admit(req.request_id, prompt)
                 selected.append(slot)
             else:
                 remaining.append(slot)

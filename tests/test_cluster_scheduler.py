@@ -345,6 +345,19 @@ class CountedAdmission:
             del engine.can_accept
 
 
+class CountedTiers(CountedAdmission):
+    """Counts ``adapter_tier`` calls while active."""
+
+    def __enter__(self):
+        for engine in self.sched.engines.values():
+            engine.adapter_tier = self._counting(engine.adapter_tier)
+        return self
+
+    def __exit__(self, *exc):
+        for engine in self.sched.engines.values():
+            del engine.adapter_tier
+
+
 def asked_at_most(winner, keys):
     """The call-count bound: the winner and whatever ranks above it (every
     eligible engine when nobody admits). ``keys`` maps gid -> ranking key
@@ -364,13 +377,19 @@ class TestFirstFitPlacement:
         loc = {gid: sched._adapter_locality(e, probe) for gid, e in engines.items()}
 
         want = oracle_route(sched, probe)
-        with CountedAdmission(sched) as counted:
+        with CountedAdmission(sched) as counted, CountedTiers(sched) as tiers:
             assert sched._route(probe, 0.0) == want
         keys = {
             gid: (sign * e.working_set_size, loc[gid], gid)
             for gid, e in engines.items() if e.role != "decode"
         }
         assert counted.calls <= asked_at_most(want, keys)
+        # Locality is asked only on the load levels walked: the winner's
+        # and the ones that rank above it.
+        assert tiers.calls <= (
+            len(keys) if want is None
+            else sum(1 for key in keys.values() if key[0] >= keys[want][0])
+        )
 
         want = oracle_route_decode(sched, probe, kv_tokens)
         with CountedAdmission(sched) as counted:
@@ -405,6 +424,17 @@ class TestFirstFitPlacement:
         with CountedAdmission(sched) as counted:
             assert sched._route(make_request("r1"), 0.0) == "gpu6"
         assert counted.calls == 2
+
+    def test_distinct_loads_ask_one_engine_its_locality(self):
+        # Eight engines with working sets 0..7: the busiest admits, and is
+        # the only engine asked for its adapter tier or to admit.
+        sched = make_scheduler(8, max_batch=8)
+        for i, engine in enumerate(sched.engines.values()):
+            for j in range(i):
+                engine.add_request(make_request(f"bg{i}-{j}"), 0.0)
+        with CountedAdmission(sched) as counted, CountedTiers(sched) as tiers:
+            assert sched._route(make_request("r0"), 0.0) == "gpu7"
+        assert counted.calls == 1 and tiers.calls == 1
 
     def test_nobody_admits_returns_none(self):
         sched = make_scheduler(3, max_batch=1)

@@ -55,19 +55,24 @@ def reference_plan_batch(entries):
     for e in ordered:
         token_lora_ids.extend([e.lora_id] * e.num_tokens)
     seg, run_ids = segments_from_lora_ids(token_lora_ids)
-    return BatchPlan(
+    plan = BatchPlan(
         entries=tuple(ordered),
-        batchlen=BatchLen(
-            prefill_starts=tuple(starts),
-            num_prefill_tokens=cursor,
-            num_decode=len(ordered_decodes),
-        ),
-        seg=seg,
         segment_lora_ids=tuple(run_ids),
         prefill_lens=tuple(e.num_tokens for e in prefills),
         decode_ids=tuple(e.request_id for e in ordered_decodes),
         segment_sizes=tuple(np.diff(seg).tolist()),
     )
+    # The oracle's own token-level ``seg`` and ``BatchLen``, in place of
+    # the ones a plan derives on first read.
+    vars(plan).update(
+        seg=seg,
+        batchlen=BatchLen(
+            prefill_starts=tuple(starts),
+            num_prefill_tokens=cursor,
+            num_decode=len(ordered_decodes),
+        ),
+    )
+    return plan
 
 
 def reference_batchlen_check(prefill_starts, num_prefill_tokens, num_decode):
@@ -85,16 +90,20 @@ def reference_batchlen_check(prefill_starts, num_prefill_tokens, num_decode):
         raise ValueError("no prefill requests but num_prefill_tokens != 0")
 
 
+_DERIVED = ("seg", "batchlen")
+"""The plan attributes derived on first read rather than stored."""
+
+
 def assert_plans_equal(got: BatchPlan, want: BatchPlan):
-    """Every ``BatchPlan`` field equal — ``seg`` by dtype, shape and values,
-    ids by type as well as value."""
-    for f in dataclasses.fields(BatchPlan):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "seg":
+    """Every ``BatchPlan`` field and derived attribute equal — ``seg`` by
+    dtype, shape and values, ids by type as well as value."""
+    for name in [f.name for f in dataclasses.fields(BatchPlan)] + list(_DERIVED):
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "seg":
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tolist() == b.tolist()
         else:
-            assert a == b, f.name
+            assert a == b, name
     assert [type(i) for i in got.segment_lora_ids] == [
         type(i) for i in want.segment_lora_ids
     ]
@@ -307,9 +316,15 @@ class TestPlanBatch:
     def test_plan_is_immutable_plain_data(self):
         plan = plan_batch([prefill("p", "a", 3), decode("1", "b")])
         for f in dataclasses.fields(plan):
-            assert isinstance(getattr(plan, f.name), (tuple, BatchLen, np.ndarray))
+            assert isinstance(getattr(plan, f.name), tuple)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(plan, f.name, None)
+        # Derived on first read, and as frozen once read.
+        assert isinstance(plan.seg, np.ndarray)
+        assert isinstance(plan.batchlen, BatchLen)
+        for name in _DERIVED:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(plan, name, None)
 
     def test_non_str_ids_are_not_coerced(self):
         # ``int`` and ``str`` ids: the plan hands back the entries'

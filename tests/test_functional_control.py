@@ -49,15 +49,16 @@ def registry():
 
 def quote_every_admission(engine, direct, quotes):
     """Price each request from scratch just before ``engine`` takes it:
-    the engine is then in the state the router's quote read."""
-    add = engine.add_request
+    the engine is then in the state the router's quote read. The router
+    enters every request it admits through ``place``."""
+    add = engine.place
 
-    def add_request(request, now):
+    def place(request, now):
         ttft = direct.predict_ttft(engine, request)
         quotes.append((request.request_id, engine.gpu_id, round(ttft, 9)))
         return add(request, now)
 
-    engine.add_request = add_request
+    engine.place = place
 
 
 def run_controlled(weights, registry, seed):

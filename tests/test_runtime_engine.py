@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.runtime.engine as engine_module
 from repro.core.batch import BatchEntry, plan_batch
 from repro.models.config import LLAMA2_7B, tiny_config
 from repro.models.perf import PUNICA_FLAGS, PerfFlags
@@ -26,13 +27,16 @@ def make_request(rid, lora="m0", prompt=16, response=4, arrival=0.0):
 
 def make_engine(
     max_batch=32, same_lora_only=False, kv_capacity=None, config=LLAMA2_7B,
-    fast_path=None,
+    fast_path=None, prefill_batch_limit=1,
 ):
     backend = SimulatedBackend(config, kv_capacity_bytes=kv_capacity, step_overhead=0.0)
     return GpuEngine(
         "gpu0",
         backend,
-        EngineConfig(max_batch_size=max_batch, same_lora_only=same_lora_only),
+        EngineConfig(
+            max_batch_size=max_batch, same_lora_only=same_lora_only,
+            prefill_batch_limit=prefill_batch_limit,
+        ),
         fast_path=fast_path,
     )
 
@@ -429,14 +433,16 @@ def assert_armed_is_fresh(engine):
 
 def assert_matches_reference(engine, ref, seen, lagging=()):
     """Every request in ``seen`` (id -> the request on ``engine`` and its
-    twin on ``ref``) — running, finished, cancelled — holds the
-    ``kv_len`` and tokens of its twin on ``ref``, a
+    twin on ``ref``) — running, finished, cancelled — holds the state,
+    time stamps, ``kv_len`` and tokens of its twin on ``ref``, a
     reference-path engine stepped one step at a time, and the two
     allocators hold the same page lists, lengths and free list. Requests
     in ``lagging`` (an armed batch not yet written back) skip the
-    per-request fields, never their pages."""
+    per-request lengths and tokens, never their pages."""
     for rid, (req, twin) in seen.items():
-        assert req.state == twin.state, rid
+        assert (req.state, req.first_token_time, req.finish_time) == (
+            twin.state, twin.first_token_time, twin.finish_time
+        ), rid
         if rid not in lagging:
             assert (req.kv_len, req.generated_tokens) == (
                 twin.kv_len, twin.generated_tokens
@@ -468,17 +474,31 @@ def watch_plans(engine):
     return seen
 
 
+def watch_regroupings(monkeypatch):
+    """Record the entries of every ``plan_batch`` call engines make."""
+    calls = []
+    planner = engine_module.plan_batch
+
+    def recording(entries):
+        calls.append([e.is_prefill for e in entries])
+        return planner(entries)
+
+    monkeypatch.setattr(engine_module, "plan_batch", recording)
+    return calls
+
+
 class TestArmedBatchEdits:
     """Every join and leave edits the armed batch; the result must be
     what planning from scratch gives."""
 
-    def test_first_member_leaving_reorders_groups(self):
+    def test_first_member_leaving_reorders_groups(self, monkeypatch):
         # Working order a1, b1, a2: the plan groups A (a1, a2) before B.
         # When a1 finishes, A's first member is a2, behind b1: B leads.
         engine = make_engine()
         for rid, lora, response in (("a1", "A", 5), ("b1", "B", 9), ("a2", "A", 9)):
             engine.add_request(make_request(rid, lora=lora, response=response), 0.0)
         watch_plans(engine)
+        regroupings = watch_regroupings(monkeypatch)
         now = 0.0
         orders = []
         while not engine.is_idle:
@@ -492,13 +512,12 @@ class TestArmedBatchEdits:
                 orders.append(engine._steady.decode_plan.segment_lora_ids)
         assert ("A", "B") in orders and ("B", "A") in orders
         assert orders.index(("A", "B")) < orders.index(("B", "A"))
-        # Only the steps that leave a request pending regroup entry by
-        # entry: the first two, while the three prefills queue one at a
-        # time; a1 leaving edits the groups.
-        steady = engine._steady
-        assert steady.rebuilds == 2 < steady.misses
+        # Nothing regroups entry by entry: the first prefill finds the
+        # armed batch empty, and every later plan, pending work or not,
+        # lays the armed groups; a1 leaving edits them.
+        assert regroupings == [[True]]
 
-    def test_mixed_step_on_armed_batch_moves_matching_group_first(self):
+    def test_mixed_step_on_armed_batch_moves_matching_group_first(self, monkeypatch):
         engine = make_engine()
         for rid, lora in (("x", "X"), ("y", "Y")):
             engine.add_request(make_request(rid, lora=lora, response=20), 0.0)
@@ -507,12 +526,12 @@ class TestArmedBatchEdits:
         assert engine._steady.decode_plan.segment_lora_ids == ("X", "Y")
         engine.add_request(make_request("y2", lora="Y", response=20), 0.04)
         seen = watch_plans(engine)
-        rebuilds = engine._steady.rebuilds
+        regroupings = watch_regroupings(monkeypatch)
         r = engine.step(0.04)
         assert r.num_prefill == 1 and seen == [(1, 2)]
         # The prefill tail and the Y decode group share one segment.
         assert r.num_lora_segments == 2
-        assert engine._steady.rebuilds == rebuilds
+        assert regroupings == []
         assert_armed_is_fresh(engine)
 
     def test_late_load_and_import_join_mid_order(self):
@@ -526,14 +545,14 @@ class TestArmedBatchEdits:
         engine.add_request(make_request("slow", lora="S", response=20), now)
         engine.add_request(make_request("fast", lora="A", response=20), now)
         now = self._step_until(engine, now, 2)
-        assert engine._steady.decode_plan.segment_lora_ids == ("S", "A")
+        assert tuple(engine._steady.groups) == ("S", "A")
         moved = make_request("moved", lora="M", response=20)
         moved.generated_tokens = [7, 7]
         engine.import_request(moved, 18, None, now)
         engine.add_request(make_request("last", lora="A", response=20), now)
         self._step_until(engine, now, 4)
         assert engine._steady.ids == ["slow", "fast", "moved", "last"]
-        assert engine._steady.decode_plan.segment_lora_ids == ("S", "A", "M")
+        assert tuple(engine._steady.groups) == ("S", "A", "M")
 
     def test_step_short_of_headroom_after_a_commit_writes_back_first(self):
         """A bulk commit that leaves less than a page per request makes
@@ -619,6 +638,13 @@ class TestArmedBatchEdits:
                     st.just("import"), _LORA, st.integers(2, 24),
                     st.integers(1, 2),
                 ),
+                # Several admits on one adapter not yet loaded: the steps
+                # that follow decode with them pending, then prefill them
+                # up to the limit per step, leaving the rest pending.
+                st.tuples(
+                    st.just("loading"), st.integers(2, 4), st.integers(1, 24),
+                    st.integers(1, 4),
+                ),
             ),
             min_size=5,
             max_size=40,
@@ -626,25 +652,37 @@ class TestArmedBatchEdits:
         # A pool of 12 or 20 pages leaves steps short of a page per request
         # (they reserve slot by slot, and may evict) right after commits.
         kv_pages=st.sampled_from([None, 12, 20]),
+        prefill_limit=st.sampled_from([1, 1, 2, 3]),
     )
     @example(ops=[
         ("admit", "A", 5, 1), ("admit", "B", 12, 1), ("admit", "A", 12, 1),
         ("step", 4),
-    ], kv_pages=None)
-    def test_edited_armed_batch_equals_a_fresh_arm(self, ops, kv_pages):
+    ], kv_pages=None, prefill_limit=1)
+    @example(ops=[
+        ("admit", "A", 9, 1), ("loading", 3, 6, 4), ("admit", "B", 5, 1),
+        ("import", "A", 8, 2), ("loading", 2, 4, 2), ("step", 6),
+    ], kv_pages=None, prefill_limit=2)
+    def test_edited_armed_batch_equals_a_fresh_arm(self, ops, kv_pages, prefill_limit):
         """Random admits (repeated LoRAs, each followed by a few steps),
-        admits that land mid-order after a late adapter load, imports,
-        scalar steps, bulk runs of random length, through their finishing
-        step or not, each followed by a reader, and cancels: after each,
-        the armed batch equals arming from scratch, every executed plan
-        equals ``plan_batch`` over the step's prefills and decodes, and
-        every request's ``kv_len`` and tokens and the allocator's lengths
-        and pages equal those of a reference-path engine stepped one step
-        at a time — except that after a bulk commit the armed requests'
-        own records may lag until a reader writes them back."""
+        admits that land mid-order after a late adapter load, several
+        admits pending on one loading adapter, imports, scalar steps
+        (with requests pending or not, prefilling one or several), bulk
+        runs of random length, through their finishing step or not, each
+        followed by a reader, and cancels: after each, the armed batch
+        equals arming from scratch, every executed plan equals
+        ``plan_batch`` over the step's prefills and decodes, and every
+        request's ``kv_len`` and tokens and the allocator's lengths and
+        pages equal those of a reference-path engine stepped one step at
+        a time — except that after a bulk commit the armed requests' own
+        records may lag until a reader writes them back."""
         kv = None if kv_pages is None else kv_pages * 16 * LLAMA2_7B.kv_bytes_per_token()
-        engine = make_engine(max_batch=8, kv_capacity=kv)
-        ref = make_engine(max_batch=8, kv_capacity=kv, fast_path=False)
+        engine = make_engine(
+            max_batch=8, kv_capacity=kv, prefill_batch_limit=prefill_limit
+        )
+        ref = make_engine(
+            max_batch=8, kv_capacity=kv, fast_path=False,
+            prefill_batch_limit=prefill_limit,
+        )
         watch_plans(engine)
         # Resident adapters: an admit can prefill at the very next step,
         # so it joins an armed batch.
@@ -721,9 +759,16 @@ class TestArmedBatchEdits:
 
         for op in ops:
             kind = op[0]
-            steps = op[-1] if kind in ("admit", "step", "late", "import") else 0
+            steps = (
+                op[-1] if kind in ("admit", "step", "late", "import", "loading")
+                else 0
+            )
             if kind == "admit":
                 admit(op[1], op[2])
+            elif kind == "loading":
+                lora = f"L{len(seen)}"
+                for _ in range(op[1]):
+                    admit(lora, op[2])
             elif kind == "late":
                 admit(f"L{len(seen)}", op[2])
                 admit(op[1], op[2])
