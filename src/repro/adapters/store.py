@@ -33,6 +33,7 @@ from typing import NamedTuple
 
 from repro.adapters.registry import AdapterRegistry, Tier
 from repro.hw.pcie import PCIE_GEN4_X16, PcieSpec, TransferPlan
+from repro.obs.tracer import EventKind
 
 
 class AdapterEvent(NamedTuple):
@@ -186,8 +187,6 @@ class GpuAdapterStore:
 
     def _trace_load(self, now: float, lora_id: str, tier: Tier, plan) -> None:
         if self.tracer is not None:
-            from repro.obs.tracer import EventKind
-
             self.tracer.emit(
                 now, EventKind.ADAPTER_LOAD, gpu_id=self.gpu_id,
                 lora=lora_id, tier=tier.name.lower(),

@@ -51,7 +51,7 @@ class _Run:
 
     __slots__ = (
         "gpu_id", "engine", "action", "ends_np", "ends", "batch", "fbatch",
-        "steps", "finishes", "popped", "done", "block_from",
+        "steps", "finishes", "popped", "done", "block_from", "lane",
     )
 
     def __init__(self, gpu_id: str, engine, action, staged) -> None:
@@ -74,6 +74,9 @@ class _Run:
         """Steps applied to the engine (``commit_steady_run``)."""
         self.block_from = 0
         """The first popped step not yet recorded in a trace block."""
+        self.lane = -1
+        """The run's lane in the open trace block; -1 while it has no
+        tick there."""
 
 
 class VectorDecodeLane:
@@ -103,7 +106,10 @@ class VectorDecodeLane:
         self._tokens: "list[float]" = []
         self._segments: list = []
         self._block: "list[_Run]" = []
-        """Under a tracer, the run of each tick in the open trace block."""
+        """Under a tracer, the runs with ticks in the open trace block, in
+        lane order."""
+        self._order: "list[int]" = []
+        """The lane of each tick in the open trace block, in pop order."""
 
     def try_merge(self, gpu_id: str, engine, now: float) -> bool:
         """Take the step event of ``engine``, which just fired at
@@ -145,7 +151,11 @@ class VectorDecodeLane:
         if len(times) >= self.LOG_LIMIT:
             self._flush()
         if sim.tracer is not None:
-            self._block.append(run)
+            lane = run.lane
+            if lane < 0:
+                lane = run.lane = len(self._block)
+                self._block.append(run)
+            self._order.append(lane)
         if k < run.steps or not run.finishes:
             sim.loop.schedule_step(run.ends[k], run.action)
         else:
@@ -247,19 +257,20 @@ class VectorDecodeLane:
 
     def _close_block(self) -> None:
         """Record the open block's ticks as one trace run block, in pop
-        order."""
-        slot_of: "dict[int, int]" = {}
+        order: one lane per engine, read off its armed batch — the ids and
+        token offsets as they stand, shifted by the step count at the
+        block's first tick — so the cost is per engine, not per request."""
         lanes = []
-        order = []
         for run in self._block:
-            k = slot_of.get(id(run))
-            if k is None:
-                k = slot_of[id(run)] = len(lanes)
-                # The engine's staged run starts after its applied prefix.
-                lanes.append(run.engine.steady_trace_lane(
-                    run.block_from - run.done, run.popped - run.done
-                ))
-                run.block_from = run.popped
-            order.append(k)
-        self.sim.tracer.decode_run(lanes, order)
+            armed = run.engine._steady
+            first = run.block_from
+            last = run.block_from = run.popped
+            run.lane = -1
+            # The engine's step count stands at the run's applied prefix.
+            lanes.append((
+                run.gpu_id, tuple(armed.ids), tuple(armed.tok0),
+                armed.steps - run.done + first, run.ends[first:last + 1],
+            ))
+        self.sim.tracer.decode_run(lanes, self._order)
         self._block = []
+        self._order = []

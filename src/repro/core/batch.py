@@ -242,12 +242,13 @@ class ArmedBatch:
 
     Every member gains one KV slot and one token per decode step, so its
     moving state is held as offsets of one step count, ``steps``: its KV
-    length is ``kv0[rid] + steps``, it finishes at step ``fin[i]``, and
-    the step that starts at ``t`` opens a KV page for exactly the members
-    in ``pages[t % page_size]``. Advancing the batch ``n`` steps is then
-    ``steps += n``, whatever its size (like Punica's ``BatchLenInfo``,
-    the lengths are batch state); ``synced`` and ``base`` tell the engine
-    how far its members' own records lag behind.
+    length is ``kv0[rid] + steps``, its token count ``tok0[i] + steps``,
+    it finishes at step ``fin[i]``, and the step that starts at ``t``
+    opens a KV page for exactly the members in ``pages[t % page_size]``.
+    Advancing the batch ``n`` steps is then ``steps += n``, whatever its
+    size (like Punica's ``BatchLenInfo``, the lengths are batch state);
+    ``synced`` and ``base`` tell the engine how far its members' own
+    records lag behind.
     """
 
     def __init__(self, countdown: bool = True, page_size: "int | None" = None) -> None:
@@ -264,6 +265,11 @@ class ArmedBatch:
         KV length and countdown move with."""
         self.kv0: "dict[str, int]" = {}
         """Each member's KV length minus ``steps``."""
+        self.tok0: "list[int]" = []
+        """Each member's generated-token count minus ``steps``, in slot
+        order: the index of the token the step that starts at step count
+        ``s`` produces is ``tok0[i] + s`` (what the tracer's run blocks
+        read)."""
         self.fin: "list[int] | None" = [] if countdown else None
         """The step count at which each member (slot order) has produced
         its last token; ``None`` when a finish needs the per-token check
@@ -327,16 +333,20 @@ class ArmedBatch:
         self.steps += steps
         self.total += steps * len(self.ids)
 
-    def join(self, pos: int, entry: BatchEntry, kv_len: int, left: int) -> None:
+    def join(
+        self, pos: int, entry: BatchEntry, kv_len: int, left: int, generated: int
+    ) -> None:
         """Insert ``entry``'s request at slot position ``pos``, holding
-        ``kv_len`` KV tokens with ``left`` tokens still to generate. A
-        join at the tail appends to its group or opens one at the end;
-        one mid-order inserts in slot order and re-sorts the groups."""
+        ``kv_len`` KV tokens and ``generated`` tokens with ``left`` still
+        to generate. A join at the tail appends to its group or opens one
+        at the end; one mid-order inserts in slot order and re-sorts the
+        groups."""
         ids = self.ids
         rid = entry.request_id
         tail = pos == len(ids)
         steps = self.steps
         self.kv0[rid] = kv_len - steps
+        self.tok0.insert(pos, generated - steps)
         if self.fin is not None:
             self.fin.insert(pos, steps + left)
             self.next_fin = min(self.next_fin, steps + left)
@@ -370,6 +380,7 @@ class ArmedBatch:
         rid = entry.request_id
         i = self.ids.index(rid)
         del self.ids[i]
+        del self.tok0[i]
         kv0 = self.kv0.pop(rid)
         if self.fin is not None and self.fin.pop(i) == self.next_fin:
             self.next_fin = min(self.fin, default=_NEVER)

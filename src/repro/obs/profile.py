@@ -105,7 +105,8 @@ LAYERS = (
     Layer("core.lora", "repro.core.lora",
           ("LoraRegistry.stack", "LoraRegistry.stack_padded"),
           ("loadgen_functional",)),
-    Layer("obs.tracer", "repro.obs.tracer", ("Tracer.emit",), TRACES + LOADGEN),
+    Layer("obs.tracer", "repro.obs.tracer", ("Tracer.emit", "Tracer.decode_run"),
+          TRACES + LOADGEN),
     Layer("serve.protocol", "repro.serve.protocol",
           ("encode_frame", "encode_tokens", "decode_frame"), LOADGEN),
     Layer("serve.gateway", "repro.serve.gateway",
@@ -294,20 +295,23 @@ FIG13_QUICK_SAMPLES = 3
 
 def fig13_quick_round(seed: int = 0, scale=QUICK) -> "dict[str, float]":
     """The fast path, the fast path with a tracer and the reference path,
-    each timed :data:`FIG13_QUICK_SAMPLES` times (the median counts). All
-    three must simulate the same run, or the round raises. Each run
-    starts from a collected heap: an earlier run's fleet, and with it
-    the price lists its pricers shared, is gone, so every run prices cold."""
-    walls, results = {}, {}
-    for name, kwargs in (("fast", dict), ("traced", lambda: {"tracer": Tracer()}),
-                         ("reference", lambda: {"fast_path": False})):
-        samples = []
-        for _ in range(FIG13_QUICK_SAMPLES):
+    each timed :data:`FIG13_QUICK_SAMPLES` times (the median counts). The
+    three kinds take turns sample by sample, so host drift over the round
+    lands on all three alike instead of on the ratios. All three must
+    simulate the same run, or the round raises. Each run starts from a
+    collected heap: an earlier run's fleet, and with it the price lists
+    its pricers shared, is gone, so every run prices cold."""
+    kinds = (("fast", dict), ("traced", lambda: {"tracer": Tracer()}),
+             ("reference", lambda: {"fast_path": False}))
+    samples = {name: [] for name, _ in kinds}
+    results = {}
+    for _ in range(FIG13_QUICK_SAMPLES):
+        for name, kwargs in kinds:
             gc.collect()
             t0 = perf_counter()
             results[name] = fig13_quick(seed, scale, **kwargs())
-            samples.append(perf_counter() - t0)
-        walls[name] = median(samples)
+            samples[name].append(perf_counter() - t0)
+    walls = {name: median(times) for name, times in samples.items()}
     fast_summary = _summary(results["fast"])
     for name in ("reference", "traced"):
         if _summary(results[name]) != fast_summary:

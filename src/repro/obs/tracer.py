@@ -147,14 +147,16 @@ def decode_step_attrs(start: float, token_index: int) -> "dict[str, Any]":
 class _DecodeRun:
     """A run of pure decode steps, recorded as one log entry.
 
-    ``lanes`` holds, per engine, ``(gpu_id, request_ids, first_token_index,
-    ends)``: the batch in slot order, each request's token index at the
-    run's first step, and the step boundary times (``ends[k]`` starts step
-    ``k``, ``ends[k + 1]`` ends it). ``order`` names the lane of every step
-    in the order the event loop popped them. The run owns one ``seq`` per
-    (step, request), consecutive from ``seq0``; :meth:`expand` turns it
-    into exactly the events per-step emission produces — step by step,
-    slot by slot.
+    ``lanes`` holds, per engine, ``(gpu_id, request_ids, token_offsets,
+    shift, ends)``: the batch in slot order, each request's token index
+    at the run's first step less ``shift``, and the step boundary times
+    (``ends[k]`` starts step ``k``, ``ends[k + 1]`` ends it). So step
+    ``k`` lands token ``token_offsets[i] + shift + k`` of request ``i``;
+    an armed batch hands its token offsets and step count over as they
+    are. ``order`` names the lane of every step in the order the event
+    loop popped them. The run owns one ``seq`` per (step, request),
+    consecutive from ``seq0``; :meth:`expand` turns it into exactly the
+    events per-step emission produces — step by step, slot by slot.
     """
 
     __slots__ = ("seq0", "lanes", "order")
@@ -170,15 +172,16 @@ class _DecodeRun:
         taken = [0] * len(lanes)
         out: "list[TraceEvent]" = []
         for lane in self.order:
-            gpu_id, request_ids, first, ends = lanes[lane]
+            gpu_id, request_ids, offsets, shift, ends = lanes[lane]
             k = taken[lane]
             taken[lane] = k + 1
             start = ends[k]
             end = ends[k + 1]
-            for rid, index in zip(request_ids, first):
+            shift += k
+            for rid, offset in zip(request_ids, offsets):
                 out.append(TraceEvent(
                     seq, end, EventKind.DECODE_STEP, rid, gpu_id,
-                    decode_step_attrs(start, index + k),
+                    decode_step_attrs(start, offset + shift),
                 ))
                 seq += 1
         return out
@@ -264,38 +267,45 @@ class Tracer:
     def decode_run(self, lanes, order: "Sequence[int] | None" = None) -> None:
         """Record a bulk-committed run of pure decode steps as one block.
 
-        ``lanes`` is a sequence of ``(gpu_id, request_ids,
-        first_token_index, ends)`` per engine — see :class:`_DecodeRun`;
-        ``ends`` must be Python floats. ``order`` gives the lane index of
-        each step in event-loop pop order and may be omitted for a single
-        lane. The block reserves one ``seq`` per (step, request), exactly
-        as if every ``DECODE_STEP`` had been emitted on its own. Empty
-        runs and empty batches are rejected: a block always stands for at
-        least one event.
+        ``lanes`` is a sequence of ``(gpu_id, request_ids, token_offsets,
+        shift, ends)`` per engine — see :class:`_DecodeRun`; ``ends`` must
+        be Python floats. ``order`` gives the lane index of each step in
+        event-loop pop order and may be omitted for a single lane. The
+        block reserves one ``seq`` per (step, request), exactly as if
+        every ``DECODE_STEP`` had been emitted on its own. Empty runs,
+        empty batches and a lane whose boundaries or offsets do not match
+        its pops are rejected here, before any seq is taken: a block
+        always stands for at least one event. The checks cost one count
+        per lane, not a pass over the steps.
         """
         if order is None:
             if len(lanes) != 1:
                 raise ValueError("a multi-lane decode run needs its pop order")
-            order = (0,) * (len(lanes[0][3]) - 1)
-        steps = [0] * len(lanes)
-        for lane in order:
-            steps[lane] += 1
+            order = (0,) * (len(lanes[0][4]) - 1)
         count = 0
-        for (gpu_id, request_ids, first, ends), n in zip(lanes, steps):
+        popped = 0
+        for lane, (gpu_id, request_ids, offsets, _, ends) in enumerate(lanes):
+            n = order.count(lane)
             if n < 1 or not request_ids:
                 raise ValueError(
                     f"decode run lane {gpu_id!r} has {n} steps over "
                     f"{len(request_ids)} requests; both must be >= 1"
                 )
-            if len(first) != len(request_ids) or len(ends) != n + 1:
+            if len(offsets) != len(request_ids) or len(ends) != n + 1:
                 raise ValueError(
                     f"decode run lane {gpu_id!r} is inconsistent: "
-                    f"{len(request_ids)} requests, {len(first)} token "
-                    f"indices, {n} steps, {len(ends)} step boundaries"
+                    f"{len(request_ids)} requests, {len(offsets)} token "
+                    f"offsets, {n} steps, {len(ends)} step boundaries"
                 )
             count += n * len(request_ids)
+            popped += n
         if count == 0:
             raise ValueError("a decode run needs at least one lane")
+        if popped != len(order):
+            raise ValueError(
+                f"decode run pop order names {len(order) - popped} steps "
+                "of no lane"
+            )
         if self._first_block is None:
             self._first_block = len(self._log)
         self._log.append(_DecodeRun(self._seq, lanes, order))

@@ -208,14 +208,6 @@ class GpuEngine:
         :meth:`steady_run_stage`; :meth:`commit_steady_run` applies it a
         prefix at a time, and :meth:`steady_run_valid` says whether it
         still prices the engine's next steps."""
-        self._steady_lats: "tuple[object, int, float, np.ndarray] | None" = None
-        """(plan, base KV total, slowdown, step-end array) staging cache. Step
-        ``k`` of a run from total ``T`` prices with ``T + k * batch`` and
-        the ends chain sequentially, so the array built from ``T``
-        *contains* — bit for bit — every run from ``T + n * batch``:
-        later stagings slice at offset ``n`` instead of re-pricing.
-        Keyed by plan identity; every laying of the armed plan builds a
-        new plan object and misses naturally."""
         self._entry_cache: dict[str, BatchEntry] = {}
         """Decode :class:`BatchEntry` per request id on this GPU — entries
         are immutable, so each request's is built once and reused by every
@@ -658,8 +650,16 @@ class GpuEngine:
         done: "list[_Slot]" = []
         committed: "dict[str, tuple[int, ...]] | None" = {} if spec_round else None
         rollbacks: "dict[str, tuple[int, int]]" = {}
+        lane = None
         if offsets:
             self.write_back(execution.tokens)
+            if self.tracer is not None and decode_slots:
+                # The decodes' trace lane, read off the armed batch before
+                # this step's prefills join it and its finishes leave.
+                lane = (
+                    self.gpu_id, tuple(steady.ids), tuple(steady.tok0),
+                    steady.steps - 1, [now, end],
+                )
             if steady.steps == steady.next_fin:
                 working = self._working
                 done = [working[rid] for rid in steady.finishing()]
@@ -723,7 +723,7 @@ class GpuEngine:
         if self.tracer is not None:
             self._trace_step(
                 now, end, prefill_slots, decode_slots, finished_slots,
-                (execution, committed, rollbacks) if spec_round else None,
+                (execution, committed, rollbacks) if spec_round else None, lane,
             )
         return StepReport(
             gpu_id=self.gpu_id,
@@ -828,36 +828,13 @@ class GpuEngine:
             steady.misses += 1
         total = steady.total
         slowdown = self.slowdown_factor
-        # The run from (T + n*batch, start') is an offset slice of the
-        # run staged earlier from (T, start): pricing is elementwise in
-        # the exact integer KV totals, and cumsum chains ends
-        # sequentially, so when start' == ends[n] (which it is — commits
-        # walk the staged chain) the later ends ARE ends[n:], bit for
-        # bit. Only a cache miss pays the array build.
-        cached = self._steady_lats
-        if cached is not None and cached[0] is plan and cached[2] == slowdown:
-            off = total - cached[1]
-            if off >= 0 and off % batch == 0:
-                off //= batch
-                ends_full = cached[3]
-                if off + count < len(ends_full) and ends_full[off] == start:
-                    ends = ends_full[off:off + count + 1]
-                    self._staged_run = (ends, batch, plan, slowdown)
-                    return ends, batch, finishes
-        # Build to the finish cap, not the (tighter) headroom cap: the
-        # headroom bound shrinks slower than the commit offset advances
-        # (a decode append only consumes a page at page boundaries), so a
-        # headroom-sized array would fall short of later slices and force
-        # a rebuild per staging. Pricing past headroom is harmless — the
-        # *returned* slice below stays capped at ``count``.
-        steps = min(rem_cap, self._MAX_RUN)
         pricer = backend.pricer
-        if steps < self._SCALAR_RUN:
+        if count < self._SCALAR_RUN:
             # The scalar step's own pricing, step by step: element ``k``
             # of the array below equals it bit for bit.
             end = start
             chain = [start]
-            for k in range(steps):
+            for k in range(count):
                 lat = pricer.step_seconds(
                     plan.prefill_lens, batch, total + k * batch, plan.segment_sizes
                 )
@@ -865,16 +842,14 @@ class GpuEngine:
                     lat = lat * slowdown
                 end += lat
                 chain.append(end)
-            ends_full = np.array(chain)
+            ends = np.array(chain)
         else:
-            lats = pricer.steady_run_latencies(plan, total, steps)
+            lats = pricer.steady_run_latencies(plan, total, count)
             if slowdown != 1.0:
                 lats = lats * slowdown
             # ends[k] = end of step k, chained exactly like the scalar
             # now + latency accumulation (cumsum adds sequentially).
-            ends_full = np.cumsum(np.concatenate(((start,), lats)))
-        self._steady_lats = (plan, total, slowdown, ends_full)
-        ends = ends_full[:count + 1]
+            ends = np.cumsum(np.concatenate(((start,), lats)))
         self._staged_run = (ends, batch, plan, slowdown)
         return ends, batch, finishes
 
@@ -904,27 +879,6 @@ class GpuEngine:
             and staged[3] == self.slowdown_factor
         )
 
-    def steady_trace_lane(self, first: int, last: int) -> tuple:
-        """Steps ``first .. last - 1`` of the staged run — counted from
-        its first step not yet committed — as one
-        :meth:`Tracer.decode_run` lane, read before those steps commit.
-
-        The decode lane closes a run block wherever another event must
-        emit its own records, so one staged run may span several blocks;
-        each block takes the lane of its own steps. A request's count is
-        its written-back tokens plus the batch's lag."""
-        ends = self._staged_run[0]
-        steady = self._steady
-        ids = steady.ids
-        working = self._working
-        first_count = steady.steps - steady.synced + first
-        return (
-            self.gpu_id,
-            tuple(ids),
-            [len(working[rid].request.generated_tokens) + first_count for rid in ids],
-            ends[first:last + 1].tolist(),
-        )
-
     def commit_steady_run(self, n: int) -> None:
         """Apply the first ``n`` steps of the staged run in bulk.
 
@@ -944,8 +898,9 @@ class GpuEngine:
         step or staging.
 
         The run's ``DECODE_STEP`` events are not recorded here: the decode
-        lane records them, from :meth:`steady_trace_lane`, in run blocks
-        in pop order — closed before a finish's FINISH events.
+        lane records them, from the armed batch's ids and token offsets
+        (``ArmedBatch.tok0``), in run blocks in pop order — closed before
+        a finish's FINISH events.
         """
         ends, batch, plan, slowdown = self._staged_run
         self._staged_run = (ends[n:], batch, plan, slowdown)
@@ -1037,11 +992,13 @@ class GpuEngine:
             self.write_back()
             req = slot.request
             spec = req.spec
+            generated = len(req.generated_tokens)
             self._steady.join(
                 i,
                 self._entry_cache.get(spec.request_id) or self._decode_entry(spec),
                 req.kv_len,
-                spec.response_len - len(req.generated_tokens),
+                spec.response_len - generated,
+                generated,
             )
 
     # ------------------------------------------------------------------
@@ -1053,14 +1010,17 @@ class GpuEngine:
         decode_slots: "list[_Slot]",
         finished_slots: "list[_Slot]",
         spec_round: "tuple | None" = None,
+        lane: "tuple | None" = None,
     ) -> None:
         """Emit the invocation's per-request PREFILL / DECODE_STEP / FINISH
         events (time = step end; the ``start`` attr carries the step start,
-        which the latency breakdown closes segments at). A speculative
-        round (``spec_round`` = its execution, committed tokens and
-        rollbacks) brackets them: one SPEC_DRAFT, then per request
-        SPEC_VERIFY, a DECODE_STEP per committed token, and SPEC_ROLLBACK
-        when reserved slots were released."""
+        which the latency breakdown closes segments at). The decodes are
+        one one-step run block: ``lane`` when the step read it off the
+        armed batch, else built slot by slot. A speculative round
+        (``spec_round`` = its execution, committed tokens and rollbacks)
+        brackets them: one SPEC_DRAFT, then per request SPEC_VERIFY, a
+        DECODE_STEP per committed token, and SPEC_ROLLBACK when reserved
+        slots were released."""
         emit = self.tracer.emit
         gpu_id = self.gpu_id
         for slot in prefill_slots:
@@ -1100,12 +1060,15 @@ class GpuEngine:
         elif decode_slots:
             # The step's decode batch as a one-step run block: the same
             # events, expanded when the trace is read.
-            self.tracer.decode_run(((
-                gpu_id,
-                [s.request.spec.request_id for s in decode_slots],
-                [len(s.request.generated_tokens) - 1 for s in decode_slots],
-                [now, end],
-            ),))
+            if lane is None:
+                lane = (
+                    gpu_id,
+                    [s.request.spec.request_id for s in decode_slots],
+                    [len(s.request.generated_tokens) - 1 for s in decode_slots],
+                    0,
+                    [now, end],
+                )
+            self.tracer.decode_run((lane,))
         self._trace_finishes(end, finished_slots)
 
     def _trace_finishes(self, end: float, finished_slots: "list[_Slot]") -> None:

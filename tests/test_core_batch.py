@@ -346,7 +346,7 @@ class TestArmedBatch:
             st.one_of(
                 st.tuples(
                     st.just("join"), st.integers(0, 40), _LORAS,
-                    st.integers(1, 4096), st.integers(1, 64),
+                    st.integers(1, 4096), st.integers(1, 64), st.integers(1, 64),
                 ),
                 st.tuples(st.just("leave"), st.integers(0, 40)),
                 st.tuples(st.just("advance"), st.integers(1, 3)),
@@ -361,47 +361,54 @@ class TestArmedBatch:
         # a1, b1, a2; a1 leaves (B leads), then c1 joins at the head and
         # a3 at the head of A: both re-sort.
         ops=[
-            ("join", 0, "A", 8, 5), ("join", 1, "B", 8, 5),
-            ("join", 2, "A", 8, 5), ("leave", 0), ("join", 0, "C", 8, 5),
-            ("join", 1, "A", 8, 5),
+            ("join", 0, "A", 8, 5, 1), ("join", 1, "B", 8, 5, 2),
+            ("join", 2, "A", 8, 5, 3), ("leave", 0), ("join", 0, "C", 8, 5, 4),
+            ("join", 1, "A", 8, 5, 5),
         ],
         prefills=[("A", 16)],
     )
     def test_edits_equal_grouping_the_slot_order(self, ops, prefills):
         armed = ArmedBatch(page_size=4)
-        slots = []  # (entry, kv_len, left), the oracle's slot order
+        slots = []  # (entry, kv_len, left, generated), the oracle's slot order
         pre = [prefill(f"p{i}", lora, n) for i, (lora, n) in enumerate(prefills)]
         for serial, op in enumerate(ops):
             kind = op[0]
             if kind == "join":
-                _, at, lora, kv_len, left = op
+                _, at, lora, kv_len, left, generated = op
                 pos = at % (len(slots) + 1)
                 entry = decode(f"r{serial}", lora)
-                armed.join(pos, entry, kv_len, left)
-                slots.insert(pos, (entry, kv_len, left))
+                armed.join(pos, entry, kv_len, left, generated)
+                slots.insert(pos, (entry, kv_len, left, generated))
             elif kind == "leave":
                 if not slots:
                     continue
-                entry, _, _ = slots.pop(op[1] % len(slots))
+                entry, _, _, _ = slots.pop(op[1] % len(slots))
                 armed.leave(entry)
             else:
                 steps = op[1]
                 armed.advance(steps)
-                slots = [(e, kv + steps, left - steps) for e, kv, left in slots]
+                slots = [
+                    (e, kv + steps, left - steps, gen + steps)
+                    for e, kv, left, gen in slots
+                ]
             if kind != "advance":
                 assert armed.decode_plan is None
-            decodes = [e for e, _, _ in slots]
+            decodes = [e for e, _, _, _ in slots]
             assert armed.ids == [e.request_id for e in decodes]
-            assert armed.total == sum(kv + 1 for _, kv, _ in slots)
-            assert armed.rem == [left for _, _, left in slots]
+            assert armed.total == sum(kv + 1 for _, kv, _, _ in slots)
+            assert armed.rem == [left for _, _, left, _ in slots]
             assert armed.left == min(armed.rem, default=armed.left)
-            assert [armed.kv0[e.request_id] + armed.steps for e, _, _ in slots] == [
-                kv for _, kv, _ in slots
+            assert [
+                armed.kv0[e.request_id] + armed.steps for e, _, _, _ in slots
+            ] == [kv for _, kv, _, _ in slots]
+            # The token offsets are the generated counts less the step count.
+            assert [t + armed.steps for t in armed.tok0] == [
+                gen for _, _, _, gen in slots
             ]
             # The step that starts at t opens a page for a member whose KV
             # length then fills its last page: phase (t - kv) % 4 now.
             assert armed.pages == [
-                [e.request_id for e, kv, _ in slots if (armed.steps - kv) % 4 == p]
+                [e.request_id for e, kv, _, _ in slots if (armed.steps - kv) % 4 == p]
                 for p in range(4)
             ]
             if decodes:

@@ -938,7 +938,7 @@ def _staggered_trace(n, *, spacing, response_lens):
 
 def _finish_run(
     trace, *, max_batch, traced, fast_path, sink, num_gpus=None,
-    kv_tokens=None, presets=None, control=None, quantum=None,
+    kv_tokens=None, presets=None, control=None, quantum=None, cancels=(),
 ):
     """One run of ``trace``; with ``sink`` each request's ``(token,
     time)`` stream as the token sink delivered it. ``kv_tokens`` sizes
@@ -946,7 +946,8 @@ def _finish_run(
     one GPU preset per engine (default: ``num_gpus`` of the backend's
     default GPU); ``control`` routes through the SLO router; ``quantum``
     pumps the loop in ``run(until=)`` quanta, the way the serving bridge
-    drives it."""
+    drives it; ``cancels`` are ``(request index, delay after its
+    arrival)`` picks, cancelled then if still queued or running."""
     kv_bytes = (
         None if kv_tokens is None
         else kv_tokens * LLAMA2_7B.kv_bytes_per_token()
@@ -972,6 +973,17 @@ def _finish_run(
         fast_path=fast_path,
         control=control,
     )
+    for idx, delay in cancels:
+        spec = trace.requests[idx % len(trace.requests)]
+
+        def _cancel(now, rid=spec.request_id):
+            req = sim._requests.get(rid)
+            if req is not None and req.state in (
+                RequestState.QUEUED, RequestState.RUNNING
+            ):
+                sim.cancel(req, now)
+
+        sim.loop.schedule(spec.arrival_time + delay, _cancel)
     streams: dict = {}
     if sink:
         sim.token_sink = lambda rid, tokens, times: streams.setdefault(
@@ -1134,6 +1146,79 @@ def test_finishes_commit_inside_merges():
     lane = sim._vector
     assert lane.finishes > 0
     assert lane.merges > 0
+
+
+@pytest.fixture
+def block_shapes(monkeypatch):
+    """Record each trace block's lane count and each staging's engine and
+    whether its plan was already laid (a restage on an unchanged plan)."""
+    seen = {"lanes": [], "restaged": 0}
+    record, stage = Tracer.decode_run, GpuEngine.steady_run_stage
+
+    def decode_run(self, lanes, order=None):
+        seen["lanes"].append(len(lanes))
+        return record(self, lanes, order)
+
+    def steady_run_stage(self, start):
+        laid = self._steady.decode_plan is not None
+        staged = stage(self, start)
+        seen["restaged"] += staged is not None and laid
+        return staged
+
+    monkeypatch.setattr(Tracer, "decode_run", decode_run)
+    monkeypatch.setattr(GpuEngine, "steady_run_stage", steady_run_stage)
+    return seen
+
+
+def test_headroom_capped_runs_trace_like_the_reference(block_shapes):
+    """A KvCache pool too small for its runs: KV headroom, not a finish,
+    caps most stagings, so an engine restages on its unchanged plan
+    again and again, one staged run spans several trace blocks, blocks
+    hold several engines' lanes and finishing ticks close blocks — and
+    every block, read off the armed batches' token offsets, expands to
+    the reference path's bytes."""
+    trace = _staggered_trace(24, spacing=0.01, response_lens=(40, 77, 55, 120))
+    sim = _assert_finish_runs_identical(
+        trace, num_gpus=3, max_batch=6, kv_tokens=512, cancels=((5, 0.3),)
+    )
+    assert sim._vector.finishes > 0
+    assert block_shapes["restaged"] > 0
+    assert any(n > 1 for n in block_shapes["lanes"])
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    num_gpus=st.integers(min_value=2, max_value=4),
+    max_batch=st.integers(min_value=2, max_value=8),
+    kv_tokens=st.sampled_from([384, 512, 768]),
+    response_lens=st.lists(
+        st.integers(min_value=40, max_value=120), min_size=2, max_size=5
+    ),
+    spacing=st.sampled_from([0.002, 0.01, 0.05]),
+    cancels=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=23),
+            st.floats(min_value=0.05, max_value=2.0),
+        ),
+        max_size=3,
+    ),
+)
+def test_random_headroom_capped_runs_trace_like_the_reference(
+    num_gpus, max_batch, kv_tokens, response_lens, spacing, cancels,
+):
+    """Long responses on 2–4 engines whose KvCache headroom caps their
+    runs, with cancels: multi-engine blocks, finishing ticks inside them
+    and restages on an unchanged plan. The traced fast run's JSONL equals
+    the traced reference run's, byte for byte."""
+    trace = _staggered_trace(24, spacing=spacing, response_lens=response_lens)
+    _assert_finish_runs_identical(
+        trace, num_gpus=num_gpus, max_batch=max_batch, kv_tokens=kv_tokens,
+        cancels=cancels,
+    )
 
 
 def test_finish_with_requests_waiting_replays_the_drain(drains_with_waiters):

@@ -118,7 +118,7 @@ def _emit_all(events) -> Tracer:
 def test_single_engine_run_expands_step_by_step_slot_by_slot():
     tracer = Tracer()
     tracer.decode_run(
-        [("gpu00", ["a", "b"], [3, 7], [1.0, 1.5, 2.25, 3.0])]
+        [("gpu00", ["a", "b"], [1, 5], 2, [1.0, 1.5, 2.25, 3.0])]
     )
     assert list(tracer.events) == [
         _decode(0, 1.5, 1.0, 3, "gpu00", "a"),
@@ -136,9 +136,9 @@ def _three_engine_merge(tracer: Tracer) -> "list[TraceEvent]":
     s = len(tracer)
     tracer.decode_run(
         [
-            ("gpu00", ["a", "b"], [0, 4], [0.0, 1.0, 2.0]),
-            ("gpu01", ["c"], [9], [0.5, 1.25, 2.5, 3.0]),
-            ("gpu02", ["d", "e", "f"], [1, 1, 2], [0.75, 1.75]),
+            ("gpu00", ["a", "b"], [0, 4], 0, [0.0, 1.0, 2.0]),
+            ("gpu01", ["c"], [-3], 12, [0.5, 1.25, 2.5, 3.0]),
+            ("gpu02", ["d", "e", "f"], (-6, -6, -5), 7, [0.75, 1.75]),
         ],
         # Pop order: gpu00@0.0, gpu01@0.5, gpu02@0.75, gpu00@1.0,
         # gpu01@1.25, gpu01@2.5.
@@ -174,7 +174,7 @@ def test_scalar_emits_around_a_block_keep_global_seq_order():
     assert list(tracer.events) == [before, *expected, after]
     # Reads are incremental: later emits and blocks extend the same view.
     late = tracer.emit(4.0, EventKind.SUBMIT, request_id="z")
-    tracer.decode_run([("gpu03", ["z"], [0], [4.0, 4.5])])
+    tracer.decode_run([("gpu03", ["z"], [0], 0, [4.0, 4.5])])
     assert list(tracer.events)[12:] == [
         late, _decode(13, 4.5, 4.0, 0, "gpu03", "z"),
     ]
@@ -253,14 +253,17 @@ def test_loaded_partial_trace_counts_its_events():
     "lanes, order",
     [
         ([], []),                                              # no lane
-        ([("g", ["a"], [0], [1.0])], None),                    # zero steps
-        ([("g", [], [], [1.0, 2.0])], None),                   # empty batch
-        ([("g", ["a"], [0], [1.0, 2.0]),
-          ("h", ["b"], [0], [1.0, 2.0])], [0]),                # lane never pops
-        ([("g", ["a"], [0, 1], [1.0, 2.0])], None),            # ragged indices
-        ([("g", ["a"], [0], [1.0, 2.0, 3.0])], [0]),           # unused boundary
-        ([("g", ["a"], [0], [1.0, 2.0]),
-          ("h", ["b"], [0], [1.0, 2.0])], None),               # order missing
+        ([("g", ["a"], [0], 0, [1.0])], None),                 # zero steps
+        ([("g", [], [], 0, [1.0, 2.0])], None),                # empty batch
+        ([("g", ["a"], [0], 0, [1.0, 2.0]),
+          ("h", ["b"], [0], 0, [1.0, 2.0])], [0]),             # lane never pops
+        ([("g", ["a"], [0, 1], 0, [1.0, 2.0])], None),         # ragged offsets
+        ([("g", ["a"], [0], 0, [1.0, 2.0, 3.0])], [0]),        # unused boundary
+        ([("g", ["a"], [0], 0, [1.0, 2.0]),
+          ("h", ["b"], [0], 0, [1.0, 2.0])], None),            # order missing
+        ([("g", ["a"], [0], 0, [1.0, 2.0, 3.0]),
+          ("h", ["b"], [0], 0, [1.0, 2.0])], [0, 1, 1]),       # pop counts swapped
+        ([("g", ["a"], [0], 0, [1.0, 2.0])], [0, 1]),          # pop of no lane
     ],
 )
 def test_degenerate_blocks_are_rejected_without_a_seq_gap(lanes, order):

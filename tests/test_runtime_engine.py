@@ -723,7 +723,8 @@ class TestArmedBatchEdits:
 
         def read(reader, pick, now):
             """Run one reader; it must leave nothing lagging, except the
-            trace lane, which reads the lag instead of writing it back."""
+            trace lane, which reads the armed batch's token offsets instead
+            of writing the lag back."""
             slots = engine._working_order  # picked without a reader
             rid = slots[pick % len(slots)].request.request_id if slots else None
             if reader == "read":
@@ -738,14 +739,14 @@ class TestArmedBatchEdits:
                     ref.export_request(rid, now)[1]
                 )
             elif reader == "trace":
-                staged = engine._staged_run
-                if staged is not None and len(staged[0]) > 1:
-                    last = min(pick + 1, len(staged[0]) - 1)
-                    _, ids, counts, times = engine.steady_trace_lane(0, last)
-                    assert list(ids) == engine._steady.ids
-                    assert counts == [len(seen[r][1].generated_tokens) for r in ids]
-                    assert times == staged[0][:last + 1].tolist()
-                check(set(engine._steady.ids))
+                # A trace lane's token index for the next step is the
+                # offset plus the step count: the reference engine's count.
+                armed = engine._steady
+                assert len(armed.tok0) == len(armed.ids)
+                assert [t + armed.steps for t in armed.tok0] == [
+                    len(seen[r][1].generated_tokens) for r in armed.ids
+                ]
+                check(set(armed.ids))
                 return now
             elif reader == "step":
                 now = step(now)

@@ -24,10 +24,12 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def per_event_trace_step(
-    self, now, end, prefill_slots, decode_slots, finished_slots, spec_round=None
+    self, now, end, prefill_slots, decode_slots, finished_slots, spec_round=None,
+    lane=None,
 ):
     """The per-event emitter: PREFILL, then one DECODE_STEP per decode
-    request, then FINISH — every event emitted on its own."""
+    request, then FINISH — every event emitted on its own (from the slots;
+    a lane read off the armed batch is ignored)."""
     assert spec_round is None, "the oracle covers classic steps only"
     emit = self.tracer.emit
     for slot in prefill_slots:
