@@ -160,5 +160,6 @@ class UnifiedMemoryPool(KvPool):
 
     @property
     def free_pages(self) -> int:
-        """Pages guaranteed allocatable under both page and byte limits."""
-        return self.free_tokens // self.page_size
+        """Pages that fit beside every resident or in-flight adapter: no
+        append into them demotes one, unlike :attr:`free_tokens`."""
+        return min(self.allocator.free_pages, int(self.free_bytes() // self.page_bytes))

@@ -79,6 +79,8 @@ class GpuAdapterStore:
         self.clock = 0.0
         self.pcie_busy_until = 0.0
         self.num_evictions = 0
+        self.transfers = 0
+        """Host -> GPU copies issued; each may take budget a staged run counted on."""
         self.events: list[AdapterEvent] = []
         self.tracer = None
         """Optional :class:`~repro.obs.tracer.Tracer` (the cluster
@@ -281,6 +283,7 @@ class GpuAdapterStore:
             start = max(start, self.pcie_busy_until)
         copy_time = self.pcie.transfer_time(nbytes)
         finish = start + copy_time
+        self.transfers += 1
         self.pcie_busy_until = max(self.pcie_busy_until, finish)
         self.events.append(AdapterEvent(start, "pcie", copy_time))
         return TransferPlan(nbytes=nbytes, start=now, finish=finish)

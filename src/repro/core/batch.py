@@ -234,7 +234,7 @@ class ArmedBatch:
 
     From one step to the next the batch changes by the request that
     joins or leaves (§5), so an engine that arms edits this state at each
-    change instead of regrouping its batch. ``groups``, ``ids``, ``rem``
+    change instead of regrouping its batch. ``groups``, ``ids``, ``fin``
     and ``total`` always describe the working set as of its next step;
     ``decode_plan`` is its pure-decode plan, which every edit clears and
     the engine lays again where it runs one: a pure decode step or a
@@ -251,7 +251,7 @@ class ArmedBatch:
     records lag behind.
     """
 
-    def __init__(self, countdown: bool = True, page_size: "int | None" = None) -> None:
+    def __init__(self, page_size: "int | None" = None) -> None:
         self.groups: "dict[object, list[BatchEntry]]" = {}
         """The decode entries grouped by LoRA id (:func:`plan_batch`'s
         rule 2): each group in slot order, the groups in the slot order
@@ -270,10 +270,10 @@ class ArmedBatch:
         order: the index of the token the step that starts at step count
         ``s`` produces is ``tok0[i] + s`` (what the tracer's run blocks
         read)."""
-        self.fin: "list[int] | None" = [] if countdown else None
+        self.fin: "list[int]" = []
         """The step count at which each member (slot order) has produced
-        its last token; ``None`` when a finish needs the per-token check
-        (EOS armed)."""
+        its last token under its length limit (an EOS token may end it
+        sooner on an engine whose tokens are real)."""
         self.next_fin = _NEVER
         """``min(fin)``: kept at each join and leave."""
         self.pages: "list[list[str]] | None" = (
@@ -302,19 +302,6 @@ class ArmedBatch:
         """Passes over the members' own records: write-backs to
         ``steps``, slot-by-slot KV reservations and slot-by-slot token
         commits (diagnostic, like ``hits``)."""
-
-    @property
-    def rem(self) -> "list[int] | None":
-        """Tokens left per request (slot order); ``None`` with EOS armed."""
-        if self.fin is None:
-            return None
-        steps = self.steps
-        return [f - steps for f in self.fin]
-
-    @property
-    def left(self) -> int:
-        """Steps until the first member finishes (``min(rem)``)."""
-        return self.next_fin - self.steps
 
     def finishing(self) -> "list[str]":
         """The members whose last token the latest step produced, in slot
@@ -347,9 +334,8 @@ class ArmedBatch:
         steps = self.steps
         self.kv0[rid] = kv_len - steps
         self.tok0.insert(pos, generated - steps)
-        if self.fin is not None:
-            self.fin.insert(pos, steps + left)
-            self.next_fin = min(self.next_fin, steps + left)
+        self.fin.insert(pos, steps + left)
+        self.next_fin = min(self.next_fin, steps + left)
         if self.pages is not None:
             phase = self.pages[(steps - kv_len) % len(self.pages)]
             if tail:
@@ -382,7 +368,7 @@ class ArmedBatch:
         del self.ids[i]
         del self.tok0[i]
         kv0 = self.kv0.pop(rid)
-        if self.fin is not None and self.fin.pop(i) == self.next_fin:
+        if self.fin.pop(i) == self.next_fin:
             self.next_fin = min(self.fin, default=_NEVER)
         if self.pages is not None:
             self.pages[(-kv0) % len(self.pages)].remove(rid)

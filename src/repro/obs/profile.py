@@ -25,7 +25,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from statistics import median
-from time import perf_counter
+from time import perf_counter, process_time
 from typing import NamedTuple
 
 from repro.bench.fig13_cluster import QUICK, build_cluster, run_fig13_simulation
@@ -300,18 +300,21 @@ def fig13_quick_round(seed: int = 0, scale=QUICK) -> "dict[str, float]":
     lands on all three alike instead of on the ratios. All three must
     simulate the same run, or the round raises. Each run starts from a
     collected heap: an earlier run's fleet, and with it the price lists
-    its pricers shared, is gone, so every run prices cold."""
+    its pricers shared, is gone, so every run prices cold. Each sample
+    is also timed in process CPU seconds (``cpu_*``), which other
+    processes on a shared host do not inflate as they do wall time."""
     kinds = (("fast", dict), ("traced", lambda: {"tracer": Tracer()}),
              ("reference", lambda: {"fast_path": False}))
-    samples = {name: [] for name, _ in kinds}
+    samples = {name: [] for name, _ in kinds}  # (wall, CPU) seconds
     results = {}
     for _ in range(FIG13_QUICK_SAMPLES):
         for name, kwargs in kinds:
             gc.collect()
-            t0 = perf_counter()
+            t0, c0 = perf_counter(), process_time()
             results[name] = fig13_quick(seed, scale, **kwargs())
-            samples[name].append(perf_counter() - t0)
-    walls = {name: median(times) for name, times in samples.items()}
+            samples[name].append((perf_counter() - t0, process_time() - c0))
+    walls = {name: median(w for w, _ in times) for name, times in samples.items()}
+    cpus = {name: median(c for _, c in times) for name, times in samples.items()}
     fast_summary = _summary(results["fast"])
     for name in ("reference", "traced"):
         if _summary(results[name]) != fast_summary:
@@ -322,7 +325,9 @@ def fig13_quick_round(seed: int = 0, scale=QUICK) -> "dict[str, float]":
     fast = walls["fast"]
     return {"wall_s": fast, "speedup": walls["reference"] / fast,
             "traced_ratio": walls["traced"] / fast,
-            "requests_per_s": results["fast"].finished_requests / fast}
+            "requests_per_s": results["fast"].finished_requests / fast,
+            "cpu_s": cpus["fast"], "cpu_speedup": cpus["reference"] / cpus["fast"],
+            "cpu_traced_ratio": cpus["traced"] / cpus["fast"]}
 
 
 #: The two fast-path lanes against the reference path (memos and the
@@ -358,7 +363,9 @@ def gate_rows(
     """``(metric, worst value, rule, ok)`` per ``min_*`` / ``max_*`` key.
 
     The worst round gates; ``variance`` is the spread of ``wall_s`` over
-    its minimum and needs two rounds; a metric no round measured fails."""
+    its minimum and needs two rounds; a metric no round measured fails.
+    Rounds that timed CPU seconds add the same three rows in CPU time,
+    ungated (rule ``-``, ``ok`` ``None``)."""
     if not rounds:
         raise ValueError("a gate needs at least one round")
     rows = []
@@ -375,6 +382,13 @@ def gate_rows(
             value = float("nan")
         ok = value >= bound if kind == "min" else value <= bound
         rows.append((metric, value, f"{'>=' if kind == 'min' else '<='} {bound:g}", ok))
+    if all("cpu_s" in r for r in rounds):
+        cpu = [r["cpu_s"] for r in rounds]
+        ungated = {"cpu_speedup": min(r["cpu_speedup"] for r in rounds),
+                   "cpu_traced_ratio": max(r["cpu_traced_ratio"] for r in rounds)}
+        if len(rounds) > 1:
+            ungated["cpu_variance"] = (max(cpu) - min(cpu)) / min(cpu)
+        rows += [(metric, value, "-", None) for metric, value in ungated.items()]
     return rows
 
 
@@ -387,8 +401,9 @@ class Profile:
     wall_s: float
     rows: "list[tuple[str, str, int, float]]"
     """``(layer, target, calls, self_s)`` of every target that fired."""
-    gate: "list[tuple[str, float, str, bool]]"
-    """``(metric, worst value, rule, ok)``; empty for a scenario without a gate."""
+    gate: "list[tuple[str, float, str, bool | None]]"
+    """``(metric, worst value, rule, ok)``, ``ok`` ``None`` on an ungated
+    row; empty for a scenario without a gate."""
     failures: "list[str]"
     """Targets that do not resolve, named layers that stayed silent and
     gate rows that failed: what ``--check`` exits 1 on."""
@@ -405,7 +420,8 @@ class Profile:
         if self.gate:
             parts.append(format_table(
                 ["metric", "value", "bound", "verdict"],
-                [(m, v, r, "ok" if ok else "FAIL") for m, v, r, ok in self.gate],
+                [(m, v, r, "-" if ok is None else "ok" if ok else "FAIL")
+                 for m, v, r, ok in self.gate],
                 title="gate (unhooked):",
             ))
         return "\n".join(parts + [f"  fail: {f}" for f in self.failures])
@@ -428,6 +444,6 @@ def run(scenario: str, seed: int = 0) -> Profile:
         [f"{scenario}: target {m} does not resolve" for m in resolve()[1]]
         + [f"{scenario}: layer {layer.name} stayed silent" for layer in LAYERS
            if scenario in layer.scenarios and layer.name not in fired]
-        + [f"{scenario}: {m} {v:.4g} not {r}" for m, v, r, ok in gate if not ok]
+        + [f"{scenario}: {m} {v:.4g} not {r}" for m, v, r, ok in gate if ok is False]
     )
     return Profile(scenario, seed, wall, rows, gate, failures)

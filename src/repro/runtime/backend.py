@@ -156,8 +156,8 @@ class SimulatedBackend:
     def kv_append_run(self, phases, start: int, count: int) -> None:
         """``count`` decode rounds' page appends for a batch held as
         offsets (:meth:`PageAllocator.append_tokens_run`); its lengths
-        are written back through :meth:`kv_lengths`. Only valid without
-        a unified pool: a bulk append bypasses the shared byte budget."""
+        are written back through :meth:`kv_lengths`; its pages fit in
+        :meth:`kv_headroom_pages`, so none demotes an adapter."""
         self.kv.allocator.append_tokens_run(phases, start, count)
 
     def kv_lengths(self) -> "dict[str, int]":
@@ -177,11 +177,11 @@ class SimulatedBackend:
         return self.kv.free_tokens
 
     def kv_headroom_pages(self) -> int:
-        """Pages guaranteed allocatable right now, under every budget.
+        """Pages allocatable right now, under every budget, demoting nothing.
 
         If this is ``>= len(batch)`` then one decode append per request
-        cannot fail (each consumes at most one page), so the fast lane can
-        skip the per-slot can-append/evict checks entirely.
+        cannot fail or demote (each takes at most one page), so the fast
+        lane can skip the per-slot can-append/evict checks entirely.
         """
         return self.kv.free_pages
 

@@ -44,7 +44,8 @@ class EngineConfig:
     same_lora_only: bool = False
     """Baseline restriction: batch only requests of one LoRA model (§7)."""
     eos_token_id: int | None = None
-    """Functional mode's end-of-sequence stopping condition."""
+    """Functional mode's end-of-sequence stopping condition; an engine
+    rejects it on a backend of counter tokens (``SimulatedBackend``)."""
     spec: "SpecConfig | None" = None
     """Arm speculative decoding (docs/speculative.md): pure-decode
     invocations become draft/verify rounds committing 1..draft_len+1
@@ -155,6 +156,14 @@ class GpuEngine:
         is one falsy integer test."""
         self._admit_seq = 0
         self.fast_path = fastpath_enabled(fast_path)
+        self._reads_requests = getattr(backend, "reads_requests", True)
+        """Whether ``execute`` reads the request objects (the functional
+        backend does); a step builds the ``requests`` dict only then."""
+        if self.config.eos_token_id is not None and not self._reads_requests:
+            raise ValueError(
+                f"{gpu_id}: eos_token_id is set but backend "
+                f"{type(backend).__name__} hands out counter tokens"
+            )
         self._spec = self.config.spec
         if self._spec is not None and not hasattr(backend, "execute_spec"):
             raise ValueError(
@@ -171,23 +180,18 @@ class GpuEngine:
         draws (the backend has no per-path state of its own)."""
         self.spec_rounds = 0
         """Speculative rounds run (diagnostic, like ``fast_steps``)."""
-        # The armed batch and the bulk lane assume one token per request
-        # per step and shape-only latency terms (``supports_steady``);
-        # speculative engines and backends with no bulk run never arm.
-        self._steady_ok = (
-            self.fast_path
+        self._arms = self.fast_path and self._spec is None
+        """Whether every step plans from the armed batch: one token per
+        request per step (a speculative round commits 1..n)."""
+        self._offsets = (
+            self._arms
             and hasattr(backend, "commit_steady_run")
             and backend.pricer.supports_steady
-            and self._spec is None
         )
-        countdown = self._steady_ok and self.config.eos_token_id is None
-        self._offsets = countdown and getattr(backend, "pool", True) is None
-        """Whether the armed members' KV lengths, pages and tokens advance
-        as offsets of the batch's step count (:meth:`write_back` writes
-        them back): a countdown and a private KvPool (a unified pool gates
-        every page on its shared budget)."""
+        """Whether the armed batch also advances KV lengths, pages and
+        tokens as offsets of its step count (:meth:`write_back`) and
+        stages bulk runs: counter tokens, shape-only latency terms."""
         self._steady = ArmedBatch(
-            countdown=countdown,
             page_size=backend.kv.page_size if self._offsets else None,
         )
         """The working set's decode batch, edited by :meth:`_order_insert`,
@@ -196,17 +200,14 @@ class GpuEngine:
         self._kv_lengths = backend.kv_lengths() if self._offsets else None
         """The allocator's per-sequence lengths, which :meth:`write_back`
         brings up to the armed batch's step count."""
-        self._reads_requests = getattr(backend, "reads_requests", True)
-        """Whether ``execute`` reads the request objects (the functional
-        backend does); a step builds the ``requests`` dict only then."""
         self._plan_cache = self._steady if self.fast_path else None
         """The armed-batch lane's counters under the name its ``hits`` /
         ``misses`` are read by; ``None`` on the reference path, where that
         lane is off and every step plans."""
-        self._staged_run: "tuple[np.ndarray, int, object, float] | None" = None
-        """(step-end times, batch size, armed plan, slowdown) priced by
-        :meth:`steady_run_stage`; :meth:`commit_steady_run` applies it a
-        prefix at a time, and :meth:`steady_run_valid` says whether it
+        self._staged_run: "tuple[np.ndarray, int, object, float, int] | None" = None
+        """(step-end times, batch size, armed plan, slowdown, adapter copies)
+        priced by :meth:`steady_run_stage`; :meth:`commit_steady_run` applies
+        it a prefix at a time, and :meth:`steady_run_valid` says whether it
         still prices the engine's next steps."""
         self._entry_cache: dict[str, BatchEntry] = {}
         """Decode :class:`BatchEntry` per request id on this GPU — entries
@@ -300,7 +301,7 @@ class GpuEngine:
         + 1)`` over them, and the requests waiting to prefill, in
         admission order — what a cost model prices this GPU from. An
         arming engine answers from its armed batch, with no write-back."""
-        if self._steady_ok:
+        if self._arms:
             running, kv_total = len(self._steady.ids), self._steady.total
         else:
             running = len(self._working_order)
@@ -400,7 +401,7 @@ class GpuEngine:
         pin and its cached plan entry. Callers set the request's state."""
         rid = slot.request.request_id
         if rid in self._working:
-            if self._steady_ok:
+            if self._arms:
                 self.write_back()
                 self._steady.leave(self._entry_cache[rid])
             del self._working[rid]
@@ -422,7 +423,7 @@ class GpuEngine:
         die with the GPU, so no release bookkeeping survives the crash.
         """
         self.alive = False
-        if self._steady_ok:
+        if self._arms:
             self.write_back()
             for slot in self._working_order:
                 self._steady.leave(self._entry_cache[slot.request.request_id])
@@ -545,10 +546,10 @@ class GpuEngine:
         # Reserve the decode requests' KvCache slots FIRST (evicting newest
         # requests on pressure), so prefill admission below can only use
         # pages genuinely left over. On an engine that holds its batch as
-        # offsets, a step with a free page per request cannot evict: its
-        # decodes are the whole armed batch, advanced like a one-step bulk
-        # commit — only the pages its round opens. A promoted import
-        # commits slot by slot: its first decode here is stamped.
+        # offsets, a step with a free page per request (and adapter) cannot
+        # evict or demote: its decodes are the whole armed batch, advanced
+        # like a one-step bulk commit — only the pages its round opens. A
+        # promoted import commits slot by slot: its first decode is stamped.
         steady = self._steady
         offsets = (
             self._offsets
@@ -600,13 +601,12 @@ class GpuEngine:
         # it), any other step lays the prefills in front of the armed LoRA
         # groups. An empty armed batch has nothing to group, and an engine
         # that does not arm groups its batch entry by entry.
-        laid = steady.decode_plan is not None
-        if self._steady_ok and decode_slots:
+        if self._arms and decode_slots:
             if prefills:
                 plan = steady.plan(prefills)
                 steady.misses += 1
             else:
-                if not laid:
+                if steady.decode_plan is None:
                     steady.decode_plan = steady.plan([])
                     steady.misses += 1
                 plan = steady.decode_plan
@@ -632,7 +632,7 @@ class GpuEngine:
                 plan, past_lens, spec, self._spec_rng, requests=requests
             )
             self.spec_rounds += 1
-        elif self._steady_ok:
+        elif offsets:
             execution = self.backend.execute(plan, past_lens, kv_total=steady.total)
         else:
             execution = self.backend.execute(plan, past_lens, requests=requests)
@@ -643,9 +643,7 @@ class GpuEngine:
         # Decodes first, so the armed batch advances before this step's
         # prefills join it. An offsets step commits in the write-back of
         # the batch's one-step lag, and a request finishes when its count
-        # runs out. Otherwise a step that starts on the laid plan commits
-        # on the countdown: each of its requests has decoded here before,
-        # so one append each.
+        # runs out; any other step commits slot by slot.
         steady.advance()
         done: "list[_Slot]" = []
         committed: "dict[str, tuple[int, ...]] | None" = {} if spec_round else None
@@ -663,15 +661,6 @@ class GpuEngine:
             if steady.steps == steady.next_fin:
                 working = self._working
                 done = [working[rid] for rid in steady.finishing()]
-        elif laid and steady.fin is not None:
-            steady.synced = steady.steps
-            steady.member_passes += 1
-            tokens = execution.tokens
-            for slot, left in zip(decode_slots, steady.rem):
-                req = slot.request
-                req.generated_tokens.append(tokens[req.request_id])
-                if not left:
-                    done.append(slot)
         else:
             if decode_slots:
                 steady.member_passes += 1
@@ -806,18 +795,18 @@ class GpuEngine:
         inside it could deviate from :meth:`step` on the armed batch: it
         ends at the first step that finishes a request (the smallest
         countdown), and worst-case page consumption keeps KvCache headroom
-        at one page per request before every step (no eviction can
-        trigger). ``finishes`` is whether the run's last step is that
-        finishing step; every earlier step is a pure tick. Call
-        :meth:`commit_steady_run` to apply a prefix. Requires the
-        length-limit countdown (``ArmedBatch.fin``).
+        at one page per request before every step (no eviction, and no
+        adapter demotion on a unified pool, can trigger). ``finishes`` is
+        whether the run's last step is that finishing step; every earlier
+        step is a pure tick. Call :meth:`commit_steady_run` to apply a
+        prefix.
         """
         backend = self.backend
         if not self.steady_ready():
             return None
         steady = self._steady
         batch = len(steady.ids)
-        rem_cap = steady.left
+        rem_cap = steady.next_fin - steady.steps
         count = min(rem_cap, backend.kv_headroom_pages() // batch, self._MAX_RUN)
         if count < 1:
             return None
@@ -850,7 +839,7 @@ class GpuEngine:
             # ends[k] = end of step k, chained exactly like the scalar
             # now + latency accumulation (cumsum adds sequentially).
             ends = np.cumsum(np.concatenate(((start,), lats)))
-        self._staged_run = (ends, batch, plan, slowdown)
+        self._staged_run = (ends, batch, plan, slowdown, self.loader.transfers)
         return ends, batch, finishes
 
     def steady_ready(self) -> bool:
@@ -865,11 +854,12 @@ class GpuEngine:
     def steady_run_valid(self) -> bool:
         """Does the staged run still price this engine's next steps?
 
-        True while the armed plan, the empty pending set, liveness and
-        the slowdown are the ones the run was staged under. Every change
-        from outside — an admit, a cancel, a migration, a crash, a
-        slowdown or its restore — breaks one of them, so a stale run is
-        never ticked on."""
+        True while the armed plan, the empty pending set, liveness, the
+        slowdown and the adapter copies issued here are the ones the run
+        was staged under. Every change from outside — an admit, a cancel,
+        a migration, a crash, a slowdown or its restore, a prefetch
+        promotion taking shared budget the run's pages counted on —
+        breaks one of them, so a stale run is never ticked on."""
         staged = self._staged_run
         return (
             staged is not None
@@ -877,6 +867,7 @@ class GpuEngine:
             and not self._pending
             and self.alive
             and staged[3] == self.slowdown_factor
+            and staged[4] == self.loader.transfers
         )
 
     def commit_steady_run(self, n: int) -> None:
@@ -902,8 +893,8 @@ class GpuEngine:
         (``ArmedBatch.tok0``), in run blocks in pop order — closed before
         a finish's FINISH events.
         """
-        ends, batch, plan, slowdown = self._staged_run
-        self._staged_run = (ends[n:], batch, plan, slowdown)
+        ends, batch, plan, slowdown, transfers = self._staged_run
+        self._staged_run = (ends[n:], batch, plan, slowdown, transfers)
         steady = self._steady
         # Reference steps call loader.advance(step start) each step;
         # advance is a monotone clock max, so the last start subsumes
@@ -988,7 +979,7 @@ class GpuEngine:
         while i > 0 and order[i - 1].admit_seq > slot.admit_seq:
             i -= 1
         order.insert(i, slot)
-        if self._steady_ok:
+        if self._arms:
             self.write_back()
             req = slot.request
             spec = req.spec

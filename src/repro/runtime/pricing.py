@@ -86,10 +86,10 @@ class StepPricer:
         self.step_overhead = step_overhead
         self.supports_steady = not flags.cache_concat
         """Whether a plan has latency terms that hold across its steps —
-        what the shape memo and the engine's armed batch and bulk decode
-        lane rest on. Under ``cache_concat`` one layer term reads the KV
+        what the shape memo and the engine's offsets and bulk decode lane
+        rest on. Under ``cache_concat`` one layer term reads the KV
         lengths, so nothing is plan-invariant: every step is priced with
-        ``model_step_latency`` and the engine never arms."""
+        ``model_step_latency`` and the engine stages no bulk run."""
         identity = self.identity
         prices = _PRICE_LISTS.get(identity)
         if prices is None:

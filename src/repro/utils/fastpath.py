@@ -1,8 +1,9 @@
 """The fast-path default shared by the simulator's two lanes.
 
 ``fast_path`` selects lanes, nothing else (docs/performance.md): the
-engine's armed batch and bulk decode run (``GpuEngine._steady_ok``) and
-the cross-engine merge lane (``repro.cluster.vector``). With it off the simulator plans every step
+engine's armed batch (``GpuEngine._arms``) and bulk decode run
+(``GpuEngine._offsets``) and the cross-engine merge lane
+(``repro.cluster.vector``). With it off the simulator plans every step
 and runs one event per step. Memos, the one-heap event loop and the one
 step price are unconditional. Under a fixed seed both paths produce
 byte-identical traces (tests/test_fastpath_differential.py is the proof

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 
 from repro.adapters.pool import UnifiedMemoryPool
 from repro.adapters.registry import AdapterRegistry, Tier
+from repro.models.config import LLAMA2_7B
+from repro.runtime.backend import SimulatedBackend
+from repro.runtime.engine import EngineConfig, GpuEngine
+from repro.runtime.request import Request
+from repro.workloads.trace import RequestSpec
 
 CAPACITY = 64.0
 PAGE_SIZE = 4
@@ -84,6 +89,37 @@ class TestSharedAccounting:
         pool.adapters.request_load("r32", 24.0, now=1.0)
         pool.check_invariant()
 
+    def test_prefetch_invalidates_a_staged_run(self):
+        # One request on r8 (8 bytes) holding one full 4-token page: 28
+        # bytes are free, so a run is staged 7 steps long, a page per
+        # step. Promoting r32 after its first step takes the last free
+        # bytes, and the page the run opens at its fifth step no longer
+        # fits: the run is stale, no new one fits beside the adapters,
+        # and that page comes from a scalar step that demotes r32.
+        pool = make_pool(capacity=40.0)
+        engine = GpuEngine(
+            "gpu0", SimulatedBackend(LLAMA2_7B, unified_pool=pool),
+            EngineConfig(max_batch_size=4),
+        )
+        engine.add_request(Request(spec=RequestSpec(
+            request_id="r", lora_id="r8", arrival_time=0.0,
+            prompt_len=4, response_len=12,
+        )), 0.0)
+        now = engine.step(pool.adapters.ready_time("r8")).end
+        ends, batch, finishes = engine.steady_run_stage(now)
+        assert (len(ends) - 1, batch, finishes) == (7, 1, False)
+        engine.commit_steady_run(1)
+        now = float(ends[1])
+        assert engine.steady_run_valid()
+        assert pool.adapters.prefetch("r32", now)
+        assert pool.free_bytes() == 0.0
+        assert not engine.steady_run_valid()
+        assert engine.steady_run_stage(now) is None
+        while not engine.is_idle:
+            now = engine.step(now).end
+            pool.check_invariant()
+        assert not pool.adapters.is_resident("r32")
+
 
 # -- property test -------------------------------------------------------
 
@@ -96,6 +132,16 @@ _ops = st.lists(
         st.tuples(st.just("kv_admit"), st.integers(0, 3), st.integers(1, 24)),
         st.tuples(st.just("kv_append"), st.integers(0, 3)),
         st.tuples(st.just("kv_release"), st.integers(0, 3)),
+        # An engine on the pool: admits, scalar steps, and bulk runs
+        # staged in one operation and committed (while still valid) in a
+        # later one, so loads and prefetches land between the two.
+        st.tuples(
+            st.just("admit"), st.sampled_from(sorted(ADAPTERS)),
+            st.integers(1, 8), st.integers(1, 12),
+        ),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("stage")),
+        st.tuples(st.just("commit"), st.integers(1, 12)),
     ),
     max_size=60,
 )
@@ -104,12 +150,18 @@ _ops = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(ops=_ops)
 def test_gpu_bytes_never_exceed_unified_budget(ops):
-    """Random load/evict/prefetch/KV sequences at mixed ranks never push
-    KvCache + adapter bytes past the shared budget."""
+    """Random load/evict/prefetch/KV sequences at mixed ranks, with an
+    engine on the pool admitting, stepping and committing bulk decode
+    runs in between, never push KvCache + adapter bytes past the shared
+    budget."""
     pool = make_pool()
+    engine = GpuEngine(
+        "gpu0", SimulatedBackend(LLAMA2_7B, unified_pool=pool),
+        EngineConfig(max_batch_size=4),
+    )
     held: dict[str, int] = {lid: 0 for lid in ADAPTERS}
     now = 0.0
-    for op in ops:
+    for serial, op in enumerate(ops):
         now += 0.5
         pool.adapters.advance(now)
         kind = op[0]
@@ -143,5 +195,24 @@ def test_gpu_bytes_never_exceed_unified_budget(ops):
             seq = f"s{op[1]}"
             if seq in pool:
                 pool.free(seq)
+        elif kind == "admit":
+            _, lid, prompt, response = op
+            req = Request(spec=RequestSpec(
+                request_id=f"r{serial}", lora_id=lid, arrival_time=now,
+                prompt_len=prompt, response_len=response,
+            ))
+            if engine.can_accept(req):
+                engine.add_request(req, now)
+        elif kind == "step":
+            report = engine.step(now)
+            if report is not None:
+                now = max(now, report.end)
+        elif kind == "stage":
+            engine.steady_run_stage(now)
+        elif kind == "commit" and engine.steady_run_valid():
+            ends = engine._staged_run[0]
+            n = min(op[1], len(ends) - 1)
+            engine.commit_steady_run(n)
+            now = max(now, float(ends[n]))
         pool.check_invariant()
         assert pool.adapter_used_bytes() + pool.kv_used_bytes() <= CAPACITY

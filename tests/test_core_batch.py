@@ -396,8 +396,9 @@ class TestArmedBatch:
             decodes = [e for e, _, _, _ in slots]
             assert armed.ids == [e.request_id for e in decodes]
             assert armed.total == sum(kv + 1 for _, kv, _, _ in slots)
-            assert armed.rem == [left for _, _, left, _ in slots]
-            assert armed.left == min(armed.rem, default=armed.left)
+            rem = [f - armed.steps for f in armed.fin]
+            assert rem == [left for _, _, left, _ in slots]
+            assert armed.next_fin == min(armed.fin, default=armed.next_fin)
             assert [
                 armed.kv0[e.request_id] + armed.steps for e, _, _, _ in slots
             ] == [kv for _, kv, _, _ in slots]

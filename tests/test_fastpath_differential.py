@@ -39,8 +39,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.cluster.simulator as simulator_module
+import repro.runtime.engine as engine_module
+from repro.adapters.pool import UnifiedMemoryPool
 from repro.baselines import framework
 from repro.baselines.framework import ALL_SYSTEMS
+from repro.bench.adapter_cache import AdapterCacheScale, build_adapter_cluster
 from repro.cluster.control import ControlConfig, SloPolicy
 from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.frontend import Frontend
@@ -1489,7 +1493,7 @@ def test_outside_changes_invalidate_staged_runs(monkeypatch):
     def checking(self):
         ok = valid(self)
         if not ok:
-            _, _, plan, slowdown = self._staged_run
+            _, _, plan, slowdown, _ = self._staged_run
             stale.append((
                 self.gpu_id,
                 "slowdown" if slowdown != self.slowdown_factor
@@ -1551,6 +1555,107 @@ def test_engine_idled_by_a_merged_finish_schedules_nothing(monkeypatch):
     (engine,) = sim.scheduler.engines.values()
     (ref_engine,) = ref_sim.scheduler.engines.values()
     assert engine.fast_steps + engine.slow_steps == ref_engine.slow_steps
+
+
+# ---------------------------------------------------------------------------
+# Unified pools: KvCache and adapters on one byte budget
+# ---------------------------------------------------------------------------
+def _unified_pool_run(fast_path):
+    """The adapter-cache ablation's fleet (two engines, each on a
+    :class:`UnifiedMemoryPool`, prefetch on) at a budget of 6 000 KV
+    tokens beside four adapters, so decode appends demote adapters, with
+    every seventh request cancelled soon after it arrives. The pool's
+    invariant is checked after every step and every bulk commit; returns
+    the run's result, simulator, the adapters demoted by KV appends and
+    the staged runs a new adapter copy made stale."""
+    scale = AdapterCacheScale(duration=20.0, kv_budget_tokens=6_000)
+    trace = open_loop_trace(
+        rate=scale.rate, duration=scale.duration, distribution="skewed",
+        seed=0, alpha=scale.alpha,
+    )
+    resolved = lambda requested: fast_path  # noqa: E731
+    with mock.patch.object(engine_module, "fastpath_enabled", resolved), \
+            mock.patch.object(simulator_module, "fastpath_enabled", resolved):
+        sim, _, _ = build_adapter_cluster(trace, scale=scale)
+    for i, spec in enumerate(trace.requests[::7]):
+        def _cancel(now, rid=spec.request_id):
+            req = sim._requests.get(rid)
+            if req is not None and req.state in (
+                RequestState.QUEUED, RequestState.RUNNING
+            ):
+                sim.cancel(req, now)
+
+        sim.loop.schedule(spec.arrival_time + 0.3 + 0.1 * (i % 5), _cancel)
+    demoted = [0]
+    stale = [0]
+    append, step = UnifiedMemoryPool.append, GpuEngine.step
+    commit, valid = GpuEngine.commit_steady_run, GpuEngine.steady_run_valid
+
+    def appending(self, seq_id, n=1):
+        before = self.adapters.num_evictions
+        pages = append(self, seq_id, n)
+        demoted[0] += self.adapters.num_evictions - before
+        return pages
+
+    def stepping(self, now):
+        report = step(self, now)
+        self.backend.pool.check_invariant()
+        return report
+
+    def committing(self, n):
+        commit(self, n)
+        self.backend.pool.check_invariant()
+
+    def validating(self):
+        ok = valid(self)
+        staged = self._staged_run
+        if not ok and staged is not None and staged[4] != self.loader.transfers:
+            stale[0] += 1
+        return ok
+
+    with mock.patch.object(UnifiedMemoryPool, "append", appending), \
+            mock.patch.object(GpuEngine, "step", stepping), \
+            mock.patch.object(GpuEngine, "commit_steady_run", committing), \
+            mock.patch.object(GpuEngine, "steady_run_valid", validating):
+        result = sim.run(trace)
+    return result, sim, demoted[0], stale[0]
+
+
+@pytest.fixture(scope="module")
+def unified_pool_runs():
+    return _unified_pool_run(True), _unified_pool_run(False)
+
+
+def test_unified_pool_fleet_differential(unified_pool_runs):
+    """Fast == reference on a unified-pool fleet under KV pressure,
+    prefetch and cancels: every request's stamps and tokens, the metrics
+    registry, the adapter hits per tier and the evictions. The decode
+    appends that demote adapters run slot by slot on both paths, at the
+    same steps."""
+    (fast, fast_sim, fast_demoted, _), (ref, _, ref_demoted, _) = unified_pool_runs
+    assert _request_states(fast.requests) == _request_states(ref.requests)
+    assert {r.state for r in fast.requests} == {
+        RequestState.FINISHED, RequestState.CANCELLED,
+    }
+    _assert_metrics_equal(fast.metrics, ref.metrics)
+    assert fast.metrics.adapter_hit_counts() == ref.metrics.adapter_hit_counts()
+    assert fast.metrics.eviction_count() == ref.metrics.eviction_count()
+    assert fast.duration == ref.duration
+    assert fast_demoted == ref_demoted > 0
+    for engine in fast_sim.scheduler.engines.values():
+        assert engine.backend.kv.allocator.used_pages == 0
+
+
+def test_unified_pool_fleet_merges(unified_pool_runs):
+    """The canary: unified-pool engines take the decode lane's bulk runs
+    (each priced within the pages that fit beside every adapter), and a
+    prefetch promotion that lands on a staged run makes it stale."""
+    (_, fast_sim, _, stale), (_, ref_sim, _, _) = unified_pool_runs
+    engines = list(fast_sim.scheduler.engines.values())
+    assert fast_sim._vector.merged_steps > 0
+    assert sum(e.fast_steps for e in engines) > 0
+    assert stale > 0
+    assert ref_sim._vector.merged_steps == 0
 
 
 # ---------------------------------------------------------------------------

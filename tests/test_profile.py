@@ -98,7 +98,10 @@ def test_slo_attribution_names_functions():
 
 def test_gate_rounds_cross_check(monkeypatch):
     row = profile.fig13_quick_round(0, scale=TINY)
-    assert set(row) == {"wall_s", "speedup", "traced_ratio", "requests_per_s"}
+    assert set(row) == {
+        "wall_s", "speedup", "traced_ratio", "requests_per_s",
+        "cpu_s", "cpu_speedup", "cpu_traced_ratio",
+    }
     assert all(v > 0 for v in row.values())
     budget = profile.fig13_1m_round(0, fraction=0.0005)
     assert set(budget) == {"wall_s", "events_per_s"}
@@ -146,3 +149,24 @@ def test_gate_verdict(rounds, thresholds, failing):
     if len(rounds) < 2:
         gated.discard("variance")
     assert {metric for metric, *_ in rows} == gated
+
+
+def test_cpu_rows_print_beside_the_gate_ungated():
+    """CPU-time speedup, traced ratio and variance follow the gate's rows
+    with no bound, so they never fail a check, however far off."""
+    rounds = [
+        {**QUICK_OK, "cpu_s": 1.0, "cpu_speedup": 2.5, "cpu_traced_ratio": 1.2},
+        {**QUICK_OK, "cpu_s": 1.5, "cpu_speedup": 0.5, "cpu_traced_ratio": 3.0},
+    ]
+    rows = profile.gate_rows(rounds, profile.FIG13_QUICK_GATE)
+    assert rows[-3:] == [
+        ("cpu_speedup", 0.5, "-", None), ("cpu_traced_ratio", 3.0, "-", None),
+        ("cpu_variance", 0.5, "-", None),
+    ]
+    assert all(ok for *_, ok in rows[:-3])
+    one = profile.gate_rows(rounds[:1], profile.FIG13_QUICK_GATE)
+    assert [m for m, *_ in one if m.startswith("cpu_")] == [
+        "cpu_speedup", "cpu_traced_ratio",
+    ]
+    text = profile.Profile("fig13_quick", 0, 1.0, [], rows, []).render()
+    assert "cpu_variance" in text and "FAIL" not in text

@@ -229,6 +229,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="prefill_batch_limit"):
             EngineConfig(prefill_batch_limit=-1)
 
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_eos_rejected_on_counter_tokens(self, fast_path):
+        # The simulated backend's tokens are counters: an EOS id would
+        # end whichever request drew that count.
+        with pytest.raises(ValueError, match="eos_token_id"):
+            GpuEngine(
+                "gpu0", SimulatedBackend(LLAMA2_7B),
+                EngineConfig(eos_token_id=2), fast_path=fast_path,
+            )
+
 
 class TestKvHandoff:
     def test_export_then_import_resumes_without_reprefill(self):
@@ -411,7 +421,7 @@ def assert_armed_is_fresh(engine):
     set from scratch gives: ``plan_batch`` over ``_working_order``, its
     ids, KV total and countdowns — always, pending work or not — and its
     laid plan, whenever one is laid. A prefill that joined this step
-    counts its first token once: in ``rem`` and in ``total``. Bulk
+    counts its first token once: in ``fin`` and in ``total``. Bulk
     commits leave each request ``lag`` steps behind the batch's step
     count until a reader writes them back; this check reads nothing that
     writes back."""
@@ -426,7 +436,7 @@ def assert_armed_is_fresh(engine):
         assert_plans_equal(steady.decode_plan, plan_batch(decodes))
     assert steady.ids == [s.request.request_id for s in slots]
     assert steady.total == sum(s.request.kv_len + lag + 1 for s in slots)
-    assert steady.rem == [
+    assert [f - steady.steps for f in steady.fin] == [
         s.request.spec.response_len - s.request.num_generated - lag for s in slots
     ]
 
