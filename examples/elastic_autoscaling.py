@@ -56,7 +56,7 @@ def main() -> None:
         for r in (static, elastic)
     )
     rows = [
-        ["static", f"{NUM_GPUS * static.duration:.0f}", static.finished_requests,
+        ["static", f"{static.gpu_seconds():.0f}", static.finished_requests,
          f"{static_ms:.0f}", "-", "-"],
         ["elastic", f"{elastic.gpu_seconds():.0f}", elastic.finished_requests,
          f"{elastic_ms:.0f}",
@@ -66,7 +66,7 @@ def main() -> None:
         ["pool", "GPU-seconds", "finished", "ms/token", "scale-ups", "releases"],
         rows, title="\nStatic vs elastic provisioning",
     ))
-    saving = 1 - elastic.gpu_seconds() / (NUM_GPUS * static.duration)
+    saving = 1 - elastic.gpu_seconds() / static.gpu_seconds()
     print(f"\nGPU-seconds saved by elasticity: {saving:.0%} "
           f"(peak elastic pool: {elastic.peak_pool_size()} GPUs)")
 

@@ -107,7 +107,7 @@ def _summarize(result: SimulationResult, tracer: Tracer) -> "dict[str, float]":
     totals = breakdown_totals(compute_breakdowns(tracer))
     return {
         "finished": result.finished_requests,
-        "tok_s": result.metrics.total_tokens() / result.duration,
+        "tok_s": result.throughput,
         "mean_ttft_ms": LatencyStats.from_requests(result.requests).mean_ttft / MS,
         "p50_itl_ms": float(np.percentile(tpots, 50)) / MS,
         "p99_itl_ms": float(np.percentile(tpots, 99)) / MS,

@@ -191,7 +191,7 @@ def run_elastic_ablation(seed: int = 0) -> FigureTable:
                  "mean_latency_s_per_tok"],
     )
     table.add_row(
-        "static", scale.num_gpus * static.duration, static.finished_requests,
+        "static", static.gpu_seconds(), static.finished_requests,
         static.duration, LatencyStats.from_requests(static.requests).mean_normalized,
     )
     table.add_row(

@@ -94,7 +94,7 @@ def run_cell(
 def _stats(result: SimulationResult, control: ControlConfig) -> "dict[str, float]":
     stats = LatencyStats.from_requests(result.requests)
     return {
-        "attainment": slo_attainment(result.requests, control, result.duration),
+        "attainment": slo_attainment(result.requests, control),
         "shed": result.failed_requests,
         "p50_ttft_ms": stats.p50_ttft / MS,
         "p99_ttft_ms": stats.p99_ttft / MS,

@@ -11,7 +11,7 @@ has amortized its warm-up (a GPU released before it served for at least
 one provisioning delay paid its warm-up for nothing). Scale decisions
 emit SCALE_UP / SCALE_DOWN trace events carrying the forecast that drove
 them. This module is the forecast arithmetic; the pool mechanics
-(leases, provisioning, release) live with the pool.
+(provisioning, release) live with the pool, the leases with the simulator.
 """
 
 from __future__ import annotations

@@ -57,13 +57,12 @@ def score_requests(
     return scored
 
 
-def slo_attainment(
-    requests: "list[Request]", control: ControlConfig, duration: float
-) -> float:
+def slo_attainment(requests: "list[Request]", control: ControlConfig) -> float:
     """Fraction of scored requests meeting both deadlines — usable on any
     run's request list, which is how the ablation scores FCFS baselines
     against the same policies."""
-    scored = score_requests(requests, control, duration)
+    # Only the verdicts count: the stamp a miss carries is never read.
+    scored = score_requests(requests, control, 0.0)
     if not scored:
         return 0.0
     return sum(1 for _, ok in scored if ok) / len(scored)

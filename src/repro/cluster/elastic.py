@@ -60,7 +60,8 @@ class GpuLease:
 
 
 class ElasticPool:
-    """Leases, provisioning and the autoscale tick of one simulator."""
+    """Provisioning and the autoscale tick of one simulator (the
+    simulator keeps every pool's leases)."""
 
     def __init__(
         self,
@@ -74,28 +75,19 @@ class ElasticPool:
         """Forecast sizing; None sizes by the scheduler's reactive hint."""
         self.sim = None
         """The owning simulator (set when it is constructed)."""
-        self.leases: dict[str, GpuLease] = {}
-        self.lease_log: list[GpuLease] = []
         self.idle_since: dict[str, float] = {}
         self.provisioning = 0
         self.scale_ups = 0
         self.releases = 0
         self._next_gpu_index = 0
 
-    def new_engine(self):
-        """Provision the next engine; GPU ids are never recycled."""
+    def new_engine(self, now: float):
+        """Provision the next engine, idle from ``now``; GPU ids are never
+        recycled."""
         gpu_id = f"gpu{self._next_gpu_index:02d}"
         self._next_gpu_index += 1
-        return self.engine_factory(gpu_id)
-
-    def open_lease(self, gpu_id: str, now: float) -> None:
-        lease = self.leases[gpu_id] = GpuLease(gpu_id=gpu_id, start=now)
-        self.lease_log.append(lease)
         self.idle_since[gpu_id] = now
-
-    def close_lease(self, gpu_id: str, now: float) -> None:
-        self.leases.pop(gpu_id).end = now
-        self.idle_since.pop(gpu_id, None)
+        return self.engine_factory(gpu_id)
 
     # ------------------------------------------------------------------
     def tick(self, now: float) -> None:
@@ -130,11 +122,11 @@ class ElasticPool:
                 sim.loop.schedule(now + cfg.provision_delay, self._activate)
         elif desired < len(engines):
             self._release(now, desired, forecast)
-        for gid, engine in engines.items():
-            if engine.is_idle:
-                self.idle_since.setdefault(gid, now)
-            else:
-                self.idle_since.pop(gid, None)
+        # Idle marks for the live engines only: a departed GPU's goes.
+        self.idle_since = {
+            gid: self.idle_since.get(gid, now)
+            for gid, engine in engines.items() if engine.is_idle
+        }
         # A forecast-sized pool keeps ticking until it has drained back to
         # its floor — the shrink tail would otherwise freeze at whatever
         # size the last in-flight request left it.
@@ -147,7 +139,7 @@ class ElasticPool:
 
     def _activate(self, now: float) -> None:
         self.provisioning -= 1
-        self.sim.add_engine(self.new_engine(), now)
+        self.sim.add_engine(self.new_engine(now), now)
 
     def _release(self, now: float, floor: int, forecast: "float | None" = None) -> None:
         """Shrink toward ``floor``, releasing only engines idle past the
@@ -165,7 +157,7 @@ class ElasticPool:
                 engines[gid].is_idle
                 and idle_since is not None
                 and now - idle_since >= cfg.release_idle_after
-                and now - self.leases[gid].start >= warm_up
+                and now - sim.leases[gid].start >= warm_up
             ):
                 pool = len(engines)
                 sim.drop_engine(sim.scheduler.remove_engine(gid), now)

@@ -461,6 +461,15 @@ class ClusterMetrics:
             total += float(secs.sum())
         return busy / total if total > 0 else 0.0
 
+    def last_step_end(self) -> float:
+        """When the run's last step ended (0.0 if no step ran): a run's
+        length, from t = 0. A GPU's steps run back to back, so its last
+        span ends latest."""
+        return max(
+            (float(s.values[-1]) for s in self.gpu_step_spans.values() if len(s)),
+            default=0.0,
+        )
+
     def mean_step_seconds(self) -> float:
         """Mean time of one invocation over every GPU's steps."""
         spans = self.gpu_step_spans.values()

@@ -26,7 +26,7 @@ allocation, reactive or forecast-sized).
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cluster.control.config import ControlConfig
 from repro.cluster.control.router import SloRouter
@@ -55,20 +55,24 @@ tokens, each stamped with the end of the step that committed it."""
 class SimulationResult:
     """Outcome of one run, on one engine or many."""
 
-    duration: float
     metrics: ClusterMetrics
     requests: list[Request]
     num_migrations: int
     events_processed: int
-    leases: "list[GpuLease]" = field(default_factory=list)
-    """One billing window per GPU an elastic pool provisioned (empty for
-    a static pool)."""
+    leases: "list[GpuLease]"
+    """One billing window per GPU the run held, static or elastic."""
     scale_ups: int = 0
     releases: int = 0
 
+    @property
+    def duration(self) -> float:
+        """The run's length: t = 0 to the end of its last step."""
+        return self.metrics.last_step_end()
+
     def gpu_seconds(self) -> float:
-        """GPU-seconds the elastic pool paid for."""
-        return sum(lease.seconds(self.duration) for lease in self.leases)
+        """GPU-seconds billed; a lease open at run end bills to ``duration``."""
+        horizon = self.duration
+        return sum(lease.seconds(horizon) for lease in self.leases)
 
     def peak_pool_size(self) -> int:
         events = []
@@ -149,7 +153,7 @@ class ClusterSimulator:
             if engines:
                 raise ValueError("an elastic pool provisions its own engines")
             pool.sim = self
-            engines = [pool.new_engine() for _ in range(pool.config.min_gpus)]
+            engines = [pool.new_engine(0.0) for _ in range(pool.config.min_gpus)]
         if handoff is not None and scheduler_config is None:
             scheduler_config = SchedulerConfig(consolidation=False)
         self.fast_path = fastpath_enabled(fast_path)
@@ -176,6 +180,9 @@ class ClusterSimulator:
         if tracer is not None and fault_injector is not None:
             fault_injector.tracer = tracer
         self.pool = pool
+        self.leases: dict[str, GpuLease] = {}
+        """Each live GPU's open billing window; ``lease_log`` keeps all."""
+        self.lease_log: list[GpuLease] = []
         self._gpu_busy: dict[str, bool] = {}
         self._departed: list = []
         """Engines that left mid-run (released or crashed); their adapter
@@ -217,9 +224,10 @@ class ClusterSimulator:
         runs need their prompt ids) — plus every request already handed
         to :meth:`schedule_arrival`, until the work runs out or ``until``.
 
-        The result covers every one of those requests, and its duration
-        lasts until the last token: a bulk decode run commits stamps past
-        the loop's last event, which is the last step's *start*."""
+        The result covers every one of those requests. Its ``duration``
+        ends with the last step, however long ticks or ``until`` kept the
+        loop going; run-end SLO scoring stamps live requests at the loop's
+        end instead, since that time really passed."""
         if isinstance(workload, Trace):
             workload = requests_from_trace(workload)
         self._stream_arrivals(workload)
@@ -245,19 +253,14 @@ class ClusterSimulator:
             # sheds and still-live requests count as misses.
             for t, attained in score_requests(requests, self.control, end):
                 self.metrics.record_slo_outcome(t, attained)
-        last_finish = max(
-            (r.finish_time for r in requests if r.finish_time is not None),
-            default=end,
-        )
         result = SimulationResult(
-            duration=max(end, last_finish),
             metrics=self.metrics,
             requests=requests,
             num_migrations=self.scheduler.num_migrations,
             events_processed=self.loop.processed,
+            leases=self.lease_log,
         )
         if pool is not None:
-            result.leases = pool.lease_log
             result.scale_ups = pool.scale_ups
             result.releases = pool.releases
         return result
@@ -395,8 +398,8 @@ class ClusterSimulator:
             engine.tracer = self.tracer
             engine.loader.tracer = self.tracer
         self._gpu_busy[engine.gpu_id] = False
-        if self.pool is not None:
-            self.pool.open_lease(engine.gpu_id, now)
+        lease = self.leases[engine.gpu_id] = GpuLease(engine.gpu_id, now)
+        self.lease_log.append(lease)
 
     def add_engine(self, engine, now: float) -> None:
         """Bring a newly provisioned GPU into the running pool."""
@@ -413,8 +416,7 @@ class ClusterSimulator:
         self._gpu_busy.pop(gpu_id, None)
         self._step_actions.pop(gpu_id, None)
         self._departed.append(engine)
-        if self.pool is not None:
-            self.pool.close_lease(gpu_id, now)
+        self.leases.pop(gpu_id).end = now
         self._pool_changed()
 
     def _pool_changed(self) -> None:

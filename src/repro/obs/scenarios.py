@@ -74,16 +74,16 @@ class ScenarioResult:
     tracer: Tracer
     requests: "list[Request]"
     metrics: ClusterMetrics
-    duration: float
-    """How long the run lasted: ``SimulationResult.duration`` (until the
-    last token), or the loop clock for ``serve``, which drives the loop
-    itself."""
+
+    @property
+    def duration(self) -> float:
+        """How long the run lasted, read as ``SimulationResult.duration``
+        reads it — ``serve`` too, which drives the loop itself."""
+        return self.metrics.last_step_end()
 
 
 def _scenario(name: str, tracer: Tracer, result: SimulationResult) -> ScenarioResult:
-    return ScenarioResult(
-        name, tracer, result.requests, result.metrics, result.duration
-    )
+    return ScenarioResult(name, tracer, result.requests, result.metrics)
 
 
 def _short_lengths() -> ShareGptLengths:
@@ -249,9 +249,7 @@ def run_serve(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:
     sim.loop.schedule(0.25, poll_tick)
     sim.loop.run()
     gateway.poll(sim.now)
-    return ScenarioResult(
-        "serve", tracer, list(sim._requests.values()), sim.metrics, sim.now
-    )
+    return ScenarioResult("serve", tracer, list(sim._requests.values()), sim.metrics)
 
 
 def run_spec(seed: int = 0, fast_path: "bool | None" = None) -> ScenarioResult:

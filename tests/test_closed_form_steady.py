@@ -7,8 +7,9 @@ requests at their mean KV length, ``pricer.step_seconds((), B, B·(P +
 R/2), segments)``, interpolated linearly between integer B. Its capacity
 is λ_max = 32 / ((R − 1)·τ(32)) at the batch cap of 32 (paper §5). Past
 the warm-up, mean ITL must sit within 3 % of τ(B*): the residual is the
-prefill each arrival adds to one step. When this fails, the simulator and
-the pricer disagree.
+prefill each arrival adds to one step. Over the same stretch of arrivals
+the time-mean batch must sit within 3 % of B* too. When either fails, the
+simulator and the pricer disagree.
 """
 
 from __future__ import annotations
@@ -57,6 +58,16 @@ def _fixed_point(rate: float, tau) -> float:
     return (lo + hi) / 2
 
 
+def _time_mean_batch(metrics, gpu: str, lo: float, hi: float) -> float:
+    """The batch averaged over [lo, hi]: steps wholly inside it, each
+    weighted by its length, idle time counted as batch 0."""
+    spans, sizes = metrics.gpu_step_spans[gpu], metrics.gpu_batch_size[gpu]
+    starts, ends = spans.times, spans.values
+    inside = (starts >= lo) & (ends <= hi)
+    busy = float(np.dot(sizes.values[inside], (ends - starts)[inside]))
+    return busy / (hi - lo)
+
+
 def _poisson_trace(rate: float, adapters: int) -> Trace:
     arrivals = np.cumsum(np.random.default_rng(0).exponential(1 / rate, N))
     return Trace(tuple(
@@ -99,9 +110,19 @@ def test_mean_itl_meets_the_fixed_point(gpu, adapters, load, fast_path):
         [(r.finish_time - r.first_token_time) / (R - 1) for r in measured]
     ))
     predicted = tau(batch)
-    assert abs(itl / predicted - 1) <= TOLERANCE, (
+    # The window: from the first measured arrival to the last arrival.
+    window = (measured[0].spec.arrival_time, measured[-1].spec.arrival_time)
+    mean_batch = _time_mean_batch(result.metrics, engine.gpu_id, *window)
+    cell = (
         f"{gpu}, {adapters} adapter(s), λ = {rate:.3f} req/s "
         f"(λ_max {capacity:.3f}): B* = {batch:.2f}, τ(B*) = "
-        f"{predicted * 1e3:.3f} ms, simulated mean ITL = {itl * 1e3:.3f} ms "
+        f"{predicted * 1e3:.3f} ms"
+    )
+    assert abs(itl / predicted - 1) <= TOLERANCE, (
+        f"{cell}, simulated mean ITL = {itl * 1e3:.3f} ms "
         f"(ratio {itl / predicted:.4f})"
+    )
+    assert abs(mean_batch / batch - 1) <= TOLERANCE, (
+        f"{cell}, simulated time-mean batch = {mean_batch:.2f} "
+        f"(ratio {mean_batch / batch:.4f})"
     )

@@ -799,7 +799,7 @@ class TestSloClusterSimulator:
         assert result.requests
         recorded = sim.metrics.slo_attainment()
         assert recorded == pytest.approx(
-            slo_attainment(result.requests, control, result.duration)
+            slo_attainment(result.requests, control)
         )
         assert (
             sim.metrics.slo_attained_count() + sim.metrics.slo_missed_count()
@@ -823,7 +823,7 @@ class TestSloClusterSimulator:
         req = make_request("r")
         req.mark_cancelled()
         assert score_requests([req], control, 1.0) == []
-        assert slo_attainment([req], control, 1.0) == 0.0
+        assert slo_attainment([req], control) == 0.0
 
 
 class TestPredictiveAutoscaler:
@@ -893,7 +893,7 @@ class TestPredictiveAutoscaler:
             == len(result.requests)
         )
         assert sim.metrics.slo_attainment() == pytest.approx(
-            slo_attainment(result.requests, control, result.duration)
+            slo_attainment(result.requests, control)
         )
 
 

@@ -91,8 +91,11 @@ class TestElasticSimulation:
     def test_elastic_cheaper_than_static_peak_pool(self):
         trace = ramp_trace(duration=120.0, peak=8.0)
         elastic = make_sim(max_gpus=6).run(trace)
-        static_gpu_seconds = 6 * elastic.duration
-        assert elastic.gpu_seconds() < 0.8 * static_gpu_seconds
+        static = ClusterSimulator(
+            [engine_factory(f"s{i}") for i in range(6)],
+            SchedulerConfig(migration_interval=5.0),
+        ).run(trace)
+        assert elastic.gpu_seconds() < 0.8 * static.gpu_seconds()
 
     def test_throughput_not_destroyed_by_elasticity(self):
         # Compared to a static max-size pool, elasticity may queue requests

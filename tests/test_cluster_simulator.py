@@ -2,7 +2,12 @@
 
 import pytest
 
+import repro.cluster.simulator as simulator_module
+import repro.runtime.engine as engine_module
+from repro.bench.disagg_ablation import run_colocated, run_disaggregated
 from repro.cluster.control import ControlConfig
+from repro.cluster.elastic import ElasticConfig, ElasticPool
+from repro.cluster.faults import FaultInjector, FaultKind, FaultSpec
 from repro.cluster.metrics import ClusterMetrics, TimeSeries
 from repro.cluster.scheduler import SchedulerConfig
 from repro.cluster.simulator import ClusterSimulator
@@ -18,12 +23,13 @@ from repro.workloads.lengths import ShareGptLengths
 from repro.workloads.trace import Trace, generate_trace
 
 
-def make_engines(n, max_batch=8):
+def make_engines(n, max_batch=8, fast_path=None):
     return [
         GpuEngine(
             f"gpu{i:02d}",
             SimulatedBackend(LLAMA2_7B, step_overhead=0.0),
             EngineConfig(max_batch_size=max_batch),
+            fast_path=fast_path,
         )
         for i in range(n)
     ]
@@ -162,3 +168,93 @@ class TestClusterSimulation:
         assert {e.gpu_id for e in tracer.by_kind(EventKind.ADAPTER_LOAD)} == {
             "gpu00", "gpu01"
         }
+
+
+def last_finish(result):
+    return max(r.finish_time for r in result.requests if r.finish_time is not None)
+
+
+@pytest.mark.parametrize("fast_path", [True, False], ids=["fast", "reference"])
+class TestRunSpan:
+    """A run lasts from t = 0 to the end of its last step, on both paths:
+    no tick that re-arms past the work stretches it, and every lease
+    bills up to it."""
+
+    def test_consolidation_tick_does_not_stretch_a_drained_pool(self, fast_path):
+        sim = ClusterSimulator(make_engines(2, fast_path=fast_path), fast_path=fast_path)
+        result = sim.run(small_trace())
+        assert result.finished_requests == len(result.requests)
+        assert sim.now > result.duration  # the loop ran on to the next tick
+        assert result.duration == last_finish(result)
+
+    def test_disagg_ablation_fleet(self, fast_path, monkeypatch):
+        # The ablation builds its own engines: pin the path the way the CI
+        # ``results`` job does, from outside.
+        for module in (simulator_module, engine_module):
+            monkeypatch.setattr(module, "fastpath_enabled", lambda _: fast_path)
+        colocated, _ = run_colocated()
+        disagg, _, _ = run_disaggregated()
+        for result in (colocated, disagg):
+            assert result.duration == last_finish(result)
+            assert result.throughput == result.tokens_generated / result.duration
+
+    def test_elastic_pool(self, fast_path):
+        def factory(gpu_id):
+            return GpuEngine(
+                gpu_id, SimulatedBackend(LLAMA2_7B, step_overhead=0.0),
+                EngineConfig(max_batch_size=4), fast_path=fast_path,
+            )
+
+        sim = ClusterSimulator(
+            pool=ElasticPool(factory, ElasticConfig(
+                max_gpus=4, provision_delay=2.0, release_idle_after=4.0,
+                check_interval=1.0,
+            )),
+            fast_path=fast_path,
+        )
+        result = sim.run(small_trace(rate=6.0))
+        assert result.scale_ups > 0 and result.releases > 0
+        assert result.duration == last_finish(result)
+        open_leases = [lease for lease in result.leases if lease.end is None]
+        assert result.gpu_seconds() == pytest.approx(
+            sum(lease.end - lease.start for lease in result.leases
+                if lease.end is not None)
+            + sum(result.duration - lease.start for lease in open_leases)
+        )
+
+    def test_run_cut_by_until_ends_at_its_last_step(self, fast_path):
+        sim = ClusterSimulator(make_engines(2, fast_path=fast_path), fast_path=fast_path)
+        stamps = []
+        sim.token_sink = lambda rid, tokens, times: stamps.extend(times)
+        result = sim.run(small_trace(), until=7.3)
+        assert sim.now == 7.3
+        assert any(not r.state.is_terminal for r in result.requests)
+        # Every token is stamped with the end of the step that made it.
+        assert result.duration == max(stamps) != sim.now
+        assert result.duration > last_finish(result)
+
+    def test_static_pool_bills_every_engine_for_the_run(self, fast_path):
+        result = ClusterSimulator(
+            make_engines(3, fast_path=fast_path), fast_path=fast_path
+        ).run(small_trace())
+        assert [(lease.start, lease.end) for lease in result.leases] == [
+            (0.0, None)
+        ] * 3
+        assert result.peak_pool_size() == 3
+        assert result.gpu_seconds() == pytest.approx(3 * result.duration)
+
+    def test_crashed_gpu_stops_billing_at_the_crash(self, fast_path):
+        injector = FaultInjector(
+            [FaultSpec(kind=FaultKind.GPU_CRASH, time=5.0, gpu_id="gpu01")],
+            seed=0,
+        )
+        sim = ClusterSimulator(
+            make_engines(3, fast_path=fast_path), fault_injector=injector,
+            fast_path=fast_path,
+        )
+        result = sim.run(small_trace())
+        assert injector.injected[0].applied
+        ends = {lease.gpu_id: lease.end for lease in result.leases}
+        assert ends == {"gpu00": None, "gpu01": 5.0, "gpu02": None}
+        assert result.duration == last_finish(result)
+        assert result.gpu_seconds() == pytest.approx(2 * result.duration + 5.0)
